@@ -9,23 +9,23 @@ type anyMailboxKey struct {
 	tag int64
 }
 
-// anyMailbox returns (creating if needed) the any-source channel for tag.
-func (n *Node) anyMailbox(tag int64) chan message {
+// anyMailbox returns (creating if needed) the any-source queue for tag.
+func (n *Node) anyMailbox(tag int64) *mailbox {
 	n.anyMu.Lock()
 	defer n.anyMu.Unlock()
 	if n.anyBoxes == nil {
-		n.anyBoxes = make(map[anyMailboxKey]chan message)
+		n.anyBoxes = make(map[anyMailboxKey]*mailbox)
 	}
 	key := anyMailboxKey{tag}
 	mb := n.anyBoxes[key]
 	if mb == nil {
-		mb = make(chan message, n.cluster.cfg.MailboxDepth)
+		mb = newMailbox(n.cluster.cfg.MailboxDepth)
 		n.anyBoxes[key] = mb
 	}
 	return mb
 }
 
-// SendAny transmits a copy of data to dst's any-source mailbox for tag.
+// SendAny transmits data to dst's any-source mailbox for tag, as Send does.
 // Messages sent with SendAny are received only by RecvAny; they do not mix
 // with Send/Recv traffic.
 func (n *Node) SendAny(dst int, tag int64, data []byte) {
@@ -33,7 +33,7 @@ func (n *Node) SendAny(dst int, tag int64, data []byte) {
 }
 
 // RecvAny blocks until any node's SendAny for this tag arrives, returning
-// the sender's rank and the payload.
+// the sender's rank and the payload, which the caller now owns; see Release.
 func (n *Node) RecvAny(tag int64) (src int, data []byte) {
 	msg := n.recvFrame(n.anyMailbox(tag), -1)
 	return msg.src, msg.data
@@ -56,14 +56,13 @@ func (c *Comm) RecvAny(tag int64) (src int, data []byte) {
 // data with their other duties — the bookkeeping burden the paper ascribes
 // to forgoing multiple pipelines.
 func (n *Node) TryRecvAny(tag int64) (src int, data []byte, ok bool) {
-	select {
-	case msg := <-n.anyMailbox(tag):
-		n.stats.msgsRecvd.Add(1)
-		n.stats.bytesRecvd.Add(int64(len(msg.data)))
-		return msg.src, msg.data, true
-	default:
+	msg, ok := n.anyMailbox(tag).tryGet()
+	if !ok {
 		return 0, nil, false
 	}
+	n.stats.msgsRecvd.Add(1)
+	n.stats.bytesRecvd.Add(int64(len(msg.data)))
+	return msg.src, msg.data, true
 }
 
 // TryRecvAny is the Comm-scoped form of Node.TryRecvAny.

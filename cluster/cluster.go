@@ -98,7 +98,7 @@ type Config struct {
 	// generous default.
 	MailboxDepth int
 	// Transport selects how inter-rank messages move. The zero value keeps
-	// the in-process backend (channel mailboxes plus the simulated
+	// the in-process backend (in-memory mailboxes plus the simulated
 	// interconnect); see TransportConfig for the TCP backend, which can
 	// split the job's ranks across OS processes.
 	Transport TransportConfig
@@ -178,7 +178,7 @@ func Open(cfg Config) (*Cluster, error) {
 			rank:      r,
 			cluster:   c,
 			Disk:      pdm.NewDisk(cfg.Disk),
-			mailboxes: make(map[mailboxKey]chan message),
+			mailboxes: make(map[mailboxKey]*mailbox),
 		}
 		c.nodes[r] = n
 		c.local = append(c.local, n)
@@ -437,14 +437,14 @@ type Node struct {
 	Disk    *pdm.Disk
 
 	mu        sync.Mutex
-	mailboxes map[mailboxKey]chan message
+	mailboxes map[mailboxKey]*mailbox
 	fault     func(op string, peer int, nbytes int) error
 
 	stats commCounters
 	obs   atomic.Pointer[CommObserver]
 
 	anyMu    sync.Mutex
-	anyBoxes map[anyMailboxKey]chan message
+	anyBoxes map[anyMailboxKey]*mailbox
 
 	nic pdm.CostGate // serializes simulated transmit time, one NIC per node
 }
@@ -456,7 +456,8 @@ type mailboxKey struct {
 
 // message is one mailbox entry: the payload plus the source rank (needed
 // by any-source receives) and the transfer ID assigned at the send, which
-// rides along so the receiver observes the same ID.
+// rides along so the receiver observes the same ID. The payload belongs to
+// the mailbox until a receive hands it, and its ownership, to the caller.
 type message struct {
 	src  int
 	xfer int64
@@ -547,15 +548,15 @@ func (n *Node) checkFault(op string, peer, nbytes int) {
 	}
 }
 
-// mailbox returns (creating if needed) the channel buffering messages from
-// src with the given tag.
-func (n *Node) mailbox(src int, tag int64) chan message {
+// mailbox returns (creating if needed) the queue of messages from src with
+// the given tag.
+func (n *Node) mailbox(src int, tag int64) *mailbox {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	key := mailboxKey{src, tag}
 	mb := n.mailboxes[key]
 	if mb == nil {
-		mb = make(chan message, n.cluster.cfg.MailboxDepth)
+		mb = newMailbox(n.cluster.cfg.MailboxDepth)
 		n.mailboxes[key] = mb
 	}
 	return mb
@@ -589,29 +590,13 @@ func (c *Cluster) deliverLocal(f Frame, cancel <-chan struct{}) error {
 	if dst == nil {
 		return fmt.Errorf("cluster: rank %d is not hosted by this process", f.Dst)
 	}
-	var mb chan message
+	var mb *mailbox
 	if f.Any {
 		mb = dst.anyMailbox(f.Tag)
 	} else {
 		mb = dst.mailbox(f.Src, f.Tag)
 	}
-	m := message{src: f.Src, xfer: f.Xfer, data: f.Data}
-	if cancel == nil {
-		select {
-		case mb <- m:
-			return nil
-		case <-c.aborted:
-			return ErrAborted
-		}
-	}
-	select {
-	case mb <- m:
-		return nil
-	case <-c.aborted:
-		return ErrAborted
-	case <-cancel:
-		return errTransportClosed
-	}
+	return mb.put(message{src: f.Src, xfer: f.Xfer, data: f.Data}, c.aborted, cancel)
 }
 
 // deliverControl dispatches one reserved-tag control frame. Unknown
@@ -631,7 +616,8 @@ func (c *Cluster) deliverControl(f Frame) {
 }
 
 // sendFrame is the shared body of Send and SendAny: fault check, abort
-// preflight, copy, transfer-ID mint, transport delivery, stats, observer.
+// preflight, copy into a recycled message buffer, transfer-ID mint,
+// transport delivery, stats, observer.
 func (n *Node) sendFrame(dst int, tag int64, any bool, data []byte) {
 	if dst < 0 || dst >= n.P() {
 		panic(fmt.Sprintf("cluster: node %d sending to invalid rank %d", n.rank, dst))
@@ -643,8 +629,7 @@ func (n *Node) sendFrame(dst int, tag int64, any bool, data []byte) {
 	if n.cluster.Aborted() {
 		n.abortPanic("send", dst)
 	}
-	msg := make([]byte, len(data))
-	copy(msg, data)
+	msg := newMsg(data)
 	tr := n.cluster.transport
 	xfer := tr.NextXfer(n.rank)
 
@@ -664,21 +649,18 @@ func (n *Node) sendFrame(dst int, tag int64, any bool, data []byte) {
 
 // recvFrame is the shared body of Recv and RecvAny. peer is the reported
 // peer rank: src for point-to-point, -1 for any-source.
-func (n *Node) recvFrame(mb chan message, peer int) message {
+func (n *Node) recvFrame(mb *mailbox, peer int) message {
 	n.checkFault("recv", peer, 0)
 	if n.cluster.Aborted() {
 		n.abortPanic("recv", peer)
 	}
 	start := time.Now()
-	var msg message
 	n.stats.recvsBlocked.Add(1)
-	select {
-	case msg = <-mb:
-	case <-n.cluster.aborted:
-		n.stats.recvsBlocked.Add(-1)
+	msg, ok := mb.get(n.cluster.aborted)
+	n.stats.recvsBlocked.Add(-1)
+	if !ok {
 		n.abortPanic("recv", peer)
 	}
-	n.stats.recvsBlocked.Add(-1)
 	n.stats.msgsRecvd.Add(1)
 	n.stats.bytesRecvd.Add(int64(len(msg.data)))
 	n.stats.recvWait.Add(int64(time.Since(start)))
@@ -686,17 +668,19 @@ func (n *Node) recvFrame(mb chan message, peer int) message {
 	return msg
 }
 
-// Send transmits a copy of data to node dst with the given tag. It blocks
-// until the message is accepted for delivery: on the in-process transport
-// that includes the simulated transfer duration (self-sends are free, as
-// through shared memory); over TCP it includes any wait for the in-flight
-// byte budget. After Send returns the caller may reuse data.
+// Send transmits data to node dst with the given tag. It blocks until the
+// message is accepted for delivery: on the in-process transport that
+// includes the simulated transfer duration (self-sends are free, as through
+// shared memory); over TCP it includes any wait for the in-flight byte
+// budget. The payload is copied before Send returns — into a recycled
+// message buffer, so a stream of sends whose receivers Release allocates
+// nothing — and the caller may reuse data at once.
 func (n *Node) Send(dst int, tag int64, data []byte) {
 	n.sendFrame(dst, tag, false, data)
 }
 
 // Recv blocks until a message from src with the given tag arrives and
-// returns its payload.
+// returns its payload, which the caller now owns; see Release.
 func (n *Node) Recv(src int, tag int64) []byte {
 	if src < 0 || src >= n.P() {
 		panic(fmt.Sprintf("cluster: node %d receiving from invalid rank %d", n.rank, src))
@@ -707,14 +691,13 @@ func (n *Node) Recv(src int, tag int64) []byte {
 // TryRecv returns a pending message from src with the given tag, or
 // (nil, false) if none is waiting.
 func (n *Node) TryRecv(src int, tag int64) ([]byte, bool) {
-	select {
-	case msg := <-n.mailbox(src, tag):
-		n.stats.msgsRecvd.Add(1)
-		n.stats.bytesRecvd.Add(int64(len(msg.data)))
-		return msg.data, true
-	default:
+	msg, ok := n.mailbox(src, tag).tryGet()
+	if !ok {
 		return nil, false
 	}
+	n.stats.msgsRecvd.Add(1)
+	n.stats.bytesRecvd.Add(int64(len(msg.data)))
+	return msg.data, true
 }
 
 // EmitMetrics feeds every node's communication counters to emit, one

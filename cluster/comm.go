@@ -81,6 +81,7 @@ func (c *Comm) SendrecvReplace(buf []byte, dst, src int, tag int64) {
 		panic("cluster: SendrecvReplace received a message of different size")
 	}
 	copy(buf, in)
+	Release(in)
 }
 
 // nextSeq reserves the next collective sequence number.
@@ -97,7 +98,7 @@ func (c *Comm) Barrier() {
 	n := c.n
 	if n.rank == 0 {
 		for src := 1; src < n.P(); src++ {
-			n.Recv(src, tag)
+			n.Recv(src, tag) // empty: nothing to release
 		}
 		for dst := 1; dst < n.P(); dst++ {
 			n.Send(dst, tag, nil)
@@ -109,7 +110,9 @@ func (c *Comm) Barrier() {
 }
 
 // Bcast distributes root's data to every node and returns each node's copy.
-// Non-root callers pass nil.
+// Non-root callers pass nil. Like every collective's results, the copy is a
+// received message — root's own included — that the caller owns and may
+// Release.
 func (c *Comm) Bcast(root int, data []byte) []byte {
 	tag := c.collBase + c.nextSeq()
 	n := c.n
@@ -119,9 +122,7 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 				n.Send(dst, tag, data)
 			}
 		}
-		out := make([]byte, len(data))
-		copy(out, data)
-		return out
+		return newMsg(data)
 	}
 	return n.Recv(root, tag)
 }
@@ -133,9 +134,7 @@ func (c *Comm) Gather(root int, data []byte) [][]byte {
 	n := c.n
 	if n.rank == root {
 		out := make([][]byte, n.P())
-		own := make([]byte, len(data))
-		copy(own, data)
-		out[root] = own
+		out[root] = newMsg(data)
 		for src := 0; src < n.P(); src++ {
 			if src != root {
 				out[src] = n.Recv(src, tag)
@@ -157,9 +156,7 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 		n.Send((n.rank+i)%n.P(), tag, data)
 	}
 	out := make([][]byte, n.P())
-	own := make([]byte, len(data))
-	copy(own, data)
-	out[n.rank] = own
+	out[n.rank] = newMsg(data)
 	for src := 0; src < n.P(); src++ {
 		if src != n.rank {
 			out[src] = n.Recv(src, tag)
@@ -182,9 +179,7 @@ func (c *Comm) Alltoall(parts [][]byte) [][]byte {
 		n.Send(dst, tag, parts[dst])
 	}
 	out := make([][]byte, n.P())
-	own := make([]byte, len(parts[n.rank]))
-	copy(own, parts[n.rank])
-	out[n.rank] = own
+	out[n.rank] = newMsg(parts[n.rank])
 	for src := 0; src < n.P(); src++ {
 		if src != n.rank {
 			out[src] = n.Recv(src, tag)

@@ -86,6 +86,7 @@ func TestTransportConformance(t *testing.T) {
 			t.Run("CommIsolation", func(t *testing.T) { conformCommIsolation(t, kind) })
 			t.Run("PayloadIntegrity", func(t *testing.T) { conformPayloads(t, kind) })
 			t.Run("XferCorrelation", func(t *testing.T) { conformXfer(t, kind) })
+			t.Run("HeldMessageSurvivesRecycling", func(t *testing.T) { conformHeldMessage(t, kind) })
 			t.Run("AbortReleasesBlockedSend", func(t *testing.T) { conformAbortSend(t, kind) })
 			t.Run("AbortReleasesBlockedRecv", func(t *testing.T) { conformAbortRecv(t, kind) })
 			t.Run("SendAfterAbortFailsFast", func(t *testing.T) { conformAbortPreflight(t, kind) })
@@ -96,6 +97,69 @@ func TestTransportConformance(t *testing.T) {
 			t.Run("TelemetryCleanShutdown", func(t *testing.T) { conformTelemetryShutdown(t, kind) })
 			t.Run("CleanShutdown", func(t *testing.T) { conformShutdown(t, kind) })
 		})
+	}
+}
+
+// conformHeldMessage: a received message belongs to its receiver until it
+// is released. One message of each stream is held un-released while 10 000
+// more of the same size — the size class a released buffer would be reused
+// for — are sent, received, checked and released around it, between two
+// ranks and from a rank to itself; the held bytes must not change. The
+// sender reuses its payload slice throughout, as Send allows.
+func conformHeldMessage(t *testing.T, kind string) {
+	const msgs, size = 10_000, 4 << 10
+	c := openConformance(t, kind, 2, 0, 0)
+	fill := func(p []byte, i int) {
+		for j := range p {
+			p[j] = byte(i + j)
+		}
+	}
+	intact := func(p []byte, i int) bool {
+		for j := range p {
+			if p[j] != byte(i+j) {
+				return false
+			}
+		}
+		return len(p) == size
+	}
+	err := c.Run(func(n *Node) error {
+		var wg sync.WaitGroup
+		errs := make(chan error, 2)
+		if n.Rank() == 0 {
+			wg.Add(1)
+			go func() { // sender: to rank 1 (tag 1) and to itself (tag 2)
+				defer wg.Done()
+				payload := make([]byte, size)
+				for i := 0; i <= msgs; i++ {
+					fill(payload, i)
+					n.Send(1, 1, payload)
+					n.Send(0, 2, payload)
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() { // receiver: rank 0 drains tag 2, rank 1 drains tag 1
+			defer wg.Done()
+			tag := int64(2 - n.Rank())
+			held := n.Recv(0, tag)
+			for i := 1; i <= msgs; i++ {
+				m := n.Recv(0, tag)
+				if !intact(m, i) {
+					errs <- fmt.Errorf("rank %d: message %d arrived corrupted", n.Rank(), i)
+					return
+				}
+				Release(m)
+			}
+			if !intact(held, 0) {
+				errs <- fmt.Errorf("rank %d: the held message changed under its owner", n.Rank())
+			}
+		}()
+		wg.Wait()
+		close(errs)
+		return <-errs
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // The TCP transport's wire format: every message is one length-prefixed
 // binary frame. The layout is fixed-width big-endian, so a frame can be
-// decoded with two reads (length, then body) and no intermediate parsing
+// decoded with two reads (header, then payload) and no intermediate parsing
 // state:
 //
 //	[0:4]   uint32  body length (frameBodyLen + payload bytes)
@@ -72,33 +72,31 @@ func appendFrame(dst []byte, kind byte, f Frame) []byte {
 }
 
 // decodeFrameBody parses the body of a frame (everything after the 4-byte
-// length prefix). The returned Frame's Data aliases body.
-func decodeFrameBody(body []byte) (kind byte, f Frame, err error) {
-	if len(body) < frameBodyLen {
-		return 0, Frame{}, &frameError{fmt.Sprintf("body %d bytes, need >= %d", len(body), frameBodyLen)}
-	}
-	kind = body[0]
+// length prefix), given as its fixed part and its payload, which becomes
+// the returned Frame's Data.
+func decodeFrameBody(fixed *[frameBodyLen]byte, payload []byte) (kind byte, f Frame, err error) {
+	kind = fixed[0]
 	if kind != frameKindData && kind != frameKindAbort {
 		return 0, Frame{}, &frameError{fmt.Sprintf("unknown kind %d", kind)}
 	}
-	flags := body[1]
+	flags := fixed[1]
 	if flags&^frameFlagAny != 0 {
 		return 0, Frame{}, &frameError{fmt.Sprintf("undefined flag bits %#x", flags)}
 	}
-	src := binary.BigEndian.Uint32(body[2:6])
-	dst := binary.BigEndian.Uint32(body[6:10])
+	src := binary.BigEndian.Uint32(fixed[2:6])
+	dst := binary.BigEndian.Uint32(fixed[6:10])
 	if src > 1<<31-1 || dst > 1<<31-1 {
 		return 0, Frame{}, &frameError{"rank overflows int32"}
 	}
 	f = Frame{
 		Src:  int(src),
 		Dst:  int(dst),
-		Tag:  int64(binary.BigEndian.Uint64(body[10:18])),
-		Xfer: int64(binary.BigEndian.Uint64(body[18:26])),
+		Tag:  int64(binary.BigEndian.Uint64(fixed[10:18])),
+		Xfer: int64(binary.BigEndian.Uint64(fixed[18:26])),
 		Any:  flags&frameFlagAny != 0,
-		Data: body[frameBodyLen:],
+		Data: payload,
 	}
-	if kind == frameKindAbort && len(f.Data) != 0 {
+	if kind == frameKindAbort && len(payload) != 0 {
 		return 0, Frame{}, &frameError{"abort frame carries a payload"}
 	}
 	return kind, f, nil
@@ -121,7 +119,7 @@ func decodeFrame(b []byte) (kind byte, f Frame, n int, err error) {
 	if uint64(len(b)-4) < uint64(bodyLen) {
 		return 0, Frame{}, 0, &frameError{fmt.Sprintf("truncated: body %d bytes, have %d", bodyLen, len(b)-4)}
 	}
-	kind, f, err = decodeFrameBody(b[4 : 4+bodyLen])
+	kind, f, err = decodeFrameBody((*[frameBodyLen]byte)(b[4:frameHeaderLen]), b[frameHeaderLen:4+bodyLen])
 	if err != nil {
 		return 0, Frame{}, 0, err
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -191,66 +192,6 @@ func (t *tcpTransport) isClosed() bool {
 	}
 }
 
-// Receive-buffer pooling. Every inbound frame needs a fresh body buffer —
-// the payload is handed through the mailbox to the application, which owns
-// it indefinitely, so the transport can never take the buffer back. What it
-// can do is stop paying one heap allocation per frame: each readLoop carves
-// bodies out of large pooled chunks, so a stream of 64 KiB column frames
-// costs one allocation per chunk (recvArenaChunkSize/bodyLen frames)
-// instead of one per frame. A chunk is garbage once every slice carved from
-// it is dropped; to keep a long-lived small message (a gathered verdict an
-// application retains) from pinning a whole chunk, bodies below
-// recvArenaMinCarve allocate exactly, and bodies too large to amortize
-// (more than a quarter chunk would recycle the chunk too fast to matter)
-// do too.
-const (
-	recvArenaChunkSize = 1 << 20
-	recvArenaMinCarve  = 4 << 10
-	recvArenaMaxCarve  = recvArenaChunkSize / 4
-)
-
-// recvArena is a bump allocator over pooled chunks. It is used by exactly
-// one readLoop goroutine, so it needs no locking; the chunk pool behind it
-// is shared so short-lived connections (control-plane redials) do not each
-// strand a fresh chunk.
-type recvArena struct {
-	chunk []byte
-	off   int
-}
-
-var recvChunkPool = sync.Pool{
-	New: func() any { return make([]byte, recvArenaChunkSize) },
-}
-
-// alloc returns a zero-free buffer of n bytes. Carved buffers are full
-// slices (length == capacity) so an append by the receiving application can
-// never bleed into a neighbouring frame's body.
-func (a *recvArena) alloc(n int) []byte {
-	if n < recvArenaMinCarve || n > recvArenaMaxCarve {
-		return make([]byte, n)
-	}
-	if a.off+n > len(a.chunk) {
-		// The old chunk is NOT returned to the pool: frames carved from it
-		// are live in mailboxes or application hands. It becomes garbage
-		// when the last of them is dropped.
-		a.chunk = recvChunkPool.Get().([]byte)
-		a.off = 0
-	}
-	b := a.chunk[a.off : a.off+n : a.off+n]
-	a.off += n
-	return b
-}
-
-// release hands the arena's unused tail capacity back to the pool when a
-// readLoop ends. Only a never-carved chunk may be recycled — once a single
-// frame body aliases it, ownership is shared with the application.
-func (a *recvArena) release() {
-	if a.chunk != nil && a.off == 0 {
-		recvChunkPool.Put(a.chunk)
-	}
-	a.chunk = nil
-}
-
 // frameObserver, when set, sees the raw wire bytes (length prefix included)
 // of every frame a readLoop decodes, before decoding. It is a seam for
 // corpus-capture tests — the fuzz corpus for the frame codec is harvested
@@ -282,26 +223,27 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, tcpIOBufSize)
-	var arena recvArena
-	defer arena.release()
-	var hdr [4]byte
+	var hdr [frameHeaderLen]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
-		bodyLen := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
+		bodyLen := binary.BigEndian.Uint32(hdr[0:4])
 		if bodyLen < frameBodyLen || bodyLen > frameBodyLen+maxFramePayload {
 			return
 		}
-		body := arena.alloc(int(bodyLen))
-		if _, err := io.ReadFull(br, body); err != nil {
+		// The payload is read straight into a message buffer: the receiver
+		// owns it once it leaves the mailbox, and gives it back with Release
+		// like any other message.
+		payload := msgBuf(int(bodyLen) - frameBodyLen)
+		if _, err := io.ReadFull(br, payload); err != nil {
 			return
 		}
 		if obs := frameObserver.Load(); obs != nil {
-			raw := append(append(make([]byte, 0, len(hdr)+len(body)), hdr[:]...), body...)
+			raw := append(append(make([]byte, 0, len(hdr)+len(payload)), hdr[:]...), payload...)
 			(*obs)(raw)
 		}
-		kind, f, err := decodeFrameBody(body)
+		kind, f, err := decodeFrameBody((*[frameBodyLen]byte)(hdr[4:]), payload)
 		if err != nil {
 			return
 		}
@@ -708,6 +650,9 @@ func (p *tcpPeer) writeLoop() {
 
 func (p *tcpPeer) writeOne(qf queuedFrame) {
 	defer p.budget.release(frameWireBytes(qf.f))
+	// Written or dropped, the send copy ends here: the receiver gets the
+	// bytes that crossed the wire, not this buffer.
+	defer Release(qf.f.Data)
 	p.mu.Lock()
 	conn, bw, gen, err := p.conn, p.bw, p.gen, p.err
 	p.mu.Unlock()
@@ -777,10 +722,7 @@ func (b *byteBudget) acquire(n int, aborted, closed <-chan struct{}) error {
 			b.mu.Unlock()
 			if leftover {
 				// Cascade the wakeup: another waiter may fit in what's left.
-				select {
-				case b.wake <- struct{}{}:
-				default:
-				}
+				wake(b.wake)
 			}
 			return nil
 		}
@@ -805,8 +747,5 @@ func (b *byteBudget) release(n int) {
 		b.avail = b.max
 	}
 	b.mu.Unlock()
-	select {
-	case b.wake <- struct{}{}:
-	default:
-	}
+	wake(b.wake)
 }

@@ -22,7 +22,9 @@ type Frame struct {
 	// instead of the (Src, Tag) point-to-point mailbox.
 	Any bool
 	// Data is the payload. The sender hands ownership to the transport; it
-	// is never written after Deliver is called.
+	// is never written after Deliver is called. A transport that consumes
+	// the bytes itself (writes them to a socket) releases them; one that
+	// hands them to a local mailbox passes the ownership on to the receiver.
 	Data []byte
 }
 
@@ -154,8 +156,8 @@ func newTransport(tc TransportConfig) (Transport, error) {
 var errTransportClosed = errors.New("cluster: transport closed")
 
 // inprocTransport is the shared-memory backend: a Deliver charges the
-// simulated interconnect cost against the sender's NIC, then writes the
-// destination node's mailbox channel directly. It is the original mailbox
+// simulated interconnect cost against the sender's NIC, then puts the frame
+// in the destination node's mailbox directly. It is the original mailbox
 // code with the cost model attached, behind the Transport seam.
 type inprocTransport struct {
 	c *Cluster

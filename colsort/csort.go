@@ -180,11 +180,16 @@ func (pl Plan) runTransposePass(n *cluster.Node, commName, inFile, outFile strin
 		sortalgo.SortRecordsParallel(f, b.Bytes(), b.Aux(), sortWorkers())
 		return nil
 	})
+	// The outgoing segments are gathered in the buffer's auxiliary storage,
+	// one segBytes slot per destination, and the incoming ones are copied
+	// over the column and released: a round allocates nothing. (A stage runs
+	// on one goroutine, so parts and fill are safely reused across rounds.)
+	parts := make([][]byte, P)
 	p.AddStage("communicate", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		j := pl.Column(rank, b.Round)
-		parts := make([][]byte, P)
+		aux := b.Aux()
 		for d := range parts {
-			parts[d] = make([]byte, 0, segBytes)
+			parts[d] = aux[d*segBytes : d*segBytes : (d+1)*segBytes]
 		}
 		for i := 0; i < R; i++ {
 			d := dest(j, i) % P
@@ -199,16 +204,18 @@ func (pl Plan) runTransposePass(n *cluster.Node, commName, inFile, outFile strin
 			}
 			off += copy(b.Data[off:], recv[src])
 		}
+		cluster.Release(recv...)
 		b.N = off
 		return nil
 	})
+	fill := make([]int, S/P)
 	p.AddStage("permute", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		// Group the received records by destination column: replay each
 		// source column's enumeration and pick out the records that came
 		// here. Within a column, arrival order suffices — the next pass
 		// sorts every column first thing.
 		aux := b.Aux()
-		fill := make([]int, S/P)
+		clear(fill)
 		for src := 0; src < P; src++ {
 			jsrc := pl.Column(src, b.Round)
 			seg := b.Data[src*segBytes : (src+1)*segBytes]
@@ -242,9 +249,13 @@ func (pl Plan) runTransposePass(n *cluster.Node, commName, inFile, outFile strin
 
 // p3meta carries pass 3's per-column communication state on the buffer.
 type p3meta struct {
-	in   []byte // bottom half of column j-1, received during the shift
-	keep []byte // column S-1 only: its bottom half, kept local as the
-	// top of phantom shifted column S
+	in []byte // bottom half of column j-1, received during the shift
+	// keep, for column S-1 only, is its bottom half, kept local as the top
+	// of phantom shifted column S. It is not a copy: it aliases the half of
+	// the buffer's storage where the sort left it, which no later stage
+	// writes — merge fills the other storage and swaps, and assemble, the
+	// consumer, writes only the first half of this one.
+	keep []byte
 }
 
 // runMergePass runs pass 3: steps 5-8. For column j (sorted by the sort
@@ -290,7 +301,7 @@ func (pl Plan) runMergePass(n *cluster.Node, inFile string, buffers int) error {
 		} else {
 			// Shifted column S is bottom(col S-1) plus +inf padding; its
 			// only consumer is this node's own assemble stage.
-			m.keep = append([]byte(nil), bottom...)
+			m.keep = bottom
 		}
 		if j > 0 {
 			m.in = shift.Recv(pl.Owner(j-1), int64(j))
@@ -309,6 +320,8 @@ func (pl Plan) runMergePass(n *cluster.Node, inFile string, buffers int) error {
 		}
 		aux := b.Aux()
 		sortalgo.MergeSortedParallel(f, m.in, b.Data[:halfBytes], aux[:colBytes], mergeWorkers())
+		cluster.Release(m.in)
+		m.in = nil
 		b.SwapAux()
 		b.N = colBytes
 		return nil
@@ -337,6 +350,9 @@ func (pl Plan) runMergePass(n *cluster.Node, inFile string, buffers int) error {
 		aux := b.Aux()
 		copy(aux, head)
 		copy(aux[halfBytes:], tail)
+		if j < S-1 {
+			cluster.Release(tail)
+		}
 		b.SwapAux()
 		b.N = colBytes
 		return nil

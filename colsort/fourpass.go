@@ -98,7 +98,11 @@ func (pl Plan) runShiftPass(n *cluster.Node, inFile, outFile string, buffers int
 			shift.Send(pl.Owner(j+1), int64(j+1), bottom)
 			b.Meta = []byte(nil)
 		} else {
-			b.Meta = append([]byte(nil), bottom...) // phantom column S
+			// Phantom column S. Not a copy: the shifted column is built in
+			// the auxiliary storage below, so after the swap this half of
+			// the old storage stays as the sort left it until the write
+			// stage has used it.
+			b.Meta = bottom
 		}
 		if j > 0 {
 			in := shift.Recv(pl.Owner(j-1), int64(j))
@@ -108,6 +112,7 @@ func (pl Plan) runShiftPass(n *cluster.Node, inFile, outFile string, buffers int
 			// Place the received bottom half of column j-1 above this
 			// column's top half: the buffer becomes shifted column j.
 			copy(b.Aux(), in)
+			cluster.Release(in)
 			copy(b.Aux()[halfBytes:], b.Data[:halfBytes])
 			b.SwapAux()
 		} else {
@@ -185,24 +190,23 @@ func (pl Plan) runUnshiftPass(n *cluster.Node, inFile string, buffers int) error
 		if j == 0 {
 			head = b.Data[:halfBytes]
 		}
-		var tail []byte
+		aux := b.Aux()
+		copy(aux, head)
 		if j < S-1 {
-			tail = unshift.Recv(pl.Owner(j+1), int64(j))
+			tail := unshift.Recv(pl.Owner(j+1), int64(j))
+			if len(tail) != halfBytes {
+				return fmt.Errorf("unshift for column %d delivered %d bytes, want %d", j, len(tail), halfBytes)
+			}
+			copy(aux[halfBytes:], tail)
+			cluster.Release(tail)
 		} else {
 			// top(shifted S) = bottom(col S-1), stored after the regular
 			// slots by pass 3 — and already sorted.
-			tail = make([]byte, halfBytes)
 			extra := int64(pl.ColumnsPerNode()) * int64(colBytes)
-			if err := n.Disk.ReadAt(inFile, tail, extra); err != nil {
+			if err := n.Disk.ReadAt(inFile, aux[halfBytes:colBytes], extra); err != nil {
 				return err
 			}
 		}
-		if len(tail) != halfBytes {
-			return fmt.Errorf("unshift for column %d delivered %d bytes, want %d", j, len(tail), halfBytes)
-		}
-		aux := b.Aux()
-		copy(aux, head)
-		copy(aux[halfBytes:], tail)
 		b.SwapAux()
 		b.N = colBytes
 		return nil

@@ -90,16 +90,17 @@ func pass1Linear(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int
 		return n.Disk.WriteAt(runsFile, runBuf[:f.Bytes(runLens[len(runLens)-1])], off)
 	}
 	ingest := func(msg []byte) error {
-		for len(msg) > 0 {
-			c := copy(runBuf[fill:], msg)
+		for rest := msg; len(rest) > 0; {
+			c := copy(runBuf[fill:], rest)
 			fill += c
-			msg = msg[c:]
+			rest = rest[c:]
 			if fill == bufBytes {
 				if err := flushRun(); err != nil {
 					return err
 				}
 			}
 		}
+		cluster.Release(msg)
 		return nil
 	}
 
@@ -287,6 +288,7 @@ func pass2Linear(n *cluster.Node, cfg Config, runLens []int) error {
 	})
 
 	writeExtents := func(msg []byte) error {
+		defer cluster.Release(msg)
 		off := int64(binary.BigEndian.Uint64(msg))
 		return n.Disk.WriteAt(cfg.Spec.OutputName, msg[8:], off)
 	}
@@ -294,13 +296,14 @@ func pass2Linear(n *cluster.Node, cfg Config, runLens []int) error {
 	doneMarkers := 0
 	pipe.AddFreeStage("commio", func(ctx *fg.Ctx) error {
 		gOff := start * int64(size)
+		scratch := make([]byte, 8+min(out.BlockBytes, hBufBytes)) // every extent's message, as in pass2
 		for {
 			b, ok := ctx.Accept()
 			if !ok {
 				break
 			}
 			for _, e := range out.Extents(gOff, b.N) {
-				msg := make([]byte, 8+e.Length)
+				msg := scratch[:8+e.Length]
 				binary.BigEndian.PutUint64(msg, uint64(e.LocalOff))
 				rel := e.GlobalOff - gOff
 				copy(msg[8:], b.Data[rel:rel+int64(e.Length)])

@@ -114,10 +114,10 @@ func pass1(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int, erro
 				done++
 				continue
 			}
-			for len(msg) > 0 {
-				c := copy(b.Data[b.N:], msg)
+			for rest := msg; len(rest) > 0; {
+				c := copy(b.Data[b.N:], rest)
 				b.N += c
-				msg = msg[c:]
+				rest = rest[c:]
 				if b.N == b.Cap() {
 					ctx.Convey(b)
 					if b, ok = ctx.Accept(); !ok {
@@ -125,6 +125,7 @@ func pass1(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int, erro
 					}
 				}
 			}
+			cluster.Release(msg)
 		}
 		if b.N > 0 {
 			ctx.Convey(b)

@@ -43,6 +43,7 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 		}
 		total += v
 	}
+	cluster.Release(sizes...)
 	if total != cfg.Spec.TotalRecords {
 		return fmt.Errorf("partitions hold %d records, want %d", total, cfg.Spec.TotalRecords)
 	}
@@ -183,15 +184,18 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 	horiz.AddFreeStage("send", func(ctx *fg.Ctx) error {
 		// The merged stream's global byte offset starts at this node's
 		// partition start; each extent goes to the disk owning its striped
-		// block, framed as [8-byte local offset | payload].
+		// block, framed as [8-byte local offset | payload] in one scratch
+		// message that every extent reuses (SendAny copies it out). An
+		// extent is at most a block and at most a buffer.
 		gOff := start * int64(size)
+		scratch := make([]byte, 8+min(out.BlockBytes, hBufBytes))
 		for {
 			b, ok := ctx.Accept()
 			if !ok {
 				break
 			}
 			for _, e := range out.Extents(gOff, b.N) {
-				msg := make([]byte, 8+e.Length)
+				msg := scratch[:8+e.Length]
 				binary.BigEndian.PutUint64(msg, uint64(e.LocalOff))
 				rel := e.GlobalOff - gOff
 				copy(msg[8:], b.Data[rel:rel+int64(e.Length)])
@@ -236,6 +240,7 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 			binary.BigEndian.PutUint32(b.Data[b.N:], uint32(len(msg)))
 			copy(b.Data[b.N+4:], msg)
 			b.N += framed
+			cluster.Release(msg)
 		}
 		if b.N > 0 {
 			ctx.Convey(b)

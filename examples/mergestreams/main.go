@@ -37,8 +37,8 @@ func main() {
 	// Lay down k sorted runs: run i holds i, i+k, i+2k, ... so the merged
 	// output is exactly 0..k*perRun-1 and trivially checkable.
 	k := *runs
-	buf := make([]byte, 8**perRun)
 	for i := 0; i < k; i++ {
+		buf := make([]byte, 8**perRun) // Import takes ownership: one slice per file
 		for j := 0; j < *perRun; j++ {
 			binary.BigEndian.PutUint64(buf[8*j:], uint64(j*k+i))
 		}

@@ -38,8 +38,8 @@ func main() {
 	in := pdm.NewDisk(model)
 	out := pdm.NewDisk(model)
 	blockBytes := *blockKB << 10
-	data := make([]byte, blockBytes)
 	for i := 0; i < *blocks; i++ {
+		data := make([]byte, blockBytes) // Import takes ownership: one slice per file
 		for j := range data {
 			data[j] = byte('a' + (i+j)%26)
 		}

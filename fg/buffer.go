@@ -1,6 +1,20 @@
 package fg
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/fg-go/fg/internal/bufpool"
+)
+
+// storage is the free list every pipeline buffer's Data and Aux storage
+// comes from and, after a clean Network.Run, returns to — so the next
+// network of a given shape, in this pass or the next, starts with the
+// buffers this one finished with instead of allocating and zeroing its own.
+// A buffer of a network that failed, was cancelled or was aborted never
+// comes back: see Network.releaseBuffers. The garbage collector bounds the
+// list (what nobody takes during two collections is freed), so it costs an
+// idle process nothing.
+var storage bufpool.Pool
 
 // A Buffer is the unit of data that flows through a pipeline. Its capacity
 // is fixed at the pipeline's buffer size; Data[:N] holds the bytes currently
@@ -29,6 +43,30 @@ type Buffer struct {
 	pipe    *Pipeline
 	aux     []byte
 	caboose bool
+	// mem remembers the slices taken from storage for Data and Aux, so what
+	// goes back is what was taken, whatever a stage has since assigned to
+	// the exported Data field.
+	mem [2][]byte
+}
+
+// newBuffer returns a buffer of pipeline p with recycled storage. Like any
+// buffer on its second round, it may hold stale bytes: stages set N and
+// write before they read.
+func newBuffer(p *Pipeline) *Buffer {
+	b := &Buffer{pipe: p}
+	b.mem[0] = storage.Get(p.bufBytes)
+	b.Data = b.mem[0]
+	return b
+}
+
+// release ends the buffer's use of its storage, handing it back to the
+// free list if recycle is set and to the garbage collector otherwise.
+func (b *Buffer) release(recycle bool) {
+	if recycle {
+		storage.Put(b.mem[0])
+		storage.Put(b.mem[1])
+	}
+	b.Data, b.aux, b.Meta, b.mem = nil, nil, nil, [2][]byte{}
 }
 
 // Pipeline returns the pipeline this buffer belongs to.
@@ -41,13 +79,15 @@ func (b *Buffer) Cap() int { return cap(b.Data) }
 func (b *Buffer) Bytes() []byte { return b.Data[:b.N] }
 
 // Aux returns the buffer's auxiliary storage, a second region of the same
-// capacity, allocated on first use and retained across rounds. FG provides
+// capacity, taken from the free list on first use (so, like Data, it may
+// hold stale bytes) and retained across rounds. FG provides
 // auxiliary buffers so that stages such as dsort's permute can rearrange
 // records out of place; pair it with SwapAux to publish the rearranged
 // contents.
 func (b *Buffer) Aux() []byte {
 	if b.aux == nil {
-		b.aux = make([]byte, cap(b.Data))
+		b.mem[1] = storage.Get(cap(b.Data))
+		b.aux = b.mem[1]
 	}
 	return b.aux
 }

@@ -42,6 +42,7 @@ type Checkpoint interface {
 	Save(rank int, pass string, state []byte, files map[string][]byte) error
 	// Restore returns the state and files Save recorded, after validating
 	// integrity. It fails if the checkpoint is absent, torn, or corrupt.
+	// The caller owns the returned slices and may modify them.
 	Restore(rank int, pass string) (state []byte, files map[string][]byte, err error)
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,7 +39,8 @@ type Sample struct {
 // A MetricsRegistry collects samples from registered networks and
 // collector functions. The zero value is unusable; create with
 // NewMetricsRegistry. Registries are meant to be few and long-lived (one
-// per program, typically), not one per pass.
+// per program, typically), not one per pass; an owner that does create them
+// per job, as the fgd service does, calls Close when the job is over.
 type MetricsRegistry struct {
 	mu      sync.Mutex
 	nets    []*Network
@@ -75,6 +77,23 @@ func NewMetricsRegistry() *MetricsRegistry {
 		}))
 	})
 	return r
+}
+
+// Close unlinks the registry from the process-wide expvar export and drops
+// everything registered with it — networks, collectors, tracers, tuners,
+// the peer-health source — so that a finished job's registry pins none of
+// the job's memory (a collector closure typically reaches the whole
+// cluster, disks included). A closed registry reports no samples. Close is
+// idempotent.
+func (r *MetricsRegistry) Close() {
+	regMu.Lock()
+	if i := slices.Index(registries, r); i >= 0 {
+		registries = slices.Delete(registries, i, i+1)
+	}
+	regMu.Unlock()
+	r.mu.Lock()
+	r.nets, r.funcs, r.tracers, r.tuners, r.peers = nil, nil, nil, nil, nil
+	r.mu.Unlock()
 }
 
 // RegisterNetwork adds a network to the registry. Its per-stage and

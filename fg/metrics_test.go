@@ -126,3 +126,37 @@ func TestBottleneckReport(t *testing.T) {
 		t.Errorf("String() does not name the stage: %s", r)
 	}
 }
+
+// TestRegistryCloseUnlinksAndDrops: a closed registry is gone from the
+// process-wide list and holds nothing that was registered with it.
+func TestRegistryCloseUnlinksAndDrops(t *testing.T) {
+	linked := func(r *MetricsRegistry) bool {
+		regMu.Lock()
+		defer regMu.Unlock()
+		for _, have := range registries {
+			if have == r {
+				return true
+			}
+		}
+		return false
+	}
+	keep := NewMetricsRegistry() // a neighbour that must survive
+	defer keep.Close()
+	r := NewMetricsRegistry()
+	nw := NewNetwork("closed")
+	nw.AddPipeline("main", Rounds(1)).AddStage("s", func(*Ctx, *Buffer) error { return nil })
+	r.RegisterNetwork(nw)
+	r.RegisterFunc(func(emit EmitFunc) { emit("x", nil, 1) })
+	r.RegisterPeerHealth(func() []PeerHealth { return nil })
+	if len(r.Samples()) == 0 || !linked(r) {
+		t.Fatal("a live registry reports nothing or is not linked")
+	}
+	r.Close()
+	r.Close() // idempotent
+	if linked(r) || !linked(keep) {
+		t.Fatal("Close did not unlink exactly its own registry")
+	}
+	if n := len(r.Samples()); n != 0 || len(r.Networks()) != 0 || r.peers != nil {
+		t.Fatalf("a closed registry still holds its sources (%d samples)", n)
+	}
+}

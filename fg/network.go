@@ -267,7 +267,25 @@ func (nw *Network) RunContext(ctx context.Context) error {
 	}
 	nw.shutdown()
 	nw.wg.Wait()
-	return nw.Err()
+	err := nw.Err()
+	nw.releaseBuffers(err == nil)
+	return err
+}
+
+// releaseBuffers ends the finished network's hold on its buffers' storage,
+// so that a Network kept for its statistics pins no data. Only a clean
+// finish recycles: every framework goroutine has returned by now, but after
+// an error, panic, cancellation or cluster abort some work a stage started
+// — a kernel worker, an abandoned retry attempt — may not have, and a
+// straggler must find itself writing to garbage, never to the buffer of
+// the next network or the next tenant's job.
+func (nw *Network) releaseBuffers(recycle bool) {
+	for _, g := range nw.groups {
+		for _, b := range g.bufs {
+			b.release(recycle)
+		}
+		g.bufs = nil
+	}
 }
 
 // labeled runs fn on the current goroutine under pprof labels naming the

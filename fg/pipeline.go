@@ -232,6 +232,9 @@ type group struct {
 	queues []queue      // queues[i] feeds stage i; queues[len(stages)] feeds the sink
 	pool   chan *Buffer // recycled buffers, all members mixed
 	wake   chan struct{}
+	// bufs lists every data buffer the source created, for the network to
+	// release once its goroutines have returned. Only the source appends.
+	bufs []*Buffer
 
 	batch int // max member batch size, applied by the slot runners
 
@@ -428,7 +431,8 @@ func (g *group) runSource() {
 			if !wantsMore(p) {
 				break
 			}
-			b := &Buffer{Data: make([]byte, p.bufBytes), pipe: p}
+			b := newBuffer(p)
+			g.bufs = append(g.bufs, b)
 			if st.circulating >= p.EffectiveBuffers() {
 				st.parked = append(st.parked, b)
 				continue

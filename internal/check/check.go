@@ -13,8 +13,9 @@ import (
 )
 
 // ReadOutput reassembles the sorted output into one byte slice in global
-// (PDM-striped) order. It requires every rank's disk in this process; a
-// multi-process job verifies with DistributedOutput instead.
+// (PDM-striped) order, for tests that compare two runs' outputs byte for
+// byte; Output verifies without it. It requires every rank's disk in this
+// process.
 func ReadOutput(c *cluster.Cluster, s oocsort.Spec) ([]byte, error) {
 	if !c.AllLocal() {
 		return nil, fmt.Errorf("check: ReadOutput needs every rank's disk local; use DistributedOutput")
@@ -36,28 +37,80 @@ func ReadOutput(c *cluster.Cluster, s oocsort.Spec) ([]byte, error) {
 	return out, nil
 }
 
-// Output verifies the sorted output of a completed sort. want is the input
-// fingerprint from oocsort.GenerateInput; it is ignored for record formats
-// too small to carry identifiers.
+// Output verifies the sorted output of a completed sort: every disk holds
+// exactly its share of the striped file, the records are in order along the
+// global (PDM-striped) sequence, and — for record formats that carry
+// identifiers — they are a permutation of the input, by fingerprint. want is
+// the input fingerprint from oocsort.GenerateInput.
+//
+// The output is walked where it lies, block by block through pdm.Disk.View,
+// never exported or reassembled. It requires every rank's disk in this
+// process; a multi-process job verifies with DistributedOutput instead.
 func Output(c *cluster.Cluster, s oocsort.Spec, want records.Fingerprint) error {
-	data, err := ReadOutput(c, s)
-	if err != nil {
-		return err
+	if !c.AllLocal() {
+		return fmt.Errorf("check: Output needs every rank's disk local; use DistributedOutput")
 	}
-	if int64(len(data)) != s.TotalBytes() {
-		return fmt.Errorf("check: output holds %d bytes, want %d", len(data), s.TotalBytes())
-	}
-	n := s.Format.Count(len(data))
-	for i := 1; i < n; i++ {
-		if s.Format.KeyAt(data, i) < s.Format.KeyAt(data, i-1) {
-			return fmt.Errorf("check: output out of order at record %d: %#x < %#x",
-				i, s.Format.KeyAt(data, i), s.Format.KeyAt(data, i-1))
+	f := s.Format
+	sf := s.Output(c.P())
+	total := s.TotalBytes()
+	disks := c.Disks()
+	for i, d := range disks {
+		if got, want := d.Size(s.OutputName), sf.LocalBytes(total, i); got != want {
+			return fmt.Errorf("check: disk %d holds %d output bytes, want %d", i, got, want)
 		}
 	}
-	if s.Format.HasID() {
-		if got := s.Format.Fingerprint(data); !got.Equal(want) {
-			return fmt.Errorf("check: output is not a permutation of the input: %v vs %v", got, want)
+
+	var (
+		got  records.Fingerprint
+		seen int    // records visited
+		last uint64 // key of the latest one
+	)
+	visit := func(recs []byte) error {
+		for i, n := 0, f.Count(len(recs)); i < n; i++ {
+			key := f.KeyAt(recs, i)
+			if seen > 0 && key < last {
+				return fmt.Errorf("check: output out of order at record %d: %#x < %#x", seen, key, last)
+			}
+			last = key
+			seen++
 		}
+		if f.HasID() {
+			got.Merge(f.Fingerprint(recs))
+		}
+		return nil
+	}
+	// The disks store files in pieces that know nothing of records, so a
+	// record may straddle two pieces; split accumulates such a record.
+	split := make([]byte, 0, f.Size)
+	for _, e := range sf.Extents(0, int(total)) {
+		pieces, err := disks[e.Disk].View(s.OutputName, e.LocalOff, e.Length)
+		if err != nil {
+			return fmt.Errorf("check: %w", err)
+		}
+		for _, p := range pieces {
+			if len(split) > 0 {
+				n := min(f.Size-len(split), len(p))
+				split, p = append(split, p[:n]...), p[n:]
+				if len(split) < f.Size {
+					continue
+				}
+				if err := visit(split); err != nil {
+					return err
+				}
+				split = split[:0]
+			}
+			whole := len(p) - len(p)%f.Size
+			if err := visit(p[:whole]); err != nil {
+				return err
+			}
+			split = append(split, p[whole:]...)
+		}
+	}
+	if int64(seen)*int64(f.Size) != total {
+		return fmt.Errorf("check: output holds %d whole records, want %d", seen, s.TotalRecords)
+	}
+	if f.HasID() && !got.Equal(want) {
+		return fmt.Errorf("check: output is not a permutation of the input: %v vs %v", got, want)
 	}
 	return nil
 }

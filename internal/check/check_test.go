@@ -129,3 +129,30 @@ func TestOutputSingleNode(t *testing.T) {
 		t.Fatalf("single-node output rejected: %v", err)
 	}
 }
+
+// TestOutputRecordsStraddlingStoragePieces: the disks hand the output over
+// in pieces that know nothing of records; with 100-byte records nearly
+// every piece boundary splits one. The walk must stitch them back together
+// — and still catch a swap hidden in exactly such a record.
+func TestOutputRecordsStraddlingStoragePieces(t *testing.T) {
+	s := testSpec()
+	s.Format = records.NewFormat(100)
+	s.TotalRecords = 1 << 12 // 200 KB per disk: several storage pieces each
+	c, fp := makeSortedOutput(t, s, 2)
+	if err := Output(c, s, fp); err != nil {
+		t.Fatalf("correct output rejected: %v", err)
+	}
+	// Record 655 of disk 0 spans bytes [65500, 65600): across the first
+	// 64 KiB boundary. Exchange it with that disk's last record.
+	d := c.Node(0).Disk
+	data := d.Export(s.OutputName)
+	f := s.Format
+	a, b := f.At(data, 655), f.At(data, f.Count(len(data))-1)
+	tmp := append([]byte(nil), a...)
+	copy(a, b)
+	copy(b, tmp)
+	d.Import(s.OutputName, data)
+	if err := Output(c, s, fp); err == nil || !strings.Contains(err.Error(), "out of order") {
+		t.Fatalf("a swap through a straddling record was accepted (err=%v)", err)
+	}
+}

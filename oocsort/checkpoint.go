@@ -47,7 +47,9 @@ func SavePass(ck fg.Checkpoint, n *cluster.Node, pass string, state []byte, file
 }
 
 // RestorePass validates the checkpoint for (rank, pass), imports its files
-// back onto the node's disk, and returns the state blob.
+// back onto the node's disk, and returns the state blob. The disk takes
+// ownership of the restored slices (Disk.Import does not copy), which
+// fg.Checkpoint.Restore grants.
 func RestorePass(ck fg.Checkpoint, n *cluster.Node, pass string) ([]byte, error) {
 	state, files, err := ck.Restore(n.Rank(), pass)
 	if err != nil {

@@ -93,7 +93,9 @@ func (s Spec) Output(p int) pdm.StripedFile {
 // zero fingerprint). With every rank local that is the whole input's
 // fingerprint; in a multi-process job it is this process's share, which
 // check.DistributedOutput combines across processes. Generation bypasses
-// the simulated disk cost: it is setup, not part of any measured pass.
+// the simulated disk cost: it is setup, not part of any measured pass. Each
+// node's share is generated straight into the slice that becomes its input
+// file (Disk.Import takes ownership), so the input exists once.
 func GenerateInput(c *cluster.Cluster, s Spec) (records.Fingerprint, error) {
 	if err := s.Validate(c.P()); err != nil {
 		return records.Fingerprint{}, err

@@ -86,8 +86,65 @@ type Disk struct {
 	head CostGate // serializes the simulated busy time of the single head
 }
 
+// extentBytes is the unit in which a file's storage grows. A write that
+// extends a file allocates the extents it touches and nothing else: bytes
+// already stored are never copied again and no capacity is allocated ahead
+// of the data, at the price of an unused tail in each file's last extent.
+const extentBytes = 64 << 10
+
+// zeroExtent backs the holes of sparse files for readers.
+var zeroExtent [extentBytes]byte
+
+// fileData is one file: size bytes held in extents of extentBytes each. A
+// nil extent is a hole that reads as zeros. Only an imported file's last
+// extent may be shorter than extentBytes — Import slices the caller's data
+// into extents without copying it — and it is widened on the first write
+// that reaches past it.
 type fileData struct {
-	data []byte
+	extents [][]byte
+	size    int64
+}
+
+// write stores p at offset off, growing the file as needed.
+func (f *fileData) write(p []byte, off int64) {
+	if end := off + int64(len(p)); end > f.size {
+		f.size = end
+		if n := int((end + extentBytes - 1) / extentBytes); n > len(f.extents) {
+			f.extents = append(f.extents, make([][]byte, n-len(f.extents))...)
+		}
+	}
+	for len(p) > 0 {
+		i, within := int(off/extentBytes), int(off%extentBytes)
+		e := f.extents[i]
+		if len(e) < extentBytes && within+len(p) > len(e) {
+			wide := make([]byte, extentBytes)
+			copy(wide, e)
+			e, f.extents[i] = wide, wide
+		}
+		n := copy(e[within:], p)
+		p, off = p[n:], off+int64(n)
+	}
+}
+
+// each calls fn with the successive pieces of [off, off+n), which must lie
+// within the file: slices of the file's own storage, or of zeroExtent where
+// nothing is stored (a hole, or past the end of a short imported extent).
+func (f *fileData) each(off int64, n int, fn func(piece []byte)) {
+	for n > 0 {
+		i, within := int(off/extentBytes), int(off%extentBytes)
+		src := zeroExtent[:]
+		if e := f.extents[i]; within < len(e) {
+			src = e
+		}
+		piece := src[within:min(len(src), within+n)]
+		fn(piece)
+		off, n = off+int64(len(piece)), n-len(piece)
+	}
+}
+
+// read fills p from offset off. The range must lie within the file.
+func (f *fileData) read(p []byte, off int64) {
+	f.each(off, len(p), func(piece []byte) { p = p[copy(p, piece):] })
 }
 
 // NewDisk returns an empty disk with the given cost model.
@@ -124,7 +181,7 @@ func (d *Disk) Size(name string) int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if f, ok := d.files[name]; ok {
-		return int64(len(f.data))
+		return f.size
 	}
 	return 0
 }
@@ -144,16 +201,7 @@ func (d *Disk) WriteAt(name string, p []byte, off int64) error {
 		f = &fileData{}
 		d.files[name] = f
 	}
-	if need := int(off) + len(p); need > len(f.data) {
-		if need <= cap(f.data) {
-			f.data = f.data[:need]
-		} else {
-			grown := make([]byte, need, grow(cap(f.data), need))
-			copy(grown, f.data)
-			f.data = grown
-		}
-	}
-	copy(f.data[off:], p)
+	f.write(p, off)
 	cost := d.model.Cost(len(p))
 	d.stats.WriteOps++
 	d.stats.BytesWritten += int64(len(p))
@@ -178,18 +226,12 @@ func (d *Disk) ReadAt(name string, p []byte, off int64) error {
 		return err
 	}
 	d.mu.Lock()
-	f := d.files[name]
-	if f == nil {
+	f, err := d.find(name, off, len(p))
+	if err != nil {
 		d.mu.Unlock()
-		return fmt.Errorf("pdm: file %q does not exist", name)
+		return err
 	}
-	if int(off)+len(p) > len(f.data) {
-		n := len(f.data)
-		d.mu.Unlock()
-		return fmt.Errorf("pdm: read [%d,%d) beyond end of %q (size %d)",
-			off, off+int64(len(p)), name, n)
-	}
-	copy(p, f.data[off:])
+	f.read(p, off)
 	cost := d.model.Cost(len(p))
 	d.stats.ReadOps++
 	d.stats.BytesRead += int64(len(p))
@@ -200,6 +242,20 @@ func (d *Disk) ReadAt(name string, p []byte, off int64) error {
 	return nil
 }
 
+// find returns the named file, provided [off, off+n) lies within it. Called
+// with d.mu held.
+func (d *Disk) find(name string, off int64, n int) (*fileData, error) {
+	f := d.files[name]
+	if f == nil {
+		return nil, fmt.Errorf("pdm: file %q does not exist", name)
+	}
+	if off+int64(n) > f.size {
+		return nil, fmt.Errorf("pdm: read [%d,%d) beyond end of %q (size %d)",
+			off, off+int64(n), name, f.size)
+	}
+	return f, nil
+}
+
 // occupyHead charges the simulated duration of an operation through the
 // head's cost gate, which serializes concurrent operations so that two
 // stages hitting the same disk cannot overlap their simulated transfer
@@ -208,31 +264,30 @@ func (d *Disk) occupyHead(cost time.Duration) {
 	d.head.Charge(cost)
 }
 
-// grow returns a capacity at least need, doubling from cur to amortize.
-func grow(cur, need int) int {
-	if cur == 0 {
-		cur = 1024
-	}
-	for cur < need {
-		cur *= 2
-	}
-	return cur
-}
-
-// Import stores data as the named file's full contents without charging any
+// Import makes data the named file's full contents without charging any
 // simulated cost. It exists for experiment setup — generating a sort's
-// input is not part of the measured computation.
+// input is not part of the measured computation. The disk takes ownership
+// of data rather than copying it: the caller must not modify it afterwards,
+// and later writes to the file land in it.
 func (d *Disk) Import(name string, data []byte) {
+	f := &fileData{
+		extents: make([][]byte, 0, (len(data)+extentBytes-1)/extentBytes),
+		size:    int64(len(data)),
+	}
+	for len(data) > 0 {
+		n := min(len(data), extentBytes)
+		f.extents = append(f.extents, data[:n:n])
+		data = data[n:]
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	f := &fileData{data: make([]byte, len(data))}
-	copy(f.data, data)
 	d.files[name] = f
 }
 
 // Export returns a copy of the named file's contents without charging any
-// simulated cost. It exists for verification — checking a sort's output is
-// not part of the measured computation. Export of a missing file returns
+// simulated cost. It exists for checkpoints and small-scale verification —
+// neither is part of the measured computation; a verifier of large files
+// reads them in place with View instead. Export of a missing file returns
 // nil.
 func (d *Disk) Export(name string) []byte {
 	d.mu.Lock()
@@ -241,9 +296,31 @@ func (d *Disk) Export(name string) []byte {
 	if f == nil {
 		return nil
 	}
-	out := make([]byte, len(f.data))
-	copy(out, f.data)
+	out := make([]byte, f.size)
+	f.read(out, 0)
 	return out
+}
+
+// View returns the bytes [off, off+n) of the named file as a sequence of
+// read-only slices of the disk's own storage, in file order, without
+// copying them and without charging any simulated cost. It exists for
+// verification: a checker walks a sort's output where it lies. The caller
+// must not write through the slices, and they are only meaningful while
+// nothing writes the range. A range that is not wholly inside the file
+// fails like the corresponding ReadAt.
+func (d *Disk) View(name string, off int64, n int) ([][]byte, error) {
+	if off < 0 || n < 0 {
+		return nil, fmt.Errorf("pdm: invalid range off=%d n=%d viewing %q", off, n, name)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	f, err := d.find(name, off, n)
+	if err != nil {
+		return nil, err
+	}
+	pieces := make([][]byte, 0, n/extentBytes+2)
+	f.each(off, n, func(piece []byte) { pieces = append(pieces, piece[:len(piece):len(piece)]) })
+	return pieces, nil
 }
 
 // SetFault installs a fault injector: before every read or write, fn is

@@ -254,6 +254,13 @@ func (s *Server) settle(j *Job, doSettle func() bool) {
 	if !doSettle() {
 		return
 	}
+	// A settled job keeps its flight recorder (the black box stays
+	// queryable) but not its metrics registry: /metrics only reports running
+	// jobs, and an open registry would pin the job's networks, cluster and
+	// disks for the life of the daemon.
+	if obs := j.observeBundle(); obs != nil && obs.Metrics != nil {
+		obs.Metrics.Close()
+	}
 	now := j.State() // terminal states are immutable; safe to read after
 	s.mu.Lock()
 	switch now {

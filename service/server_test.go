@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -537,5 +538,52 @@ func TestQuotaRejectionOverHTTP(t *testing.T) {
 	code, _ = d.post(t, "/jobs", `{"program":"dsort","nodes":2,"records":4096,"wat":1}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("invalid submit: status %d, want 400", code)
+	}
+}
+
+// TestFinishedJobsDoNotPinTheirHeaps: the daemon retains settled jobs (they
+// stay queryable), and used to retain with each one its metrics registry —
+// linked into a process-wide list, holding every network of the job and,
+// through the cluster's collector, the cluster and its disks: 12.8 MB per
+// 1 MiB job. Fifty jobs through one server must leave the live heap where
+// the first few put it. (What a retained job does keep is its black box,
+// some 0.4 MB of flight-recorder ring, so the test retains only a few jobs
+// and fills that quota before it measures.)
+func TestFinishedJobsDoNotPinTheirHeaps(t *testing.T) {
+	srv := New(Config{MaxConcurrent: 2, RetainJobs: 8})
+	defer srv.Close()
+	spec := JobSpec{Program: "dsort", Nodes: 4, Records: 1 << 16, Disk: &DiskSpec{}} // 1 MiB
+	run := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			spec.Program = []string{"dsort", "csort"}[i%2]
+			j, err := srv.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Wait()
+			if st := j.State(); st != StateDone {
+				t.Fatalf("job %d ended %s: %v", i, st, j.Err())
+			}
+		}
+	}
+	live := func() float64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / (1 << 20)
+	}
+	run(8) // warm-up: recycled buffers, worker pool, a full retention quota
+	before := live()
+	run(50)
+	after := live()
+	// Fifty pinned jobs would be some 600 MiB.
+	if grown := after - before; grown > 4 {
+		t.Fatalf("live heap grew by %.1f MiB over 50 jobs (%.1f → %.1f MiB): finished jobs are pinned", grown, before, after)
+	}
+	if obs := srv.Jobs()[0].observeBundle(); obs == nil || obs.Flight == nil {
+		t.Fatal("a settled job lost its black box")
+	} else if n := len(obs.Metrics.Samples()); n != 0 {
+		t.Fatalf("a settled job's metrics registry still reports %d samples", n)
 	}
 }

@@ -136,8 +136,8 @@ func Run(n *cluster.Node, s Spec) error {
 		b.SwapAux()
 		return nil
 	})
+	parts := make([][]byte, p) // reused across rounds: a stage runs on one goroutine
 	pipe.AddStage("communicate", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		parts := make([][]byte, p)
 		for d := 0; d < p; d++ {
 			parts[d] = b.Data[d*pieceBytes : (d+1)*pieceBytes]
 		}
@@ -150,6 +150,7 @@ func Run(n *cluster.Node, s Spec) error {
 			}
 			o += copy(b.Data[o:], recv[src])
 		}
+		cluster.Release(recv...)
 		b.N = o
 		return nil
 	})
