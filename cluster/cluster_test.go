@@ -226,9 +226,15 @@ func TestNetworkLatencyCharged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
+	// The wall bound is one pdm gateQuantum (1 ms) short of the 10 ms
+	// charged: the cost gate sleeps only once its debt reaches the quantum,
+	// and sleeps that overshoot are credited, so after four 2 ms sleeps that
+	// ran long by >= 1 ms in total the fifth charge is legitimately not
+	// slept.
+	if elapsed := time.Since(start); elapsed < 9*time.Millisecond {
 		t.Errorf("5 sends with 2ms latency finished in %v", elapsed)
 	}
+	// SendBusy is the model's charge, not the sleep, so it is exact.
 	if busy := c.Node(0).Stats().SendBusy; busy < 10*time.Millisecond {
 		t.Errorf("SendBusy = %v, want >= 10ms", busy)
 	}

@@ -16,97 +16,37 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/dsort"
-	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/harness"
 	"github.com/fg-go/fg/internal/splitter"
 	"github.com/fg-go/fg/workload"
 )
 
 func main() {
-	var (
-		exps        = flag.String("exp", "fig8a", "comma-separated experiments: fig8a,fig8b,skew,linear,overlap,iovolume,splitters,passes,buffers,all")
-		nodes       = flag.Int("nodes", 16, "cluster size P")
-		logRecs     = flag.Int("records", 20, "log2 of the total record count N")
-		cpn         = flag.Int("cpn", 4, "csort columns per node (S = cpn*P)")
-		trials      = flag.Int("trials", 1, "runs to average per cell (the paper used 3)")
-		verify      = flag.Bool("verify", true, "verify every sort's output")
-		seed        = flag.Int64("seed", 1, "workload seed")
-		par         = flag.Int("parallelism", 0, "intra-buffer kernel workers (0 = all cores, 1 = serial)")
-		autotune    = flag.Bool("autotune", false, "let a run-time tuner adjust kernel workers and circulating buffers, starting from -parallelism")
-		metrics     = flag.String("metrics", "", "serve Prometheus metrics on this address (host:port, :0 picks a port) to scrape while experiments run")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON file of every run (chrome://tracing, Perfetto)")
-		statusAddr  = flag.String("status-addr", "", "serve live pipeline health on this address (/status text, /status.json)")
-		clusterAddr = flag.String("cluster-status-addr", "", "serve the fleet view on this address (/cluster/status.json, /cluster/metrics); implies telemetry at -telemetry-interval")
-		telemetryIv = flag.Duration("telemetry-interval", 0, "publish a telemetry record per rank at this interval toward the aggregator rank 0 (0 = off unless -cluster-status-addr is set, then 500ms)")
-		stallAfter  = flag.Duration("stall-after", 0, "arm a stall watchdog: report and dump a black-box trace after this long with no progress (0 = off)")
-		transport   = flag.String("transport", "inproc", "cluster transport: inproc (goroutines and channels) or tcp (real loopback sockets, all ranks in this process)")
-		heartbeat   = flag.Duration("heartbeat", 0, "heartbeat interval for peer failure detection; a peer silent for 10 intervals is declared dead and the run aborted (0 = off)")
-		ckptDir     = flag.String("checkpoint-dir", "", "commit a checkpoint after each pass under this directory and resume from it on restart")
-		supervise   = flag.Int("supervise", 1, "run each sort under a supervisor that retries up to this many attempts on peer death or abort, resuming from checkpoints (1 = no supervisor)")
-	)
+	exps := flag.String("exp", "fig8a", "comma-separated experiments: fig8a,fig8b,skew,linear,overlap,iovolume,splitters,passes,buffers,all")
+	trials := flag.Int("trials", 1, "runs to average per cell (the paper used 3)")
+	flags := harness.BindFlags(flag.CommandLine, 20, 4)
 	flag.Parse()
-
-	pr := harness.DefaultParams()
-	pr.Nodes = *nodes
-	pr.TotalRecords = 1 << *logRecs
-	pr.ColumnsPerNode = *cpn
-	pr.Verify = *verify
-	pr.Seed = *seed
-	if *par < 0 {
-		fmt.Fprintf(os.Stderr, "fgexp: -parallelism must be >= 0, got %d\n", *par)
-		os.Exit(1)
-	}
-	pr.Parallelism = *par
-	if *autotune {
-		pr.AutoTune = fg.DefaultAutoTune()
-	}
-
-	switch *transport {
-	case "inproc":
-	case "tcp":
-		pr.Transport.Kind = cluster.TransportTCP
-	default:
-		fmt.Fprintf(os.Stderr, "fgexp: unknown -transport %q (want inproc or tcp)\n", *transport)
-		os.Exit(1)
-	}
-
-	if *heartbeat > 0 {
-		pr.Health = cluster.HealthConfig{Interval: *heartbeat}
-	}
-	pr.CheckpointDir = *ckptDir
-	if *supervise < 1 {
-		fmt.Fprintf(os.Stderr, "fgexp: -supervise must be >= 1, got %d\n", *supervise)
-		os.Exit(1)
-	}
-	if *supervise > 1 {
-		pr.Supervise = *supervise
-		pr.SuperviseLog = os.Stderr
-	}
-
-	trialCount = *trials
-
-	if err := pr.Warmup(); err != nil {
-		fmt.Fprintf(os.Stderr, "fgexp: warmup: %v\n", err)
-		os.Exit(1)
-	}
-
-	// Attach observability after the warmup so its run is not traced.
-	obs, ct, finish, err := harness.ObserveCLI(*metrics, *traceOut, *statusAddr, *clusterAddr, *stallAfter)
-	if err != nil {
+	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "fgexp: %v\n", err)
 		os.Exit(1)
 	}
-	pr.Observe = obs
-	if *clusterAddr != "" && *telemetryIv <= 0 {
-		*telemetryIv = 500 * time.Millisecond
+
+	_, pr, err := flags.Job()
+	if err != nil {
+		fail(err)
 	}
-	if *telemetryIv > 0 {
-		pr.Telemetry = cluster.TelemetryConfig{Interval: *telemetryIv}
-		pr.OnTelemetry = ct.SetPlane
+	trialCount = *trials
+
+	if err := pr.Warmup(); err != nil {
+		fail(fmt.Errorf("warmup: %w", err))
+	}
+
+	// Attach observability after the warmup so its run is not traced.
+	finish, err := flags.Observe(&pr)
+	if err != nil {
+		fail(err)
 	}
 
 	want := map[string]bool{}
@@ -120,9 +60,8 @@ func main() {
 			return
 		}
 		if err := fn(pr); err != nil {
-			fmt.Fprintf(os.Stderr, "fgexp: %s: %v\n", name, err)
 			_ = finish(err) // flush the trace and black box before exiting
-			os.Exit(1)
+			fail(fmt.Errorf("%s: %w", name, err))
 		}
 		fmt.Println()
 	}
@@ -138,8 +77,7 @@ func main() {
 	run("buffers", bufferSweep)
 
 	if err := finish(nil); err != nil {
-		fmt.Fprintf(os.Stderr, "fgexp: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 }
 
@@ -153,7 +91,7 @@ func bufferSweep(pr harness.Params) error {
 		pr.TotalRecords, pr.Nodes)
 	for _, div := range []int{32, 16, 8, 4, 2} {
 		run := perNode / div
-		res, err := pr.RunDsortWith(workload.Uniform, func(cfg *dsort.Config) {
+		res, err := pr.RunTuned(harness.Dsort, workload.Uniform, 0, func(cfg *dsort.Config) {
 			cfg.RunRecords = run
 			cfg.MergeRecords = run / 4
 			if cfg.MergeRecords < 1 {

@@ -2,8 +2,6 @@ package colsort
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
@@ -40,6 +38,10 @@ const (
 // shift ripple flowing; one more gives the read stage headroom.
 const DefaultPipelineBuffers = 4
 
+// Name is the program name results, checkpoints and the harness's program
+// table know the three-pass csort by.
+const Name = "csort"
+
 // Run executes csort on one node; call it from every node of the cluster
 // inside cluster.Run. It returns the node's per-pass timings (barriers
 // align the passes, so every node reports cluster-wide pass times).
@@ -50,103 +52,42 @@ func Run(n *cluster.Node, pl Plan) (oocsort.Result, error) {
 // RunBuffers is Run with an explicit per-pipeline buffer-pool size; the
 // overlap ablation uses pool size 1 to serialize the stages.
 func RunBuffers(n *cluster.Node, pl Plan, buffers int) (oocsort.Result, error) {
-	res := oocsort.Result{Program: "csort"}
-	pl.tuner = fg.NewAutoTuner(pl.AutoTune)
-	pl.Observe.AttachTuner(pl.tuner)
-	barrier := n.Comm("csort.barrier")
+	return pl.run(n, Name, []string{tempFile1, tempFile2}, buffers, oocsort.Pass{
+		Name: "pass3", Align: true,
+		Body: func() error { return pl.runMergePass(n, tempFile2, buffers) },
+	})
+}
 
-	passes := []colPass{
-		{"csort.pass1", []string{tempFile1}, func() error {
-			return pl.runTransposePass(n, "csort.p1", pl.Spec.InputName, tempFile1, buffers,
+// run drives a columnsort variant: the two transpose passes every variant
+// opens with, writing temp[0] and temp[1], then the variant's own closing
+// passes. Each pass leaves one intermediate matrix, which is the pass's
+// checkpoint; the last pass writes the output and leaves none. The
+// intermediate files are removed once the sort has succeeded. The receiver
+// is a pointer so that the caller's closing passes and the passes built here
+// see the one Plan RunPasses arms.
+func (pl *Plan) run(n *cluster.Node, program string, temp []string, buffers int, closing ...oocsort.Pass) (oocsort.Result, error) {
+	passes := append([]oocsort.Pass{
+		{Name: "pass1", Align: true, Artifacts: temp[:1], Body: func() error {
+			return pl.runTransposePass(n, program+".p1", pl.Spec.InputName, temp[0], buffers,
 				// Step 2: column-major rank m = j*R + i lands at row-major
 				// rank m, in column m mod S.
 				func(j, i int) int { return (j*pl.R + i) % pl.S })
 		}},
-		{"csort.pass2", []string{tempFile2}, func() error {
-			return pl.runTransposePass(n, "csort.p2", tempFile1, tempFile2, buffers,
+		{Name: "pass2", Align: true, Artifacts: temp[1:2], Body: func() error {
+			return pl.runTransposePass(n, program+".p2", temp[0], temp[1], buffers,
 				// Step 4: row-major rank q = i*S + j lands at column-major
 				// rank q, in column q div R.
 				func(j, i int) int { return (i*pl.S + j) / pl.R })
 		}},
-		{"csort.pass3", nil, func() error {
-			return pl.runMergePass(n, tempFile2, buffers)
-		}},
-	}
-	if err := pl.runPasses(n, barrier, &res, passes); err != nil {
+	}, closing...)
+	res, err := oocsort.RunPasses(n, &pl.Options, program, passes)
+	if err != nil {
 		return res, err
 	}
-	n.Disk.Remove(tempFile1)
-	n.Disk.Remove(tempFile2)
+	for _, name := range temp {
+		n.Disk.Remove(name)
+	}
 	return res, nil
-}
-
-// A colPass is one pass of a columnsort variant: its checkpoint key, the
-// files it materializes (nil for the final, output-writing pass, which is
-// never checkpointed — rerunning it from the previous boundary is the
-// recovery a supervisor wants), and the pass body.
-type colPass struct {
-	name      string
-	artifacts []string
-	run       func() error
-}
-
-// runPasses drives a columnsort pass sequence with checkpoint/restart at
-// every interior boundary. With a Checkpoint configured it first finds the
-// highest pass every rank holds a valid checkpoint for — the vote is
-// collective, so all ranks resume (or not) together — restores that pass's
-// artifacts, and runs only the remainder; each completed interior pass is
-// checkpointed before its closing barrier, so once any rank has entered
-// pass i+1, every rank's pass-i checkpoint is committed.
-func (pl Plan) runPasses(n *cluster.Node, barrier *cluster.Comm, res *oocsort.Result, passes []colPass) error {
-	first := 0
-	if pl.Checkpoint != nil {
-		for i := len(passes) - 1; i >= 0 && first == 0; i-- {
-			if passes[i].artifacts == nil {
-				continue
-			}
-			if !oocsort.AgreeResume(barrier, pl.Checkpoint.Completed(n.Rank(), passes[i].name)) {
-				continue
-			}
-			start := time.Now()
-			if _, err := oocsort.RestorePass(pl.Checkpoint, n, passes[i].name); err != nil {
-				return fmt.Errorf("colsort: restoring %s on node %d: %w", passes[i].name, n.Rank(), err)
-			}
-			for _, p := range passes[:i] {
-				res.Passes = append(res.Passes, oocsort.PassTiming{Name: passName(p.name)})
-				res.Resumed = append(res.Resumed, passName(p.name))
-			}
-			res.Passes = append(res.Passes,
-				oocsort.PassTiming{Name: passName(passes[i].name), Duration: time.Since(start)})
-			res.Resumed = append(res.Resumed, passName(passes[i].name))
-			first = i + 1
-		}
-	}
-	for _, pass := range passes[first:] {
-		barrier.Barrier()
-		start := time.Now()
-		if err := pass.run(); err != nil {
-			return fmt.Errorf("colsort: %s on node %d: %w", passName(pass.name), n.Rank(), err)
-		}
-		if pl.Checkpoint != nil && pass.artifacts != nil {
-			if err := oocsort.SavePass(pl.Checkpoint, n, pass.name, nil, pass.artifacts...); err != nil {
-				return fmt.Errorf("colsort: checkpointing %s on node %d: %w", passName(pass.name), n.Rank(), err)
-			}
-		}
-		barrier.Barrier()
-		res.Passes = append(res.Passes,
-			oocsort.PassTiming{Name: passName(pass.name), Duration: time.Since(start)})
-	}
-	return nil
-}
-
-// passName strips the program prefix from a checkpoint key, recovering the
-// short pass name Results have always reported ("pass1", not
-// "csort.pass1").
-func passName(key string) string {
-	if i := strings.IndexByte(key, '.'); i >= 0 {
-		return key[i+1:]
-	}
-	return key
 }
 
 // runTransposePass runs one read-sort-communicate-permute-write pass. dest
@@ -163,11 +104,8 @@ func (pl Plan) runTransposePass(n *cluster.Node, commName, inFile, outFile strin
 	chunkBytes := f.Bytes(chunkRecs)
 	comm := n.Comm(commName)
 
-	nw := fg.NewNetwork(fmt.Sprintf("%s@%d", commName, rank))
-	nw.OnFail(func(error) { n.Cluster().Abort() })
-	finish := pl.Observe.Attach(nw)
-	defer finish()
-	defer pl.tuner.Tune(nw)()
+	nw, done := pl.Network(n, commName)
+	defer done()
 	p := nw.AddPipeline("main",
 		fg.Buffers(buffers), fg.BufferBytes(colBytes), fg.Rounds(pl.ColumnsPerNode()))
 
@@ -175,7 +113,7 @@ func (pl Plan) runTransposePass(n *cluster.Node, commName, inFile, outFile strin
 		b.N = colBytes
 		return n.Disk.ReadAt(inFile, b.Data[:colBytes], int64(b.Round)*int64(colBytes))
 	})
-	sortWorkers := pl.workersFn("sort")
+	sortWorkers := pl.Workers("sort")
 	p.AddStage("sort", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		sortalgo.SortRecordsParallel(f, b.Bytes(), b.Aux(), sortWorkers())
 		return nil
@@ -275,11 +213,8 @@ func (pl Plan) runMergePass(n *cluster.Node, inFile string, buffers int) error {
 	unshift := n.Comm("csort.unshift")
 	out := pl.Spec.OutputName
 
-	nw := fg.NewNetwork(fmt.Sprintf("csort.p3@%d", rank))
-	nw.OnFail(func(error) { n.Cluster().Abort() })
-	finish := pl.Observe.Attach(nw)
-	defer finish()
-	defer pl.tuner.Tune(nw)()
+	nw, done := pl.Network(n, "csort.p3")
+	defer done()
 	p := nw.AddPipeline("main",
 		fg.Buffers(buffers), fg.BufferBytes(colBytes), fg.Rounds(pl.ColumnsPerNode()))
 
@@ -287,7 +222,7 @@ func (pl Plan) runMergePass(n *cluster.Node, inFile string, buffers int) error {
 		b.N = colBytes
 		return n.Disk.ReadAt(inFile, b.Data[:colBytes], int64(b.Round)*int64(colBytes))
 	})
-	sortWorkers := pl.workersFn("sort")
+	sortWorkers := pl.Workers("sort")
 	p.AddStage("sort", func(ctx *fg.Ctx, b *fg.Buffer) error { // step 5
 		sortalgo.SortRecordsParallel(f, b.Bytes(), b.Aux(), sortWorkers())
 		return nil
@@ -309,7 +244,7 @@ func (pl Plan) runMergePass(n *cluster.Node, inFile string, buffers int) error {
 		b.Meta = m
 		return nil
 	})
-	mergeWorkers := pl.workersFn("merge")
+	mergeWorkers := pl.Workers("merge")
 	p.AddStage("merge", func(ctx *fg.Ctx, b *fg.Buffer) error { // step 7
 		m := b.Meta.(*p3meta)
 		if m.in == nil {

@@ -31,6 +31,9 @@ const (
 	tempFile4p3 = "csort4.t3"
 )
 
+// FourPassName is the program name of the four-pass columnsort.
+const FourPassName = "csort4"
+
 // RunFourPass executes the four-pass columnsort on one node; call it from
 // every node inside cluster.Run.
 func RunFourPass(n *cluster.Node, pl Plan) (oocsort.Result, error) {
@@ -39,28 +42,14 @@ func RunFourPass(n *cluster.Node, pl Plan) (oocsort.Result, error) {
 
 // RunFourPassBuffers is RunFourPass with an explicit buffer-pool size.
 func RunFourPassBuffers(n *cluster.Node, pl Plan, buffers int) (oocsort.Result, error) {
-	res := oocsort.Result{Program: "csort4"}
-	barrier := n.Comm("csort4.barrier")
-
-	passes := []colPass{
-		{"csort4.pass1", []string{tempFile4p1}, func() error {
-			return pl.runTransposePass(n, "csort4.p1", pl.Spec.InputName, tempFile4p1, buffers,
-				func(j, i int) int { return (j*pl.R + i) % pl.S })
+	temp := []string{tempFile4p1, tempFile4p2, tempFile4p3}
+	return pl.run(n, FourPassName, temp, buffers,
+		oocsort.Pass{Name: "pass3", Align: true, Artifacts: temp[2:], Body: func() error {
+			return pl.runShiftPass(n, tempFile4p2, tempFile4p3, buffers)
 		}},
-		{"csort4.pass2", []string{tempFile4p2}, func() error {
-			return pl.runTransposePass(n, "csort4.p2", tempFile4p1, tempFile4p2, buffers,
-				func(j, i int) int { return (i*pl.S + j) / pl.R })
-		}},
-		{"csort4.pass3", []string{tempFile4p3}, func() error { return pl.runShiftPass(n, tempFile4p2, tempFile4p3, buffers) }},
-		{"csort4.pass4", nil, func() error { return pl.runUnshiftPass(n, tempFile4p3, buffers) }},
-	}
-	if err := pl.runPasses(n, barrier, &res, passes); err != nil {
-		return res, err
-	}
-	n.Disk.Remove(tempFile4p1)
-	n.Disk.Remove(tempFile4p2)
-	n.Disk.Remove(tempFile4p3)
-	return res, nil
+		oocsort.Pass{Name: "pass4", Align: true, Body: func() error {
+			return pl.runUnshiftPass(n, tempFile4p3, buffers)
+		}})
 }
 
 // runShiftPass performs steps 5-6: sort each column, then write the shifted
@@ -76,10 +65,8 @@ func (pl Plan) runShiftPass(n *cluster.Node, inFile, outFile string, buffers int
 	halfBytes := f.Bytes(R / 2)
 	shift := n.Comm("csort4.shift")
 
-	nw := fg.NewNetwork(fmt.Sprintf("csort4.p3@%d", rank))
-	nw.OnFail(func(error) { n.Cluster().Abort() })
-	finish := pl.Observe.Attach(nw)
-	defer finish()
+	nw, done := pl.Network(n, "csort4.p3")
+	defer done()
 	p := nw.AddPipeline("main",
 		fg.Buffers(buffers), fg.BufferBytes(colBytes), fg.Rounds(pl.ColumnsPerNode()))
 
@@ -155,10 +142,8 @@ func (pl Plan) runUnshiftPass(n *cluster.Node, inFile string, buffers int) error
 	unshift := n.Comm("csort4.unshift")
 	out := pl.Spec.OutputName
 
-	nw := fg.NewNetwork(fmt.Sprintf("csort4.p4@%d", rank))
-	nw.OnFail(func(error) { n.Cluster().Abort() })
-	finish := pl.Observe.Attach(nw)
-	defer finish()
+	nw, done := pl.Network(n, "csort4.p4")
+	defer done()
 	p := nw.AddPipeline("main",
 		fg.Buffers(buffers), fg.BufferBytes(colBytes), fg.Rounds(pl.ColumnsPerNode()))
 

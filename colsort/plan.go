@@ -3,7 +3,6 @@ package colsort
 import (
 	"fmt"
 
-	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/oocsort"
 )
 
@@ -18,49 +17,11 @@ type Plan struct {
 	S    int // total columns, a multiple of P
 	R    int // rows (records per column)
 
-	// Parallelism bounds the intra-buffer parallelism of the compute
-	// stages: every pass's column sort and pass 3's sorted-halves merge
-	// use the multicore kernels in internal/sortalgo with up to this many
-	// workers from the process-wide shared pool. 0 (the default) means
-	// GOMAXPROCS; 1 forces the serial kernels. See DESIGN.md, "Multicore
-	// kernels".
-	Parallelism int
-
-	// AutoTune, when enabled, attaches a run-time self-tuner to every
-	// network csort builds: it samples each pass's bottleneck and pool
-	// occupancy and adjusts the sort and merge stages' worker counts and
-	// the pipeline's circulating-buffer count within the configured bounds.
-	// Parallelism becomes the initial worker count rather than a fixed
-	// one. The zero value disables tuning.
-	AutoTune fg.AutoTune
-
-	// Observe, if non-nil, is attached to every network csort builds (one
-	// per pass per node), putting all of them on one trace timeline and
-	// metrics registry. Nil observes nothing and costs nothing.
-	Observe *fg.Observe
-
-	// Checkpoint, if non-nil, records each interior pass's output matrix
-	// after the pass completes, and lets a restarted job resume at the
-	// highest pass boundary every rank holds a valid checkpoint for
-	// (decided collectively with oocsort.AgreeResume). The final pass,
-	// which writes the striped output, is never checkpointed. Nil disables
-	// checkpointing.
-	Checkpoint fg.Checkpoint
-
-	// tuner is created once per run from AutoTune and travels with the
-	// Plan's value copies into the passes; nil when tuning is disabled.
-	tuner *fg.AutoTuner
-}
-
-// workersFn returns the per-round worker-count source for the named compute
-// stage: the tuner's knob (one atomic load per round) when AutoTune is
-// enabled, else the static Parallelism.
-func (pl Plan) workersFn(stage string) func() int {
-	if k := pl.tuner.Knob(stage, pl.Parallelism); k != nil {
-		return k.Workers
-	}
-	p := pl.Parallelism
-	return func() int { return p }
+	// Options are the run-time options every sorting program takes:
+	// Parallelism (every pass's column sort and pass 3's sorted-halves
+	// merge), AutoTune, Observe, and Checkpoint. csort checkpoints each
+	// interior pass's output matrix.
+	oocsort.Options
 }
 
 // NewPlan validates a job against the columnsort constraints and returns

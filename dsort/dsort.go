@@ -15,13 +15,12 @@
 package dsort
 
 import (
-	"encoding/json"
 	"fmt"
-	"time"
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/oocsort"
+	"github.com/fg-go/fg/records"
 )
 
 // Config parameterizes a dsort run. All sizes are in records.
@@ -45,17 +44,6 @@ type Config struct {
 	// pipelines use two buffers each. The overlap ablation sets it to 1.
 	Buffers int
 
-	// Parallelism bounds the intra-buffer parallelism of the compute
-	// stages: pass 1's permute and run sort and pass 2's merge use the
-	// multicore kernels in internal/sortalgo with up to this many workers
-	// from the process-wide shared pool. 0 (the default) means
-	// GOMAXPROCS; 1 forces the serial kernels, which the
-	// serial-vs-parallel benchmarks compare against. Unlike
-	// fg.Stage.Replicate, intra-buffer parallelism preserves buffer order
-	// and adds no buffer-pool pressure; see DESIGN.md, "Multicore
-	// kernels".
-	Parallelism int
-
 	// Retry, when MaxAttempts > 1, wraps every disk-touching round stage
 	// (pass 1's read and write, pass 2's run reads and output writes) with
 	// fg.Retry, so transient I/O faults are absorbed by backoff instead of
@@ -63,45 +51,13 @@ type Config struct {
 	// sends are not idempotent. The zero value disables retries.
 	Retry fg.RetryPolicy
 
-	// AutoTune, when enabled, attaches a run-time self-tuner to every
-	// network dsort builds: the tuner samples each network's bottleneck and
-	// pool occupancy and adjusts the compute stages' worker counts (pass
-	// 1's permute and run sort) and each pipeline's circulating-buffer
-	// count within the configured bounds — recovering from a mis-set
-	// Parallelism or Buffers without a restart. Parallelism becomes the
-	// initial worker count rather than a fixed one. The zero value
-	// disables tuning.
-	AutoTune fg.AutoTune
-
-	// Observe, if non-nil, is attached to every network dsort builds (one
-	// per pass per node), putting all of them on one trace timeline and
-	// metrics registry. Nil observes nothing and costs nothing.
-	Observe *fg.Observe
-
-	// Checkpoint, if non-nil, records pass 1's result (the sorted runs
-	// file and the run lengths) after the pass-1 barrier, and lets a
-	// restarted job skip sampling and pass 1 entirely: at startup every
-	// rank votes with the validity of its own checkpoint, and on a
-	// unanimous yes (oocsort.AgreeResume) the runs are restored instead of
-	// recomputed. Pass 2 is never checkpointed — it is the final pass, and
-	// rerunning it from restored runs is exactly the recovery the
-	// supervisor wants. Nil disables checkpointing.
-	Checkpoint fg.Checkpoint
-
-	// tuner is created once per Run from AutoTune and travels with the
-	// Config's value copies into the passes; nil when tuning is disabled.
-	tuner *fg.AutoTuner
-}
-
-// workersFn returns the per-round worker-count source for the named compute
-// stage: the tuner's knob (one atomic load per round) when AutoTune is
-// enabled, else the static Parallelism.
-func (cfg Config) workersFn(stage string) func() int {
-	if k := cfg.tuner.Knob(stage, cfg.Parallelism); k != nil {
-		return k.Workers
-	}
-	p := cfg.Parallelism
-	return func() int { return p }
+	// Options are the run-time options every sorting program takes:
+	// Parallelism (pass 1's permute and run sort, pass 2's merge), AutoTune,
+	// Observe, and Checkpoint. dsort checkpoints pass 1's result — the
+	// sorted runs file and the run lengths — so a restarted job skips
+	// sampling and pass 1 entirely; the splitters are not needed again,
+	// pass 2 runs entirely off the runs and their lengths.
+	oocsort.Options
 }
 
 // diskStage wraps a disk-touching round stage with the configured retry
@@ -166,92 +122,44 @@ func (cfg Config) Validate(p int) error {
 // gaps rather than shifting their successors.
 const runsFile = "dsort.runs"
 
+// Name is the program name results, checkpoints and the harness's program
+// table know dsort by.
+const Name = "dsort"
+
 // Run executes dsort on one node; call it from every node of the cluster
 // inside cluster.Run. It returns the node's per-phase timings (barriers
 // align the phases, so every node reports cluster-wide times).
 func Run(n *cluster.Node, cfg Config) (oocsort.Result, error) {
-	res := oocsort.Result{Program: "dsort"}
+	return run(n, cfg, Name, selectSplitters, pass1, pass2)
+}
+
+// run drives the three phases of a dsort variant: sampling computes the
+// splitters, pass 1 turns them into sorted runs on disk plus their lengths
+// (the one checkpointed boundary), pass 2 merges the runs into the output.
+func run(n *cluster.Node, cfg Config, program string,
+	sample func(*cluster.Node, Config) ([]records.ExtKey, error),
+	pass1 func(*cluster.Node, Config, []records.ExtKey) ([]int, error),
+	pass2 func(*cluster.Node, Config, []int) error,
+) (oocsort.Result, error) {
 	if err := cfg.Validate(n.P()); err != nil {
+		return oocsort.Result{Program: program}, err
+	}
+	var splitters []records.ExtKey
+	var runLens []int
+	res, err := oocsort.RunPasses(n, &cfg.Options, program, []oocsort.Pass{
+		{Name: "sampling", Align: true, Body: func() (err error) {
+			splitters, err = sample(n, cfg)
+			return err
+		}},
+		{Name: "pass1", Artifacts: []string{runsFile}, State: &runLens, Body: func() (err error) {
+			runLens, err = pass1(n, cfg, splitters)
+			return err
+		}},
+		{Name: "pass2", Body: func() error { return pass2(n, cfg, runLens) }},
+	})
+	if err != nil {
 		return res, err
 	}
-	cfg.tuner = fg.NewAutoTuner(cfg.AutoTune)
-	cfg.Observe.AttachTuner(cfg.tuner)
-	barrier := n.Comm("dsort.barrier")
-
-	barrier.Barrier()
-	var runLens []int
-	if cfg.Checkpoint != nil &&
-		oocsort.AgreeResume(barrier, cfg.Checkpoint.Completed(n.Rank(), "dsort.pass1")) {
-		// Every rank holds a valid pass-1 checkpoint: restore the sorted
-		// runs and skip sampling and pass 1. The splitters are not needed
-		// again — pass 2 runs entirely off the runs and their lengths.
-		start := time.Now()
-		var err error
-		runLens, err = restorePass1(n, cfg)
-		if err != nil {
-			return res, fmt.Errorf("dsort: restoring pass 1 on node %d: %w", n.Rank(), err)
-		}
-		barrier.Barrier()
-		res.Passes = append(res.Passes,
-			oocsort.PassTiming{Name: "sampling"},
-			oocsort.PassTiming{Name: "pass1", Duration: time.Since(start)})
-		res.Resumed = append(res.Resumed, "pass1")
-	} else {
-		start := time.Now()
-		splitters, err := selectSplitters(n, cfg)
-		if err != nil {
-			return res, fmt.Errorf("dsort: sampling on node %d: %w", n.Rank(), err)
-		}
-		barrier.Barrier()
-		res.Passes = append(res.Passes, oocsort.PassTiming{Name: "sampling", Duration: time.Since(start)})
-
-		start = time.Now()
-		runLens, err = pass1(n, cfg, splitters)
-		if err != nil {
-			return res, fmt.Errorf("dsort: pass 1 on node %d: %w", n.Rank(), err)
-		}
-		if cfg.Checkpoint != nil {
-			// Saved before the barrier: once any rank enters pass 2, every
-			// rank's pass-1 checkpoint is committed.
-			if err := savePass1(n, cfg, runLens); err != nil {
-				return res, fmt.Errorf("dsort: checkpointing pass 1 on node %d: %w", n.Rank(), err)
-			}
-		}
-		barrier.Barrier()
-		res.Passes = append(res.Passes, oocsort.PassTiming{Name: "pass1", Duration: time.Since(start)})
-	}
-
-	start := time.Now()
-	if err := pass2(n, cfg, runLens); err != nil {
-		return res, fmt.Errorf("dsort: pass 2 on node %d: %w", n.Rank(), err)
-	}
-	barrier.Barrier()
-	res.Passes = append(res.Passes, oocsort.PassTiming{Name: "pass2", Duration: time.Since(start)})
-
 	n.Disk.Remove(runsFile)
 	return res, nil
-}
-
-// savePass1 checkpoints the pass-1 boundary: the sorted-runs file and the
-// run lengths pass 2 needs to find them.
-func savePass1(n *cluster.Node, cfg Config, runLens []int) error {
-	state, err := json.Marshal(runLens)
-	if err != nil {
-		return err
-	}
-	return oocsort.SavePass(cfg.Checkpoint, n, "dsort.pass1", state, runsFile)
-}
-
-// restorePass1 imports the checkpointed runs back onto the node's disk and
-// returns the run lengths.
-func restorePass1(n *cluster.Node, cfg Config) ([]int, error) {
-	state, err := oocsort.RestorePass(cfg.Checkpoint, n, "dsort.pass1")
-	if err != nil {
-		return nil, err
-	}
-	var runLens []int
-	if err := json.Unmarshal(state, &runLens); err != nil {
-		return nil, fmt.Errorf("run lengths corrupt: %w", err)
-	}
-	return runLens, nil
 }

@@ -3,7 +3,6 @@ package dsort
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
@@ -12,6 +11,9 @@ import (
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/records"
 )
+
+// LinearName is the program name of the single-linear-pipeline variant.
+const LinearName = "dsort-linear"
 
 // RunLinear executes dsort restricted to a single linear pipeline per node
 // per pass — the comparison implementation Section VIII of the paper
@@ -25,40 +27,7 @@ import (
 // this file is itself part of the reproduction: it is the programming
 // burden the paper says the extensions remove.
 func RunLinear(n *cluster.Node, cfg Config) (oocsort.Result, error) {
-	res := oocsort.Result{Program: "dsort-linear"}
-	if err := cfg.Validate(n.P()); err != nil {
-		return res, err
-	}
-	cfg.tuner = fg.NewAutoTuner(cfg.AutoTune)
-	cfg.Observe.AttachTuner(cfg.tuner)
-	barrier := n.Comm("dsortlin.barrier")
-
-	barrier.Barrier()
-	start := time.Now()
-	splitters, err := selectSplitters(n, cfg)
-	if err != nil {
-		return res, fmt.Errorf("dsort-linear: sampling on node %d: %w", n.Rank(), err)
-	}
-	barrier.Barrier()
-	res.Passes = append(res.Passes, oocsort.PassTiming{Name: "sampling", Duration: time.Since(start)})
-
-	start = time.Now()
-	runLens, err := pass1Linear(n, cfg, splitters)
-	if err != nil {
-		return res, fmt.Errorf("dsort-linear: pass 1 on node %d: %w", n.Rank(), err)
-	}
-	barrier.Barrier()
-	res.Passes = append(res.Passes, oocsort.PassTiming{Name: "pass1", Duration: time.Since(start)})
-
-	start = time.Now()
-	if err := pass2Linear(n, cfg, runLens); err != nil {
-		return res, fmt.Errorf("dsort-linear: pass 2 on node %d: %w", n.Rank(), err)
-	}
-	barrier.Barrier()
-	res.Passes = append(res.Passes, oocsort.PassTiming{Name: "pass2", Duration: time.Since(start)})
-
-	n.Disk.Remove(runsFile)
-	return res, nil
+	return run(n, cfg, LinearName, selectSplitters, pass1Linear, pass2Linear)
 }
 
 // pass1Linear is pass 1 on one pipeline: read -> permute -> commio, where
@@ -104,11 +73,8 @@ func pass1Linear(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int
 		return nil
 	}
 
-	nw := fg.NewNetwork(fmt.Sprintf("dsortlin.p1@%d", rank))
-	nw.OnFail(func(error) { n.Cluster().Abort() })
-	finish := cfg.Observe.Attach(nw)
-	defer finish()
-	defer cfg.tuner.Tune(nw)()
+	nw, done := cfg.Network(n, "dsortlin.p1")
+	defer done()
 	pipe := nw.AddPipeline("main",
 		fg.Buffers(cfg.Buffers), fg.BufferBytes(bufBytes), fg.Rounds(sendRounds))
 	pipe.AddStage("read", func(ctx *fg.Ctx, b *fg.Buffer) error {
@@ -120,7 +86,7 @@ func pass1Linear(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int
 		b.N = f.Bytes(int(cnt))
 		return n.Disk.ReadAt(cfg.Spec.InputName, b.Data[:b.N], off*int64(f.Size))
 	})
-	pipe.AddStage("permute", permuteStage(f, p, rank, bufRecs, splitters, cfg.workersFn("permute")))
+	pipe.AddStage("permute", permuteStage(f, p, rank, bufRecs, splitters, cfg.Workers("permute")))
 	pipe.AddStage("send", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		counts := b.Meta.([]int)
 		off := 0
@@ -249,10 +215,8 @@ func pass2Linear(n *cluster.Node, cfg Config, runLens []int) error {
 		return nil
 	}
 
-	nw := fg.NewNetwork(fmt.Sprintf("dsortlin.p2@%d", rank))
-	nw.OnFail(func(error) { n.Cluster().Abort() })
-	finish := cfg.Observe.Attach(nw)
-	defer finish()
+	nw, done := cfg.Network(n, "dsortlin.p2")
+	defer done()
 	pipe := nw.AddPipeline("main",
 		fg.Buffers(cfg.Buffers), fg.BufferBytes(hBufBytes+4096), fg.Rounds(hRounds))
 

@@ -64,11 +64,8 @@ func pass1(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int, erro
 	comm := n.Comm("dsort.p1")
 	const tagData = 1
 
-	nw := fg.NewNetwork(fmt.Sprintf("dsort.p1@%d", rank))
-	nw.OnFail(func(error) { n.Cluster().Abort() })
-	finish := cfg.Observe.Attach(nw)
-	defer finish()
-	defer cfg.tuner.Tune(nw)()
+	nw, done := cfg.Network(n, "dsort.p1")
+	defer done()
 
 	send := nw.AddPipeline("send",
 		fg.Buffers(cfg.Buffers), fg.BufferBytes(bufBytes), fg.Rounds(sendRounds))
@@ -81,7 +78,7 @@ func pass1(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int, erro
 		b.N = f.Bytes(int(cnt))
 		return n.Disk.ReadAt(cfg.Spec.InputName, b.Data[:b.N], off*int64(size))
 	}))
-	send.AddStage("permute", permuteStage(f, p, rank, bufRecs, splitters, cfg.workersFn("permute")))
+	send.AddStage("permute", permuteStage(f, p, rank, bufRecs, splitters, cfg.Workers("permute")))
 	send.AddStage("send", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		counts := b.Meta.([]int)
 		off := 0
@@ -132,7 +129,7 @@ func pass1(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int, erro
 		}
 		return nil
 	})
-	sortWorkers := cfg.workersFn("sort")
+	sortWorkers := cfg.Workers("sort")
 	recv.AddStage("sort", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		// Each full buffer becomes one sorted run, ordered by the records'
 		// original (non-extended) keys. The multicore radix sort spreads

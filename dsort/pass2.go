@@ -56,11 +56,8 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 	hBufBytes := f.Bytes(cfg.OutRecords)
 	hRounds := int((partRecs + int64(cfg.OutRecords) - 1) / int64(cfg.OutRecords))
 
-	nw := fg.NewNetwork(fmt.Sprintf("dsort.p2@%d", rank))
-	nw.OnFail(func(error) { n.Cluster().Abort() })
-	finish := cfg.Observe.Attach(nw)
-	defer finish()
-	defer cfg.tuner.Tune(nw)()
+	nw, done := cfg.Network(n, "dsort.p2")
+	defer done()
 
 	// Vertical pipelines: one per sorted run, reading the run in small
 	// chunks. All are members of one virtual group, so FG serves their

@@ -26,7 +26,7 @@ import (
 // Worker knobs only matter to stages that read them: a stage function
 // fetches its Knob once at build time and calls Workers() each round (one
 // atomic load). dsort and colsort wire their sort/permute/merge kernels
-// this way when Config.AutoTune / Plan.AutoTune is enabled.
+// this way when their oocsort.Options.AutoTune is enabled.
 //
 // Buffer tuning needs no cooperation from stages: the tuner calls
 // Pipeline.SetEffectiveBuffers, and the source parks or re-injects pool

@@ -57,27 +57,12 @@ type queue interface {
 	onSlowPush(fn func())
 }
 
-// queueModeChannel, when set, forces channel-backed queues everywhere in
-// subsequently built networks. See UseChannelQueues.
-var queueModeChannel atomic.Bool
-
-// UseChannelQueues forces every subsequently built network to carry
-// buffers on Go channels instead of selecting lock-free SPSC rings for
-// single-producer single-consumer segments. It exists for A/B comparison —
-// the ring-vs-channel property tests and the hand-off benchmarks — and as
-// an escape hatch; the two builds are semantically identical. It returns
-// the previous setting; restore it when done:
-//
-//	prev := fg.UseChannelQueues(true)
-//	defer fg.UseChannelQueues(prev)
-func UseChannelQueues(on bool) bool { return queueModeChannel.Swap(on) }
-
 // newQueue creates a queue of the given capacity: a lock-free SPSC ring
 // when spscOK says the queue has one producing and one consuming
-// goroutine, a buffered channel otherwise (or when UseChannelQueues is in
-// force).
+// goroutine, a buffered channel otherwise. The topology group.build
+// observes is the only selector; there is no switch to set.
 func newQueue(capacity int, spscOK bool) queue {
-	if spscOK && !queueModeChannel.Load() {
+	if spscOK {
 		return &ringQueue{r: spsc.New[*Buffer](capacity)}
 	}
 	return &chanQueue{ch: make(chan *Buffer, capacity)}

@@ -84,27 +84,6 @@ func TestQueueSelectionJoin(t *testing.T) {
 	}
 }
 
-// TestUseChannelQueuesForcesChannels: the A/B escape hatch must force
-// channel queues everywhere and report the previous setting.
-func TestUseChannelQueuesForcesChannels(t *testing.T) {
-	prev := UseChannelQueues(true)
-	defer UseChannelQueues(prev)
-	if again := UseChannelQueues(true); !again {
-		t.Error("UseChannelQueues(true) twice reported previous=false")
-	}
-	nw := NewNetwork("forced")
-	p := nw.AddPipeline("main", Buffers(2), BufferBytes(8), Rounds(5))
-	p.AddStage("a", func(ctx *Ctx, b *Buffer) error { return nil })
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range p.group.queues {
-		if _, ok := q.(*chanQueue); !ok {
-			t.Errorf("queue %d is %T under UseChannelQueues(true), want *chanQueue", i, q)
-		}
-	}
-}
-
 // TestSlowPushCountsAndHook drives both queue implementations through a
 // deliberately undersized queue: the push that misses the fast path must
 // bump slowPushes and fire the build-time hook, and FIFO order must hold

@@ -86,6 +86,12 @@ type NetworkStats struct {
 func (nw *Network) Stats() NetworkStats {
 	st := NetworkStats{Name: nw.name}
 	switch nw.runState.Load() {
+	case runStateIdle:
+		// Not started: the builder's goroutine may still be adding pipelines
+		// and stages, which nothing orders against this read (an observer
+		// attached at construction polls from its own goroutine). Run
+		// publishes the finished topology by storing runStateRunning.
+		return st
 	case runStateRunning:
 		st.Running = true
 		st.Wall = time.Since(nw.runStart)

@@ -148,3 +148,19 @@ func TestConcurrentStatsVirtual(t *testing.T) {
 		t.Errorf("%d virtual stages in snapshot, want 3", virtual)
 	}
 }
+
+// TestStatsWhileBuilding: an observer attached at construction (a metrics
+// registry, the telemetry collector) snapshots from its own goroutine while
+// the builder is still adding pipelines and stages. Under -race this fails
+// unless Stats leaves an unstarted network's topology alone.
+func TestStatsWhileBuilding(t *testing.T) {
+	nw := NewNetwork("building")
+	hammerStats(t, nw, func() error {
+		for i := 0; i < 50; i++ {
+			p := nw.AddPipeline(fmt.Sprintf("p%d", i), Buffers(2), BufferBytes(8), Rounds(20))
+			p.AddStage("a", func(ctx *Ctx, b *Buffer) error { return nil })
+			p.AddStage("b", func(ctx *Ctx, b *Buffer) error { return nil })
+		}
+		return nw.Run()
+	})
+}

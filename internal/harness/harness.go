@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/fg-go/fg/cluster"
-	"github.com/fg-go/fg/colsort"
 	"github.com/fg-go/fg/dsort"
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/check"
@@ -36,27 +35,18 @@ type Params struct {
 	Network        cluster.NetworkModel
 	Verify         bool
 
-	// Parallelism is handed to every program's config as its intra-buffer
-	// parallelism knob (dsort.Config.Parallelism, colsort.Plan.Parallelism):
-	// 0 uses all cores, 1 pins the compute kernels to their serial paths.
-	// The serial-vs-parallel end-to-end benchmarks flip this and nothing
-	// else.
-	Parallelism int
-
-	// AutoTune is handed to every program's config
-	// (dsort.Config.AutoTune, colsort.Plan.AutoTune): when enabled, a
-	// run-time tuner adjusts the compute stages' worker counts and each
-	// pipeline's circulating buffers, with Parallelism as the starting
-	// point. The zero value keeps the static knobs.
-	AutoTune fg.AutoTune
-
-	// Observe, if non-nil, is handed to every program's config, so all of a
-	// run's networks share one trace timeline and metrics registry. When it
-	// carries a Tracer, the harness additionally records every node's
-	// blocking cluster communication as comm events on that timeline, and
-	// when it carries a Metrics registry, the cluster's per-node traffic
+	// Parallelism, AutoTune and Observe are handed to every program as its
+	// oocsort.Options (which documents them): 0 workers uses all cores, 1
+	// pins the compute kernels to their serial paths — the
+	// serial-vs-parallel end-to-end benchmarks flip this and nothing else —
+	// and an enabled AutoTune starts its knobs from Parallelism. When
+	// Observe carries a Tracer, the harness additionally records every
+	// node's blocking cluster communication as comm events on that timeline,
+	// and when it carries a Metrics registry, the cluster's per-node traffic
 	// counters are registered with it.
-	Observe *fg.Observe
+	Parallelism int
+	AutoTune    fg.AutoTune
+	Observe     *fg.Observe
 
 	// Transport selects the cluster transport. The zero value keeps the
 	// in-process backend; Kind "tcp" moves inter-rank messages over real
@@ -295,25 +285,6 @@ func (pr Params) NewCluster() (*cluster.Cluster, error) {
 	})
 }
 
-// checkpoint opens the configured checkpoint store, or returns nil when
-// checkpointing is off.
-func (pr Params) checkpoint() (fg.Checkpoint, error) {
-	if pr.CheckpointDir == "" {
-		return nil, nil
-	}
-	return fg.NewDirCheckpoint(pr.CheckpointDir)
-}
-
-// Program identifies a sorting program the harness can run.
-type Program string
-
-const (
-	Dsort       Program = "dsort"
-	Csort       Program = "csort"
-	Csort4      Program = "csort4"
-	DsortLinear Program = "dsort-linear"
-)
-
 // Run executes one program on a fresh cluster under the given distribution
 // and returns node 0's result (barriers make it cluster-representative),
 // with traffic totals attached. buffers <= 0 selects each program's
@@ -321,15 +292,23 @@ const (
 // supervisor: a retryable failure tears the cluster down and a fresh
 // attempt resumes from the checkpoints in CheckpointDir.
 func (pr Params) Run(prog Program, dist workload.Distribution, buffers int) (oocsort.Result, error) {
+	return pr.RunTuned(prog, dist, buffers, nil)
+}
+
+// RunTuned is Run with dsort's configuration adjusted by tune before each
+// node starts (nil adjusts nothing). The buffer-size sensitivity experiment
+// uses it to reproduce the paper's methodological note that all reported
+// results use "the best choices of buffer sizes".
+func (pr Params) RunTuned(prog Program, dist workload.Distribution, buffers int, tune func(*dsort.Config)) (oocsort.Result, error) {
 	if pr.Supervise <= 1 {
-		return pr.runOnce(prog, dist, buffers)
+		return pr.runOnce(prog, dist, buffers, tune)
 	}
 	var res oocsort.Result
 	rep := supervise.Run(supervise.Job{
 		Name: fmt.Sprintf("%s/%v", prog, dist),
 		Run: func(int) ([]string, error) {
 			var err error
-			res, err = pr.runOnce(prog, dist, buffers)
+			res, err = pr.runOnce(prog, dist, buffers, tune)
 			return res.Resumed, err
 		},
 	}, supervise.Policy{
@@ -345,15 +324,21 @@ func (pr Params) Run(prog Program, dist workload.Distribution, buffers int) (ooc
 
 // runOnce is one unsupervised attempt: fresh cluster, input, program,
 // verification, teardown.
-func (pr Params) runOnce(prog Program, dist workload.Distribution, buffers int) (oocsort.Result, error) {
-	pr.ensureTelemetryObserve()
-	spec, err := pr.Spec(dist)
+func (pr Params) runOnce(prog Program, dist workload.Distribution, buffers int, tune func(*dsort.Config)) (oocsort.Result, error) {
+	run, err := prog.runner()
 	if err != nil {
+		return oocsort.Result{}, fmt.Errorf("harness: %w", err)
+	}
+	pr.ensureTelemetryObserve()
+	l := launch{nodes: pr.Nodes, columnsPerNode: pr.ColumnsPerNode, buffers: buffers, tune: tune}
+	l.opts.Parallelism, l.opts.AutoTune, l.opts.Observe = pr.Parallelism, pr.AutoTune, pr.Observe
+	if l.spec, err = pr.Spec(dist); err != nil {
 		return oocsort.Result{}, err
 	}
-	ck, err := pr.checkpoint()
-	if err != nil {
-		return oocsort.Result{}, err
+	if pr.CheckpointDir != "" {
+		if l.opts.Checkpoint, err = fg.NewDirCheckpoint(pr.CheckpointDir); err != nil {
+			return oocsort.Result{}, err
+		}
 	}
 	// Collect garbage left by earlier runs before the timed region so one
 	// experiment's heap does not tax the next one's pass timings.
@@ -366,7 +351,7 @@ func (pr Params) runOnce(prog Program, dist workload.Distribution, buffers int) 
 	if pr.OnCluster != nil {
 		pr.OnCluster(c)
 	}
-	fp, err := oocsort.GenerateInput(c, spec)
+	fp, err := oocsort.GenerateInput(c, l.spec)
 	if err != nil {
 		return oocsort.Result{}, err
 	}
@@ -376,58 +361,15 @@ func (pr Params) runOnce(prog Program, dist workload.Distribution, buffers int) 
 	defer detach()
 
 	results := make([]oocsort.Result, pr.Nodes)
-	err = c.Run(func(n *cluster.Node) error {
-		var res oocsort.Result
-		var err error
-		switch prog {
-		case Dsort:
-			cfg := dsort.DefaultConfig(spec, pr.Nodes)
-			cfg.Parallelism = pr.Parallelism
-			cfg.AutoTune = pr.AutoTune
-			cfg.Observe = pr.Observe
-			cfg.Checkpoint = ck
-			if buffers > 0 {
-				cfg.Buffers = buffers
-			}
-			res, err = dsort.Run(n, cfg)
-		case DsortLinear:
-			cfg := dsort.DefaultConfig(spec, pr.Nodes)
-			cfg.Parallelism = pr.Parallelism
-			cfg.AutoTune = pr.AutoTune
-			cfg.Observe = pr.Observe
-			if buffers > 0 {
-				cfg.Buffers = buffers
-			}
-			res, err = dsort.RunLinear(n, cfg)
-		case Csort, Csort4:
-			pl, perr := colsort.NewPlan(spec, pr.Nodes, pr.ColumnsPerNode)
-			if perr != nil {
-				return perr
-			}
-			pl.Parallelism = pr.Parallelism
-			pl.AutoTune = pr.AutoTune
-			pl.Observe = pr.Observe
-			pl.Checkpoint = ck
-			b := colsort.DefaultPipelineBuffers
-			if buffers > 0 {
-				b = buffers
-			}
-			if prog == Csort4 {
-				res, err = colsort.RunFourPassBuffers(n, pl, b)
-			} else {
-				res, err = colsort.RunBuffers(n, pl, b)
-			}
-		default:
-			return fmt.Errorf("harness: unknown program %q", prog)
-		}
-		results[n.Rank()] = res
+	err = c.Run(func(n *cluster.Node) (err error) {
+		results[n.Rank()], err = run(n, l)
 		return err
 	})
 	if err != nil {
 		return oocsort.Result{}, err
 	}
 	if pr.Verify {
-		if err := pr.verify(c, spec, fp); err != nil {
+		if err := pr.verify(c, l.spec, fp); err != nil {
 			return oocsort.Result{}, fmt.Errorf("harness: %s on %v: %w", prog, dist, err)
 		}
 	}
@@ -604,61 +546,4 @@ func (pr Params) Balance(dist workload.Distribution, oversample int) (float64, e
 	}
 	avg := float64(pr.TotalRecords) / float64(pr.Nodes)
 	return float64(max) / avg, nil
-}
-
-// RunDsortWith runs dsort with a configuration derived from the default by
-// mutate, on a fresh verified cluster. The buffer-size sensitivity
-// experiment uses it to reproduce the paper's methodological note that all
-// reported results use "the best choices of buffer sizes".
-func (pr Params) RunDsortWith(dist workload.Distribution, mutate func(*dsort.Config)) (oocsort.Result, error) {
-	pr.ensureTelemetryObserve()
-	spec, err := pr.Spec(dist)
-	if err != nil {
-		return oocsort.Result{}, err
-	}
-	runtime.GC()
-	c, err := pr.NewCluster()
-	if err != nil {
-		return oocsort.Result{}, err
-	}
-	defer c.Close()
-	if pr.OnCluster != nil {
-		pr.OnCluster(c)
-	}
-	fp, err := oocsort.GenerateInput(c, spec)
-	if err != nil {
-		return oocsort.Result{}, err
-	}
-	oocsort.CollectDiskStats(c)
-	oocsort.CollectCommStats(c)
-	detach := pr.instrument(c)
-	defer detach()
-	cfg := dsort.DefaultConfig(spec, pr.Nodes)
-	cfg.Parallelism = pr.Parallelism
-	cfg.AutoTune = pr.AutoTune
-	cfg.Observe = pr.Observe
-	if ck, err := pr.checkpoint(); err != nil {
-		return oocsort.Result{}, err
-	} else {
-		cfg.Checkpoint = ck
-	}
-	mutate(&cfg)
-	results := make([]oocsort.Result, pr.Nodes)
-	err = c.Run(func(n *cluster.Node) error {
-		res, err := dsort.Run(n, cfg)
-		results[n.Rank()] = res
-		return err
-	})
-	if err != nil {
-		return oocsort.Result{}, err
-	}
-	if pr.Verify {
-		if err := pr.verify(c, spec, fp); err != nil {
-			return oocsort.Result{}, err
-		}
-	}
-	res := results[c.Local()[0].Rank()]
-	res.Disk = oocsort.CollectDiskStats(c)
-	res.Comm = oocsort.CollectCommStats(c)
-	return res, nil
 }

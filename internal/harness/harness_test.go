@@ -155,9 +155,9 @@ func TestCsort4RunsUnderHarness(t *testing.T) {
 	}
 }
 
-func TestRunDsortWith(t *testing.T) {
+func TestRunTuned(t *testing.T) {
 	pr := tinyParams()
-	res, err := pr.RunDsortWith(workload.Uniform, func(cfg *dsort.Config) {
+	res, err := pr.RunTuned(Dsort, workload.Uniform, 0, func(cfg *dsort.Config) {
 		cfg.RunRecords = 128
 		cfg.MergeRecords = 32
 	})

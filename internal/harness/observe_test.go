@@ -179,7 +179,7 @@ func TestObserveMetricsAndStats(t *testing.T) {
 func TestObserveCLITraceOutAtomicWrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.json")
-	obs, _, finish, err := ObserveCLI("", path, "", "", 0)
+	obs, _, finish, err := ObserveCLI(ObserveFlags{TraceOut: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestObserveCLITraceOutAtomicWrite(t *testing.T) {
 
 // TestObserveCLIAllOff checks the pay-nothing contract: no flags, no bundle.
 func TestObserveCLIAllOff(t *testing.T) {
-	obs, _, finish, err := ObserveCLI("", "", "", "", 0)
+	obs, _, finish, err := ObserveCLI(ObserveFlags{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func runTCPChild() int {
 		}
 	}
 
-	obs, ct, finish, err := ObserveCLI("", os.Getenv("FG_TCP_TRACE"), "", clusterAddr, stallAfter)
+	obs, ct, finish, err := ObserveCLI(ObserveFlags{TraceOut: os.Getenv("FG_TCP_TRACE"), ClusterAddr: clusterAddr, StallAfter: stallAfter})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "observe: %v\n", err)
 		return 2

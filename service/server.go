@@ -30,7 +30,6 @@ import (
 	"github.com/fg-go/fg/internal/parallel"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/supervise"
-	"github.com/fg-go/fg/workload"
 )
 
 // ErrQueueFull is returned by Submit when the bounded job queue is at
@@ -344,13 +343,8 @@ func (s *Server) runJob(j *Job) {
 	timer := time.AfterFunc(j.Spec.timeout(s.cfg.Limits), j.timeoutAbort)
 	defer timer.Stop()
 
-	prog := harness.Program(j.Spec.Program)
-	dist := workload.Uniform
-	if j.Spec.Distribution != "" {
-		dist, _ = workload.ParseDistribution(j.Spec.Distribution) // validated at admission
-	}
 	run := func(int) ([]string, error) {
-		r, rerr := pr.Run(prog, dist, j.Spec.Buffers)
+		r, rerr := j.Spec.job().Run(pr)
 		if rerr == nil {
 			res = r
 		}
@@ -378,18 +372,13 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// params compiles a job's spec onto the experiment harness: the same
-// dsort/colsort config seams every binary uses, plus the service's
-// observability bundle, cancellation hook, fault hook, and per-job temp
-// dir. The returned cleanup removes the temp dir.
+// params compiles a job's spec onto the experiment harness: the job
+// description every front end shares, plus the service's observability
+// bundle, cancellation hook, fault hook, and per-job temp dir. The returned
+// cleanup removes the temp dir.
 func (s *Server) params(j *Job) (harness.Params, func(), error) {
 	sp := j.Spec
-	pr := harness.DefaultParams()
-	pr.Nodes = sp.Nodes
-	pr.TotalRecords = sp.Records
-	pr.RecordSize = sp.recordSize()
-	pr.ColumnsPerNode = sp.columnsPerNode()
-	pr.Seed = sp.seed()
+	pr := sp.job().Apply(harness.DefaultParams())
 	pr.Verify = !sp.SkipVerify
 	pr.Parallelism = s.effectiveWorkers(sp.Parallelism)
 	if sp.AutoTune {
@@ -398,9 +387,6 @@ func (s *Server) params(j *Job) (harness.Params, func(), error) {
 			at.Max = mw
 		}
 		pr.AutoTune = at
-	}
-	if sp.Disk != nil {
-		pr.Disk = sp.Disk.Model()
 	}
 
 	obs := &fg.Observe{
@@ -417,10 +403,14 @@ func (s *Server) params(j *Job) (harness.Params, func(), error) {
 	pr.Observe = obs
 	j.setObserve(obs)
 
-	fault := faultHook(sp.Fault)
 	pr.OnCluster = func(c *cluster.Cluster) {
-		if fault != nil {
-			fault(c)
+		if f := sp.Fault; f != nil {
+			// Compiled per cluster, so the fault fires in every attempt of a
+			// supervised job. It runs on the stage goroutine that issued the
+			// operation.
+			harness.CompileDiskFaults([]harness.DiskFault{
+				{Kind: f.Kind, Rank: f.Rank, OpCount: f.OpCount, File: f.File},
+			})(c)
 		}
 		if cause := j.attachCluster(c); cause != nil {
 			// Cancellation or the timeout arrived between attempts (or
@@ -457,43 +447,6 @@ func (s *Server) effectiveWorkers(asked int) int {
 		return mw
 	}
 	return asked
-}
-
-// faultHook compiles a fault spec onto a fresh cluster's disk seam: the
-// op_count-th matching disk operation on the target rank panics (panic-op)
-// or fails (disk-err) on the stage goroutine that issued it. Note the
-// count starts at cluster creation, so an unscoped fault can fire during
-// input generation; scope with "file" to hit a specific pass.
-func faultHook(f *FaultSpec) func(*cluster.Cluster) {
-	if f == nil {
-		return nil
-	}
-	return func(c *cluster.Cluster) {
-		var mu sync.Mutex
-		var ops int64
-		d := c.Node(f.Rank).Disk
-		if d == nil {
-			return
-		}
-		kind, want, file := f.Kind, f.OpCount, f.File
-		rank := f.Rank
-		d.SetFault(func(op, name string, off int64) error {
-			if file != "" && name != file {
-				return nil
-			}
-			mu.Lock()
-			ops++
-			fire := ops == want
-			mu.Unlock()
-			if !fire {
-				return nil
-			}
-			if kind == FaultPanicOp {
-				panic(fmt.Errorf("service: injected fault: panic on rank %d %s %q op %d", rank, op, name, want))
-			}
-			return fmt.Errorf("service: injected fault: disk error on rank %d %s %q op %d", rank, op, name, want)
-		})
-	}
 }
 
 // Draining reports whether a drain or close has begun.

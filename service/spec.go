@@ -1,14 +1,12 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"time"
 
-	"github.com/fg-go/fg/pdm"
-	"github.com/fg-go/fg/workload"
+	"github.com/fg-go/fg/internal/harness"
 )
 
 // A JobSpec is one dataflow job as submitted over the daemon's API: the
@@ -22,8 +20,7 @@ type JobSpec struct {
 	// Name is an optional client label, echoed in status and list views.
 	Name string `json:"name,omitempty"`
 
-	// Program is the sorting program to run: "dsort", "csort", "csort4",
-	// or "dsort-linear".
+	// Program is the sorting program to run, one of harness.Programs().
 	Program string `json:"program"`
 	// Nodes is the simulated cluster size the job runs on.
 	Nodes int `json:"nodes"`
@@ -79,19 +76,8 @@ type JobSpec struct {
 	Fault *FaultSpec `json:"fault,omitempty"`
 }
 
-// DiskSpec mirrors pdm.DiskModel, in the soak harness's spelling.
-type DiskSpec struct {
-	SeekLatencyUS  int     `json:"seek_latency_us"`
-	BytesPerSecond float64 `json:"bytes_per_second"`
-}
-
-// Model converts the spec to the simulator's disk model.
-func (d DiskSpec) Model() pdm.DiskModel {
-	return pdm.DiskModel{
-		SeekLatency:    time.Duration(d.SeekLatencyUS) * time.Microsecond,
-		BytesPerSecond: d.BytesPerSecond,
-	}
-}
+// DiskSpec is the disk model as every JSON front end spells it.
+type DiskSpec = harness.DiskSpec
 
 // Fault kinds a job spec may schedule.
 const (
@@ -100,10 +86,10 @@ const (
 	// raised on a stage goroutine, so it must surface as a *fg.PanicError
 	// naming the stage and fail only that job — the isolation property the
 	// integration suite asserts.
-	FaultPanicOp = "panic-op"
+	FaultPanicOp = harness.DiskPanicOp
 	// FaultDiskErr fails rank Rank's OpCount-th disk operation with an
 	// injected error instead of panicking.
-	FaultDiskErr = "disk-err"
+	FaultDiskErr = harness.DiskErr
 )
 
 // A FaultSpec is one scheduled in-job misfortune.
@@ -118,22 +104,13 @@ type FaultSpec struct {
 	File string `json:"file,omitempty"`
 }
 
-var validPrograms = map[string]bool{
-	"dsort": true, "csort": true, "csort4": true, "dsort-linear": true,
-}
-
 // DecodeJobSpec reads one job spec from JSON, strictly: unknown fields,
 // trailing garbage, and semantically inconsistent specs are all errors. It
 // never panics, whatever the bytes — the property FuzzJobSpec holds it to.
 func DecodeJobSpec(r io.Reader) (JobSpec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s JobSpec
-	if err := dec.Decode(&s); err != nil {
-		return JobSpec{}, fmt.Errorf("service: decode job spec: %w", err)
-	}
-	if dec.More() {
-		return JobSpec{}, errors.New("service: trailing data after job spec document")
+	if err := harness.DecodeStrict(r, "job spec", &s); err != nil {
+		return JobSpec{}, fmt.Errorf("service: %w", err)
 	}
 	if err := s.Validate(); err != nil {
 		return JobSpec{}, err
@@ -141,21 +118,30 @@ func DecodeJobSpec(r io.Reader) (JobSpec, error) {
 	return s, nil
 }
 
-// Validate checks the spec's internal consistency. Quota checks live
-// separately (Limits.Admit): a spec can be perfectly well-formed and still
-// be too big for this daemon.
+// job maps the spec's fields onto the front-end-neutral job description,
+// which owns the defaults, the shape validation and the compile onto
+// harness.Params.
+func (s JobSpec) job() harness.Job {
+	return harness.Job{
+		Program: s.Program, Nodes: s.Nodes, Records: s.Records, RecordSize: s.RecordSize,
+		ColumnsPerNode: s.ColumnsPerNode, Distribution: s.Distribution, Seed: s.Seed,
+		Parallelism: s.Parallelism, Buffers: s.Buffers, Disk: s.Disk,
+	}.WithDefaults()
+}
+
+// Validate checks the spec's internal consistency: the job's shape
+// (harness.Job.Validate) and the daemon's own policy on top of it. Quota
+// checks live separately (Limits.Admit): a spec can be perfectly well-formed
+// and still be too big for this daemon.
 func (s JobSpec) Validate() error {
-	if !validPrograms[s.Program] {
-		return fmt.Errorf("service: unknown program %q", s.Program)
+	if err := s.job().Validate(); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	if s.Nodes < 2 {
 		return fmt.Errorf("service: need at least 2 nodes, got %d", s.Nodes)
 	}
 	if s.Nodes > 64 {
 		return fmt.Errorf("service: %d nodes is past the simulated-cluster bound of 64", s.Nodes)
-	}
-	if s.Records <= 0 {
-		return fmt.Errorf("service: non-positive record count %d", s.Records)
 	}
 	if s.Records > 1<<40 {
 		return fmt.Errorf("service: %d records is past the sanity bound of 2^40", s.Records)
@@ -166,23 +152,8 @@ func (s JobSpec) Validate() error {
 	if s.RecordSize > 1<<20 {
 		return fmt.Errorf("service: record size %d is past the sanity bound of 1 MiB", s.RecordSize)
 	}
-	cols := int64(s.Nodes) * int64(s.columnsPerNode())
-	if s.Records%cols != 0 {
-		return fmt.Errorf("service: %d records do not divide into %d columns", s.Records, cols)
-	}
-	if s.Distribution != "" {
-		if _, err := workload.ParseDistribution(s.Distribution); err != nil {
-			return fmt.Errorf("service: %w", err)
-		}
-	}
-	if s.Parallelism < 0 || s.Buffers < 0 || s.Seed < 0 ||
-		s.TimeoutSec < 0 || s.MaxAttempts < 0 || s.ColumnsPerNode < 0 {
+	if s.TimeoutSec < 0 || s.MaxAttempts < 0 {
 		return errors.New("service: negative scalar in job spec")
-	}
-	if d := s.Disk; d != nil {
-		if d.SeekLatencyUS < 0 || d.BytesPerSecond < 0 {
-			return errors.New("service: negative disk model field")
-		}
 	}
 	if f := s.Fault; f != nil {
 		switch f.Kind {
@@ -200,37 +171,24 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
-// Defaulted accessors: zero values in the JSON mean "the usual".
-
-func (s JobSpec) recordSize() int     { return defaulted(s.RecordSize, 16) }
-func (s JobSpec) columnsPerNode() int { return defaulted(s.ColumnsPerNode, 1) }
-func (s JobSpec) seed() int64 {
-	if s.Seed == 0 {
-		return 1
-	}
-	return s.Seed
-}
-func (s JobSpec) maxAttempts() int { return defaulted(s.MaxAttempts, 1) }
+// maxAttempts is the supervised attempt budget; zero in the JSON means one.
+func (s JobSpec) maxAttempts() int { return max(s.MaxAttempts, 1) }
 
 // timeout returns the job's effective running-time bound under the
 // daemon's per-job runtime quota.
 func (s JobSpec) timeout(l Limits) time.Duration {
-	sec := defaulted(s.TimeoutSec, 120)
+	sec := s.TimeoutSec
+	if sec == 0 {
+		sec = 120
+	}
 	if l.MaxRunSeconds > 0 && sec > l.MaxRunSeconds {
 		sec = l.MaxRunSeconds
 	}
 	return time.Duration(sec) * time.Second
 }
 
-func defaulted(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
 // Bytes is the job's data volume — the quantity the disk quota bounds.
-func (s JobSpec) Bytes() int64 { return s.Records * int64(s.recordSize()) }
+func (s JobSpec) Bytes() int64 { return s.Records * int64(s.job().RecordSize) }
 
 // Limits are the daemon's per-job admission quotas. Zero fields mean
 // "unlimited"; a spec exceeding any set limit is rejected at submit time

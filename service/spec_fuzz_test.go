@@ -49,7 +49,7 @@ func FuzzJobSpec(f *testing.F) {
 		if s.Records <= 0 {
 			t.Fatalf("decoded spec with %d records", s.Records)
 		}
-		if s.Records%int64(s.Nodes*s.columnsPerNode()) != 0 {
+		if s.Records%int64(s.Nodes*s.job().ColumnsPerNode) != 0 {
 			t.Fatalf("decoded spec with indivisible records")
 		}
 		if f := s.Fault; f != nil && (f.Rank < 0 || f.Rank >= s.Nodes) {

@@ -88,7 +88,7 @@ func Run(s Scenario, opt Options) (RunReport, error) {
 		Program:     s.Program,
 		Ranks:       s.Ranks,
 		Records:     s.Records,
-		RecordSize:  s.recordSize(),
+		RecordSize:  s.job().RecordSize,
 		OK:          true,
 	}
 	for t := 1; t <= trials; t++ {

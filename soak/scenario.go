@@ -14,7 +14,6 @@ package soak
 
 import (
 	"embed"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -25,7 +24,7 @@ import (
 	"strings"
 	"time"
 
-	"github.com/fg-go/fg/workload"
+	"github.com/fg-go/fg/internal/harness"
 )
 
 //go:embed scenarios/*.json
@@ -44,8 +43,8 @@ type Scenario struct {
 
 	// Ranks is the cluster size; each rank runs as its own OS process.
 	Ranks int `json:"ranks"`
-	// Program is the sorting program every rank runs: "dsort", "csort",
-	// "csort4", or "dsort-linear".
+	// Program is the sorting program every rank runs, one of
+	// harness.Programs().
 	Program string `json:"program"`
 	// Records is the cluster-wide record count N.
 	Records int64 `json:"records"`
@@ -111,19 +110,16 @@ type TelemetrySpec struct {
 	StaleAfterMS int `json:"stale_after_ms,omitempty"`
 }
 
-// DiskSpec mirrors pdm.DiskModel.
-type DiskSpec struct {
-	SeekLatencyUS  int     `json:"seek_latency_us"`
-	BytesPerSecond float64 `json:"bytes_per_second"`
-}
+// DiskSpec is the disk model as every JSON front end spells it.
+type DiskSpec = harness.DiskSpec
 
 // Fault kinds. Each kind compiles onto a different layer of the fault
-// machinery; see Compile in plan.go for the mapping.
+// machinery; see newFaultSet in worker.go for the mapping.
 const (
 	// FaultKillOp SIGKILLs rank Rank from inside, on the OpCount-th disk
 	// operation touching File ("output", "input", or empty for any) —
 	// deterministic mid-pass death, the internal/faultinject KillOn hook.
-	FaultKillOp = "kill-op"
+	FaultKillOp = harness.DiskKillOp
 	// FaultKillAfter SIGKILLs rank Rank from outside (the driver) after
 	// AfterMS of wall clock — asynchronous death, nothing in the victim
 	// cooperates.
@@ -135,7 +131,7 @@ const (
 	FaultPartition = "partition"
 	// FaultDiskSlow adds LatencyUS to every disk operation on rank Rank
 	// (-1 for all ranks), optionally scoped to File.
-	FaultDiskSlow = "disk-slow"
+	FaultDiskSlow = harness.DiskSlow
 	// FaultNetDrop drops the first DropN outgoing data frames of at least
 	// MinBytes payload from rank Rank; the resulting CommError fails the
 	// attempt and the supervisor's retry must absorb it.
@@ -178,24 +174,15 @@ type Fault struct {
 	MinBytes int `json:"min_bytes,omitempty"`
 }
 
-var validPrograms = map[string]bool{
-	"dsort": true, "csort": true, "csort4": true, "dsort-linear": true,
-}
-
 // DecodeScenario reads one scenario from JSON, strictly: unknown fields,
 // trailing garbage, and semantically inconsistent plans are all errors. It
 // never panics, whatever the bytes — the property FuzzScenarioPlan holds it
 // to, because scenario files cross the trust boundary between a repo and
 // its CI.
 func DecodeScenario(r io.Reader) (Scenario, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s Scenario
-	if err := dec.Decode(&s); err != nil {
-		return Scenario{}, fmt.Errorf("soak: decode scenario: %w", err)
-	}
-	if dec.More() {
-		return Scenario{}, errors.New("soak: trailing data after scenario document")
+	if err := harness.DecodeStrict(r, "scenario", &s); err != nil {
+		return Scenario{}, fmt.Errorf("soak: %w", err)
 	}
 	if err := s.Validate(); err != nil {
 		return Scenario{}, err
@@ -203,7 +190,19 @@ func DecodeScenario(r io.Reader) (Scenario, error) {
 	return s, nil
 }
 
-// Validate checks the plan's internal consistency.
+// job maps the plan's fields onto the front-end-neutral job description,
+// which owns the defaults, the shape validation and the compile onto
+// harness.Params.
+func (s Scenario) job() harness.Job {
+	return harness.Job{
+		Program: s.Program, Nodes: s.Ranks, Records: s.Records, RecordSize: s.RecordSize,
+		ColumnsPerNode: s.ColumnsPerNode, Distribution: s.Distribution, Seed: s.Seed,
+		Parallelism: s.Parallelism, Buffers: s.Buffers, Disk: s.Disk,
+	}.WithDefaults()
+}
+
+// Validate checks the plan's internal consistency: the job's shape
+// (harness.Job.Validate) and the soak harness's own rules on top of it.
 func (s Scenario) Validate() error {
 	if s.Name == "" {
 		return errors.New("soak: scenario needs a name")
@@ -217,26 +216,13 @@ func (s Scenario) Validate() error {
 	if s.Ranks > 64 {
 		return fmt.Errorf("soak: scenario %s: %d ranks is past the loopback port budget", s.Name, s.Ranks)
 	}
-	if !validPrograms[s.Program] {
-		return fmt.Errorf("soak: scenario %s: unknown program %q", s.Name, s.Program)
-	}
-	if s.Records <= 0 {
-		return fmt.Errorf("soak: scenario %s: non-positive record count %d", s.Name, s.Records)
+	if err := s.job().Validate(); err != nil {
+		return fmt.Errorf("soak: scenario %s: %w", s.Name, err)
 	}
 	if s.RecordSize != 0 && s.RecordSize < 16 {
 		return fmt.Errorf("soak: scenario %s: record size %d below minimum 16", s.Name, s.RecordSize)
 	}
-	cols := int64(s.Ranks) * int64(s.columnsPerNode())
-	if s.Records%cols != 0 {
-		return fmt.Errorf("soak: scenario %s: %d records do not divide into %d columns", s.Name, s.Records, cols)
-	}
-	if s.Distribution != "" {
-		if _, err := workload.ParseDistribution(s.Distribution); err != nil {
-			return fmt.Errorf("soak: scenario %s: %w", s.Name, err)
-		}
-	}
-	if s.Trials < 0 || s.TimeoutSec < 0 || s.MaxAttempts < 0 ||
-		s.Parallelism < 0 || s.Buffers < 0 || s.Seed < 0 {
+	if s.Trials < 0 || s.TimeoutSec < 0 || s.MaxAttempts < 0 {
 		return fmt.Errorf("soak: scenario %s: negative scalar in plan", s.Name)
 	}
 	if h := s.Heartbeat; h != nil {
@@ -245,11 +231,6 @@ func (s Scenario) Validate() error {
 		}
 		if h.SuspectAfterMS < 0 || h.DeadAfterMS < 0 || h.StartupGraceMS < 0 {
 			return fmt.Errorf("soak: scenario %s: negative heartbeat threshold", s.Name)
-		}
-	}
-	if d := s.Disk; d != nil {
-		if d.SeekLatencyUS < 0 || d.BytesPerSecond < 0 {
-			return fmt.Errorf("soak: scenario %s: negative disk model field", s.Name)
 		}
 	}
 	if tl := s.Telemetry; tl != nil {
@@ -335,29 +316,18 @@ func (s Scenario) validateFault(i int, f Fault) error {
 	return nil
 }
 
-// Defaulted accessors: zero values in the JSON mean "the usual".
+// Zero values in the JSON mean "the usual": one trial, one attempt, two
+// minutes.
 
-func (s Scenario) recordSize() int     { return defaulted(s.RecordSize, 16) }
-func (s Scenario) columnsPerNode() int { return defaulted(s.ColumnsPerNode, 1) }
-func (s Scenario) seed() int64 {
-	if s.Seed == 0 {
-		return 1
-	}
-	return s.Seed
-}
-func (s Scenario) trials() int      { return defaulted(s.Trials, 1) }
-func (s Scenario) maxAttempts() int { return defaulted(s.MaxAttempts, 1) }
+func (s Scenario) trials() int      { return max(s.Trials, 1) }
+func (s Scenario) maxAttempts() int { return max(s.MaxAttempts, 1) }
 
 // Timeout returns the per-trial wall-clock bound.
 func (s Scenario) Timeout() time.Duration {
-	return time.Duration(defaulted(s.TimeoutSec, 120)) * time.Second
-}
-
-func defaulted(v, def int) int {
-	if v == 0 {
-		return def
+	if s.TimeoutSec == 0 {
+		return 120 * time.Second
 	}
-	return v
+	return time.Duration(s.TimeoutSec) * time.Second
 }
 
 // LoadScenario reads a scenario from a file on disk.

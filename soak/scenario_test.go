@@ -76,7 +76,7 @@ func TestScenarioDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.recordSize(); got != 16 {
+	if got := s.job().RecordSize; got != 16 {
 		t.Errorf("record size default %d", got)
 	}
 	if got := s.trials(); got != 1 {
@@ -88,7 +88,7 @@ func TestScenarioDefaults(t *testing.T) {
 	if got := s.Timeout().Seconds(); got != 120 {
 		t.Errorf("timeout default %vs", got)
 	}
-	if got := s.seed(); got != 1 {
+	if got := s.job().Seed; got != 1 {
 		t.Errorf("seed default %d", got)
 	}
 }

@@ -25,9 +25,7 @@ import (
 	"github.com/fg-go/fg/internal/faultinject"
 	"github.com/fg-go/fg/internal/harness"
 	"github.com/fg-go/fg/oocsort"
-	"github.com/fg-go/fg/pdm"
 	"github.com/fg-go/fg/supervise"
-	"github.com/fg-go/fg/workload"
 )
 
 // WorkerEnv is the environment variable that routes a process into
@@ -139,14 +137,8 @@ func loadWorkerConfig(path string) (WorkerConfig, error) {
 
 func runWorker(cfg WorkerConfig) int {
 	s := cfg.Scenario
-	pr := harness.Params{
-		Nodes:          s.Ranks,
-		TotalRecords:   s.Records,
-		RecordSize:     s.recordSize(),
-		ColumnsPerNode: s.columnsPerNode(),
-		Seed:           s.seed(),
-		Verify:         true,
-		Parallelism:    s.Parallelism,
+	pr := s.job().Apply(harness.Params{
+		Verify: true,
 		Transport: cluster.TransportConfig{
 			Kind:        cluster.TransportTCP,
 			Peers:       cfg.Peers,
@@ -154,13 +146,7 @@ func runWorker(cfg WorkerConfig) int {
 			DialTimeout: 30 * time.Second,
 		},
 		CheckpointDir: cfg.CheckpointDir,
-	}
-	if d := s.Disk; d != nil {
-		pr.Disk = pdm.DiskModel{
-			SeekLatency:    time.Duration(d.SeekLatencyUS) * time.Microsecond,
-			BytesPerSecond: d.BytesPerSecond,
-		}
-	}
+	})
 	if h := s.Heartbeat; h != nil {
 		pr.Health = cluster.HealthConfig{
 			Interval:     time.Duration(h.IntervalMS) * time.Millisecond,
@@ -207,12 +193,7 @@ func runWorker(cfg WorkerConfig) int {
 		}
 	}
 
-	spec, err := pr.Spec(workload.Uniform) // distribution irrelevant to the names
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fgsoak worker: %v\n", err)
-		return ExitConfigError
-	}
-	faults := newFaultSet(s, cfg, spec)
+	faults := newFaultSet(s, cfg)
 	defer faults.stop()
 
 	pr.OnCluster = func(c *cluster.Cluster) {
@@ -230,11 +211,7 @@ func runWorker(cfg WorkerConfig) int {
 		faults.install(c)
 	}
 
-	dist := workload.Uniform
-	if s.Distribution != "" {
-		dist, _ = workload.ParseDistribution(s.Distribution) // validated already
-	}
-	run, err := pr.Run(harness.Program(s.Program), dist, s.Buffers)
+	run, err := s.job().Run(pr)
 	faults.stop() // churn goroutines must be joined before the leak check
 	ct.Close()    // and so must the fleet-view server's accept loop
 
@@ -287,12 +264,10 @@ func fillResult(res *WorkerResult, run oocsort.Result) {
 // fail-N budget spans the supervisor's retries: the drop that failed
 // attempt 1 is spent, and attempt 2 runs clean, which is the point.
 type faultSet struct {
-	s       Scenario
-	rank    int
 	attempt int
 
-	// diskHooks are per-fault candidate filters on this rank's disk ops.
-	diskHooks []func(op, name string, off int64) error
+	// disk installs this rank's disk faults on a fresh cluster.
+	disk func(*cluster.Cluster)
 	// netHook is the wire-level fault hook, nil if no net fault targets us.
 	netHook cluster.NetFaultHook
 	// partitions are churn plans every process applies (each process
@@ -303,48 +278,30 @@ type faultSet struct {
 	stops []func()
 }
 
-func newFaultSet(s Scenario, cfg WorkerConfig, spec oocsort.Spec) *faultSet {
-	fs := &faultSet{s: s, rank: cfg.Rank}
-	scoped := func(f Fault) []string {
-		if f.File != "" {
-			// Scenario files name job files by role; resolve through the
-			// spec so a renamed job file cannot silently unscope a fault.
-			switch f.File {
-			case "input":
-				return []string{spec.InputName}
-			case "output":
-				return []string{spec.OutputName}
-			}
-			return []string{f.File}
-		}
-		return nil
-	}
+func newFaultSet(s Scenario, cfg WorkerConfig) *faultSet {
+	fs := &faultSet{}
+	var disk []harness.DiskFault
 	for _, f := range s.Faults {
 		switch f.Kind {
-		case FaultKillOp:
-			if f.Rank != cfg.Rank || !cfg.EnableKills {
-				continue
+		case FaultKillOp, FaultDiskSlow:
+			// Every rank's disk faults are compiled; the install picks the
+			// ones that name the rank this process hosts.
+			if f.Kind == FaultDiskSlow || cfg.EnableKills {
+				disk = append(disk, harness.DiskFault{
+					Kind: f.Kind, Rank: f.Rank, File: f.File, OpCount: f.OpCount,
+					Latency: time.Duration(f.LatencyUS) * time.Microsecond,
+				})
 			}
-			inj := faultinject.New(faultinject.Config{KillOn: f.OpCount})
-			fs.diskHooks = append(fs.diskHooks, inj.DiskHook(scoped(f)...))
-		case FaultDiskSlow:
-			if f.Rank != cfg.Rank && f.Rank != -1 {
-				continue
-			}
-			inj := faultinject.New(faultinject.Config{
-				Latency: time.Duration(f.LatencyUS) * time.Microsecond,
-			})
-			fs.diskHooks = append(fs.diskHooks, inj.DiskHook(scoped(f)...))
 		case FaultNetDrop:
-			if f.Rank != cfg.Rank {
-				continue
+			if f.Rank == cfg.Rank {
+				inj := faultinject.New(faultinject.Config{FailN: f.DropN, Seed: s.job().Seed})
+				fs.netHook = inj.NetHook(cluster.NetFaultDrop, f.MinBytes)
 			}
-			inj := faultinject.New(faultinject.Config{FailN: f.DropN, Seed: s.seed()})
-			fs.netHook = inj.NetHook(cluster.NetFaultDrop, f.MinBytes)
 		case FaultPartition:
 			fs.partitions = append(fs.partitions, f)
 		}
 	}
+	fs.disk = harness.CompileDiskFaults(disk)
 	return fs
 }
 
@@ -353,20 +310,7 @@ func newFaultSet(s Scenario, cfg WorkerConfig, spec oocsort.Spec) *faultSet {
 // first attempt — the retry is supposed to find better weather.
 func (fs *faultSet) install(c *cluster.Cluster) {
 	fs.attempt++
-	if len(fs.diskHooks) > 0 {
-		hooks := fs.diskHooks
-		combined := func(op, name string, off int64) error {
-			for _, h := range hooks {
-				if err := h(op, name, off); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, n := range c.Local() {
-			n.Disk.SetFault(combined)
-		}
-	}
+	fs.disk(c)
 	if fs.netHook != nil {
 		c.SetNetFault(fs.netHook)
 	}
