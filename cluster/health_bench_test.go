@@ -6,20 +6,16 @@ import (
 	"time"
 )
 
-// BenchmarkHeartbeatOverhead pins the failure detector's cost where it
+// BenchmarkHeartbeatOverhead prices the failure detector where it
 // matters: adjacent to the data path. The "observe" case is the receiving
 // side — a heartbeat frame entering deliverLocal, intercepted before the
-// mailbox layer — and must stay allocation-free, because it runs on the
-// transport's read goroutines between data frames. The "beat" case is one
-// full fan-out of heartbeats from every local rank (the per-tick cost of
-// the monitor goroutine, inproc backend), also allocation-free.
+// mailbox layer, on the transport's read goroutines between data frames.
+// The "beat" case is one full fan-out of heartbeats from every local rank
+// (the per-tick cost of the monitor goroutine, inproc backend). That
+// neither allocates is held by TestHeartbeat{Observe,Beat}AllocatesNothing.
 func BenchmarkHeartbeatOverhead(b *testing.B) {
-	// An interval long enough that the monitor's own ticker never fires
-	// during the benchmark: only the measured calls touch the detector.
-	idle := HealthConfig{Interval: time.Hour}
-
 	b.Run("observe", func(b *testing.B) {
-		c := New(Config{Nodes: 2, Health: idle})
+		c := New(Config{Nodes: 2, Health: idleHealth})
 		defer c.Close()
 		f := Frame{Src: 1, Dst: 0, Tag: healthTag}
 		settle()
@@ -33,7 +29,7 @@ func BenchmarkHeartbeatOverhead(b *testing.B) {
 	})
 
 	b.Run("beat", func(b *testing.B) {
-		c := New(Config{Nodes: 4, Health: idle})
+		c := New(Config{Nodes: 4, Health: idleHealth})
 		defer c.Close()
 		settle()
 		b.ReportAllocs()
@@ -45,10 +41,9 @@ func BenchmarkHeartbeatOverhead(b *testing.B) {
 }
 
 // settle lets cluster-startup goroutines (monitor, transport readers)
-// finish their launch-time allocations before the timer starts. allocs/op
-// is a process-wide malloc delta; at CI's -benchtime=1x the measured
-// window is microseconds, and a monitor goroutine still booting would be
-// charged to the single iteration.
+// finish their launch-time allocations before the timer starts: allocs/op
+// is a process-wide malloc delta, and a monitor goroutine still booting
+// would be charged to a short run's iterations.
 func settle() {
 	runtime.GC()
 	time.Sleep(50 * time.Millisecond)

@@ -6,15 +6,14 @@ import (
 	"time"
 )
 
-// BenchmarkTelemetryOverhead pins the telemetry plane's cost at its three
-// seams. The "off" case is the contract that matters most: a telemetry-
-// tagged frame entering deliverLocal on a process with no plane running —
-// the whole price the plane charges the data path is one sign compare and
-// a nil atomic load, and it must stay allocation-free. "publish" is one
-// full snapshot-and-ingest of every local rank (the per-interval cost of
-// the publisher goroutine, aggregator-local). "ingest" is the aggregator
-// decoding and storing one remote rank's wire record, the per-record cost
-// on a transport read goroutine.
+// BenchmarkTelemetryOverhead prices the telemetry plane at its three
+// seams. "off" is a telemetry-tagged frame entering deliverLocal on a
+// process with no plane running — one sign compare and a nil atomic load,
+// held at zero allocations by TestTelemetryOffFrameAllocatesNothing.
+// "publish" is one full snapshot-and-ingest of every local rank (the
+// per-interval cost of the publisher goroutine, aggregator-local).
+// "ingest" is the aggregator decoding and storing one remote rank's wire
+// record, the per-record cost on a transport read goroutine.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	// An interval long enough that the plane's own ticker never fires
 	// during the benchmark: only the measured calls touch it.

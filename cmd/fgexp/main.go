@@ -12,9 +12,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"github.com/fg-go/fg/dsort"
@@ -23,62 +26,93 @@ import (
 	"github.com/fg-go/fg/workload"
 )
 
-func main() {
-	exps := flag.String("exp", "fig8a", "comma-separated experiments: fig8a,fig8b,skew,linear,overlap,iovolume,splitters,passes,buffers,all")
-	trials := flag.Int("trials", 1, "runs to average per cell (the paper used 3)")
-	flags := harness.BindFlags(flag.CommandLine, 20, 4)
-	flag.Parse()
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "fgexp: %v\n", err)
-		os.Exit(1)
+// experiments is the one table the -exp help string, the name check and
+// the dispatch read, in the order "all" runs them.
+var experiments = []struct {
+	name string
+	run  func(harness.Params) error
+}{
+	{"fig8a", func(pr harness.Params) error { return figure8(pr, 16, "Figure 8(a): 16-byte records") }},
+	{"fig8b", func(pr harness.Params) error { return figure8(pr, 64, "Figure 8(b): 64-byte records") }},
+	{"skew", skew},
+	{"splitters", splitters},
+	{"iovolume", iovolume},
+	{"linear", linear},
+	{"overlap", overlap},
+	{"passes", passes},
+	{"buffers", bufferSweep},
+}
+
+// experimentNames lists what -exp accepts: every table entry, then "all".
+func experimentNames() []string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return append(names, "all")
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run is main with its inputs and its verdict as values, so a test can
+// call it: the exit code is 0, 1 for a failed or refused run with one
+// "fgexp: ..." line on stderr, or 2 for a command line flag cannot parse.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fgexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exps := fs.String("exp", "fig8a", "comma-separated experiments: "+strings.Join(experimentNames(), ","))
+	trials := fs.Int("trials", 1, "runs to average per cell (the paper used 3)")
+	flags := harness.BindFlags(fs, 20, 4)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	trialCount = *trials
+	if err := runExperiments(*exps, flags); err != nil {
+		fmt.Fprintf(stderr, "fgexp: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// runExperiments runs the named experiments in table order. A name the
+// table does not hold is refused before anything runs: a misspelt -exp
+// that ran nothing and exited 0 would pass for a check that checked.
+func runExperiments(exps string, flags *harness.Flags) error {
+	want, known := map[string]bool{}, experimentNames()
+	for _, name := range strings.Split(exps, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(known, name) {
+			return fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(known, ", "))
+		}
+		want[name] = true
 	}
 
 	_, pr, err := flags.Job()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	trialCount = *trials
-
 	if err := pr.Warmup(); err != nil {
-		fail(fmt.Errorf("warmup: %w", err))
+		return fmt.Errorf("warmup: %w", err)
 	}
-
 	// Attach observability after the warmup so its run is not traced.
 	finish, err := flags.Observe(&pr)
 	if err != nil {
-		fail(err)
+		return err
 	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exps, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-
-	run := func(name string, fn func(harness.Params) error) {
-		if !all && !want[name] {
-			return
+	for _, e := range experiments {
+		if !want["all"] && !want[e.name] {
+			continue
 		}
-		if err := fn(pr); err != nil {
+		if err := e.run(pr); err != nil {
 			_ = finish(err) // flush the trace and black box before exiting
-			fail(fmt.Errorf("%s: %w", name, err))
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
 		fmt.Println()
 	}
-
-	run("fig8a", func(pr harness.Params) error { return figure8(pr, 16, "Figure 8(a): 16-byte records") })
-	run("fig8b", func(pr harness.Params) error { return figure8(pr, 64, "Figure 8(b): 64-byte records") })
-	run("skew", skew)
-	run("splitters", splitters)
-	run("iovolume", iovolume)
-	run("linear", linear)
-	run("overlap", overlap)
-	run("passes", passes)
-	run("buffers", bufferSweep)
-
-	if err := finish(nil); err != nil {
-		fail(err)
-	}
+	return finish(nil)
 }
 
 // bufferSweep reproduces the paper's methodological note that "all results
@@ -143,19 +177,20 @@ func figure8(pr harness.Params, recSize int, title string) error {
 		return err
 	}
 	fmt.Print(harness.FormatFigure8(fmt.Sprintf("%s, N=%d, P=%d", title, pr.TotalRecords, pr.Nodes), cells))
-	lo, hi := 1.0, 0.0
-	for _, c := range cells {
-		if r := c.Ratio(); r < lo {
-			lo = r
-		} else if r > hi {
-			hi = r
-		}
-		if c.Ratio() > hi {
-			hi = c.Ratio()
-		}
-	}
+	lo, hi := ratioBand(cells)
 	fmt.Printf("dsort/csort ratio band: %.2f%%-%.2f%% (paper: 74.26%%-85.06%%)\n", 100*lo, 100*hi)
 	return nil
+}
+
+// ratioBand returns the lowest and highest dsort/csort ratio over cells,
+// both ends starting from the first cell: a sweep that sits wholly above 1
+// has a lower end above 1 too.
+func ratioBand(cells []harness.Cell) (lo, hi float64) {
+	lo, hi = cells[0].Ratio(), cells[0].Ratio()
+	for _, c := range cells[1:] {
+		lo, hi = min(lo, c.Ratio()), max(hi, c.Ratio())
+	}
+	return lo, hi
 }
 
 func skew(pr harness.Params) error {

@@ -9,11 +9,9 @@
 //	fgsoak -scenario partition-heal         # one builtin, by name
 //	fgsoak -list                            # what's checked in
 //
-// Reports: -out writes the full JSON run report, -history appends a
-// benchmark-shaped line (BenchmarkSoak/<scenario>) to BENCH_history.jsonl
-// so cmd/benchgate's trend mode watches soak wall clocks alongside kernel
-// ns/op. Exit status is the verdict: 0 only if every trial of every
-// scenario passed.
+// Reports: -out writes the full JSON run report (wall time, retries,
+// restarts, reconnects and death-detect latency per trial). Exit status is
+// the verdict: 0 only if every trial of every scenario passed.
 //
 // The spawned workers are this same binary, re-entered through
 // soak.WorkerMain via the FGSOAK_WORKER_CONFIG environment variable.
@@ -40,8 +38,6 @@ func main() {
 	trials := flag.Int("trials", 0, "override each scenario's trial count")
 	ranks := flag.Int("ranks", 0, "override each scenario's rank count (faults must still fit)")
 	out := flag.String("out", "", "write the JSON run report(s) here (\"-\" = stdout)")
-	history := flag.String("history", "", "append benchmark-shaped result lines to this history file (e.g. BENCH_history.jsonl)")
-	label := flag.String("label", "soak", "label for appended history entries")
 	runDir := flag.String("run-dir", "", "root run artifacts here instead of a temp dir (kept for post-mortems)")
 	quiet := flag.Bool("q", false, "suppress progress lines; print only verdicts")
 	flag.Parse()
@@ -127,16 +123,6 @@ func main() {
 			if err := rep.WriteJSON(path); err != nil {
 				fmt.Fprintf(os.Stderr, "fgsoak: write report: %v\n", err)
 				os.Exit(1)
-			}
-		}
-		if *history != "" {
-			appended, err := rep.AppendHistory(*history, *label)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fgsoak: append history: %v\n", err)
-				os.Exit(1)
-			}
-			if appended {
-				fmt.Printf("history: %s << %s\n", *history, rep.BenchLine())
 			}
 		}
 	}

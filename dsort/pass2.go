@@ -71,13 +71,8 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 			i := i
 			lenBytes := f.Bytes(runLens[i])
 			rounds := (lenBytes + vBufBytes - 1) / vBufBytes
-			// Vertical buffers are small and their read rounds cheap, so the
-			// slot runner conveys them toward the merge two at a time — the
-			// batched hand-off publishes once per pair, and flushes the
-			// moment its input runs dry.
 			verticals[i] = vg.AddPipeline(fmt.Sprintf("run%d", i),
-				fg.Buffers(3), fg.BufferBytes(vBufBytes), fg.Rounds(rounds),
-				fg.Batch(2))
+				fg.Buffers(3), fg.BufferBytes(vBufBytes), fg.Rounds(rounds))
 			verticals[i].AddStage("read", cfg.diskStage(func(ctx *fg.Ctx, b *fg.Buffer) error {
 				off := b.Round * vBufBytes
 				cnt := vBufBytes

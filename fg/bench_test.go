@@ -4,34 +4,14 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"github.com/fg-go/fg/internal/spsc"
 )
 
-// benchPipeline measures raw framework overhead: rounds through a pipeline
-// of trivial stages.
-func benchPipeline(b *testing.B, stages, buffers int) {
-	b.Helper()
-	nw := NewNetwork("bench")
-	p := nw.AddPipeline("main", Buffers(buffers), BufferBytes(64), Rounds(b.N))
-	for s := 0; s < stages; s++ {
-		p.AddStage("s", func(ctx *Ctx, b *Buffer) error { return nil })
-	}
-	b.ResetTimer()
-	if err := nw.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkPipelineRound3Stages(b *testing.B)   { benchPipeline(b, 3, 4) }
-func BenchmarkPipelineRound8Stages(b *testing.B)   { benchPipeline(b, 8, 4) }
-func BenchmarkPipelineRoundOneBuffer(b *testing.B) { benchPipeline(b, 3, 1) }
-
-// BenchmarkObservability pins the cost of the observability subsystem on
-// the stage-runner hot path. "off" is the default configuration — no
-// tracer, no registry — and must match the plain pipeline benchmarks;
-// "traced" attaches a Tracer and "metered" registers the network with a
-// scraping registry mid-run.
+// BenchmarkObservability prices the observability subsystem on the
+// stage-runner hot path against "off", the default configuration — no
+// tracer, no registry — whose per-round allocation count
+// TestUnobservedRoundAllocatesNothing holds at zero: "traced" attaches a
+// Tracer and "metered" registers the network with a scraping registry
+// mid-run.
 func BenchmarkObservability(b *testing.B) {
 	build := func(rounds int) *Network {
 		nw := NewNetwork("bench")
@@ -80,70 +60,11 @@ func BenchmarkObservability(b *testing.B) {
 	})
 }
 
-// BenchmarkQueueHandoff pins the raw cost of one inter-stage hand-off on
-// each queue implementation: a producer and a consumer goroutine ping-pong
-// one buffer through a forward and a return queue, so every iteration is
-// two pushes and two pops on the fast path — exactly the steady state of a
-// straight-line pipeline. The buffer payload size is carried along to show
-// the hand-off cost is pointer-sized regardless. The ring's steady state
-// must stay at 0 allocs/op (enforced by cmd/benchgate against the
-// committed baseline).
-func BenchmarkQueueHandoff(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() queue
-	}{
-		{"chan", func() queue { return &chanQueue{ch: make(chan *Buffer, 4)} }},
-		{"ring", func() queue { return &ringQueue{r: spsc.New[*Buffer](4)} }},
-	}
-	for _, impl := range impls {
-		for _, size := range []int{16, 64 << 10} {
-			name := fmt.Sprintf("%s-16B", impl.name)
-			if size > 16 {
-				name = fmt.Sprintf("%s-64KiB", impl.name)
-			}
-			b.Run(name, func(b *testing.B) {
-				fwd, ret := impl.mk(), impl.mk()
-				done := make(chan struct{})
-				consumerDone := make(chan struct{})
-				go func() {
-					defer close(consumerDone)
-					for {
-						buf, err := fwd.pop(done)
-						if err != nil || buf.caboose {
-							return
-						}
-						if ret.push(buf, done) != nil {
-							return
-						}
-					}
-				}()
-				buf := &Buffer{Data: make([]byte, size)}
-				b.SetBytes(int64(size))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := fwd.push(buf, done); err != nil {
-						b.Fatal(err)
-					}
-					var err error
-					if buf, err = ret.pop(done); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				_ = fwd.push(&Buffer{caboose: true}, done)
-				<-consumerDone
-			})
-		}
-	}
-}
-
-// BenchmarkAutotuneOverhead pins the cost of the self-tuning scheduler on
-// the same trivial pipeline as BenchmarkObservability: "off" is the plain
-// build (no tuner — and must match BenchmarkObservability/off), "on" runs
-// with an attached AutoTuner sampling at its default interval and a knob
-// read by every round — the configuration -autotune enables.
+// BenchmarkAutotuneOverhead prices the self-tuning scheduler on the same
+// trivial pipeline as BenchmarkObservability: "off" is the plain build (no
+// tuner, a nil knob), "on" runs with an attached AutoTuner sampling at its
+// default interval and a knob read by every round — the configuration
+// -autotune enables.
 func BenchmarkAutotuneOverhead(b *testing.B) {
 	build := func(rounds int, k *Knob) *Network {
 		nw := NewNetwork("bench")

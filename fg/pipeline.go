@@ -23,8 +23,6 @@ type Pipeline struct {
 	forks    []*Fork
 	openFork *Fork
 
-	batch int // buffers conveyed per hand-off by this pipeline's round stages
-
 	stop    atomic.Bool
 	emitted atomic.Int64
 
@@ -77,25 +75,6 @@ func Unlimited() Option {
 	return func(p *Pipeline) { p.rounds = -1 }
 }
 
-// Batch asks the pipeline's round stages to convey up to k processed
-// buffers per queue hand-off instead of one, amortizing the per-message
-// cost on pipelines whose rounds are small (many small buffers, cheap
-// stage functions). Batching is opportunistic and never delays data: a
-// stage accumulates a batch only while more input is already queued, and
-// flushes the moment its input runs dry, its batch fills, or the stream
-// ends — so ordering, caboose placement, and overlap are exactly those of
-// the unbatched build. It applies to spine round stages (the runSlot
-// runner); free, fork, and replicated stages hand off singly. The default
-// is 1 (no batching).
-func Batch(k int) Option {
-	return func(p *Pipeline) {
-		if k < 1 {
-			panic(fmt.Sprintf("fg: pipeline %q: batch must be at least 1, got %d", p.name, k))
-		}
-		p.batch = k
-	}
-}
-
 const (
 	defaultBuffers  = 3
 	defaultBufBytes = 64 << 10
@@ -109,7 +88,6 @@ func newPipeline(nw *Network, g *group, name string, opts []Option) *Pipeline {
 		bufBytes: defaultBufBytes,
 		nBuffers: defaultBuffers,
 		rounds:   -1,
-		batch:    1,
 	}
 	for _, o := range opts {
 		o(p)
@@ -236,8 +214,6 @@ type group struct {
 	// release once its goroutines have returned. Only the source appends.
 	bufs []*Buffer
 
-	batch int // max member batch size, applied by the slot runners
-
 	// built is stored true once queues and pool exist, so a concurrent
 	// Stats snapshot knows it may read their occupancy (the atomic store
 	// publishes the preceding writes).
@@ -343,12 +319,6 @@ func (g *group) build() error {
 		}
 		name := consumer
 		g.queues[i].onSlowPush(func() { g.nw.noteSlowPush(g.name, name) })
-	}
-	g.batch = 1
-	for _, p := range g.pipes {
-		if p.batch > g.batch {
-			g.batch = p.batch
-		}
 	}
 	if err := g.validateReplicas(); err != nil {
 		return err

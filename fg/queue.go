@@ -37,14 +37,9 @@ var errShutdown = errors.New("fg: network shut down")
 type queue interface {
 	// push enqueues b, failing only if the network aborts first.
 	push(b *Buffer, done <-chan struct{}) error
-	// pushN enqueues bs in order — the batched hand-off. The ring
-	// implementation publishes the whole batch with one atomic store.
-	pushN(bs []*Buffer, done <-chan struct{}) error
 	// pop dequeues the next buffer, failing if the network aborts while
 	// the queue is empty.
 	pop(done <-chan struct{}) (*Buffer, error)
-	// tryPop dequeues without blocking; ok=false when empty.
-	tryPop() (*Buffer, bool)
 	// len and cap report the queue's occupancy and capacity, safe from any
 	// goroutine (Stats reads them mid-run).
 	len() int
@@ -115,15 +110,6 @@ func (q *chanQueue) push(b *Buffer, done <-chan struct{}) error {
 	}
 }
 
-func (q *chanQueue) pushN(bs []*Buffer, done <-chan struct{}) error {
-	for _, b := range bs {
-		if err := q.push(b, done); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (q *chanQueue) pop(done <-chan struct{}) (*Buffer, error) {
 	select {
 	case b := <-q.ch:
@@ -135,15 +121,6 @@ func (q *chanQueue) pop(done <-chan struct{}) (*Buffer, error) {
 		return b, nil
 	case <-done:
 		return nil, errShutdown
-	}
-}
-
-func (q *chanQueue) tryPop() (*Buffer, bool) {
-	select {
-	case b := <-q.ch:
-		return b, true
-	default:
-		return nil, false
 	}
 }
 
@@ -167,21 +144,6 @@ func (q *ringQueue) push(b *Buffer, done <-chan struct{}) error {
 	return nil
 }
 
-func (q *ringQueue) pushN(bs []*Buffer, done <-chan struct{}) error {
-	sent := q.r.TryPushN(bs)
-	for sent < len(bs) {
-		// The batch did not fit — the same invariant breach as a blocking
-		// push, counted once per stalled remainder.
-		q.noteSlow()
-		if err := q.r.Push(bs[sent], done); err != nil {
-			return errShutdown
-		}
-		sent++
-		sent += q.r.TryPushN(bs[sent:])
-	}
-	return nil
-}
-
 func (q *ringQueue) pop(done <-chan struct{}) (*Buffer, error) {
 	if b, ok := q.r.TryPop(); ok {
 		return b, nil
@@ -192,8 +154,6 @@ func (q *ringQueue) pop(done <-chan struct{}) (*Buffer, error) {
 	}
 	return b, nil
 }
-
-func (q *ringQueue) tryPop() (*Buffer, bool) { return q.r.TryPop() }
 
 func (q *ringQueue) len() int { return q.r.Len() }
 func (q *ringQueue) cap() int { return q.r.Cap() }

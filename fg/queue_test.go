@@ -140,35 +140,6 @@ func TestSlowPushCountsAndHook(t *testing.T) {
 	}
 }
 
-// TestSlowPushNOnRing: a batched push whose batch does not fit counts the
-// stall and still delivers the whole batch in order.
-func TestSlowPushNOnRing(t *testing.T) {
-	q := &ringQueue{r: spsc.New[*Buffer](2)}
-	done := make(chan struct{})
-	batch := []*Buffer{{Round: 0}, {Round: 1}, {Round: 2}, {Round: 3}}
-	pushed := make(chan error, 1)
-	go func() { pushed <- q.pushN(batch, done) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for q.slowPushes() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("overfull pushN never counted as slow")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for i := range batch {
-		b, err := q.pop(done)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.Round != i {
-			t.Fatalf("popped round %d at position %d", b.Round, i)
-		}
-	}
-	if err := <-pushed; err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSlowPushReachesFlightRecorder: the hook wired at build time must land
 // an EventSlowPush in the network's flight recorder, tagged with the edge's
 // consumer.

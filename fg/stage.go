@@ -319,24 +319,6 @@ func runSlot(nw *Network, g *group, pos int) {
 	in := g.queues[pos]
 	out := g.queues[pos+1]
 	remaining := len(g.pipes)
-	// Batching (fg.Batch): processed buffers accumulate in pending and are
-	// handed off together — but only while further input is already queued,
-	// so a batch is never held while the stage would otherwise block, and
-	// the flush-before-blocking rule below keeps ordering, caboose
-	// placement, and deadlock-freedom exactly as in the unbatched build.
-	batch := g.batch
-	var pending []*Buffer
-	if batch > 1 {
-		pending = make([]*Buffer, 0, batch)
-	}
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		err := out.pushN(pending, nw.done)
-		pending = pending[:0]
-		return err
-	}
 	// Every member stage of the slot is now waiting for its first buffer.
 	// Per round, the served stage is marked working for exactly the span of
 	// its function, so a parked slot shows every member accepting and a
@@ -347,20 +329,9 @@ func runSlot(nw *Network, g *group, pos int) {
 	}
 	for remaining > 0 {
 		start := time.Now()
-		var b *Buffer
-		if bb, ok := in.tryPop(); ok {
-			b = bb
-		} else {
-			// Input ran dry: release anything batched downstream before
-			// parking, then block for the next buffer.
-			if err := flush(); err != nil {
-				return
-			}
-			bb, err := in.pop(nw.done)
-			if err != nil {
-				return
-			}
-			b = bb
+		b, err := in.pop(nw.done)
+		if err != nil {
+			return
 		}
 		wait := time.Since(start)
 		s := b.pipe.stages[pos]
@@ -374,9 +345,6 @@ func runSlot(nw *Network, g *group, pos int) {
 		if b.caboose {
 			remaining--
 			s.stats.setPark(StageDone, time.Now())
-			if err := flush(); err != nil {
-				return
-			}
 			_ = out.push(b, nw.done)
 			continue
 		}
@@ -392,15 +360,6 @@ func runSlot(nw *Network, g *group, pos int) {
 		if ferr != nil {
 			nw.fail(fmt.Errorf("fg: stage %q: %w", s.name, ferr))
 			return
-		}
-		if batch > 1 {
-			pending = append(pending, b)
-			if len(pending) >= batch {
-				if err := flush(); err != nil {
-					return
-				}
-			}
-			continue
 		}
 		if err := out.push(b, nw.done); err != nil {
 			return

@@ -96,12 +96,3 @@ func TestDefaultWidth(t *testing.T) {
 		t.Fatalf("DefaultWidth=%d, want GOMAXPROCS=%d", DefaultWidth(), runtime.GOMAXPROCS(0))
 	}
 }
-
-func BenchmarkDoOverhead(b *testing.B) {
-	// The fixed cost of fanning a trivial 8-task job through the pool —
-	// the floor below which kernels must prefer their serial paths.
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Do(8, 0, func(int) {})
-	}
-}

@@ -58,10 +58,9 @@ func shardCount(n, workers, minRecords int) int {
 	return s
 }
 
-// scratch pools — satellite of the same PR: the kernels run once per
-// pipeline round for the whole life of a sort, so their per-call tables
-// (histograms, shard bounds, partition indexes) are recycled instead of
-// re-allocated. See the -benchmem numbers in the kernel benchmarks.
+// scratch pools: the kernels run once per pipeline round for the whole
+// life of a sort, so their per-call tables (histograms, shard bounds,
+// partition indexes) are recycled instead of re-allocated.
 
 var intsPool = sync.Pool{New: func() any { return new([]int) }}
 

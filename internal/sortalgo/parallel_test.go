@@ -234,78 +234,3 @@ func TestPartitionRecordsLarge(t *testing.T) {
 		}
 	}
 }
-
-// benchRecords is the kernel benchmark size: records per buffer. 2^17
-// 16-byte records is 2 MiB — the scale of a dsort run buffer at the
-// paper's full workload, and far above the serial-fallback thresholds.
-const benchRecords = 1 << 17
-
-func benchSort(b *testing.B, workers int) {
-	f := records.NewFormat(16)
-	orig := randomRecords(f, benchRecords, 0, 1)
-	data := make([]byte, len(orig))
-	scratch := make([]byte, len(orig))
-	b.SetBytes(int64(len(orig)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(data, orig)
-		SortRecordsParallel(f, data, scratch, workers)
-	}
-}
-
-// BenchmarkKernelSortSerial vs BenchmarkKernelSortParallel is the
-// acceptance pair: uniform 16-byte records at bench buffer size; the
-// parallel variant should run >= 2x faster on a >= 4-core machine.
-func BenchmarkKernelSortSerial(b *testing.B)   { benchSort(b, 1) }
-func BenchmarkKernelSortParallel(b *testing.B) { benchSort(b, 0) }
-
-func benchMerge(b *testing.B, workers int) {
-	f := records.NewFormat(16)
-	a := randomRecords(f, benchRecords/2, 0, 2)
-	c := randomRecords(f, benchRecords/2, 0, 3)
-	SortRecords(f, a, make([]byte, len(a)))
-	SortRecords(f, c, make([]byte, len(c)))
-	dst := make([]byte, len(a)+len(c))
-	b.SetBytes(int64(len(dst)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MergeSortedParallel(f, a, c, dst, workers)
-	}
-}
-
-func BenchmarkKernelMergeSerial(b *testing.B)   { benchMerge(b, 1) }
-func BenchmarkKernelMergeParallel(b *testing.B) { benchMerge(b, 0) }
-
-func benchPartition(b *testing.B, workers int) {
-	f := records.NewFormat(16)
-	const parts = 16
-	data := randomRecords(f, benchRecords, 0, 4)
-	dst := make([]byte, len(data))
-	classify := func(i int) int { return int(f.KeyAt(data, i) % parts) }
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PartitionRecords(f, data, dst, parts, classify, workers)
-	}
-}
-
-func BenchmarkKernelPartitionSerial(b *testing.B)   { benchPartition(b, 1) }
-func BenchmarkKernelPartitionParallel(b *testing.B) { benchPartition(b, 0) }
-
-// BenchmarkKernelComparisonSortPooled tracks the sync.Pool satellite: the
-// comparison sort's allocs/op must stay at zero at steady state.
-func BenchmarkKernelComparisonSortPooled(b *testing.B) {
-	f := records.NewFormat(16)
-	orig := randomRecords(f, 1<<12, 0, 5)
-	data := make([]byte, len(orig))
-	b.SetBytes(int64(len(orig)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(data, orig)
-		SortRecordsComparison(f, data)
-	}
-}

@@ -99,7 +99,7 @@ func radixSort(f records.Format, data, scratch []byte, n int) {
 // recordSlicePool recycles the sorter header and its one-record swap
 // temporary across calls: comparison sorts run once per pipeline round for
 // the life of a sort, and the pool keeps them allocation-free at steady
-// state (see the -benchmem kernel benchmarks).
+// state.
 var recordSlicePool = sync.Pool{New: func() any { return new(recordSlice) }}
 
 // SortRecordsComparison sorts data with the standard library's comparison

@@ -168,16 +168,30 @@ func TestMergeSortedPanicsOnSmallDst(t *testing.T) {
 	MergeSorted(f, a, a, make([]byte, len(a)))
 }
 
-func BenchmarkRadixSort16B(b *testing.B) {
+// TestSerialKernelsAllocateNothing: with the caller's scratch and
+// destination, the serial radix sort and two-way merge — the kernels every
+// buffer of every pass goes through — allocate nothing, at a buffer size
+// above the insertion-sort cutoff so the counting passes run.
+func TestSerialKernelsAllocateNothing(t *testing.T) {
 	f := records.NewFormat(16)
 	orig := randomRecords(f, 1<<14, 0, 1)
 	data := make([]byte, len(orig))
 	scratch := make([]byte, len(orig))
-	b.SetBytes(int64(len(orig)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	sortOnce := func() {
 		copy(data, orig)
 		SortRecords(f, data, scratch)
+	}
+	sortOnce()
+	if allocs := testing.AllocsPerRun(20, sortOnce); allocs != 0 {
+		t.Errorf("SortRecords with caller scratch allocates %.0f objects, want 0", allocs)
+	}
+	half := len(data) / 2
+	SortRecords(f, data[:half], scratch)
+	SortRecords(f, data[half:], scratch)
+	mergeOnce := func() { MergeSorted(f, data[:half], data[half:], scratch) }
+	mergeOnce()
+	if allocs := testing.AllocsPerRun(20, mergeOnce); allocs != 0 {
+		t.Errorf("MergeSorted into a caller destination allocates %.0f objects, want 0", allocs)
 	}
 }
 

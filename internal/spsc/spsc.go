@@ -128,34 +128,6 @@ func (r *Ring[T]) TryPush(v T) bool {
 	return true
 }
 
-// TryPushN enqueues as many elements of vs as fit, front first, publishing
-// them with a single atomic store (one hand-off for the whole batch). It
-// returns how many were enqueued.
-func (r *Ring[T]) TryPushN(vs []T) int {
-	if len(vs) == 0 {
-		return 0
-	}
-	t := r.tail.Load()
-	space := uint64(len(r.buf)) - (t - r.headCache)
-	if space < uint64(len(vs)) {
-		r.headCache = r.head.Load()
-		space = uint64(len(r.buf)) - (t - r.headCache)
-	}
-	n := len(vs)
-	if uint64(n) > space {
-		n = int(space)
-	}
-	if n == 0 {
-		return 0
-	}
-	for i := 0; i < n; i++ {
-		r.buf[(t+uint64(i))&r.mask] = vs[i]
-	}
-	r.tail.Store(t + uint64(n))
-	r.wakeConsumer()
-	return n
-}
-
 // TryPop dequeues the next element if one is queued, without blocking.
 func (r *Ring[T]) TryPop() (T, bool) {
 	var zero T
@@ -171,37 +143,6 @@ func (r *Ring[T]) TryPop() (T, bool) {
 	r.head.Store(h + 1)
 	r.wakeProducer()
 	return v, true
-}
-
-// TryPopN dequeues up to len(dst) elements into dst, publishing the
-// consumption with a single atomic store. It returns how many were
-// dequeued.
-func (r *Ring[T]) TryPopN(dst []T) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	var zero T
-	h := r.head.Load()
-	avail := r.tailCache - h
-	if avail < uint64(len(dst)) {
-		r.tailCache = r.tail.Load()
-		avail = r.tailCache - h
-	}
-	n := len(dst)
-	if uint64(n) > avail {
-		n = int(avail)
-	}
-	if n == 0 {
-		return 0
-	}
-	for i := 0; i < n; i++ {
-		idx := (h + uint64(i)) & r.mask
-		dst[i] = r.buf[idx]
-		r.buf[idx] = zero
-	}
-	r.head.Store(h + uint64(n))
-	r.wakeProducer()
-	return n
 }
 
 // Push enqueues v, blocking while the ring is full. It returns ErrDone if

@@ -46,64 +46,22 @@ func TestFIFOSingleThreaded(t *testing.T) {
 	}
 }
 
-func TestBatchOps(t *testing.T) {
-	r := New[int](8)
-	in := []int{10, 11, 12, 13, 14}
-	if n := r.TryPushN(in); n != 5 {
-		t.Fatalf("TryPushN = %d, want 5", n)
-	}
-	// Only 3 slots remain.
-	if n := r.TryPushN([]int{20, 21, 22, 23, 24}); n != 3 {
-		t.Fatalf("TryPushN into 3 free slots = %d, want 3", n)
-	}
-	dst := make([]int, 6)
-	if n := r.TryPopN(dst); n != 6 {
-		t.Fatalf("TryPopN = %d, want 6", n)
-	}
-	want := []int{10, 11, 12, 13, 14, 20}
-	for i, v := range want {
-		if dst[i] != v {
-			t.Fatalf("TryPopN[%d] = %d, want %d", i, dst[i], v)
-		}
-	}
-	if n := r.TryPopN(dst); n != 2 {
-		t.Fatalf("second TryPopN = %d, want 2", n)
-	}
-	if dst[0] != 21 || dst[1] != 22 {
-		t.Fatalf("second TryPopN = %v, want [21 22 ...]", dst[:2])
-	}
-}
-
-// TestFIFOProperty is the quick-check: for any (capacity, count, batch
-// sizes) the ring delivers exactly the pushed sequence.
+// TestFIFOProperty is the quick-check: for any (capacity, count) the ring
+// delivers exactly the pushed sequence, through the non-blocking push.
 func TestFIFOProperty(t *testing.T) {
-	f := func(capRaw uint8, countRaw uint16, batchRaw uint8) bool {
+	f := func(capRaw uint8, countRaw uint16) bool {
 		capacity := int(capRaw%64) + 1
 		count := int(countRaw % 4096)
-		batch := int(batchRaw%8) + 1
 		r := New[int](capacity)
 		done := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]int, batch)
-			for i := 0; i < count; {
-				n := batch
-				if count-i < n {
-					n = count - i
+			for i := 0; i < count; i++ {
+				for !r.TryPush(i) {
+					runtime.Gosched()
 				}
-				for j := 0; j < n; j++ {
-					buf[j] = i + j
-				}
-				sent := 0
-				for sent < n {
-					sent += r.TryPushN(buf[sent:n])
-					if sent < n {
-						runtime.Gosched()
-					}
-				}
-				i += n
 			}
 		}()
 		ok := true
@@ -263,20 +221,5 @@ func TestPointerSlotsAreCleared(t *testing.T) {
 		if r.buf[i] != nil {
 			t.Fatalf("slot %d still holds a reference after pop", i)
 		}
-	}
-}
-
-func BenchmarkRingPushPop(b *testing.B) {
-	r := New[int](1024)
-	done := make(chan struct{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	go func() {
-		for i := 0; i < b.N; i++ {
-			_ = r.Push(i, done)
-		}
-	}()
-	for i := 0; i < b.N; i++ {
-		_, _ = r.Pop(done)
 	}
 }

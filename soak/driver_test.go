@@ -2,12 +2,9 @@ package soak
 
 import (
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/fg-go/fg/internal/benchfmt"
 )
 
 // TestMain routes re-exec'd worker processes into WorkerMain before any
@@ -43,8 +40,7 @@ func (w testWriter) Write(p []byte) (int, error) {
 // scenario — 2 ranks over real TCP, rank 1 SIGKILLed mid-pass-2, a
 // replacement admitted and resumed from checkpoint — must pass end to end
 // under this test binary, and its report must carry the resilience story:
-// a retry, a restart, a sub-threshold death detection, a resumed pass, and
-// a history line the bench tooling can parse.
+// a retry, a restart, a sub-threshold death detection and a resumed pass.
 func TestSoakSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
@@ -85,27 +81,6 @@ func TestSoakSmoke(t *testing.T) {
 		}
 	}
 
-	// The distilled benchmark entry must round-trip through the bench
-	// tooling's own parser and land in a history file.
-	line := rep.BenchLine()
-	res, ok := benchfmt.ParseLine(line)
-	if !ok {
-		t.Fatalf("BenchLine %q does not parse as a benchmark line", line)
-	}
-	if res.Name != "BenchmarkSoak/smoke" || res.Metrics["ns/op"] <= 0 {
-		t.Errorf("parsed bench line %+v", res)
-	}
-	hist := filepath.Join(t.TempDir(), "hist.jsonl")
-	if appended, err := rep.AppendHistory(hist, "test"); err != nil || !appended {
-		t.Fatalf("append history: appended=%v err=%v", appended, err)
-	}
-	entries, skipped, err := benchfmt.ReadHistory(hist)
-	if err != nil || skipped != 0 || len(entries) != 1 {
-		t.Fatalf("history readback: %d entries, %d skipped, err=%v", len(entries), skipped, err)
-	}
-	if entries[0].Label != "test" || len(entries[0].Benchmarks) != 1 {
-		t.Errorf("history entry %+v", entries[0])
-	}
 }
 
 // TestSoakCleanRunNoFaults: the control scenario must pass with zero
@@ -134,30 +109,6 @@ func TestSoakCleanRunNoFaults(t *testing.T) {
 	}
 	if len(tr.Workers) != s.Ranks {
 		t.Errorf("collected %d worker results, want %d", len(tr.Workers), s.Ranks)
-	}
-}
-
-// TestRunReportFailedTrialsStayOffTheCurve: a run with no passing trial
-// must not emit a benchmark entry — a broken soak polluting the perf
-// history would defeat the trend gate.
-func TestRunReportFailedTrialsStayOffTheCurve(t *testing.T) {
-	rep := RunReport{
-		Scenario: "x", Records: 1 << 20, RecordSize: 16,
-		Trials: []TrialReport{{Trial: 1, OK: false, WallMS: 1000}},
-	}
-	if _, ok := rep.BenchResult(); ok {
-		t.Error("failed run produced a bench entry")
-	}
-	if line := rep.BenchLine(); line != "" {
-		t.Errorf("failed run produced bench line %q", line)
-	}
-	hist := filepath.Join(t.TempDir(), "hist.jsonl")
-	appended, err := rep.AppendHistory(hist, "x")
-	if err != nil || appended {
-		t.Errorf("failed run appended to history: appended=%v err=%v", appended, err)
-	}
-	if _, statErr := os.Stat(hist); !os.IsNotExist(statErr) {
-		t.Error("failed run created a history file")
 	}
 }
 

@@ -2,20 +2,13 @@ package soak
 
 // Report shapes: one TrialReport per spawned fleet, one RunReport per
 // scenario invocation. The run report is written as indented JSON for
-// humans and artifacts, and distilled into benchmark-shaped entries
-// (BenchmarkSoak/<scenario>) appended to BENCH_history.jsonl — the same
-// curve the kernel benchmarks accumulate, so cmd/benchgate's trend mode
-// reads soak wall clocks and kernel ns/op from one file.
+// humans and artifacts: wall time, retries, restarts, reconnects and
+// death-detect latency per trial.
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
-	"strings"
-
-	"github.com/fg-go/fg/internal/benchfmt"
 )
 
 // A TrialReport is one fleet's outcome.
@@ -74,9 +67,6 @@ type RunReport struct {
 	Trials []TrialReport `json:"trials"`
 }
 
-// BytesSorted is the cluster-wide dataset size one trial sorts.
-func (r RunReport) BytesSorted() int64 { return r.Records * int64(r.RecordSize) }
-
 // best returns the fastest passing trial, or nil if none passed.
 func (r RunReport) best() *TrialReport {
 	var best *TrialReport
@@ -90,71 +80,6 @@ func (r RunReport) best() *TrialReport {
 		}
 	}
 	return best
-}
-
-// BenchResult distills the run into one benchmark-shaped entry: ns/op is
-// the best passing trial's wall clock (best-of-N, as go test reports), with
-// the resilience counters as custom metrics. Returns ok=false when no trial
-// passed — a failed soak must not pollute the perf curve.
-func (r RunReport) BenchResult() (benchfmt.Result, bool) {
-	best := r.best()
-	if best == nil {
-		return benchfmt.Result{}, false
-	}
-	ns := best.WallMS * 1e6
-	res := benchfmt.Result{
-		Name:       "BenchmarkSoak/" + r.Scenario,
-		Iterations: int64(len(r.Trials)),
-		Metrics: map[string]float64{
-			"ns/op":      ns,
-			"MB/s":       float64(r.BytesSorted()) / 1e6 / (best.WallMS / 1e3),
-			"retries":    float64(best.Retries),
-			"restarts":   float64(best.Restarts),
-			"reconnects": float64(best.Reconnects),
-		},
-	}
-	if best.DeathDetectMS > 0 {
-		res.Metrics["death-ms"] = best.DeathDetectMS
-	}
-	return res, true
-}
-
-// BenchLine renders the entry in `go test -bench` text format, so the soak
-// row pipes through cmd/benchjson like any benchmark output.
-func (r RunReport) BenchLine() string {
-	res, ok := r.BenchResult()
-	if !ok {
-		return ""
-	}
-	// ns/op first, then the rest in stable order.
-	parts := []string{res.Name, strconv.FormatInt(res.Iterations, 10)}
-	emit := func(unit string) {
-		parts = append(parts, strconv.FormatFloat(res.Metrics[unit], 'f', 2, 64), unit)
-	}
-	emit("ns/op")
-	for _, unit := range []string{"MB/s", "retries", "restarts", "reconnects", "death-ms"} {
-		if _, ok := res.Metrics[unit]; ok {
-			emit(unit)
-		}
-	}
-	return strings.Join(parts, " ")
-}
-
-// AppendHistory appends the run's benchmark entry to the history file under
-// the given label. A run with no passing trial appends nothing and reports
-// false.
-func (r RunReport) AppendHistory(path, label string) (bool, error) {
-	res, ok := r.BenchResult()
-	if !ok {
-		return false, nil
-	}
-	rep := benchfmt.Report{
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		Packages:   []string{"github.com/fg-go/fg/soak"},
-		Benchmarks: []benchfmt.Result{res},
-	}
-	return true, benchfmt.AppendHistory(path, rep, label)
 }
 
 // WriteJSON writes the run report, indented, to path ("" or "-" = stdout).

@@ -3,13 +3,12 @@
 // workloads from package workload, applies declarative fault and churn
 // plans compiled onto internal/faultinject hooks (plus real SIGKILL and
 // process restart at the driver), verifies every run collectively with
-// check.DistributedOutput, and emits a structured per-run report whose
-// benchmark-shaped lines feed the same BENCH_history.jsonl curve the
-// kernel benchmarks accumulate. The paper's claim — that pipeline-visible
-// structure lets FG overlap I/O, communication, and computation under real
-// cluster conditions — is only testable under real cluster conditions:
-// many processes, real sockets, and scheduled misfortune. This package is
-// that proof system; cmd/fgsoak is its driver.
+// check.DistributedOutput, and emits a structured per-run report. The
+// paper's claim — that pipeline-visible structure lets FG overlap I/O,
+// communication, and computation under real cluster conditions — is only
+// testable under real cluster conditions: many processes, real sockets,
+// and scheduled misfortune. This package is that proof system; cmd/fgsoak
+// is its driver.
 package soak
 
 import (
