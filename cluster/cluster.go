@@ -703,9 +703,9 @@ func (n *Node) TryRecv(src int, tag int64) ([]byte, bool) {
 // EmitMetrics feeds every node's communication counters to emit, one
 // sample per counter labeled by node rank. The signature matches what
 // fg.MetricsRegistry.RegisterFunc accepts, without this package importing
-// fg:
+// fg; MetricHelp is the HELP table to register beside it:
 //
-//	registry.RegisterFunc(func(emit fg.EmitFunc) { c.EmitMetrics(emit) })
+//	remove := registry.RegisterFunc(func(emit fg.EmitFunc) { c.EmitMetrics(emit) }, cluster.MetricHelp)
 func (c *Cluster) EmitMetrics(emit func(name string, labels map[string]string, value float64)) {
 	for _, n := range c.local {
 		s := n.Stats()
@@ -726,6 +726,28 @@ func (c *Cluster) EmitMetrics(emit func(name string, labels map[string]string, v
 	if c.health != nil {
 		c.health.emitMetrics(emit)
 	}
+}
+
+// MetricHelp documents every name Cluster.EmitMetrics emits — HELP text
+// travels with the collector that emits the name.
+var MetricHelp = map[string]string{
+	"cluster_messages_sent_total":     "messages the node sent",
+	"cluster_bytes_sent_total":        "payload bytes the node sent",
+	"cluster_messages_recvd_total":    "messages the node received",
+	"cluster_bytes_recvd_total":       "payload bytes the node received",
+	"cluster_send_busy_seconds_total": "time the node's link spent transmitting under the network model",
+	"cluster_send_wait_seconds_total": "time the node's senders spent blocked in Send",
+	"cluster_recv_wait_seconds_total": "time the node's receivers spent blocked in Recv",
+	"cluster_sends_blocked":           "goroutines parked in a Send right now",
+	"cluster_recvs_blocked":           "goroutines parked in a Recv right now",
+	"cluster_reconnects_total":        "TCP connections the node redialed after a failure",
+	"cluster_heartbeats_sent_total":   "heartbeats the failure detector sent",
+	"cluster_heartbeats_recvd_total":  "heartbeats the failure detector received",
+	"cluster_peers_suspect":           "peers currently silent past the suspect threshold",
+	"cluster_peers_dead":              "peers the failure detector has declared dead",
+	"fg_peer_last_seen_seconds":       "seconds since the last heartbeat from the peer",
+	"fg_peer_suspect":                 "1 while the peer is silent past the suspect threshold",
+	"fg_peer_dead":                    "1 once the peer has been declared dead",
 }
 
 // OnPeerDeath registers a hook invoked once, on the failure detector's

@@ -955,6 +955,32 @@ func join(s []string) string {
 	return out
 }
 
+// FleetMetricHelp documents every name TelemetryAggregator.EmitMetrics
+// emits; register it beside the collector.
+var FleetMetricHelp = map[string]string{
+	"fleet_rank_fresh":                    "1 while the rank's latest telemetry record is younger than the staleness threshold",
+	"fleet_rank_age_seconds":              "age of the rank's latest telemetry record at the aggregator",
+	"fleet_rank_stalled":                  "1 while the rank's latest record carries a watchdog stall report",
+	"fleet_rank_suspect":                  "1 while the aggregator's failure detector marks the rank suspect",
+	"fleet_rank_dead":                     "1 once the aggregator's failure detector declared the rank dead",
+	"fleet_rank_telemetry_seq":            "sequence number of the rank's latest telemetry record",
+	"fleet_comm_messages_sent_total":      "messages sent by the rank, from its latest record",
+	"fleet_comm_bytes_sent_total":         "bytes sent by the rank, from its latest record",
+	"fleet_comm_messages_recvd_total":     "messages received by the rank, from its latest record",
+	"fleet_comm_bytes_recvd_total":        "bytes received by the rank, from its latest record",
+	"fleet_comm_sends_blocked":            "the rank's goroutines parked in a Send at snapshot time",
+	"fleet_comm_recvs_blocked":            "the rank's goroutines parked in a Recv at snapshot time",
+	"fleet_comm_reconnects_total":         "TCP connections the rank redialed after a failure",
+	"fleet_autotune_adjustments_total":    "auto-tuner adjustments on the rank, from its latest record",
+	"fleet_autotune_workers":              "current worker count of the rank's auto-tuned stage knob",
+	"fleet_stage_work_seconds_total":      "time the rank's stage spent inside its stage function",
+	"fleet_stage_rounds_total":            "buffers accepted by the rank's stage",
+	"fleet_stage_queue_len":               "buffers waiting in the rank's stage input queue",
+	"fleet_bottleneck_work_seconds":       "work of the stage governing the rank's wall clock",
+	"fleet_bottleneck_governing":          "1 for the rank whose governing stage governs the whole job",
+	"fleet_telemetry_decode_errors_total": "inbound telemetry records dropped as undecodable or newer-version",
+}
+
 // EmitMetrics feeds the fleet view to emit as rank-labeled samples — the
 // /cluster/metrics collector. The signature matches what
 // fg.MetricsRegistry.RegisterFunc accepts, without this package importing
@@ -1004,8 +1030,10 @@ func (a *TelemetryAggregator) EmitMetrics(emit func(name string, labels map[stri
 				map[string]string{"rank": strconv.Itoa(rs.Rank), "stage": k.Stage}, float64(k.Workers))
 		}
 		for _, s := range rec.Stages {
+			// Pipeline is part of a stage's identity: dsort's pass 2 runs a
+			// "read" stage on each of its vertical pipelines.
 			l := map[string]string{
-				"rank": strconv.Itoa(rs.Rank), "network": s.Network, "stage": s.Stage,
+				"rank": strconv.Itoa(rs.Rank), "network": s.Network, "pipeline": s.Pipeline, "stage": s.Stage,
 			}
 			emit("fleet_stage_work_seconds_total", l, time.Duration(s.WorkNS).Seconds())
 			emit("fleet_stage_rounds_total", l, float64(s.Rounds))

@@ -88,15 +88,11 @@
 //
 // # Multicore parallelism
 //
-// FG offers two complementary ways to put multiple cores behind compute
-// stages. Stage.Replicate serves one stage position with n workers that
-// share its queues: throughput scales, but buffers may leave the stage out
-// of order and n buffers are in flight in the stage at once. Intra-buffer
-// parallelism — the multicore sort/merge/partition kernels the sorting
-// programs enable through their Parallelism knobs — instead splits the
-// work on each single buffer across a process-wide bounded worker pool:
-// buffer order is preserved and no extra buffers are consumed. Both draw
-// on the same shared pool, so enabling both at once divides the machine
-// between them rather than oversubscribing it. See Replicate's
-// documentation for how to choose.
+// FG puts multiple cores behind a compute stage through intra-buffer
+// parallelism: the multicore sort/merge/partition kernels the sorting
+// programs enable through their Parallelism knobs split the work on each
+// single buffer across a process-wide bounded worker pool
+// (internal/parallel). Buffer order is preserved, no extra buffers are
+// consumed, and concurrent stages divide the machine between them rather
+// than oversubscribing it.
 package fg

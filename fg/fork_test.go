@@ -406,118 +406,6 @@ func TestForkStatsCount(t *testing.T) {
 	}
 }
 
-func TestReplicatedStageProcessesEverything(t *testing.T) {
-	const rounds = 60
-	nw := NewNetwork("repl")
-	p := nw.AddPipeline("main", Buffers(6), BufferBytes(8), Rounds(rounds))
-	p.AddStage("produce", func(ctx *Ctx, b *Buffer) error {
-		binary.BigEndian.PutUint64(b.Data, uint64(b.Round))
-		b.N = 8
-		return nil
-	})
-	p.AddStage("work", func(ctx *Ctx, b *Buffer) error {
-		v := binary.BigEndian.Uint64(b.Bytes())
-		binary.BigEndian.PutUint64(b.Data, v+1000)
-		return nil
-	}).Replicate(4)
-	var mu sync.Mutex
-	seen := map[uint64]int{}
-	p.AddStage("collect", func(ctx *Ctx, b *Buffer) error {
-		mu.Lock()
-		seen[binary.BigEndian.Uint64(b.Bytes())]++
-		mu.Unlock()
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != rounds {
-		t.Fatalf("collected %d distinct values, want %d", len(seen), rounds)
-	}
-	for r := 0; r < rounds; r++ {
-		if seen[uint64(r+1000)] != 1 {
-			t.Errorf("round %d processed %d times", r, seen[uint64(r+1000)])
-		}
-	}
-}
-
-func TestReplicatedStageOverlapsWork(t *testing.T) {
-	// Four workers sleeping 3ms each should near-quadruple throughput.
-	run := func(replicas int) time.Duration {
-		nw := NewNetwork("replspeed")
-		p := nw.AddPipeline("main", Buffers(8), BufferBytes(1), Rounds(16))
-		p.AddStage("produce", func(ctx *Ctx, b *Buffer) error { return nil })
-		s := p.AddStage("slow", func(ctx *Ctx, b *Buffer) error {
-			time.Sleep(3 * time.Millisecond)
-			return nil
-		})
-		if replicas > 1 {
-			s.Replicate(replicas)
-		}
-		start := time.Now()
-		if err := nw.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	single := run(1)
-	quad := run(4)
-	if quad*2 >= single {
-		t.Errorf("4 replicas took %v vs single %v; expected at least 2x", quad, single)
-	}
-}
-
-func TestReplicatedStageErrorAborts(t *testing.T) {
-	nw := NewNetwork("replerr")
-	p := nw.AddPipeline("main", Buffers(4), Rounds(20))
-	p.AddStage("produce", func(ctx *Ctx, b *Buffer) error { return nil })
-	boom := errors.New("replica boom")
-	p.AddStage("work", func(ctx *Ctx, b *Buffer) error {
-		if b.Round == 7 {
-			return boom
-		}
-		return nil
-	}).Replicate(3)
-	if err := nw.Run(); !errors.Is(err, boom) {
-		t.Fatalf("Run returned %v, want replica error", err)
-	}
-}
-
-func TestReplicateValidation(t *testing.T) {
-	nw := NewNetwork("replbad")
-	p := nw.AddPipeline("main", Rounds(1))
-	free := p.AddFreeStage("free", func(ctx *Ctx) error { return nil })
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Replicate on a free stage did not panic")
-			}
-		}()
-		free.Replicate(2)
-	}()
-	s := p.AddStage("round", func(ctx *Ctx, b *Buffer) error { return nil })
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Replicate(0) did not panic")
-			}
-		}()
-		s.Replicate(0)
-	}()
-}
-
-func TestReplicateInVirtualGroupFailsRun(t *testing.T) {
-	nw := NewNetwork("replvirt")
-	vg := nw.AddVirtualGroup("g")
-	a := vg.AddPipeline("a", Rounds(1))
-	b := vg.AddPipeline("b", Rounds(1))
-	a.AddStage("s", func(ctx *Ctx, b *Buffer) error { return nil }).Replicate(2)
-	b.AddStage("s", func(ctx *Ctx, b *Buffer) error { return nil })
-	if err := nw.Run(); err == nil {
-		t.Fatal("replicated stage in a virtual group ran")
-	}
-}
-
 func TestBadGroupDoesNotStrandEarlierGroups(t *testing.T) {
 	// A network whose second group is invalid must fail Run without leaving
 	// the first group's goroutines running.

@@ -1,26 +1,25 @@
 package fg
 
 import (
-	"expvar"
 	"fmt"
 	"io"
-	"net"
+	"maps"
 	"net/http"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Live metrics. A MetricsRegistry turns Network.Stats snapshots (and any
 // extra collectors, such as the cluster's communication counters) into
-// metric samples on demand, and serves them in Prometheus text format over
-// HTTP. The underlying counters are the same lock-free atomics Stats reads,
-// so scraping a registry mid-run is cheap and safe and a network that never
-// registers pays nothing. All registries also appear under the process-wide
-// expvar variable "fg" (at /debug/vars), published once, lazily.
+// metric samples on demand, and renders them in Prometheus text format — the
+// one exposition writer in the repository. The underlying counters are the
+// same lock-free atomics Stats reads, so scraping a registry mid-run is
+// cheap and safe and a network that never registers pays nothing. A
+// registry owns no listener: Handler returns its routes and the program
+// serves them, http.ListenAndServe(addr, reg.Handler()) at its simplest.
 
 // An EmitFunc receives one metric sample. Collectors registered with
 // RegisterFunc call it once per sample; the labels map must not be retained
@@ -44,53 +43,28 @@ type Sample struct {
 type MetricsRegistry struct {
 	mu      sync.Mutex
 	nets    []*Network
-	funcs   []func(EmitFunc)
+	funcs   []*metricSource
+	help    map[string]string // HELP text by name: metricHelp plus what collectors registered
 	tracers []*Tracer
 	tuners  []*AutoTuner
 	peers   func() []PeerHealth
 }
 
-var (
-	regMu      sync.Mutex
-	registries []*MetricsRegistry
-	expvarOnce sync.Once
-)
+// A metricSource is one RegisterFunc registration; the pointer is its identity
+// for removal.
+type metricSource struct{ emit func(EmitFunc) }
 
-// NewMetricsRegistry creates a registry and links it into the process-wide
-// expvar export: the variable "fg" (served by expvar's /debug/vars) renders
-// every live registry's samples.
+// NewMetricsRegistry creates an empty registry.
 func NewMetricsRegistry() *MetricsRegistry {
-	r := &MetricsRegistry{}
-	regMu.Lock()
-	registries = append(registries, r)
-	regMu.Unlock()
-	expvarOnce.Do(func() {
-		expvar.Publish("fg", expvar.Func(func() any {
-			regMu.Lock()
-			regs := append([]*MetricsRegistry(nil), registries...)
-			regMu.Unlock()
-			all := []Sample{}
-			for _, r := range regs {
-				all = append(all, r.Samples()...)
-			}
-			return all
-		}))
-	})
-	return r
+	return &MetricsRegistry{help: maps.Clone(metricHelp)}
 }
 
-// Close unlinks the registry from the process-wide expvar export and drops
-// everything registered with it — networks, collectors, tracers, tuners,
-// the peer-health source — so that a finished job's registry pins none of
-// the job's memory (a collector closure typically reaches the whole
+// Close drops everything registered — networks, collectors, tracers,
+// tuners, the peer-health source — so that a finished job's registry pins
+// none of the job's memory (a collector closure typically reaches the whole
 // cluster, disks included). A closed registry reports no samples. Close is
 // idempotent.
 func (r *MetricsRegistry) Close() {
-	regMu.Lock()
-	if i := slices.Index(registries, r); i >= 0 {
-		registries = slices.Delete(registries, i, i+1)
-	}
-	regMu.Unlock()
 	r.mu.Lock()
 	r.nets, r.funcs, r.tracers, r.tuners, r.peers = nil, nil, nil, nil, nil
 	r.mu.Unlock()
@@ -98,29 +72,32 @@ func (r *MetricsRegistry) Close() {
 
 // RegisterNetwork adds a network to the registry. Its per-stage and
 // per-pipeline statistics appear in every subsequent snapshot, live during
-// Run and frozen at their totals after.
+// Run and frozen at their totals after. A network's name is its label set,
+// so registering one whose name is already registered replaces the older
+// network: a long-lived registry shows the latest pass per name, emits each
+// series once, and does not pin the passes before it.
 func (r *MetricsRegistry) RegisterNetwork(nw *Network) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, have := range r.nets {
+		if have.name == nw.name {
+			r.nets[i] = nw
+			return
+		}
+	}
 	r.nets = append(r.nets, nw)
-	r.mu.Unlock()
 }
 
 // RegisterTracer adds a tracer to the registry: its dropped-event count
 // appears as fg_trace_dropped_total, so a scraper learns the trace timeline
 // is truncated without parsing the trace. Registering the same tracer again
-// is a no-op (Observe.Attach registers its tracer once per network).
+// (Observe.Attach registers its tracer once per network) or nil is a no-op.
 func (r *MetricsRegistry) RegisterTracer(tr *Tracer) {
-	if tr == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, have := range r.tracers {
-		if have == tr {
-			return
-		}
+	if tr != nil && !slices.Contains(r.tracers, tr) {
+		r.tracers = append(r.tracers, tr)
 	}
-	r.tracers = append(r.tracers, tr)
 }
 
 // Networks returns the currently registered networks, in registration
@@ -145,17 +122,11 @@ func (r *MetricsRegistry) Tuners() []*AutoTuner {
 // tuner has moved the knobs without grepping logs. Registering the same
 // tuner again (or nil) is a no-op.
 func (r *MetricsRegistry) RegisterTuner(t *AutoTuner) {
-	if t == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, have := range r.tuners {
-		if have == t {
-			return
-		}
+	if t != nil && !slices.Contains(r.tuners, t) {
+		r.tuners = append(r.tuners, t)
 	}
-	r.tuners = append(r.tuners, t)
 }
 
 // RegisterPeerHealth installs a source of cluster peer liveness, replacing
@@ -182,22 +153,33 @@ func (r *MetricsRegistry) peerHealth() []PeerHealth {
 	return f()
 }
 
-// RegisterFunc adds a collector called on every snapshot. Collectors must
-// be safe to call from any goroutine.
-func (r *MetricsRegistry) RegisterFunc(f func(EmitFunc)) {
-	if f == nil {
-		return
-	}
+// RegisterFunc adds a collector called on every snapshot, with the HELP
+// text of the names it emits (nil leaves them on a generic line; the fg_*
+// families this package emits are documented here already). Collectors must
+// be safe to call from any goroutine. The returned function removes the
+// collector: whoever registers one for a run calls it when the run ends, so
+// a long-lived registry neither repeats a series per past run nor keeps
+// what the closure reaches alive.
+func (r *MetricsRegistry) RegisterFunc(f func(EmitFunc), help map[string]string) (remove func()) {
+	c := &metricSource{emit: f}
 	r.mu.Lock()
-	r.funcs = append(r.funcs, f)
+	r.funcs = append(r.funcs, c)
+	maps.Copy(r.help, help)
 	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		if i := slices.Index(r.funcs, c); i >= 0 {
+			r.funcs = slices.Delete(r.funcs, i, i+1)
+		}
+		r.mu.Unlock()
+	}
 }
 
 // Samples takes a snapshot of every registered source.
 func (r *MetricsRegistry) Samples() []Sample {
 	r.mu.Lock()
 	nets := append([]*Network(nil), r.nets...)
-	funcs := append([]func(EmitFunc){}, r.funcs...)
+	funcs := append([]*metricSource(nil), r.funcs...)
 	tracers := append([]*Tracer(nil), r.tracers...)
 	tuners := append([]*AutoTuner(nil), r.tuners...)
 	r.mu.Unlock()
@@ -220,8 +202,8 @@ func (r *MetricsRegistry) Samples() []Sample {
 				map[string]string{"tuner": strconv.Itoa(i), "stage": k.Stage}, float64(k.Workers))
 		}
 	}
-	for _, f := range funcs {
-		f(emit)
+	for _, c := range funcs {
+		c.emit(emit)
 	}
 	return out
 }
@@ -257,8 +239,8 @@ func emitNetwork(st NetworkStats, emit EmitFunc) {
 	}
 }
 
-// metricHelp documents the metrics this package emits; collectors may emit
-// names outside this table (they get a generic HELP line).
+// metricHelp documents the metrics this package emits; every other name's
+// HELP text arrives with the collector that emits it (RegisterFunc).
 var metricHelp = map[string]string{
 	"fg_network_running":             "1 while the network's Run is in flight",
 	"fg_network_wall_seconds":        "elapsed run time (live) or final run duration",
@@ -276,73 +258,52 @@ var metricHelp = map[string]string{
 	"fg_trace_dropped_total":         "trace events discarded because the tracer was full",
 	"fg_autotune_adjustments_total":  "worker-knob and buffer adjustments the auto-tuner has made",
 	"fg_autotune_workers":            "current worker count of the stage's auto-tuned knob",
-	// Emitted by the cluster's collector (cluster.EmitMetrics), documented
-	// here because this map is the exposition format's one HELP source.
-	"fg_peer_last_seen_seconds": "seconds since the last heartbeat from the peer",
-	"fg_peer_suspect":           "1 while the peer is silent past the suspect threshold",
-	"fg_peer_dead":              "1 once the peer has been declared dead",
-	// Emitted by the telemetry aggregator (cluster.TelemetryAggregator) on
-	// the fleet-level /cluster/metrics endpoint.
-	"fleet_rank_fresh":                    "1 while the rank's latest telemetry record is younger than the staleness threshold",
-	"fleet_rank_age_seconds":              "age of the rank's latest telemetry record at the aggregator",
-	"fleet_rank_stalled":                  "1 while the rank's latest record carries a watchdog stall report",
-	"fleet_rank_suspect":                  "1 while the aggregator's failure detector marks the rank suspect",
-	"fleet_rank_dead":                     "1 once the aggregator's failure detector declared the rank dead",
-	"fleet_rank_telemetry_seq":            "sequence number of the rank's latest telemetry record",
-	"fleet_comm_messages_sent_total":      "messages sent by the rank, from its latest record",
-	"fleet_comm_bytes_sent_total":         "bytes sent by the rank, from its latest record",
-	"fleet_comm_messages_recvd_total":     "messages received by the rank, from its latest record",
-	"fleet_comm_bytes_recvd_total":        "bytes received by the rank, from its latest record",
-	"fleet_comm_sends_blocked":            "the rank's goroutines parked in a Send at snapshot time",
-	"fleet_comm_recvs_blocked":            "the rank's goroutines parked in a Recv at snapshot time",
-	"fleet_comm_reconnects_total":         "TCP connections the rank redialed after a failure",
-	"fleet_autotune_adjustments_total":    "auto-tuner adjustments on the rank, from its latest record",
-	"fleet_autotune_workers":              "current worker count of the rank's auto-tuned stage knob",
-	"fleet_stage_work_seconds_total":      "time the rank's stage spent inside its stage function",
-	"fleet_stage_rounds_total":            "buffers accepted by the rank's stage",
-	"fleet_stage_queue_len":               "buffers waiting in the rank's stage input queue",
-	"fleet_bottleneck_work_seconds":       "work of the stage governing the rank's wall clock",
-	"fleet_bottleneck_governing":          "1 for the rank whose governing stage governs the whole job",
-	"fleet_telemetry_decode_errors_total": "inbound telemetry records dropped as undecodable or newer-version",
 }
 
 // WritePrometheus writes the current samples in Prometheus text exposition
 // format (version 0.0.4), grouped by metric with HELP and TYPE headers.
 // Names ending in _total are typed counter, everything else gauge.
 func (r *MetricsRegistry) WritePrometheus(w io.Writer) error {
-	samples := r.Samples()
-	byName := map[string][]Sample{}
-	var names []string
-	for _, s := range samples {
-		if _, ok := byName[s.Name]; !ok {
-			names = append(names, s.Name)
-		}
-		byName[s.Name] = append(byName[s.Name], s)
+	type row struct {
+		name, labels string
+		value        float64
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		help := metricHelp[name]
-		if help == "" {
-			help = "collector-supplied metric"
+	var rows []row
+	for _, s := range r.Samples() {
+		rows = append(rows, row{s.Name, labelString(s.Labels), s.Value})
+	}
+	sort.SliceStable(rows, func(i, j int) bool {
+		if rows[i].name != rows[j].name {
+			return rows[i].name < rows[j].name
 		}
-		typ := "gauge"
-		if strings.HasSuffix(name, "_total") {
-			typ = "counter"
-		}
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ); err != nil {
-			return err
-		}
-		group := byName[name]
-		sort.SliceStable(group, func(i, j int) bool {
-			return labelString(group[i].Labels) < labelString(group[j].Labels)
-		})
-		for _, s := range group {
-			if _, err := fmt.Fprintf(w, "%s%s %g\n", name, labelString(s.Labels), s.Value); err != nil {
+		return rows[i].labels < rows[j].labels
+	})
+	for i, x := range rows {
+		if i == 0 || x.name != rows[i-1].name {
+			typ := "gauge"
+			if strings.HasSuffix(x.name, "_total") {
+				typ = "counter"
+			}
+			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", x.name, r.helpFor(x.name), x.name, typ); err != nil {
 				return err
 			}
 		}
+		if _, err := fmt.Fprintf(w, "%s%s %g\n", x.name, x.labels, x.value); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// helpFor returns a metric's HELP text: this package's own table or what a
+// collector registered, else a generic line.
+func (r *MetricsRegistry) helpFor(name string) string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if h, ok := r.help[name]; ok {
+		return h
+	}
+	return "collector-supplied metric"
 }
 
 // labelString renders {k="v",...} with keys sorted, empty for no labels.
@@ -376,50 +337,15 @@ func (r *MetricsRegistry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	_ = r.WritePrometheus(w)
 }
 
-// A MetricsServer is a running metrics HTTP endpoint; see
-// MetricsRegistry.Serve and Network.ServeMetrics.
-type MetricsServer struct {
-	registry *MetricsRegistry
-	ln       net.Listener
-	srv      *http.Server
-}
-
-// Serve starts an HTTP server on addr (host:port; :0 picks a free port)
-// exposing the registry at /metrics (Prometheus text format), live network
-// health at /status (text) and /status.json, and the process's expvar
-// state at /debug/vars. It returns immediately; use Addr for the bound
-// address and Close to stop.
-func (r *MetricsRegistry) Serve(addr string) (*MetricsServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("fg: metrics listener: %w", err)
-	}
+// Handler returns the node-local observability routes: /metrics (this
+// registry in Prometheus text format), /status (text) and /status.json
+// (live network health). It is a fresh mux each call, so a front end may
+// mount further routes beside them — the fleet view does — before serving
+// it on the process's one listener.
+func (r *MetricsRegistry) Handler() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r)
-	mux.Handle("/status", r.StatusTextHandler())
-	mux.Handle("/status.json", r.StatusJSONHandler())
-	mux.Handle("/debug/vars", expvar.Handler())
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	return &MetricsServer{registry: r, ln: ln, srv: srv}, nil
-}
-
-// Registry returns the registry the server exposes, for registering
-// further networks or collectors while serving.
-func (ms *MetricsServer) Registry() *MetricsRegistry { return ms.registry }
-
-// Addr returns the server's bound address.
-func (ms *MetricsServer) Addr() string { return ms.ln.Addr().String() }
-
-// Close stops the server.
-func (ms *MetricsServer) Close() error { return ms.srv.Close() }
-
-// ServeMetrics starts a metrics endpoint for this network: a fresh registry
-// with the network registered, served on addr. It is the one-network
-// convenience; programs with several networks (or cluster collectors)
-// build a MetricsRegistry themselves. May be called before or during Run.
-func (nw *Network) ServeMetrics(addr string) (*MetricsServer, error) {
-	r := NewMetricsRegistry()
-	r.RegisterNetwork(nw)
-	return r.Serve(addr)
+	mux.HandleFunc("/status", r.serveStatusText)
+	mux.HandleFunc("/status.json", r.serveStatusJSON)
+	return mux
 }

@@ -3,6 +3,7 @@ package fg
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -35,17 +36,16 @@ func TestServeMetricsMidRun(t *testing.T) {
 		<-gate
 		return nil
 	})
-	ms, err := nw.ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := NewMetricsRegistry()
+	reg.RegisterNetwork(nw)
+	ms := httptest.NewServer(reg.Handler())
 	defer ms.Close()
 
 	errc := make(chan error, 1)
 	go func() { errc <- nw.Run() }()
 	<-entered // the stage holds a buffer: the network is demonstrably mid-run
 
-	body := scrape(t, "http://"+ms.Addr()+"/metrics")
+	body := scrape(t, ms.URL+"/metrics")
 	for _, want := range []string{
 		`fg_network_running{network="live"} 1`,
 		`fg_stage_rounds_total{network="live",pipeline="main",stage="gated"}`,
@@ -61,16 +61,11 @@ func TestServeMetricsMidRun(t *testing.T) {
 		}
 	}
 
-	// expvar rides the same server.
-	if vars := scrape(t, "http://"+ms.Addr()+"/debug/vars"); !strings.Contains(vars, "fg_network_wall_seconds") {
-		t.Errorf("/debug/vars does not expose the fg samples")
-	}
-
 	close(gate)
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	body = scrape(t, "http://"+ms.Addr()+"/metrics")
+	body = scrape(t, ms.URL+"/metrics")
 	for _, want := range []string{
 		`fg_network_running{network="live"} 0`,
 		`fg_stage_rounds_total{network="live",pipeline="main",stage="gated"} 4`,
@@ -85,13 +80,50 @@ func TestRegistryCollectorFunc(t *testing.T) {
 	r := NewMetricsRegistry()
 	r.RegisterFunc(func(emit EmitFunc) {
 		emit("cluster_bytes_sent_total", map[string]string{"node": "0"}, 123)
-	})
+		emit("undocumented", nil, 1)
+	}, map[string]string{"cluster_bytes_sent_total": "bytes the node sent"})
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), `cluster_bytes_sent_total{node="0"} 123`) {
-		t.Errorf("collector sample missing:\n%s", b.String())
+	for _, want := range []string{
+		`cluster_bytes_sent_total{node="0"} 123`,
+		"# HELP cluster_bytes_sent_total bytes the node sent\n", // HELP travels with the collector
+		"# HELP undocumented collector-supplied metric\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("scrape missing %q:\n%s", want, b.String())
+		}
+	}
+}
+
+// TestRegisterNetworkReplacesSameName: a network's name is its label set, so
+// a long-lived registry fed one network per pass keeps the latest per name —
+// every series once, the older pass no longer reachable from the registry.
+func TestRegisterNetworkReplacesSameName(t *testing.T) {
+	r := NewMetricsRegistry()
+	build := func(name string, rounds int) *Network {
+		nw := NewNetwork(name)
+		nw.AddPipeline("main", Rounds(rounds)).AddStage("s", func(*Ctx, *Buffer) error { return nil })
+		r.RegisterNetwork(nw)
+		if err := nw.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return nw
+	}
+	build("pass@0", 2)
+	build("pass@1", 2)
+	latest := build("pass@0", 5)
+	if nets := r.Networks(); len(nets) != 2 || nets[0] != latest {
+		t.Fatalf("registry holds %d networks, want 2 with the latest pass@0 first", len(nets))
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	series := `fg_stage_rounds_total{network="pass@0",pipeline="main",stage="s"}`
+	if strings.Count(b.String(), series) != 1 || !strings.Contains(b.String(), series+" 5\n") {
+		t.Errorf("scrape does not show the latest pass exactly once:\n%s", b.String())
 	}
 }
 
@@ -127,35 +159,34 @@ func TestBottleneckReport(t *testing.T) {
 	}
 }
 
-// TestRegistryCloseUnlinksAndDrops: a closed registry is gone from the
-// process-wide list and holds nothing that was registered with it.
+// TestRegistryCloseUnlinksAndDrops: a collector's remove function unlinks
+// exactly that collector, and a closed registry holds nothing that was
+// registered with it.
 func TestRegistryCloseUnlinksAndDrops(t *testing.T) {
-	linked := func(r *MetricsRegistry) bool {
-		regMu.Lock()
-		defer regMu.Unlock()
-		for _, have := range registries {
-			if have == r {
-				return true
-			}
-		}
-		return false
-	}
-	keep := NewMetricsRegistry() // a neighbour that must survive
-	defer keep.Close()
 	r := NewMetricsRegistry()
 	nw := NewNetwork("closed")
 	nw.AddPipeline("main", Rounds(1)).AddStage("s", func(*Ctx, *Buffer) error { return nil })
 	r.RegisterNetwork(nw)
-	r.RegisterFunc(func(emit EmitFunc) { emit("x", nil, 1) })
+	r.RegisterFunc(func(emit EmitFunc) { emit("keep", nil, 1) }, nil)
+	remove := r.RegisterFunc(func(emit EmitFunc) { emit("gone", nil, 1) }, nil)
 	r.RegisterPeerHealth(func() []PeerHealth { return nil })
-	if len(r.Samples()) == 0 || !linked(r) {
-		t.Fatal("a live registry reports nothing or is not linked")
+	names := func() string {
+		var b strings.Builder
+		for _, s := range r.Samples() {
+			b.WriteString(s.Name + " ")
+		}
+		return b.String()
+	}
+	if got := names(); !strings.Contains(got, "keep") || !strings.Contains(got, "gone") {
+		t.Fatalf("a live registry reports %q, want both collectors", got)
+	}
+	remove()
+	remove() // idempotent
+	if got := names(); !strings.Contains(got, "keep") || strings.Contains(got, "gone") {
+		t.Fatalf("after remove the registry reports %q, want keep without gone", got)
 	}
 	r.Close()
 	r.Close() // idempotent
-	if linked(r) || !linked(keep) {
-		t.Fatal("Close did not unlink exactly its own registry")
-	}
 	if n := len(r.Samples()); n != 0 || len(r.Networks()) != 0 || r.peers != nil {
 		t.Fatalf("a closed registry still holds its sources (%d samples)", n)
 	}

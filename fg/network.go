@@ -235,8 +235,6 @@ func (nw *Network) RunContext(ctx context.Context) error {
 				rt := rtOf[s.join]
 				nw.wg.Add(1)
 				go nw.labeled(g.name, s.name, func() { runJoin(nw, g, rt) })
-			case s.replicas > 1:
-				runReplicated(nw, g, pos) // adds its workers to the WaitGroup itself
 			default:
 				nw.wg.Add(1)
 				go nw.labeled(g.name, s.name, func() { runSlot(nw, g, pos) })

@@ -282,26 +282,15 @@ func (g *group) build() error {
 	}
 	// Queue selection: a lock-free SPSC ring wherever exactly one goroutine
 	// produces and one consumes, a channel otherwise. The producer of
-	// queues[0] is the single source goroutine and the consumer of the last
-	// queue is the single sink goroutine; the goroutine serving position i
-	// is single (runSlot, runFree, runFork, runJoin) unless the stage is
-	// replicated (n workers share the queues, and they push the circulating
-	// caboose back into their input queue) — and a join's input queue is
-	// fed by every branch tail plus the fork's bypass. So queues[i] is SPSC
-	// unless the stage at i is replicated or a join, or the stage at i-1 is
-	// replicated.
+	// queues[0] is the single source goroutine, the consumer of the last
+	// queue is the single sink goroutine, and the goroutine serving position
+	// i is single (runSlot, runFree, runFork, runJoin) — but a join's input
+	// queue is fed by every branch tail plus the fork's bypass. So queues[i]
+	// is SPSC unless the stage at i is a join.
 	spscAt := func(i int) bool {
 		for _, p := range g.pipes {
-			if i < nStages {
-				s := p.stages[i]
-				if s.replicas > 1 || s.join != nil {
-					return false
-				}
-			}
-			if i > 0 {
-				if p.stages[i-1].replicas > 1 {
-					return false
-				}
+			if i < nStages && p.stages[i].join != nil {
+				return false
 			}
 		}
 		return true
@@ -319,9 +308,6 @@ func (g *group) build() error {
 		}
 		name := consumer
 		g.queues[i].onSlowPush(func() { g.nw.noteSlowPush(g.name, name) })
-	}
-	if err := g.validateReplicas(); err != nil {
-		return err
 	}
 	g.pool = make(chan *Buffer, totalBufs)
 	for _, p := range g.pipes {

@@ -22,13 +22,11 @@ var errShutdown = errors.New("fg: network shut down")
 // (internal/spsc) and is selected by group.build for every queue with
 // exactly one producing and one consuming goroutine — the straight-line
 // segments that carry almost all traffic. chanQueue wraps a buffered Go
-// channel and remains for the edges with more than one goroutine on a side:
-// queues into or out of a replicated stage (n workers share them, and the
-// caboose is pushed back into the input queue) and the input queue of a
-// join (every branch tail plus the fork's bypass pushes into it). Both
-// implementations have identical semantics: FIFO per producer, a
-// non-blocking fast path, and a blocking slow path released by the
-// network's done channel.
+// channel and remains for the one kind of edge with more than one goroutine
+// on a side: the input queue of a join (every branch tail plus the fork's
+// bypass pushes into it). Both implementations have identical semantics:
+// FIFO per producer, a non-blocking fast path, and a blocking slow path
+// released by the network's done channel.
 //
 // A push that misses the fast path breaks the sized-to-never-fill
 // invariant; both implementations count it (slowPushes) and invoke the

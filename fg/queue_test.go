@@ -26,28 +26,6 @@ func TestQueueSelectionStraightLine(t *testing.T) {
 	}
 }
 
-// TestQueueSelectionReplicated: a replicated stage's workers share its input
-// and output queues (and push the circulating caboose back into the input),
-// so both edges must fall back to channels; edges not touching the
-// replicated slot stay rings.
-func TestQueueSelectionReplicated(t *testing.T) {
-	nw := NewNetwork("sel")
-	p := nw.AddPipeline("main", Buffers(4), BufferBytes(8), Rounds(20))
-	p.AddStage("pre", func(ctx *Ctx, b *Buffer) error { return nil })
-	p.AddStage("work", func(ctx *Ctx, b *Buffer) error { return nil }).Replicate(3)
-	p.AddStage("post", func(ctx *Ctx, b *Buffer) error { return nil })
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	qs := p.group.queues // [0]->pre [1]->work [2]->post [3]->sink
-	for i, wantRing := range []bool{true, false, false, true} {
-		_, isRing := qs[i].(*ringQueue)
-		if isRing != wantRing {
-			t.Errorf("queue %d is %T, want ring=%v around a replicated slot", i, qs[i], wantRing)
-		}
-	}
-}
-
 // TestQueueSelectionJoin: a join's input queue is fed by every branch tail
 // plus the fork's bypass — multiple producers — so it must be a channel,
 // while the fork's own input edge stays a ring.

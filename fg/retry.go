@@ -72,7 +72,7 @@ func Retry(fn RoundFunc, p RetryPolicy) RoundFunc {
 	if seed == 0 {
 		seed = 0xf9f9f9
 	}
-	var mu sync.Mutex // replicated stages share the wrapper
+	var mu sync.Mutex // one wrapper may be added as several stages
 	rng := rand.New(rand.NewSource(seed))
 	jittered := func(d time.Duration) time.Duration {
 		if p.Jitter == 0 {

@@ -66,23 +66,6 @@ func TestFreeStagePanicBecomesError(t *testing.T) {
 	}
 }
 
-func TestReplicatedStagePanicBecomesError(t *testing.T) {
-	check.NoLeakedGoroutines(t)
-	nw := fg.NewNetwork("panic-replicated")
-	p := nw.AddPipeline("main", fg.Buffers(3), fg.BufferBytes(8), fg.Rounds(20))
-	p.AddStage("work", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		if b.Round == 7 {
-			panic("worker down")
-		}
-		return nil
-	}).Replicate(3)
-	err := nw.Run()
-	var pe *fg.PanicError
-	if !errors.As(err, &pe) || pe.Stage != "work" {
-		t.Fatalf("want PanicError from %q, got %v", "work", err)
-	}
-}
-
 func TestForkRoutePanicBecomesError(t *testing.T) {
 	check.NoLeakedGoroutines(t)
 	nw := fg.NewNetwork("panic-fork")

@@ -36,9 +36,6 @@ type Stage struct {
 	fork *Fork
 	join *Fork
 
-	// replicas > 1 asks for that many parallel workers (see Replicate).
-	replicas int
-
 	stats stageCounters
 }
 

@@ -163,8 +163,7 @@ type BottleneckReport struct {
 	Work     time.Duration // that stage's total work
 	// Utilization is Work/Wall: the fraction of the run the governing stage
 	// was busy. Near 1 means the run is as fast as that stage allows and
-	// speeding anything else up is pointless. It can exceed 1 for
-	// replicated stages, whose workers accumulate work in parallel.
+	// speeding anything else up is pointless.
 	Utilization float64
 	SumWork     time.Duration // work summed over every stage
 	Wall        time.Duration

@@ -34,8 +34,12 @@ type NetworkStatus struct {
 // Status snapshots the network's live health: per-stage classified states,
 // rounds, utilization, and the current bottleneck. Safe to call at any
 // time, including while Run is in flight.
-func (nw *Network) Status() NetworkStatus {
-	st := nw.Stats()
+func (nw *Network) Status() NetworkStatus { return nw.Stats().Status() }
+
+// Status derives the health document from a statistics snapshot, so a
+// caller that also needs the raw counters (the fleet collector) reads both
+// from one snapshot and classifies at the status view's own threshold.
+func (st NetworkStats) Status() NetworkStatus {
 	ns := NetworkStatus{
 		Network:    st.Name,
 		Running:    st.Running,
@@ -89,9 +93,8 @@ type PeerHealth struct {
 	Dead      bool `json:"dead,omitempty"`
 }
 
-// statusDoc is the /status.json document when a peer-health source is
-// registered; without one the endpoint keeps its historical shape, a bare
-// array of NetworkStatus.
+// statusDoc is the /status.json document; Peers is empty until a
+// peer-health source is registered.
 type statusDoc struct {
 	Networks []NetworkStatus `json:"networks"`
 	Peers    []PeerHealth    `json:"peers"`
@@ -99,9 +102,7 @@ type statusDoc struct {
 
 // statusSnapshots builds one status document per registered network.
 func (r *MetricsRegistry) statusSnapshots() []NetworkStatus {
-	r.mu.Lock()
-	nets := append([]*Network(nil), r.nets...)
-	r.mu.Unlock()
+	nets := r.Networks()
 	out := make([]NetworkStatus, len(nets))
 	for i, nw := range nets {
 		out[i] = nw.Status()
@@ -109,55 +110,40 @@ func (r *MetricsRegistry) statusSnapshots() []NetworkStatus {
 	return out
 }
 
-// StatusJSONHandler serves every registered network's status as JSON, for
-// dashboards and scripts: a bare array of network documents, or — once a
-// peer-health source is registered — an object with "networks" and
-// "peers" sections.
-func (r *MetricsRegistry) StatusJSONHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if peers := r.peerHealth(); peers != nil {
-			_ = json.NewEncoder(w).Encode(statusDoc{Networks: r.statusSnapshots(), Peers: peers})
-			return
-		}
-		_ = json.NewEncoder(w).Encode(r.statusSnapshots())
-	})
+// serveStatusJSON serves every registered network's status as JSON, for
+// dashboards and scripts: an object with "networks" and "peers" sections.
+func (r *MetricsRegistry) serveStatusJSON(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	peers := r.peerHealth()
+	if peers == nil {
+		peers = []PeerHealth{}
+	}
+	_ = json.NewEncoder(w).Encode(statusDoc{Networks: r.statusSnapshots(), Peers: peers})
 }
 
-// StatusTextHandler serves every registered network's status as plain text,
+// serveStatusText serves every registered network's status as plain text,
 // for curl and humans.
-func (r *MetricsRegistry) StatusTextHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		snaps := r.statusSnapshots()
-		if len(snaps) == 0 {
-			fmt.Fprintln(w, "(no networks registered)")
-			return
+func (r *MetricsRegistry) serveStatusText(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	snaps := r.statusSnapshots()
+	if len(snaps) == 0 {
+		fmt.Fprintln(w, "(no networks registered)")
+		return
+	}
+	for _, s := range snaps {
+		fmt.Fprint(w, s.String())
+	}
+	for _, p := range r.peerHealth() {
+		state := "ok"
+		switch {
+		case p.Dead:
+			state = "dead"
+		case p.Suspect:
+			state = "suspect"
+		case !p.Monitored:
+			state = "local"
 		}
-		for _, s := range snaps {
-			fmt.Fprint(w, s.String())
-		}
-		for _, p := range r.peerHealth() {
-			state := "ok"
-			switch {
-			case p.Dead:
-				state = "dead"
-			case p.Suspect:
-				state = "suspect"
-			case !p.Monitored:
-				state = "local"
-			}
-			fmt.Fprintf(w, "peer %d: %-7s last heartbeat %v ago\n",
-				p.Rank, state, p.LastSeenAge.Round(time.Millisecond))
-		}
-	})
-}
-
-// ServeStatus starts an HTTP endpoint for this network's live health: a
-// fresh registry with the network registered, served on addr (":0" picks a
-// free port). The server exposes /status (text), /status.json, /metrics,
-// and /debug/vars — the same mux MetricsRegistry.Serve mounts. May be
-// called before or during Run.
-func (nw *Network) ServeStatus(addr string) (*MetricsServer, error) {
-	return nw.ServeMetrics(addr)
+		fmt.Fprintf(w, "peer %d: %-7s last heartbeat %v ago\n",
+			p.Rank, state, p.LastSeenAge.Round(time.Millisecond))
+	}
 }

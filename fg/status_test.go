@@ -2,6 +2,7 @@ package fg
 
 import (
 	"encoding/json"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -21,10 +22,9 @@ func TestStatusEndpointMidRun(t *testing.T) {
 		}
 		return nil
 	})
-	srv, err := nw.ServeStatus("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := NewMetricsRegistry()
+	reg.RegisterNetwork(nw)
+	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 
 	done := make(chan error, 1)
@@ -50,11 +50,19 @@ func TestStatusEndpointMidRun(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	var doc []NetworkStatus
-	raw := scrape(t, "http://"+srv.Addr()+"/status.json")
-	if err := json.Unmarshal([]byte(raw), &doc); err != nil {
-		t.Fatalf("/status.json is not valid JSON: %v\n%s", err, raw)
+	// One shape, peer-health source or not: {networks, peers}.
+	var served struct {
+		Networks []NetworkStatus `json:"networks"`
+		Peers    *[]PeerHealth   `json:"peers"`
 	}
+	raw := scrape(t, srv.URL+"/status.json")
+	if err := json.Unmarshal([]byte(raw), &served); err != nil {
+		t.Fatalf("/status.json is not the status object: %v\n%s", err, raw)
+	}
+	if served.Peers == nil || len(*served.Peers) != 0 {
+		t.Errorf("/status.json peers = %v, want an empty array without a source:\n%s", served.Peers, raw)
+	}
+	doc := served.Networks
 	if len(doc) != 1 || doc[0].Network != "statusnet" || !doc[0].Running {
 		t.Fatalf("status document = %+v", doc)
 	}
@@ -71,7 +79,7 @@ func TestStatusEndpointMidRun(t *testing.T) {
 		t.Errorf("wedged stage served as %q, want %q", wedge.State, HealthBlockedOnPut)
 	}
 
-	text := scrape(t, "http://"+srv.Addr()+"/status")
+	text := scrape(t, srv.URL+"/status")
 	if !strings.Contains(text, "wedge") || !strings.Contains(text, HealthBlockedOnPut) {
 		t.Errorf("/status text does not show the blocked stage:\n%s", text)
 	}

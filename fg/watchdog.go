@@ -172,14 +172,6 @@ func classifyStages(st NetworkStats, stuckFor time.Duration) []StageHealth {
 	return out
 }
 
-// Classify maps the snapshot onto the watchdog's health taxonomy: a stage
-// parked longer than stuckFor reads blocked (on-get in an accept, on-put
-// inside its function), shorter parks read running. It is the exported
-// seam the cluster-telemetry collector uses to ship each stage's state.
-func (s NetworkStats) Classify(stuckFor time.Duration) []StageHealth {
-	return classifyStages(s, stuckFor)
-}
-
 // diagnose picks the culprit among classified stages (which are in
 // upstream-to-downstream order within each pipeline) and refines
 // blocked-on-get stages downstream of it to starved. It returns the

@@ -41,11 +41,9 @@ func BindFlags(fs *flag.FlagSet, logRecords, columnsPerNode int) *Flags {
 	fs.Int64Var(&f.job.Seed, "seed", 1, "workload seed")
 	fs.IntVar(&f.job.Parallelism, "parallelism", 0, "intra-buffer kernel workers (0 = all cores, 1 = serial)")
 	fs.BoolVar(&f.autotune, "autotune", false, "let a run-time tuner adjust kernel workers and circulating buffers, starting from -parallelism")
-	fs.StringVar(&f.observe.Metrics, "metrics", "", "serve Prometheus metrics on this address (host:port, :0 picks a port) to scrape while the run is in flight")
 	fs.StringVar(&f.observe.TraceOut, "trace-out", "", "write a Chrome trace-event JSON file of every run (chrome://tracing, Perfetto)")
-	fs.StringVar(&f.observe.StatusAddr, "status-addr", "", "serve live pipeline health on this address (/status text, /status.json)")
-	fs.StringVar(&f.observe.ClusterAddr, "cluster-status-addr", "", "serve the fleet view on this address (/cluster/status.json, /cluster/metrics); implies telemetry at -telemetry-interval")
-	fs.DurationVar(&f.pr.Telemetry.Interval, "telemetry-interval", 0, "publish a telemetry record per rank at this interval toward the aggregator rank 0 (0 = off unless -cluster-status-addr is set, then 500ms)")
+	fs.StringVar(&f.observe.StatusAddr, "status-addr", "", "serve every observability route on this address (host:port, :0 picks a port) while the run is in flight: /metrics (Prometheus), /status, /status.json, and the fleet view /cluster/status.json, /cluster/metrics (live with -telemetry-interval)")
+	fs.DurationVar(&f.pr.Telemetry.Interval, "telemetry-interval", 0, "publish a telemetry record per rank at this interval toward the aggregator rank 0 (0 = off)")
 	fs.DurationVar(&f.observe.StallAfter, "stall-after", 0, "arm a stall watchdog: report and dump a black-box trace after this long with no progress (0 = off)")
 	fs.StringVar(&f.transport, "transport", "inproc", "cluster transport: inproc (goroutines and channels) or tcp (real sockets)")
 	fs.DurationVar(&f.pr.Health.Interval, "heartbeat", 0, "heartbeat interval for peer failure detection; a peer silent for 10 intervals is declared dead and the job aborted (0 = off)")
@@ -121,19 +119,16 @@ func (f *Flags) Job() (Job, Params, error) {
 	return f.job, pr, nil
 }
 
-// Observe starts what the observability flags ask for — metrics, status and
-// fleet-view servers, tracer, watchdog — wires it and the telemetry plane
-// into pr, and returns the function to call with the run's error when the
-// command is done (see ObserveCLI).
+// Observe starts what the observability flags ask for — the one HTTP
+// server, tracer, watchdog — wires it and the telemetry plane into pr, and
+// returns the function to call with the run's error when the command is
+// done (see ObserveCLI).
 func (f *Flags) Observe(pr *Params) (finish func(runErr error) error, err error) {
 	obs, ct, finish, err := ObserveCLI(f.observe)
 	if err != nil {
 		return nil, err
 	}
 	pr.Observe = obs
-	if f.observe.ClusterAddr != "" && pr.Telemetry.Interval <= 0 {
-		pr.Telemetry.Interval = 500 * time.Millisecond
-	}
 	if pr.Telemetry.Interval > 0 {
 		pr.OnTelemetry = ct.SetPlane
 	}

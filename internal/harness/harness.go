@@ -126,9 +126,9 @@ func (pr *Params) ensureTelemetryObserve() {
 }
 
 // instrument wires the Observe bundle into a freshly built cluster. The
-// returned detach function removes the per-node communication observers;
-// call it when the run is over so a long-lived tracer is not fed by a dead
-// cluster.
+// returned detach function removes the cluster's metrics collector and the
+// per-node communication observers; call it when the run is over so a
+// long-lived registry or tracer is not fed by a dead cluster.
 func (pr Params) instrument(c *cluster.Cluster) func() {
 	o := pr.Observe
 	detachTelemetry := pr.startTelemetry(c)
@@ -136,7 +136,7 @@ func (pr Params) instrument(c *cluster.Cluster) func() {
 		return detachTelemetry
 	}
 	if o.Metrics != nil {
-		o.Metrics.RegisterFunc(func(emit fg.EmitFunc) { c.EmitMetrics(emit) })
+		removeComm := o.Metrics.RegisterFunc(func(emit fg.EmitFunc) { c.EmitMetrics(emit) }, cluster.MetricHelp)
 		o.Metrics.RegisterPeerHealth(func() []fg.PeerHealth {
 			ps := c.PeerHealth()
 			if len(ps) == 0 {
@@ -157,6 +157,10 @@ func (pr Params) instrument(c *cluster.Cluster) func() {
 		})
 		prevDetach := detachTelemetry
 		detachTelemetry = func() {
+			// The registry may outlive this cluster (fgexp runs many, an
+			// fgd job one per attempt): leave it no cluster_* series to
+			// repeat and no closure keeping the closed cluster reachable.
+			removeComm()
 			o.Metrics.RegisterPeerHealth(nil)
 			prevDetach()
 		}

@@ -3,13 +3,17 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
+	"github.com/fg-go/fg/internal/check"
 	"github.com/fg-go/fg/workload"
 )
 
@@ -125,8 +129,9 @@ func TestCsortChromeTraceRoundTrip(t *testing.T) {
 }
 
 // TestObserveMetricsAndStats exercises the other two Observe channels on a
-// real program: the registry scrapes cluster counters and OnStats sees one
-// snapshot per network.
+// real program: the registry scrapes cluster counters while the run is in
+// flight (here from the completion callback of each network) and OnStats
+// sees one snapshot per network.
 func TestObserveMetricsAndStats(t *testing.T) {
 	pr := tinyParams()
 	pr.Nodes = 2
@@ -134,11 +139,17 @@ func TestObserveMetricsAndStats(t *testing.T) {
 	reg := fg.NewMetricsRegistry()
 	var mu sync.Mutex
 	var finished []string
+	var out string
 	pr.Observe = &fg.Observe{
 		Metrics: reg,
 		OnStats: func(st fg.NetworkStats) {
+			var b strings.Builder
+			if err := reg.WritePrometheus(&b); err != nil {
+				t.Error(err)
+			}
 			mu.Lock()
 			finished = append(finished, st.Name)
+			out = b.String()
 			mu.Unlock()
 			if st.Wall <= 0 {
 				t.Errorf("network %s finished with zero wall time", st.Name)
@@ -149,26 +160,90 @@ func TestObserveMetricsAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two nodes, two passes: four networks finished.
-	mu.Lock()
-	n := len(finished)
-	mu.Unlock()
-	if n != 4 {
+	if n := len(finished); n != 4 {
 		t.Errorf("OnStats saw %d networks, want 4 (%v)", n, finished)
 	}
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
 	for _, want := range []string{
 		"cluster_bytes_sent_total",
 		"cluster_send_wait_seconds_total",
 		"cluster_recv_wait_seconds_total",
 		"fg_stage_rounds_total",
+		"# HELP cluster_bytes_sent_total payload bytes the node sent\n",
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("registry scrape missing %s", want)
+			t.Errorf("mid-run registry scrape missing %s", want)
 		}
+	}
+	check.ExpositionLint(t, out)
+}
+
+// TestLongLivedRegistryRepeatsNothing: a registry that outlives its runs
+// (fgexp -status-addr, an fgd job's attempts) serves each name{labels} once,
+// however many clusters have come and gone, and keeps none of the finished
+// ones reachable — instrument's detach removes the cluster collector and a
+// pass's network replaces its namesake from the run before.
+func TestLongLivedRegistryRepeatsNothing(t *testing.T) {
+	pr := tinyParams()
+	pr.Nodes = 4
+	pr.TotalRecords = 1 << 14
+	reg := fg.NewMetricsRegistry()
+	pr.Observe = &fg.Observe{Metrics: reg}
+	var after []int
+	for run := 0; run < 3; run++ {
+		if _, err := pr.Run(Dsort, workload.Uniform, 0); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		check.ExpositionLint(t, b.String())
+		after = append(after, len(reg.Samples()))
+	}
+	if after[1] != after[0] || after[2] != after[0] {
+		t.Errorf("series count grows with the runs: %v", after)
+	}
+	// After detach nothing of the finished clusters is left to scrape (or
+	// to keep them, disks included, reachable from the registry).
+	for _, s := range reg.Samples() {
+		if strings.HasPrefix(s.Name, "cluster_") || strings.HasPrefix(s.Name, "fg_peer_") {
+			t.Errorf("finished cluster still emits %s%v", s.Name, s.Labels)
+		}
+	}
+}
+
+// TestObserveCLIOneSurface starts the command-line bundle with the one
+// address flag and a telemetry interval, runs a small sort, and reads every
+// route — node-local and fleet — from that one address; the /debug/vars mirror
+// is gone.
+func TestObserveCLIOneSurface(t *testing.T) {
+	addr := reserveLoopbackPort(t)
+	obs, ct, finish, err := ObserveCLI(ObserveFlags{StatusAddr: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer finish(nil)
+	pr := tinyParams()
+	pr.Nodes = 2
+	pr.ColumnsPerNode = 1
+	pr.Observe = obs
+	pr.Telemetry = cluster.TelemetryConfig{Interval: 2 * time.Millisecond}
+	pr.OnTelemetry = ct.SetPlane
+	if _, err := pr.Run(Dsort, workload.Uniform, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/status", "/status.json", "/cluster/status.json"} {
+		getBody(t, addr, path) // fails the test unless 200
+	}
+	check.ExpositionLint(t, getBody(t, addr, "/metrics"))
+	check.ExpositionLint(t, getBody(t, addr, "/cluster/metrics"))
+	resp, err := http.Get("http://" + addr + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/vars answered %d, want 404: that mirror is deleted", resp.StatusCode)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,22 +22,19 @@ const BlackBoxPath = "fg-blackbox.json"
 // ObserveFlags are the observability settings a command line offers; the
 // zero value observes nothing.
 type ObserveFlags struct {
-	// Metrics, when non-empty, is a host:port to serve Prometheus metrics
-	// and expvar on for the duration of the run (":0" picks a free port).
-	Metrics string
 	// TraceOut, when non-empty, is the path the Chrome trace-event JSON is
 	// written to — atomically, via a temp file and rename, so a run killed
 	// mid-write never leaves a truncated file; load it in chrome://tracing
 	// or https://ui.perfetto.dev.
 	TraceOut string
-	// StatusAddr, when non-empty, serves the live /status and /status.json
-	// endpoints (plus /metrics) on its own address.
+	// StatusAddr, when non-empty, is the one address (host:port, ":0" picks
+	// a free port) every observability route is served on for the duration
+	// of the run: /metrics (Prometheus), /status and /status.json (live
+	// pipeline health), and the fleet view — /cluster/status.json,
+	// /cluster/metrics, /cluster/blackbox, /cluster/profile. The fleet
+	// routes fill in only where the telemetry plane runs and this process
+	// hosts the aggregator rank; elsewhere they answer 503.
 	StatusAddr string
-	// ClusterAddr, when non-empty, additionally serves the fleet view —
-	// /cluster/status.json, /cluster/metrics, /cluster/blackbox, and
-	// /cluster/profile — on its own address. The view fills in only on the
-	// process hosting the aggregator rank; other ranks' servers answer 503.
-	ClusterAddr string
 	// StallAfter, when positive, arms a progress watchdog on every network:
 	// a stretch of StallAfter with no stage completing a round prints a
 	// StallReport naming the suspected culprit and dumps the flight
@@ -43,15 +42,27 @@ type ObserveFlags struct {
 	StallAfter time.Duration
 }
 
-// ObserveCLI builds the fg.Observe bundle behind the commands' -metrics,
-// -trace-out, -status-addr, -cluster-status-addr and -stall-after flags. It
-// returns the bundle (nil when f is zero, so an unobserved run costs
-// nothing) and a finish function taking the run's error; finish prints node
-// 0's bottleneck reports, writes the Chrome trace file, dumps the flight
-// recorder if the run died on a panic, and stops the HTTP servers. The
-// returned *ClusterTelemetry (nil without ClusterAddr) is to be wired into
-// the run via Params.OnTelemetry so the fleet-view server follows the
-// current cluster's telemetry plane.
+// Serve binds addr and serves h on it in the background — the process's one
+// observability listener. It returns the bound address (":0" resolved) and
+// the function that stops the server.
+func Serve(addr string, h http.Handler) (bound string, stop func() error, err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, fmt.Errorf("harness: observability listener: %w", err)
+	}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
+	go func() { _ = srv.Serve(ln) }()
+	return ln.Addr().String(), srv.Close, nil
+}
+
+// ObserveCLI builds the fg.Observe bundle behind the commands' -trace-out,
+// -status-addr and -stall-after flags. It returns the bundle (nil when f is
+// zero, so an unobserved run costs nothing) and a finish function taking the
+// run's error; finish prints node 0's bottleneck reports, writes the Chrome
+// trace file, dumps the flight recorder if the run died on a panic, and
+// stops the HTTP server. The returned *ClusterTelemetry (nil without
+// StatusAddr) is to be wired into the run via Params.OnTelemetry so the
+// fleet routes follow the current cluster's telemetry plane.
 //
 // Whenever any field is set, a flight recorder rides along: the last few
 // thousand events are retained even when full tracing is off, so the black
@@ -73,57 +84,24 @@ func ObserveCLI(f ObserveFlags) (*fg.Observe, *ClusterTelemetry, func(runErr err
 		mu.Unlock()
 	}
 	o.Flight = fg.NewFlightRecorder(0)
-	var servers []io.Closer
-	closeServers := func() error {
-		var err error
-		for _, s := range servers {
-			if cerr := s.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		return err
-	}
-	if f.Metrics != "" || f.StatusAddr != "" || f.ClusterAddr != "" {
-		o.Metrics = fg.NewMetricsRegistry()
-	}
-	if f.Metrics != "" {
-		server, err := o.Metrics.Serve(f.Metrics)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		servers = append(servers, server)
-		fmt.Printf("serving metrics on http://%s/metrics (Prometheus) and /debug/vars (expvar)\n", server.Addr())
-	}
-	if f.StatusAddr != "" && f.StatusAddr != f.Metrics {
-		server, err := o.Metrics.Serve(f.StatusAddr)
-		if err != nil {
-			_ = closeServers()
-			return nil, nil, nil, err
-		}
-		servers = append(servers, server)
-		fmt.Printf("serving live status on http://%s/status (text) and /status.json\n", server.Addr())
-	} else if f.StatusAddr != "" {
-		fmt.Printf("live status shares the metrics address: /status and /status.json\n")
-	}
 	var ct *ClusterTelemetry
-	if f.ClusterAddr != "" {
-		var err error
-		ct, err = ServeClusterTelemetry(f.ClusterAddr)
+	stopServer := func() error { return nil }
+	if f.StatusAddr != "" {
+		o.Metrics = fg.NewMetricsRegistry()
+		mux := o.Metrics.Handler()
+		ct = MountClusterTelemetry(mux)
+		addr, stop, err := Serve(f.StatusAddr, mux)
 		if err != nil {
-			_ = closeServers()
 			return nil, nil, nil, err
 		}
-		servers = append(servers, ct)
-		fmt.Printf("serving fleet view on http://%s/cluster/status.json and /cluster/metrics\n", ct.Addr())
+		stopServer = stop
+		fmt.Printf("serving on http://%s: /metrics (Prometheus), /status (text), /status.json, and the fleet view under /cluster/\n", addr)
 	}
 	if f.TraceOut != "" {
 		o.Tracer = fg.NewTracer(1 << 21)
 	}
 	writeBlackBox := func(why string) {
-		err := writeFileAtomic(BlackBoxPath, func(w io.Writer) error {
-			return o.Flight.WriteChromeTrace(w)
-		})
-		if err != nil {
+		if err := writeFileAtomic(BlackBoxPath, o.Flight.WriteChromeTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "black box write failed: %v\n", err)
 			return
 		}
@@ -158,7 +136,7 @@ func ObserveCLI(f ObserveFlags) (*fg.Observe, *ClusterTelemetry, func(runErr err
 		mu.Unlock()
 		if o.Tracer != nil {
 			if err := writeFileAtomic(f.TraceOut, o.Tracer.WriteChromeTrace); err != nil {
-				_ = closeServers()
+				_ = stopServer()
 				return err
 			}
 			fmt.Printf("trace written to %s (%d events", f.TraceOut, len(o.Tracer.Events()))
@@ -167,7 +145,7 @@ func ObserveCLI(f ObserveFlags) (*fg.Observe, *ClusterTelemetry, func(runErr err
 			}
 			fmt.Println("); load it in chrome://tracing or https://ui.perfetto.dev")
 		}
-		return closeServers()
+		return stopServer()
 	}
 	return o, ct, finish, nil
 }

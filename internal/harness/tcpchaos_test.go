@@ -103,8 +103,9 @@ func runTCPChild() int {
 	}
 
 	// FG_TCP_TELEMETRY arms the cluster telemetry plane at the given
-	// interval; FG_TCP_CLUSTER_ADDR (the aggregator rank's process only)
-	// additionally serves the fleet view for the parent test to scrape.
+	// interval; FG_TCP_STATUS_ADDR (the aggregator rank's process only)
+	// additionally serves the observability routes, fleet view included, for
+	// the parent test to scrape.
 	var telemetryIv time.Duration
 	if v := os.Getenv("FG_TCP_TELEMETRY"); v != "" {
 		if telemetryIv, err = time.ParseDuration(v); err != nil {
@@ -112,10 +113,7 @@ func runTCPChild() int {
 			return 2
 		}
 	}
-	clusterAddr := os.Getenv("FG_TCP_CLUSTER_ADDR")
-	if clusterAddr != "" && telemetryIv <= 0 {
-		telemetryIv = 10 * time.Millisecond
-	}
+	statusAddr := os.Getenv("FG_TCP_STATUS_ADDR")
 
 	// FG_TCP_STACKDUMP dumps every goroutine to stderr after the given
 	// delay — a child wedged past that point explains itself in the parent
@@ -129,7 +127,7 @@ func runTCPChild() int {
 		}
 	}
 
-	obs, ct, finish, err := ObserveCLI(ObserveFlags{TraceOut: os.Getenv("FG_TCP_TRACE"), ClusterAddr: clusterAddr, StallAfter: stallAfter})
+	obs, ct, finish, err := ObserveCLI(ObserveFlags{TraceOut: os.Getenv("FG_TCP_TRACE"), StatusAddr: statusAddr, StallAfter: stallAfter})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "observe: %v\n", err)
 		return 2

@@ -4,7 +4,7 @@ package harness
 // cannot import fg, so this file supplies its two missing halves: a
 // collector that snapshots the fg side of a rank's state (stage taxonomy,
 // pool occupancy, knob positions, stall reports) out of the run's Observe
-// bundle, and the HTTP server that exposes the aggregator's fleet view at
+// bundle, and the HTTP handlers that expose the aggregator's fleet view at
 // /cluster/status.json and /cluster/metrics, with on-demand evidence at
 // /cluster/blackbox and /cluster/profile.
 
@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -37,12 +36,6 @@ func rankOfNetwork(name string) (int, bool) {
 	}
 	return r, true
 }
-
-// stuckFor is the park threshold the collector classifies stage states
-// against: a stage parked longer reads blocked, shorter reads running. It
-// matches the status endpoint's threshold, so the fleet view and the
-// node-local /status agree on what "blocked" means.
-const stuckFor = time.Second
 
 // A fleetCollector builds the fg-side half of a rank's telemetry record
 // from the run's Observe bundle, and tracks the latest watchdog stall
@@ -170,7 +163,9 @@ func (fc *fleetCollector) collect(rank int, tunerOwner bool) cluster.RankTelemet
 					rec.Program = st.Name[:i]
 				}
 			}
-			health := st.Classify(stuckFor)
+			// Classified by the status view itself, so the fleet view and
+			// the node-local /status agree on what "blocked" means.
+			status := st.Status()
 			for i, s := range st.Stages {
 				sr := cluster.StageRecord{
 					Stage:      s.Stage,
@@ -183,9 +178,7 @@ func (fc *fleetCollector) collect(rank int, tunerOwner bool) cluster.RankTelemet
 					InStateNS:  int64(s.InState),
 					WorkNS:     int64(s.Work),
 					WaitNS:     int64(s.AcceptWait),
-				}
-				if i < len(health) {
-					sr.State = health[i].State
+					State:      status.Stages[i].State,
 				}
 				rec.Stages = append(rec.Stages, sr)
 			}
@@ -263,8 +256,8 @@ func (fc *fleetCollector) blackbox() func(w io.Writer) error {
 	return func(w io.Writer) error { return fl.WriteChromeTrace(w) }
 }
 
-// A ClusterTelemetry is the fleet view's HTTP server, the cmds' end of the
-// -cluster-status-addr flag. It serves:
+// A ClusterTelemetry is the fleet view's handler set, mounted beside the
+// node-local routes on the process's one observability mux:
 //
 //	/cluster/status.json  the aggregator's fleet view (cluster.ClusterStatus)
 //	/cluster/metrics      the same view as rank-labeled Prometheus series
@@ -274,41 +267,32 @@ func (fc *fleetCollector) blackbox() func(w io.Writer) error {
 //	/cluster/profile      ?rank=N&kind=cpu|heap: a pprof profile pulled from
 //	                      the rank's process
 //
-// The server outlives any one cluster — fgexp builds many — so it holds a
+// The view outlives any one cluster — fgexp builds many — so it holds a
 // swappable pointer to the current telemetry plane; SetPlane (wired through
-// Params.OnTelemetry) installs each fresh cluster's. On a process that does
-// not host the aggregator rank the endpoints answer 503: the fleet view
-// lives where the records flow.
+// Params.OnTelemetry) installs each fresh cluster's. Without a plane, and on
+// a process that does not host the aggregator rank, the endpoints answer
+// 503: the fleet view lives where the records flow.
 type ClusterTelemetry struct {
 	reg *fg.MetricsRegistry
-	ln  net.Listener
-	srv *http.Server
 
 	mu    sync.Mutex
 	plane *cluster.Telemetry
 }
 
-// ServeClusterTelemetry starts the fleet-view server on addr (":0" picks a
-// free port). The view is empty until SetPlane installs a telemetry plane.
-func ServeClusterTelemetry(addr string) (*ClusterTelemetry, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("harness: cluster status listener: %w", err)
-	}
-	ct := &ClusterTelemetry{ln: ln, reg: fg.NewMetricsRegistry()}
+// MountClusterTelemetry registers the four /cluster/ routes on mux; the
+// view they serve is empty until SetPlane installs a telemetry plane.
+func MountClusterTelemetry(mux *http.ServeMux) *ClusterTelemetry {
+	ct := &ClusterTelemetry{reg: fg.NewMetricsRegistry()}
 	ct.reg.RegisterFunc(func(emit fg.EmitFunc) {
 		if a := ct.aggregator(); a != nil {
 			a.EmitMetrics(emit)
 		}
-	})
-	mux := http.NewServeMux()
+	}, cluster.FleetMetricHelp)
 	mux.HandleFunc("/cluster/status.json", ct.handleStatus)
 	mux.Handle("/cluster/metrics", ct.reg)
 	mux.HandleFunc("/cluster/blackbox", ct.handleBlackbox)
 	mux.HandleFunc("/cluster/profile", ct.handleProfile)
-	ct.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = ct.srv.Serve(ln) }()
-	return ct, nil
+	return ct
 }
 
 // SetPlane installs the current cluster's telemetry plane; nil-safe so the
@@ -330,17 +314,6 @@ func (ct *ClusterTelemetry) telemetry() *cluster.Telemetry {
 
 func (ct *ClusterTelemetry) aggregator() *cluster.TelemetryAggregator {
 	return ct.telemetry().Aggregator()
-}
-
-// Addr returns the server's bound address.
-func (ct *ClusterTelemetry) Addr() string { return ct.ln.Addr().String() }
-
-// Close stops the server.
-func (ct *ClusterTelemetry) Close() error {
-	if ct == nil {
-		return nil
-	}
-	return ct.srv.Close()
 }
 
 func (ct *ClusterTelemetry) handleStatus(w http.ResponseWriter, _ *http.Request) {

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -83,14 +84,15 @@ func TestFleetCollectorStallLifecycle(t *testing.T) {
 // bottleneck names a stage, the metrics endpoint carries fleet_ series, and
 // the blackbox endpoint pulls a flight-recorder dump.
 func TestClusterTelemetryInproc(t *testing.T) {
-	ct, err := ServeClusterTelemetry("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ct.Close()
+	obs := &fg.Observe{Metrics: fg.NewMetricsRegistry(), Flight: fg.NewFlightRecorder(0)}
+	mux := obs.Metrics.Handler()
+	ct := MountClusterTelemetry(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	addr := srv.Listener.Addr().String()
 
 	// Before any run the endpoints answer 503, not garbage.
-	resp, err := http.Get("http://" + ct.Addr() + "/cluster/status.json")
+	resp, err := http.Get(srv.URL + "/cluster/status.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,6 @@ func TestClusterTelemetryInproc(t *testing.T) {
 		t.Fatalf("pre-run status.json answered %d, want 503", resp.StatusCode)
 	}
 
-	obs := &fg.Observe{Metrics: fg.NewMetricsRegistry(), Flight: fg.NewFlightRecorder(0)}
 	pr := DefaultParams()
 	pr.Nodes = 2
 	pr.TotalRecords = 1 << 12
@@ -116,7 +117,7 @@ func TestClusterTelemetryInproc(t *testing.T) {
 	// The plane stopped with the cluster, but the aggregator retains the
 	// last record per rank — the view outlives the run.
 	var st cluster.ClusterStatus
-	if err := getJSON(ct.Addr(), "/cluster/status.json", &st); err != nil {
+	if err := getJSON(addr, "/cluster/status.json", &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.P != 2 || len(st.Ranks) != 2 {
@@ -138,14 +139,14 @@ func TestClusterTelemetryInproc(t *testing.T) {
 	}
 	t.Logf("fleet view: %s", st.Bottleneck.String())
 
-	metrics := getBody(t, ct.Addr(), "/cluster/metrics")
+	metrics := getBody(t, addr, "/cluster/metrics")
 	for _, want := range []string{"fleet_rank_fresh", "fleet_stage_work_seconds_total", "fleet_bottleneck_governing"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/cluster/metrics missing %s", want)
 		}
 	}
 
-	bb := getBody(t, ct.Addr(), "/cluster/blackbox?rank=0")
+	bb := getBody(t, addr, "/cluster/blackbox?rank=0")
 	if !strings.Contains(bb, "traceEvents") {
 		t.Errorf("blackbox pull is not a Chrome trace: %.80s", bb)
 	}
@@ -204,7 +205,7 @@ func TestClusterTelemetryTwoProcessTCP(t *testing.T) {
 		env := []string{"FG_TCP_TELEMETRY=10ms", "FG_TCP_LINGER=60s",
 			"FG_TCP_STACKDUMP=30s", "FG_TCP_RECORDS=262144"}
 		if rank == 0 {
-			env = append(env, "FG_TCP_CLUSTER_ADDR="+addr)
+			env = append(env, "FG_TCP_STATUS_ADDR="+addr)
 		}
 		return env
 	})
@@ -243,7 +244,7 @@ func TestClusterTelemetryRemoteStallDiagnosis(t *testing.T) {
 	children := spawnTCPJob(t, 2, func(rank int) []string {
 		env := []string{"FG_TCP_TELEMETRY=10ms", "FG_TCP_LINGER=60s", "FG_TCP_STALL=1500ms"}
 		if rank == 0 {
-			env = append(env, "FG_TCP_CLUSTER_ADDR="+addr, "FG_TCP_FAULT=closemid")
+			env = append(env, "FG_TCP_STATUS_ADDR="+addr, "FG_TCP_FAULT=closemid")
 		}
 		return env
 	})

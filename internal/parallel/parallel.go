@@ -11,9 +11,8 @@
 // GOMAXPROCS has moved since (a long-running server may raise it after the
 // first kernel call), and reused for every kernel invocation thereafter,
 // so a sort stage that runs thousands of rounds never spawns per-round
-// goroutines. Because every caller of Do
-// shares the same workers, concurrent stages — including replicas created
-// with fg.Stage.Replicate — divide the machine between them instead of
+// goroutines. Because every caller of Do shares the same workers,
+// concurrent stages divide the machine between them instead of
 // oversubscribing it: total kernel concurrency never exceeds the pool size
 // plus the number of calling stage goroutines.
 //

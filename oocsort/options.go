@@ -26,9 +26,8 @@ type Options struct {
 	// internal/sortalgo with up to this many workers from the process-wide
 	// shared pool. 0 (the default) means GOMAXPROCS; 1 forces the serial
 	// kernels, which the serial-vs-parallel benchmarks compare against.
-	// Unlike fg.Stage.Replicate, intra-buffer parallelism preserves buffer
-	// order and adds no buffer-pool pressure; see DESIGN.md, "Multicore
-	// kernels".
+	// Intra-buffer parallelism preserves buffer order and adds no
+	// buffer-pool pressure; see DESIGN.md, "Multicore kernels".
 	Parallelism int
 
 	// AutoTune, when enabled, attaches a run-time self-tuner to every

@@ -1,84 +1,72 @@
 package service
 
 import (
-	"fmt"
-	"net/http"
-	"sort"
-	"strings"
+	"maps"
 
+	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
 )
 
-// The daemon's own metric families. Everything per-network below them
-// comes from each running job's fg.MetricsRegistry, re-labeled with the
-// job ID so one scrape distinguishes tenants.
-var daemonHelp = []struct{ name, help string }{
-	{"fgd_up", "1 while the daemon serves, 0 once draining"},
-	{"fgd_uptime_seconds", "daemon uptime"},
-	{"fgd_jobs_submitted_total", "job submissions received, accepted or not"},
-	{"fgd_jobs_accepted_total", "job submissions admitted to the queue"},
-	{"fgd_jobs_rejected_total", "job submissions rejected, by reason"},
-	{"fgd_jobs_done_total", "jobs finished successfully"},
-	{"fgd_jobs_failed_total", "jobs finished with an error"},
-	{"fgd_jobs_cancelled_total", "jobs cancelled by clients or a drain"},
-	{"fgd_jobs_running", "jobs currently running networks"},
-	{"fgd_jobs_running_max", "high-water mark of concurrently running jobs"},
-	{"fgd_queue_depth", "jobs waiting in the admission queue"},
-	{"fgd_queue_cap", "admission queue capacity"},
-	{"fgd_pool_workers", "size of the shared kernel worker pool"},
+// daemonHelp documents the daemon's own metric families. Everything
+// per-network beside them comes from each running job's fg.MetricsRegistry,
+// re-labeled with the job ID so one scrape distinguishes tenants.
+var daemonHelp = map[string]string{
+	"fgd_up":                   "1 while the daemon serves, 0 once draining",
+	"fgd_uptime_seconds":       "daemon uptime",
+	"fgd_jobs_submitted_total": "job submissions received, accepted or not",
+	"fgd_jobs_accepted_total":  "job submissions admitted to the queue",
+	"fgd_jobs_rejected_total":  "job submissions rejected, by reason",
+	"fgd_jobs_done_total":      "jobs finished successfully",
+	"fgd_jobs_failed_total":    "jobs finished with an error",
+	"fgd_jobs_cancelled_total": "jobs cancelled by clients or a drain",
+	"fgd_jobs_running":         "jobs currently running networks",
+	"fgd_jobs_running_max":     "high-water mark of concurrently running jobs",
+	"fgd_queue_depth":          "jobs waiting in the admission queue",
+	"fgd_queue_cap":            "admission queue capacity",
+	"fgd_pool_workers":         "size of the shared kernel worker pool",
 }
 
-// handleMetrics serves the Prometheus text exposition: the daemon ledger
-// first, then every running job's registry samples with a job label
-// spliced in. Settled jobs drop out of the scrape — their registries
-// belong to finished clusters — which keeps the exposition bounded however
-// many jobs the daemon has retired.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.Status(false)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+// newMetrics builds the registry behind GET /metrics: the daemon ledger and
+// every running job's series, both rendered by the repository's one
+// exposition writer (fg.MetricsRegistry.WritePrometheus). The per-job names
+// are fg's own and the cluster's, so the cluster's HELP table rides along.
+func (s *Server) newMetrics() *fg.MetricsRegistry {
+	r := fg.NewMetricsRegistry()
+	r.RegisterFunc(s.emitLedger, daemonHelp)
+	r.RegisterFunc(s.emitJobs, cluster.MetricHelp)
+	return r
+}
 
-	up := 1
+// emitLedger emits the daemon's admission/outcome ledger.
+func (s *Server) emitLedger(emit fg.EmitFunc) {
+	st := s.Status(false)
+	up := 1.0
 	if st.State != "serving" {
 		up = 0
 	}
-	gauges := []struct {
-		name  string
-		value float64
-	}{
-		{"fgd_up", float64(up)},
-		{"fgd_uptime_seconds", st.UptimeSeconds},
-		{"fgd_jobs_submitted_total", float64(st.Submitted)},
-		{"fgd_jobs_accepted_total", float64(st.Accepted)},
-		{"fgd_jobs_done_total", float64(st.Done)},
-		{"fgd_jobs_failed_total", float64(st.Failed)},
-		{"fgd_jobs_cancelled_total", float64(st.Cancelled)},
-		{"fgd_jobs_running", float64(st.Running)},
-		{"fgd_jobs_running_max", float64(st.MaxRunningObserved)},
-		{"fgd_queue_depth", float64(st.QueueDepth)},
-		{"fgd_queue_cap", float64(st.QueueCap)},
-		{"fgd_pool_workers", float64(st.PoolWorkers)},
-	}
-	help := map[string]string{}
-	for _, h := range daemonHelp {
-		help[h.name] = h.help
-	}
-	for _, g := range gauges {
-		writeFamily(w, g.name, help[g.name], []sample{{value: g.value}})
-	}
-	writeFamily(w, "fgd_jobs_rejected_total", help["fgd_jobs_rejected_total"], []sample{
-		{labels: `{reason="queue_full"}`, value: float64(st.RejectedFull)},
-		{labels: `{reason="quota"}`, value: float64(st.RejectedQuota)},
-		{labels: `{reason="invalid"}`, value: float64(st.RejectedInvalid)},
-		{labels: `{reason="draining"}`, value: float64(st.RejectedDraining)},
-	})
+	emit("fgd_up", nil, up)
+	emit("fgd_uptime_seconds", nil, st.UptimeSeconds)
+	emit("fgd_jobs_submitted_total", nil, float64(st.Submitted))
+	emit("fgd_jobs_accepted_total", nil, float64(st.Accepted))
+	emit("fgd_jobs_done_total", nil, float64(st.Done))
+	emit("fgd_jobs_failed_total", nil, float64(st.Failed))
+	emit("fgd_jobs_cancelled_total", nil, float64(st.Cancelled))
+	emit("fgd_jobs_running", nil, float64(st.Running))
+	emit("fgd_jobs_running_max", nil, float64(st.MaxRunningObserved))
+	emit("fgd_queue_depth", nil, float64(st.QueueDepth))
+	emit("fgd_queue_cap", nil, float64(st.QueueCap))
+	emit("fgd_pool_workers", nil, float64(st.PoolWorkers))
+	emit("fgd_jobs_rejected_total", map[string]string{"reason": "queue_full"}, float64(st.RejectedFull))
+	emit("fgd_jobs_rejected_total", map[string]string{"reason": "quota"}, float64(st.RejectedQuota))
+	emit("fgd_jobs_rejected_total", map[string]string{"reason": "invalid"}, float64(st.RejectedInvalid))
+	emit("fgd_jobs_rejected_total", map[string]string{"reason": "draining"}, float64(st.RejectedDraining))
+}
 
-	// Per-job network series: every running job's registry, re-labeled.
-	type labeled struct {
-		fg.Sample
-		job string
-	}
-	byName := map[string][]labeled{}
-	var names []string
+// emitJobs emits every running job's registry samples with a job label
+// added. Settled jobs drop out of the scrape — their registries belong to
+// finished clusters — which keeps the exposition bounded however many jobs
+// the daemon has retired.
+func (s *Server) emitJobs(emit fg.EmitFunc) {
 	for _, j := range s.Jobs() {
 		if j.State() != StateRunning {
 			continue
@@ -88,72 +76,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		for _, sm := range obs.Metrics.Samples() {
-			if _, ok := byName[sm.Name]; !ok {
-				names = append(names, sm.Name)
-			}
-			byName[sm.Name] = append(byName[sm.Name], labeled{Sample: sm, job: j.ID})
+			// A fresh map: emitters may share one label map between samples.
+			labels := map[string]string{}
+			maps.Copy(labels, sm.Labels)
+			labels["job"] = j.ID
+			emit(sm.Name, labels, sm.Value)
 		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		typ := "gauge"
-		if strings.HasSuffix(name, "_total") {
-			typ = "counter"
-		}
-		fmt.Fprintf(w, "# HELP %s per-job network metric\n# TYPE %s %s\n", name, name, typ)
-		group := byName[name]
-		sort.SliceStable(group, func(i, j int) bool {
-			if group[i].job != group[j].job {
-				return group[i].job < group[j].job
-			}
-			return jobLabelString(group[i].job, group[i].Labels) <
-				jobLabelString(group[j].job, group[j].Labels)
-		})
-		for _, sm := range group {
-			fmt.Fprintf(w, "%s%s %g\n", name, jobLabelString(sm.job, sm.Labels), sm.Value)
-		}
-	}
-}
-
-type sample struct {
-	labels string
-	value  float64
-}
-
-func writeFamily(w http.ResponseWriter, name, help string, samples []sample) {
-	typ := "gauge"
-	if strings.HasSuffix(name, "_total") {
-		typ = "counter"
-	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	for _, s := range samples {
-		fmt.Fprintf(w, "%s%s %g\n", name, s.labels, s.value)
-	}
-}
-
-// jobLabelString renders a sample's labels with job="id" spliced in, keys
-// sorted, %q-escaped like the fg exposition.
-func jobLabelString(job string, labels map[string]string) string {
-	keys := make([]string, 0, len(labels)+1)
-	for k := range labels {
-		if k != "job" {
-			keys = append(keys, k)
-		}
-	}
-	keys = append(keys, "job")
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		v := labels[k]
-		if k == "job" {
-			v = job
-		}
-		fmt.Fprintf(&b, "%s=%q", k, v)
-	}
-	b.WriteByte('}')
-	return b.String()
 }

@@ -123,6 +123,8 @@ type Server struct {
 	running  int // jobs currently inside runJob's admitted section
 	maxRun   int // high-water mark of running
 
+	metrics *fg.MetricsRegistry // GET /metrics: the ledger + running jobs' series
+
 	queue   chan *Job
 	workers sync.WaitGroup // runner goroutines
 	active  sync.WaitGroup // accepted jobs not yet settled
@@ -137,6 +139,7 @@ func New(cfg Config) *Server {
 		jobs:  make(map[string]*Job),
 		queue: make(chan *Job, cfg.QueueDepth),
 	}
+	s.metrics = s.newMetrics()
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		s.workers.Add(1)
 		go func() {

@@ -155,26 +155,28 @@ func runWorker(cfg WorkerConfig) int {
 			StartupGrace: time.Duration(h.StartupGraceMS) * time.Millisecond,
 		}
 	}
-	var ct *harness.ClusterTelemetry
+	stopServer := func() error { return nil }
 	if tl := s.Telemetry; tl != nil {
 		// Every rank publishes; the registry gives the records their stage
 		// taxonomy. Rank 0 — the aggregator, the one rank no scenario may
-		// kill — additionally serves the fleet view and tells the driver
-		// where to scrape it.
+		// kill — additionally serves the observability routes, fleet view
+		// included, and tells the driver where to scrape them.
 		pr.Observe = &fg.Observe{Metrics: fg.NewMetricsRegistry()}
 		pr.Telemetry = cluster.TelemetryConfig{
 			Interval:   time.Duration(tl.IntervalMS) * time.Millisecond,
 			StaleAfter: time.Duration(tl.StaleAfterMS) * time.Millisecond,
 		}
 		if cfg.Rank == 0 {
-			served, err := harness.ServeClusterTelemetry("127.0.0.1:0")
+			mux := pr.Observe.Metrics.Handler()
+			ct := harness.MountClusterTelemetry(mux)
+			addr, stop, err := harness.Serve("127.0.0.1:0", mux)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "fgsoak worker: fleet view server: %v\n", err)
 				return ExitConfigError
 			}
-			ct = served
+			stopServer = stop
 			pr.OnTelemetry = ct.SetPlane
-			fmt.Printf("%s%s\n", TelemetryPrefix, ct.Addr())
+			fmt.Printf("%s%s\n", TelemetryPrefix, addr)
 		}
 	}
 
@@ -212,8 +214,8 @@ func runWorker(cfg WorkerConfig) int {
 	}
 
 	run, err := s.job().Run(pr)
-	faults.stop() // churn goroutines must be joined before the leak check
-	ct.Close()    // and so must the fleet-view server's accept loop
+	faults.stop()    // churn goroutines must be joined before the leak check
+	_ = stopServer() // and so must the fleet-view server's accept loop
 
 	rmu.Lock()
 	res.OK = err == nil

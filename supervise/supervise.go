@@ -164,6 +164,13 @@ func (a Attempt) line() string {
 	return fmt.Sprintf("attempt %d: %s in %v%s", a.N, outcome, a.Duration.Round(time.Millisecond), resumed)
 }
 
+// metricHelp documents the series Run's collector emits.
+var metricHelp = map[string]string{
+	"supervise_attempts_total": "attempts the supervised job has finished, failed or not",
+	"supervise_retries_total":  "failed attempts the supervisor retried",
+	"supervise_failures_total": "attempts that ended in an error",
+}
+
 // Run drives the job under the policy until an attempt succeeds, the
 // attempt budget runs out, or an error is not retryable. It always returns
 // a complete report; Report.Err is the job's overall outcome.
@@ -174,12 +181,14 @@ func Run(job Job, p Policy) Report {
 	var retries, failures int
 	if p.Observe != nil && p.Observe.Metrics != nil {
 		name := job.Name
-		p.Observe.Metrics.RegisterFunc(func(emit fg.EmitFunc) {
+		// Removed when Run returns: the series describe the job in flight,
+		// and a registry that outlives it must not repeat them per job.
+		defer p.Observe.Metrics.RegisterFunc(func(emit fg.EmitFunc) {
 			labels := map[string]string{"job": name}
 			emit("supervise_attempts_total", labels, float64(len(rep.Attempts)))
 			emit("supervise_retries_total", labels, float64(retries))
 			emit("supervise_failures_total", labels, float64(failures))
-		})
+		}, metricHelp)()
 	}
 	backoff := p.BaseBackoff
 	for n := 1; ; n++ {

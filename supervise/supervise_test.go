@@ -113,35 +113,46 @@ func TestDefaultRetryable(t *testing.T) {
 	}
 }
 
+// TestRunRegistersAttemptMetrics: the supervise_* series are live while Run
+// is (read here from inside the second attempt) and gone once it returns, so
+// a registry that outlives many supervised jobs repeats none of them.
 func TestRunRegistersAttemptMetrics(t *testing.T) {
 	reg := fg.NewMetricsRegistry()
 	obs := &fg.Observe{Metrics: reg}
+	scrape := func() map[string]float64 {
+		got := map[string]float64{}
+		for _, s := range reg.Samples() {
+			if strings.HasPrefix(s.Name, "supervise_") {
+				if s.Labels["job"] != "metered" {
+					t.Errorf("sample %s has labels %v, want job=metered", s.Name, s.Labels)
+				}
+				got[s.Name] = s.Value
+			}
+		}
+		return got
+	}
+	var got map[string]float64
 	rep := supervise.Run(supervise.Job{Name: "metered", Run: func(attempt int) ([]string, error) {
 		if attempt == 1 {
 			return nil, cluster.ErrAborted
 		}
+		got = scrape()
 		return nil, nil
 	}}, supervise.Policy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Observe: obs})
 	if rep.Err != nil {
 		t.Fatal(rep.Err)
 	}
-	got := map[string]float64{}
-	for _, s := range reg.Samples() {
-		if strings.HasPrefix(s.Name, "supervise_") {
-			if s.Labels["job"] != "metered" {
-				t.Errorf("sample %s has labels %v, want job=metered", s.Name, s.Labels)
-			}
-			got[s.Name] = s.Value
-		}
-	}
 	want := map[string]float64{
-		"supervise_attempts_total": 2,
+		"supervise_attempts_total": 1,
 		"supervise_retries_total":  1,
 		"supervise_failures_total": 1,
 	}
 	for name, v := range want {
 		if got[name] != v {
-			t.Errorf("%s = %v, want %v (all: %v)", name, got[name], v, got)
+			t.Errorf("%s = %v during attempt 2, want %v (all: %v)", name, got[name], v, got)
 		}
+	}
+	if after := scrape(); len(after) != 0 {
+		t.Errorf("supervise series outlive Run: %v", after)
 	}
 }
