@@ -186,7 +186,7 @@ const (
 	// harness).
 	PullBlackbox = "blackbox"
 	// PullCPUProfile captures and fetches a pprof CPU profile
-	// (TelemetryConfig.CPUProfileDuration long).
+	// (cpuProfileDuration long).
 	PullCPUProfile = "cpuprofile"
 	// PullHeapProfile fetches a pprof heap profile.
 	PullHeapProfile = "heapprofile"
@@ -199,9 +199,6 @@ type TelemetryConfig struct {
 	// Interval is the publish period; every local rank snapshots and ships
 	// one record per interval. Zero disables telemetry.
 	Interval time.Duration
-	// Aggregator is the rank that hosts the fleet aggregator; records flow
-	// toward it. Default 0.
-	Aggregator int
 	// StaleAfter is the record age past which the fleet view marks a rank
 	// stale. Zero defaults to 3×Interval.
 	StaleAfter time.Duration
@@ -214,33 +211,21 @@ type TelemetryConfig struct {
 	// Blackbox, if set, answers PullBlackbox requests by writing the
 	// rank's flight-recorder dump. Nil makes blackbox pulls error.
 	Blackbox func(w io.Writer) error
-	// CPUProfileDuration is how long a PullCPUProfile request samples.
-	// Zero defaults to 1s.
-	CPUProfileDuration time.Duration
-	// PullTimeout bounds a Pull round trip (and the automatic
-	// stall-triggered blackbox pull). Zero defaults to 5s.
-	PullTimeout time.Duration
-	// NoPullOnStall disables the automatic blackbox pull the aggregator
-	// performs when a record arrives carrying a fresh stall report.
-	NoPullOnStall bool
 }
 
-func (cfg TelemetryConfig) withDefaults() TelemetryConfig {
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 3 * cfg.Interval
-	}
-	if cfg.CPUProfileDuration <= 0 {
-		cfg.CPUProfileDuration = time.Second
-	}
-	if cfg.PullTimeout <= 0 {
-		cfg.PullTimeout = 5 * time.Second
-	}
-	return cfg
-}
+// What no caller ever set differently: rank 0 hosts the fleet aggregator
+// (the one rank the soak driver watches and no scenario may kill), a CPU
+// profile pull samples for a second, and a pull round trip — the automatic
+// stall-triggered blackbox pull included — gives up after five.
+const (
+	aggregatorRank     = 0
+	cpuProfileDuration = time.Second
+	pullTimeout        = 5 * time.Second
+)
 
 // StartTelemetry starts the cluster's telemetry plane: one goroutine that
 // publishes every local rank's record per cfg.Interval and serves pull
-// requests, plus — iff cfg.Aggregator is a rank this process hosts — the
+// requests, plus — iff this process hosts rank 0 — the
 // fleet aggregator, reachable via Telemetry.Aggregator. A non-positive
 // Interval returns (nil, nil): telemetry off, and every method of the nil
 // *Telemetry is a safe no-op. Starting twice is an error. The plane stops
@@ -249,17 +234,17 @@ func (c *Cluster) StartTelemetry(cfg TelemetryConfig) (*Telemetry, error) {
 	if cfg.Interval <= 0 {
 		return nil, nil
 	}
-	if cfg.Aggregator < 0 || cfg.Aggregator >= c.P() {
-		return nil, fmt.Errorf("cluster: telemetry aggregator rank %d outside [0, %d)", cfg.Aggregator, c.P())
+	if cfg.StaleAfter <= 0 {
+		cfg.StaleAfter = 3 * cfg.Interval
 	}
 	t := &Telemetry{
 		c:     c,
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		pulls: make(chan pullWork, 16),
 		stopc: make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	if c.nodes[t.cfg.Aggregator] != nil {
+	if c.nodes[aggregatorRank] != nil {
 		t.agg = &TelemetryAggregator{t: t, ranks: map[int]*rankEntry{}}
 	}
 	if !c.telemetry.CompareAndSwap(nil, t) {
@@ -278,7 +263,7 @@ func (c *Cluster) Telemetry() *Telemetry { return c.telemetry.Load() }
 type Telemetry struct {
 	c   *Cluster
 	cfg TelemetryConfig
-	agg *TelemetryAggregator // non-nil iff cfg.Aggregator is hosted here
+	agg *TelemetryAggregator // non-nil iff rank 0 is hosted here
 
 	seq     atomic.Int64
 	pullSeq atomic.Int64
@@ -296,7 +281,7 @@ type Telemetry struct {
 	done     chan struct{}
 }
 
-// Aggregator returns the fleet aggregator, or nil when cfg.Aggregator is
+// Aggregator returns the fleet aggregator, or nil when rank 0 is
 // hosted by another process (or on a nil Telemetry).
 func (t *Telemetry) Aggregator() *TelemetryAggregator {
 	if t == nil {
@@ -391,7 +376,7 @@ func (t *Telemetry) flushFinal() {
 		if err != nil {
 			continue
 		}
-		f := Frame{Src: n.rank, Dst: t.cfg.Aggregator, Tag: telemetryTag, Data: data}
+		f := Frame{Src: n.rank, Dst: aggregatorRank, Tag: telemetryTag, Data: data}
 		for attempt := 0; attempt < 20; attempt++ {
 			if t.c.transport.DeliverControl(f) == nil {
 				t.published.Add(1)
@@ -421,7 +406,7 @@ func (t *Telemetry) publishOnce() {
 		if err != nil {
 			continue
 		}
-		f := Frame{Src: n.rank, Dst: t.cfg.Aggregator, Tag: telemetryTag, Data: data}
+		f := Frame{Src: n.rank, Dst: aggregatorRank, Tag: telemetryTag, Data: data}
 		if t.c.transport.DeliverControl(f) == nil {
 			t.published.Add(1)
 		}
@@ -530,7 +515,7 @@ type PullReply struct {
 // from the process hosting rank. Local ranks are captured directly; remote
 // ones go over the pull RPC, retrying DeliverControl (which refuses rather
 // than blocks while a control connection dials) until the reply arrives or
-// timeout elapses. A zero timeout uses TelemetryConfig.PullTimeout.
+// timeout elapses. A zero timeout uses pullTimeout.
 func (t *Telemetry) Pull(rank int, kind string, timeout time.Duration) ([]byte, error) {
 	if t == nil {
 		return nil, errors.New("cluster: telemetry not running")
@@ -539,7 +524,7 @@ func (t *Telemetry) Pull(rank int, kind string, timeout time.Duration) ([]byte, 
 		return nil, fmt.Errorf("cluster: pull from invalid rank %d", rank)
 	}
 	if timeout <= 0 {
-		timeout = t.cfg.PullTimeout
+		timeout = pullTimeout
 	}
 	if t.c.nodes[rank] != nil {
 		return t.capture(kind)
@@ -598,7 +583,7 @@ func (t *Telemetry) servePull(w pullWork) {
 		return
 	}
 	f := Frame{Src: rep.Rank, Dst: w.from, Tag: telemetryReplyTag, Data: buf}
-	deadline := time.After(t.cfg.PullTimeout)
+	deadline := time.After(pullTimeout)
 	for t.c.transport.DeliverControl(f) != nil {
 		select {
 		case <-t.stopc:
@@ -630,7 +615,7 @@ func (t *Telemetry) capture(kind string) ([]byte, error) {
 			return nil, err
 		}
 		select {
-		case <-time.After(t.cfg.CPUProfileDuration):
+		case <-time.After(cpuProfileDuration):
 		case <-t.stopc:
 		}
 		pprof.StopCPUProfile()
@@ -689,8 +674,7 @@ func (a *TelemetryAggregator) ingestRecord(rec RankTelemetry, now time.Time) {
 		e.arrived = now
 	}
 	var pull bool
-	if rec.Stall != nil && !a.t.cfg.NoPullOnStall &&
-		rec.Stall.AtUnixNano > e.pulledStall && !e.pulling {
+	if rec.Stall != nil && rec.Stall.AtUnixNano > e.pulledStall && !e.pulling {
 		e.pulledStall = rec.Stall.AtUnixNano
 		e.pulling = true
 		pull = true
@@ -801,7 +785,7 @@ func (a *TelemetryAggregator) Status() ClusterStatus {
 	st := ClusterStatus{
 		V:              TelemetryVersion,
 		P:              a.t.c.P(),
-		AggregatorRank: a.t.cfg.Aggregator,
+		AggregatorRank: aggregatorRank,
 		IntervalNS:     int64(a.t.cfg.Interval),
 		StaleAfterNS:   int64(a.t.cfg.StaleAfter),
 		AtUnixNano:     now.UnixNano(),

@@ -98,7 +98,7 @@ func runExperiments(exps string, flags *harness.Flags) error {
 		return fmt.Errorf("warmup: %w", err)
 	}
 	// Attach observability after the warmup so its run is not traced.
-	finish, err := flags.Observe(&pr)
+	finish, err := harness.ObserveCLI(flags.Observe(), &pr)
 	if err != nil {
 		return err
 	}

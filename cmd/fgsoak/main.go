@@ -14,7 +14,9 @@
 // the verdict: 0 only if every trial of every scenario passed.
 //
 // The spawned workers are this same binary, re-entered through
-// soak.WorkerMain via the FGSOAK_WORKER_CONFIG environment variable.
+// soak.WorkerMain via the FGSOAK_WORKER_CONFIG environment variable: the
+// path of a rank description (harness.Rank) the run directory keeps, so the
+// same variable re-runs one rank by hand.
 package main
 
 import (
@@ -88,10 +90,9 @@ func main() {
 	}
 
 	opt := soak.Options{
-		RunDir:     *runDir,
-		KeepRunDir: *runDir != "",
-		Trials:     *trials,
-		Log:        os.Stderr,
+		RunDir: *runDir,
+		Trials: *trials,
+		Log:    os.Stderr,
 	}
 	if *quiet {
 		opt.Log = nil

@@ -17,18 +17,26 @@
 // surviving ranks' supervisors retry, and a relaunched replacement rank
 // resumes from the last pass-level checkpoint (see EXPERIMENTS.md for a
 // full recipe).
+//
+// Either way the process runs the harness's one rank body; a rank a
+// launcher described in a file (a soak trial keeps them in its run directory)
+// is re-run by FGSOAK_WORKER_CONFIG=soak-runs/trial1/rank1.gen0.json fgsort.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"github.com/fg-go/fg/internal/harness"
 )
 
 func main() {
+	if harness.IsRank() {
+		os.Exit(harness.RankMain())
+	}
 	log.SetFlags(0)
 	log.SetPrefix("fgsort: ")
 	flags := harness.BindFlags(flag.CommandLine, 18, 2)
@@ -39,19 +47,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	finish, err := flags.Observe(&pr)
-	if err != nil {
-		log.Fatal(err)
+	rank, code := harness.RunRank(job, pr, flags.Observe())
+	if code != 0 {
+		log.Print(rank.Error)
+		os.Exit(code)
 	}
-
-	res, err := job.Run(pr)
-	// Let finish write the trace and black box before a failed run exits.
-	if ferr := finish(err); ferr != nil {
-		log.Fatal(ferr)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
+	res := rank.Run
 	fmt.Println(res)
 	if pr.Verify {
 		fmt.Println("output verified: globally sorted, PDM-striped, permutation of input")

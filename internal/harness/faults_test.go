@@ -16,10 +16,10 @@ import (
 // fire on exactly the op_count-th one — as an injected error, a panic on the
 // calling goroutine, or added latency.
 func TestCompileDiskFaults(t *testing.T) {
-	install := CompileDiskFaults([]DiskFault{
+	install := CompileDiskFaults([]Fault{
 		{Kind: DiskErr, Rank: 1, File: "output", OpCount: 2},
 		{Kind: DiskPanicOp, Rank: 2, File: "scratch", OpCount: 1},
-		{Kind: DiskSlow, Rank: -1, File: "input", Latency: 5 * time.Millisecond},
+		{Kind: DiskSlow, Rank: -1, File: "input", LatencyUS: 5000},
 	})
 	c := cluster.New(cluster.Config{Nodes: 3})
 	install(c)

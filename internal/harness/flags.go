@@ -69,7 +69,7 @@ func (f *Flags) BindJob(fs *flag.FlagSet) {
 // Job validates the parsed flags and returns the job they describe with the
 // Params to run it on: DefaultParams with the job applied, plus the
 // transport, resilience and tuning the flags chose. Observability is wired
-// separately (Observe), because it starts servers.
+// separately (ObserveCLI), because it starts servers.
 func (f *Flags) Job() (Job, Params, error) {
 	// On the command line a zero is a mistake, not a request for the
 	// default: the flags carry their own defaults.
@@ -119,18 +119,6 @@ func (f *Flags) Job() (Job, Params, error) {
 	return f.job, pr, nil
 }
 
-// Observe starts what the observability flags ask for — the one HTTP
-// server, tracer, watchdog — wires it and the telemetry plane into pr, and
-// returns the function to call with the run's error when the command is
-// done (see ObserveCLI).
-func (f *Flags) Observe(pr *Params) (finish func(runErr error) error, err error) {
-	obs, ct, finish, err := ObserveCLI(f.observe)
-	if err != nil {
-		return nil, err
-	}
-	pr.Observe = obs
-	if pr.Telemetry.Interval > 0 {
-		pr.OnTelemetry = ct.SetPlane
-	}
-	return finish, nil
-}
+// Observe returns the observability flags as parsed; ObserveCLI starts what
+// they ask for.
+func (f *Flags) Observe() ObserveFlags { return f.observe }

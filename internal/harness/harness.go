@@ -78,16 +78,16 @@ type Params struct {
 	// Telemetry, when Interval > 0, starts the cluster telemetry plane on
 	// every cluster the harness builds: each local rank publishes a
 	// RankTelemetry record per interval toward the aggregator rank, and
-	// pull requests for black boxes and profiles are served. When Collect
-	// and Blackbox are unset, the harness fills them from Observe — stage
-	// taxonomy, pool occupancy, and knob positions from the metrics
-	// registry, stall reports from the watchdog, the flight recorder as
-	// the black box. The zero value disables the plane.
+	// pull requests for black boxes and profiles are served. The harness
+	// fills Collect and Blackbox from Observe — stage taxonomy, pool
+	// occupancy, and knob positions from the metrics registry, stall reports
+	// from the watchdog, the flight recorder as the black box. The zero
+	// value disables the plane.
 	Telemetry cluster.TelemetryConfig
 
 	// OnTelemetry, if non-nil, receives each freshly started telemetry
-	// plane — the hook the fleet-view HTTP server
-	// (ClusterTelemetry.SetPlane) uses to follow the current cluster.
+	// plane — the hook the fleet-view HTTP routes use to follow the current
+	// cluster (ObserveCLI sets it).
 	OnTelemetry func(*cluster.Telemetry)
 
 	// Supervise, if greater than 1, wraps each Run in supervise.Run with
@@ -99,12 +99,6 @@ type Params struct {
 	// SuperviseLog, if non-nil, receives the supervisor's per-attempt
 	// progress lines.
 	SuperviseLog io.Writer
-
-	// OnSuperviseReport, if non-nil, receives the supervisor's structured
-	// report when a supervised Run (Supervise > 1) concludes — the soak
-	// harness reads attempt counts and per-attempt errors from it instead
-	// of scraping the log.
-	OnSuperviseReport func(supervise.Report)
 }
 
 // ensureTelemetryObserve gives a telemetry-armed run a metrics registry
@@ -210,20 +204,13 @@ func (pr Params) startTelemetry(c *cluster.Cluster) func() {
 		return func() {}
 	}
 	cfg := pr.Telemetry
-	detach := func() {}
-	if cfg.Collect == nil {
-		fc := newFleetCollector(pr.Observe)
-		cfg.Collect = fc.collectFor(c)
-		if cfg.Blackbox == nil {
-			cfg.Blackbox = fc.blackbox()
-		}
-		detach = fc.restore
-	}
+	fc := newFleetCollector(pr.Observe)
+	cfg.Collect, cfg.Blackbox = fc.collectFor(c), fc.blackbox()
 	t, err := c.StartTelemetry(cfg)
 	if err == nil && t != nil && pr.OnTelemetry != nil {
 		pr.OnTelemetry(t)
 	}
-	return detach
+	return fc.restore
 }
 
 // DefaultParams mirrors the paper's machine at laptop scale: 16 nodes and
@@ -320,9 +307,7 @@ func (pr Params) RunTuned(prog Program, dist workload.Distribution, buffers int,
 		Observe:     pr.Observe,
 		Log:         pr.SuperviseLog,
 	})
-	if pr.OnSuperviseReport != nil {
-		pr.OnSuperviseReport(rep)
-	}
+	res.Attempts = len(rep.Attempts)
 	return res, rep.Err
 }
 
@@ -378,6 +363,7 @@ func (pr Params) runOnce(prog Program, dist workload.Distribution, buffers int, 
 		}
 	}
 	res := results[c.Local()[0].Rank()]
+	res.Attempts = 1
 	res.Disk = oocsort.CollectDiskStats(c)
 	res.Comm = oocsort.CollectCommStats(c)
 	return res, nil

@@ -22,19 +22,19 @@ import (
 // own wire format and its own policy (node bounds, quotas, fault rules) and
 // maps its fields onto a Job for the rest.
 type Job struct {
-	Program string
-	Nodes   int
-	Records int64 // N, cluster-wide
+	Program string `json:"program"`
+	Nodes   int    `json:"nodes"`
+	Records int64  `json:"records"` // N, cluster-wide
 
-	RecordSize     int    // bytes per record; 0 means 16
-	ColumnsPerNode int    // csort geometry and the PDM block; 0 means 1
-	Distribution   string // workload.ParseDistribution spelling; "" means uniform
-	Seed           int64  // 0 means 1
+	RecordSize     int    `json:"record_size,omitempty"`      // bytes per record; 0 means 16
+	ColumnsPerNode int    `json:"columns_per_node,omitempty"` // csort geometry and the PDM block; 0 means 1
+	Distribution   string `json:"distribution,omitempty"`     // workload.ParseDistribution spelling; "" means uniform
+	Seed           int64  `json:"seed,omitempty"`             // 0 means 1
 
-	Parallelism int // intra-buffer kernel workers; 0 means all cores
-	Buffers     int // per-pipeline buffer pool; 0 keeps the program's default
+	Parallelism int `json:"parallelism,omitempty"` // intra-buffer kernel workers; 0 means all cores
+	Buffers     int `json:"buffers,omitempty"`     // per-pipeline buffer pool; 0 keeps the program's default
 
-	Disk *DiskSpec // nil keeps the base Params' disk model
+	Disk *DiskSpec `json:"disk,omitempty"` // nil keeps the base Params' disk model
 }
 
 // DiskSpec is pdm.DiskModel as the JSON front ends spell it.
@@ -49,6 +49,21 @@ func (d DiskSpec) Model() pdm.DiskModel {
 		SeekLatency:    time.Duration(d.SeekLatencyUS) * time.Microsecond,
 		BytesPerSecond: d.BytesPerSecond,
 	}
+}
+
+// HeartbeatSpec and TelemetrySpec are cluster.HealthConfig and
+// cluster.TelemetryConfig (rank 0 is always the aggregator) as the JSON front
+// ends spell them; Rank.Params converts.
+type HeartbeatSpec struct {
+	IntervalMS     int `json:"interval_ms"`
+	SuspectAfterMS int `json:"suspect_after_ms,omitempty"`
+	DeadAfterMS    int `json:"dead_after_ms,omitempty"`
+	StartupGraceMS int `json:"startup_grace_ms,omitempty"`
+}
+
+type TelemetrySpec struct {
+	IntervalMS   int `json:"interval_ms"`
+	StaleAfterMS int `json:"stale_after_ms,omitempty"`
 }
 
 // DecodeStrict reads one JSON document describing a `what` into v: an

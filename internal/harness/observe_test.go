@@ -217,18 +217,16 @@ func TestLongLivedRegistryRepeatsNothing(t *testing.T) {
 // route — node-local and fleet — from that one address; the /debug/vars mirror
 // is gone.
 func TestObserveCLIOneSurface(t *testing.T) {
-	addr := reserveLoopbackPort(t)
-	obs, ct, finish, err := ObserveCLI(ObserveFlags{StatusAddr: addr})
+	addr := reserveLoopback(t)
+	pr := tinyParams()
+	finish, err := ObserveCLI(ObserveFlags{StatusAddr: addr}, &pr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer finish(nil)
-	pr := tinyParams()
 	pr.Nodes = 2
 	pr.ColumnsPerNode = 1
-	pr.Observe = obs
 	pr.Telemetry = cluster.TelemetryConfig{Interval: 2 * time.Millisecond}
-	pr.OnTelemetry = ct.SetPlane
 	if _, err := pr.Run(Dsort, workload.Uniform, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -254,17 +252,16 @@ func TestObserveCLIOneSurface(t *testing.T) {
 func TestObserveCLITraceOutAtomicWrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.json")
-	obs, _, finish, err := ObserveCLI(ObserveFlags{TraceOut: path})
+	pr := tinyParams()
+	finish, err := ObserveCLI(ObserveFlags{TraceOut: path}, &pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs == nil || obs.Tracer == nil || obs.Flight == nil {
+	if obs := pr.Observe; obs == nil || obs.Tracer == nil || obs.Flight == nil {
 		t.Fatalf("bundle incomplete: %+v", obs)
 	}
-	pr := tinyParams()
 	pr.Nodes = 2
 	pr.ColumnsPerNode = 1
-	pr.Observe = obs
 	if _, err := pr.Run(Dsort, workload.Uniform, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -292,12 +289,13 @@ func TestObserveCLITraceOutAtomicWrite(t *testing.T) {
 
 // TestObserveCLIAllOff checks the pay-nothing contract: no flags, no bundle.
 func TestObserveCLIAllOff(t *testing.T) {
-	obs, _, finish, err := ObserveCLI(ObserveFlags{})
+	var pr Params
+	finish, err := ObserveCLI(ObserveFlags{}, &pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs != nil {
-		t.Errorf("zero flags built a bundle: %+v", obs)
+	if pr.Observe != nil || pr.OnTelemetry != nil {
+		t.Errorf("zero flags built a bundle: %+v", pr.Observe)
 	}
 	if finish == nil {
 		t.Fatal("finish is nil")

@@ -26,7 +26,7 @@ type ObserveFlags struct {
 	// written to — atomically, via a temp file and rename, so a run killed
 	// mid-write never leaves a truncated file; load it in chrome://tracing
 	// or https://ui.perfetto.dev.
-	TraceOut string
+	TraceOut string `json:"trace_out,omitempty"`
 	// StatusAddr, when non-empty, is the one address (host:port, ":0" picks
 	// a free port) every observability route is served on for the duration
 	// of the run: /metrics (Prometheus), /status and /status.json (live
@@ -34,42 +34,28 @@ type ObserveFlags struct {
 	// /cluster/metrics, /cluster/blackbox, /cluster/profile. The fleet
 	// routes fill in only where the telemetry plane runs and this process
 	// hosts the aggregator rank; elsewhere they answer 503.
-	StatusAddr string
+	StatusAddr string `json:"status_addr,omitempty"`
 	// StallAfter, when positive, arms a progress watchdog on every network:
 	// a stretch of StallAfter with no stage completing a round prints a
 	// StallReport naming the suspected culprit and dumps the flight
 	// recorder to BlackBoxPath.
-	StallAfter time.Duration
-}
-
-// Serve binds addr and serves h on it in the background — the process's one
-// observability listener. It returns the bound address (":0" resolved) and
-// the function that stops the server.
-func Serve(addr string, h http.Handler) (bound string, stop func() error, err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("harness: observability listener: %w", err)
-	}
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), srv.Close, nil
+	StallAfter time.Duration `json:"stall_after_ns,omitempty"`
 }
 
 // ObserveCLI builds the fg.Observe bundle behind the commands' -trace-out,
-// -status-addr and -stall-after flags. It returns the bundle (nil when f is
-// zero, so an unobserved run costs nothing) and a finish function taking the
-// run's error; finish prints node 0's bottleneck reports, writes the Chrome
-// trace file, dumps the flight recorder if the run died on a panic, and
-// stops the HTTP server. The returned *ClusterTelemetry (nil without
-// StatusAddr) is to be wired into the run via Params.OnTelemetry so the
-// fleet routes follow the current cluster's telemetry plane.
+// -status-addr and -stall-after flags and wires it into pr: the bundle as
+// pr.Observe (left nil when f is zero, so an unobserved run costs nothing)
+// and, with StatusAddr, the fleet routes following each cluster's telemetry
+// plane. It returns a finish function taking the run's error; finish prints
+// node 0's bottleneck reports, writes the Chrome trace file, dumps the flight
+// recorder if the run died on a panic, and stops the HTTP server.
 //
 // Whenever any field is set, a flight recorder rides along: the last few
 // thousand events are retained even when full tracing is off, so the black
 // box has something to say.
-func ObserveCLI(f ObserveFlags) (*fg.Observe, *ClusterTelemetry, func(runErr error) error, error) {
+func ObserveCLI(f ObserveFlags, pr *Params) (finish func(runErr error) error, err error) {
 	if f == (ObserveFlags{}) {
-		return nil, nil, func(error) error { return nil }, nil
+		return func(error) error { return nil }, nil
 	}
 	o := &fg.Observe{}
 	var mu sync.Mutex
@@ -84,18 +70,20 @@ func ObserveCLI(f ObserveFlags) (*fg.Observe, *ClusterTelemetry, func(runErr err
 		mu.Unlock()
 	}
 	o.Flight = fg.NewFlightRecorder(0)
-	var ct *ClusterTelemetry
 	stopServer := func() error { return nil }
 	if f.StatusAddr != "" {
+		// The process's one observability listener.
+		ln, err := net.Listen("tcp", f.StatusAddr)
+		if err != nil {
+			return nil, fmt.Errorf("harness: observability listener: %w", err)
+		}
 		o.Metrics = fg.NewMetricsRegistry()
 		mux := o.Metrics.Handler()
-		ct = MountClusterTelemetry(mux)
-		addr, stop, err := Serve(f.StatusAddr, mux)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		stopServer = stop
-		fmt.Printf("serving on http://%s: /metrics (Prometheus), /status (text), /status.json, and the fleet view under /cluster/\n", addr)
+		pr.OnTelemetry = MountClusterTelemetry(mux).SetPlane
+		srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+		go func() { _ = srv.Serve(ln) }()
+		stopServer = srv.Close
+		fmt.Printf("serving on http://%s: /metrics (Prometheus), /status (text), /status.json, and the fleet view under /cluster/\n", ln.Addr())
 	}
 	if f.TraceOut != "" {
 		o.Tracer = fg.NewTracer(1 << 21)
@@ -124,7 +112,8 @@ func ObserveCLI(f ObserveFlags) (*fg.Observe, *ClusterTelemetry, func(runErr err
 			},
 		}
 	}
-	finish := func(runErr error) error {
+	pr.Observe = o
+	return func(runErr error) error {
 		mu.Lock()
 		for _, r := range reports {
 			fmt.Println(r)
@@ -146,8 +135,7 @@ func ObserveCLI(f ObserveFlags) (*fg.Observe, *ClusterTelemetry, func(runErr err
 			fmt.Println("); load it in chrome://tracing or https://ui.perfetto.dev")
 		}
 		return stopServer()
-	}
-	return o, ct, finish, nil
+	}, nil
 }
 
 // writeFileAtomic writes via a temp file in the target's directory and

@@ -10,9 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -84,15 +82,16 @@ func TestFleetCollectorStallLifecycle(t *testing.T) {
 // bottleneck names a stage, the metrics endpoint carries fleet_ series, and
 // the blackbox endpoint pulls a flight-recorder dump.
 func TestClusterTelemetryInproc(t *testing.T) {
-	obs := &fg.Observe{Metrics: fg.NewMetricsRegistry(), Flight: fg.NewFlightRecorder(0)}
-	mux := obs.Metrics.Handler()
-	ct := MountClusterTelemetry(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	addr := srv.Listener.Addr().String()
+	addr := reserveLoopback(t)
+	pr := DefaultParams()
+	finish, err := ObserveCLI(ObserveFlags{StatusAddr: addr}, &pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer finish(nil)
 
 	// Before any run the endpoints answer 503, not garbage.
-	resp, err := http.Get(srv.URL + "/cluster/status.json")
+	resp, err := http.Get("http://" + addr + "/cluster/status.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +100,12 @@ func TestClusterTelemetryInproc(t *testing.T) {
 		t.Fatalf("pre-run status.json answered %d, want 503", resp.StatusCode)
 	}
 
-	pr := DefaultParams()
 	pr.Nodes = 2
 	pr.TotalRecords = 1 << 12
 	pr.RecordSize = 16
 	pr.Parallelism = 1
 	pr.Verify = false
-	pr.Observe = obs
 	pr.Telemetry = cluster.TelemetryConfig{Interval: 2 * time.Millisecond}
-	pr.OnTelemetry = ct.SetPlane
 	if _, err := pr.Run(Dsort, workload.Uniform, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -180,17 +176,22 @@ func getBody(t *testing.T, addr, path string) string {
 	return string(body)
 }
 
-// reserveLoopbackPort picks a free port the same way spawnTCPJob does for
-// the rank addresses.
-func reserveLoopbackPort(t *testing.T) string {
+// reserveLoopback picks a free address for a process's observability routes.
+func reserveLoopback(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	addrs, err := ReserveLoopback(1)
 	if err != nil {
-		t.Fatalf("reserve port: %v", err)
+		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+	return addrs[0]
+}
+
+// logRanks ends whatever is still running and logs what every rank said.
+func logRanks(t *testing.T, l *Launcher) {
+	exits, _ := l.Wait(0, nil)
+	for _, e := range exits {
+		t.Logf("rank %d stdout:\n%s\nstderr:\n%s", e.Rank, e.Stdout, e.Stderr)
+	}
 }
 
 // TestClusterTelemetryTwoProcessTCP is the tentpole acceptance test: two
@@ -198,16 +199,16 @@ func reserveLoopbackPort(t *testing.T) string {
 // the control connection, and rank 0's /cluster/status.json names the
 // governing rank and stage for the whole job.
 func TestClusterTelemetryTwoProcessTCP(t *testing.T) {
-	addr := reserveLoopbackPort(t)
-	children := spawnTCPJob(t, 2, func(rank int) []string {
-		// A job big enough to watch live: the 4K-record fault-test sort
-		// finishes inside one telemetry interval.
-		env := []string{"FG_TCP_TELEMETRY=10ms", "FG_TCP_LINGER=60s",
-			"FG_TCP_STACKDUMP=30s", "FG_TCP_RECORDS=262144"}
-		if rank == 0 {
-			env = append(env, "FG_TCP_STATUS_ADDR="+addr)
+	addr := reserveLoopback(t)
+	// A job big enough to watch live: the 4K-record fault-test sort
+	// finishes inside one telemetry interval.
+	job := tcpJob
+	job.Records = 1 << 18
+	l := launchRanks(t, job, func(r *Rank) {
+		r.Telemetry, r.Hold = &TelemetrySpec{IntervalMS: 10}, true
+		if r.Rank == 0 {
+			r.Observe.StatusAddr = addr
 		}
-		return env
 	})
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -224,9 +225,7 @@ func TestClusterTelemetryTwoProcessTCP(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			for rank, ch := range children {
-				t.Logf("rank %d stdout:\n%s\nstderr:\n%s", rank, ch.stdout.String(), ch.stderr.String())
-			}
+			logRanks(t, l)
 			doc, _ := json.Marshal(st)
 			t.Fatalf("fleet view never named a governing rank+stage (last err: %v)\nlast view: %s", err, doc)
 		}
@@ -240,13 +239,14 @@ func TestClusterTelemetryTwoProcessTCP(t *testing.T) {
 // diagnosis names the stalled rank and stage — a cross-rank story assembled
 // in one place.
 func TestClusterTelemetryRemoteStallDiagnosis(t *testing.T) {
-	addr := reserveLoopbackPort(t)
-	children := spawnTCPJob(t, 2, func(rank int) []string {
-		env := []string{"FG_TCP_TELEMETRY=10ms", "FG_TCP_LINGER=60s", "FG_TCP_STALL=1500ms"}
-		if rank == 0 {
-			env = append(env, "FG_TCP_STATUS_ADDR="+addr, "FG_TCP_FAULT=closemid")
+	addr := reserveLoopback(t)
+	l := launchRanks(t, tcpJob, func(r *Rank) {
+		r.Telemetry, r.Hold = &TelemetrySpec{IntervalMS: 10}, true
+		r.Observe.StallAfter, r.AbortOnStall = 1500*time.Millisecond, true
+		r.Faults = []Fault{{Kind: NetClose, Rank: 0, DropN: 1, MinBytes: 8 << 10}}
+		if r.Rank == 0 {
+			r.Observe.StatusAddr = addr
 		}
-		return env
 	})
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -262,9 +262,7 @@ func TestClusterTelemetryRemoteStallDiagnosis(t *testing.T) {
 			}
 		}
 		if time.Now().After(deadline) {
-			for rank, ch := range children {
-				t.Logf("rank %d stdout:\n%s\nstderr:\n%s", rank, ch.stdout.String(), ch.stderr.String())
-			}
+			logRanks(t, l)
 			t.Fatalf("no stall diagnosis ever surfaced (last err: %v, diagnosis: %q)", err, st.Diagnosis)
 		}
 		time.Sleep(50 * time.Millisecond)

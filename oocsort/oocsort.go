@@ -137,6 +137,9 @@ type Result struct {
 	// of recomputing; empty for a from-scratch run. A resumed pass still
 	// appears in Passes, its duration being the restore time.
 	Resumed []string
+	// Attempts is how many times the harness ran the program to get this
+	// result: 1 unless a supervisor retried it.
+	Attempts int
 	// Disk and network traffic accumulated across the whole run.
 	Disk pdm.Counters
 	Comm cluster.CommStats

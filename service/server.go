@@ -411,7 +411,7 @@ func (s *Server) params(j *Job) (harness.Params, func(), error) {
 			// Compiled per cluster, so the fault fires in every attempt of a
 			// supervised job. It runs on the stage goroutine that issued the
 			// operation.
-			harness.CompileDiskFaults([]harness.DiskFault{
+			harness.CompileDiskFaults([]harness.Fault{
 				{Kind: f.Kind, Rank: f.Rank, OpCount: f.OpCount, File: f.File},
 			})(c)
 		}

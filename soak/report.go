@@ -96,6 +96,13 @@ func (r RunReport) WriteJSON(path string) error {
 	return os.WriteFile(path, raw, 0o644)
 }
 
+func verdict(ok bool) string {
+	if ok {
+		return "PASSED"
+	}
+	return "FAILED"
+}
+
 // Summary renders a short human verdict for the driver's log.
 func (r RunReport) Summary() string {
 	passed := 0
@@ -104,11 +111,7 @@ func (r RunReport) Summary() string {
 			passed++
 		}
 	}
-	verdict := "PASSED"
-	if !r.OK {
-		verdict = "FAILED"
-	}
-	line := fmt.Sprintf("soak %s: %s (%d/%d trials passed", r.Scenario, verdict, passed, len(r.Trials))
+	line := fmt.Sprintf("soak %s: %s (%d/%d trials passed", r.Scenario, verdict(r.OK), passed, len(r.Trials))
 	if best := r.best(); best != nil {
 		line += fmt.Sprintf(", best %.1fs, retries=%d restarts=%d reconnects=%d",
 			best.WallMS/1e3, best.Retries, best.Restarts, best.Reconnects)

@@ -93,85 +93,20 @@ type Scenario struct {
 	Faults []Fault `json:"faults,omitempty"`
 }
 
-// HeartbeatSpec mirrors cluster.HealthConfig in milliseconds.
-type HeartbeatSpec struct {
-	IntervalMS     int `json:"interval_ms"`
-	SuspectAfterMS int `json:"suspect_after_ms,omitempty"`
-	DeadAfterMS    int `json:"dead_after_ms,omitempty"`
-	StartupGraceMS int `json:"startup_grace_ms,omitempty"`
-}
-
-// TelemetrySpec mirrors cluster.TelemetryConfig in milliseconds. Rank 0 is
-// always the aggregator: it is the rank the driver watches and the one rank
-// a scenario may not kill.
-type TelemetrySpec struct {
-	IntervalMS   int `json:"interval_ms"`
-	StaleAfterMS int `json:"stale_after_ms,omitempty"`
-}
-
-// DiskSpec is the disk model as every JSON front end spells it.
-type DiskSpec = harness.DiskSpec
-
-// Fault kinds. Each kind compiles onto a different layer of the fault
-// machinery; see newFaultSet in worker.go for the mapping.
-const (
-	// FaultKillOp SIGKILLs rank Rank from inside, on the OpCount-th disk
-	// operation touching File ("output", "input", or empty for any) —
-	// deterministic mid-pass death, the internal/faultinject KillOn hook.
-	FaultKillOp = harness.DiskKillOp
-	// FaultKillAfter SIGKILLs rank Rank from outside (the driver) after
-	// AfterMS of wall clock — asynchronous death, nothing in the victim
-	// cooperates.
-	FaultKillAfter = "kill-after"
-	// FaultPartition simulates a flapping link to rank Rank: every process
-	// drops frames to and from it for DownMS, heals for UpMS, Cycles
-	// times, starting after AfterMS. DownMS below the dead threshold
-	// proves churn does not kill; above it proves sustained partitions do.
-	FaultPartition = "partition"
-	// FaultDiskSlow adds LatencyUS to every disk operation on rank Rank
-	// (-1 for all ranks), optionally scoped to File.
-	FaultDiskSlow = harness.DiskSlow
-	// FaultNetDrop drops the first DropN outgoing data frames of at least
-	// MinBytes payload from rank Rank; the resulting CommError fails the
-	// attempt and the supervisor's retry must absorb it.
-	FaultNetDrop = "net-drop"
+// HeartbeatSpec, TelemetrySpec and DiskSpec are the failure detector, the
+// telemetry plane (rank 0 is always the aggregator: the rank the driver
+// watches and the one rank a scenario may not kill) and the disk model as
+// every JSON front end spells them.
+type (
+	HeartbeatSpec = harness.HeartbeatSpec
+	TelemetrySpec = harness.TelemetrySpec
+	DiskSpec      = harness.DiskSpec
 )
 
-// A Fault is one scheduled misfortune in a scenario plan.
-type Fault struct {
-	// Kind selects the fault mechanism (the Fault* constants).
-	Kind string `json:"kind"`
-	// Rank is the afflicted rank; -1 means every rank where the kind
-	// supports it (disk-slow only).
-	Rank int `json:"rank"`
-
-	// OpCount is the 1-based disk-operation index a kill-op dies on.
-	OpCount int64 `json:"op_count,omitempty"`
-	// File scopes kill-op and disk-slow to one job file name ("output",
-	// "input"); empty means any file.
-	File string `json:"file,omitempty"`
-
-	// AfterMS delays kill-after and partition faults from trial start.
-	AfterMS int `json:"after_ms,omitempty"`
-
-	// Restart makes the driver spawn a replacement process for a killed
-	// rank; RestartDelayMS bounds how long it waits for a surviving
-	// supervisor to report the failed attempt before spawning anyway.
-	Restart        bool `json:"restart,omitempty"`
-	RestartDelayMS int  `json:"restart_delay_ms,omitempty"`
-
-	// DownMS, UpMS, Cycles shape a partition fault's churn.
-	DownMS int `json:"down_ms,omitempty"`
-	UpMS   int `json:"up_ms,omitempty"`
-	Cycles int `json:"cycles,omitempty"`
-
-	// LatencyUS is disk-slow's added per-operation latency.
-	LatencyUS int `json:"latency_us,omitempty"`
-
-	// DropN and MinBytes shape a net-drop fault.
-	DropN    int `json:"drop_n,omitempty"`
-	MinBytes int `json:"min_bytes,omitempty"`
-}
+// A Fault is one scheduled misfortune in a scenario plan. Of the kinds
+// harness.Fault documents, a plan may schedule kill-op, kill-after,
+// partition, disk-slow and net-drop.
+type Fault = harness.Fault
 
 // DecodeScenario reads one scenario from JSON, strictly: unknown fields,
 // trailing garbage, and semantically inconsistent plans are all errors. It
@@ -252,50 +187,27 @@ func (s Scenario) validateFault(i int, f Fault) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("soak: scenario %s fault %d (%s): %s", s.Name, i, f.Kind, fmt.Sprintf(format, args...))
 	}
-	rankInRange := f.Rank >= 0 && f.Rank < s.Ranks
 	switch f.Kind {
-	case FaultKillOp:
-		if !rankInRange {
-			return bad("rank %d outside [0, %d)", f.Rank, s.Ranks)
-		}
-		if f.OpCount <= 0 {
-			return bad("op_count must be >= 1")
-		}
-	case FaultKillAfter:
-		if !rankInRange {
-			return bad("rank %d outside [0, %d)", f.Rank, s.Ranks)
-		}
-		if f.AfterMS <= 0 {
-			return bad("after_ms must be >= 1")
-		}
-	case FaultPartition:
-		if !rankInRange {
-			return bad("rank %d outside [0, %d)", f.Rank, s.Ranks)
-		}
-		if f.DownMS <= 0 || f.UpMS <= 0 || f.Cycles <= 0 {
-			return bad("down_ms, up_ms, and cycles must all be >= 1")
-		}
-	case FaultDiskSlow:
-		if !rankInRange && f.Rank != -1 {
-			return bad("rank %d is neither -1 (all) nor in [0, %d)", f.Rank, s.Ranks)
-		}
-		if f.LatencyUS <= 0 {
-			return bad("latency_us must be >= 1")
-		}
-	case FaultNetDrop:
-		if !rankInRange {
-			return bad("rank %d outside [0, %d)", f.Rank, s.Ranks)
-		}
-		if f.DropN <= 0 {
-			return bad("drop_n must be >= 1")
-		}
-		if f.MinBytes < 0 {
-			return bad("min_bytes must be >= 0")
-		}
+	case harness.DiskKillOp, harness.KillAfter, harness.Partition, harness.DiskSlow, harness.NetDrop:
 	default:
 		return bad("unknown fault kind")
 	}
-	if kills := f.Kind == FaultKillOp || f.Kind == FaultKillAfter; kills {
+	if inRange := f.Rank >= 0 && f.Rank < s.Ranks; !inRange && !(f.Kind == harness.DiskSlow && f.Rank == -1) {
+		return bad("rank %d outside [0, %d) (only disk-slow takes -1 for all)", f.Rank, s.Ranks)
+	}
+	switch {
+	case f.Kind == harness.DiskKillOp && f.OpCount <= 0:
+		return bad("op_count must be >= 1")
+	case f.Kind == harness.KillAfter && f.AfterMS <= 0:
+		return bad("after_ms must be >= 1")
+	case f.Kind == harness.Partition && (f.DownMS <= 0 || f.UpMS <= 0 || f.Cycles <= 0):
+		return bad("down_ms, up_ms, and cycles must all be >= 1")
+	case f.Kind == harness.DiskSlow && f.LatencyUS <= 0:
+		return bad("latency_us must be >= 1")
+	case f.Kind == harness.NetDrop && (f.DropN <= 0 || f.MinBytes < 0):
+		return bad("drop_n must be >= 1 and min_bytes >= 0")
+	}
+	if kills := f.Kind == harness.DiskKillOp || f.Kind == harness.KillAfter; kills {
 		if f.Rank == 0 {
 			return bad("rank 0 is the driver's supervisor observer and may not be killed")
 		}
@@ -309,17 +221,15 @@ func (s Scenario) validateFault(i int, f Fault) error {
 			return bad("a restarted rank needs checkpoint: true to resume")
 		}
 	}
-	if (f.Kind == FaultNetDrop) && s.MaxAttempts <= 1 {
-		return fmt.Errorf("soak: scenario %s fault %d (%s): net-drop fails the attempt; max_attempts > 1 is required to absorb it", s.Name, i, f.Kind)
+	if f.Kind == harness.NetDrop && s.MaxAttempts <= 1 {
+		return bad("net-drop fails the attempt; max_attempts > 1 is required to absorb it")
 	}
 	return nil
 }
 
-// Zero values in the JSON mean "the usual": one trial, one attempt, two
-// minutes.
+// Zero values in the JSON mean "the usual": one trial, two minutes.
 
-func (s Scenario) trials() int      { return max(s.Trials, 1) }
-func (s Scenario) maxAttempts() int { return max(s.MaxAttempts, 1) }
+func (s Scenario) trials() int { return max(s.Trials, 1) }
 
 // Timeout returns the per-trial wall-clock bound.
 func (s Scenario) Timeout() time.Duration {

@@ -54,6 +54,7 @@ func TestDecodeScenarioRejects(t *testing.T) {
 		{"kill without heartbeat", `{"name": "x", ` + base + `, "max_attempts": 2, "faults": [{"kind": "kill-op", "rank": 1, "op_count": 1}]}`, "heartbeat"},
 		{"restart without checkpoint", `{"name": "x", ` + base + `, "max_attempts": 2, ` + hb + `, "faults": [{"kind": "kill-op", "rank": 1, "op_count": 1, "restart": true}]}`, "checkpoint"},
 		{"partition shape", `{"name": "x", ` + base + `, "faults": [{"kind": "partition", "rank": 1, "down_ms": 100}]}`, "cycles"},
+		{"restart delay", `{"name": "x", ` + base + `, "checkpoint": true, "max_attempts": 2, ` + hb + `, "faults": [{"kind": "kill-op", "rank": 1, "op_count": 1, "restart": true, "restart_delay_ms": 500}]}`, "unknown field"},
 		{"net-drop unabsorbed", `{"name": "x", ` + base + `, "faults": [{"kind": "net-drop", "rank": 1, "drop_n": 1}]}`, "max_attempts"},
 	}
 	for _, tc := range cases {
@@ -81,9 +82,6 @@ func TestScenarioDefaults(t *testing.T) {
 	}
 	if got := s.trials(); got != 1 {
 		t.Errorf("trials default %d", got)
-	}
-	if got := s.maxAttempts(); got != 1 {
-		t.Errorf("max attempts default %d", got)
 	}
 	if got := s.Timeout().Seconds(); got != 120 {
 		t.Errorf("timeout default %vs", got)
