@@ -12,6 +12,14 @@
 // stage that feeds a horizontal pipeline, whose send stage disperses the
 // merged records to the nodes owning their striped blocks; a disjoint
 // receive pipeline accepts and writes them (Figure 7).
+//
+// Each node has one disk head, and dsort schedules it twice (DESIGN.md,
+// "dsort on one disk head"). In pass 2 output writes stand aside while a
+// run read can proceed — a node's reads feed, through its merge, every
+// other node's writes; its writes feed nobody (runReads, pass2.go). And
+// sampling reads its positions in one offset-ordered sweep, nearby samples
+// sharing a read when the gap is cheaper than a second positioning
+// (readSamples, pass1.go).
 package dsort
 
 import (
@@ -40,8 +48,8 @@ type Config struct {
 	OutRecords int
 	// Oversample is the per-boundary sampling factor of the splitter phase.
 	Oversample int
-	// Buffers is the pool size of every non-vertical pipeline; vertical
-	// pipelines use two buffers each. The overlap ablation sets it to 1.
+	// Buffers is the pool size of every non-vertical pipeline; each vertical
+	// pipeline has verticalBuffers. The overlap ablation sets it to 1.
 	Buffers int
 
 	// Retry, when MaxAttempts > 1, wraps every disk-touching round stage

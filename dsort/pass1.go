@@ -2,27 +2,69 @@ package dsort
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/sortalgo"
 	"github.com/fg-go/fg/internal/splitter"
+	"github.com/fg-go/fg/pdm"
 	"github.com/fg-go/fg/records"
 )
 
-// selectSplitters runs the preprocessing phase: every node samples its
-// local input at random positions (paying the single-record disk reads) and
-// the cluster agrees on P-1 extended-key splitters.
+// selectSplitters runs the preprocessing phase: every node reads the keys
+// at its sample positions off the local input, in offset order with nearby
+// samples sharing a read, and the cluster agrees on P-1 extended-key
+// splitters.
 func selectSplitters(n *cluster.Node, cfg Config) ([]records.ExtKey, error) {
-	f := cfg.Spec.Format
-	comm := n.Comm("dsort.sample")
-	rec := make([]byte, f.Size)
-	return splitter.Select(comm, cfg.Spec.PerNode(n.P()), func(idx int64) (uint64, error) {
-		if err := n.Disk.ReadAt(cfg.Spec.InputName, rec, idx*int64(f.Size)); err != nil {
-			return 0, err
+	p := n.P()
+	positions := splitter.Positions(n.Rank(), p, cfg.Spec.PerNode(p), cfg.Oversample, cfg.Spec.Seed)
+	// No sampling read is larger than a pass-1 buffer: the phase stays
+	// within the memory the sort is about to use anyway.
+	local, err := readSamples(n.Disk, cfg.Spec.InputName, cfg.Spec.Format, n.Rank(), positions,
+		cfg.Spec.Format.Bytes(cfg.RunRecords))
+	if err != nil {
+		return nil, err
+	}
+	return splitter.Choose(n.Comm("dsort.sample"), local)
+}
+
+// readSamples returns the extended keys of the records at the given
+// positions of the named file, sorting positions in place and reading them
+// in one sweep. Two consecutive samples share one ReadAt when they are
+// duplicates or neighbours, or when transferring the bytes between them
+// costs less than positioning the head a second time (SeekLatency x
+// BytesPerSecond bytes under the disk's model; never on a disk that charges
+// nothing) — as long as the shared read stays within maxBytes. The price is
+// I/O volume: the gaps are read and discarded.
+func readSamples(d *pdm.Disk, name string, f records.Format, rank int, positions []int64, maxBytes int) ([]records.ExtKey, error) {
+	slices.Sort(positions)
+	m := d.Model()
+	size := int64(f.Size)
+	keys := make([]records.ExtKey, 0, len(positions))
+	var buf []byte
+	for i := 0; i < len(positions); {
+		first := positions[i]
+		j := i + 1
+		for ; j < len(positions) && (positions[j]+1-first)*size <= int64(maxBytes); j++ {
+			gap := (positions[j] - positions[j-1] - 1) * size
+			if gap > 0 && m.Cost(int(gap)) >= 2*m.SeekLatency {
+				break
+			}
 		}
-		return f.Key(rec), nil
-	}, cfg.Oversample, cfg.Spec.Seed)
+		length := int((positions[j-1] + 1 - first) * size)
+		if cap(buf) < length {
+			buf = make([]byte, length)
+		}
+		if err := d.ReadAt(name, buf[:length], first*size); err != nil {
+			return nil, fmt.Errorf("dsort: sampling records %d..%d on node %d: %w", first, positions[j-1], rank, err)
+		}
+		for _, idx := range positions[i:j] {
+			keys = append(keys, records.ExtKey{Key: f.KeyAt(buf, int(idx-first)), Node: uint32(rank), Seq: uint64(idx)})
+		}
+		i = j
+	}
+	return keys, nil
 }
 
 // permuteStage returns the round function that rearranges a buffer so that

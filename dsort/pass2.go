@@ -4,12 +4,68 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/sortalgo"
 	"github.com/fg-go/fg/mergetree"
 )
+
+// verticalBuffers is the pool of each vertical pipeline: one buffer under
+// the merge, one read ahead of it, one in the read stage.
+const verticalBuffers = 3
+
+// runReads orders pass 2's two users of the node's one disk head: output
+// writes stand aside while a run read can proceed. A node's run reads feed
+// its merge and through it every node's writes; its writes feed nobody, and
+// under the PDM stripe some nodes receive nothing until their senders have
+// read most of their runs (DESIGN.md, "Pass 2: reads before writes").
+//
+// A run read can proceed exactly when the verticals' sources have emitted a
+// buffer the read stage has not finished with — counted at the sources, not
+// from what the merge conveyed, because the auto-tuner may park a recycled
+// buffer. The rule cannot deadlock: a write waits only for reads that hold
+// a buffer, and a read never waits for a write. Once back-pressure stops
+// the reads nothing is pending and reads and writes interleave as they come.
+type runReads struct {
+	runs      []*fg.Pipeline
+	completed atomic.Int64
+	wake      chan struct{} // holds a token while a completion is unobserved
+}
+
+// counted wraps the read stage's function — outside any retry, so a round
+// counts once however many attempts it took.
+func (r *runReads) counted(read fg.RoundFunc) fg.RoundFunc {
+	return func(ctx *fg.Ctx, b *fg.Buffer) error {
+		err := read(ctx, b)
+		r.completed.Add(1)
+		select {
+		case r.wake <- struct{}{}:
+		default:
+		}
+		return err
+	}
+}
+
+// yield blocks while a run read is pending. done (the network shutting
+// down) releases it: the reads it waits for will then never complete.
+func (r *runReads) yield(done <-chan struct{}) {
+	for {
+		pending := -r.completed.Load()
+		for _, v := range r.runs {
+			pending += v.Emitted()
+		}
+		if pending <= 0 {
+			return
+		}
+		select {
+		case <-r.wake:
+		case <-done:
+			return
+		}
+	}
+}
 
 // pass2 merges this node's sorted runs into one sorted stream, then
 // load-balances and stripes it across the cluster (Figure 7). The vertical
@@ -64,6 +120,7 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 	// read stages (and sources and sinks) with single threads.
 	k := len(runLens)
 	verticals := make([]*fg.Pipeline, k)
+	reads := &runReads{runs: verticals, wake: make(chan struct{}, 1)}
 	runBytes := f.Bytes(cfg.RunRecords)
 	if k > 0 {
 		vg := nw.AddVirtualGroup("runs")
@@ -72,8 +129,8 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 			lenBytes := f.Bytes(runLens[i])
 			rounds := (lenBytes + vBufBytes - 1) / vBufBytes
 			verticals[i] = vg.AddPipeline(fmt.Sprintf("run%d", i),
-				fg.Buffers(3), fg.BufferBytes(vBufBytes), fg.Rounds(rounds))
-			verticals[i].AddStage("read", cfg.diskStage(func(ctx *fg.Ctx, b *fg.Buffer) error {
+				fg.Buffers(verticalBuffers), fg.BufferBytes(vBufBytes), fg.Rounds(rounds))
+			verticals[i].AddStage("read", reads.counted(cfg.diskStage(func(ctx *fg.Ctx, b *fg.Buffer) error {
 				off := b.Round * vBufBytes
 				cnt := vBufBytes
 				if off+cnt > lenBytes {
@@ -81,7 +138,7 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 				}
 				b.N = cnt
 				return n.Disk.ReadAt(runsFile, b.Data[:cnt], int64(i)*int64(runBytes)+int64(off))
-			}))
+			})))
 		}
 	}
 
@@ -243,8 +300,9 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 		return nil
 	})
 	// Rewriting the same extents at the same offsets is idempotent, so the
-	// whole unpack-and-write round can be retried.
-	recv.AddStage("write", cfg.diskStage(func(ctx *fg.Ctx, b *fg.Buffer) error {
+	// whole unpack-and-write round can be retried. Waiting for the run reads
+	// is not part of an attempt.
+	write := cfg.diskStage(func(ctx *fg.Ctx, b *fg.Buffer) error {
 		for pos := 0; pos < b.N; {
 			mlen := int(binary.BigEndian.Uint32(b.Data[pos:]))
 			off := int64(binary.BigEndian.Uint64(b.Data[pos+4:]))
@@ -255,7 +313,11 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 			pos += 4 + mlen
 		}
 		return nil
-	}))
+	})
+	recv.AddStage("write", func(ctx *fg.Ctx, b *fg.Buffer) error {
+		reads.yield(ctx.Done())
+		return write(ctx, b)
+	})
 
 	return nw.Run()
 }

@@ -44,7 +44,12 @@
 // explode. A VirtualGroup declares k pipelines whose stages at each
 // position share a single goroutine and a single input queue, exactly as
 // FG's virtual stages share one thread. The group's sources and sinks are
-// virtualized automatically.
+// virtualized automatically. The shared source injects the members' initial
+// pools round-major — buffer 0 of every member, then buffer 1 of every
+// member, and so on — so the first k buffers through a virtual stage belong
+// to k different members, and a stage that needs one buffer from each (a
+// k-way merge) starts after k rounds; recycled buffers re-enter in the
+// order the sink returns them.
 //
 // # Shutdown
 //

@@ -122,6 +122,12 @@ func (p *Pipeline) EffectiveBuffers() int {
 	return n
 }
 
+// Emitted returns how many buffers the source has injected so far (what
+// Stats reports as PipelineStats.Rounds), from any goroutine. The count is
+// published before the buffer reaches the first stage, so a stage counting
+// its own completed rounds never sees more of them than Emitted.
+func (p *Pipeline) Emitted() int64 { return p.emitted.Load() }
+
 // SetEffectiveBuffers asks the source to keep only n of the pipeline's
 // NumBuffers circulating, parking the rest; raising it re-injects parked
 // buffers. n is clamped to [1, NumBuffers]. It is safe to call at any
@@ -324,9 +330,9 @@ func (g *group) build() error {
 	return nil
 }
 
-// runSource is the group's (virtual) source: it injects each member
-// pipeline's buffers round by round, recycles returned buffers, and emits
-// each member's caboose after its last round (or on Stop). One goroutine
+// runSource is the group's (virtual) source: it injects the members'
+// initial pools interleaved, recycles returned buffers, and emits each
+// member's caboose after its last round (or on Stop). One goroutine
 // serves all members, as FG's automatic virtualization of sources does.
 func (g *group) runSource() {
 	defer g.nw.wg.Done()
@@ -375,18 +381,24 @@ func (g *group) runSource() {
 		}
 	}
 
-	// Initial injection: each member's whole pool, capped at its rounds.
-	// Buffers beyond the pipeline's effective count are allocated (the
-	// memory bound is the configured pool size) but parked, entering
+	// Initial injection: each member's whole pool, capped at its rounds,
+	// round-major — buffer 0 of every member, then buffer 1, ... — so a stage
+	// that needs one buffer from each of k members (a k-way merge) starts
+	// after k rounds of the first stage, not after the earlier members'
+	// whole pools. Buffers beyond a pipeline's effective count are allocated
+	// (the memory bound is the configured pool size) but parked, entering
 	// circulation only if the effective count is raised.
-	live := 0
+	maxBuffers := 0
 	for _, p := range g.pipes {
 		states[p] = &state{}
-		st := states[p]
-		for i := 0; i < p.nBuffers; i++ {
-			if !wantsMore(p) {
-				break
+		maxBuffers = max(maxBuffers, p.nBuffers)
+	}
+	for i := 0; i < maxBuffers; i++ {
+		for _, p := range g.pipes {
+			if i >= p.nBuffers || !wantsMore(p) {
+				continue
 			}
+			st := states[p]
 			b := newBuffer(p)
 			g.bufs = append(g.bufs, b)
 			if st.circulating >= p.EffectiveBuffers() {
@@ -398,8 +410,11 @@ func (g *group) runSource() {
 			}
 			st.circulating++
 		}
+	}
+	live := 0
+	for _, p := range g.pipes {
 		closeout(p)
-		if !st.caboose {
+		if !states[p].caboose {
 			live++
 		}
 	}

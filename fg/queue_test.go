@@ -1,6 +1,7 @@
 package fg
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -271,5 +272,53 @@ func TestEffectiveBuffersRaiseMidRun(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Errorf("%d distinct buffers circulated after the raise, want all 4", len(seen))
+	}
+}
+
+// TestVirtualGroupInjectsRoundMajor: a group's source injects buffer 0 of
+// every member before any member's buffer 1, so the first k buffers a
+// virtual stage sees come from k distinct members — a k-way merge behind it
+// starts after k rounds, not after the earlier members' whole pools. The
+// members differ in every way that shapes the order: pool sizes, a round
+// count below the pool, and an effective count below the pool (whose
+// parked buffers must stay parked).
+func TestVirtualGroupInjectsRoundMajor(t *testing.T) {
+	nw := NewNetwork("inject")
+	vg := nw.AddVirtualGroup("members")
+	members := []struct {
+		name            string
+		buffers, rounds int
+	}{{"a", 3, 2}, {"b", 1, 5}, {"c", 4, 6}, {"d", 3, 4}}
+	var order []string // the slot's one goroutine appends: no lock needed
+	parked := map[*Buffer]bool{}
+	for _, m := range members {
+		m := m
+		p := vg.AddPipeline(m.name, Buffers(m.buffers), BufferBytes(8), Rounds(m.rounds))
+		if m.name == "d" {
+			p.SetEffectiveBuffers(1)
+		}
+		p.AddStage("see", func(ctx *Ctx, b *Buffer) error {
+			order = append(order, fmt.Sprintf("%s%d", m.name, b.Round))
+			if m.name == "d" {
+				parked[b] = true
+			}
+			return nil
+		})
+	}
+	if err := nw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// The whole initial injection precedes the first recycled buffer.
+	want := []string{"a0", "b0", "c0", "d0", "a1", "c1", "c2", "c3"}
+	if len(order) != 2+5+6+4 {
+		t.Fatalf("saw %d rounds, want 17: %v", len(order), order)
+	}
+	for i, w := range want {
+		if order[i] != w {
+			t.Fatalf("injection order %v, want prefix %v", order[:len(want)], want)
+		}
+	}
+	if len(parked) != 1 {
+		t.Errorf("%d distinct buffers of the member with effective count 1 circulated, want 1", len(parked))
 	}
 }

@@ -170,6 +170,13 @@ func (c *Ctx) Network() *Network { return c.nw }
 // Stage returns the stage this context belongs to.
 func (c *Ctx) Stage() *Stage { return c.stage }
 
+// Done returns a channel that is closed when the network begins shutting
+// down: a stage failed, the RunContext was cancelled, or every pipeline
+// completed. A stage that waits on something the framework cannot see — a
+// condition another stage of the network signals — selects on it beside its
+// own wake-up, so a failing network never leaves it parked.
+func (c *Ctx) Done() <-chan struct{} { return c.nw.done }
+
 // Accept receives the next buffer from the stage's predecessor in its
 // primary pipeline (the one it was first added to). It returns ok=false
 // when the pipeline's caboose arrives — no more buffers will follow — or

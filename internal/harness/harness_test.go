@@ -88,7 +88,15 @@ func TestFigure8CellsAndFormat(t *testing.T) {
 }
 
 func TestCsortMovesFiftyPercentMoreIO(t *testing.T) {
+	// The paper's claim is about the passes: csort moves the data 6 times,
+	// dsort 4 times plus its samples. On a disk that charges for positioning
+	// dsort buys seeks with bytes (dsort's readSamples), and at this scale —
+	// 96 samples in each node's 16 KiB, a mean gap of 176 B against a
+	// break-even of 10 KB — it rightly reads the whole input once more and
+	// the ratio falls to ~1.2. So the window is asserted where sampling
+	// reads exactly its samples: on a model without positioning cost.
 	pr := tinyParams()
+	pr.Disk = pdm.DiskModel{BytesPerSecond: 200e6}
 	d, err := pr.Run(Dsort, workload.Uniform, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +109,20 @@ func TestCsortMovesFiftyPercentMoreIO(t *testing.T) {
 	// csort: 6x data volume; dsort: 4x plus sampling. Expect ~1.5.
 	if ratio < 1.40 || ratio > 1.55 {
 		t.Errorf("csort/dsort I/O ratio = %.3f, want ~1.5", ratio)
+	}
+
+	// With positioning charged, the samples coalesce: fewer reads, and never
+	// more than one extra pass over the input on top of pass 1's and pass 2's.
+	seeking, err := tinyParams().Run(Dsort, workload.Uniform, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seeking.Disk.ReadOps >= d.Disk.ReadOps {
+		t.Errorf("dsort issues %d reads on a seeking disk, %d on a seek-free one; want fewer",
+			seeking.Disk.ReadOps, d.Disk.ReadOps)
+	}
+	if data := pr.TotalRecords * int64(pr.RecordSize); seeking.Disk.BytesRead > 3*data {
+		t.Errorf("dsort read %d bytes of a %d-byte input; sampling may cost at most one pass", seeking.Disk.BytesRead, data)
 	}
 }
 

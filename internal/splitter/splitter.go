@@ -25,44 +25,57 @@ import (
 const DefaultOversample = 32
 
 // A Sampler yields the sort key of the local record with the given index.
-// dsort backs it with single-record disk reads; the sampling volume is tiny
-// (the paper reports the phase's time as negligible).
+// Select calls it once per sample, in the order Positions drew them; a
+// caller whose records are on disk does better taking Positions itself and
+// reading them in offset order (dsort does), then calling Choose.
 type Sampler func(idx int64) (uint64, error)
+
+// Positions returns the indices of the local records node rank of p samples:
+// oversample*(P-1) draws from [0, localCount), with replacement (duplicates
+// are harmless thanks to extended keys), in draw order. oversample <= 0
+// selects DefaultOversample; seed makes the draws deterministic. A node
+// without records samples nothing.
+func Positions(rank, p int, localCount int64, oversample int, seed int64) []int64 {
+	if oversample <= 0 {
+		oversample = DefaultOversample
+	}
+	if localCount <= 0 {
+		return nil
+	}
+	rng := rand.New(rand.NewSource(seed ^ int64(rank)*0x9e3779b9))
+	positions := make([]int64, oversample*(p-1))
+	for i := range positions {
+		positions[i] = rng.Int63n(localCount)
+	}
+	return positions
+}
 
 // Select runs the sampling phase. Every node of the cluster calls Select
 // with its local record count and sampler; every node returns the same
 // P-1 splitters, sorted ascending. oversample <= 0 selects
 // DefaultOversample. seed makes the sampled indices deterministic.
 func Select(comm *cluster.Comm, localCount int64, sample Sampler, oversample int, seed int64) ([]records.ExtKey, error) {
-	if oversample <= 0 {
-		oversample = DefaultOversample
+	rank := comm.Rank()
+	positions := Positions(rank, comm.P(), localCount, oversample, seed)
+	local := make([]records.ExtKey, 0, len(positions))
+	for _, idx := range positions {
+		key, err := sample(idx)
+		if err != nil {
+			return nil, fmt.Errorf("splitter: sampling record %d on node %d: %w", idx, rank, err)
+		}
+		local = append(local, records.ExtKey{Key: key, Node: uint32(rank), Seq: uint64(idx)})
 	}
+	return Choose(comm, local)
+}
+
+// Choose is the collective half of the sampling phase: every node
+// contributes the extended keys of its samples, in any order; node 0
+// gathers them, chooses evenly spaced splitters, and broadcasts them. Every
+// node returns the same P-1 splitters, sorted ascending.
+func Choose(comm *cluster.Comm, local []records.ExtKey) ([]records.ExtKey, error) {
 	p := comm.P()
 	rank := comm.Rank()
-
-	// Each node samples oversample*(P-1) local records at random positions
-	// (with replacement; duplicates are harmless thanks to extended keys).
-	nSamples := oversample * (p - 1)
-	rng := rand.New(rand.NewSource(seed ^ int64(rank)*0x9e3779b9))
-	local := make([]records.ExtKey, 0, nSamples)
-	if localCount > 0 {
-		for i := 0; i < nSamples; i++ {
-			idx := rng.Int63n(localCount)
-			key, err := sample(idx)
-			if err != nil {
-				return nil, fmt.Errorf("splitter: sampling record %d on node %d: %w", idx, rank, err)
-			}
-			local = append(local, records.ExtKey{Key: key, Node: uint32(rank), Seq: uint64(idx)})
-		}
-	}
-
-	// Gather all samples at node 0, choose evenly spaced splitters, and
-	// broadcast them.
-	var wire []byte
-	for _, e := range local {
-		wire = EncodeExtKeys(wire, e)
-	}
-	gathered := comm.Gather(0, wire)
+	gathered := comm.Gather(0, EncodeExtKeys(nil, local...))
 
 	var chosen []byte
 	if rank == 0 {
