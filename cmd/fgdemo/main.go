@@ -1,8 +1,10 @@
-// Command fgdemo builds and runs a small FG network exercising all three
-// pipeline forms — a linear pipeline, disjoint send/receive pipelines, and
-// virtual vertical pipelines intersecting at a merge stage — and prints the
-// per-stage statistics so the overlap is visible: expensive stages
-// accumulate Work while their neighbours accumulate AcceptWait.
+// Command fgdemo runs the one FG pipeline form no example shows — a
+// fork-join region — and prints its per-stage statistics and a traced
+// timeline. Odd rounds take a heavy branch, even rounds a light one; the
+// statistics list the fork, both branch stages and the join like any other
+// stage, and the Gantt chart shows the branches working concurrently.
+// (examples/quickstart is the linear pipeline, examples/mergestreams the
+// virtual pipelines intersecting at a merge stage.)
 //
 // Usage:
 //
@@ -11,154 +13,47 @@
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"log"
 	"time"
 
 	"github.com/fg-go/fg/fg"
-	"github.com/fg-go/fg/mergetree"
 )
 
 func main() {
 	var (
-		buffers = flag.Int("buffers", 3, "buffer pool per pipeline (1 = no overlap)")
-		rounds  = flag.Int("rounds", 24, "rounds per pipeline")
+		buffers = flag.Int("buffers", 3, "buffer pool of the pipeline (1 = no overlap)")
+		rounds  = flag.Int("rounds", 24, "rounds to run")
 		stageMS = flag.Int("stage-ms", 2, "simulated latency per stage call, in ms")
 	)
 	flag.Parse()
 	lat := time.Duration(*stageMS) * time.Millisecond
-
-	// Part 1: a linear pipeline of three equally slow stages.
-	nw := fg.NewNetwork("demo-linear")
-	p := nw.AddPipeline("linear", fg.Buffers(*buffers), fg.BufferBytes(8), fg.Rounds(*rounds))
-	slow := func(ctx *fg.Ctx, b *fg.Buffer) error {
-		time.Sleep(lat)
-		return nil
+	sleep := func(d time.Duration) fg.RoundFunc {
+		return func(ctx *fg.Ctx, b *fg.Buffer) error {
+			time.Sleep(d)
+			return nil
+		}
 	}
-	p.AddStage("alpha", slow)
-	p.AddStage("beta", slow)
-	p.AddStage("gamma", slow)
-	start := time.Now()
+
+	tr := fg.NewTracer(0)
+	nw := fg.NewNetwork("demo-fork")
+	nw.SetTracer(tr)
+	p := nw.AddPipeline("forked", fg.Buffers(*buffers), fg.BufferBytes(8), fg.Rounds(*rounds))
+	p.AddStage("produce", sleep(lat/4))
+	fork := p.AddFork("classify", 2, func(ctx *fg.Ctx, b *fg.Buffer) (int, error) {
+		return b.Round % 2, nil
+	})
+	fork.Branch(0).AddStage("light", sleep(lat/2))
+	fork.Branch(1).AddStage("heavy", sleep(2*lat))
+	fork.Join()
+	p.AddStage("finish", sleep(0))
 	if err := nw.Run(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("linear pipeline: %d rounds x 3 stages x %v = %v of stage work, wall %v\n",
-		*rounds, lat, time.Duration(*rounds*3)*lat, time.Since(start).Round(time.Millisecond))
-	fmt.Print(nw.Stats())
-
-	// Part 2: virtual verticals intersecting a merge stage, Figure 5.
-	const k = 8
-	nw2 := fg.NewNetwork("demo-merge")
-	vg := nw2.AddVirtualGroup("verticals")
-	verts := make([]*fg.Pipeline, k)
-	for i := 0; i < k; i++ {
-		i := i
-		verts[i] = vg.AddPipeline(fmt.Sprintf("v%d", i),
-			fg.Buffers(2), fg.BufferBytes(8), fg.Rounds(*rounds))
-		verts[i].AddStage("produce", func(ctx *fg.Ctx, b *fg.Buffer) error {
-			binary.BigEndian.PutUint64(b.Data, uint64(b.Round*k+i))
-			b.N = 8
-			time.Sleep(lat / 4)
-			return nil
-		})
-	}
-	horiz := nw2.AddPipeline("horizontal", fg.Buffers(*buffers), fg.BufferBytes(64), fg.Unlimited())
-	merge := fg.NewStage("merge", func(ctx *fg.Ctx) error {
-		tree := mergetree.New(k)
-		heads := make([]*fg.Buffer, k)
-		pull := func(i int) {
-			if heads[i] != nil {
-				ctx.Convey(heads[i])
-			}
-			if b, ok := ctx.AcceptFrom(verts[i]); ok {
-				heads[i] = b
-				tree.Set(i, binary.BigEndian.Uint64(b.Data))
-			} else {
-				heads[i] = nil
-				tree.Close(i)
-			}
-		}
-		for i := 0; i < k; i++ {
-			pull(i)
-		}
-		ob, ok := ctx.AcceptFrom(horiz)
-		if !ok {
-			return fmt.Errorf("no output buffer")
-		}
-		for {
-			i, v, live := tree.Min()
-			if !live {
-				break
-			}
-			binary.BigEndian.PutUint64(ob.Data[ob.N:], v)
-			ob.N += 8
-			if ob.N == ob.Cap() {
-				ctx.Convey(ob)
-				if ob, ok = ctx.AcceptFrom(horiz); !ok {
-					return fmt.Errorf("output pipeline dried up")
-				}
-			}
-			pull(i)
-		}
-		if ob.N > 0 {
-			ctx.Convey(ob)
-		}
-		return nil
-	})
-	for _, v := range verts {
-		v.Add(merge)
-	}
-	horiz.Add(merge)
-	var merged []uint64
-	horiz.AddStage("consume", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		for off := 0; off < b.N; off += 8 {
-			merged = append(merged, binary.BigEndian.Uint64(b.Data[off:]))
-		}
-		return nil
-	})
-	start = time.Now()
-	if err := nw2.Run(); err != nil {
-		log.Fatal(err)
-	}
-	for i, v := range merged {
-		if v != uint64(i) {
-			log.Fatalf("merge output wrong at %d: %d", i, v)
-		}
-	}
-	fmt.Printf("\n%d virtual pipelines merged %d values, verified, wall %v\n",
-		k, len(merged), time.Since(start).Round(time.Millisecond))
-	fmt.Print(nw2.Stats())
-
-	// Part 3: a fork-join pipeline with a traced timeline. Odd rounds take
-	// a heavy branch, even rounds a light one; the Gantt chart shows the
-	// branches working concurrently.
-	tr := fg.NewTracer(0)
-	nw3 := fg.NewNetwork("demo-fork")
-	nw3.SetTracer(tr)
-	fp := nw3.AddPipeline("forked", fg.Buffers(*buffers), fg.BufferBytes(8), fg.Rounds(*rounds))
-	fp.AddStage("produce", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		time.Sleep(lat / 4)
-		return nil
-	})
-	fork := fp.AddFork("classify", 2, func(ctx *fg.Ctx, b *fg.Buffer) (int, error) {
-		return b.Round % 2, nil
-	})
-	fork.Branch(0).AddStage("light", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		time.Sleep(lat / 2)
-		return nil
-	})
-	fork.Branch(1).AddStage("heavy", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		time.Sleep(2 * lat)
-		return nil
-	})
-	fork.Join()
-	fp.AddStage("finish", func(ctx *fg.Ctx, b *fg.Buffer) error { return nil })
-	start = time.Now()
-	if err := nw3.Run(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nfork-join pipeline: %d rounds, wall %v\n", *rounds, time.Since(start).Round(time.Millisecond))
+	st := nw.Stats()
+	fmt.Printf("fork-join pipeline: %d rounds, wall %v\n", *rounds, st.Wall.Round(time.Millisecond))
+	fmt.Print(st)
+	fmt.Println(st.Bottleneck())
 	fmt.Print(tr.Gantt(70))
 }

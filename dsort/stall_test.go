@@ -20,17 +20,17 @@ import (
 // watchdog: a dsort run with an injected hang fault — a runs-file write
 // that neither completes nor errors — must produce an OnStall report naming
 // the hung stage as the blocked-on-put culprit, plus a parseable black-box
-// Chrome trace from the flight recorder. Releasing the hang then lets the
+// Chrome trace from the tracer. Releasing the hang then lets the
 // run complete and verify, proving the detection had no side effects.
 func TestChaosDsortHangTriggersWatchdog(t *testing.T) {
 	check.NoLeakedGoroutines(t)
 	p := 2
 	cfg := testConfig(1<<11, p, 16, workload.Uniform)
 
-	fr := fg.NewFlightRecorder(0)
+	tr := fg.NewTracer(fg.BlackBoxEvents)
 	reports := make(chan fg.StallReport, 16)
 	cfg.Observe = &fg.Observe{
-		Flight: fr,
+		Tracer: tr,
 		Watchdog: &fg.WatchdogConfig{
 			Interval:   50 * time.Millisecond,
 			StallAfter: 300 * time.Millisecond,
@@ -89,7 +89,7 @@ func TestChaosDsortHangTriggersWatchdog(t *testing.T) {
 
 	// The black box must be a parseable Chrome trace of the final moments.
 	var box bytes.Buffer
-	if err := fr.WriteChromeTrace(&box); err != nil {
+	if err := tr.WriteBlackBox(&box); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

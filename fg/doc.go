@@ -51,6 +51,16 @@
 // k-way merge) starts after k rounds; recycled buffers re-enter in the
 // order the sink returns them.
 //
+// # Fork-join
+//
+// A pipeline may split at a fork stage (AddFork), whose route function sends
+// each buffer down one of several branches of round stages, and rejoin at an
+// implicit join before it continues. The fork, every branch stage and the
+// join are ordinary stages under the same accept–work–convey loop as any
+// round stage, so Stats, the status view, the watchdog and traces show them
+// like any other; they differ only in where a buffer is conveyed and in
+// what happens to the caboose (see Shutdown).
+//
 // # Shutdown
 //
 // A source emits its configured number of rounds (or runs until Stop) and
@@ -62,6 +72,21 @@
 // caboose downstream on its behalf. A pipeline is complete when its sink
 // has seen the caboose; Network.Run returns when every pipeline completes
 // or any stage fails.
+//
+// The loop that runs round stages handles the caboose by one of three
+// rules: a stage (or the k stages of a virtual slot) forwards each caboose
+// it receives; a fork replicates its one caboose to every branch; a join
+// swallows all but the last of its branches' cabooses.
+//
+// # Observation
+//
+// Every stage keeps lock-free counters that Network.Stats snapshots at any
+// time. A Tracer is the one event sink: it keeps the most recent events —
+// work, wait, retry, communication — up to its limit, writes them as a
+// Chrome trace, and writes its last BlackBoxEvents as the black box a stall
+// or panic handler dumps. An Observe bundles a tracer, a MetricsRegistry, a
+// watchdog and a final-stats callback for code that builds networks on a
+// program's behalf. A network with nothing attached pays nothing.
 //
 // # Error semantics and fault tolerance
 //

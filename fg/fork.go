@@ -1,9 +1,6 @@
 package fg
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Fork-join pipelines. Section VII of the paper notes that <stxxl>'s
 // pipelining "allows constructs that resemble FG's fork-join and
@@ -32,10 +29,11 @@ type Fork struct {
 	name     string
 	pipe     *Pipeline
 	route    RouteFunc
-	stage    *Stage     // the fork stage on the spine
 	joiner   *Stage     // the implicit join stage on the spine
 	branches [][]*Stage // per-branch chains
 	joined   bool
+	// branchQ[i][j] feeds branch i's stage j, built with the group's queues.
+	branchQ [][]queue
 }
 
 // AddFork appends a fork stage that splits the pipeline into the given
@@ -60,13 +58,11 @@ func (p *Pipeline) AddFork(name string, branches int, route RouteFunc) *Fork {
 		route:    route,
 		branches: make([][]*Stage, branches),
 	}
-	f.stage = &Stage{name: name, fork: f}
-	f.stage.slots = append(f.stage.slots, slotRef{pipe: p, pos: len(p.stages)})
-	p.stages = append(p.stages, f.stage)
-
-	f.joiner = &Stage{name: name + ".join", join: f}
-	f.joiner.slots = append(f.joiner.slots, slotRef{pipe: p, pos: len(p.stages)})
-	p.stages = append(p.stages, f.joiner)
+	p.Add(&Stage{name: name, fork: f})
+	// The join is an ordinary round stage with nothing to do per buffer; what
+	// makes it a join is its loop's caboose rule.
+	f.joiner = &Stage{name: name + ".join", join: f, round: func(*Ctx, *Buffer) error { return nil }}
+	p.Add(f.joiner)
 
 	p.openFork = f
 	p.forks = append(p.forks, f)
@@ -120,171 +116,23 @@ func (b *Branch) AddStage(name string, fn RoundFunc) *Stage {
 	return s
 }
 
-// forkRuntime holds the queues of one fork region, built at start.
-type forkRuntime struct {
-	f *Fork
-	// branchQ[i][j] feeds branch i's stage j; the final queue of each
-	// branch is the join stage's spine input queue.
-	branchQ [][]queue
+// branchIn returns the input queue of branch i's stage j. One past the
+// branch's last stage — which for an empty bypass branch is at once — that
+// is the join's input queue on the spine.
+func (f *Fork) branchIn(i, j int) queue {
+	if j < len(f.branchQ[i]) {
+		return f.branchQ[i][j]
+	}
+	return f.pipe.group.queues[f.joiner.posIn(f.pipe)]
 }
 
-// buildForkRuntimes validates and wires a pipeline's fork regions. The
-// spine queues already exist (one per spine position); this adds the branch
-// queues.
-func (g *group) buildForkRuntimes() ([]*forkRuntime, error) {
-	p := g.pipes[0]
-	if len(p.forks) == 0 {
-		return nil, nil
-	}
-	if len(g.pipes) > 1 {
-		return nil, fmt.Errorf("fg: pipeline %q: fork-join is not supported in virtual groups", p.name)
-	}
-	if p.openFork != nil {
-		return nil, fmt.Errorf("fg: pipeline %q: fork %q was never joined", p.name, p.openFork.name)
-	}
-	var rts []*forkRuntime
-	for _, f := range p.forks {
-		rt := &forkRuntime{f: f, branchQ: make([][]queue, len(f.branches))}
-		for i, chain := range f.branches {
-			qs := make([]queue, len(chain))
-			for j := range chain {
-				// Branch queues always have one producer (the fork stage or
-				// the previous branch stage) and one consumer (the branch
-				// stage), so they are always ring-eligible.
-				qs[j] = newQueue(p.nBuffers+1, true)
-			}
-			rt.branchQ[i] = qs
-		}
-		rts = append(rts, rt)
-	}
-	return rts, nil
-}
-
-// branchEntry returns the queue feeding the first stage of branch i, which
-// is the join input queue when the branch is empty (a bypass).
-func (rt *forkRuntime) branchEntry(i int, g *group) queue {
-	if len(rt.branchQ[i]) > 0 {
-		return rt.branchQ[i][0]
-	}
-	return g.queues[rt.f.joiner.posIn(rt.f.pipe)]
-}
-
-// runFork executes the fork stage: route each buffer down a branch; at the
-// caboose, seal every branch with its own caboose.
-func runFork(nw *Network, g *group, rt *forkRuntime) {
-	defer nw.wg.Done()
-	f := rt.f
-	defer nw.recoverPanic(f.stage.name)
-	pos := f.stage.posIn(f.pipe)
-	in := g.queues[pos]
-	ctx := newCtx(nw, f.stage)
-	ctx.restricted = true
-	f.stage.stats.setPark(StageAccepting, time.Now())
-	for {
-		b, err := in.pop(nw.done)
-		if err != nil {
-			return
-		}
-		if b.caboose {
-			f.stage.stats.setPark(StageDone, time.Now())
-			for i := range f.branches {
-				cb := b
-				if i > 0 {
-					cb = &Buffer{caboose: true, pipe: b.pipe}
-				}
-				_ = rt.branchEntry(i, g).push(cb, nw.done)
-			}
-			return
-		}
-		branch, ferr := f.route(ctx, b)
-		f.stage.stats.rounds.Add(1)
-		if ferr != nil {
-			nw.fail(fmt.Errorf("fg: fork %q: %w", f.name, ferr))
-			return
-		}
-		if branch < 0 || branch >= len(f.branches) {
-			nw.fail(fmt.Errorf("fg: fork %q routed a buffer to branch %d of %d",
-				f.name, branch, len(f.branches)))
-			return
-		}
-		if err := rt.branchEntry(branch, g).push(b, nw.done); err != nil {
-			return
-		}
-	}
-}
-
-// runBranchStage executes one branch stage: a round stage whose output is
-// the next branch queue, or the join queue at the branch tail.
-func runBranchStage(nw *Network, g *group, rt *forkRuntime, branch, idx int) {
-	defer nw.wg.Done()
-	s := rt.f.branches[branch][idx]
-	defer nw.recoverPanic(s.name)
-	in := rt.branchQ[branch][idx]
-	var out queue
-	if idx+1 < len(rt.branchQ[branch]) {
-		out = rt.branchQ[branch][idx+1]
-	} else {
-		out = g.queues[rt.f.joiner.posIn(rt.f.pipe)]
-	}
-	ctx := newCtx(nw, s)
-	ctx.restricted = true
-	s.stats.setPark(StageAccepting, time.Now())
-	for {
-		start := time.Now()
-		b, err := in.pop(nw.done)
-		if err != nil {
-			return
-		}
-		s.stats.acceptWait.Add(int64(time.Since(start)))
-		if b.caboose {
-			s.stats.setPark(StageDone, time.Now())
-			_ = out.push(b, nw.done)
-			return
-		}
-		t0 := time.Now()
-		s.stats.setPark(StageWorking, t0)
-		ferr := s.round(ctx, b)
-		t1 := time.Now()
-		s.stats.work.Add(int64(t1.Sub(t0)))
-		s.stats.rounds.Add(1)
-		s.stats.setPark(StageAccepting, t1)
-		nw.traceWork(s, b.pipe, b.Round, t0)
-		if ferr != nil {
-			nw.fail(fmt.Errorf("fg: stage %q: %w", s.name, ferr))
-			return
-		}
-		if err := out.push(b, nw.done); err != nil {
-			return
-		}
-	}
-}
-
-// runJoin executes the implicit join: pass buffers through, and collapse
-// the branches' cabooses into one for the rest of the pipeline.
-func runJoin(nw *Network, g *group, rt *forkRuntime) {
-	defer nw.wg.Done()
-	defer nw.recoverPanic(rt.f.joiner.name)
-	pos := rt.f.joiner.posIn(rt.f.pipe)
-	in := g.queues[pos]
-	out := g.queues[pos+1]
-	remaining := len(rt.f.branches)
-	rt.f.joiner.stats.setPark(StageAccepting, time.Now())
-	for {
-		b, err := in.pop(nw.done)
-		if err != nil {
-			return
-		}
-		if b.caboose {
-			remaining--
-			if remaining == 0 {
-				rt.f.joiner.stats.setPark(StageDone, time.Now())
-				_ = out.push(b, nw.done)
-				return
-			}
-			continue
-		}
-		if err := out.push(b, nw.done); err != nil {
-			return
-		}
+// branchLoop returns the round loop of branch i's stage j: an ordinary
+// one-member stage between two of the region's queues.
+func (f *Fork) branchLoop(i, j int) roundLoop {
+	return roundLoop{
+		in:       f.branchIn(i, j),
+		members:  []*Stage{f.branches[i][j]},
+		outs:     []queue{f.branchIn(i, j+1)},
+		cabooses: 1,
 	}
 }

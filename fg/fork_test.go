@@ -386,23 +386,168 @@ func TestForkMultiStageBranches(t *testing.T) {
 	}
 }
 
-func TestForkStatsCount(t *testing.T) {
-	nw := NewNetwork("forkstats")
+// sleepyForkNet builds produce → route(2){work} → route.join, nine rounds,
+// with a route function and a branch stage that both sleep: the network the
+// fork-region observation tests share. Every buffer takes branch 0.
+func sleepyForkNet(name string) *Network {
+	nw := NewNetwork(name)
 	p := nw.AddPipeline("main", Buffers(2), Rounds(9))
 	p.AddStage("produce", func(ctx *Ctx, b *Buffer) error { return nil })
-	fork := p.AddFork("route", 2, func(ctx *Ctx, b *Buffer) (int, error) { return 0, nil })
-	fork.Branch(0).AddStage("work", func(ctx *Ctx, b *Buffer) error { return nil })
+	fork := p.AddFork("route", 2, func(ctx *Ctx, b *Buffer) (int, error) {
+		time.Sleep(time.Millisecond)
+		return 0, nil
+	})
+	fork.Branch(0).AddStage("work", func(ctx *Ctx, b *Buffer) error {
+		time.Sleep(3 * time.Millisecond)
+		return nil
+	})
 	fork.Join()
+	return nw
+}
+
+// TestForkStatsCount: a fork region is accounted like any other stretch of
+// pipeline — the fork, the branch stage and the join are all listed, in
+// that order, each with every round, its work and a finished park state.
+func TestForkStatsCount(t *testing.T) {
+	nw := sleepyForkNet("forkstats")
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range nw.Stats().Stages {
-		if st.Stage == "route" && st.Rounds != 9 {
-			t.Errorf("fork stage counted %d rounds, want 9", st.Rounds)
+	st := nw.Stats()
+	var names []string
+	for _, s := range st.Stages {
+		names = append(names, s.Stage)
+	}
+	if got, want := fmt.Sprint(names), "[produce route work route.join]"; got != want {
+		t.Fatalf("Stats lists stages %s, want %s", got, want)
+	}
+	for _, s := range st.Stages {
+		if s.Rounds != 9 {
+			t.Errorf("stage %q counted %d rounds, want 9", s.Stage, s.Rounds)
 		}
-		if st.Stage == "work" && st.Rounds != 9 {
-			t.Errorf("branch stage counted %d rounds, want 9", st.Rounds)
+		if s.State != StageDone {
+			t.Errorf("stage %q ended %v, want done", s.Stage, s.State)
 		}
+		if s.QueueCap == 0 {
+			t.Errorf("stage %q reports no input queue", s.Stage)
+		}
+		if sleeps := s.Stage == "route" || s.Stage == "work"; sleeps && s.Work < 9*time.Millisecond {
+			t.Errorf("stage %q slept nine times but reports work=%v", s.Stage, s.Work)
+		}
+	}
+}
+
+// TestForkRegionTracedAndGoverning: the slow branch stage governs the run
+// and Bottleneck says so; the tracer holds work events for the fork, the
+// branch stage and the join, and the waits of the branch stage.
+func TestForkRegionTracedAndGoverning(t *testing.T) {
+	nw := sleepyForkNet("forktrace")
+	tr := NewTracer(0)
+	nw.SetTracer(tr)
+	if err := nw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if bn := nw.Stats().Bottleneck(); bn.Stage != "work" {
+		t.Errorf("bottleneck is %q, want the slow branch stage: %s", bn.Stage, bn)
+	}
+	work, wait := map[string]int{}, map[string]int{}
+	for _, e := range tr.Events() {
+		switch e.Kind {
+		case EventWork:
+			work[e.Stage]++
+		case EventWait:
+			wait[e.Stage]++
+		}
+	}
+	for _, stage := range []string{"produce", "route", "work", "route.join"} {
+		if work[stage] != 9 {
+			t.Errorf("tracer holds %d work events for %q, want 9", work[stage], stage)
+		}
+	}
+	// The branch stage waits out each of the fork's millisecond rounds.
+	if wait["work"] == 0 {
+		t.Errorf("tracer holds no wait events for the branch stage (waits: %v)", wait)
+	}
+}
+
+// TestForkBranchHangNamesCulprit: a stage hung inside a fork region — a
+// branch stage, or the route function itself — is what the watchdog names,
+// classified blocked-on-put, and what the status view shows; the blameless
+// first stage, merely starved of recycled buffers, is not.
+func TestForkBranchHangNamesCulprit(t *testing.T) {
+	for _, hung := range []string{"hang", "route"} {
+		t.Run(hung, func(t *testing.T) {
+			t.Parallel()
+			release := make(chan struct{})
+			park := func(stage string, b *Buffer) {
+				if stage == hung && b.Round == 3 {
+					<-release
+				}
+			}
+			nw := NewNetwork("forkhang-" + hung)
+			p := nw.AddPipeline("main", Buffers(2), Rounds(9))
+			p.AddStage("produce", func(ctx *Ctx, b *Buffer) error { return nil })
+			fork := p.AddFork("route", 2, func(ctx *Ctx, b *Buffer) (int, error) {
+				park("route", b)
+				return b.Round % 2, nil
+			})
+			fork.Branch(0).AddStage("even", func(ctx *Ctx, b *Buffer) error { return nil })
+			fork.Branch(1).AddStage("hang", func(ctx *Ctx, b *Buffer) error {
+				park("hang", b)
+				return nil
+			})
+			fork.Join()
+			reports := make(chan StallReport, 1)
+			dog := nw.Watch(WatchdogConfig{
+				Interval:   25 * time.Millisecond,
+				StallAfter: 150 * time.Millisecond,
+				OnStall: func(r StallReport) {
+					select {
+					case reports <- r:
+					default:
+					}
+				},
+			})
+			defer dog.Stop()
+			done := make(chan error, 1)
+			go func() { done <- nw.Run() }()
+
+			var rep StallReport
+			select {
+			case rep = <-reports:
+			case <-time.After(10 * time.Second):
+				close(release)
+				t.Fatal("watchdog never reported the hung fork region")
+			}
+			// The status view calls a stage blocked once it has been parked
+			// for a second.
+			var shown string
+			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+				for _, h := range nw.Status().Stages {
+					if h.Stage == hung {
+						shown = h.State
+					}
+				}
+				if shown == HealthBlockedOnPut {
+					break
+				}
+			}
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatalf("run failed after release: %v", err)
+			}
+			if rep.Culprit != hung {
+				t.Errorf("culprit = %q, want %q\n%s", rep.Culprit, hung, rep)
+			}
+			for _, h := range rep.Stages {
+				if h.Stage == hung && h.State != HealthBlockedOnPut {
+					t.Errorf("hung stage classified %q, want %q", h.State, HealthBlockedOnPut)
+				}
+			}
+			if shown != HealthBlockedOnPut {
+				t.Errorf("status shows the hung stage %q, want %q", shown, HealthBlockedOnPut)
+			}
+		})
 	}
 }
 

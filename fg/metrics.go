@@ -88,10 +88,11 @@ func (r *MetricsRegistry) RegisterNetwork(nw *Network) {
 	r.nets = append(r.nets, nw)
 }
 
-// RegisterTracer adds a tracer to the registry: its dropped-event count
+// RegisterTracer adds a tracer to the registry: its overwritten-event count
 // appears as fg_trace_dropped_total, so a scraper learns the trace timeline
-// is truncated without parsing the trace. Registering the same tracer again
-// (Observe.Attach registers its tracer once per network) or nil is a no-op.
+// has lost its beginning without parsing the trace. Registering the same
+// tracer again (Observe.Attach registers its tracer once per network) or nil
+// is a no-op.
 func (r *MetricsRegistry) RegisterTracer(tr *Tracer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -255,7 +256,7 @@ var metricHelp = map[string]string{
 	"fg_stage_queue_len":             "buffers waiting in the stage's input queue",
 	"fg_stage_queue_cap":             "capacity of the stage's input queue",
 	"fg_stage_queue_slow_push_total": "pushes into the stage's input queue that missed the non-blocking fast path (invariant violations)",
-	"fg_trace_dropped_total":         "trace events discarded because the tracer was full",
+	"fg_trace_dropped_total":         "trace events overwritten by newer ones because the tracer was full",
 	"fg_autotune_adjustments_total":  "worker-knob and buffer adjustments the auto-tuner has made",
 	"fg_autotune_workers":            "current worker count of the stage's auto-tuned knob",
 }

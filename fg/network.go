@@ -30,7 +30,6 @@ type Network struct {
 	completion sync.WaitGroup // one Done per pipeline, by the sinks
 
 	tracer *Tracer
-	flight *FlightRecorder
 
 	// Wall-clock run state, readable mid-run by Stats. runStart is written
 	// before runState stores runStateRunning and runNanos before it stores
@@ -172,17 +171,6 @@ func (nw *Network) RunContext(ctx context.Context) error {
 	}
 	nw.completion.Add(pipelines)
 
-	// Validate and wire every fork region before launching any goroutine,
-	// so a bad group cannot leave an earlier group's runners stranded.
-	forkRTsOf := make(map[*group][]*forkRuntime)
-	for _, g := range nw.groups {
-		rts, err := g.buildForkRuntimes()
-		if err != nil {
-			return err
-		}
-		forkRTsOf[g] = rts
-	}
-
 	// From here on goroutines launch; build errors above return with none.
 	// The context watcher turns cancellation into a network failure and is
 	// itself released by shutdown, so it cannot outlive Run.
@@ -206,38 +194,26 @@ func (nw *Network) RunContext(ctx context.Context) error {
 
 	// One goroutine per unique stage or slot, plus each group's source and
 	// sink — FG's thread economy, including virtual sharing, made literal.
+	// Free (possibly shared) stages are launched once each, below.
+	launch := func(g *group, l roundLoop) {
+		nw.wg.Add(1)
+		go nw.labeled(g.name, l.members[0].name, func() { l.run(nw) })
+	}
 	for _, g := range nw.groups {
-		forkRTs := forkRTsOf[g]
 		nw.wg.Add(2)
 		go nw.labeled(g.name, "source", g.runSource)
 		go nw.labeled(g.name, "sink", g.runSink)
-		rtOf := map[*Fork]*forkRuntime{}
-		for _, rt := range forkRTs {
-			rtOf[rt.f] = rt
-		}
-		for pos := range g.pipes[0].stages {
-			s := g.pipes[0].stages[pos]
-			switch {
-			case s.isFree():
-				// shared (intersecting) stage: launched once below
-			case s.fork != nil:
-				rt := rtOf[s.fork]
-				nw.wg.Add(1)
-				go nw.labeled(g.name, s.name, func() { runFork(nw, g, rt) })
-				for bi, chain := range s.fork.branches {
+		for pos, s := range g.pipes[0].stages {
+			if s.isFree() {
+				continue
+			}
+			launch(g, g.slotLoop(pos))
+			if s.fork != nil {
+				for i, chain := range s.fork.branches {
 					for j := range chain {
-						bs := chain[j]
-						nw.wg.Add(1)
-						go nw.labeled(g.name, bs.name, func() { runBranchStage(nw, g, rt, bi, j) })
+						launch(g, s.fork.branchLoop(i, j))
 					}
 				}
-			case s.join != nil:
-				rt := rtOf[s.join]
-				nw.wg.Add(1)
-				go nw.labeled(g.name, s.name, func() { runJoin(nw, g, rt) })
-			default:
-				nw.wg.Add(1)
-				go nw.labeled(g.name, s.name, func() { runSlot(nw, g, pos) })
 			}
 		}
 	}
@@ -289,7 +265,7 @@ func (nw *Network) releaseBuffers(recycle bool) {
 // labeled runs fn on the current goroutine under pprof labels naming the
 // network, pipeline (or group), and stage, so CPU profiles attribute
 // samples to stage=...,pipeline=... instead of an undifferentiated pile of
-// runSlot frames. The labels ride the goroutine for its lifetime; stage
+// roundLoop.run frames. The labels ride the goroutine for its lifetime; stage
 // functions inherit them.
 func (nw *Network) labeled(pipeline, stage string, fn func()) {
 	pprof.Do(context.Background(), pprof.Labels(

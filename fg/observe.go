@@ -9,12 +9,10 @@ import "sync"
 // Observe is typically shared by every network of a run, so the passes
 // land on one trace timeline and one metrics registry.
 type Observe struct {
-	// Tracer, if set, is attached to each network before Run.
+	// Tracer, if set, is attached to each network before Run — the bundle's
+	// one event sink, whether sized for a whole run's timeline or to
+	// BlackBoxEvents as a black box.
 	Tracer *Tracer
-	// Flight, if set, is attached to each network before Run: the last few
-	// thousand events stay in its ring as a black box even when Tracer is
-	// nil (see FlightRecorder).
-	Flight *FlightRecorder
 	// Metrics, if set, has each network registered before Run, so a scrape
 	// of the registry mid-run sees the network's live counters. A Tracer in
 	// the same bundle is registered too, surfacing fg_trace_dropped_total.
@@ -42,8 +40,8 @@ func (o *Observe) AttachTuner(t *AutoTuner) {
 	o.Metrics.RegisterTuner(t)
 }
 
-// Attach wires the bundle into nw: the tracer and flight recorder are
-// attached, the network (and tracer) registered with the metrics registry,
+// Attach wires the bundle into nw: the tracer is attached, the network
+// (and tracer) registered with the metrics registry,
 // and the watchdog started, all before Run. The returned finish function
 // is to be called (typically deferred) once Run has returned; it stops the
 // watchdog and delivers the final snapshot to OnStats — exactly once, even
@@ -61,9 +59,6 @@ func (o *Observe) Attach(nw *Network) func() {
 	}
 	if o.Tracer != nil {
 		nw.SetTracer(o.Tracer)
-	}
-	if o.Flight != nil {
-		nw.SetFlightRecorder(o.Flight)
 	}
 	if o.Metrics != nil {
 		o.Metrics.RegisterNetwork(nw)

@@ -15,7 +15,7 @@ import (
 func TestAttachFinishExactlyOnceOnPanic(t *testing.T) {
 	var delivered atomic.Int64
 	o := &Observe{
-		Flight: NewFlightRecorder(64),
+		Tracer: NewTracer(64),
 		OnStats: func(st NetworkStats) {
 			delivered.Add(1)
 			if st.Name != "panicky" {
@@ -53,10 +53,10 @@ func TestAttachFinishExactlyOnceOnPanic(t *testing.T) {
 	if got := delivered.Load(); got != 1 {
 		t.Fatalf("OnStats delivered %d times, want exactly 1", got)
 	}
-	// The flight recorder rode along: the black box has the rounds that ran
-	// before the panic.
-	if len(o.Flight.Snapshot()) == 0 {
-		t.Error("flight recorder recorded nothing before the panic")
+	// The tracer rode along: the black box has the rounds that ran before
+	// the panic.
+	if o.Tracer.Len() == 0 {
+		t.Error("the tracer recorded nothing before the panic")
 	}
 	// Calling finish yet again must stay a no-op.
 	finish()

@@ -9,16 +9,16 @@ import (
 // buffer size, and round count. The framework supplies the source and sink;
 // user stages sit between them.
 type Pipeline struct {
-	nw    *Network
-	group *group
-	name  string
+	nw     *Network
+	group  *group
+	member int // index among the group's pipelines
+	name   string
 
 	bufBytes int
 	nBuffers int
 	rounds   int // -1 = unlimited, until Stop or downstream completion
 
-	stages  []*Stage
-	slotCtx []*Ctx // restricted contexts for round stages, by position
+	stages []*Stage
 
 	forks    []*Fork
 	openFork *Fork
@@ -84,6 +84,7 @@ func newPipeline(nw *Network, g *group, name string, opts []Option) *Pipeline {
 	p := &Pipeline{
 		nw:       nw,
 		group:    g,
+		member:   len(g.pipes),
 		name:     name,
 		bufBytes: defaultBufBytes,
 		nBuffers: defaultBuffers,
@@ -280,19 +281,23 @@ func (g *group) build() error {
 	// Join queues additionally carry one caboose per branch of their fork.
 	maxBranches := 0
 	for _, p := range g.pipes {
+		if len(p.forks) > 0 && len(g.pipes) > 1 {
+			return fmt.Errorf("fg: pipeline %q: fork-join is not supported in virtual groups", p.name)
+		}
+		if p.openFork != nil {
+			return fmt.Errorf("fg: pipeline %q: fork %q was never joined", p.name, p.openFork.name)
+		}
 		for _, f := range p.forks {
-			if len(f.branches) > maxBranches {
-				maxBranches = len(f.branches)
-			}
+			maxBranches = max(maxBranches, len(f.branches))
 		}
 	}
 	// Queue selection: a lock-free SPSC ring wherever exactly one goroutine
 	// produces and one consumes, a channel otherwise. The producer of
 	// queues[0] is the single source goroutine, the consumer of the last
 	// queue is the single sink goroutine, and the goroutine serving position
-	// i is single (runSlot, runFree, runFork, runJoin) — but a join's input
-	// queue is fed by every branch tail plus the fork's bypass. So queues[i]
-	// is SPSC unless the stage at i is a join.
+	// i is single (a roundLoop or runFree) — but a join's input queue is fed
+	// by every branch tail plus the fork's bypass. So queues[i] is SPSC
+	// unless the stage at i is a join.
 	spscAt := func(i int) bool {
 		for _, p := range g.pipes {
 			if i < nStages && p.stages[i].join != nil {
@@ -306,23 +311,30 @@ func (g *group) build() error {
 		g.queues[i] = newQueue(totalBufs+len(g.pipes)+maxBranches, spscAt(i))
 	}
 	// A push that misses the fast path is an invariant violation; surface
-	// it in the flight recorder, tagged with the edge's consumer.
+	// it in the trace, tagged with the edge's consumer.
 	for i := range g.queues {
 		consumer := "sink"
 		if i < nStages {
 			consumer = g.pipes[0].stages[i].name
 		}
-		name := consumer
-		g.queues[i].onSlowPush(func() { g.nw.noteSlowPush(g.name, name) })
+		g.queues[i].onSlowPush(func() { g.nw.noteSlowPush(g.name, consumer) })
 	}
 	g.pool = make(chan *Buffer, totalBufs)
 	for _, p := range g.pipes {
-		p.slotCtx = make([]*Ctx, nStages)
-		for pos, s := range p.stages {
-			if !s.isFree() {
-				ctx := newCtx(g.nw, s)
-				ctx.restricted = true
-				p.slotCtx[pos] = ctx
+		for _, s := range p.stages {
+			s.restrictCtx(g.nw)
+		}
+		for _, f := range p.forks {
+			f.branchQ = make([][]queue, len(f.branches))
+			for i, chain := range f.branches {
+				f.branchQ[i] = make([]queue, len(chain))
+				for j, s := range chain {
+					// One producer (the fork or the previous branch stage) and
+					// one consumer: always ring-eligible.
+					f.branchQ[i][j] = newQueue(p.nBuffers+1, true)
+					f.branchQ[i][j].onSlowPush(func() { g.nw.noteSlowPush(g.name, s.name) })
+					s.restrictCtx(g.nw)
+				}
 			}
 		}
 	}

@@ -119,13 +119,12 @@ func TestSlowPushCountsAndHook(t *testing.T) {
 	}
 }
 
-// TestSlowPushReachesFlightRecorder: the hook wired at build time must land
-// an EventSlowPush in the network's flight recorder, tagged with the edge's
-// consumer.
-func TestSlowPushReachesFlightRecorder(t *testing.T) {
+// TestSlowPushReachesTracer: the hook wired at build time must land an
+// EventSlowPush in the network's tracer, tagged with the edge's consumer.
+func TestSlowPushReachesTracer(t *testing.T) {
 	nw := NewNetwork("breach")
-	fr := NewFlightRecorder(16)
-	nw.SetFlightRecorder(fr)
+	tr := NewTracer(16)
+	nw.SetTracer(tr)
 	p := nw.AddPipeline("main", Buffers(2), BufferBytes(8), Rounds(3))
 	p.AddStage("work", func(ctx *Ctx, b *Buffer) error { return nil })
 	if err := nw.Run(); err != nil {
@@ -146,7 +145,7 @@ func TestSlowPushReachesFlightRecorder(t *testing.T) {
 		t.Fatalf("slowPushes = %d, want 1", n)
 	}
 	var events int
-	for _, e := range fr.Snapshot() {
+	for _, e := range tr.Events() {
 		if e.Kind == EventSlowPush {
 			events++
 			if e.Stage != "work" || e.Pipeline != "main" {
@@ -155,7 +154,7 @@ func TestSlowPushReachesFlightRecorder(t *testing.T) {
 		}
 	}
 	if events != 1 {
-		t.Errorf("flight recorder holds %d slow-push events, want 1", events)
+		t.Errorf("the tracer holds %d slow-push events, want 1", events)
 	}
 }
 

@@ -68,21 +68,30 @@ func TestFreeStagePanicBecomesError(t *testing.T) {
 
 func TestForkRoutePanicBecomesError(t *testing.T) {
 	check.NoLeakedGoroutines(t)
-	nw := fg.NewNetwork("panic-fork")
-	p := nw.AddPipeline("main", fg.Buffers(2), fg.BufferBytes(8), fg.Rounds(10))
-	f := p.AddFork("router", 2, func(ctx *fg.Ctx, b *fg.Buffer) (int, error) {
-		if b.Round == 2 {
-			panic("no route")
+	// A panic in the route function or in a branch stage names that stage.
+	for _, panics := range []string{"router", "left"} {
+		boom := func(stage string, b *fg.Buffer) {
+			if stage == panics && b.Round == 2 {
+				panic("no route")
+			}
 		}
-		return b.Round % 2, nil
-	})
-	f.Branch(0).AddStage("left", nop)
-	f.Branch(1).AddStage("right", nop)
-	f.Join()
-	err := nw.Run()
-	var pe *fg.PanicError
-	if !errors.As(err, &pe) || pe.Stage != "router" {
-		t.Fatalf("want PanicError from %q, got %v", "router", err)
+		nw := fg.NewNetwork("panic-fork")
+		p := nw.AddPipeline("main", fg.Buffers(2), fg.BufferBytes(8), fg.Rounds(10))
+		f := p.AddFork("router", 2, func(ctx *fg.Ctx, b *fg.Buffer) (int, error) {
+			boom("router", b)
+			return b.Round % 2, nil
+		})
+		f.Branch(0).AddStage("left", func(ctx *fg.Ctx, b *fg.Buffer) error {
+			boom("left", b)
+			return nil
+		})
+		f.Branch(1).AddStage("right", nop)
+		f.Join()
+		err := nw.Run()
+		var pe *fg.PanicError
+		if !errors.As(err, &pe) || pe.Stage != panics {
+			t.Fatalf("want PanicError from %q, got %v", panics, err)
+		}
 	}
 }
 

@@ -36,6 +36,10 @@ type Stage struct {
 	fork *Fork
 	join *Fork
 
+	// ctx is the restricted context a round-driven stage's function is
+	// called with, made when the network is built.
+	ctx *Ctx
+
 	stats stageCounters
 }
 
@@ -161,6 +165,15 @@ func newCtx(nw *Network, s *Stage) *Ctx {
 		held:       make(map[*Pipeline][]*Buffer),
 		eof:        make(map[*Pipeline]bool),
 		cabooseFwd: make(map[*Pipeline]bool),
+	}
+}
+
+// restrictCtx gives a round-driven stage the context its function is called
+// with; a free stage makes its own when it runs.
+func (s *Stage) restrictCtx(nw *Network) {
+	if !s.isFree() {
+		s.ctx = newCtx(nw, s)
+		s.ctx.restricted = true
 	}
 }
 
@@ -304,41 +317,56 @@ func runFree(nw *Network, s *Stage) {
 	ctx.finish()
 }
 
-// runSlot executes the round stages of one group slot: it serves the
-// position-pos stage of every pipeline in the group, dispatching each
-// buffer to its own pipeline's stage function. For a plain pipeline the
-// group has one member and this is the classic one-thread-per-stage runner;
-// for a virtual group it is FG's shared thread for k identical virtual
-// stages.
-func runSlot(nw *Network, g *group, pos int) {
+// A roundLoop is one goroutine's accept → work → convey loop: the runner of
+// every round-driven stage. A group slot, a fork, a branch stage and a join
+// differ only in the four things it is parameterised by.
+type roundLoop struct {
+	in queue
+	// members holds the stage serving each pipeline the loop accepts from,
+	// indexed by Pipeline.member: one per member of a virtual slot, one
+	// otherwise.
+	members []*Stage
+	// outs holds the queues a buffer may be conveyed to: one for every
+	// stage but a fork, whose route function picks among one per branch.
+	outs []queue
+	// cabooses is how many cabooses arrive on in before the loop ends, and
+	// collapse whether all but the last are swallowed. The three caboose
+	// rules follow: a slot of k members forwards each of its k (collapse
+	// off); a fork receives one and replicates it to every branch (every
+	// forwarded caboose goes to every out); a join receives one per branch
+	// and forwards only the last (collapse on).
+	cabooses int
+	collapse bool
+}
+
+// run executes the loop. It is the only place a RoundFunc or RouteFunc is
+// invoked and the only place a round-driven stage's counters, park state
+// and trace events are written, so every stage kind is observed alike.
+func (l roundLoop) run(nw *Network) {
 	defer nw.wg.Done()
-	// The slot serves one stage per member pipeline; blame the one whose
-	// buffer was in hand when the panic happened.
-	current := g.pipes[0].stages[pos].name
+	// Blame the stage whose buffer was in hand when a panic happened.
+	current := l.members[0].name
 	defer func() {
 		if pe := capturePanic(current, recover()); pe != nil {
 			nw.fail(pe)
 		}
 	}()
-	in := g.queues[pos]
-	out := g.queues[pos+1]
-	remaining := len(g.pipes)
-	// Every member stage of the slot is now waiting for its first buffer.
-	// Per round, the served stage is marked working for exactly the span of
-	// its function, so a parked slot shows every member accepting and a
-	// stage stuck inside its function shows working since the round began.
-	slotStart := time.Now()
-	for _, p := range g.pipes {
-		p.stages[pos].stats.setPark(StageAccepting, slotStart)
+	// Every member stage is now waiting for its first buffer. Per round, the
+	// served stage is marked working for exactly the span of its function,
+	// so a parked loop shows every member accepting and a stage stuck inside
+	// its function shows working since the round began.
+	loopStart := time.Now()
+	for _, s := range l.members {
+		s.stats.setPark(StageAccepting, loopStart)
 	}
-	for remaining > 0 {
+	for remaining := l.cabooses; remaining > 0; {
 		start := time.Now()
-		b, err := in.pop(nw.done)
+		b, err := l.in.pop(nw.done)
 		if err != nil {
 			return
 		}
 		wait := time.Since(start)
-		s := b.pipe.stages[pos]
+		s := l.members[b.pipe.member]
 		current = s.name
 		s.stats.acceptWait.Add(int64(wait))
 		round := -1
@@ -348,14 +376,27 @@ func runSlot(nw *Network, g *group, pos int) {
 		nw.traceWait(s, b.pipe, round, start)
 		if b.caboose {
 			remaining--
+			if l.collapse && remaining > 0 {
+				continue
+			}
 			s.stats.setPark(StageDone, time.Now())
-			_ = out.push(b, nw.done)
+			for i, out := range l.outs {
+				if i > 0 {
+					b = &Buffer{caboose: true, pipe: b.pipe}
+				}
+				_ = out.push(b, nw.done)
+			}
 			continue
 		}
-		ctx := b.pipe.slotCtx[pos]
 		t0 := time.Now()
 		s.stats.setPark(StageWorking, t0)
-		ferr := s.round(ctx, b)
+		branch := 0
+		var ferr error
+		if s.fork != nil {
+			branch, ferr = s.fork.route(s.ctx, b)
+		} else {
+			ferr = s.round(s.ctx, b)
+		}
 		t1 := time.Now()
 		s.stats.work.Add(int64(t1.Sub(t0)))
 		s.stats.rounds.Add(1)
@@ -365,8 +406,36 @@ func runSlot(nw *Network, g *group, pos int) {
 			nw.fail(fmt.Errorf("fg: stage %q: %w", s.name, ferr))
 			return
 		}
-		if err := out.push(b, nw.done); err != nil {
+		if branch < 0 || branch >= len(l.outs) {
+			nw.fail(fmt.Errorf("fg: fork %q routed a buffer to branch %d of %d",
+				s.name, branch, len(l.outs)))
+			return
+		}
+		if err := l.outs[branch].push(b, nw.done); err != nil {
 			return
 		}
 	}
+}
+
+// slotLoop returns the loop serving position pos of the group's spine: the
+// position-pos stage of every member pipeline, each buffer dispatched to
+// its own pipeline's stage. For a plain pipeline that is the classic
+// one-thread-per-stage runner, for a virtual group FG's shared thread for k
+// identical virtual stages; a fork or join stage (never virtual) is the same
+// loop with the fork's outputs or the join's caboose rule.
+func (g *group) slotLoop(pos int) roundLoop {
+	l := roundLoop{in: g.queues[pos], outs: []queue{g.queues[pos+1]}, cabooses: len(g.pipes)}
+	for _, p := range g.pipes {
+		l.members = append(l.members, p.stages[pos])
+	}
+	switch s := l.members[0]; {
+	case s.fork != nil:
+		l.outs = make([]queue, len(s.fork.branches))
+		for i := range l.outs {
+			l.outs[i] = s.fork.branchIn(i, 0)
+		}
+	case s.join != nil:
+		l.cabooses, l.collapse = len(s.join.branches), true
+	}
+	return l
 }

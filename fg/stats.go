@@ -32,7 +32,7 @@ type StageStats struct {
 	// SlowPushes counts pushes into the stage's input queue that missed the
 	// non-blocking fast path. Queues are sized so that pushes never block by
 	// construction; a nonzero count is an invariant violation worth
-	// investigating (it also emits a flight-recorder event).
+	// investigating (it also emits a trace event).
 	SlowPushes int64
 	// State is the stage's instantaneous activity and InState how long it has
 	// been there. A stage Working for seconds with no round progress is stuck
@@ -117,42 +117,62 @@ func (nw *Network) Stats() NetworkStats {
 				ps.PoolCap = cap(g.pool)
 			}
 			st.Pipelines = append(st.Pipelines, ps)
+			// A fork region is listed in full and upstream to downstream,
+			// the order diagnose relies on: the fork, each branch's chain,
+			// then the join — every stage beside its own input queue.
 			for pos, s := range p.stages {
 				if seen[s] {
 					continue
 				}
 				seen[s] = true
-				ss := StageStats{
-					Stage:      s.name,
-					Pipeline:   s.primary().name,
-					Shared:     len(s.slots) > 1,
-					Virtual:    g.virtual && !s.isFree(),
-					Rounds:     s.stats.rounds.Load(),
-					AcceptWait: time.Duration(s.stats.acceptWait.Load()),
-					Work:       time.Duration(s.stats.work.Load()),
+				var in queue
+				if built {
+					in = g.queues[pos]
 				}
-				// Load parkSince before park: setPark stores since first, so
-				// the duration can only be read conservatively (too short),
-				// never as a stale long stretch in a fresh state.
-				since := s.stats.parkSince.Load()
-				ss.State = StageState(s.stats.park.Load())
-				if ss.State != StageIdle && since > 0 {
-					ss.InState = time.Since(time.Unix(0, since))
-					if ss.InState < 0 {
-						ss.InState = 0
+				st.Stages = append(st.Stages, s.snapshot(g, in))
+				if s.fork == nil {
+					continue
+				}
+				for i, chain := range s.fork.branches {
+					for j, bs := range chain {
+						if built {
+							in = s.fork.branchQ[i][j]
+						}
+						st.Stages = append(st.Stages, bs.snapshot(g, in))
 					}
 				}
-				if built {
-					q := g.queues[pos]
-					ss.QueueLen = q.len()
-					ss.QueueCap = q.cap()
-					ss.SlowPushes = q.slowPushes()
-				}
-				st.Stages = append(st.Stages, ss)
 			}
 		}
 	}
 	return st
+}
+
+// snapshot reads one stage's counters and the occupancy of its input queue
+// (nil before the network is built).
+func (s *Stage) snapshot(g *group, in queue) StageStats {
+	ss := StageStats{
+		Stage:      s.name,
+		Pipeline:   s.primary().name,
+		Shared:     len(s.slots) > 1,
+		Virtual:    g.virtual && !s.isFree(),
+		Rounds:     s.stats.rounds.Load(),
+		AcceptWait: time.Duration(s.stats.acceptWait.Load()),
+		Work:       time.Duration(s.stats.work.Load()),
+	}
+	// Load parkSince before park: setPark stores since first, so the
+	// duration can only be read conservatively (too short), never as a
+	// stale long stretch in a fresh state.
+	since := s.stats.parkSince.Load()
+	ss.State = StageState(s.stats.park.Load())
+	if ss.State != StageIdle && since > 0 {
+		ss.InState = max(0, time.Since(time.Unix(0, since)))
+	}
+	if in != nil {
+		ss.QueueLen = in.len()
+		ss.QueueCap = in.cap()
+		ss.SlowPushes = in.slowPushes()
+	}
+	return ss
 }
 
 // A BottleneckReport names the stage that governs a network's wall time and

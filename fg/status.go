@@ -66,13 +66,7 @@ func (s NetworkStatus) String() string {
 	}
 	fmt.Fprintf(&b, "network %q: %s, wall %v\n", s.Network, state, s.Wall.Round(time.Millisecond))
 	for _, h := range s.Stages {
-		fill := fmt.Sprintf("%d", h.QueueLen)
-		if h.QueueCap > 0 {
-			fill = fmt.Sprintf("%d/%d", h.QueueLen, h.QueueCap)
-		}
-		fmt.Fprintf(&b, "  stage %-20s on %-20s %-14s rounds=%-6d util=%3.0f%% queue=%-7s for %v\n",
-			h.Stage, h.Pipeline, h.State, h.Rounds, 100*h.Utilization, fill,
-			h.InState.Round(time.Millisecond))
+		b.WriteString(h.line(true))
 	}
 	fmt.Fprintf(&b, "  %s\n", s.Bottleneck)
 	return b.String()

@@ -131,8 +131,8 @@ func TestTraceDroppedMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if !strings.Contains(out, "fg_trace_dropped_total") {
-		t.Fatalf("scrape has no fg_trace_dropped_total:\n%s", out)
+	if !strings.Contains(out, "# HELP fg_trace_dropped_total trace events overwritten") {
+		t.Fatalf("scrape has no fg_trace_dropped_total, or its HELP does not say events are overwritten:\n%s", out)
 	}
 	if strings.Count(out, `fg_trace_dropped_total{`) != 1 {
 		t.Errorf("duplicate tracer registration produced multiple series:\n%s", out)
@@ -148,5 +148,23 @@ func TestTraceDroppedMetric(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("Samples carries %d dropped series, want 1", n)
+	}
+}
+
+// TestStageLineRenderings pins the one stage-line formatter to the two
+// renderings it replaced, byte for byte: a stall report's line (with the
+// slow-push count, no utilization) and a status document's (the reverse).
+func TestStageLineRenderings(t *testing.T) {
+	h := StageHealth{Stage: "write", Pipeline: "receive", State: HealthBlockedOnPut, Rounds: 12,
+		QueueLen: 5, QueueCap: 5, SlowPushes: 3, InState: 1234 * time.Millisecond, Utilization: 0.987}
+	stall := StallReport{Network: "n", Stages: []StageHealth{h}}.String()
+	status := NetworkStatus{Network: "n", Stages: []StageHealth{h}}.String()
+	for doc, want := range map[string]string{
+		stall:  "  stage write                on receive              blocked-on-put rounds=12     queue=5/5     for 1.234s slow-pushes=3\n",
+		status: "  stage write                on receive              blocked-on-put rounds=12     util= 99% queue=5/5     for 1.234s\n",
+	} {
+		if !strings.Contains(doc, want) {
+			t.Errorf("rendering lacks the line %q:\n%s", want, doc)
+		}
 	}
 }

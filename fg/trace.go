@@ -57,9 +57,8 @@ const (
 	EventComm
 	// EventSlowPush marks an inter-stage queue push that missed its
 	// non-blocking fast path — a violation of the queues' sized-to-never-
-	// fill invariant, recorded (zero-length, into the flight recorder) so
-	// capacity-sizing bugs surface instead of hiding as latency. Stage
-	// names the edge's consumer.
+	// fill invariant, recorded (zero-length) so capacity-sizing bugs surface
+	// instead of hiding as latency. Stage names the edge's consumer.
 	EventSlowPush
 )
 
@@ -79,21 +78,34 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("EventKind(%d)", int(k))
 }
 
-// A Tracer collects events from one or more network runs (dsort attaches
-// one tracer to every pass's network, so the passes share a timeline). The
-// zero value is unused; create with NewTracer and attach with
-// Network.SetTracer before Run.
+// A Tracer is the one event sink: it collects events from one or more
+// network runs (dsort attaches one tracer to every pass's network, so the
+// passes share a timeline) and from external recorders, and keeps the most
+// recent limit of them. Sized generously it holds a whole run's timeline;
+// sized to BlackBoxEvents it is the cheap always-on mode whose dump says
+// what a hung or crashed run did last. The zero value is unused; create
+// with NewTracer and attach with Network.SetTracer before Run. All methods
+// are safe for concurrent use.
 type Tracer struct {
-	mu      sync.Mutex
-	epoch   time.Time
-	events  []Event
-	limit   int
+	mu     sync.Mutex
+	epoch  time.Time
+	events []Event // a ring once it holds limit events: oldest is the oldest
+	oldest int
+	limit  int
+	// dropped counts overwritten events; atomic so a metrics scrape does not
+	// take the recorders' lock.
 	dropped atomic.Int64
 }
 
-// NewTracer creates a tracer retaining at most limit events (0 means a
-// generous default). Events past the limit are dropped — counted by
-// Dropped — keeping tracing safe for long runs.
+// BlackBoxEvents is how many of its most recent events a tracer writes as
+// the black box (WriteBlackBox), and the limit to give a tracer that exists
+// only to be one.
+const BlackBoxEvents = 4096
+
+// NewTracer creates a tracer retaining the last limit events (0 means a
+// generous default). Past the limit each new event overwrites the oldest —
+// counted by Dropped — so tracing stays safe for long runs, and what
+// survives a run that stalls or dies is its final moments, not its first.
 func NewTracer(limit int) *Tracer {
 	if limit <= 0 {
 		limit = 1 << 16
@@ -101,25 +113,33 @@ func NewTracer(limit int) *Tracer {
 	return &Tracer{epoch: time.Now(), limit: limit}
 }
 
-// Record adds an event. The framework calls it for work, wait, and retry
-// intervals; external recorders (the cluster's communication observer, say)
-// may call it directly with intervals converted through Span. Events past
-// the tracer's limit are dropped and counted.
+// Record adds an event, overwriting the oldest once the tracer is full.
+// The framework calls it for work, wait, and retry intervals; external
+// recorders (the cluster's communication observer, say) call it directly
+// with intervals converted through Span.
 func (tr *Tracer) Record(e Event) {
 	tr.mu.Lock()
 	if len(tr.events) < tr.limit {
 		tr.events = append(tr.events, e)
-		tr.mu.Unlock()
-		return
+	} else {
+		tr.events[tr.oldest] = e
+		tr.oldest = (tr.oldest + 1) % tr.limit
+		tr.dropped.Add(1)
 	}
 	tr.mu.Unlock()
-	tr.dropped.Add(1)
 }
 
-// Dropped returns how many events were discarded because the tracer was
-// full. A non-zero count means the timeline is truncated; raise the limit
-// passed to NewTracer to capture the whole run.
+// Dropped returns how many events were overwritten because the tracer was
+// full. A non-zero count means the timeline has lost its beginning; raise
+// the limit passed to NewTracer to capture the whole run.
 func (tr *Tracer) Dropped() int64 { return tr.dropped.Load() }
+
+// Len returns how many events the tracer currently holds.
+func (tr *Tracer) Len() int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return len(tr.events)
+}
 
 // Span converts a wall-clock interval into the tracer's epoch-relative
 // form, for building Events outside the framework.
@@ -127,54 +147,61 @@ func (tr *Tracer) Span(start, end time.Time) (s, e time.Duration) {
 	return start.Sub(tr.epoch), end.Sub(tr.epoch)
 }
 
-// Events returns the recorded events in chronological start order.
+// Events returns the retained events in chronological start order.
 func (tr *Tracer) Events() []Event {
-	tr.mu.Lock()
-	out := append([]Event(nil), tr.events...)
-	tr.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	out, _ := tr.recent(tr.limit)
 	return out
 }
 
-// SetTracer attaches a tracer to the network; every round stage's work and
-// wait intervals are recorded, as are free stages' accept waits and retried
-// attempts of Retry-wrapped stages. Attach before Run. Several networks may
-// share one tracer.
+// recent returns the n most recently recorded events in chronological start
+// order, and how many recorded events that leaves out — overwritten, or
+// retained but older.
+func (tr *Tracer) recent(n int) (out []Event, omitted int64) {
+	tr.mu.Lock()
+	skip := max(0, len(tr.events)-n)
+	out = make([]Event, 0, len(tr.events)-skip)
+	for i := skip; i < len(tr.events); i++ {
+		out = append(out, tr.events[(tr.oldest+i)%len(tr.events)])
+	}
+	omitted = tr.dropped.Load() + int64(skip)
+	tr.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	return out, omitted
+}
+
+// SetTracer attaches a tracer to the network; every round-driven stage's
+// work and wait intervals are recorded, as are free stages' accept waits,
+// retried attempts of Retry-wrapped stages, and queue pushes that missed
+// their fast path. Attach before Run. Several networks may share one tracer.
 func (nw *Network) SetTracer(tr *Tracer) {
 	nw.mustNotBeStarted()
 	nw.tracer = tr
 }
 
-// emitTrace records one interval into the attached tracer and flight
-// recorder, each against its own epoch. The callers have already checked
-// that at least one sink is attached, so an unobserved network never
-// reaches this path.
+// emitTrace records one interval into the attached tracer. Its callers have
+// checked that there is one, so an unobserved network pays a nil check and
+// never reaches this path.
 func (nw *Network) emitTrace(kind EventKind, s *Stage, p *Pipeline, round int, start, now time.Time) {
+	tr := nw.tracer
 	e := Event{Stage: s.name, Pipeline: p.name, Kind: kind, Round: round}
-	if tr := nw.tracer; tr != nil {
-		e.Start, e.End = start.Sub(tr.epoch), now.Sub(tr.epoch)
-		tr.Record(e)
-	}
-	if fr := nw.flight; fr != nil {
-		e.Start, e.End = start.Sub(fr.epoch), now.Sub(fr.epoch)
-		fr.Record(e)
-	}
+	e.Start, e.End = tr.Span(start, now)
+	tr.Record(e)
 }
 
-// traceWork records a work interval if tracing or flight recording is on.
+// traceWork records a work interval if a tracer is attached.
 func (nw *Network) traceWork(s *Stage, p *Pipeline, round int, start time.Time) {
-	if nw.tracer == nil && nw.flight == nil {
+	if nw.tracer == nil {
 		return
 	}
 	nw.emitTrace(EventWork, s, p, round, start, time.Now())
 }
 
-// traceWait records a wait interval if tracing or flight recording is on
-// and it is long enough to matter (sub-10us waits are queue handoffs, not
-// stalls). round is the round of the buffer whose arrival ended the wait,
-// or -1 when the wait ended in end-of-stream or shutdown.
+// traceWait records a wait interval if a tracer is attached and it is long
+// enough to matter (sub-10us waits are queue handoffs, not stalls). round is
+// the round of the buffer whose arrival ended the wait, or -1 when the wait
+// ended in end-of-stream or shutdown.
 func (nw *Network) traceWait(s *Stage, p *Pipeline, round int, start time.Time) {
-	if nw.tracer == nil && nw.flight == nil {
+	if nw.tracer == nil {
 		return
 	}
 	now := time.Now()
@@ -186,25 +213,25 @@ func (nw *Network) traceWait(s *Stage, p *Pipeline, round int, start time.Time) 
 
 // traceRetry records one failed attempt of a Retry-wrapped stage.
 func (nw *Network) traceRetry(s *Stage, p *Pipeline, round int, start time.Time) {
-	if nw.tracer == nil && nw.flight == nil {
+	if nw.tracer == nil {
 		return
 	}
 	nw.emitTrace(EventRetry, s, p, round, start, time.Now())
 }
 
 // noteSlowPush records a queue invariant violation — a push that missed
-// its non-blocking fast path — into the flight recorder, as a zero-length
-// event naming the group and the edge's consuming stage. Installed on
-// every queue at build time; the per-queue counter feeds Stats regardless,
-// so the breach is visible even without a flight recorder attached.
+// its non-blocking fast path — as a zero-length event naming the group and
+// the edge's consuming stage. Installed on every queue at build time; the
+// per-queue counter feeds Stats regardless, so the breach is visible even
+// with no tracer attached.
 func (nw *Network) noteSlowPush(group, consumer string) {
-	fr := nw.flight
-	if fr == nil {
+	tr := nw.tracer
+	if tr == nil {
 		return
 	}
 	now := time.Now()
-	s, e := fr.Span(now, now)
-	fr.Record(Event{Stage: consumer, Pipeline: group, Kind: EventSlowPush, Round: -1, Start: s, End: e})
+	s, e := tr.Span(now, now)
+	tr.Record(Event{Stage: consumer, Pipeline: group, Kind: EventSlowPush, Round: -1, Start: s, End: e})
 }
 
 // Gantt renders the trace as an ASCII chart: one row per stage, time
@@ -237,7 +264,7 @@ func (tr *Tracer) Gantt(width int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace: %v total, %d events", maxEnd.Round(time.Millisecond), len(events))
 	if d := tr.Dropped(); d > 0 {
-		fmt.Fprintf(&b, " (%d dropped: timeline truncated)", d)
+		fmt.Fprintf(&b, " (%d dropped: timeline starts late)", d)
 	}
 	fmt.Fprintf(&b, " ('#'=work, '.'=wait, 'r'=retry, '~'=comm)\n")
 	for _, key := range order {
@@ -319,11 +346,22 @@ const traceMetaName = "fg_trace_meta"
 // tracer's epoch; an fg_trace_meta metadata event records the epoch and the
 // dropped-event count.
 func (tr *Tracer) WriteChromeTrace(w io.Writer) error {
-	return writeChromeJSON(w, tr.Events(), tr.epoch, tr.Dropped())
+	events, omitted := tr.recent(tr.limit)
+	return writeChromeJSON(w, events, tr.epoch, omitted)
+}
+
+// WriteBlackBox writes the tracer's BlackBoxEvents most recent events in
+// WriteChromeTrace's format: what a stall or panic handler dumps, small
+// whatever the tracer's limit, and — carrying the same fg_trace_meta event
+// — loadable and mergeable like any trace. Its dropped count is every
+// recorded event the document leaves out.
+func (tr *Tracer) WriteBlackBox(w io.Writer) error {
+	events, omitted := tr.recent(BlackBoxEvents)
+	return writeChromeJSON(w, events, tr.epoch, omitted)
 }
 
 // writeChromeJSON renders events (already in start order) as one
-// Chrome-trace document; shared by Tracer and FlightRecorder.
+// Chrome-trace document.
 func writeChromeJSON(w io.Writer, events []Event, epoch time.Time, dropped int64) error {
 	const pid = 1
 	tidOf := map[string]int{}
@@ -400,7 +438,7 @@ func writeChromeJSON(w io.Writer, events []Event, epoch time.Time, dropped int64
 }
 
 // MergeChromeTraces merges per-node Chrome trace files (as written by
-// WriteChromeTrace or FlightRecorder.WriteChromeTrace) into one document on
+// WriteChromeTrace or WriteBlackBox) into one document on
 // a single aligned timeline: each input becomes one named process, and
 // every input's timestamps are shifted by the difference between its
 // recording epoch (read from its fg_trace_meta event) and the earliest

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -270,4 +273,156 @@ func TestSetTracerAfterRunPanics(t *testing.T) {
 		}
 	}()
 	nw.SetTracer(NewTracer(0))
+}
+
+// msEvent is a work event whose round and start (in ms) are both i, so a
+// test can tell which events survived and whether one was torn.
+func msEvent(i int) Event {
+	return Event{Stage: fmt.Sprintf("s%d", i%2), Pipeline: "p", Kind: EventWork, Round: i,
+		Start: time.Duration(i) * time.Millisecond, End: time.Duration(i+1) * time.Millisecond}
+}
+
+// TestTracerKeepsLast records N > limit events and checks that exactly the
+// last limit survive, in start order, with every overwrite counted.
+func TestTracerKeepsLast(t *testing.T) {
+	const limit, n = 16, 100
+	tr := NewTracer(limit)
+	for i := 0; i < n; i++ {
+		tr.Record(msEvent(i))
+	}
+	if got := tr.Dropped(); got != n-limit {
+		t.Errorf("Dropped = %d, want %d", got, n-limit)
+	}
+	events := tr.Events()
+	if len(events) != limit || tr.Len() != limit {
+		t.Fatalf("tracer holds %d events (Len %d), want %d", len(events), tr.Len(), limit)
+	}
+	for i, e := range events {
+		if e.Round != n-limit+i {
+			t.Errorf("Events()[%d].Round = %d, want %d (the oldest must be overwritten first)", i, e.Round, n-limit+i)
+		}
+	}
+}
+
+// TestTracerPartialFill checks that a tracer below its limit reports only
+// what it holds and has dropped nothing.
+func TestTracerPartialFill(t *testing.T) {
+	tr := NewTracer(0)
+	if tr.Len() != 0 || tr.Dropped() != 0 || len(tr.Events()) != 0 {
+		t.Errorf("fresh tracer: Len=%d Dropped=%d", tr.Len(), tr.Dropped())
+	}
+	tr.Record(Event{Stage: "only", Kind: EventWork})
+	if events := tr.Events(); tr.Len() != 1 || len(events) != 1 || events[0].Stage != "only" {
+		t.Errorf("after one record: Len=%d events=%+v", tr.Len(), events)
+	}
+}
+
+// TestTracerConcurrent hammers Record from many goroutines while others
+// read Events and write both dumps continuously; under -race this proves
+// the locking, and every record must be accounted for.
+func TestTracerConcurrent(t *testing.T) {
+	const writers, per = 8, 2000
+	tr := NewTracer(64)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	reader := func(read func()) {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					read()
+				}
+			}
+		}()
+	}
+	reader(func() {
+		for _, e := range tr.Events() {
+			if int(e.Start/time.Millisecond) != e.Round {
+				t.Errorf("torn event: %+v", e)
+				return
+			}
+		}
+	})
+	reader(func() {
+		if err := tr.WriteChromeTrace(io.Discard); err != nil {
+			t.Error(err)
+		}
+		if err := tr.WriteBlackBox(io.Discard); err != nil {
+			t.Error(err)
+		}
+	})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				tr.Record(msEvent(w*per + i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if total := int64(tr.Len()) + tr.Dropped(); total != writers*per {
+		t.Errorf("Len+Dropped = %d, want %d", total, writers*per)
+	}
+}
+
+// TestTracerBlackBox: the black box of a tracer sized for a whole run is
+// still black-box sized — the BlackBoxEvents most recent — and has the
+// shape of a full trace: the fg_trace_meta event MergeChromeTraces aligns
+// by, counting every event the document leaves out.
+func TestTracerBlackBox(t *testing.T) {
+	const n = BlackBoxEvents + 1000
+	tr := NewTracer(1 << 21)
+	for i := 0; i < n; i++ {
+		tr.Record(msEvent(i))
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteBlackBox(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("black box is not valid JSON: %v", err)
+	}
+	xEvents, metaSeen, oldest := 0, false, n
+	for _, ev := range doc.TraceEvents {
+		switch {
+		case ev.Ph == "X":
+			xEvents++
+			if r, _ := ev.Args["round"].(float64); int(r) < oldest {
+				oldest = int(r)
+			}
+		case ev.Ph == "M" && ev.Name == "fg_trace_meta":
+			metaSeen = true
+			if d, _ := ev.Args["dropped"].(float64); d != n-BlackBoxEvents {
+				t.Errorf("meta dropped = %v, want %d", ev.Args["dropped"], n-BlackBoxEvents)
+			}
+			if e, _ := ev.Args["epoch_unix_nano"].(float64); e == 0 {
+				t.Error("meta has no epoch")
+			}
+		}
+	}
+	if !metaSeen {
+		t.Error("black box has no fg_trace_meta event; MergeChromeTraces cannot align it")
+	}
+	if xEvents != BlackBoxEvents || oldest != n-BlackBoxEvents {
+		t.Errorf("black box has %d X events from round %d on, want the last %d (from round %d)",
+			xEvents, oldest, BlackBoxEvents, n-BlackBoxEvents)
+	}
+	if err := MergeChromeTraces(io.Discard, &buf); err != nil {
+		t.Errorf("the black box does not merge: %v", err)
+	}
 }

@@ -77,6 +77,24 @@ type StageHealth struct {
 	Utilization float64 `json:"utilization,omitempty"`
 }
 
+// line renders the stage as one line of a stall report or, with its
+// utilization, of a status document; only a stall report has room for the
+// slow-push count.
+func (h StageHealth) line(status bool) string {
+	fill := fmt.Sprintf("%d", h.QueueLen)
+	if h.QueueCap > 0 {
+		fill = fmt.Sprintf("%d/%d", h.QueueLen, h.QueueCap)
+	}
+	extra, tail := "", ""
+	if status {
+		extra = fmt.Sprintf("util=%3.0f%% ", 100*h.Utilization)
+	} else if h.SlowPushes > 0 {
+		tail = fmt.Sprintf(" slow-pushes=%d", h.SlowPushes)
+	}
+	return fmt.Sprintf("  stage %-20s on %-20s %-14s rounds=%-6d %squeue=%-7s for %v%s\n",
+		h.Stage, h.Pipeline, h.State, h.Rounds, extra, fill, h.InState.Round(time.Millisecond), tail)
+}
+
 // A StallReport describes a network that has made no progress for a while.
 type StallReport struct {
 	Network string `json:"network"`
@@ -107,16 +125,7 @@ func (r StallReport) String() string {
 		fmt.Fprintf(&b, "  %s\n", r.Reason)
 	}
 	for _, s := range r.Stages {
-		fill := fmt.Sprintf("%d", s.QueueLen)
-		if s.QueueCap > 0 {
-			fill = fmt.Sprintf("%d/%d", s.QueueLen, s.QueueCap)
-		}
-		fmt.Fprintf(&b, "  stage %-20s on %-20s %-14s rounds=%-6d queue=%-7s for %v",
-			s.Stage, s.Pipeline, s.State, s.Rounds, fill, s.InState.Round(time.Millisecond))
-		if s.SlowPushes > 0 {
-			fmt.Fprintf(&b, " slow-pushes=%d", s.SlowPushes)
-		}
-		b.WriteString("\n")
+		b.WriteString(s.line(false))
 	}
 	if r.Goroutines != "" {
 		fmt.Fprintf(&b, "  goroutines:\n%s\n", indent(r.Goroutines, "    "))

@@ -81,8 +81,8 @@ type Params struct {
 	// pull requests for black boxes and profiles are served. The harness
 	// fills Collect and Blackbox from Observe — stage taxonomy, pool
 	// occupancy, and knob positions from the metrics registry, stall reports
-	// from the watchdog, the flight recorder as the black box. The zero
-	// value disables the plane.
+	// from the watchdog, the tracer's most recent events as the black box.
+	// The zero value disables the plane.
 	Telemetry cluster.TelemetryConfig
 
 	// OnTelemetry, if non-nil, receives each freshly started telemetry
@@ -160,8 +160,7 @@ func (pr Params) instrument(c *cluster.Cluster) func() {
 		}
 	}
 	tr := o.Tracer
-	fr := o.Flight
-	if tr == nil && fr == nil {
+	if tr == nil {
 		return detachTelemetry
 	}
 	for _, n := range c.Local() {
@@ -175,14 +174,8 @@ func (pr Params) instrument(c *cluster.Cluster) func() {
 				Bytes:    int64(nbytes),
 				Xfer:     xfer,
 			}
-			if tr != nil {
-				e.Start, e.End = tr.Span(start, end)
-				tr.Record(e)
-			}
-			if fr != nil {
-				e.Start, e.End = fr.Span(start, end)
-				fr.Record(e)
-			}
+			e.Start, e.End = tr.Span(start, end)
+			tr.Record(e)
 		})
 	}
 	return func() {

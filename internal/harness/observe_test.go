@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -257,7 +258,7 @@ func TestObserveCLITraceOutAtomicWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs := pr.Observe; obs == nil || obs.Tracer == nil || obs.Flight == nil {
+	if obs := pr.Observe; obs == nil || obs.Tracer == nil {
 		t.Fatalf("bundle incomplete: %+v", obs)
 	}
 	pr.Nodes = 2
@@ -284,6 +285,55 @@ func TestObserveCLITraceOutAtomicWrite(t *testing.T) {
 		if e.Name() != "trace.json" {
 			t.Errorf("debris left beside the trace: %s", e.Name())
 		}
+	}
+}
+
+// TestObserveCLITraceAndBlackBoxShareOneSink: -trace-out and -stall-after
+// together still produce both files — the whole-run trace at finish, the
+// black box when the watchdog reports — from the bundle's one tracer, each a
+// Chrome trace MergeChromeTraces can place on a shared timeline.
+func TestObserveCLITraceAndBlackBoxShareOneSink(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil { // BlackBoxPath is relative
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	pr := tinyParams()
+	finish, err := ObserveCLI(ObserveFlags{TraceOut: "trace.json", StallAfter: time.Hour}, &pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pr.Run(Dsort, workload.Uniform, 0); err != nil {
+		t.Fatal(err)
+	}
+	pr.Observe.Watchdog.OnStall(fg.StallReport{Network: "reported-by-hand"})
+	if err := finish(nil); err != nil {
+		t.Fatal(err)
+	}
+	var docs []io.Reader
+	events := map[string]int{}
+	for _, path := range []string{"trace.json", BlackBoxPath} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s not written: %v", path, err)
+		}
+		_, kinds := decodeChromeTrace(t, raw)
+		if kinds["work"] == 0 || kinds["comm"] == 0 {
+			t.Errorf("%s incomplete: kinds=%v", path, kinds)
+		}
+		for _, n := range kinds {
+			events[path] += n
+		}
+		docs = append(docs, bytes.NewReader(raw))
+	}
+	if box, want := events[BlackBoxPath], min(events["trace.json"], fg.BlackBoxEvents); box != want {
+		t.Errorf("black box holds %d events, want the trace's last %d", box, want)
+	}
+	if err := fg.MergeChromeTraces(io.Discard, docs...); err != nil {
+		t.Errorf("the two files do not merge: %v", err)
 	}
 }
 

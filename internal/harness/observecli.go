@@ -15,8 +15,9 @@ import (
 	"github.com/fg-go/fg/fg"
 )
 
-// BlackBoxPath is where ObserveCLI dumps the flight recorder when a run
-// stalls or panics: a Chrome-trace "black box" of the final moments.
+// BlackBoxPath is where ObserveCLI dumps the tracer's most recent events
+// when a run stalls or panics: a Chrome-trace "black box" of the final
+// moments.
 const BlackBoxPath = "fg-blackbox.json"
 
 // ObserveFlags are the observability settings a command line offers; the
@@ -37,8 +38,8 @@ type ObserveFlags struct {
 	StatusAddr string `json:"status_addr,omitempty"`
 	// StallAfter, when positive, arms a progress watchdog on every network:
 	// a stretch of StallAfter with no stage completing a round prints a
-	// StallReport naming the suspected culprit and dumps the flight
-	// recorder to BlackBoxPath.
+	// StallReport naming the suspected culprit and dumps the black box to
+	// BlackBoxPath.
 	StallAfter time.Duration `json:"stall_after_ns,omitempty"`
 }
 
@@ -47,12 +48,12 @@ type ObserveFlags struct {
 // pr.Observe (left nil when f is zero, so an unobserved run costs nothing)
 // and, with StatusAddr, the fleet routes following each cluster's telemetry
 // plane. It returns a finish function taking the run's error; finish prints
-// node 0's bottleneck reports, writes the Chrome trace file, dumps the flight
-// recorder if the run died on a panic, and stops the HTTP server.
+// node 0's bottleneck reports, writes the Chrome trace file, dumps the black
+// box if the run died on a panic, and stops the HTTP server.
 //
-// Whenever any field is set, a flight recorder rides along: the last few
-// thousand events are retained even when full tracing is off, so the black
-// box has something to say.
+// Whenever any field is set, a tracer rides along — the one sink behind both
+// files, sized for the whole run with TraceOut and to the black box
+// otherwise — so the black box always has something to say.
 func ObserveCLI(f ObserveFlags, pr *Params) (finish func(runErr error) error, err error) {
 	if f == (ObserveFlags{}) {
 		return func(error) error { return nil }, nil
@@ -69,7 +70,11 @@ func ObserveCLI(f ObserveFlags, pr *Params) (finish func(runErr error) error, er
 		reports = append(reports, fmt.Sprintf("%s: %s", st.Name, st.Bottleneck()))
 		mu.Unlock()
 	}
-	o.Flight = fg.NewFlightRecorder(0)
+	limit := fg.BlackBoxEvents
+	if f.TraceOut != "" {
+		limit = 1 << 21
+	}
+	o.Tracer = fg.NewTracer(limit)
 	stopServer := func() error { return nil }
 	if f.StatusAddr != "" {
 		// The process's one observability listener.
@@ -85,16 +90,13 @@ func ObserveCLI(f ObserveFlags, pr *Params) (finish func(runErr error) error, er
 		stopServer = srv.Close
 		fmt.Printf("serving on http://%s: /metrics (Prometheus), /status (text), /status.json, and the fleet view under /cluster/\n", ln.Addr())
 	}
-	if f.TraceOut != "" {
-		o.Tracer = fg.NewTracer(1 << 21)
-	}
 	writeBlackBox := func(why string) {
-		if err := writeFileAtomic(BlackBoxPath, o.Flight.WriteChromeTrace); err != nil {
+		if err := writeFileAtomic(BlackBoxPath, o.Tracer.WriteBlackBox); err != nil {
 			fmt.Fprintf(os.Stderr, "black box write failed: %v\n", err)
 			return
 		}
 		fmt.Printf("black box (%s) written to %s: last %d events; load it in chrome://tracing\n",
-			why, BlackBoxPath, o.Flight.Len())
+			why, BlackBoxPath, min(o.Tracer.Len(), fg.BlackBoxEvents))
 	}
 	if f.StallAfter > 0 {
 		interval := f.StallAfter / 4
@@ -123,12 +125,12 @@ func ObserveCLI(f ObserveFlags, pr *Params) (finish func(runErr error) error, er
 			writeBlackBox("panic in stage " + pe.Stage)
 		}
 		mu.Unlock()
-		if o.Tracer != nil {
+		if f.TraceOut != "" {
 			if err := writeFileAtomic(f.TraceOut, o.Tracer.WriteChromeTrace); err != nil {
 				_ = stopServer()
 				return err
 			}
-			fmt.Printf("trace written to %s (%d events", f.TraceOut, len(o.Tracer.Events()))
+			fmt.Printf("trace written to %s (%d events", f.TraceOut, o.Tracer.Len())
 			if d := o.Tracer.Dropped(); d > 0 {
 				fmt.Printf(", %d dropped", d)
 			}

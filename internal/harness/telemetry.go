@@ -246,14 +246,12 @@ func (fc *fleetCollector) collect(rank int, tunerOwner bool) cluster.RankTelemet
 }
 
 // blackbox returns the Blackbox callback for the telemetry pull RPC: the
-// flight recorder's Chrome-trace dump, or nil when the bundle has no
-// recorder.
+// tracer's black-box dump, or nil when the bundle has no tracer.
 func (fc *fleetCollector) blackbox() func(w io.Writer) error {
-	if fc.o == nil || fc.o.Flight == nil {
+	if fc.o == nil || fc.o.Tracer == nil {
 		return nil
 	}
-	fl := fc.o.Flight
-	return func(w io.Writer) error { return fl.WriteChromeTrace(w) }
+	return fc.o.Tracer.WriteBlackBox
 }
 
 // A ClusterTelemetry is the fleet view's handler set, mounted beside the
@@ -261,7 +259,7 @@ func (fc *fleetCollector) blackbox() func(w io.Writer) error {
 //
 //	/cluster/status.json  the aggregator's fleet view (cluster.ClusterStatus)
 //	/cluster/metrics      the same view as rank-labeled Prometheus series
-//	/cluster/blackbox     ?rank=N[&stall=1]: a rank's flight recorder, pulled
+//	/cluster/blackbox     ?rank=N[&stall=1]: a rank's black box, pulled
 //	                      on demand (stall=1 returns the one auto-pulled at
 //	                      the rank's last stall)
 //	/cluster/profile      ?rank=N&kind=cpu|heap: a pprof profile pulled from

@@ -80,7 +80,7 @@ func TestFleetCollectorStallLifecycle(t *testing.T) {
 // TestClusterTelemetryInproc: an in-process dsort with the plane on — the
 // fleet view fills from the real fg registry, every rank reports, the
 // bottleneck names a stage, the metrics endpoint carries fleet_ series, and
-// the blackbox endpoint pulls a flight-recorder dump.
+// the blackbox endpoint pulls a black-box dump.
 func TestClusterTelemetryInproc(t *testing.T) {
 	addr := reserveLoopback(t)
 	pr := DefaultParams()

@@ -133,7 +133,7 @@ func (j *Job) Status() JobStatus {
 //	GET  /jobs/{id}         one job's status
 //	GET  /jobs/{id}/result  the sort result (409 until done)
 //	POST /jobs/{id}/cancel  request cancellation
-//	GET  /jobs/{id}/blackbox  the job's flight-recorder Chrome trace
+//	GET  /jobs/{id}/blackbox  the job's most recent events as a Chrome trace
 //	GET  /metrics           Prometheus text: daemon series + per-job series
 //	GET  /status.json       daemon ledger + per-job statuses
 //	GET  /healthz           200 "ok" (or 503 "draining")
@@ -254,13 +254,13 @@ func (s *Server) handleBlackbox(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	obs := j.observeBundle()
-	if obs == nil || obs.Flight == nil {
+	if obs == nil || obs.Tracer == nil {
 		writeErr(w, http.StatusConflict,
 			fmt.Errorf("service: job %s has not started, no black box", j.ID))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = obs.Flight.WriteChromeTrace(w)
+	_ = obs.Tracer.WriteBlackBox(w)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -64,7 +64,7 @@ type Job struct {
 	cancelWhy   string
 	timedOut    bool             // the wall-clock timer fired; never retried past it
 	cluster     *cluster.Cluster // current attempt's cluster, while running
-	observe     *fg.Observe      // per-job metrics registry + flight recorder
+	observe     *fg.Observe      // per-job metrics registry + black-box tracer
 	result      oocsort.Result
 	err         error
 	attempts    []supervise.Attempt
@@ -245,7 +245,7 @@ func (j *Job) settleCancelled(why string, now time.Time) bool {
 }
 
 // setObserve publishes the job's observability bundle (metrics registry +
-// flight recorder) for the status and blackbox endpoints.
+// black-box tracer) for the status and blackbox endpoints.
 func (j *Job) setObserve(o *fg.Observe) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -65,6 +65,9 @@ func TestMetricsOneWriterAcrossAttempts(t *testing.T) {
 		`fgd_jobs_rejected_total{reason="queue_full"} 0` + "\n",
 		"# HELP fg_stage_rounds_total buffers accepted by the stage\n",
 		"# HELP cluster_bytes_sent_total payload bytes the node sent\n",
+		// Each job's black-box-sized tracer reports what it has overwritten.
+		"# HELP fg_trace_dropped_total trace events overwritten by newer ones because the tracer was full\n",
+		fmt.Sprintf(`fg_trace_dropped_total{job=%q,tracer="0"}`, id),
 		fmt.Sprintf(`cluster_bytes_sent_total{job=%q,node="0"}`, id),
 	} {
 		if !strings.Contains(body, want) {

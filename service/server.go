@@ -256,7 +256,7 @@ func (s *Server) settle(j *Job, doSettle func() bool) {
 	if !doSettle() {
 		return
 	}
-	// A settled job keeps its flight recorder (the black box stays
+	// A settled job keeps its tracer (the black box stays
 	// queryable) but not its metrics registry: /metrics only reports running
 	// jobs, and an open registry would pin the job's networks, cluster and
 	// disks for the life of the daemon.
@@ -394,7 +394,7 @@ func (s *Server) params(j *Job) (harness.Params, func(), error) {
 
 	obs := &fg.Observe{
 		Metrics: fg.NewMetricsRegistry(),
-		Flight:  fg.NewFlightRecorder(0),
+		Tracer:  fg.NewTracer(fg.BlackBoxEvents),
 		OnStats: func(st fg.NetworkStats) {
 			// One line per network of node 0; barriers make it
 			// cluster-representative (the ObserveCLI convention).

@@ -121,7 +121,7 @@ func (d *testDaemon) waitTerminal(t *testing.T, id string, within time.Duration)
 
 // TestAPISubmitPollResult drives the whole happy path a client sees:
 // submit over a real listener, poll to done, fetch the verified result,
-// the flight-recorder black box, the metrics scrape, and the daemon
+// the black box, the metrics scrape, and the daemon
 // status document.
 func TestAPISubmitPollResult(t *testing.T) {
 	check.NoLeakedGoroutines(t)
@@ -547,7 +547,7 @@ func TestQuotaRejectionOverHTTP(t *testing.T) {
 // through the cluster's collector, the cluster and its disks: 12.8 MB per
 // 1 MiB job. Fifty jobs through one server must leave the live heap where
 // the first few put it. (What a retained job does keep is its black box,
-// some 0.4 MB of flight-recorder ring, so the test retains only a few jobs
+// some 0.4 MB of black-box tracer, so the test retains only a few jobs
 // and fills that quota before it measures.)
 func TestFinishedJobsDoNotPinTheirHeaps(t *testing.T) {
 	srv := New(Config{MaxConcurrent: 2, RetainJobs: 8})
@@ -581,7 +581,7 @@ func TestFinishedJobsDoNotPinTheirHeaps(t *testing.T) {
 	if grown := after - before; grown > 4 {
 		t.Fatalf("live heap grew by %.1f MiB over 50 jobs (%.1f → %.1f MiB): finished jobs are pinned", grown, before, after)
 	}
-	if obs := srv.Jobs()[0].observeBundle(); obs == nil || obs.Flight == nil {
+	if obs := srv.Jobs()[0].observeBundle(); obs == nil || obs.Tracer == nil {
 		t.Fatal("a settled job lost its black box")
 	} else if n := len(obs.Metrics.Samples()); n != 0 {
 		t.Fatalf("a settled job's metrics registry still reports %d samples", n)

@@ -22,6 +22,7 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/fg-go/fg/cluster"
@@ -178,16 +179,18 @@ func Run(job Job, p Policy) Report {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed))
 	rep := Report{Job: job.Name}
-	var retries, failures int
+	// Atomics: a scrape reads them from its own goroutine while the attempt
+	// loop below counts.
+	var attempts, retries, failures atomic.Int64
 	if p.Observe != nil && p.Observe.Metrics != nil {
 		name := job.Name
 		// Removed when Run returns: the series describe the job in flight,
 		// and a registry that outlives it must not repeat them per job.
 		defer p.Observe.Metrics.RegisterFunc(func(emit fg.EmitFunc) {
 			labels := map[string]string{"job": name}
-			emit("supervise_attempts_total", labels, float64(len(rep.Attempts)))
-			emit("supervise_retries_total", labels, float64(retries))
-			emit("supervise_failures_total", labels, float64(failures))
+			emit("supervise_attempts_total", labels, float64(attempts.Load()))
+			emit("supervise_retries_total", labels, float64(retries.Load()))
+			emit("supervise_failures_total", labels, float64(failures.Load()))
 		}, metricHelp)()
 	}
 	backoff := p.BaseBackoff
@@ -196,13 +199,14 @@ func Run(job Job, p Policy) Report {
 		resumed, err := job.Run(n)
 		a := Attempt{N: n, Duration: time.Since(start), Resumed: resumed, Err: err}
 		rep.Attempts = append(rep.Attempts, a)
+		attempts.Add(1)
 		if p.Log != nil {
 			fmt.Fprintf(p.Log, "supervise: job %q %s\n", job.Name, a.line())
 		}
 		if err == nil {
 			return rep
 		}
-		failures++
+		failures.Add(1)
 		if !p.Retryable(err) {
 			rep.Err = fmt.Errorf("supervise: attempt %d failed permanently: %w", n, err)
 			return rep
@@ -211,7 +215,7 @@ func Run(job Job, p Policy) Report {
 			rep.Err = fmt.Errorf("supervise: %d attempt(s) failed, last: %w", n, err)
 			return rep
 		}
-		retries++
+		retries.Add(1)
 		d := backoff
 		if p.Jitter > 0 {
 			d = time.Duration(float64(d) * (1 + p.Jitter*(2*rng.Float64()-1)))

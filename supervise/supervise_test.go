@@ -115,7 +115,9 @@ func TestDefaultRetryable(t *testing.T) {
 
 // TestRunRegistersAttemptMetrics: the supervise_* series are live while Run
 // is (read here from inside the second attempt) and gone once it returns, so
-// a registry that outlives many supervised jobs repeats none of them.
+// a registry that outlives many supervised jobs repeats none of them. A
+// second goroutine scrapes for the whole run, as a Prometheus would: under
+// -race that is the proof the collector is ordered against the attempt loop.
 func TestRunRegistersAttemptMetrics(t *testing.T) {
 	reg := fg.NewMetricsRegistry()
 	obs := &fg.Observe{Metrics: reg}
@@ -131,6 +133,18 @@ func TestRunRegistersAttemptMetrics(t *testing.T) {
 		}
 		return got
 	}
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				reg.Samples()
+			}
+		}
+	}()
 	var got map[string]float64
 	rep := supervise.Run(supervise.Job{Name: "metered", Run: func(attempt int) ([]string, error) {
 		if attempt == 1 {
@@ -139,6 +153,8 @@ func TestRunRegistersAttemptMetrics(t *testing.T) {
 		got = scrape()
 		return nil, nil
 	}}, supervise.Policy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Observe: obs})
+	close(stop)
+	<-scraped
 	if rep.Err != nil {
 		t.Fatal(rep.Err)
 	}
