@@ -3,6 +3,7 @@ package colsort
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,6 +101,18 @@ func TestNewPlanValidation(t *testing.T) {
 	// Zero columns per node.
 	if _, err := NewPlan(spec, 4, 0); err == nil {
 		t.Error("columnsPerNode=0 accepted")
+	}
+	// A hand-built plan the transposes cannot serve (they lean on P | S and
+	// S | R) is refused by name before pass 1, not sorted into a wrong matrix.
+	for _, bad := range []Plan{{Spec: spec, P: 4, S: 6, R: 128}, {Spec: spec, P: 4, S: 8, R: 100}, {Spec: spec, S: 8, R: 128}} {
+		c := cluster.New(cluster.Config{Nodes: 4})
+		err := c.Run(func(node *cluster.Node) error {
+			_, err := Run(node, bad)
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "cannot be transposed") {
+			t.Errorf("hand-built %dx%d plan on %d nodes: %v", bad.R, bad.S, bad.P, err)
+		}
 	}
 }
 
@@ -276,18 +289,9 @@ func TestCsortDeterministicOutput(t *testing.T) {
 
 func TestCsortWithRandomizedGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 3; trial++ {
-		p := []int{2, 4}[rng.Intn(2)]
-		cpn := 1 + rng.Intn(2)
-		s := p * cpn
-		// Choose r as a multiple of s that satisfies tallness.
-		minR := 2 * (s - 1) * (s - 1)
-		r := ((minR+s)/s + 1 + rng.Intn(3)) * s
-		if r%2 == 1 {
-			r *= 2
-		}
-		runCsort(t, p, cpn, int64(r*s), 16, workload.Uniform)
-	}
+	geometryGrid(t, func() int { return rng.Intn(3) }, func(t *testing.T, p, cpn, r, size int) {
+		runCsort(t, p, cpn, int64(r*p*cpn), size, workload.Uniform)
+	})
 }
 
 func TestCsortSurfacesDiskFailure(t *testing.T) {

@@ -66,18 +66,18 @@ func RunBuffers(n *cluster.Node, pl Plan, buffers int) (oocsort.Result, error) {
 // is a pointer so that the caller's closing passes and the passes built here
 // see the one Plan RunPasses arms.
 func (pl *Plan) run(n *cluster.Node, program string, temp []string, buffers int, closing ...oocsort.Pass) (oocsort.Result, error) {
+	if pl.P < 1 || pl.S < pl.P || pl.S%pl.P != 0 || pl.R%pl.S != 0 {
+		return oocsort.Result{}, fmt.Errorf("colsort: a %dx%d matrix on %d nodes cannot be transposed: need P | S and S | R (use NewPlan)",
+			pl.R, pl.S, pl.P)
+	}
 	passes := append([]oocsort.Pass{
 		{Name: "pass1", Align: true, Artifacts: temp[:1], Body: func() error {
-			return pl.runTransposePass(n, program+".p1", pl.Spec.InputName, temp[0], buffers,
-				// Step 2: column-major rank m = j*R + i lands at row-major
-				// rank m, in column m mod S.
-				func(j, i int) int { return (j*pl.R + i) % pl.S })
+			// Step 2: the record at row i goes to column i mod S.
+			return pl.runTransposePass(n, program+".p1", pl.Spec.InputName, temp[0], buffers, 1)
 		}},
 		{Name: "pass2", Align: true, Artifacts: temp[1:2], Body: func() error {
-			return pl.runTransposePass(n, program+".p2", temp[0], temp[1], buffers,
-				// Step 4: row-major rank q = i*S + j lands at column-major
-				// rank q, in column q div R.
-				func(j, i int) int { return (i*pl.S + j) / pl.R })
+			// Step 4: the record at row i goes to column i div (R/S).
+			return pl.runTransposePass(n, program+".p2", temp[0], temp[1], buffers, pl.R/pl.S)
 		}},
 	}, closing...)
 	res, err := oocsort.RunPasses(n, &pl.Options, program, passes)
@@ -90,18 +90,26 @@ func (pl *Plan) run(n *cluster.Node, program string, temp []string, buffers int,
 	return res, nil
 }
 
-// runTransposePass runs one read-sort-communicate-permute-write pass. dest
-// gives the destination column of the record at row i of the *sorted*
-// column j; both the sending and the receiving side evaluate it, so no
-// destination metadata travels with the data.
-func (pl Plan) runTransposePass(n *cluster.Node, commName, inFile, outFile string, buffers int, dest func(j, i int) int) error {
+// runTransposePass runs one read-sort-communicate-permute-write pass. The
+// pass is its run length: the sorted column is cut into runs of run records,
+// run t goes to node t mod P, and the k-th run a node receives from any one
+// source belongs to its local column k mod (S/P). Both sides compute that
+// deal, so no destination metadata travels with the data.
+//
+// The source column j drops out because S divides R and P divides S. Step 2
+// sends row i of sorted column j to column (j*R + i) mod S = i mod S: runs
+// of one record, and row k*P + rank lands in local column ((k*P + rank) mod
+// S) div P = k mod (S/P). Step 4 sends it to column (i*S + j) div R = i div
+// (R/S), as j < S: S runs of R/S records, so a node receives S/P from each
+// source, one per local column.
+func (pl Plan) runTransposePass(n *cluster.Node, commName, inFile, outFile string, buffers, run int) error {
 	f := pl.Spec.Format
-	size := f.Size
-	R, S, P, rank := pl.R, pl.S, pl.P, n.Rank()
+	R, S, P := pl.R, pl.S, pl.P
 	colBytes := pl.ColumnBytes()
+	runBytes := f.Bytes(run)
 	segBytes := f.Bytes(R / P) // bytes each node exchanges with each peer per round
-	chunkRecs := R * P / S     // records appended to each local column per round
-	chunkBytes := f.Bytes(chunkRecs)
+	srcBytes := f.Bytes(R / S) // of which this much belongs to each local column
+	chunkBytes := P * srcBytes // bytes appended to each local column per round
 	comm := n.Comm(commName)
 
 	nw, done := pl.Network(n, commName)
@@ -121,17 +129,13 @@ func (pl Plan) runTransposePass(n *cluster.Node, commName, inFile, outFile strin
 	// The outgoing segments are gathered in the buffer's auxiliary storage,
 	// one segBytes slot per destination, and the incoming ones are copied
 	// over the column and released: a round allocates nothing. (A stage runs
-	// on one goroutine, so parts and fill are safely reused across rounds.)
+	// on one goroutine, so parts is safely reused across rounds.)
 	parts := make([][]byte, P)
 	p.AddStage("communicate", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		j := pl.Column(rank, b.Round)
 		aux := b.Aux()
+		deal(aux, b.Data[:colBytes], runBytes, P, segBytes)
 		for d := range parts {
-			parts[d] = aux[d*segBytes : d*segBytes : (d+1)*segBytes]
-		}
-		for i := 0; i < R; i++ {
-			d := dest(j, i) % P
-			parts[d] = append(parts[d], f.At(b.Data, i)...)
+			parts[d] = aux[d*segBytes : (d+1)*segBytes]
 		}
 		recv := comm.Alltoall(parts)
 		off := 0
@@ -146,28 +150,13 @@ func (pl Plan) runTransposePass(n *cluster.Node, commName, inFile, outFile strin
 		b.N = off
 		return nil
 	})
-	fill := make([]int, S/P)
 	p.AddStage("permute", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		// Group the received records by destination column: replay each
-		// source column's enumeration and pick out the records that came
-		// here. Within a column, arrival order suffices — the next pass
-		// sorts every column first thing.
+		// Group the received runs by destination column, source by source.
+		// Within a column, arrival order suffices — the next pass sorts
+		// every column first thing.
 		aux := b.Aux()
-		clear(fill)
 		for src := 0; src < P; src++ {
-			jsrc := pl.Column(src, b.Round)
-			seg := b.Data[src*segBytes : (src+1)*segBytes]
-			next := 0
-			for i := 0; i < R; i++ {
-				dc := dest(jsrc, i)
-				if dc%P != rank {
-					continue
-				}
-				l := dc / P
-				copy(aux[l*chunkBytes+fill[l]*size:], seg[next*size:(next+1)*size])
-				fill[l]++
-				next++
-			}
+			deal(aux[src*srcBytes:], b.Data[src*segBytes:(src+1)*segBytes], runBytes, S/P, chunkBytes)
 		}
 		b.SwapAux()
 		b.N = colBytes
@@ -183,6 +172,18 @@ func (pl Plan) runTransposePass(n *cluster.Node, commName, inFile, outFile strin
 		return nil
 	})
 	return nw.Run()
+}
+
+// deal copies the runs of src, runBytes each, round-robin onto ways piles:
+// run t lands on pile t mod ways, in order. Pile w starts at dst[w*stride].
+func deal(dst, src []byte, runBytes, ways, stride int) {
+	pileBytes := len(src) / ways
+	for w := 0; w < ways; w++ {
+		pile := dst[w*stride : w*stride+pileBytes]
+		for from, to := w*runBytes, 0; to < pileBytes; from, to = from+ways*runBytes, to+runBytes {
+			copy(pile[to:to+runBytes], src[from:from+runBytes])
+		}
+	}
 }
 
 // p3meta carries pass 3's per-column communication state on the buffer.

@@ -42,9 +42,6 @@ func NewPlan(spec oocsort.Spec, p, columnsPerNode int) (Plan, error) {
 	if err := CheckGeometry(r, s); err != nil {
 		return Plan{}, err
 	}
-	if r%s != 0 {
-		return Plan{}, fmt.Errorf("colsort: r=%d must be divisible by s=%d for the transpose chunks", r, s)
-	}
 	if spec.RecordsPerBlock != r {
 		return Plan{}, fmt.Errorf("colsort: csort stripes its output in whole columns; RecordsPerBlock must be %d (one column), got %d",
 			r, spec.RecordsPerBlock)

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/check"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/workload"
@@ -71,6 +74,42 @@ func TestProgramTable(t *testing.T) {
 	}
 	if len(seen) != len(want) {
 		t.Errorf("table has %d programs, this test expects %d", len(seen), len(want))
+	}
+	check.NoLeakedGoroutines(t)
+}
+
+// TestAutoTuneReachesEveryProgram: an enabled AutoTune "adjusts the compute
+// stages' worker counts" (oocsort.Options), so every program's sort stage
+// must draw its width from the tuner's knob — visible in a scrape, where
+// AttachTuner registers the knob positions. csort4's own passes and
+// dsort-linear handed the static Parallelism to the kernel instead.
+func TestAutoTuneReachesEveryProgram(t *testing.T) {
+	for _, entry := range programs {
+		t.Run(string(entry.name), func(t *testing.T) {
+			pr := Params{Nodes: 4, TotalRecords: 1 << 12, RecordSize: 16, ColumnsPerNode: 2, Seed: 7, Verify: true}
+			if entry.name == Csort4 {
+				// Passes 1-2 are csort's and ask for the knob. An untuned run
+				// first leaves checkpoints, so the tuned one resumes after
+				// pass 3 and only pass 4's sort stage can have asked.
+				pr.CheckpointDir = t.TempDir()
+				if _, err := pr.Run(entry.name, workload.Uniform, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reg := fg.NewMetricsRegistry()
+			pr.AutoTune = fg.AutoTune{Min: 1, Max: 2, Interval: time.Millisecond}
+			pr.Observe = &fg.Observe{Metrics: reg}
+			if _, err := pr.Run(entry.name, workload.Uniform, 0); err != nil {
+				t.Fatal(err)
+			}
+			var scrape strings.Builder
+			if err := reg.WritePrometheus(&scrape); err != nil {
+				t.Fatal(err)
+			}
+			if !regexp.MustCompile(`(?m)^fg_autotune_workers\{[^}]*stage="sort"`).MatchString(scrape.String()) {
+				t.Errorf("scrape lists no sort knob:\n%s", scrape.String())
+			}
+		})
 	}
 	check.NoLeakedGoroutines(t)
 }

@@ -1,0 +1,52 @@
+package sortalgo
+
+import (
+	"bytes"
+	"testing"
+
+	"github.com/fg-go/fg/records"
+)
+
+// FuzzSortRecords holds both radix sorts to the stable comparison sort, byte
+// for byte, on whatever records the bytes spell. raw[0] picks the record size
+// and raw[1] how many low-order key bytes each record takes from the input
+// (the high ones stay zero, so narrow widths reach the constant-byte skip and
+// wide ones every pass); the rest is the keys, one record per width bytes.
+// Records carry their input position and a payload that varies along the
+// record, so an unstable, short or misplaced record move shows. The
+// thresholds are lowered so the width-2 call really shards. The checked-in
+// corpus is in testdata/fuzz/FuzzSortRecords.
+func FuzzSortRecords(f *testing.F) {
+	lowerThresholds(f)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 2 {
+			return
+		}
+		format := records.NewFormat(sortSizes[int(raw[0])%len(sortSizes)])
+		width := 1 + int(raw[1])%records.KeySize
+		keys := make([]uint64, len(raw[2:])/width)
+		for i := range keys {
+			for _, b := range raw[2+i*width:][:width] {
+				keys[i] = keys[i]<<8 | uint64(b)
+			}
+		}
+		n := len(keys)
+		data := recordsFromKeys(format, keys)
+		for i := range data {
+			if i%format.Size >= 2*records.KeySize { // past the key and the id
+				data[i] = byte(i * 131)
+			}
+		}
+		oracle := bytes.Clone(data)
+		SortRecordsComparison(format, oracle)
+		serial, sharded := bytes.Clone(data), bytes.Clone(data)
+		SortRecords(format, serial, make([]byte, len(serial)))
+		SortRecordsParallel(format, sharded, make([]byte, len(sharded)), 2)
+		if !bytes.Equal(serial, oracle) {
+			t.Fatalf("size=%d width=%d n=%d: radix sort disagrees with comparison sort", format.Size, width, n)
+		}
+		if !bytes.Equal(sharded, oracle) {
+			t.Fatalf("size=%d width=%d n=%d: sharded radix sort disagrees with comparison sort", format.Size, width, n)
+		}
+	})
+}

@@ -122,37 +122,26 @@ func parallelRadixSort(f records.Format, data, scratch []byte, n, shards int) {
 		bounds[s] = s * n / shards
 	}
 
-	swaps := 0
 	for byteIdx := records.KeySize - 1; byteIdx >= 0; byteIdx-- {
-		byteIdx := byteIdx
-		from := src
+		from, to := src, dst
 		// Per-shard histograms of this pass's key byte.
 		parallel.Do(shards, shards, func(s int) {
 			c := counts[s*256 : (s+1)*256]
-			for v := range c {
-				c[v] = 0
-			}
-			lo, hi := bounds[s], bounds[s+1]
-			for i := lo; i < hi; i++ {
+			clear(c)
+			for i := bounds[s]; i < bounds[s+1]; i++ {
 				c[from[i*size+byteIdx]]++
 			}
 		})
-		// Serial join: total per value, skip constant passes, and turn the
-		// histograms into scatter offsets, value-major then shard-minor so
-		// shard s's records of value v land after shard s-1's — within a
-		// shard records keep input order, hence global stability.
-		skip := false
-		for v := 0; v < 256; v++ {
-			total := 0
-			for s := 0; s < shards; s++ {
-				total += counts[s*256+v]
-			}
-			if total == n {
-				skip = true
-				break
-			}
+		// Serial join: skip a pass whose byte is constant (every record has
+		// the first one's), and turn the histograms into scatter offsets,
+		// value-major then shard-minor so shard s's records of value v land
+		// after shard s-1's — within a shard records keep input order,
+		// hence global stability.
+		same := 0
+		for s := 0; s < shards; s++ {
+			same += counts[s*256+int(from[byteIdx])]
 		}
-		if skip {
+		if same == n {
 			continue
 		}
 		pos := 0
@@ -164,20 +153,12 @@ func parallelRadixSort(f records.Format, data, scratch []byte, n, shards int) {
 			}
 		}
 		// Parallel scatter into disjoint regions.
-		to := dst
 		parallel.Do(shards, shards, func(s int) {
-			off := counts[s*256 : (s+1)*256]
-			lo, hi := bounds[s], bounds[s+1]
-			for i := lo; i < hi; i++ {
-				v := from[i*size+byteIdx]
-				copy(to[off[v]*size:], from[i*size:(i+1)*size])
-				off[v]++
-			}
+			scatter(to, from, size, byteIdx, bounds[s], bounds[s+1], (*[256]int)(counts[s*256:]))
 		})
 		src, dst = dst, src
-		swaps++
 	}
-	if swaps%2 == 1 {
+	if &src[0] != &data[0] {
 		out := src
 		parallel.Do(shards, shards, func(s int) {
 			lo, hi := bounds[s]*size, bounds[s+1]*size

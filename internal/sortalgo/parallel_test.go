@@ -19,7 +19,7 @@ func workerCounts() []int {
 // lowerThresholds drops the serial-fallback thresholds so the parallel
 // code paths run even on the small inputs property tests use, restoring
 // the tuned values afterwards.
-func lowerThresholds(t *testing.T) {
+func lowerThresholds(t testing.TB) {
 	t.Helper()
 	sortMin, mergeMin, partMin, shardMin := parallelSortMinRecords, parallelMergeMinRecords, parallelPartitionMinRecords, minShardRecords
 	parallelSortMinRecords, parallelMergeMinRecords, parallelPartitionMinRecords, minShardRecords = 8, 8, 8, 2
@@ -46,23 +46,25 @@ func recordsFromKeys(f records.Format, keys []uint64) []byte {
 // a unique id, byte identity also proves stability on duplicate keys.
 func TestSortRecordsParallelMatchesSerial(t *testing.T) {
 	lowerThresholds(t)
-	f := records.NewFormat(16)
-	for _, workers := range workerCounts() {
-		workers := workers
-		fn := func(keys []uint64, narrow bool) bool {
-			if narrow { // force long runs of duplicate keys
-				for i := range keys {
-					keys[i] %= 4
+	for _, size := range sortSizes {
+		f := records.NewFormat(size)
+		for _, workers := range workerCounts() {
+			workers := workers
+			fn := func(keys []uint64, narrow bool) bool {
+				if narrow { // force long runs of duplicate keys
+					for i := range keys {
+						keys[i] %= 4
+					}
 				}
+				want := recordsFromKeys(f, keys)
+				got := append([]byte(nil), want...)
+				SortRecords(f, want, make([]byte, len(want)))
+				SortRecordsParallel(f, got, make([]byte, len(got)), workers)
+				return bytes.Equal(got, want)
 			}
-			want := recordsFromKeys(f, keys)
-			got := append([]byte(nil), want...)
-			SortRecords(f, want, make([]byte, len(want)))
-			SortRecordsParallel(f, got, make([]byte, len(got)), workers)
-			return bytes.Equal(got, want)
-		}
-		if err := quick.Check(fn, &quick.Config{MaxCount: 60}); err != nil {
-			t.Errorf("workers=%d: %v", workers, err)
+			if err := quick.Check(fn, &quick.Config{MaxCount: 60}); err != nil {
+				t.Errorf("size=%d workers=%d: %v", size, workers, err)
+			}
 		}
 	}
 }
@@ -70,17 +72,19 @@ func TestSortRecordsParallelMatchesSerial(t *testing.T) {
 // TestSortRecordsParallelLarge exercises the tuned (un-lowered) thresholds
 // with a buffer big enough to shard for real, on every worker count.
 func TestSortRecordsParallelLarge(t *testing.T) {
-	f := records.NewFormat(16)
 	const n = 48 << 10 // above parallelSortMinRecords
-	for _, space := range []uint64{0, 1, 5, 1 << 40} {
-		orig := randomRecords(f, n, space, int64(space)+11)
-		want := append([]byte(nil), orig...)
-		SortRecords(f, want, make([]byte, len(want)))
-		for _, workers := range workerCounts() {
-			got := append([]byte(nil), orig...)
-			SortRecordsParallel(f, got, make([]byte, len(got)), workers)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("space=%d workers=%d: parallel sort diverges from serial", space, workers)
+	for _, size := range sortSizes {
+		f := records.NewFormat(size)
+		for _, space := range []uint64{0, 1, 5, 1 << 40} {
+			orig := randomRecords(f, n, space, int64(space)+11)
+			want := append([]byte(nil), orig...)
+			SortRecords(f, want, make([]byte, len(want)))
+			for _, workers := range workerCounts() {
+				got := append([]byte(nil), orig...)
+				SortRecordsParallel(f, got, make([]byte, len(got)), workers)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("size=%d space=%d workers=%d: parallel sort diverges from serial", size, space, workers)
+				}
 			}
 		}
 	}

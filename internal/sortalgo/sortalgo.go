@@ -53,46 +53,60 @@ func insertionSort(f records.Format, data, scratch []byte) {
 	}
 }
 
-// radixSort is a byte-wise LSD radix sort over the 8-byte key. Passes whose
-// byte is constant across all records are skipped, which makes narrow key
+// radixSort is a byte-wise LSD radix sort over the 8-byte key. One sweep
+// histograms all eight key bytes — a byte's histogram does not depend on
+// the order the earlier passes left the records in — and passes whose byte
+// is constant across all records are skipped, which makes narrow key
 // distributions (all-equal, Poisson) nearly free.
 func radixSort(f records.Format, data, scratch []byte, n int) {
 	size := f.Size
+	var count [records.KeySize][256]int
+	for i := 0; i < n; i++ {
+		for b, v := range (*[records.KeySize]byte)(data[i*size:]) {
+			count[b][v]++
+		}
+	}
 	src, dst := data, scratch
-	swaps := 0
 	// Keys are big-endian at offsets 0..7 of each record; LSD goes from
 	// byte 7 (least significant) to byte 0.
 	for byteIdx := records.KeySize - 1; byteIdx >= 0; byteIdx-- {
-		var count [256]int
-		for i := 0; i < n; i++ {
-			count[src[i*size+byteIdx]]++
-		}
-		skip := false
-		for _, c := range count {
-			if c == n {
-				skip = true
-				break
-			}
-		}
-		if skip {
-			continue
+		off := &count[byteIdx]
+		if off[data[byteIdx]] == n {
+			continue // every record has the first one's byte
 		}
 		pos := 0
-		var offset [256]int
-		for v := 0; v < 256; v++ {
-			offset[v] = pos
-			pos += count[v]
+		for v, c := range off {
+			off[v] = pos
+			pos += c
 		}
-		for i := 0; i < n; i++ {
-			v := src[i*size+byteIdx]
-			copy(dst[offset[v]*size:], src[i*size:(i+1)*size])
-			offset[v]++
-		}
+		scatter(dst, src, size, byteIdx, 0, n, off)
 		src, dst = dst, src
-		swaps++
 	}
-	if swaps%2 == 1 {
-		copy(data, src[:n*size])
+	if &src[0] != &data[0] {
+		copy(data, src)
+	}
+}
+
+// scatter is one radix pass's move, shared by the serial and the sharded
+// sort: record i of src, for i in [lo, hi), goes to slot off[v] of dst,
+// v its key byte byteIdx, and off[v] advances. The record move is chosen
+// here, once per pass, from the record size: 16-byte records — the paper's
+// Figure 8(a) record and the default format — move as an array assignment,
+// which compiles to loads and stores, where copy is a call per record.
+func scatter(dst, src []byte, size, byteIdx, lo, hi int, off *[256]int) {
+	if size == 16 {
+		for i := lo; i < hi; i++ {
+			rec := (*[16]byte)(src[i*16:])
+			v := rec[byteIdx]
+			*(*[16]byte)(dst[off[v]*16:]) = *rec
+			off[v]++
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		v := src[i*size+byteIdx]
+		copy(dst[off[v]*size:], src[i*size:(i+1)*size])
+		off[v]++
 	}
 }
 

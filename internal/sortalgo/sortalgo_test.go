@@ -9,9 +9,12 @@ import (
 	"github.com/fg-go/fg/records"
 )
 
+// randomRecords fills the whole record, payload included, so that a record
+// move that carries fewer bytes than the record has cannot go unnoticed.
 func randomRecords(f records.Format, n int, keySpace uint64, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, f.Bytes(n))
+	rng.Read(data)
 	for i := 0; i < n; i++ {
 		rec := f.At(data, i)
 		key := rng.Uint64()
@@ -38,40 +41,73 @@ func checkSortedPermutation(t *testing.T, f records.Format, before, after []byte
 	}
 }
 
-func TestSortRecordsMatchesOracle(t *testing.T) {
-	for _, size := range []int{16, 64} {
-		for _, n := range []int{0, 1, 2, 63, 64, 65, 1000} {
-			for _, space := range []uint64{0, 1, 7, 1 << 40} {
-				f := records.NewFormat(size)
-				data := randomRecords(f, n, space, int64(n)*7+int64(space%97)+int64(size))
-				before := append([]byte(nil), data...)
-				SortRecords(f, data, make([]byte, len(data)))
+// sortSizes are the record sizes the radix kernels are tested on: a bare
+// key, the 16-byte record that moves as an array assignment, and sizes on
+// the copy path — a multiple of 8, the paper's 64, and one that is neither a
+// multiple of 8 nor of 16.
+var sortSizes = []int{8, 16, 24, 64, 100}
 
-				oracle := append([]byte(nil), before...)
+// TestSortRecordsMatchesOracle holds the serial sort and the width-2
+// sharded one to the stable comparison sort, byte for byte, around the
+// insertion-sort cutoff and around parallelSortMinRecords — the buffer size
+// csort's columns sit exactly on. Key space 0 is all 64 bits; 1 makes every
+// key equal and 7 nearly so (every radix pass, or all but the last, is
+// skipped); 1<<40 holds the three high bytes constant.
+func TestSortRecordsMatchesOracle(t *testing.T) {
+	for _, size := range sortSizes {
+		for _, n := range []int{0, 1, 2, 63, 64, 65, 1000, parallelSortMinRecords - 1, parallelSortMinRecords, parallelSortMinRecords + 1} {
+			for _, space := range []uint64{0, 1, 7, 1 << 40} {
+				if n > 1000 && (space == 1 || space == 7 || size != 16 && size != 100) {
+					// The comparison sort is slow at this size: one record
+					// size per move, and few keys left to TestSortRecordsStable.
+					continue
+				}
+				f := records.NewFormat(size)
+				before := randomRecords(f, n, space, int64(n)*7+int64(space%97)+int64(size))
+				oracle := bytes.Clone(before)
 				SortRecordsComparison(f, oracle)
-				if !bytes.Equal(data, oracle) {
+
+				serial, sharded := bytes.Clone(before), bytes.Clone(before)
+				SortRecords(f, serial, make([]byte, len(serial)))
+				SortRecordsParallel(f, sharded, make([]byte, len(sharded)), 2)
+				if !bytes.Equal(serial, oracle) {
 					t.Fatalf("size=%d n=%d space=%d: radix sort disagrees with comparison sort", size, n, space)
 				}
-				checkSortedPermutation(t, f, before, data)
+				if !bytes.Equal(sharded, oracle) {
+					t.Fatalf("size=%d n=%d space=%d: sharded radix sort disagrees with comparison sort", size, n, space)
+				}
+				checkSortedPermutation(t, f, before, serial)
 			}
 		}
 	}
 }
 
+// TestSortRecordsStable: equal keys must keep their input order, on the
+// 16-byte record move as on the copy one, serial and sharded — with one key
+// (every pass skipped) and with two (the last pass scatters, though half the
+// records share the first one's byte).
 func TestSortRecordsStable(t *testing.T) {
-	// Equal keys must keep their input order: with all keys equal, the ids
-	// must come out in input order.
-	f := records.NewFormat(16)
-	const n = 500
-	data := make([]byte, f.Bytes(n))
-	for i := 0; i < n; i++ {
-		f.SetKey(f.At(data, i), 42)
-		f.StampID(f.At(data, i), uint64(i))
-	}
-	SortRecords(f, data, make([]byte, len(data)))
-	for i := 0; i < n; i++ {
-		if f.IDAt(data, i) != uint64(i) {
-			t.Fatalf("stability broken at %d: id %d", i, f.IDAt(data, i))
+	for _, size := range []int{16, 24} {
+		for _, distinct := range []uint64{1, 2} {
+			for _, workers := range []int{1, 2} {
+				f := records.NewFormat(size)
+				n := parallelSortMinRecords
+				data := make([]byte, f.Bytes(n))
+				for i := 0; i < n; i++ {
+					f.SetKey(f.At(data, i), 42+uint64(i)%distinct)
+					f.StampID(f.At(data, i), uint64(i))
+				}
+				SortRecordsParallel(f, data, make([]byte, len(data)), workers)
+				if !f.IsSorted(data) {
+					t.Fatalf("size=%d keys=%d workers=%d: output is not sorted", size, distinct, workers)
+				}
+				for i := 1; i < n; i++ {
+					if f.KeyAt(data, i-1) == f.KeyAt(data, i) && f.IDAt(data, i-1) >= f.IDAt(data, i) {
+						t.Fatalf("size=%d keys=%d workers=%d: stability broken at %d: id %d after id %d",
+							size, distinct, workers, i, f.IDAt(data, i), f.IDAt(data, i-1))
+					}
+				}
+			}
 		}
 	}
 }
