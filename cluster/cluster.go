@@ -708,24 +708,30 @@ func (n *Node) TryRecv(src int, tag int64) ([]byte, bool) {
 //	remove := registry.RegisterFunc(func(emit fg.EmitFunc) { c.EmitMetrics(emit) }, cluster.MetricHelp)
 func (c *Cluster) EmitMetrics(emit func(name string, labels map[string]string, value float64)) {
 	for _, n := range c.local {
-		s := n.Stats()
-		l := func() map[string]string {
-			return map[string]string{"node": strconv.Itoa(n.rank)}
-		}
-		emit("cluster_messages_sent_total", l(), float64(s.MessagesSent))
-		emit("cluster_bytes_sent_total", l(), float64(s.BytesSent))
-		emit("cluster_messages_recvd_total", l(), float64(s.MessagesRecvd))
-		emit("cluster_bytes_recvd_total", l(), float64(s.BytesRecvd))
-		emit("cluster_send_busy_seconds_total", l(), s.SendBusy.Seconds())
-		emit("cluster_send_wait_seconds_total", l(), s.SendWait.Seconds())
-		emit("cluster_recv_wait_seconds_total", l(), s.RecvWait.Seconds())
-		emit("cluster_sends_blocked", l(), float64(s.SendsBlocked))
-		emit("cluster_recvs_blocked", l(), float64(s.RecvsBlocked))
-		emit("cluster_reconnects_total", l(), float64(s.Reconnects))
+		n.Stats().EmitMetrics("cluster_", "node", n.rank, emit)
 	}
 	if c.health != nil {
 		c.health.emitMetrics(emit)
 	}
+}
+
+// EmitMetrics feeds the counters to emit under prefix, each sample labeled
+// label=rank: cluster_*{node} for a process's own nodes, and the fleet
+// view's fleet_comm_*{rank} from the copy a rank's telemetry record carries.
+func (s CommStats) EmitMetrics(prefix, label string, rank int, emit func(name string, labels map[string]string, value float64)) {
+	l := func() map[string]string {
+		return map[string]string{label: strconv.Itoa(rank)}
+	}
+	emit(prefix+"messages_sent_total", l(), float64(s.MessagesSent))
+	emit(prefix+"bytes_sent_total", l(), float64(s.BytesSent))
+	emit(prefix+"messages_recvd_total", l(), float64(s.MessagesRecvd))
+	emit(prefix+"bytes_recvd_total", l(), float64(s.BytesRecvd))
+	emit(prefix+"send_busy_seconds_total", l(), s.SendBusy.Seconds())
+	emit(prefix+"send_wait_seconds_total", l(), s.SendWait.Seconds())
+	emit(prefix+"recv_wait_seconds_total", l(), s.RecvWait.Seconds())
+	emit(prefix+"sends_blocked", l(), float64(s.SendsBlocked))
+	emit(prefix+"recvs_blocked", l(), float64(s.RecvsBlocked))
+	emit(prefix+"reconnects_total", l(), float64(s.Reconnects))
 }
 
 // MetricHelp documents every name Cluster.EmitMetrics emits — HELP text

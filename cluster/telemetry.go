@@ -7,31 +7,29 @@ package cluster
 // when a stall report fires on rank 2 — whether the cause is rank 2's disk
 // or rank 5's silence.
 //
-// Every rank periodically snapshots its live state into a compact,
-// versioned wire record (RankTelemetry) and ships it to one aggregator
-// rank over a reserved control tag. Telemetry frames ride
+// Every rank periodically ships a versioned wire record (RankTelemetry) to
+// one aggregator rank over a reserved control tag. Telemetry frames ride
 // Transport.DeliverControl, the same never-blocks path heartbeats use, so
 // a fleet drowning in data backpressure still reports; a slow or dead peer
 // degrades gracefully — its entry in the fleet view goes stale, stamped
 // with its age, and nothing about the job fails because of it. The
 // aggregator (TelemetryAggregator, on the rank that hosts it) keeps the
-// latest record per rank and derives the fleet view: per-rank staleness
-// and bottleneck, a cluster-level Bottleneck naming the governing rank and
-// stage, and a cross-correlated Diagnosis that joins one rank's stall
-// report with the fleet's failure-detector state ("rank 2 stage merge
-// blocked-on-recv; peer rank 5 is suspect").
+// latest record per rank with its arrival time and joins it with its own
+// failure detector's verdicts.
 //
 // The plane also carries an on-demand pull RPC: the aggregator can fetch a
 // remote rank's flight-recorder black box or a pprof CPU/heap profile,
 // and does so automatically (once per stall episode) when a record arrives
-// carrying a fresh stall report — so a hung fleet yields one correlated
+// stamped with a fresh stall — so a hung fleet yields one correlated
 // bundle of evidence instead of N disconnected stderr dumps.
 //
-// Layering: this package cannot import fg, so the fg-side state (stage
-// stats, knob positions, watchdog taxonomy) enters through the Collect
-// callback, which internal/harness builds from the fg metrics registry.
-// The HTTP endpoints (/cluster/status.json, /cluster/metrics) live in the
-// harness for the same reason.
+// Layering: this package cannot import fg, and does not describe what fg
+// observes. A record is an envelope of what the cluster itself knows (comm
+// counters, peer health, stamps) around a body the Collect callback
+// supplies and nothing here reads: internal/harness fills it with the
+// rank's own fg snapshot and, on the aggregator, derives the fleet
+// bottleneck, the cross-rank diagnosis and /cluster/metrics from it with
+// the functions the node-local views use.
 
 import (
 	"bytes"
@@ -40,8 +38,6 @@ import (
 	"fmt"
 	"io"
 	"runtime/pprof"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,120 +58,30 @@ const (
 )
 
 // TelemetryVersion is the wire-record version stamped into every
-// RankTelemetry. A receiver drops records from a newer version than it
-// understands (counted, never fatal), so mixed-version fleets degrade to
-// staleness instead of misdecoding.
-const TelemetryVersion = 1
-
-// StageRecord is one stage's state in a telemetry record: the watchdog's
-// classified taxonomy plus the counters the bottleneck analysis needs.
-type StageRecord struct {
-	Stage    string `json:"stage"`
-	Pipeline string `json:"pipeline"`
-	Network  string `json:"network"`
-	// State is one of the fg watchdog taxonomy strings: running,
-	// blocked-on-get, blocked-on-put, starved, done, idle.
-	State      string `json:"state"`
-	Rounds     int64  `json:"rounds"`
-	QueueLen   int    `json:"queue_len"`
-	QueueCap   int    `json:"queue_cap"`
-	SlowPushes int64  `json:"slow_pushes,omitempty"`
-	InStateNS  int64  `json:"in_state_ns"`
-	WorkNS     int64  `json:"work_ns"`
-	WaitNS     int64  `json:"wait_ns"`
-}
-
-// PipelineRecord is one pipeline's pool occupancy and progress.
-type PipelineRecord struct {
-	Name             string `json:"name"`
-	Network          string `json:"network"`
-	Rounds           int64  `json:"rounds"`
-	PoolIdle         int    `json:"pool_idle"`
-	PoolCap          int    `json:"pool_cap"`
-	Buffers          int    `json:"buffers"`
-	EffectiveBuffers int    `json:"effective_buffers"`
-}
-
-// KnobRecord is one autotuner worker knob's current position.
-type KnobRecord struct {
-	Stage   string `json:"stage"`
-	Workers int    `json:"workers"`
-}
-
-// PeerRecord is one rank's liveness as the reporting rank sees it — the
-// reporting process's own failure-detector state, shipped so the
-// aggregator can cross-correlate a stall on rank A with A's view of B.
-type PeerRecord struct {
-	Rank             int   `json:"rank"`
-	LastSeenUnixNano int64 `json:"last_seen_unix_nano"`
-	Monitored        bool  `json:"monitored"`
-	Suspect          bool  `json:"suspect,omitempty"`
-	Dead             bool  `json:"dead,omitempty"`
-}
-
-// CommRecord is the reporting rank's communication counters (CommStats,
-// flattened for the wire).
-type CommRecord struct {
-	MessagesSent  int64 `json:"messages_sent"`
-	BytesSent     int64 `json:"bytes_sent"`
-	MessagesRecvd int64 `json:"messages_recvd"`
-	BytesRecvd    int64 `json:"bytes_recvd"`
-	SendWaitNS    int64 `json:"send_wait_ns"`
-	RecvWaitNS    int64 `json:"recv_wait_ns"`
-	SendsBlocked  int64 `json:"sends_blocked"`
-	RecvsBlocked  int64 `json:"recvs_blocked"`
-	Reconnects    int64 `json:"reconnects"`
-}
-
-// BottleneckRecord names the stage governing one rank's wall clock, the
-// per-rank reduction of fg's BottleneckReport.
-type BottleneckRecord struct {
-	Network     string  `json:"network,omitempty"`
-	Stage       string  `json:"stage,omitempty"`
-	Pipeline    string  `json:"pipeline,omitempty"`
-	WorkNS      int64   `json:"work_ns"`
-	Utilization float64 `json:"utilization"`
-	Overlap     float64 `json:"overlap"`
-}
-
-// StallRecord is a watchdog stall report, reduced for the wire: the
-// culprit and its classification, not the goroutine dump (that is what the
-// pull RPC fetches on demand).
-type StallRecord struct {
-	Network         string `json:"network"`
-	Culprit         string `json:"culprit"`
-	CulpritPipeline string `json:"culprit_pipeline,omitempty"`
-	CulpritState    string `json:"culprit_state,omitempty"`
-	Reason          string `json:"reason,omitempty"`
-	StalledNS       int64  `json:"stalled_ns"`
-	AtUnixNano      int64  `json:"at_unix_nano"`
-}
+// RankTelemetry. A receiver drops records of any other version (counted,
+// never fatal), so mixed-version fleets degrade to staleness instead of
+// misdecoding: version 1 described stages in this package, and its body
+// would decode here as an empty, fresh-looking entry.
+const TelemetryVersion = 2
 
 // RankTelemetry is the versioned wire record one rank publishes per
-// interval: everything the fleet view needs, nothing it can pull on
-// demand. The Collect callback fills the fg-side fields; the cluster fills
-// V, Rank, Seq, SentUnixNano, Peers, and Comm itself.
+// interval: the cluster's own view of the rank around an opaque Body.
 type RankTelemetry struct {
-	V            int    `json:"v"`
-	Rank         int    `json:"rank"`
-	Seq          int64  `json:"seq"`
-	SentUnixNano int64  `json:"sent_unix_nano"`
-	Program      string `json:"program,omitempty"`
-
-	Stages    []StageRecord    `json:"stages,omitempty"`
-	Pipelines []PipelineRecord `json:"pipelines,omitempty"`
-
-	Knobs       []KnobRecord `json:"knobs,omitempty"`
-	Adjustments int64        `json:"adjustments,omitempty"`
-
-	Peers []PeerRecord `json:"peers,omitempty"`
-	Comm  CommRecord   `json:"comm"`
-
-	Bottleneck BottleneckRecord `json:"bottleneck"`
-	// Stall is the rank's most recent watchdog stall report, if any; it
-	// stays attached until the harness clears it (the network finished or
-	// progress resumed).
-	Stall *StallRecord `json:"stall,omitempty"`
+	V            int   `json:"v"`
+	Rank         int   `json:"rank"`
+	Seq          int64 `json:"seq"`
+	SentUnixNano int64 `json:"sent_unix_nano"`
+	// Comm is the rank's communication counters; Peers the reporting
+	// process's own failure-detector state, shipped so a reader can
+	// cross-correlate a stall on rank A with A's view of B.
+	Comm  CommStats    `json:"comm"`
+	Peers []PeerStatus `json:"peers,omitempty"`
+	// StallAt stamps the stall episode Body reports (0: none) — the one fact
+	// about the body the plane acts on: a stamp newer than the last one it
+	// investigated triggers the automatic black-box pull.
+	StallAt int64 `json:"stall_at_unix_nano,omitempty"`
+	// Body is whatever TelemetryConfig.Collect returned, carried verbatim.
+	Body json.RawMessage `json:"body,omitempty"`
 }
 
 // Pull kinds for Telemetry.Pull: what an aggregator can fetch from a
@@ -202,12 +108,12 @@ type TelemetryConfig struct {
 	// StaleAfter is the record age past which the fleet view marks a rank
 	// stale. Zero defaults to 3×Interval.
 	StaleAfter time.Duration
-	// Collect, if set, fills the fg-side fields of rank's record (stages,
-	// pipelines, knobs, bottleneck, stall). It runs on the telemetry
-	// goroutine once per local rank per interval and must be safe for
-	// concurrent use with the run it observes. Nil leaves those fields
-	// empty — comm counters and peer health still flow.
-	Collect func(rank int) RankTelemetry
+	// Collect, if set, supplies rank's record body (JSON, opaque to this
+	// package) and the stamp of the stall episode it reports, 0 for none. It
+	// runs on the telemetry goroutine once per local rank per interval and
+	// must be safe for concurrent use with the run it observes. Nil leaves
+	// the body empty — comm counters and peer health still flow.
+	Collect func(rank int) (body json.RawMessage, stallAt int64)
 	// Blackbox, if set, answers PullBlackbox requests by writing the
 	// rank's flight-recorder dump. Nil makes blackbox pulls error.
 	Blackbox func(w io.Writer) error
@@ -271,7 +177,7 @@ type Telemetry struct {
 	pulls   chan pullWork
 
 	published  atomic.Int64 // records shipped (or locally ingested)
-	decodeErrs atomic.Int64 // inbound records dropped as undecodable/newer-version
+	decodeErrs atomic.Int64 // inbound records dropped as undecodable or of another version
 
 	trackMu  sync.Mutex
 	stopped  bool
@@ -336,7 +242,7 @@ func (t *Telemetry) run() {
 	defer tick.Stop()
 	// Publish immediately so the fleet view warms in one interval, not
 	// two; a soak driver's first scrape should already see every rank.
-	t.publishOnce()
+	t.publish(0)
 	for {
 		select {
 		case <-t.stopc:
@@ -345,8 +251,9 @@ func (t *Telemetry) run() {
 			// job shorter than one interval would otherwise strand the
 			// aggregator with first-tick records — or, for a remote rank
 			// whose control connection was still dialing at the first
-			// publish, nothing at all.
-			t.flushFinal()
+			// publish, nothing at all. Bounded at a few tens of milliseconds
+			// so an unreachable aggregator cannot hold up Close.
+			t.publish(20)
 			return
 		case <-t.c.aborted:
 			// The job is dead; the aggregator's last records remain
@@ -355,16 +262,17 @@ func (t *Telemetry) run() {
 		case w := <-t.pulls:
 			t.goTracked(func() { t.servePull(w) })
 		case <-tick.C:
-			t.publishOnce()
+			t.publish(0)
 		}
 	}
 }
 
-// flushFinal publishes every local rank's record once more, briefly
-// retrying remote delivery while the control connection finishes dialing.
-// Bounded (and abandoned outright on abort) so it cannot hold up Close for
-// more than a few tens of milliseconds against an unreachable aggregator.
-func (t *Telemetry) flushFinal() {
+// publish snapshots and ships one record per local rank. Telemetry is
+// best-effort by contract: a record that cannot be delivered surfaces at
+// the aggregator as staleness. A remote delivery refused because the
+// control connection is still dialing is retried up to retries times, 2 ms
+// apart, and abandoned outright on abort.
+func (t *Telemetry) publish(retries int) {
 	for _, n := range t.c.local {
 		rec := t.snapshotRank(n)
 		if t.agg != nil {
@@ -377,73 +285,34 @@ func (t *Telemetry) flushFinal() {
 			continue
 		}
 		f := Frame{Src: n.rank, Dst: aggregatorRank, Tag: telemetryTag, Data: data}
-		for attempt := 0; attempt < 20; attempt++ {
-			if t.c.transport.DeliverControl(f) == nil {
-				t.published.Add(1)
-				break
-			}
+		delivered := t.c.transport.DeliverControl(f) == nil
+		for attempt := 0; !delivered && attempt < retries; attempt++ {
 			select {
 			case <-t.c.aborted:
 				return
 			case <-time.After(2 * time.Millisecond):
 			}
+			delivered = t.c.transport.DeliverControl(f) == nil
 		}
-	}
-}
-
-// publishOnce snapshots and ships one record per local rank. Errors are
-// ignored: telemetry is best-effort by contract, and a record that cannot
-// be delivered surfaces at the aggregator as staleness.
-func (t *Telemetry) publishOnce() {
-	for _, n := range t.c.local {
-		rec := t.snapshotRank(n)
-		if t.agg != nil {
-			t.agg.ingestRecord(rec, time.Now())
-			t.published.Add(1)
-			continue
-		}
-		data, err := json.Marshal(&rec)
-		if err != nil {
-			continue
-		}
-		f := Frame{Src: n.rank, Dst: aggregatorRank, Tag: telemetryTag, Data: data}
-		if t.c.transport.DeliverControl(f) == nil {
+		if delivered {
 			t.published.Add(1)
 		}
 	}
 }
 
-// snapshotRank builds rank n's record: the Collect callback's fg-side
-// fields plus the cluster's own (comm counters, peer health, stamps).
+// snapshotRank builds rank n's record: the cluster's own fields around the
+// Collect callback's body.
 func (t *Telemetry) snapshotRank(n *Node) RankTelemetry {
-	var rec RankTelemetry
+	rec := RankTelemetry{
+		V:            TelemetryVersion,
+		Rank:         n.rank,
+		Seq:          t.seq.Add(1),
+		SentUnixNano: time.Now().UnixNano(),
+		Comm:         n.Stats(),
+		Peers:        t.c.PeerHealth(),
+	}
 	if t.cfg.Collect != nil {
-		rec = t.cfg.Collect(n.rank)
-	}
-	rec.V = TelemetryVersion
-	rec.Rank = n.rank
-	rec.Seq = t.seq.Add(1)
-	rec.SentUnixNano = time.Now().UnixNano()
-	s := n.Stats()
-	rec.Comm = CommRecord{
-		MessagesSent:  s.MessagesSent,
-		BytesSent:     s.BytesSent,
-		MessagesRecvd: s.MessagesRecvd,
-		BytesRecvd:    s.BytesRecvd,
-		SendWaitNS:    int64(s.SendWait),
-		RecvWaitNS:    int64(s.RecvWait),
-		SendsBlocked:  s.SendsBlocked,
-		RecvsBlocked:  s.RecvsBlocked,
-		Reconnects:    s.Reconnects,
-	}
-	for _, p := range t.c.PeerHealth() {
-		rec.Peers = append(rec.Peers, PeerRecord{
-			Rank:             p.Rank,
-			LastSeenUnixNano: p.LastSeen.UnixNano(),
-			Monitored:        p.Monitored,
-			Suspect:          p.Suspect,
-			Dead:             p.Dead,
-		})
+		rec.Body, rec.StallAt = t.cfg.Collect(n.rank)
 	}
 	return rec
 }
@@ -458,7 +327,7 @@ func (t *Telemetry) deliver(f Frame) {
 			return // not the aggregator; a stray record is dropped
 		}
 		var rec RankTelemetry
-		if err := json.Unmarshal(f.Data, &rec); err != nil || rec.V > TelemetryVersion {
+		if err := json.Unmarshal(f.Data, &rec); err != nil || rec.V != TelemetryVersion {
 			t.decodeErrs.Add(1)
 			return
 		}
@@ -635,10 +504,10 @@ func (t *Telemetry) capture(kind string) ([]byte, error) {
 	}
 }
 
-// A TelemetryAggregator maintains the fleet view on the rank that hosts
-// it: the latest record per rank, each stamped with its arrival time so
-// staleness is the aggregator's clock against its own observation — no
-// cross-process clock comparison.
+// A TelemetryAggregator keeps, on the rank that hosts it, the latest record
+// per rank, each stamped with its arrival time so staleness is the
+// aggregator's clock against its own observation — no cross-process clock
+// comparison.
 type TelemetryAggregator struct {
 	t *Telemetry
 
@@ -651,16 +520,16 @@ type rankEntry struct {
 	arrived time.Time
 
 	// Stall-triggered evidence: the blackbox auto-pulled when a record
-	// carrying a fresh stall arrived, keyed by the stall's timestamp so
-	// one episode pulls once.
+	// stamped with a fresh stall arrived, keyed by that stamp so one
+	// episode pulls once.
 	pulledStall int64
 	pulling     bool
 	blackbox    []byte
 	blackboxErr string
 }
 
-// ingestRecord stores the freshest record per rank and, when it carries a
-// stall report not yet investigated, kicks off the automatic blackbox
+// ingestRecord stores the freshest record per rank and, when it is stamped
+// with a stall not yet investigated, kicks off the automatic blackbox
 // pull. Called from the local publisher or a transport read goroutine.
 func (a *TelemetryAggregator) ingestRecord(rec RankTelemetry, now time.Time) {
 	a.mu.Lock()
@@ -674,8 +543,8 @@ func (a *TelemetryAggregator) ingestRecord(rec RankTelemetry, now time.Time) {
 		e.arrived = now
 	}
 	var pull bool
-	if rec.Stall != nil && rec.Stall.AtUnixNano > e.pulledStall && !e.pulling {
-		e.pulledStall = rec.Stall.AtUnixNano
+	if rec.StallAt > e.pulledStall && !e.pulling {
+		e.pulledStall = rec.StallAt
 		e.pulling = true
 		pull = true
 	}
@@ -718,7 +587,7 @@ func (a *TelemetryAggregator) StallBlackbox(rank int) ([]byte, error) {
 	return e.blackbox, nil
 }
 
-// RankStatus is one rank's entry in the fleet view.
+// RankStatus is what the plane knows of one rank.
 type RankStatus struct {
 	Rank int `json:"rank"`
 	// Reported is false for a rank the aggregator has never heard from.
@@ -732,57 +601,31 @@ type RankStatus struct {
 	// view of this rank.
 	Suspect bool `json:"suspect,omitempty"`
 	Dead    bool `json:"dead,omitempty"`
-	// Bottleneck is the rank's own governing stage, from its record.
-	Bottleneck BottleneckRecord `json:"bottleneck"`
-	Stall      *StallRecord     `json:"stall,omitempty"`
-	// Record is the rank's full latest wire record.
+	// Record is a copy of the rank's latest wire record, the caller's own.
 	Record *RankTelemetry `json:"record,omitempty"`
 }
 
-// ClusterBottleneck names the rank and stage governing the whole job: the
-// fleet-wide argmax of per-rank governing work. Rank is -1 when no rank
-// has reported any stage work.
-type ClusterBottleneck struct {
-	Rank        int     `json:"rank"`
-	Network     string  `json:"network,omitempty"`
-	Stage       string  `json:"stage,omitempty"`
-	Pipeline    string  `json:"pipeline,omitempty"`
-	WorkNS      int64   `json:"work_ns"`
-	Utilization float64 `json:"utilization"`
+// PlaneStatus is what the plane knows of itself: the head of the fleet
+// view document.
+type PlaneStatus struct {
+	V              int   `json:"v"`
+	P              int   `json:"p"`
+	AggregatorRank int   `json:"aggregator_rank"`
+	IntervalNS     int64 `json:"interval_ns"`
+	StaleAfterNS   int64 `json:"stale_after_ns"`
+	AtUnixNano     int64 `json:"at_unix_nano"`
+	Aborted        bool  `json:"aborted,omitempty"`
+	// DecodeErrors counts inbound records dropped as undecodable or of
+	// another wire version.
+	DecodeErrors int64 `json:"decode_errors,omitempty"`
 }
 
-func (b ClusterBottleneck) String() string {
-	if b.Rank < 0 {
-		return "cluster bottleneck: (no stage work reported)"
-	}
-	return fmt.Sprintf("cluster bottleneck: rank %d stage %q on %q (%s) work=%v util=%.0f%%",
-		b.Rank, b.Stage, b.Pipeline, b.Network,
-		time.Duration(b.WorkNS).Round(time.Millisecond), 100*b.Utilization)
-}
-
-// ClusterStatus is the fleet view document served at /cluster/status.json.
-type ClusterStatus struct {
-	V              int          `json:"v"`
-	P              int          `json:"p"`
-	AggregatorRank int          `json:"aggregator_rank"`
-	IntervalNS     int64        `json:"interval_ns"`
-	StaleAfterNS   int64        `json:"stale_after_ns"`
-	AtUnixNano     int64        `json:"at_unix_nano"`
-	Aborted        bool         `json:"aborted,omitempty"`
-	Ranks          []RankStatus `json:"ranks"`
-	// Bottleneck names the governing rank and stage for the whole job.
-	Bottleneck ClusterBottleneck `json:"bottleneck"`
-	// Diagnosis cross-correlates stall reports with the fleet's
-	// failure-detector state, one line per finding.
-	Diagnosis []string `json:"diagnosis,omitempty"`
-}
-
-// Status assembles the fleet view: every rank's staleness, bottleneck, and
-// stall state, the cluster-level bottleneck, and the cross-correlated
-// diagnosis. Safe to call at any time from any goroutine.
-func (a *TelemetryAggregator) Status() ClusterStatus {
+// Status reports the plane and every rank's entry in rank order: latest
+// record, staleness, and the failure detector's verdict. Safe to call at
+// any time from any goroutine.
+func (a *TelemetryAggregator) Status() (PlaneStatus, []RankStatus) {
 	now := time.Now()
-	st := ClusterStatus{
+	st := PlaneStatus{
 		V:              TelemetryVersion,
 		P:              a.t.c.P(),
 		AggregatorRank: aggregatorRank,
@@ -790,247 +633,26 @@ func (a *TelemetryAggregator) Status() ClusterStatus {
 		StaleAfterNS:   int64(a.t.cfg.StaleAfter),
 		AtUnixNano:     now.UnixNano(),
 		Aborted:        a.t.c.Aborted(),
+		DecodeErrors:   a.t.decodeErrs.Load(),
 	}
-	health := map[int]PeerStatus{}
-	for _, p := range a.t.c.PeerHealth() {
-		health[p.Rank] = p
+	ranks := make([]RankStatus, st.P)
+	for _, h := range a.t.c.PeerHealth() {
+		if h.Monitored {
+			ranks[h.Rank].Suspect, ranks[h.Rank].Dead = h.Suspect, h.Dead
+		}
 	}
 	a.mu.Lock()
-	for r := 0; r < st.P; r++ {
-		rs := RankStatus{Rank: r}
-		if h, ok := health[r]; ok && h.Monitored {
-			rs.Suspect = h.Suspect
-			rs.Dead = h.Dead
-		}
+	defer a.mu.Unlock()
+	for r := range ranks {
+		rs := &ranks[r]
+		rs.Rank = r
 		if e, ok := a.ranks[r]; ok {
 			rec := e.rec
 			rs.Reported = true
 			rs.AgeNS = int64(now.Sub(e.arrived))
-			rs.Stale = rs.AgeNS > int64(a.t.cfg.StaleAfter)
-			rs.Bottleneck = rec.Bottleneck
-			rs.Stall = rec.Stall
+			rs.Stale = rs.AgeNS > st.StaleAfterNS
 			rs.Record = &rec
 		}
-		st.Ranks = append(st.Ranks, rs)
 	}
-	a.mu.Unlock()
-	st.Bottleneck = clusterBottleneck(st.Ranks)
-	st.Diagnosis = diagnoseFleet(st.Ranks)
-	return st
-}
-
-// Bottleneck returns the cluster-level governing rank and stage — the
-// paper's governing-stage quantity lifted to the fleet.
-func (a *TelemetryAggregator) Bottleneck() ClusterBottleneck {
-	return a.Status().Bottleneck
-}
-
-// clusterBottleneck picks the governing rank: the argmax of per-rank
-// governing-stage work, preferring fresh ranks (a stale record may
-// describe a rank that died mid-climb, but it is still the best evidence
-// available when nothing fresh beats it).
-func clusterBottleneck(ranks []RankStatus) ClusterBottleneck {
-	best := ClusterBottleneck{Rank: -1}
-	pick := func(onlyFresh bool) {
-		for _, rs := range ranks {
-			if !rs.Reported || rs.Bottleneck.Stage == "" {
-				continue
-			}
-			if onlyFresh && rs.Stale {
-				continue
-			}
-			if rs.Bottleneck.WorkNS > best.WorkNS || best.Rank < 0 {
-				best = ClusterBottleneck{
-					Rank:        rs.Rank,
-					Network:     rs.Bottleneck.Network,
-					Stage:       rs.Bottleneck.Stage,
-					Pipeline:    rs.Bottleneck.Pipeline,
-					WorkNS:      rs.Bottleneck.WorkNS,
-					Utilization: rs.Bottleneck.Utilization,
-				}
-			}
-		}
-	}
-	pick(true)
-	if best.Rank < 0 {
-		pick(false)
-	}
-	return best
-}
-
-// diagnoseFleet joins each rank's stall report with the liveness evidence:
-// the stalled rank's own peer view (who it thinks is suspect or dead) and
-// the aggregator's staleness stamps. The output is the cross-correlated
-// story a hung fleet owes its operator — "rank 2 stage merge
-// blocked-on-recv; peer rank 5 is suspect" — instead of N disconnected
-// stderr dumps.
-func diagnoseFleet(ranks []RankStatus) []string {
-	var out []string
-	for _, rs := range ranks {
-		if rs.Stall != nil {
-			verb := "stalled"
-			switch rs.Stall.CulpritState {
-			case "blocked-on-put":
-				verb = "blocked-on-send"
-				if rs.Record != nil && rs.Record.Comm.RecvsBlocked > 0 && rs.Record.Comm.SendsBlocked == 0 {
-					verb = "blocked-on-recv"
-				}
-			case "blocked-on-get", "starved":
-				verb = "blocked-on-recv"
-			}
-			line := fmt.Sprintf("rank %d stage %q %s for %v (%s)",
-				rs.Rank, rs.Stall.Culprit, verb,
-				time.Duration(rs.Stall.StalledNS).Round(time.Millisecond), rs.Stall.Network)
-			if suspects := suspectPeers(rs); suspects != "" {
-				line += " — " + suspects
-			}
-			out = append(out, line)
-		}
-		if rs.Dead {
-			out = append(out, fmt.Sprintf("rank %d is declared dead by the failure detector", rs.Rank))
-		} else if rs.Suspect {
-			out = append(out, fmt.Sprintf("rank %d is suspect (silent past the suspect threshold)", rs.Rank))
-		} else if rs.Reported && rs.Stale {
-			out = append(out, fmt.Sprintf("rank %d telemetry is stale (%v old) — slow, partitioned, or dead",
-				rs.Rank, time.Duration(rs.AgeNS).Round(time.Millisecond)))
-		} else if !rs.Reported {
-			out = append(out, fmt.Sprintf("rank %d has never reported telemetry", rs.Rank))
-		}
-	}
-	return out
-}
-
-// suspectPeers renders the stalled rank's own view of who went quiet.
-func suspectPeers(rs RankStatus) string {
-	if rs.Record == nil {
-		return ""
-	}
-	var sus, dead []string
-	for _, p := range rs.Record.Peers {
-		if !p.Monitored {
-			continue
-		}
-		if p.Dead {
-			dead = append(dead, strconv.Itoa(p.Rank))
-		} else if p.Suspect {
-			sus = append(sus, strconv.Itoa(p.Rank))
-		}
-	}
-	switch {
-	case len(dead) > 0 && len(sus) > 0:
-		return fmt.Sprintf("it sees rank(s) %s dead and %s suspect", join(dead), join(sus))
-	case len(dead) > 0:
-		return fmt.Sprintf("it sees rank(s) %s dead", join(dead))
-	case len(sus) > 0:
-		return fmt.Sprintf("it sees rank(s) %s suspect", join(sus))
-	}
-	return ""
-}
-
-func join(s []string) string {
-	sort.Strings(s)
-	out := ""
-	for i, v := range s {
-		if i > 0 {
-			out += ","
-		}
-		out += v
-	}
-	return out
-}
-
-// FleetMetricHelp documents every name TelemetryAggregator.EmitMetrics
-// emits; register it beside the collector.
-var FleetMetricHelp = map[string]string{
-	"fleet_rank_fresh":                    "1 while the rank's latest telemetry record is younger than the staleness threshold",
-	"fleet_rank_age_seconds":              "age of the rank's latest telemetry record at the aggregator",
-	"fleet_rank_stalled":                  "1 while the rank's latest record carries a watchdog stall report",
-	"fleet_rank_suspect":                  "1 while the aggregator's failure detector marks the rank suspect",
-	"fleet_rank_dead":                     "1 once the aggregator's failure detector declared the rank dead",
-	"fleet_rank_telemetry_seq":            "sequence number of the rank's latest telemetry record",
-	"fleet_comm_messages_sent_total":      "messages sent by the rank, from its latest record",
-	"fleet_comm_bytes_sent_total":         "bytes sent by the rank, from its latest record",
-	"fleet_comm_messages_recvd_total":     "messages received by the rank, from its latest record",
-	"fleet_comm_bytes_recvd_total":        "bytes received by the rank, from its latest record",
-	"fleet_comm_sends_blocked":            "the rank's goroutines parked in a Send at snapshot time",
-	"fleet_comm_recvs_blocked":            "the rank's goroutines parked in a Recv at snapshot time",
-	"fleet_comm_reconnects_total":         "TCP connections the rank redialed after a failure",
-	"fleet_autotune_adjustments_total":    "auto-tuner adjustments on the rank, from its latest record",
-	"fleet_autotune_workers":              "current worker count of the rank's auto-tuned stage knob",
-	"fleet_stage_work_seconds_total":      "time the rank's stage spent inside its stage function",
-	"fleet_stage_rounds_total":            "buffers accepted by the rank's stage",
-	"fleet_stage_queue_len":               "buffers waiting in the rank's stage input queue",
-	"fleet_bottleneck_work_seconds":       "work of the stage governing the rank's wall clock",
-	"fleet_bottleneck_governing":          "1 for the rank whose governing stage governs the whole job",
-	"fleet_telemetry_decode_errors_total": "inbound telemetry records dropped as undecodable or newer-version",
-}
-
-// EmitMetrics feeds the fleet view to emit as rank-labeled samples — the
-// /cluster/metrics collector. The signature matches what
-// fg.MetricsRegistry.RegisterFunc accepts, without this package importing
-// fg. Samples carry the fleet_ prefix to distinguish the aggregated view
-// from each process's node-local fg_/cluster_ series.
-func (a *TelemetryAggregator) EmitMetrics(emit func(name string, labels map[string]string, value float64)) {
-	st := a.Status()
-	rl := func(rank int) map[string]string {
-		return map[string]string{"rank": strconv.Itoa(rank)}
-	}
-	for _, rs := range st.Ranks {
-		fresh := 0.0
-		if rs.Reported && !rs.Stale {
-			fresh = 1
-		}
-		emit("fleet_rank_fresh", rl(rs.Rank), fresh)
-		emit("fleet_rank_age_seconds", rl(rs.Rank), time.Duration(rs.AgeNS).Seconds())
-		stalled := 0.0
-		if rs.Stall != nil {
-			stalled = 1
-		}
-		emit("fleet_rank_stalled", rl(rs.Rank), stalled)
-		suspect, dead := 0.0, 0.0
-		if rs.Suspect {
-			suspect = 1
-		}
-		if rs.Dead {
-			dead = 1
-		}
-		emit("fleet_rank_suspect", rl(rs.Rank), suspect)
-		emit("fleet_rank_dead", rl(rs.Rank), dead)
-		if rs.Record == nil {
-			continue
-		}
-		rec := rs.Record
-		emit("fleet_rank_telemetry_seq", rl(rs.Rank), float64(rec.Seq))
-		emit("fleet_comm_messages_sent_total", rl(rs.Rank), float64(rec.Comm.MessagesSent))
-		emit("fleet_comm_bytes_sent_total", rl(rs.Rank), float64(rec.Comm.BytesSent))
-		emit("fleet_comm_messages_recvd_total", rl(rs.Rank), float64(rec.Comm.MessagesRecvd))
-		emit("fleet_comm_bytes_recvd_total", rl(rs.Rank), float64(rec.Comm.BytesRecvd))
-		emit("fleet_comm_sends_blocked", rl(rs.Rank), float64(rec.Comm.SendsBlocked))
-		emit("fleet_comm_recvs_blocked", rl(rs.Rank), float64(rec.Comm.RecvsBlocked))
-		emit("fleet_comm_reconnects_total", rl(rs.Rank), float64(rec.Comm.Reconnects))
-		emit("fleet_autotune_adjustments_total", rl(rs.Rank), float64(rec.Adjustments))
-		for _, k := range rec.Knobs {
-			emit("fleet_autotune_workers",
-				map[string]string{"rank": strconv.Itoa(rs.Rank), "stage": k.Stage}, float64(k.Workers))
-		}
-		for _, s := range rec.Stages {
-			// Pipeline is part of a stage's identity: dsort's pass 2 runs a
-			// "read" stage on each of its vertical pipelines.
-			l := map[string]string{
-				"rank": strconv.Itoa(rs.Rank), "network": s.Network, "pipeline": s.Pipeline, "stage": s.Stage,
-			}
-			emit("fleet_stage_work_seconds_total", l, time.Duration(s.WorkNS).Seconds())
-			emit("fleet_stage_rounds_total", l, float64(s.Rounds))
-			emit("fleet_stage_queue_len", l, float64(s.QueueLen))
-		}
-		emit("fleet_bottleneck_work_seconds", rl(rs.Rank), time.Duration(rs.Bottleneck.WorkNS).Seconds())
-	}
-	for _, rs := range st.Ranks {
-		governing := 0.0
-		if rs.Rank == st.Bottleneck.Rank {
-			governing = 1
-		}
-		emit("fleet_bottleneck_governing", rl(rs.Rank), governing)
-	}
-	emit("fleet_telemetry_decode_errors_total", map[string]string{}, float64(a.t.decodeErrs.Load()))
+	return st, ranks
 }

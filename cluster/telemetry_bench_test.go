@@ -44,7 +44,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tel.publishOnce()
+			tel.publish(0)
 		}
 	})
 
@@ -54,7 +54,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		if _, err := c.StartTelemetry(idle); err != nil {
 			b.Fatal(err)
 		}
-		rec := RankTelemetry{V: TelemetryVersion, Rank: 1, Seq: 1 << 40, Program: "bench"}
+		rec := RankTelemetry{V: TelemetryVersion, Rank: 1, Seq: 1 << 40, Body: json.RawMessage(`"bench"`)}
 		data, err := json.Marshal(&rec)
 		if err != nil {
 			b.Fatal(err)

@@ -45,7 +45,7 @@ func conformTelemetryBackpressure(t *testing.T, kind string) {
 	// publisher would. Every DeliverControl call must return promptly —
 	// refusing (TCP control connection still dialing) is allowed, blocking
 	// is not.
-	rec := RankTelemetry{V: TelemetryVersion, Rank: 1, Seq: 1 << 40, Program: "conformance"}
+	rec := RankTelemetry{V: TelemetryVersion, Rank: 1, Seq: 1 << 40, Body: json.RawMessage(`"conformance"`)}
 	data, err := json.Marshal(&rec)
 	if err != nil {
 		t.Fatal(err)
@@ -71,10 +71,10 @@ func conformTelemetryBackpressure(t *testing.T, kind string) {
 	agg := tel.Aggregator()
 	ingestDeadline := time.Now().Add(5 * time.Second)
 	for {
-		rs := agg.Status().Ranks[1]
-		if rs.Reported && rs.Record.Seq == 1<<40 {
-			if rs.Record.Program != "conformance" {
-				t.Fatalf("record corrupted: program %q", rs.Record.Program)
+		_, ranks := agg.Status()
+		if rs := ranks[1]; rs.Reported && rs.Record.Seq == 1<<40 {
+			if string(rs.Record.Body) != `"conformance"` {
+				t.Fatalf("record corrupted: body %s", rs.Record.Body)
 			}
 			break
 		}
@@ -114,11 +114,11 @@ func conformTelemetryAbort(t *testing.T, kind string) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("abort did not stop the telemetry publisher")
 	}
-	st := tel.Aggregator().Status()
+	st, ranks := tel.Aggregator().Status()
 	if !st.Aborted {
 		t.Fatal("fleet view does not mark the job aborted")
 	}
-	if !st.Ranks[0].Reported {
+	if !ranks[0].Reported {
 		t.Fatal("aggregator lost its records on abort")
 	}
 }

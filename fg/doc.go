@@ -81,10 +81,12 @@
 // # Observation
 //
 // Every stage keeps lock-free counters that Network.Stats snapshots at any
-// time. A Tracer is the one event sink: it keeps the most recent events —
-// work, wait, retry, communication — up to its limit, writes them as a
-// Chrome trace, and writes its last BlackBoxEvents as the black box a stall
-// or panic handler dumps. An Observe bundles a tracer, a MetricsRegistry, a
+// time; the snapshot is the one description of a network — the status view,
+// the metrics, a watchdog's stall report and a remote rank's entry in the
+// fleet view are all derived from it. A Tracer is the one event sink: it
+// keeps the most recent events — work, wait, retry, communication — up to
+// its limit, writes them as a Chrome trace, and writes its last
+// BlackBoxEvents as the black box a stall or panic handler dumps. An Observe bundles a tracer, a MetricsRegistry, a
 // watchdog and a final-stats callback for code that builds networks on a
 // program's behalf. A network with nothing attached pays nothing.
 //

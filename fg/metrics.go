@@ -44,7 +44,7 @@ type MetricsRegistry struct {
 	mu      sync.Mutex
 	nets    []*Network
 	funcs   []*metricSource
-	help    map[string]string // HELP text by name: metricHelp plus what collectors registered
+	help    map[string]string // HELP text by name: MetricHelp plus what collectors registered
 	tracers []*Tracer
 	tuners  []*AutoTuner
 	peers   func() []PeerHealth
@@ -56,7 +56,7 @@ type metricSource struct{ emit func(EmitFunc) }
 
 // NewMetricsRegistry creates an empty registry.
 func NewMetricsRegistry() *MetricsRegistry {
-	return &MetricsRegistry{help: maps.Clone(metricHelp)}
+	return &MetricsRegistry{help: maps.Clone(MetricHelp)}
 }
 
 // Close drops everything registered — networks, collectors, tracers,
@@ -189,7 +189,7 @@ func (r *MetricsRegistry) Samples() []Sample {
 		out = append(out, Sample{Name: name, Labels: labels, Value: value})
 	}
 	for _, nw := range nets {
-		emitNetwork(nw.Stats(), emit)
+		nw.Stats().EmitMetrics(emit)
 	}
 	for i, tr := range tracers {
 		emit("fg_trace_dropped_total",
@@ -209,8 +209,10 @@ func (r *MetricsRegistry) Samples() []Sample {
 	return out
 }
 
-// emitNetwork flattens one stats snapshot into samples.
-func emitNetwork(st NetworkStats, emit EmitFunc) {
+// EmitMetrics flattens the snapshot into samples: the fg_network_*,
+// fg_pipeline_* and fg_stage_* series of /metrics, and — from a snapshot a
+// remote rank shipped, re-labelled with its rank — of the fleet view.
+func (st NetworkStats) EmitMetrics(emit EmitFunc) {
 	running := 0.0
 	if st.Running {
 		running = 1
@@ -240,9 +242,9 @@ func emitNetwork(st NetworkStats, emit EmitFunc) {
 	}
 }
 
-// metricHelp documents the metrics this package emits; every other name's
+// MetricHelp documents the metrics this package emits; every other name's
 // HELP text arrives with the collector that emits it (RegisterFunc).
-var metricHelp = map[string]string{
+var MetricHelp = map[string]string{
 	"fg_network_running":             "1 while the network's Run is in flight",
 	"fg_network_wall_seconds":        "elapsed run time (live) or final run duration",
 	"fg_pipeline_rounds_total":       "buffers emitted by the pipeline's source",

@@ -38,6 +38,10 @@ type Network struct {
 	runStart time.Time
 	runNanos atomic.Int64
 	runState atomic.Int32
+
+	// stalledAt is the stall episode the network's watchdog holds open: the
+	// unix-nano instant of the last progress it saw, 0 while it sees none.
+	stalledAt atomic.Int64
 }
 
 const (

@@ -77,6 +77,13 @@ type NetworkStats struct {
 	// run duration (after Run returns); zero before Run starts.
 	Running bool
 	Wall    time.Duration
+	// StalledAt and Stalled describe the stall episode the network's
+	// watchdog has declared and not yet seen end: the unix-nano instant of
+	// the last progress, which names the episode, and how long ago that was
+	// at snapshot time. Both are zero unless the watchdog has fired, and
+	// again once progress resumes or Run returns.
+	StalledAt int64
+	Stalled   time.Duration
 }
 
 // Stats snapshots the network's per-pipeline and per-stage statistics. It
@@ -95,6 +102,9 @@ func (nw *Network) Stats() NetworkStats {
 	case runStateRunning:
 		st.Running = true
 		st.Wall = time.Since(nw.runStart)
+		if at := nw.stalledAt.Load(); at != 0 {
+			st.StalledAt, st.Stalled = at, time.Since(time.Unix(0, at))
+		}
 	case runStateDone:
 		st.Wall = time.Duration(nw.runNanos.Load())
 	}

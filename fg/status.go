@@ -29,6 +29,11 @@ type NetworkStatus struct {
 	// Bottleneck is the current governing-stage analysis — mid-run it
 	// reports the bottleneck so far.
 	Bottleneck BottleneckReport `json:"bottleneck"`
+	// Stall is the watchdog's verdict, present from the moment it fires until
+	// progress resumes or the network finishes — derived, like everything
+	// here, from the snapshot alone, so it reads the same on the stalled
+	// process and on the rank aggregating the fleet.
+	Stall *StallReport `json:"stall,omitempty"`
 }
 
 // Status snapshots the network's live health: per-stage classified states,
@@ -36,9 +41,9 @@ type NetworkStatus struct {
 // time, including while Run is in flight.
 func (nw *Network) Status() NetworkStatus { return nw.Stats().Status() }
 
-// Status derives the health document from a statistics snapshot, so a
-// caller that also needs the raw counters (the fleet collector) reads both
-// from one snapshot and classifies at the status view's own threshold.
+// Status derives the health document from a statistics snapshot: the one
+// derivation behind /status.json here and, applied to the snapshot a remote
+// rank shipped, behind that rank's entry in the fleet view.
 func (st NetworkStats) Status() NetworkStatus {
 	ns := NetworkStatus{
 		Network:    st.Name,
@@ -51,6 +56,10 @@ func (st NetworkStats) Status() NetworkStatus {
 		if st.Wall > 0 {
 			ns.Stages[i].Utilization = float64(s.Work) / float64(st.Wall)
 		}
+	}
+	if st.StalledAt != 0 {
+		rep := buildStallReport(st, st.Stalled)
+		ns.Stall = &rep
 	}
 	return ns
 }
@@ -69,6 +78,9 @@ func (s NetworkStatus) String() string {
 		b.WriteString(h.line(true))
 	}
 	fmt.Fprintf(&b, "  %s\n", s.Bottleneck)
+	if s.Stall != nil {
+		fmt.Fprintf(&b, "  STALLED for %v: %s\n", s.Stall.Stalled.Round(time.Millisecond), s.Stall.verdict())
+	}
 	return b.String()
 }
 

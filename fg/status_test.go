@@ -168,3 +168,98 @@ func TestStageLineRenderings(t *testing.T) {
 		}
 	}
 }
+
+// TestStatusShowsStallEpisode: the watchdog's verdict lives on the network,
+// so /status.json and /status carry it from the moment the watchdog fires —
+// the very report OnStall received, rebuilt from the snapshot — drop it when
+// progress resumes, show the next episode, and drop that when the network
+// finishes.
+func TestStatusShowsStallEpisode(t *testing.T) {
+	release := make(chan struct{}, 2)
+	nw := NewNetwork("stallnet")
+	p := nw.AddPipeline("main", Buffers(2), Rounds(100))
+	p.AddStage("pass", func(ctx *Ctx, b *Buffer) error { return nil })
+	p.AddStage("wedge", func(ctx *Ctx, b *Buffer) error {
+		// The second hang is in the last round: released, the network
+		// finishes before its watchdog samples again, so only Run returning
+		// can end that episode.
+		if b.Round == 1 || b.Round == 99 {
+			<-release
+		}
+		time.Sleep(time.Millisecond) // the rounds in between outlast a sampling interval
+		return nil
+	})
+	reg := NewMetricsRegistry()
+	reg.RegisterNetwork(nw)
+	srv := httptest.NewServer(reg.Handler())
+	defer srv.Close()
+	fired := make(chan StallReport, 2)
+	dog := nw.Watch(WatchdogConfig{
+		Interval:   5 * time.Millisecond,
+		StallAfter: 100 * time.Millisecond,
+		OnStall:    func(r StallReport) { fired <- r },
+	})
+	defer dog.Stop()
+	done := make(chan error, 1)
+	go func() { done <- nw.Run() }()
+
+	// served reads the one network's stall off /status.json.
+	served := func() *StallReport {
+		var doc struct {
+			Networks []NetworkStatus `json:"networks"`
+		}
+		raw := scrape(t, srv.URL+"/status.json")
+		if err := json.Unmarshal([]byte(raw), &doc); err != nil || len(doc.Networks) != 1 {
+			t.Fatalf("/status.json: %v\n%s", err, raw)
+		}
+		return doc.Networks[0].Stall
+	}
+	// waitClear polls until the status no longer carries a stall.
+	waitClear := func(why string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); served() != nil; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("stall still served after %s", why)
+			}
+		}
+	}
+	if got := served(); got != nil {
+		t.Fatalf("a stall is served before the watchdog fired: %+v", got)
+	}
+	var first int64
+	for episode, why := range []string{"progress resumed", "the network finished"} {
+		var rep StallReport
+		select {
+		case rep = <-fired:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("watchdog never fired for episode %d", episode)
+		}
+		// OnStall runs after the episode is recorded: the status has it now.
+		got := served()
+		if got == nil || got.Culprit != "wedge" || got.CulpritPipeline != rep.CulpritPipeline ||
+			got.Reason != rep.Reason || got.Stalled < rep.Stalled || got.Goroutines != "" {
+			t.Fatalf("episode %d: /status.json serves %+v, want the watchdog's verdict %+v (without goroutines)", episode, got, rep)
+		}
+		st := nw.Stats()
+		if st.StalledAt == 0 || st.StalledAt == first {
+			t.Fatalf("episode %d: snapshot stamp %d (first episode's: %d), want a new nonzero one", episode, st.StalledAt, first)
+		}
+		first = st.StalledAt
+		if text := scrape(t, srv.URL+"/status"); !strings.Contains(text, "STALLED for") || !strings.Contains(text, `stage "wedge"`) {
+			t.Fatalf("episode %d: /status does not show the stall:\n%s", episode, text)
+		}
+		release <- struct{}{}
+		if episode == 1 {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitClear(why)
+	}
+	if text := scrape(t, srv.URL+"/status"); strings.Contains(text, "STALLED") {
+		t.Fatalf("/status of a finished network still shows a stall:\n%s", text)
+	}
+	if got := dog.Fired(); got != 2 {
+		t.Errorf("watchdog fired %d times, want once per episode", got)
+	}
+}

@@ -117,13 +117,8 @@ type StallReport struct {
 // String renders the report as a multi-line log message.
 func (r StallReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fg: network %q stalled for %v (no stage completed a round)\n",
-		r.Network, r.Stalled.Round(time.Millisecond))
-	if r.Culprit != "" {
-		fmt.Fprintf(&b, "  suspected culprit: stage %q on %q — %s\n", r.Culprit, r.CulpritPipeline, r.Reason)
-	} else if r.Reason != "" {
-		fmt.Fprintf(&b, "  %s\n", r.Reason)
-	}
+	fmt.Fprintf(&b, "fg: network %q stalled for %v (no stage completed a round)\n  %s\n",
+		r.Network, r.Stalled.Round(time.Millisecond), r.verdict())
 	for _, s := range r.Stages {
 		b.WriteString(s.line(false))
 	}
@@ -131,6 +126,15 @@ func (r StallReport) String() string {
 		fmt.Fprintf(&b, "  goroutines:\n%s\n", indent(r.Goroutines, "    "))
 	}
 	return b.String()
+}
+
+// verdict is the report's one-line conclusion: the culprit and why, or why
+// there is none.
+func (r StallReport) verdict() string {
+	if r.Culprit == "" {
+		return r.Reason
+	}
+	return fmt.Sprintf("suspected culprit: stage %q on %q — %s", r.Culprit, r.CulpritPipeline, r.Reason)
 }
 
 func indent(s, prefix string) string {
@@ -261,7 +265,9 @@ func goroutineExcerpt(network string, maxBytes int) string {
 	return strings.TrimRight(out.String(), "\n")
 }
 
-// buildStallReport assembles the full report from a snapshot.
+// buildStallReport derives the report from a snapshot and nothing else, so
+// Status can rebuild it wherever the snapshot travels; the goroutine excerpt
+// is the firing watchdog's to add.
 func buildStallReport(st NetworkStats, stalled time.Duration) StallReport {
 	rep := StallReport{Network: st.Name, Stalled: stalled}
 	// Any park older than the stall span predates the last progress; use
@@ -274,7 +280,6 @@ func buildStallReport(st NetworkStats, stalled time.Duration) StallReport {
 	} else {
 		rep.Reason = "no stage is conclusively blocked; the network may be between rounds"
 	}
-	rep.Goroutines = goroutineExcerpt(st.Name, 16<<10)
 	return rep
 }
 
@@ -341,6 +346,7 @@ func (w *Watchdog) run(nw *Network, cfg WatchdogConfig) {
 			lastRounds = total
 			lastProgress = now
 			reported = false
+			nw.stalledAt.Store(0)
 			continue
 		}
 		stalled := now.Sub(lastProgress)
@@ -349,8 +355,13 @@ func (w *Watchdog) run(nw *Network, cfg WatchdogConfig) {
 		}
 		reported = true
 		w.fired.Add(1)
+		// Recorded on the network before anyone is told, so every snapshot
+		// from here to the episode's end carries the verdict OnStall gets.
+		nw.stalledAt.Store(lastProgress.UnixNano())
 		if cfg.OnStall != nil {
-			cfg.OnStall(buildStallReport(st, stalled))
+			rep := buildStallReport(st, stalled)
+			rep.Goroutines = goroutineExcerpt(st.Name, 16<<10)
+			cfg.OnStall(rep)
 		}
 	}
 }

@@ -5,6 +5,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -79,9 +80,9 @@ type Params struct {
 	// every cluster the harness builds: each local rank publishes a
 	// RankTelemetry record per interval toward the aggregator rank, and
 	// pull requests for black boxes and profiles are served. The harness
-	// fills Collect and Blackbox from Observe — stage taxonomy, pool
-	// occupancy, and knob positions from the metrics registry, stall reports
-	// from the watchdog, the tracer's most recent events as the black box.
+	// fills Collect and Blackbox from Observe — the rank's fg snapshot
+	// (stages, pools, knob positions, an open stall episode) from the
+	// metrics registry, the tracer's most recent events as the black box.
 	// The zero value disables the plane.
 	Telemetry cluster.TelemetryConfig
 
@@ -102,11 +103,11 @@ type Params struct {
 }
 
 // ensureTelemetryObserve gives a telemetry-armed run a metrics registry
-// when it has none: the fleet collector reads stage taxonomy out of
-// Observe.Metrics, so without one a rank's records would carry comm
-// counters but no stages and the fleet view could never name its
-// bottleneck. The receiver is a value, so the patched bundle is local to
-// this run; a caller-supplied bundle is shallow-copied, never mutated.
+// when it has none: a rank's record body is its registered networks'
+// snapshots, so without one the records would carry comm counters but no
+// stages and the fleet view could never name its bottleneck. The receiver
+// is a value, so the patched bundle is local to this run; a
+// caller-supplied bundle is shallow-copied, never mutated.
 func (pr *Params) ensureTelemetryObserve() {
 	if pr.Telemetry.Interval <= 0 || (pr.Observe != nil && pr.Observe.Metrics != nil) {
 		return
@@ -125,9 +126,10 @@ func (pr *Params) ensureTelemetryObserve() {
 // long-lived registry or tracer is not fed by a dead cluster.
 func (pr Params) instrument(c *cluster.Cluster) func() {
 	o := pr.Observe
-	detachTelemetry := pr.startTelemetry(c)
+	pr.startTelemetry(c)
+	detach := func() {}
 	if o == nil {
-		return detachTelemetry
+		return detach
 	}
 	if o.Metrics != nil {
 		removeComm := o.Metrics.RegisterFunc(func(emit fg.EmitFunc) { c.EmitMetrics(emit) }, cluster.MetricHelp)
@@ -149,19 +151,17 @@ func (pr Params) instrument(c *cluster.Cluster) func() {
 			}
 			return out
 		})
-		prevDetach := detachTelemetry
-		detachTelemetry = func() {
+		detach = func() {
 			// The registry may outlive this cluster (fgexp runs many, an
 			// fgd job one per attempt): leave it no cluster_* series to
 			// repeat and no closure keeping the closed cluster reachable.
 			removeComm()
 			o.Metrics.RegisterPeerHealth(nil)
-			prevDetach()
 		}
 	}
 	tr := o.Tracer
 	if tr == nil {
-		return detachTelemetry
+		return detach
 	}
 	for _, n := range c.Local() {
 		pipe := fmt.Sprintf("node%d", n.Rank())
@@ -182,28 +182,30 @@ func (pr Params) instrument(c *cluster.Cluster) func() {
 		for _, n := range c.Local() {
 			n.SetCommObserver(nil)
 		}
-		detachTelemetry()
+		detach()
 	}
 }
 
 // startTelemetry starts the cluster's telemetry plane when Params asks for
-// one, filling the fg-side callbacks from Observe. The returned detach
-// function unhooks the collector's watchdog and completion wrappers (the
-// plane itself stops with the cluster's Close). Telemetry is best-effort
-// by contract, so a plane that fails to start degrades to staleness at the
-// aggregator rather than failing the run.
-func (pr Params) startTelemetry(c *cluster.Cluster) func() {
+// one, filling its callbacks from Observe (the plane itself stops with the
+// cluster's Close). Telemetry is best-effort by contract, so a plane that
+// fails to start degrades to staleness at the aggregator rather than
+// failing the run.
+func (pr Params) startTelemetry(c *cluster.Cluster) {
 	if pr.Telemetry.Interval <= 0 {
-		return func() {}
+		return
 	}
-	cfg := pr.Telemetry
-	fc := newFleetCollector(pr.Observe)
-	cfg.Collect, cfg.Blackbox = fc.collectFor(c), fc.blackbox()
-	t, err := c.StartTelemetry(cfg)
-	if err == nil && t != nil && pr.OnTelemetry != nil {
+	cfg, o := pr.Telemetry, pr.Observe // ensureTelemetryObserve saw to o and its registry
+	tunerRank := c.Local()[0].Rank()
+	cfg.Collect = func(rank int) (json.RawMessage, int64) {
+		return collect(o.Metrics, rank, rank == tunerRank)
+	}
+	if o.Tracer != nil {
+		cfg.Blackbox = o.Tracer.WriteBlackBox
+	}
+	if t, err := c.StartTelemetry(cfg); err == nil && t != nil && pr.OnTelemetry != nil {
 		pr.OnTelemetry(t)
 	}
-	return fc.restore
 }
 
 // DefaultParams mirrors the paper's machine at laptop scale: 16 nodes and

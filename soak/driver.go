@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/internal/harness"
 )
 
@@ -233,8 +232,8 @@ func probeFleet(ranks int, addr string) (stop func() FleetReport) {
 	})
 }
 
-func scrapeFleet(client *http.Client, addr string) (cluster.ClusterStatus, error) {
-	var st cluster.ClusterStatus
+func scrapeFleet(client *http.Client, addr string) (harness.FleetStatus, error) {
+	var st harness.FleetStatus
 	resp, err := client.Get("http://" + addr + "/cluster/status.json")
 	if err != nil {
 		return st, err
