@@ -7,7 +7,6 @@ import (
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/sortalgo"
-	"github.com/fg-go/fg/mergetree"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/records"
 )
@@ -187,33 +186,23 @@ func pass2Linear(n *cluster.Node, cfg Config, runLens []int) error {
 	runBytes := f.Bytes(cfg.RunRecords)
 	vBufBytes := f.Bytes(cfg.MergeRecords)
 
-	// Merge state: one synchronously loaded chunk per run.
+	// One synchronously loaded chunk per run: with no pipeline to prefetch
+	// them, the merge step waits for the disk whenever a chunk empties.
 	k := len(runLens)
 	chunks := make([][]byte, k)
 	chunkOff := make([]int, k) // bytes of the run consumed so far
-	cursor := make([]int, k)   // records consumed within the chunk
-	tree := mergetree.New(k + 1)
-	load := func(i int) error {
+	load := func(i int) ([]byte, error) {
 		lenBytes := f.Bytes(runLens[i])
-		if chunkOff[i] >= lenBytes {
-			tree.Close(i)
-			return nil
-		}
-		cnt := vBufBytes
-		if chunkOff[i]+cnt > lenBytes {
-			cnt = lenBytes - chunkOff[i]
+		cnt := min(vBufBytes, lenBytes-chunkOff[i])
+		if cnt == 0 {
+			return nil, nil
 		}
 		if chunks[i] == nil {
 			chunks[i] = make([]byte, vBufBytes)
 		}
-		if err := n.Disk.ReadAt(runsFile, chunks[i][:cnt], int64(i)*int64(runBytes)+int64(chunkOff[i])); err != nil {
-			return err
-		}
-		chunks[i] = chunks[i][:cnt]
+		err := n.Disk.ReadAt(runsFile, chunks[i][:cnt], int64(i)*int64(runBytes)+int64(chunkOff[i]))
 		chunkOff[i] += cnt
-		cursor[i] = 0
-		tree.Set(i, f.KeyAt(chunks[i], 0))
-		return nil
+		return chunks[i][:cnt], err
 	}
 
 	nw, done := cfg.Network(n, "dsortlin.p2")
@@ -222,34 +211,7 @@ func pass2Linear(n *cluster.Node, cfg Config, runLens []int) error {
 		fg.Buffers(cfg.Buffers), fg.BufferBytes(hBufBytes+4096), fg.Rounds(hRounds))
 
 	pipe.AddFreeStage("merge", func(ctx *fg.Ctx) error {
-		for i := 0; i < k; i++ {
-			if err := load(i); err != nil {
-				return err
-			}
-		}
-		for {
-			b, ok := ctx.Accept()
-			if !ok {
-				return nil
-			}
-			for b.N+size <= hBufBytes {
-				i, _, ok := tree.Min()
-				if !ok {
-					break
-				}
-				copy(b.Data[b.N:], chunks[i][cursor[i]*size:(cursor[i]+1)*size])
-				b.N += size
-				cursor[i]++
-				if cursor[i]*size == len(chunks[i]) {
-					if err := load(i); err != nil {
-						return err
-					}
-				} else {
-					tree.Set(i, f.KeyAt(chunks[i], cursor[i]))
-				}
-			}
-			ctx.Convey(b)
-		}
+		return newMerger(f, k, load).run(ctx, pipe, hBufBytes)
 	})
 
 	writeExtents := func(msg []byte) error {

@@ -78,12 +78,13 @@ func readSamples(d *pdm.Disk, name string, f records.Format, rank int, positions
 // the count is re-read each round so an auto-tuner knob takes effect
 // mid-run. The per-partition counts travel with the buffer as its Meta.
 func permuteStage(f records.Format, p, rank, bufRecs int, splitters []records.ExtKey, workers func() int) fg.RoundFunc {
+	index := splitter.NewIndex(splitters)
 	return func(ctx *fg.Ctx, b *fg.Buffer) error {
 		base := int64(b.Round) * int64(bufRecs)
 		data := b.Bytes()
 		counts := sortalgo.PartitionRecords(f, data, b.Aux()[:b.N], p, func(i int) int {
 			e := records.ExtKey{Key: f.KeyAt(data, i), Node: uint32(rank), Seq: uint64(base) + uint64(i)}
-			return splitter.Partition(splitters, e)
+			return index.Partition(e)
 		}, workers())
 		b.SwapAux()
 		b.Meta = counts

@@ -3,13 +3,13 @@ package dsort
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/sortalgo"
 	"github.com/fg-go/fg/mergetree"
+	"github.com/fg-go/fg/records"
 )
 
 // verticalBuffers is the pool of each vertical pipeline: one buffer under
@@ -65,6 +65,110 @@ func (r *runReads) yield(done <-chan struct{}) {
 			return
 		}
 	}
+}
+
+// merger is pass 2's merge step, the one both pass2 and pass2Linear run:
+// the unconsumed records of each run's current chunk, a tournament tree over
+// their lead keys, and the variant's way of fetching a run's next chunk.
+type merger struct {
+	f    records.Format
+	tree *mergetree.Tree
+	rest [][]byte // rest[i] is run i's current chunk from its lead record on
+	// next returns run i's next chunk, or none once the run is exhausted. It
+	// is called once per run to start and then whenever rest[i] is used up.
+	next func(i int) ([]byte, error)
+}
+
+func newMerger(f records.Format, k int, next func(i int) ([]byte, error)) *merger {
+	// k may be 0; the tree needs a leaf.
+	return &merger{f: f, tree: mergetree.New(max(k, 1)), rest: make([][]byte, k), next: next}
+}
+
+// advance moves run i to its next chunk, retiring its leaf if there is none.
+func (m *merger) advance(i int) error {
+	chunk, err := m.next(i)
+	if err != nil {
+		return err
+	}
+	if m.rest[i] = chunk; len(chunk) == 0 {
+		m.tree.Close(i)
+	} else {
+		m.tree.Set(i, m.f.KeyAt(chunk, 0))
+	}
+	return nil
+}
+
+// start fetches every run's first chunk.
+func (m *merger) start() error {
+	for i := range m.rest {
+		if err := m.advance(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// run is the merge stage's body: it merges the runs into buffers of
+// pipeline out, bufBytes to a buffer, until every run is exhausted.
+func (m *merger) run(ctx *fg.Ctx, out *fg.Pipeline, bufBytes int) error {
+	err := m.start()
+	for err == nil {
+		if _, _, more := m.tree.Min(); !more {
+			break
+		}
+		b, ok := ctx.AcceptFrom(out)
+		if !ok {
+			return fmt.Errorf("output pipeline dried up with records remaining")
+		}
+		b.N, err = m.fill(b.Data[:bufBytes])
+		ctx.Convey(b)
+	}
+	return err
+}
+
+// fill merges records into dst, a whole number of records long, until it is
+// full or every run is exhausted, and returns the bytes it wrote.
+//
+// It emits an extent, not a record: everything the leading run can
+// contribute before any other run's current key moves in one copy, and the
+// tournament tree is consulted per extent instead of per record. The bound
+// is the runner-up's key, read off the tree without disturbing it; the
+// extent's length is galloped from the front of the leading run
+// (sortalgo.KeyUpperBound), its lead record being within the bound already.
+// Uniformly interleaved runs degrade to single-record extents, one probe
+// each, while duplicate-heavy and pre-partitioned inputs (and the
+// single-run tail) collapse to block copies. An extent also ends with its
+// chunk and with dst, and the tree decides afresh after either.
+func (m *merger) fill(dst []byte) (int, error) {
+	f, size, tree := m.f, m.f.Size, m.tree
+	n := 0
+	for n < len(dst) {
+		i, _, ok := tree.Min()
+		if !ok {
+			break
+		}
+		rest := m.rest[i]
+		ext := len(rest) // the extent in bytes; no other run open: all of it
+		if _, limit, ok := tree.RunnerUp(); ok {
+			ext = size * (1 + sortalgo.KeyUpperBound(f, rest[size:], limit))
+		}
+		ext = min(ext, len(dst)-n)
+		if ext == 16 {
+			*(*[16]byte)(dst[n:]) = *(*[16]byte)(rest) // loads and stores, not a call (as sortalgo's scatter)
+		} else {
+			copy(dst[n:], rest[:ext])
+		}
+		n += ext
+		if rest = rest[ext:]; len(rest) == 0 {
+			if err := m.advance(i); err != nil {
+				return n, err
+			}
+			continue
+		}
+		m.rest[i] = rest
+		tree.Set(i, f.KeyAt(rest, 0))
+	}
+	return n, nil
 }
 
 // pass2 merges this node's sorted runs into one sorted stream, then
@@ -149,81 +253,18 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 		// Repeatedly choose the smallest key not yet chosen among the
 		// buffers accepted along the vertical pipelines, copying it into
 		// the next position of the output buffer from the horizontal
-		// pipeline's source.
+		// pipeline's source. A run's next chunk is the next buffer of its
+		// vertical; the spent one goes on to its own sink.
 		heads := make([]*fg.Buffer, k)
-		idx := make([]int, k)
-		tree := mergetree.New(k + 1) // k may be 0; the tree needs >= 1 leaf
-		advance := func(i int) error {
+		return newMerger(f, k, func(i int) ([]byte, error) {
 			if heads[i] != nil {
-				ctx.Convey(heads[i]) // spent input buffer, to its own sink
+				ctx.Convey(heads[i])
 			}
-			if b, ok := ctx.AcceptFrom(verticals[i]); ok {
-				heads[i] = b
-				idx[i] = 0
-				tree.Set(i, f.KeyAt(b.Data, 0))
-			} else {
-				heads[i] = nil
-				tree.Close(i)
+			if heads[i], _ = ctx.AcceptFrom(verticals[i]); heads[i] == nil {
+				return nil, nil
 			}
-			return nil
-		}
-		for i := 0; i < k; i++ {
-			if err := advance(i); err != nil {
-				return err
-			}
-		}
-		var ob *fg.Buffer
-		for {
-			i, _, ok := tree.Min()
-			if !ok {
-				break
-			}
-			if ob == nil {
-				b, ok := ctx.AcceptFrom(horiz)
-				if !ok {
-					return fmt.Errorf("horizontal pipeline dried up with records remaining")
-				}
-				ob = b
-			}
-			// Emit an extent, not a record: everything the leading run can
-			// contribute before any other run's current key — found with
-			// the same key binary search that splits the parallel two-way
-			// merge — moves in one copy, and the tournament tree is
-			// consulted per extent instead of per record. Closing leaf i
-			// makes the tree report the runner-up key; Set/Close below
-			// reopens or retires the leaf. Uniformly interleaved runs
-			// degrade to single-record extents, while duplicate-heavy and
-			// pre-partitioned inputs (and the single-run tail) collapse to
-			// block copies.
-			limit := uint64(math.MaxUint64)
-			tree.Close(i)
-			if _, k2, ok2 := tree.Min(); ok2 {
-				limit = k2
-			}
-			rest := heads[i].Data[idx[i]*size : heads[i].N]
-			m := sortalgo.KeyUpperBound(f, rest, limit) // >= 1: the lead key is <= limit
-			if space := (ob.Cap() - ob.N) / size; m > space {
-				m = space
-			}
-			copy(ob.Data[ob.N:], rest[:m*size])
-			ob.N += m * size
-			idx[i] += m
-			if ob.N == ob.Cap() {
-				ctx.Convey(ob)
-				ob = nil
-			}
-			if idx[i]*size == heads[i].N {
-				if err := advance(i); err != nil {
-					return err
-				}
-			} else {
-				tree.Set(i, f.KeyAt(heads[i].Data, idx[i]))
-			}
-		}
-		if ob != nil && ob.N > 0 {
-			ctx.Convey(ob)
-		}
-		return nil
+			return heads[i].Bytes(), nil
+		}).run(ctx, horiz, hBufBytes)
 	})
 	for _, v := range verticals {
 		v.Add(merge)

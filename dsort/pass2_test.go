@@ -1,7 +1,10 @@
 package dsort
 
 import (
+	"bytes"
 	"errors"
+	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,8 +13,10 @@ import (
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/check"
+	"github.com/fg-go/fg/internal/sortalgo"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/pdm"
+	"github.com/fg-go/fg/records"
 	"github.com/fg-go/fg/workload"
 )
 
@@ -119,5 +124,113 @@ func TestDsortAutoTunedWithRetriedRunReads(t *testing.T) {
 	}
 	if err := check.Output(c, cfg.Spec, fp); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// chunked serves sorted runs to a merger a chunk at a time.
+func chunked(f records.Format, runs [][]byte, chunkRecs int) func(i int) ([]byte, error) {
+	at := make([]int, len(runs))
+	return func(i int) ([]byte, error) {
+		chunk := runs[i][at[i]:min(at[i]+f.Bytes(chunkRecs), len(runs[i]))]
+		at[i] += len(chunk)
+		return chunk, nil
+	}
+}
+
+// TestMergerMatchesExtentRuleByScan holds the merge step to its rule spelled
+// out with scans instead of a tree and a gallop: the run with the smallest
+// lead key (the lowest run on a tie) emits, from its current chunk and while
+// the output buffer has room, every record whose key is at most the smallest
+// lead key among the other runs.
+// Runs are duplicate-heavy so the rule's tie cases decide most extents, and
+// k, the chunk size and the output buffer size vary so extents end at chunk
+// ends, at buffer ends and in between; k = 0 and empty runs are included.
+func TestMergerMatchesExtentRuleByScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 300; trial++ {
+		f := records.NewFormat([]int{16, 24, 64}[rng.Intn(3)])
+		k, chunkRecs, dstRecs := rng.Intn(10), 1+rng.Intn(9), 1+rng.Intn(40)
+		span := uint64(1 + rng.Intn(12)) // distinct keys: few
+		runs := make([][]byte, k)
+		var want []byte
+		for i := range runs {
+			runs[i] = make([]byte, f.Bytes(rng.Intn(60)))
+			rng.Read(runs[i])
+			for r := 0; r < f.Count(len(runs[i])); r++ {
+				f.SetKey(f.At(runs[i], r), math.MaxUint64-rng.Uint64()%span) // real MaxUint64 keys among them
+			}
+			sortalgo.SortRecords(f, runs[i], make([]byte, len(runs[i])))
+		}
+		for at := make([]int, k); ; {
+			lead := -1
+			for i := range runs {
+				if at[i] < len(runs[i]) && (lead < 0 || f.KeyAt(runs[i][at[i]:], 0) < f.KeyAt(runs[lead][at[lead]:], 0)) {
+					lead = i
+				}
+			}
+			if lead < 0 {
+				break
+			}
+			limit := uint64(math.MaxUint64)
+			for i := range runs {
+				if i != lead && at[i] < len(runs[i]) {
+					limit = min(limit, f.KeyAt(runs[i][at[i]:], 0))
+				}
+			}
+			// The extent also ends with its chunk and with the output buffer.
+			end := min(len(runs[lead]), (at[lead]/f.Bytes(chunkRecs)+1)*f.Bytes(chunkRecs),
+				at[lead]+f.Bytes(dstRecs)-len(want)%f.Bytes(dstRecs))
+			for at[lead] < end && f.KeyAt(runs[lead][at[lead]:], 0) <= limit {
+				want = append(want, f.At(runs[lead][at[lead]:], 0)...)
+				at[lead] += f.Size
+			}
+		}
+
+		m := newMerger(f, k, chunked(f, runs, chunkRecs))
+		if err := m.start(); err != nil {
+			t.Fatal(err)
+		}
+		more := func() bool { _, _, ok := m.tree.Min(); return ok }
+		var got []byte
+		for dst := make([]byte, f.Bytes(dstRecs)); more(); {
+			n, err := m.fill(dst)
+			if err != nil || n == 0 || n < len(dst) && more() {
+				t.Fatalf("trial %d: fill wrote %d of %d bytes with records remaining (err %v)", trial, n, len(dst), err)
+			}
+			got = append(got, dst[:n]...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d (size %d, k %d, chunks of %d, buffers of %d, %d keys): merged bytes differ from the rule's",
+				trial, f.Size, k, chunkRecs, dstRecs, span)
+		}
+	}
+}
+
+// TestMergeStepAllocatesNothing: at steady state — every run mid-chunk or
+// taking its next one — filling an output buffer allocates nothing, at the
+// default geometry's 8 runs of 16-byte records.
+func TestMergeStepAllocatesNothing(t *testing.T) {
+	f := records.NewFormat(16)
+	const k = 8
+	runs := make([][]byte, k)
+	for i := range runs {
+		runs[i] = make([]byte, f.Bytes(256))
+		workload.NewGenerator(f, workload.Uniform, 24, uint32(i)).Fill(runs[i])
+		sortalgo.SortRecords(f, runs[i], make([]byte, len(runs[i])))
+	}
+	// Every chunk is the whole run again, so the merger never runs dry.
+	m := newMerger(f, k, func(i int) ([]byte, error) { return runs[i], nil })
+	if err := m.start(); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, f.Bytes(1000))
+	fillOnce := func() {
+		if n, err := m.fill(dst); n != len(dst) || err != nil {
+			t.Fatalf("fill wrote %d of %d bytes (err %v)", n, len(dst), err)
+		}
+	}
+	fillOnce()
+	if allocs := testing.AllocsPerRun(20, fillOnce); allocs != 0 {
+		t.Errorf("merger.fill allocates %.0f objects per buffer, want 0", allocs)
 	}
 }

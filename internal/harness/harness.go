@@ -509,9 +509,10 @@ func (pr Params) Balance(dist workload.Distribution, oversample int) (float64, e
 			return err
 		}
 		local := make([]int64, pr.Nodes)
+		index := splitter.NewIndex(sp)
 		for i, k := range mine {
 			e := records.ExtKey{Key: k, Node: uint32(node.Rank()), Seq: uint64(i)}
-			local[splitter.Partition(sp, e)]++
+			local[index.Partition(e)]++
 		}
 		<-countMu
 		for d, v := range local {

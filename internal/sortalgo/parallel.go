@@ -169,10 +169,21 @@ func parallelRadixSort(f records.Format, data, scratch []byte, n, shards int) {
 
 // KeyUpperBound returns the number of records in the sorted sequence data
 // whose key is <= key: the index of the first record ordering strictly
-// after key. It is the key-split primitive behind MergeSortedParallel and
-// dsort's bulk-emitting merge stage.
+// after key. It gallops from the front — probing records 0, 1, 3, 7, ...
+// until one orders after key, then binary-searching inside that last step —
+// so the cost is logarithmic in the answer, not in len(data): dsort's merge
+// stage asks it how far the leading run reaches before the runner-up's key,
+// which is a record or two on interleaved runs and a whole buffer on
+// duplicate-heavy ones.
 func KeyUpperBound(f records.Format, data []byte, key uint64) int {
-	lo, hi := 0, f.Count(len(data))
+	lo, hi := 0, 0 // records [0, lo) are <= key; hi is the next probe
+	for hi*f.Size < len(data) && f.KeyAt(data, hi) <= key {
+		lo = hi + 1
+		hi = 2*hi + 1
+	}
+	if hi*f.Size > len(data) { // galloped off the end: the one division
+		hi = f.Count(len(data))
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if f.KeyAt(data, mid) <= key {
@@ -291,11 +302,7 @@ func PartitionRecords(f records.Format, data, dst []byte, parts int, classify fu
 			offsets[d] = pos
 			pos += counts[d]
 		}
-		for i := 0; i < n; i++ {
-			d := partOf[i]
-			copy(dst[offsets[d]*size:], data[i*size:(i+1)*size])
-			offsets[d]++
-		}
+		scatterParts(dst, data, size, 0, n, partOf, offsets)
 		return counts
 	}
 
@@ -329,13 +336,27 @@ func PartitionRecords(f records.Format, data, dst []byte, parts int, classify fu
 		}
 	}
 	parallel.Do(shards, shards, func(s int) {
-		off := shardCounts[s*parts : (s+1)*parts]
-		lo, hi := bounds[s], bounds[s+1]
-		for i := lo; i < hi; i++ {
-			d := partOf[i]
-			copy(dst[off[d]*size:], data[i*size:(i+1)*size])
-			off[d]++
-		}
+		scatterParts(dst, data, size, bounds[s], bounds[s+1], partOf, shardCounts[s*parts:(s+1)*parts])
 	})
 	return counts
+}
+
+// scatterParts is the partition's move, shared by the serial and the
+// sharded path: record i of data, for i in [lo, hi), goes to slot
+// off[partOf[i]] of dst, which advances. Like scatter, it picks the record
+// move once per call: 16-byte records move as an array assignment.
+func scatterParts(dst, data []byte, size, lo, hi int, partOf []int32, off []int) {
+	if size == 16 {
+		for i := lo; i < hi; i++ {
+			d := partOf[i]
+			*(*[16]byte)(dst[off[d]*16:]) = *(*[16]byte)(data[i*16:])
+			off[d]++
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		d := partOf[i]
+		copy(dst[off[d]*size:], data[i*size:(i+1)*size])
+		off[d]++
+	}
 }

@@ -2,7 +2,9 @@ package sortalgo
 
 import (
 	"bytes"
+	"math"
 	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -168,6 +170,38 @@ func TestKeyUpperBound(t *testing.T) {
 	if got := KeyUpperBound(f, nil, 5); got != 0 {
 		t.Errorf("KeyUpperBound on empty data = %d, want 0", got)
 	}
+
+	// Against sort.Search, for every length 0..70 and every place the key
+	// can change in it: n records of key 10, 20 and 30 with the steps at i
+	// and j, so a block of duplicates straddles each of the gallop's
+	// doubling steps (probes at 0, 1, 3, 7, 15, 31, 63) from both sides, and
+	// the queries cover "none <= key", each boundary, and "all <= key".
+	for _, f := range []records.Format{records.NewFormat(16), records.NewFormat(24)} {
+		for n := 0; n <= 70; n++ {
+			for i := 0; i <= n; i++ {
+				for j := i; j <= n; j += 1 + (n-i)/3 {
+					keys := make([]uint64, n)
+					for at := range keys {
+						keys[at] = 10
+						if at >= i {
+							keys[at] = 20
+						}
+						if at >= j {
+							keys[at] = 30
+						}
+					}
+					data := recordsFromKeys(f, keys)
+					for _, key := range []uint64{0, 10, 15, 20, 29, 30, math.MaxUint64} {
+						want := sort.Search(n, func(at int) bool { return keys[at] > key })
+						if got := KeyUpperBound(f, data, key); got != want {
+							t.Fatalf("size %d, %d records stepping at %d and %d: KeyUpperBound(%d) = %d, want %d",
+								f.Size, n, i, j, key, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // partitionOracle is the original serial permute: counting sort on the
@@ -198,10 +232,13 @@ func partitionOracle(f records.Format, data []byte, parts int, classify func(i i
 
 func TestPartitionRecordsMatchesOracle(t *testing.T) {
 	lowerThresholds(t)
-	f := records.NewFormat(16)
 	for _, workers := range workerCounts() {
 		workers := workers
-		fn := func(keys []uint64, parts8 uint8) bool {
+		fn := func(keys []uint64, parts8 uint8, wide bool) bool {
+			f := records.NewFormat(16)
+			if wide {
+				f = records.NewFormat(24) // the record move that is not the 16-byte assignment
+			}
 			parts := int(parts8%16) + 1
 			data := recordsFromKeys(f, keys)
 			classify := func(i int) int { return int(f.KeyAt(data, i) % uint64(parts)) }

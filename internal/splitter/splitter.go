@@ -99,13 +99,47 @@ func Choose(comm *cluster.Comm, local []records.ExtKey) ([]records.ExtKey, error
 	return out, nil
 }
 
+// An Index classifies records against one splitter set. Build it once per
+// set with NewIndex; Partition is then safe for concurrent use.
+type Index struct {
+	splitters []records.ExtKey
+	// below[b] counts the splitters whose key's top byte is less than b.
+	// The splitters are sorted, so those sharing top byte b are
+	// splitters[below[b]:below[b+1]], every one before them orders below a
+	// key with that top byte and every one after them above it.
+	below [257]int
+}
+
+// NewIndex indexes splitters, which must be sorted ascending (as Select and
+// Choose return them), by the top byte of their keys.
+func NewIndex(splitters []records.ExtKey) *Index {
+	x := &Index{splitters: splitters}
+	for _, s := range splitters {
+		x.below[s.Key>>56+1]++
+	}
+	for b := 1; b < len(x.below); b++ {
+		x.below[b] += x.below[b-1]
+	}
+	return x
+}
+
 // Partition returns the partition (node rank) a record with extended key e
 // belongs to: partition i receives keys in (splitters[i-1], splitters[i]],
-// with the first and last intervals open-ended.
-func Partition(splitters []records.ExtKey, e records.ExtKey) int {
-	// The first splitter >= e marks the partition; all splitters < e lie in
-	// earlier partitions.
-	return sort.Search(len(splitters), func(i int) bool { return !splitters[i].Less(e) })
+// with the first and last intervals open-ended. That is the number of
+// splitters ordering before e — the first splitter >= e marks the
+// partition — found by binary search among the splitters that share the
+// top byte of e's key.
+func (x *Index) Partition(e records.ExtKey) int {
+	lo, hi := x.below[e.Key>>56], x.below[e.Key>>56+1]
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if x.splitters[mid].Less(e) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // EncodeExtKeys appends the wire form of the given extended keys to dst.

@@ -2,6 +2,7 @@ package splitter
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -32,16 +33,90 @@ func TestPartitionBoundaries(t *testing.T) {
 		{records.ExtKey{Key: 31}, 3},
 		{records.MaxExtKey, 3},
 	}
+	index := NewIndex(sp)
 	for _, c := range cases {
-		if got := Partition(sp, c.e); got != c.want {
+		if got := index.Partition(c.e); got != c.want {
 			t.Errorf("Partition(%v) = %d, want %d", c.e, got, c.want)
 		}
 	}
 }
 
 func TestPartitionNoSplitters(t *testing.T) {
-	if got := Partition(nil, records.ExtKey{Key: 5}); got != 0 {
+	if got := NewIndex(nil).Partition(records.ExtKey{Key: 5}); got != 0 {
 		t.Errorf("single-node partition = %d, want 0", got)
+	}
+}
+
+// TestIndexCountsSplittersBelow holds Index.Partition to its definition —
+// the number of splitters ordering strictly before e — on the splitter sets
+// where narrowing by top byte could go wrong: several splitters sharing a
+// top byte, equal keys differing only in Node or Seq, the top bytes 0x00 and
+// 0xFF, no splitters at all, and the sets Select really chooses on the four
+// Figure 8 distributions. Each set is probed at, just below and just above
+// every splitter and at random extended keys.
+func TestIndexCountsSplittersBelow(t *testing.T) {
+	const hi = uint64(0xFF) << 56
+	sets := map[string][]records.ExtKey{
+		"none": nil,
+		"shared top byte": {
+			{Key: 0x42<<56 | 1}, {Key: 0x42<<56 | 1, Node: 3}, {Key: 0x42<<56 | 1, Node: 3, Seq: 9},
+			{Key: 0x42<<56 | 7, Seq: 2}, {Key: 0x42<<56 | 1<<40}, {Key: 0x43 << 56},
+		},
+		"equal keys": {
+			{Key: 5, Node: 0, Seq: 1}, {Key: 5, Node: 0, Seq: 2}, {Key: 5, Node: 1, Seq: 0},
+			{Key: 5, Node: 1, Seq: 0}, {Key: 5, Node: 2, Seq: 1 << 40},
+		},
+		"top bytes 0x00 and 0xFF": {
+			{}, {Key: 0, Seq: 1}, {Key: 1<<56 - 1, Node: 9}, {Key: hi}, {Key: hi | 1, Node: 1},
+			{Key: ^uint64(0), Node: 7, Seq: 3}, records.MaxExtKey,
+		},
+	}
+	for _, dist := range workload.Distributions {
+		sets[dist.String()], _ = runSelect(t, 16, 500, dist, 0)
+	}
+	rng := rand.New(rand.NewSource(24))
+	for name, sp := range sets {
+		if !sort.SliceIsSorted(sp, func(i, j int) bool { return sp[i].Less(sp[j]) }) {
+			t.Fatalf("%s: splitter set is not sorted", name)
+		}
+		index := NewIndex(sp)
+		probes := []records.ExtKey{{}, records.MaxExtKey}
+		for _, s := range sp {
+			probes = append(probes, s,
+				records.ExtKey{Key: s.Key, Node: s.Node, Seq: s.Seq - 1}, records.ExtKey{Key: s.Key, Node: s.Node, Seq: s.Seq + 1},
+				records.ExtKey{Key: s.Key, Node: s.Node - 1, Seq: s.Seq}, records.ExtKey{Key: s.Key, Node: s.Node + 1, Seq: s.Seq},
+				records.ExtKey{Key: s.Key - 1, Node: s.Node, Seq: s.Seq}, records.ExtKey{Key: s.Key + 1, Node: s.Node, Seq: s.Seq},
+				records.ExtKey{Key: s.Key ^ 1<<56, Node: s.Node, Seq: s.Seq})
+		}
+		for i := 0; i < 2000; i++ {
+			e := records.ExtKey{Key: rng.Uint64(), Node: uint32(rng.Intn(16)), Seq: uint64(rng.Intn(500))}
+			if len(sp) > 0 && i%2 == 0 {
+				e.Key = sp[rng.Intn(len(sp))].Key // ties on the key, decided by Node and Seq
+			}
+			probes = append(probes, e)
+		}
+		for _, e := range probes {
+			want := 0
+			for _, s := range sp {
+				if s.Less(e) {
+					want++
+				}
+			}
+			if got := index.Partition(e); got != want {
+				t.Fatalf("%s: Partition(%v) = %d, but %d of the splitters %v order before it", name, e, got, want, sp)
+			}
+		}
+	}
+}
+
+// TestPartitionAllocatesNothing: building the index is the one allocation;
+// classifying through it, once per record of pass 1, makes none.
+func TestPartitionAllocatesNothing(t *testing.T) {
+	sp, _ := runSelect(t, 16, 500, workload.Uniform, 0)
+	index := NewIndex(sp)
+	e := records.ExtKey{Key: 1 << 63, Node: 3, Seq: 77}
+	if allocs := testing.AllocsPerRun(100, func() { e.Seq += uint64(index.Partition(e)) }); allocs != 0 {
+		t.Errorf("Index.Partition allocates %.0f objects per call, want 0", allocs)
 	}
 }
 
@@ -120,10 +195,11 @@ func TestSelectReturnsSortedSplittersOnAllNodes(t *testing.T) {
 func partitionImbalance(p int, splitters []records.ExtKey, keys [][]uint64) float64 {
 	counts := make([]int, p)
 	total := 0
+	index := NewIndex(splitters)
 	for n := range keys {
 		for i, k := range keys[n] {
 			e := records.ExtKey{Key: k, Node: uint32(n), Seq: uint64(i)}
-			counts[Partition(splitters, e)]++
+			counts[index.Partition(e)]++
 			total++
 		}
 	}

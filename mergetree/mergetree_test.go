@@ -182,3 +182,86 @@ func TestReopenAfterClose(t *testing.T) {
 		t.Fatalf("reopened leaf not reported: (%d, %d, %v)", leaf, key, ok)
 	}
 }
+
+// modelKeys is the key alphabet of the model check: few enough values that
+// duplicates are the rule, and the closed sentinel's own value twice.
+var modelKeys = [8]uint64{0, 1, 2, 3, 1 << 32, ^uint64(0) - 1, ^uint64(0), ^uint64(0)}
+
+// checkAgainstScan replays an operation stream on a Tree and, after every
+// operation, holds Min, RunnerUp and IsOpen to a brute-force scan of the
+// leaves. raw[0] picks k in 1..17; each following byte pair is one
+// operation on leaf a%k: Close when b&3 == 0, else Set to
+// modelKeys[b>>2&7] — so a Set on a closed leaf is a reopen.
+func checkAgainstScan(t *testing.T, raw []byte) {
+	if len(raw) == 0 {
+		return
+	}
+	k := 1 + int(raw[0])%17
+	tr := New(k)
+	keys, open := make([]uint64, k), make([]bool, k)
+	// best scans for the open leaf with the smallest (key, index), skipping one.
+	best := func(skip int) (leaf int, ok bool) {
+		leaf = -1
+		for i := range keys {
+			if open[i] && i != skip && (leaf < 0 || keys[i] < keys[leaf]) {
+				leaf = i
+			}
+		}
+		return leaf, leaf >= 0
+	}
+	check := func(step int) {
+		t.Helper()
+		for i := range open {
+			if tr.IsOpen(i) != open[i] {
+				t.Fatalf("k=%d step %d: IsOpen(%d) = %v, want %v", k, step, i, !open[i], open[i])
+			}
+		}
+		w, wok := best(-1)
+		leaf, key, ok := tr.Min()
+		if ok != wok || ok && (leaf != w || key != keys[w]) {
+			t.Fatalf("k=%d step %d: Min = (%d, %#x, %v), scan says leaf %d (%v)", k, step, leaf, key, ok, w, wok)
+		}
+		r, rok := best(w)
+		rok = rok && wok
+		leaf, key, ok = tr.RunnerUp()
+		if ok != rok || ok && (leaf != r || key != keys[r]) {
+			t.Fatalf("k=%d step %d: RunnerUp = (%d, %#x, %v), scan says leaf %d (%v)", k, step, leaf, key, ok, r, rok)
+		}
+	}
+	check(0)
+	for step := 1; 2*step < len(raw); step++ {
+		i, b := int(raw[2*step-1])%k, raw[2*step]
+		if b&3 == 0 {
+			tr.Close(i)
+			open[i] = false
+		} else {
+			keys[i], open[i] = modelKeys[b>>2&7], true
+			tr.Set(i, keys[i])
+		}
+		check(step)
+	}
+}
+
+// TestTreeMatchesBruteForce model-checks the tree on random operation
+// streams for every k on both sides of each power of two up to 17, each
+// stream ending with every leaf closed.
+func TestTreeMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for k := 1; k <= 17; k++ {
+		for trial := 0; trial < 20; trial++ {
+			raw := make([]byte, 1+2*(50+rng.Intn(400)))
+			rng.Read(raw)
+			raw[0] = byte(k - 1)
+			for i := 0; i < k; i++ {
+				raw = append(raw, byte(i), 0) // close leaf i
+			}
+			checkAgainstScan(t, raw)
+		}
+	}
+}
+
+// FuzzTree is the same model check on whatever operations the bytes spell.
+// The checked-in corpus is in testdata/fuzz/FuzzTree.
+func FuzzTree(f *testing.F) {
+	f.Fuzz(checkAgainstScan)
+}
