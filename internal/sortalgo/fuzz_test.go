@@ -8,12 +8,16 @@ import (
 )
 
 // FuzzSortRecords holds both radix sorts to the stable comparison sort, byte
-// for byte, on whatever records the bytes spell. raw[0] picks the record size
-// and raw[1] how many low-order key bytes each record takes from the input
-// (the high ones stay zero, so narrow widths reach the constant-byte skip and
-// wide ones every pass); the rest is the keys, one record per width bytes.
-// Records carry their input position and a payload that varies along the
-// record, so an unstable, short or misplaced record move shows. The
+// for byte, on whatever records the bytes spell. raw[0] picks the record size;
+// each record's key is width = 1 + raw[1]%8 bytes of the input, read as a
+// number and shifted up by raw[1]/8 bits. The bits above stay zero, so the
+// records share a prefix of 64 - 8*width - shift bits or more — mid-byte
+// whenever the shift is not a multiple of 8, and leaving fewer than 16 bits
+// to the key's end when width is 1 and the shift under 8. Keys wider than
+// two bytes can tie on the whole 16-bit window after the prefix while
+// differing below it, and a tie of more than 32 records makes the sort
+// recurse. Records carry their input position and a payload that varies
+// along the record, so an unstable, short or misplaced record move shows. The
 // thresholds are lowered so the width-2 call really shards. The checked-in
 // corpus is in testdata/fuzz/FuzzSortRecords.
 func FuzzSortRecords(f *testing.F) {
@@ -23,12 +27,13 @@ func FuzzSortRecords(f *testing.F) {
 			return
 		}
 		format := records.NewFormat(sortSizes[int(raw[0])%len(sortSizes)])
-		width := 1 + int(raw[1])%records.KeySize
+		width, shift := 1+int(raw[1])%records.KeySize, raw[1]/records.KeySize
 		keys := make([]uint64, len(raw[2:])/width)
 		for i := range keys {
 			for _, b := range raw[2+i*width:][:width] {
 				keys[i] = keys[i]<<8 | uint64(b)
 			}
+			keys[i] <<= shift
 		}
 		n := len(keys)
 		data := recordsFromKeys(format, keys)
@@ -43,10 +48,10 @@ func FuzzSortRecords(f *testing.F) {
 		SortRecords(format, serial, make([]byte, len(serial)))
 		SortRecordsParallel(format, sharded, make([]byte, len(sharded)), 2)
 		if !bytes.Equal(serial, oracle) {
-			t.Fatalf("size=%d width=%d n=%d: radix sort disagrees with comparison sort", format.Size, width, n)
+			t.Fatalf("size=%d width=%d shift=%d n=%d: radix sort disagrees with comparison sort", format.Size, width, shift, n)
 		}
 		if !bytes.Equal(sharded, oracle) {
-			t.Fatalf("size=%d width=%d n=%d: sharded radix sort disagrees with comparison sort", format.Size, width, n)
+			t.Fatalf("size=%d width=%d shift=%d n=%d: sharded radix sort disagrees with comparison sort", format.Size, width, shift, n)
 		}
 	})
 }

@@ -11,10 +11,7 @@ package sortalgo
 //
 // The serial-fallback thresholds below were tuned against the kernel
 // microbenchmarks (see DESIGN.md, "Multicore kernels"): a parallel round
-// trip through the pool costs single-digit microseconds per phase barrier,
-// and a radix pass over ~4K 16-byte records completes in about that time,
-// so sharding only pays once a buffer comfortably exceeds the barrier cost
-// times the pass count.
+// trip through the pool costs single-digit microseconds per phase barrier.
 
 import (
 	"sync"
@@ -25,12 +22,10 @@ import (
 
 var (
 	// parallelSortMinRecords is the buffer size below which
-	// SortRecordsParallel runs the serial sort: under ~32K records the
-	// per-pass fan-out/merge barriers outweigh the sharded counting.
-	parallelSortMinRecords = 32 << 10
+	// SortRecordsParallel runs the serial sort, faster at width 2 up to 64 Ki.
+	parallelSortMinRecords = 128 << 10
 	// parallelMergeMinRecords is the total size below which
-	// MergeSortedParallel merges serially; a two-way merge is one linear
-	// pass, so it tolerates less overhead than the 8-pass radix sort.
+	// MergeSortedParallel merges serially.
 	parallelMergeMinRecords = 32 << 10
 	// parallelPartitionMinRecords is the threshold for PartitionRecords;
 	// classification does a binary search per record, so it parallelizes
@@ -84,35 +79,28 @@ func getInt32s(n int) *[]int32 {
 	return p
 }
 
-// SortRecordsParallel is SortRecords with intra-buffer parallelism: a
-// stable multicore LSD radix sort. Records are split into contiguous
-// shards; each pass histograms the shards in parallel, prefix-sums the
-// per-shard counts into disjoint scatter regions (value-major,
-// shard-minor, which is what preserves stability), and scatters the shards
-// in parallel — no locks, because every (shard, byte value) pair owns a
-// disjoint destination range. Buffers below the tuned threshold, and any
-// call with workers == 1, take the serial path and produce identical
-// bytes.
+// SortRecordsParallel is SortRecords with intra-buffer parallelism: its
+// first level runs over contiguous shards, each digit pass histogramming the
+// shards in parallel — per pass, as a shard's records change between passes
+// — and scattering them, lock-free, into disjoint regions, one per (shard,
+// digit value); the tied groups are then finished serially. Buffers below
+// the tuned threshold, and any call with workers == 1, take the serial path;
+// both produce identical bytes.
 func SortRecordsParallel(f records.Format, data, scratch []byte, workers int) {
 	n := f.Count(len(data))
-	if n < 2 {
-		return
-	}
-	if len(scratch) < len(data) {
-		panic("sortalgo: scratch smaller than data")
-	}
 	shards := shardCount(n, workers, parallelSortMinRecords)
 	if shards < 2 {
 		SortRecords(f, data, scratch)
 		return
 	}
-	parallelRadixSort(f, data, scratch[:len(data)], n, shards)
-}
-
-func parallelRadixSort(f records.Format, data, scratch []byte, n, shards int) {
+	if len(scratch) < len(data) {
+		panic("sortalgo: scratch smaller than data")
+	}
 	size := f.Size
-	src, dst := data, scratch
-
+	shift, ok := window(size, data, 0)
+	if !ok {
+		return
+	}
 	boundsP := getInts(shards + 1)
 	countsP := getInts(shards * 256)
 	defer intsPool.Put(boundsP)
@@ -122,24 +110,23 @@ func parallelRadixSort(f records.Format, data, scratch []byte, n, shards int) {
 		bounds[s] = s * n / shards
 	}
 
-	for byteIdx := records.KeySize - 1; byteIdx >= 0; byteIdx-- {
+	src, dst := data, scratch[:len(data)]
+	for _, bit := range [2]uint{shift, shift + 8} {
 		from, to := src, dst
-		// Per-shard histograms of this pass's key byte.
 		parallel.Do(shards, shards, func(s int) {
 			c := counts[s*256 : (s+1)*256]
 			clear(c)
 			for i := bounds[s]; i < bounds[s+1]; i++ {
-				c[from[i*size+byteIdx]]++
+				c[uint8(key(from, i*size)>>bit)]++
 			}
 		})
-		// Serial join: skip a pass whose byte is constant (every record has
-		// the first one's), and turn the histograms into scatter offsets,
-		// value-major then shard-minor so shard s's records of value v land
-		// after shard s-1's — within a shard records keep input order,
-		// hence global stability.
+		// Serial join: skip a pass whose digit is constant, and turn the
+		// histograms into scatter offsets, value-major then shard-minor: shard
+		// s's records of value v land after shard s-1's, and within a shard
+		// records keep input order, hence stability.
 		same := 0
 		for s := 0; s < shards; s++ {
-			same += counts[s*256+int(from[byteIdx])]
+			same += counts[s*256+int(uint8(key(from, 0)>>bit))]
 		}
 		if same == n {
 			continue
@@ -152,9 +139,8 @@ func parallelRadixSort(f records.Format, data, scratch []byte, n, shards int) {
 				pos += c
 			}
 		}
-		// Parallel scatter into disjoint regions.
 		parallel.Do(shards, shards, func(s int) {
-			scatter(to, from, size, byteIdx, bounds[s], bounds[s+1], (*[256]int)(counts[s*256:]))
+			scatter(to, from, size, bit, bounds[s], bounds[s+1], (*[256]int)(counts[s*256:]))
 		})
 		src, dst = dst, src
 	}
@@ -165,6 +151,7 @@ func parallelRadixSort(f records.Format, data, scratch []byte, n, shards int) {
 			copy(data[lo:hi], out[lo:hi])
 		})
 	}
+	finishTies(size, data, scratch, shift)
 }
 
 // KeyUpperBound returns the number of records in the sorted sequence data

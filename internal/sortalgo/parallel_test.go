@@ -74,7 +74,7 @@ func TestSortRecordsParallelMatchesSerial(t *testing.T) {
 // TestSortRecordsParallelLarge exercises the tuned (un-lowered) thresholds
 // with a buffer big enough to shard for real, on every worker count.
 func TestSortRecordsParallelLarge(t *testing.T) {
-	const n = 48 << 10 // above parallelSortMinRecords
+	n := parallelSortMinRecords + parallelSortMinRecords/2
 	for _, size := range sortSizes {
 		f := records.NewFormat(size)
 		for _, space := range []uint64{0, 1, 5, 1 << 40} {

@@ -1,110 +1,163 @@
 // Package sortalgo provides the in-memory sorting kernels the pipeline
-// stages use: a stable LSD radix sort on fixed-size records keyed by their
-// 8-byte big-endian prefix, and a two-way merge for columnsort's
-// sorted-halves step. The sort stages of both csort and dsort are pure
-// computation on one buffer at a time; keeping them fast maximizes the
-// latency-hiding the pipelines can achieve.
+// stages use: a stable radix sort on fixed-size records keyed by their
+// 8-byte big-endian prefix that skips the bits all records share, and a
+// two-way merge for columnsort's sorted-halves step. The sort stages of both
+// csort and dsort are pure computation on one buffer at a time; keeping them
+// fast maximizes the latency-hiding the pipelines can achieve.
 package sortalgo
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sort"
 	"sync"
 
 	"github.com/fg-go/fg/records"
 )
 
+// insertionMax is the longest group the radix sort hands to insertion sort,
+// whose moves cost less than clearing and summing two histograms up to here.
+const insertionMax = 32
+
 // SortRecords sorts the records in data by key, in place, using scratch as
 // auxiliary space. scratch must be at least len(data) bytes; pipeline
 // stages pass their buffer's Aux. The sort is stable.
 func SortRecords(f records.Format, data, scratch []byte) {
-	n := f.Count(len(data))
-	if n < 2 {
+	if f.Count(len(data)) < 2 {
 		return
 	}
 	if len(scratch) < len(data) {
 		panic("sortalgo: scratch smaller than data")
 	}
-	if n < 64 {
-		insertionSort(f, data, scratch)
+	radixSort(f.Size, data, scratch[:len(data)], 0)
+}
+
+// radixSort sorts data, whose keys agree on their top known bits (known <
+// 64): two stable 8-bit scatter passes order the 16 bits after the prefix all
+// records share, aligned to the bit, and the groups still tied on them are
+// finished a level down, at most four deep (DESIGN.md, "Multicore kernels").
+func radixSort(size int, data, scratch []byte, known int) {
+	if len(data) <= insertionMax*size {
+		insertionSort(size, data, scratch)
 		return
 	}
-	radixSort(f, data, scratch[:len(data)], n)
-}
-
-// insertionSort handles small inputs where radix setup costs dominate.
-// It uses one record's worth of scratch as the swap temporary.
-func insertionSort(f records.Format, data, scratch []byte) {
-	n := f.Count(len(data))
-	size := f.Size
-	tmp := scratch[:size]
-	for i := 1; i < n; i++ {
-		key := f.KeyAt(data, i)
-		j := i - 1
-		for j >= 0 && f.KeyAt(data, j) > key {
-			j--
-		}
-		j++
-		if j == i {
-			continue
-		}
-		copy(tmp, f.At(data, i))
-		copy(data[(j+1)*size:(i+1)*size], data[j*size:i*size])
-		copy(f.At(data, j), tmp)
+	shift, ok := window(size, data, known)
+	if !ok {
+		return // every key is equal
 	}
-}
-
-// radixSort is a byte-wise LSD radix sort over the 8-byte key. One sweep
-// histograms all eight key bytes — a byte's histogram does not depend on
-// the order the earlier passes left the records in — and passes whose byte
-// is constant across all records are skipped, which makes narrow key
-// distributions (all-equal, Poisson) nearly free.
-func radixSort(f records.Format, data, scratch []byte, n int) {
-	size := f.Size
-	var count [records.KeySize][256]int
-	for i := 0; i < n; i++ {
-		for b, v := range (*[records.KeySize]byte)(data[i*size:]) {
-			count[b][v]++
-		}
+	// Both digits' histograms in one sweep: a digit's histogram does not
+	// depend on the order the other pass leaves the records in.
+	var count [2][256]int
+	for i := 0; i < len(data); i += size {
+		d := key(data, i) >> shift
+		count[0][uint8(d)]++
+		count[1][uint8(d>>8)]++
 	}
+	n := len(data) / size
 	src, dst := data, scratch
-	// Keys are big-endian at offsets 0..7 of each record; LSD goes from
-	// byte 7 (least significant) to byte 0.
-	for byteIdx := records.KeySize - 1; byteIdx >= 0; byteIdx-- {
-		off := &count[byteIdx]
-		if off[data[byteIdx]] == n {
-			continue // every record has the first one's byte
+	for p := range count {
+		bit := shift + 8*uint(p)
+		off := &count[p]
+		if off[uint8(key(data, 0)>>bit)] == n {
+			continue // every record has the first one's digit
 		}
 		pos := 0
 		for v, c := range off {
 			off[v] = pos
 			pos += c
 		}
-		scatter(dst, src, size, byteIdx, 0, n, off)
+		scatter(dst, src, size, bit, 0, n, off)
 		src, dst = dst, src
 	}
 	if &src[0] != &data[0] {
 		copy(data, src)
 	}
+	finishTies(size, data, scratch, shift)
+}
+
+// window returns the shift that brings the 16 key bits after the prefix
+// every record of data shares to the bottom of the key, 0 when fewer follow
+// it, and false if every key is equal. The sweep stops at the first record
+// differing in the bit below the known ones: the prefix cannot be longer.
+func window(size int, data []byte, known int) (shift uint, ok bool) {
+	first := key(data, 0)
+	limit := uint64(1) << (63 - known)
+	var diff uint64
+	for i := size; i < len(data) && diff < limit; i += size {
+		diff |= key(data, i) ^ first
+	}
+	return uint(max(bits.Len64(diff)-16, 0)), diff != 0
+}
+
+// finishTies sorts, in place, every run of records of data whose keys agree
+// above shift — data being sorted on those bits — by the bits below it.
+func finishTies(size int, data, scratch []byte, shift uint) {
+	if shift == 0 {
+		return // the window reached the key's end: a tie is an equal key
+	}
+	for lo := 0; lo < len(data); {
+		group := key(data, lo) >> shift
+		hi := lo + size
+		for hi < len(data) && key(data, hi)>>shift == group {
+			hi += size
+		}
+		if hi-lo > size {
+			radixSort(size, data[lo:hi], scratch[lo:hi], 64-int(shift))
+		}
+		lo = hi
+	}
+}
+
+// key returns the key of the record at byte offset off of data.
+func key(data []byte, off int) uint64 {
+	return binary.BigEndian.Uint64(data[off:])
+}
+
+// insertionSort sorts the few records of data stably; a 16-byte record
+// moves by array assignments, others by copy through one record of scratch.
+func insertionSort(size int, data, scratch []byte) {
+	for i := size; i < len(data); i += size {
+		k := key(data, i)
+		j := i
+		for j > 0 && key(data, j-size) > k {
+			j -= size
+		}
+		if j == i {
+			continue
+		}
+		if size == 16 {
+			rec := *(*[16]byte)(data[i:])
+			for m := i; m > j; m -= 16 {
+				*(*[16]byte)(data[m:]) = *(*[16]byte)(data[m-16:])
+			}
+			*(*[16]byte)(data[j:]) = rec
+			continue
+		}
+		tmp := scratch[:size]
+		copy(tmp, data[i:i+size])
+		copy(data[j+size:i+size], data[j:i])
+		copy(data[j:], tmp)
+	}
 }
 
 // scatter is one radix pass's move, shared by the serial and the sharded
-// sort: record i of src, for i in [lo, hi), goes to slot off[v] of dst,
-// v its key byte byteIdx, and off[v] advances. The record move is chosen
-// here, once per pass, from the record size: 16-byte records — the paper's
-// Figure 8(a) record and the default format — move as an array assignment,
-// which compiles to loads and stores, where copy is a call per record.
-func scatter(dst, src []byte, size, byteIdx, lo, hi int, off *[256]int) {
+// sort: record i of src, for i in [lo, hi), goes to slot off[v] of dst, v
+// the key's byte at bit shift, and off[v] advances. 16-byte records — the
+// paper's Figure 8(a) record and the default format — move as an array
+// assignment, which compiles to loads and stores, where copy is a call.
+func scatter(dst, src []byte, size int, shift uint, lo, hi int, off *[256]int) {
+	shift &= 63
 	if size == 16 {
 		for i := lo; i < hi; i++ {
 			rec := (*[16]byte)(src[i*16:])
-			v := rec[byteIdx]
+			v := uint8(binary.BigEndian.Uint64(rec[:8]) >> shift)
 			*(*[16]byte)(dst[off[v]*16:]) = *rec
 			off[v]++
 		}
 		return
 	}
 	for i := lo; i < hi; i++ {
-		v := src[i*size+byteIdx]
+		v := uint8(key(src, i*size) >> shift)
 		copy(dst[off[v]*size:], src[i*size:(i+1)*size])
 		off[v]++
 	}

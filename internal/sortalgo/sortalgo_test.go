@@ -12,16 +12,23 @@ import (
 // randomRecords fills the whole record, payload included, so that a record
 // move that carries fewer bytes than the record has cannot go unnoticed.
 func randomRecords(f records.Format, n int, keySpace uint64, seed int64) []byte {
+	return shapedRecords(f, n, func(rng *rand.Rand, _ int) uint64 {
+		key := rng.Uint64()
+		if keySpace > 0 {
+			key %= keySpace
+		}
+		return key
+	}, seed)
+}
+
+// shapedRecords is randomRecords with record i's key drawn by key.
+func shapedRecords(f records.Format, n int, key func(rng *rand.Rand, i int) uint64, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, f.Bytes(n))
 	rng.Read(data)
 	for i := 0; i < n; i++ {
 		rec := f.At(data, i)
-		key := rng.Uint64()
-		if keySpace > 0 {
-			key %= keySpace
-		}
-		f.SetKey(rec, key)
+		f.SetKey(rec, key(rng, i))
 		if f.HasID() {
 			f.StampID(rec, records.MakeID(0, uint64(i)))
 		}
@@ -47,23 +54,53 @@ func checkSortedPermutation(t *testing.T, f records.Format, before, after []byte
 // multiple of 8 nor of 16.
 var sortSizes = []int{8, 16, 24, 64, 100}
 
-// TestSortRecordsMatchesOracle holds the serial sort and the width-2
-// sharded one to the stable comparison sort, byte for byte, around the
-// insertion-sort cutoff and around parallelSortMinRecords — the buffer size
-// csort's columns sit exactly on. Key space 0 is all 64 bits; 1 makes every
-// key equal and 7 nearly so (every radix pass, or all but the last, is
-// skipped); 1<<40 holds the three high bytes constant.
+// keyShapes are the keys TestSortRecordsMatchesOracle sorts.
+var keyShapes = []struct {
+	name string
+	key  func(rng *rand.Rand, i int) uint64
+}{
+	{"64 bits", func(rng *rand.Rand, _ int) uint64 { return rng.Uint64() }},
+	{"all equal", func(*rand.Rand, int) uint64 { return 0x0123_4567_89ab_cdef }},
+	{"7 keys", func(rng *rand.Rand, _ int) uint64 { return rng.Uint64() % 7 }},
+	// A shared prefix that ends mid-byte: the top 21 bits.
+	{"low 43 bits", func(rng *rand.Rand, _ int) uint64 { return rng.Uint64() >> 21 }},
+	// Fewer than 16 bits after the prefix: the window stops at the key's end.
+	{"last bit", func(rng *rand.Rand, _ int) uint64 { return 0xfeed_f00d_dead_beee | rng.Uint64()&1 }},
+	// 33 records, one more than insertion sort takes, tied on the top 16
+	// bits — the window of the spread keys around them — so the sort
+	// recurses into them. Their first bit below the window is set in the
+	// last of them only, and the next one alternates: a prefix sweep that
+	// stops before the last record finds the wrong window.
+	{"33 tied on the window", func(rng *rand.Rand, i int) uint64 {
+		k := rng.Uint64()
+		if j := uint64(i / 3); i < 99 && i%3 == 0 {
+			return 0xabcd<<48 | j/32<<47 | j&1<<46 | k>>18
+		}
+		if k>>48 == 0xabcd {
+			k ^= 1 << 63
+		}
+		return k
+	}},
+}
+
+// TestSortRecordsMatchesOracle holds the serial sort and the width-2 entry
+// point to the stable comparison sort, byte for byte, on every key shape:
+// around the insertion-sort cutoff, on csort's 32 Ki-record column, and
+// around parallelSortMinRecords, where the width-2 call starts to shard.
 func TestSortRecordsMatchesOracle(t *testing.T) {
 	for _, size := range sortSizes {
-		for _, n := range []int{0, 1, 2, 63, 64, 65, 1000, parallelSortMinRecords - 1, parallelSortMinRecords, parallelSortMinRecords + 1} {
-			for _, space := range []uint64{0, 1, 7, 1 << 40} {
-				if n > 1000 && (space == 1 || space == 7 || size != 16 && size != 100) {
-					// The comparison sort is slow at this size: one record
-					// size per move, and few keys left to TestSortRecordsStable.
+		for _, n := range []int{0, 1, 2, insertionMax - 1, insertionMax, insertionMax + 1, 1000,
+			32 << 10, parallelSortMinRecords - 1, parallelSortMinRecords, parallelSortMinRecords + 1} {
+			for s, shape := range keyShapes {
+				if n > 1000 && (size != 16 && size != 100 || shape.name != "64 bits" && shape.name != "low 43 bits") {
+					// The comparison sort is slow at these sizes: one record
+					// size per move (the array assignment and the copy) and
+					// the spread shapes only. TestSortRecordsStable takes few
+					// keys and TestSortRecordsParallelLarge the other sizes.
 					continue
 				}
 				f := records.NewFormat(size)
-				before := randomRecords(f, n, space, int64(n)*7+int64(space%97)+int64(size))
+				before := shapedRecords(f, n, shape.key, int64(n)*7+int64(s)+int64(size))
 				oracle := bytes.Clone(before)
 				SortRecordsComparison(f, oracle)
 
@@ -71,10 +108,10 @@ func TestSortRecordsMatchesOracle(t *testing.T) {
 				SortRecords(f, serial, make([]byte, len(serial)))
 				SortRecordsParallel(f, sharded, make([]byte, len(sharded)), 2)
 				if !bytes.Equal(serial, oracle) {
-					t.Fatalf("size=%d n=%d space=%d: radix sort disagrees with comparison sort", size, n, space)
+					t.Fatalf("size=%d n=%d %s: radix sort disagrees with comparison sort", size, n, shape.name)
 				}
 				if !bytes.Equal(sharded, oracle) {
-					t.Fatalf("size=%d n=%d space=%d: sharded radix sort disagrees with comparison sort", size, n, space)
+					t.Fatalf("size=%d n=%d %s: sharded radix sort disagrees with comparison sort", size, n, shape.name)
 				}
 				checkSortedPermutation(t, f, before, serial)
 			}
@@ -84,8 +121,8 @@ func TestSortRecordsMatchesOracle(t *testing.T) {
 
 // TestSortRecordsStable: equal keys must keep their input order, on the
 // 16-byte record move as on the copy one, serial and sharded — with one key
-// (every pass skipped) and with two (the last pass scatters, though half the
-// records share the first one's byte).
+// (the sort stops after the prefix sweep) and with two (one digit pass
+// scatters, though half the records share the first one's digit).
 func TestSortRecordsStable(t *testing.T) {
 	for _, size := range []int{16, 24} {
 		for _, distinct := range []uint64{1, 2} {
@@ -205,22 +242,36 @@ func TestMergeSortedPanicsOnSmallDst(t *testing.T) {
 }
 
 // TestSerialKernelsAllocateNothing: with the caller's scratch and
-// destination, the serial radix sort and two-way merge — the kernels every
-// buffer of every pass goes through — allocate nothing, at a buffer size
-// above the insertion-sort cutoff so the counting passes run.
+// destination, the radix sort and the two-way merge — the kernels every
+// buffer of every pass goes through — allocate nothing. The sort is held to
+// that on every benchmark shape, recursion included, at 16 and 64 bytes,
+// through both entry points: SortRecords and SortRecordsParallel at width 2,
+// which on dsort's 16 Ki-record buffer, as on csort's column, is the serial
+// kernel.
 func TestSerialKernelsAllocateNothing(t *testing.T) {
+	for _, size := range []int{16, 64} {
+		f := records.NewFormat(size)
+		orig := make([]byte, f.Bytes(16<<10))
+		data := make([]byte, len(orig))
+		scratch := make([]byte, len(orig))
+		for _, shape := range sortShapes {
+			shape.fill(f, orig)
+			for _, width := range []int{1, 2} {
+				sortOnce := func() {
+					copy(data, orig)
+					SortRecordsParallel(f, data, scratch, width)
+				}
+				sortOnce()
+				if allocs := testing.AllocsPerRun(10, sortOnce); allocs != 0 {
+					t.Errorf("%s, %d-byte records, width %d: the sort with caller scratch allocates %.0f objects, want 0",
+						shape.name, size, width, allocs)
+				}
+			}
+		}
+	}
 	f := records.NewFormat(16)
-	orig := randomRecords(f, 1<<14, 0, 1)
-	data := make([]byte, len(orig))
-	scratch := make([]byte, len(orig))
-	sortOnce := func() {
-		copy(data, orig)
-		SortRecords(f, data, scratch)
-	}
-	sortOnce()
-	if allocs := testing.AllocsPerRun(20, sortOnce); allocs != 0 {
-		t.Errorf("SortRecords with caller scratch allocates %.0f objects, want 0", allocs)
-	}
+	data := randomRecords(f, 1<<14, 0, 1)
+	scratch := make([]byte, len(data))
 	half := len(data) / 2
 	SortRecords(f, data[:half], scratch)
 	SortRecords(f, data[half:], scratch)
