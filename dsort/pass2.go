@@ -129,30 +129,39 @@ func (m *merger) run(ctx *fg.Ctx, out *fg.Pipeline, bufBytes int) error {
 // fill merges records into dst, a whole number of records long, until it is
 // full or every run is exhausted, and returns the bytes it wrote.
 //
-// It emits an extent, not a record: everything the leading run can
-// contribute before any other run's current key moves in one copy, and the
-// tournament tree is consulted per extent instead of per record. The bound
-// is the runner-up's key, read off the tree without disturbing it; the
-// extent's length is galloped from the front of the leading run
-// (sortalgo.KeyUpperBound), its lead record being within the bound already.
-// Uniformly interleaved runs degrade to single-record extents, one probe
-// each, while duplicate-heavy and pre-partitioned inputs (and the
-// single-run tail) collapse to block copies. An extent also ends with its
-// chunk and with dst, and the tree decides afresh after either.
+// Its rule is the extent: the run with the smallest lead key (the lowest run
+// on a tie) emits, from its current chunk and while dst has room, every
+// record whose key is at most the smallest lead key among the other runs —
+// the leader keeps its ties. The extent also ends with its chunk and with
+// dst, and the tree decides afresh after either.
+//
+// Record by record that is one replay: after the leader's next key K is Set,
+// the leader goes on exactly when the tree's minimum key is K, whichever leaf
+// holds it. Uniformly interleaved runs pay that and nothing more. Once one
+// run has led for two records in a row, the rest of its extent is galloped
+// from the front of its chunk (sortalgo.KeyUpperBound) and moved in one copy,
+// and so is each next chunk's while the run still leads it. Long extents come
+// in runs, so the first leader of a fill, and a leader after an extent of
+// more than one record, gallop at once; after a single record the new leader
+// starts its streak over. The bound is the runner-up's key, read off the tree
+// without disturbing it; when a lower run ties the leader, that run is the
+// tree's winner and the leader its runner-up, with the same key.
+// Duplicate-heavy and pre-partitioned inputs (and the single-run tail) so
+// collapse to block copies.
 func (m *merger) fill(dst []byte) (int, error) {
 	f, size, tree := m.f, m.f.Size, m.tree
-	n := 0
-	for n < len(dst) {
-		i, _, ok := tree.Min()
-		if !ok {
-			break
+	lead, _, ok := tree.Min()
+	n, streak := 0, 2
+	for ok && n < len(dst) {
+		rest := m.rest[lead]
+		ext := size
+		if streak >= 2 {
+			ext = len(rest) // no other run open: all of it
+			if _, limit, ok := tree.RunnerUp(); ok {
+				ext = size * (1 + sortalgo.KeyUpperBound(f, rest[size:], limit))
+			}
+			ext = min(ext, len(dst)-n)
 		}
-		rest := m.rest[i]
-		ext := len(rest) // the extent in bytes; no other run open: all of it
-		if _, limit, ok := tree.RunnerUp(); ok {
-			ext = size * (1 + sortalgo.KeyUpperBound(f, rest[size:], limit))
-		}
-		ext = min(ext, len(dst)-n)
 		if ext == 16 {
 			*(*[16]byte)(dst[n:]) = *(*[16]byte)(rest) // loads and stores, not a call (as sortalgo's scatter)
 		} else {
@@ -160,13 +169,25 @@ func (m *merger) fill(dst []byte) (int, error) {
 		}
 		n += ext
 		if rest = rest[ext:]; len(rest) == 0 {
-			if err := m.advance(i); err != nil {
+			if err := m.advance(lead); err != nil {
 				return n, err
 			}
-			continue
+		} else {
+			m.rest[lead] = rest
+			key := f.KeyAt(rest, 0)
+			tree.Set(lead, key)
+			if _, least, _ := tree.Min(); least == key {
+				streak++
+				continue
+			}
 		}
-		m.rest[i] = rest
-		tree.Set(i, f.KeyAt(rest, 0))
+		w, _, more := tree.Min()
+		if ext > size {
+			streak = 2
+		} else if w != lead {
+			streak = 0
+		}
+		lead, ok = w, more
 	}
 	return n, nil
 }

@@ -3,6 +3,7 @@ package dsort
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -142,22 +143,44 @@ func chunked(f records.Format, runs [][]byte, chunkRecs int) func(i int) ([]byte
 // lead key (the lowest run on a tie) emits, from its current chunk and while
 // the output buffer has room, every record whose key is at most the smallest
 // lead key among the other runs.
-// Runs are duplicate-heavy so the rule's tie cases decide most extents, and
-// k, the chunk size and the output buffer size vary so extents end at chunk
-// ends, at buffer ends and in between; k = 0 and empty runs are included.
+//
+// Half the trials draw each record's key from a few values, so the rule's tie
+// cases decide most extents. The other half walk each run's keys upwards by
+// steps of 0, 1, 2 or a long jump, so a run that did not jump leads for many
+// records and the merge gallops (and so does the run taking over from it),
+// and a leader arriving at a key a lower run already holds keeps its ties. k,
+// the chunk size and the output buffer size vary so extents end at chunk
+// ends, at buffer ends and in between; a quarter of the trials fill buffers
+// of 1-3 records, so a lead cannot carry over from one fill call to the
+// next; k = 0 and empty runs are included. The trials are counted by the
+// rule's cases, and each case must occur often.
 func TestMergerMatchesExtentRuleByScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	for trial := 0; trial < 300; trial++ {
+	var gallops, lowerTies, chunkStraddles, dstStraddles int
+	for trial := 0; trial < 600; trial++ {
 		f := records.NewFormat([]int{16, 24, 64}[rng.Intn(3)])
 		k, chunkRecs, dstRecs := rng.Intn(10), 1+rng.Intn(9), 1+rng.Intn(40)
+		if trial%4 == 3 {
+			dstRecs = 1 + rng.Intn(3)
+		}
+		walk := trial%2 == 1
 		span := uint64(1 + rng.Intn(12)) // distinct keys: few
 		runs := make([][]byte, k)
 		var want []byte
 		for i := range runs {
 			runs[i] = make([]byte, f.Bytes(rng.Intn(60)))
+			if walk {
+				runs[i] = make([]byte, f.Bytes(rng.Intn(200)))
+			}
 			rng.Read(runs[i])
+			key := uint64(rng.Intn(8))
 			for r := 0; r < f.Count(len(runs[i])); r++ {
-				f.SetKey(f.At(runs[i], r), math.MaxUint64-rng.Uint64()%span) // real MaxUint64 keys among them
+				if walk {
+					key += []uint64{0, 0, 1, 2, 20 + uint64(rng.Intn(50))}[rng.Intn(5)]
+					f.SetKey(f.At(runs[i], r), key)
+				} else {
+					f.SetKey(f.At(runs[i], r), math.MaxUint64-rng.Uint64()%span) // real MaxUint64 keys among them
+				}
 			}
 			sortalgo.SortRecords(f, runs[i], make([]byte, len(runs[i])))
 		}
@@ -177,12 +200,30 @@ func TestMergerMatchesExtentRuleByScan(t *testing.T) {
 					limit = min(limit, f.KeyAt(runs[i][at[i]:], 0))
 				}
 			}
+			tied := false // a lower run holds the limit
+			for i := range lead {
+				tied = tied || at[i] < len(runs[i]) && f.KeyAt(runs[i][at[i]:], 0) == limit
+			}
 			// The extent also ends with its chunk and with the output buffer.
-			end := min(len(runs[lead]), (at[lead]/f.Bytes(chunkRecs)+1)*f.Bytes(chunkRecs),
-				at[lead]+f.Bytes(dstRecs)-len(want)%f.Bytes(dstRecs))
-			for at[lead] < end && f.KeyAt(runs[lead][at[lead]:], 0) <= limit {
+			chunkEnd := min(len(runs[lead]), (at[lead]/f.Bytes(chunkRecs)+1)*f.Bytes(chunkRecs))
+			dstEnd := at[lead] + f.Bytes(dstRecs) - len(want)%f.Bytes(dstRecs)
+			recs := 0
+			for ; at[lead] < min(chunkEnd, dstEnd) && f.KeyAt(runs[lead][at[lead]:], 0) <= limit; recs++ {
+				if tied && f.KeyAt(runs[lead][at[lead]:], 0) == limit && recs > 0 {
+					lowerTies++
+				}
 				want = append(want, f.At(runs[lead][at[lead]:], 0)...)
 				at[lead] += f.Size
+			}
+			if recs > 2 {
+				gallops++
+			}
+			if at[lead] < len(runs[lead]) && f.KeyAt(runs[lead][at[lead]:], 0) <= limit {
+				if at[lead] == chunkEnd {
+					chunkStraddles++
+				} else {
+					dstStraddles++
+				}
 			}
 		}
 
@@ -200,9 +241,14 @@ func TestMergerMatchesExtentRuleByScan(t *testing.T) {
 			got = append(got, dst[:n]...)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d (size %d, k %d, chunks of %d, buffers of %d, %d keys): merged bytes differ from the rule's",
-				trial, f.Size, k, chunkRecs, dstRecs, span)
+			t.Fatalf("trial %d (size %d, k %d, chunks of %d, buffers of %d, walk %v, %d keys): merged bytes differ from the rule's",
+				trial, f.Size, k, chunkRecs, dstRecs, walk, span)
 		}
+	}
+	t.Logf("%d extents of 3+ records, %d records kept through a lower run's tie, %d extents cut short by a chunk end and %d by a buffer end",
+		gallops, lowerTies, chunkStraddles, dstStraddles)
+	if min(gallops, lowerTies, chunkStraddles, dstStraddles) < 100 {
+		t.Error("the trials no longer exercise every case of the rule often")
 	}
 }
 
@@ -232,5 +278,42 @@ func TestMergeStepAllocatesNothing(t *testing.T) {
 	fillOnce()
 	if allocs := testing.AllocsPerRun(20, fillOnce); allocs != 0 {
 		t.Errorf("merger.fill allocates %.0f objects per buffer, want 0", allocs)
+	}
+}
+
+// BenchmarkMergerFill prices pass 2's merge step per record: 16-byte
+// records, 64 Ki of them split into k sorted runs, read in chunks of a
+// quarter run and merged into 4 Ki-record buffers, as DefaultConfig shapes a
+// node's pass 2. Uniform keys interleave the runs record by record; Poisson
+// and all-equal keys leave long leads, which the merge must move as blocks.
+func BenchmarkMergerFill(b *testing.B) {
+	f := records.NewFormat(16)
+	const total = 64 << 10
+	for _, dist := range []workload.Distribution{workload.Uniform, workload.Poisson, workload.AllEqual} {
+		for _, k := range []int{2, 8, 64} {
+			runs := make([][]byte, k)
+			for i := range runs {
+				runs[i] = make([]byte, f.Bytes(total/k))
+				workload.NewGenerator(f, dist, 1, uint32(i)).Fill(runs[i])
+				sortalgo.SortRecords(f, runs[i], make([]byte, len(runs[i])))
+			}
+			dst := make([]byte, f.Bytes(4<<10))
+			b.Run(fmt.Sprintf("%v/k%d", dist, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					m := newMerger(f, k, chunked(f, runs, total/k/4))
+					if err := m.start(); err != nil {
+						b.Fatal(err)
+					}
+					for merged := 0; merged < f.Bytes(total); {
+						n, err := m.fill(dst)
+						if err != nil || n == 0 {
+							b.Fatalf("fill wrote %d bytes after %d of %d (err %v)", n, merged, f.Bytes(total), err)
+						}
+						merged += n
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*total), "ns/record")
+			})
+		}
 	}
 }

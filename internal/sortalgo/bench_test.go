@@ -42,10 +42,10 @@ func distribution(d workload.Distribution) func(records.Format, []byte) {
 	return func(f records.Format, data []byte) { workload.NewGenerator(f, d, 1, 0).Fill(data) }
 }
 
-// BenchmarkSortRecords times the serial sort and the width-2 entry point per
-// record over every shape, at 16- and 64-byte records, on dsort's pass-1
-// buffer (16 Ki records) and csort's column (32 Ki). Each iteration sorts a
-// fresh copy; the copy is about 1 % of a sort.
+// BenchmarkSortRecords times the sort per record over every shape, at 16-
+// and 64-byte records, on dsort's pass-1 buffer (16 Ki records) and csort's
+// column (32 Ki). Each iteration sorts a fresh copy; the copy is about 1 % of
+// a sort.
 func BenchmarkSortRecords(b *testing.B) {
 	for _, shape := range sortShapes {
 		for _, size := range []int{16, 64} {
@@ -54,16 +54,14 @@ func BenchmarkSortRecords(b *testing.B) {
 				orig := make([]byte, f.Bytes(n))
 				shape.fill(f, orig)
 				data, scratch := make([]byte, len(orig)), make([]byte, len(orig))
-				for _, width := range []int{1, 2} {
-					b.Run(fmt.Sprintf("%s/rec%d/%dKi/width%d", shape.name, size, n>>10, width), func(b *testing.B) {
-						b.SetBytes(int64(len(orig)))
-						for i := 0; i < b.N; i++ {
-							copy(data, orig)
-							SortRecordsParallel(f, data, scratch, width)
-						}
-						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
-					})
-				}
+				b.Run(fmt.Sprintf("%s/rec%d/%dKi", shape.name, size, n>>10), func(b *testing.B) {
+					b.SetBytes(int64(len(orig)))
+					for i := 0; i < b.N; i++ {
+						copy(data, orig)
+						SortRecords(f, data, scratch)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
+				})
 			}
 		}
 	}

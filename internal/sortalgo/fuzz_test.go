@@ -7,7 +7,7 @@ import (
 	"github.com/fg-go/fg/records"
 )
 
-// FuzzSortRecords holds both radix sorts to the stable comparison sort, byte
+// FuzzSortRecords holds the radix sort to the stable comparison sort, byte
 // for byte, on whatever records the bytes spell. raw[0] picks the record size;
 // each record's key is width = 1 + raw[1]%8 bytes of the input, read as a
 // number and shifted up by raw[1]/8 bits. The bits above stay zero, so the
@@ -18,10 +18,8 @@ import (
 // differing below it, and a tie of more than 32 records makes the sort
 // recurse. Records carry their input position and a payload that varies
 // along the record, so an unstable, short or misplaced record move shows. The
-// thresholds are lowered so the width-2 call really shards. The checked-in
-// corpus is in testdata/fuzz/FuzzSortRecords.
+// checked-in corpus is in testdata/fuzz/FuzzSortRecords.
 func FuzzSortRecords(f *testing.F) {
-	lowerThresholds(f)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 2 {
 			return
@@ -44,14 +42,9 @@ func FuzzSortRecords(f *testing.F) {
 		}
 		oracle := bytes.Clone(data)
 		SortRecordsComparison(format, oracle)
-		serial, sharded := bytes.Clone(data), bytes.Clone(data)
-		SortRecords(format, serial, make([]byte, len(serial)))
-		SortRecordsParallel(format, sharded, make([]byte, len(sharded)), 2)
-		if !bytes.Equal(serial, oracle) {
+		SortRecords(format, data, make([]byte, len(data)))
+		if !bytes.Equal(data, oracle) {
 			t.Fatalf("size=%d width=%d shift=%d n=%d: radix sort disagrees with comparison sort", format.Size, width, shift, n)
-		}
-		if !bytes.Equal(sharded, oracle) {
-			t.Fatalf("size=%d width=%d shift=%d n=%d: sharded radix sort disagrees with comparison sort", format.Size, width, shift, n)
 		}
 	})
 }

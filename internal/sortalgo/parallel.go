@@ -1,6 +1,6 @@
 package sortalgo
 
-// Multicore kernels: parallel variants of the sort, merge, and partition
+// Multicore kernels: parallel variants of the merge and partition
 // primitives, built on the shared worker pool in internal/parallel. Each
 // kernel takes a workers knob — the maximum number of concurrent executors
 // and the shard count — with 0 meaning parallel.DefaultWidth (GOMAXPROCS)
@@ -21,15 +21,12 @@ import (
 )
 
 var (
-	// parallelSortMinRecords is the buffer size below which
-	// SortRecordsParallel runs the serial sort, faster at width 2 up to 64 Ki.
-	parallelSortMinRecords = 128 << 10
 	// parallelMergeMinRecords is the total size below which
 	// MergeSortedParallel merges serially.
 	parallelMergeMinRecords = 32 << 10
 	// parallelPartitionMinRecords is the threshold for PartitionRecords;
 	// classification does a binary search per record, so it parallelizes
-	// profitably a little earlier than the sort.
+	// profitably a little earlier than the merge.
 	parallelPartitionMinRecords = 16 << 10
 	// minShardRecords keeps shards coarse: each worker gets at least this
 	// many records per phase, or fewer shards are used.
@@ -79,107 +76,11 @@ func getInt32s(n int) *[]int32 {
 	return p
 }
 
-// SortRecordsParallel is SortRecords with intra-buffer parallelism: its
-// first level runs over contiguous shards, each digit pass histogramming the
-// shards in parallel — per pass, as a shard's records change between passes
-// — and scattering them, lock-free, into disjoint regions, one per (shard,
-// digit value); the tied groups are then finished serially. Buffers below
-// the tuned threshold, and any call with workers == 1, take the serial path;
-// both produce identical bytes.
+// SortRecordsParallel is SortRecords whatever the width: a sharded sort won
+// only from 128 Ki records at width 2, larger than any sort buffer of the
+// reference geometry, and was deleted.
 func SortRecordsParallel(f records.Format, data, scratch []byte, workers int) {
-	n := f.Count(len(data))
-	shards := shardCount(n, workers, parallelSortMinRecords)
-	if shards < 2 {
-		SortRecords(f, data, scratch)
-		return
-	}
-	if len(scratch) < len(data) {
-		panic("sortalgo: scratch smaller than data")
-	}
-	size := f.Size
-	shift, ok := window(size, data, 0)
-	if !ok {
-		return
-	}
-	boundsP := getInts(shards + 1)
-	countsP := getInts(shards * 256)
-	defer intsPool.Put(boundsP)
-	defer intsPool.Put(countsP)
-	bounds, counts := *boundsP, *countsP
-	for s := 0; s <= shards; s++ {
-		bounds[s] = s * n / shards
-	}
-
-	src, dst := data, scratch[:len(data)]
-	for _, bit := range [2]uint{shift, shift + 8} {
-		from, to := src, dst
-		parallel.Do(shards, shards, func(s int) {
-			c := counts[s*256 : (s+1)*256]
-			clear(c)
-			for i := bounds[s]; i < bounds[s+1]; i++ {
-				c[uint8(key(from, i*size)>>bit)]++
-			}
-		})
-		// Serial join: skip a pass whose digit is constant, and turn the
-		// histograms into scatter offsets, value-major then shard-minor: shard
-		// s's records of value v land after shard s-1's, and within a shard
-		// records keep input order, hence stability.
-		same := 0
-		for s := 0; s < shards; s++ {
-			same += counts[s*256+int(uint8(key(from, 0)>>bit))]
-		}
-		if same == n {
-			continue
-		}
-		pos := 0
-		for v := 0; v < 256; v++ {
-			for s := 0; s < shards; s++ {
-				c := counts[s*256+v]
-				counts[s*256+v] = pos
-				pos += c
-			}
-		}
-		parallel.Do(shards, shards, func(s int) {
-			scatter(to, from, size, bit, bounds[s], bounds[s+1], (*[256]int)(counts[s*256:]))
-		})
-		src, dst = dst, src
-	}
-	if &src[0] != &data[0] {
-		out := src
-		parallel.Do(shards, shards, func(s int) {
-			lo, hi := bounds[s]*size, bounds[s+1]*size
-			copy(data[lo:hi], out[lo:hi])
-		})
-	}
-	finishTies(size, data, scratch, shift)
-}
-
-// KeyUpperBound returns the number of records in the sorted sequence data
-// whose key is <= key: the index of the first record ordering strictly
-// after key. It gallops from the front — probing records 0, 1, 3, 7, ...
-// until one orders after key, then binary-searching inside that last step —
-// so the cost is logarithmic in the answer, not in len(data): dsort's merge
-// stage asks it how far the leading run reaches before the runner-up's key,
-// which is a record or two on interleaved runs and a whole buffer on
-// duplicate-heavy ones.
-func KeyUpperBound(f records.Format, data []byte, key uint64) int {
-	lo, hi := 0, 0 // records [0, lo) are <= key; hi is the next probe
-	for hi*f.Size < len(data) && f.KeyAt(data, hi) <= key {
-		lo = hi + 1
-		hi = 2*hi + 1
-	}
-	if hi*f.Size > len(data) { // galloped off the end: the one division
-		hi = f.Count(len(data))
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if f.KeyAt(data, mid) <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	SortRecords(f, data, scratch)
 }
 
 // mergeSplit returns how many of the first k records of the stable merge
@@ -256,7 +157,7 @@ func MergeSortedParallel(f records.Format, a, b, dst []byte, workers int) {
 // it outlives the call.
 //
 // Above the tuned threshold the classification and scatter phases shard
-// across the worker pool exactly like the radix sort's counting passes:
+// across the worker pool:
 // per-shard partition histograms, a serial prefix over (partition, shard),
 // then a scatter into disjoint regions.
 func PartitionRecords(f records.Format, data, dst []byte, parts int, classify func(i int) int, workers int) []int {

@@ -2,9 +2,7 @@ package sortalgo
 
 import (
 	"bytes"
-	"math"
 	"runtime"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -23,10 +21,10 @@ func workerCounts() []int {
 // the tuned values afterwards.
 func lowerThresholds(t testing.TB) {
 	t.Helper()
-	sortMin, mergeMin, partMin, shardMin := parallelSortMinRecords, parallelMergeMinRecords, parallelPartitionMinRecords, minShardRecords
-	parallelSortMinRecords, parallelMergeMinRecords, parallelPartitionMinRecords, minShardRecords = 8, 8, 8, 2
+	mergeMin, partMin, shardMin := parallelMergeMinRecords, parallelPartitionMinRecords, minShardRecords
+	parallelMergeMinRecords, parallelPartitionMinRecords, minShardRecords = 8, 8, 2
 	t.Cleanup(func() {
-		parallelSortMinRecords, parallelMergeMinRecords, parallelPartitionMinRecords, minShardRecords = sortMin, mergeMin, partMin, shardMin
+		parallelMergeMinRecords, parallelPartitionMinRecords, minShardRecords = mergeMin, partMin, shardMin
 	})
 }
 
@@ -40,56 +38,6 @@ func recordsFromKeys(f records.Format, keys []uint64) []byte {
 		}
 	}
 	return data
-}
-
-// TestSortRecordsParallelMatchesSerial is the byte-identity property: for
-// any input and any worker count, the parallel radix sort must produce
-// exactly the bytes the serial sort produces. Because every record carries
-// a unique id, byte identity also proves stability on duplicate keys.
-func TestSortRecordsParallelMatchesSerial(t *testing.T) {
-	lowerThresholds(t)
-	for _, size := range sortSizes {
-		f := records.NewFormat(size)
-		for _, workers := range workerCounts() {
-			workers := workers
-			fn := func(keys []uint64, narrow bool) bool {
-				if narrow { // force long runs of duplicate keys
-					for i := range keys {
-						keys[i] %= 4
-					}
-				}
-				want := recordsFromKeys(f, keys)
-				got := append([]byte(nil), want...)
-				SortRecords(f, want, make([]byte, len(want)))
-				SortRecordsParallel(f, got, make([]byte, len(got)), workers)
-				return bytes.Equal(got, want)
-			}
-			if err := quick.Check(fn, &quick.Config{MaxCount: 60}); err != nil {
-				t.Errorf("size=%d workers=%d: %v", size, workers, err)
-			}
-		}
-	}
-}
-
-// TestSortRecordsParallelLarge exercises the tuned (un-lowered) thresholds
-// with a buffer big enough to shard for real, on every worker count.
-func TestSortRecordsParallelLarge(t *testing.T) {
-	n := parallelSortMinRecords + parallelSortMinRecords/2
-	for _, size := range sortSizes {
-		f := records.NewFormat(size)
-		for _, space := range []uint64{0, 1, 5, 1 << 40} {
-			orig := randomRecords(f, n, space, int64(space)+11)
-			want := append([]byte(nil), orig...)
-			SortRecords(f, want, make([]byte, len(want)))
-			for _, workers := range workerCounts() {
-				got := append([]byte(nil), orig...)
-				SortRecordsParallel(f, got, make([]byte, len(got)), workers)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("size=%d space=%d workers=%d: parallel sort diverges from serial", size, space, workers)
-				}
-			}
-		}
-	}
 }
 
 func TestMergeSortedParallelMatchesSerial(t *testing.T) {
@@ -150,55 +98,6 @@ func TestMergeSortedParallelAllEqual(t *testing.T) {
 			if node != wantNode || seq != wantSeq {
 				t.Fatalf("workers=%d: position %d holds (n%d,#%d), want (n%d,#%d)",
 					workers, i, node, seq, wantNode, wantSeq)
-			}
-		}
-	}
-}
-
-func TestKeyUpperBound(t *testing.T) {
-	f := records.NewFormat(16)
-	keys := []uint64{1, 3, 3, 3, 9, 9, 12}
-	data := recordsFromKeys(f, keys)
-	for _, tc := range []struct {
-		key  uint64
-		want int
-	}{{0, 0}, {1, 1}, {2, 1}, {3, 4}, {8, 4}, {9, 6}, {12, 7}, {99, 7}} {
-		if got := KeyUpperBound(f, data, tc.key); got != tc.want {
-			t.Errorf("KeyUpperBound(%d) = %d, want %d", tc.key, got, tc.want)
-		}
-	}
-	if got := KeyUpperBound(f, nil, 5); got != 0 {
-		t.Errorf("KeyUpperBound on empty data = %d, want 0", got)
-	}
-
-	// Against sort.Search, for every length 0..70 and every place the key
-	// can change in it: n records of key 10, 20 and 30 with the steps at i
-	// and j, so a block of duplicates straddles each of the gallop's
-	// doubling steps (probes at 0, 1, 3, 7, 15, 31, 63) from both sides, and
-	// the queries cover "none <= key", each boundary, and "all <= key".
-	for _, f := range []records.Format{records.NewFormat(16), records.NewFormat(24)} {
-		for n := 0; n <= 70; n++ {
-			for i := 0; i <= n; i++ {
-				for j := i; j <= n; j += 1 + (n-i)/3 {
-					keys := make([]uint64, n)
-					for at := range keys {
-						keys[at] = 10
-						if at >= i {
-							keys[at] = 20
-						}
-						if at >= j {
-							keys[at] = 30
-						}
-					}
-					data := recordsFromKeys(f, keys)
-					for _, key := range []uint64{0, 10, 15, 20, 29, 30, math.MaxUint64} {
-						want := sort.Search(n, func(at int) bool { return keys[at] > key })
-						if got := KeyUpperBound(f, data, key); got != want {
-							t.Fatalf("size %d, %d records stepping at %d and %d: KeyUpperBound(%d) = %d, want %d",
-								f.Size, n, i, j, key, got, want)
-						}
-					}
-				}
 			}
 		}
 	}

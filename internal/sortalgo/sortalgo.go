@@ -140,11 +140,11 @@ func insertionSort(size int, data, scratch []byte) {
 	}
 }
 
-// scatter is one radix pass's move, shared by the serial and the sharded
-// sort: record i of src, for i in [lo, hi), goes to slot off[v] of dst, v
-// the key's byte at bit shift, and off[v] advances. 16-byte records — the
-// paper's Figure 8(a) record and the default format — move as an array
-// assignment, which compiles to loads and stores, where copy is a call.
+// scatter is one radix pass's move: record i of src, for i in [lo, hi), goes
+// to slot off[v] of dst, v the key's byte at bit shift, and off[v] advances.
+// 16-byte records — the paper's Figure 8(a) record and the default format —
+// move as an array assignment, which compiles to loads and stores, where copy
+// is a call.
 func scatter(dst, src []byte, size int, shift uint, lo, hi int, off *[256]int) {
 	shift &= 63
 	if size == 16 {
@@ -229,4 +229,32 @@ func MergeSorted(f records.Format, a, b, dst []byte) {
 	if j < nb {
 		copy(dst[o*size:], b[j*size:])
 	}
+}
+
+// KeyUpperBound returns the number of records in the sorted sequence data
+// whose key is <= key: the index of the first record ordering strictly
+// after key. It gallops from the front — probing records 0, 1, 3, 7, ...
+// until one orders after key, then binary-searching inside that last step —
+// so the cost is logarithmic in the answer, not in len(data): dsort's merge
+// stage asks it how far the leading run reaches before the runner-up's key,
+// which is a record or two on interleaved runs and a whole buffer on
+// duplicate-heavy ones.
+func KeyUpperBound(f records.Format, data []byte, key uint64) int {
+	lo, hi := 0, 0 // records [0, lo) are <= key; hi is the next probe
+	for hi*f.Size < len(data) && f.KeyAt(data, hi) <= key {
+		lo = hi + 1
+		hi = 2*hi + 1
+	}
+	if hi*f.Size > len(data) { // galloped off the end: the one division
+		hi = f.Count(len(data))
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if f.KeyAt(data, mid) <= key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }

@@ -2,7 +2,9 @@ package sortalgo
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -83,20 +85,18 @@ var keyShapes = []struct {
 	}},
 }
 
-// TestSortRecordsMatchesOracle holds the serial sort and the width-2 entry
-// point to the stable comparison sort, byte for byte, on every key shape:
-// around the insertion-sort cutoff, on csort's 32 Ki-record column, and
-// around parallelSortMinRecords, where the width-2 call starts to shard.
+// TestSortRecordsMatchesOracle holds the sort to the stable comparison sort,
+// byte for byte, on every key shape: around the insertion-sort cutoff and on
+// csort's 32 Ki-record column.
 func TestSortRecordsMatchesOracle(t *testing.T) {
 	for _, size := range sortSizes {
-		for _, n := range []int{0, 1, 2, insertionMax - 1, insertionMax, insertionMax + 1, 1000,
-			32 << 10, parallelSortMinRecords - 1, parallelSortMinRecords, parallelSortMinRecords + 1} {
+		for _, n := range []int{0, 1, 2, insertionMax - 1, insertionMax, insertionMax + 1, 1000, 32 << 10} {
 			for s, shape := range keyShapes {
 				if n > 1000 && (size != 16 && size != 100 || shape.name != "64 bits" && shape.name != "low 43 bits") {
-					// The comparison sort is slow at these sizes: one record
+					// The comparison sort is slow at this size: one record
 					// size per move (the array assignment and the copy) and
 					// the spread shapes only. TestSortRecordsStable takes few
-					// keys and TestSortRecordsParallelLarge the other sizes.
+					// keys.
 					continue
 				}
 				f := records.NewFormat(size)
@@ -104,45 +104,39 @@ func TestSortRecordsMatchesOracle(t *testing.T) {
 				oracle := bytes.Clone(before)
 				SortRecordsComparison(f, oracle)
 
-				serial, sharded := bytes.Clone(before), bytes.Clone(before)
-				SortRecords(f, serial, make([]byte, len(serial)))
-				SortRecordsParallel(f, sharded, make([]byte, len(sharded)), 2)
-				if !bytes.Equal(serial, oracle) {
+				got := bytes.Clone(before)
+				SortRecords(f, got, make([]byte, len(got)))
+				if !bytes.Equal(got, oracle) {
 					t.Fatalf("size=%d n=%d %s: radix sort disagrees with comparison sort", size, n, shape.name)
 				}
-				if !bytes.Equal(sharded, oracle) {
-					t.Fatalf("size=%d n=%d %s: sharded radix sort disagrees with comparison sort", size, n, shape.name)
-				}
-				checkSortedPermutation(t, f, before, serial)
+				checkSortedPermutation(t, f, before, got)
 			}
 		}
 	}
 }
 
 // TestSortRecordsStable: equal keys must keep their input order, on the
-// 16-byte record move as on the copy one, serial and sharded — with one key
-// (the sort stops after the prefix sweep) and with two (one digit pass
-// scatters, though half the records share the first one's digit).
+// 16-byte record move as on the copy one — with one key (the sort stops
+// after the prefix sweep) and with two (one digit pass scatters, though half
+// the records share the first one's digit).
 func TestSortRecordsStable(t *testing.T) {
 	for _, size := range []int{16, 24} {
 		for _, distinct := range []uint64{1, 2} {
-			for _, workers := range []int{1, 2} {
-				f := records.NewFormat(size)
-				n := parallelSortMinRecords
-				data := make([]byte, f.Bytes(n))
-				for i := 0; i < n; i++ {
-					f.SetKey(f.At(data, i), 42+uint64(i)%distinct)
-					f.StampID(f.At(data, i), uint64(i))
-				}
-				SortRecordsParallel(f, data, make([]byte, len(data)), workers)
-				if !f.IsSorted(data) {
-					t.Fatalf("size=%d keys=%d workers=%d: output is not sorted", size, distinct, workers)
-				}
-				for i := 1; i < n; i++ {
-					if f.KeyAt(data, i-1) == f.KeyAt(data, i) && f.IDAt(data, i-1) >= f.IDAt(data, i) {
-						t.Fatalf("size=%d keys=%d workers=%d: stability broken at %d: id %d after id %d",
-							size, distinct, workers, i, f.IDAt(data, i), f.IDAt(data, i-1))
-					}
+			f := records.NewFormat(size)
+			const n = 32 << 10
+			data := make([]byte, f.Bytes(n))
+			for i := 0; i < n; i++ {
+				f.SetKey(f.At(data, i), 42+uint64(i)%distinct)
+				f.StampID(f.At(data, i), uint64(i))
+			}
+			SortRecords(f, data, make([]byte, len(data)))
+			if !f.IsSorted(data) {
+				t.Fatalf("size=%d keys=%d: output is not sorted", size, distinct)
+			}
+			for i := 1; i < n; i++ {
+				if f.KeyAt(data, i-1) == f.KeyAt(data, i) && f.IDAt(data, i-1) >= f.IDAt(data, i) {
+					t.Fatalf("size=%d keys=%d: stability broken at %d: id %d after id %d",
+						size, distinct, i, f.IDAt(data, i), f.IDAt(data, i-1))
 				}
 			}
 		}
@@ -244,10 +238,7 @@ func TestMergeSortedPanicsOnSmallDst(t *testing.T) {
 // TestSerialKernelsAllocateNothing: with the caller's scratch and
 // destination, the radix sort and the two-way merge — the kernels every
 // buffer of every pass goes through — allocate nothing. The sort is held to
-// that on every benchmark shape, recursion included, at 16 and 64 bytes,
-// through both entry points: SortRecords and SortRecordsParallel at width 2,
-// which on dsort's 16 Ki-record buffer, as on csort's column, is the serial
-// kernel.
+// that on every benchmark shape, recursion included, at 16 and 64 bytes.
 func TestSerialKernelsAllocateNothing(t *testing.T) {
 	for _, size := range []int{16, 64} {
 		f := records.NewFormat(size)
@@ -256,16 +247,14 @@ func TestSerialKernelsAllocateNothing(t *testing.T) {
 		scratch := make([]byte, len(orig))
 		for _, shape := range sortShapes {
 			shape.fill(f, orig)
-			for _, width := range []int{1, 2} {
-				sortOnce := func() {
-					copy(data, orig)
-					SortRecordsParallel(f, data, scratch, width)
-				}
-				sortOnce()
-				if allocs := testing.AllocsPerRun(10, sortOnce); allocs != 0 {
-					t.Errorf("%s, %d-byte records, width %d: the sort with caller scratch allocates %.0f objects, want 0",
-						shape.name, size, width, allocs)
-				}
+			sortOnce := func() {
+				copy(data, orig)
+				SortRecords(f, data, scratch)
+			}
+			sortOnce()
+			if allocs := testing.AllocsPerRun(10, sortOnce); allocs != 0 {
+				t.Errorf("%s, %d-byte records: the sort with caller scratch allocates %.0f objects, want 0",
+					shape.name, size, allocs)
 			}
 		}
 	}
@@ -291,5 +280,54 @@ func BenchmarkComparisonSort16B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(data, orig)
 		SortRecordsComparison(f, data)
+	}
+}
+
+func TestKeyUpperBound(t *testing.T) {
+	f := records.NewFormat(16)
+	keys := []uint64{1, 3, 3, 3, 9, 9, 12}
+	data := recordsFromKeys(f, keys)
+	for _, tc := range []struct {
+		key  uint64
+		want int
+	}{{0, 0}, {1, 1}, {2, 1}, {3, 4}, {8, 4}, {9, 6}, {12, 7}, {99, 7}} {
+		if got := KeyUpperBound(f, data, tc.key); got != tc.want {
+			t.Errorf("KeyUpperBound(%d) = %d, want %d", tc.key, got, tc.want)
+		}
+	}
+	if got := KeyUpperBound(f, nil, 5); got != 0 {
+		t.Errorf("KeyUpperBound on empty data = %d, want 0", got)
+	}
+
+	// Against sort.Search, for every length 0..70 and every place the key
+	// can change in it: n records of key 10, 20 and 30 with the steps at i
+	// and j, so a block of duplicates straddles each of the gallop's
+	// doubling steps (probes at 0, 1, 3, 7, 15, 31, 63) from both sides, and
+	// the queries cover "none <= key", each boundary, and "all <= key".
+	for _, f := range []records.Format{records.NewFormat(16), records.NewFormat(24)} {
+		for n := 0; n <= 70; n++ {
+			for i := 0; i <= n; i++ {
+				for j := i; j <= n; j += 1 + (n-i)/3 {
+					keys := make([]uint64, n)
+					for at := range keys {
+						keys[at] = 10
+						if at >= i {
+							keys[at] = 20
+						}
+						if at >= j {
+							keys[at] = 30
+						}
+					}
+					data := recordsFromKeys(f, keys)
+					for _, key := range []uint64{0, 10, 15, 20, 29, 30, math.MaxUint64} {
+						want := sort.Search(n, func(at int) bool { return keys[at] > key })
+						if got := KeyUpperBound(f, data, key); got != want {
+							t.Fatalf("size %d, %d records stepping at %d and %d: KeyUpperBound(%d) = %d, want %d",
+								f.Size, n, i, j, key, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

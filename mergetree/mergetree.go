@@ -10,7 +10,10 @@
 // winner sit in the siblings along its path, where RunnerUp reads them.
 package mergetree
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // closed marks a retired leaf's contestant. A closed contestant carries
 // the largest key and, through this bit, an index above every open leaf's,
@@ -25,10 +28,15 @@ type contestant struct {
 	leaf uint32 // leaf index, with the closed bit set once retired
 }
 
-// beats reports whether a wins over b: the smaller key, ties to the lower
-// leaf index, which makes the merge deterministic.
-func (a contestant) beats(b contestant) bool {
-	return a.key < b.key || a.key == b.key && a.leaf < b.leaf
+// better returns the winner of s and c: the smaller key, ties to the lower
+// leaf index, which makes the merge deterministic. It compares (key, leaf)
+// as one 128-bit number and selects through the borrow's mask, so the
+// tournament takes no branch a merge of interleaved runs would mispredict.
+func better(s, c contestant) contestant {
+	_, b := bits.Sub64(uint64(s.leaf), uint64(c.leaf), 0)
+	_, b = bits.Sub64(s.key, c.key, b) // b is 1 exactly when s < c
+	m := -b
+	return contestant{c.key ^ (s.key^c.key)&m, c.leaf ^ (s.leaf^c.leaf)&uint32(m)}
 }
 
 // A Tree tracks the minimum key across k leaves. Leaves start closed; open
@@ -78,9 +86,7 @@ func (t *Tree) replay(i int, c contestant) {
 	v := t.at(i)
 	t.node[v] = c
 	for ; v > 1; v /= 2 {
-		if s := t.node[v^1]; s.beats(c) {
-			c = s
-		}
+		c = better(t.node[v^1], c)
 		t.node[v/2] = c
 	}
 }
@@ -117,9 +123,7 @@ func (t *Tree) Min() (leaf int, key uint64, ok bool) { return t.node[1].report()
 func (t *Tree) RunnerUp() (leaf int, key uint64, ok bool) {
 	best := contestant{math.MaxUint64, math.MaxUint32}
 	for v := t.leaves + int(t.node[1].leaf&^closed); v > 1; v /= 2 {
-		if s := t.node[v^1]; s.beats(best) {
-			best = s
-		}
+		best = better(t.node[v^1], best)
 	}
 	return best.report()
 }

@@ -187,6 +187,30 @@ func TestReopenAfterClose(t *testing.T) {
 // duplicates are the rule, and the closed sentinel's own value twice.
 var modelKeys = [8]uint64{0, 1, 2, 3, 1 << 32, ^uint64(0) - 1, ^uint64(0), ^uint64(0)}
 
+// TestBetterIsBeats holds the branchless select to the rule it replaces —
+// the smaller key, ties to the lower leaf — on every pair of contestants
+// drawn from the model's keys and from leaves at both ends of the index
+// range, open and closed.
+func TestBetterIsBeats(t *testing.T) {
+	var all []contestant
+	for _, key := range modelKeys {
+		for _, leaf := range []uint32{0, 1, 2, closed - 1} {
+			all = append(all, contestant{key, leaf}, contestant{key, leaf | closed})
+		}
+	}
+	for _, s := range all {
+		for _, c := range all {
+			want := c
+			if s.key < c.key || s.key == c.key && s.leaf < c.leaf {
+				want = s
+			}
+			if got := better(s, c); got != want {
+				t.Fatalf("better(%+v, %+v) = %+v, want %+v", s, c, got, want)
+			}
+		}
+	}
+}
+
 // checkAgainstScan replays an operation stream on a Tree and, after every
 // operation, holds Min, RunnerUp and IsOpen to a brute-force scan of the
 // leaves. raw[0] picks k in 1..17; each following byte pair is one
