@@ -121,9 +121,8 @@ func (pl Plan) runTransposePass(n *cluster.Node, commName, inFile, outFile strin
 		b.N = colBytes
 		return n.Disk.ReadAt(inFile, b.Data[:colBytes], int64(b.Round)*int64(colBytes))
 	})
-	sortWorkers := pl.Workers("sort")
 	p.AddStage("sort", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		sortalgo.SortRecordsParallel(f, b.Bytes(), b.Aux(), sortWorkers())
+		sortalgo.SortRecords(f, b.Bytes(), b.Aux())
 		return nil
 	})
 	// The outgoing segments are gathered in the buffer's auxiliary storage,
@@ -223,9 +222,8 @@ func (pl Plan) runMergePass(n *cluster.Node, inFile string, buffers int) error {
 		b.N = colBytes
 		return n.Disk.ReadAt(inFile, b.Data[:colBytes], int64(b.Round)*int64(colBytes))
 	})
-	sortWorkers := pl.Workers("sort")
 	p.AddStage("sort", func(ctx *fg.Ctx, b *fg.Buffer) error { // step 5
-		sortalgo.SortRecordsParallel(f, b.Bytes(), b.Aux(), sortWorkers())
+		sortalgo.SortRecords(f, b.Bytes(), b.Aux())
 		return nil
 	})
 	p.AddStage("shift", func(ctx *fg.Ctx, b *fg.Buffer) error { // step 6

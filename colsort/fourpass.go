@@ -74,9 +74,8 @@ func (pl Plan) runShiftPass(n *cluster.Node, inFile, outFile string, buffers int
 		b.N = colBytes
 		return n.Disk.ReadAt(inFile, b.Data[:colBytes], int64(b.Round)*int64(colBytes))
 	})
-	sortWorkers := pl.Workers("sort")
 	p.AddStage("sort", func(ctx *fg.Ctx, b *fg.Buffer) error { // step 5
-		sortalgo.SortRecordsParallel(f, b.Bytes(), b.Aux(), sortWorkers())
+		sortalgo.SortRecords(f, b.Bytes(), b.Aux())
 		return nil
 	})
 	p.AddStage("communicate", func(ctx *fg.Ctx, b *fg.Buffer) error { // step 6
@@ -159,9 +158,8 @@ func (pl Plan) runUnshiftPass(n *cluster.Node, inFile string, buffers int) error
 		b.N = colBytes
 		return n.Disk.ReadAt(inFile, b.Data[:colBytes], slot)
 	})
-	sortWorkers := pl.Workers("sort")
 	p.AddStage("sort", func(ctx *fg.Ctx, b *fg.Buffer) error { // step 7
-		sortalgo.SortRecordsParallel(f, b.Bytes(), b.Aux(), sortWorkers())
+		sortalgo.SortRecords(f, b.Bytes(), b.Aux())
 		return nil
 	})
 	p.AddStage("send-top", func(ctx *fg.Ctx, b *fg.Buffer) error { // step 8, outbound

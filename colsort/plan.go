@@ -18,8 +18,8 @@ type Plan struct {
 	R    int // rows (records per column)
 
 	// Options are the run-time options every sorting program takes:
-	// Parallelism (every pass's column sort and pass 3's sorted-halves
-	// merge), AutoTune, Observe, and Checkpoint. csort checkpoints each
+	// Parallelism (pass 3's sorted-halves merge; the column sorts are
+	// serial), AutoTune, Observe, and Checkpoint. csort checkpoints each
 	// interior pass's output matrix.
 	oocsort.Options
 }

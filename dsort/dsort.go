@@ -60,7 +60,7 @@ type Config struct {
 	Retry fg.RetryPolicy
 
 	// Options are the run-time options every sorting program takes:
-	// Parallelism (pass 1's permute and run sort, pass 2's merge), AutoTune,
+	// Parallelism (pass 1's permute), AutoTune,
 	// Observe, and Checkpoint. dsort checkpoints pass 1's result — the
 	// sorted runs file and the run lengths — so a restarted job skips
 	// sampling and pass 1 entirely; the splitters are not needed again,

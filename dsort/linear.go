@@ -47,12 +47,11 @@ func pass1Linear(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int
 	scratch := make([]byte, bufBytes)
 	fill := 0
 	var runLens []int
-	sortWorkers := cfg.Workers("sort")
 	flushRun := func() error {
 		if fill == 0 {
 			return nil
 		}
-		sortalgo.SortRecordsParallel(f, runBuf[:fill], scratch, sortWorkers())
+		sortalgo.SortRecords(f, runBuf[:fill], scratch)
 		off := int64(len(runLens)) * int64(bufBytes)
 		runLens = append(runLens, f.Count(fill))
 		fill = 0

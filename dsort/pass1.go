@@ -172,14 +172,12 @@ func pass1(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int, erro
 		}
 		return nil
 	})
-	sortWorkers := cfg.Workers("sort")
 	recv.AddStage("sort", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		// Each full buffer becomes one sorted run, ordered by the records'
-		// original (non-extended) keys. The multicore radix sort spreads
-		// the buffer across the shared worker pool; while the receive
-		// stage blocks on the network, the sort stage can use the idle
-		// cores.
-		sortalgo.SortRecordsParallel(f, b.Bytes(), b.Aux(), sortWorkers())
+		// original (non-extended) keys. The radix sort runs serially on
+		// the stage's own goroutine; while the receive stage blocks on the
+		// network, this stage keeps the other core busy.
+		sortalgo.SortRecords(f, b.Bytes(), b.Aux())
 		return nil
 	})
 	// Only the disk write is retried; the run-length bookkeeping must

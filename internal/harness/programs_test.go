@@ -2,6 +2,7 @@ package harness
 
 import (
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -79,26 +80,29 @@ func TestProgramTable(t *testing.T) {
 }
 
 // TestAutoTuneReachesEveryProgram: an enabled AutoTune "adjusts the compute
-// stages' worker counts" (oocsort.Options), so every program's sort stage
-// must draw its width from the tuner's knob — visible in a scrape, where
-// AttachTuner registers the knob positions. csort4's own passes and
-// dsort-linear handed the static Parallelism to the kernel instead.
+// stages' worker counts" (oocsort.Options), so every stage whose kernel
+// still shards must draw its width from the tuner's knob — visible in a
+// scrape, where AttachTuner registers the knob positions — and no stage may
+// register a knob that drives nothing. The sorts are serial at every width,
+// so no program has a sort knob; csort4's own passes only sort, shift and
+// unshift, and its transposes are csort's, so it has no knob at all.
 func TestAutoTuneReachesEveryProgram(t *testing.T) {
+	want := map[Program]string{
+		Dsort:       "permute",
+		DsortLinear: "permute",
+		Csort:       "merge",
+		Csort4:      "",
+	}
+	knob := regexp.MustCompile(`(?m)^fg_autotune_workers\{[^}]*stage="([^"]*)"`)
 	for _, entry := range programs {
 		t.Run(string(entry.name), func(t *testing.T) {
-			pr := Params{Nodes: 4, TotalRecords: 1 << 12, RecordSize: 16, ColumnsPerNode: 2, Seed: 7, Verify: true}
-			if entry.name == Csort4 {
-				// Passes 1-2 are csort's and ask for the knob. An untuned run
-				// first leaves checkpoints, so the tuned one resumes after
-				// pass 3 and only pass 4's sort stage can have asked.
-				pr.CheckpointDir = t.TempDir()
-				if _, err := pr.Run(entry.name, workload.Uniform, 0); err != nil {
-					t.Fatal(err)
-				}
+			w, ok := want[entry.name]
+			if !ok {
+				t.Fatalf("program %q is not in this test's table", entry.name)
 			}
 			reg := fg.NewMetricsRegistry()
-			pr.AutoTune = fg.AutoTune{Min: 1, Max: 2, Interval: time.Millisecond}
-			pr.Observe = &fg.Observe{Metrics: reg}
+			pr := Params{Nodes: 4, TotalRecords: 1 << 12, RecordSize: 16, ColumnsPerNode: 2, Seed: 7, Verify: true,
+				AutoTune: fg.AutoTune{Min: 1, Max: 2, Interval: time.Millisecond}, Observe: &fg.Observe{Metrics: reg}}
 			if _, err := pr.Run(entry.name, workload.Uniform, 0); err != nil {
 				t.Fatal(err)
 			}
@@ -106,8 +110,17 @@ func TestAutoTuneReachesEveryProgram(t *testing.T) {
 			if err := reg.WritePrometheus(&scrape); err != nil {
 				t.Fatal(err)
 			}
-			if !regexp.MustCompile(`(?m)^fg_autotune_workers\{[^}]*stage="sort"`).MatchString(scrape.String()) {
-				t.Errorf("scrape lists no sort knob:\n%s", scrape.String())
+			stages := map[string]bool{}
+			for _, m := range knob.FindAllStringSubmatch(scrape.String(), -1) {
+				stages[m[1]] = true
+			}
+			got := make([]string, 0, len(stages))
+			for s := range stages {
+				got = append(got, s)
+			}
+			sort.Strings(got)
+			if strings.Join(got, ",") != w {
+				t.Errorf("knobs %v, want %q:\n%s", got, w, scrape.String())
 			}
 		})
 	}

@@ -21,8 +21,8 @@ import (
 // fields are set as cfg.Parallelism, pl.Observe, and so on.
 type Options struct {
 	// Parallelism bounds the intra-buffer parallelism of the compute stages
-	// (dsort's permute, run sort and merge; csort's column sorts and
-	// sorted-halves merge): they use the multicore kernels in
+	// (dsort's permute and csort's sorted-halves merge; the sorts and
+	// dsort's k-way merge are serial at every width): they use the multicore kernels in
 	// internal/sortalgo with up to this many workers from the process-wide
 	// shared pool. 0 (the default) means GOMAXPROCS; 1 forces the serial
 	// kernels, which the serial-vs-parallel benchmarks compare against.
