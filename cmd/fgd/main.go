@@ -1,7 +1,7 @@
 // Command fgd is the FG dataflow daemon: a long-running HTTP service that
 // accepts dataflow jobs as JSON specs and runs many FG sorting networks
-// concurrently against shared resources — one kernel worker pool, one
-// process's worth of simulated disks — behind admission control, per-job
+// concurrently against shared resources — one process's cores and its
+// simulated disks — behind admission control, per-job
 // quotas, a bounded queue with backpressure, per-job cancellation, and
 // panic isolation (one failed job never takes the daemon down).
 //
@@ -43,7 +43,6 @@ func main() {
 
 	maxNodes := flag.Int("max-nodes", 64, "per-job simulated cluster size quota (0 = unlimited)")
 	maxMB := flag.Int64("max-mb", 1024, "per-job data volume quota, MiB (0 = unlimited)")
-	maxWorkers := flag.Int("max-workers", 0, "per-job kernel worker quota (0 = unlimited)")
 	maxBuffers := flag.Int("max-buffers", 64, "per-job circulating buffer quota (0 = unlimited)")
 	maxAttempts := flag.Int("max-attempts", 5, "per-job supervised attempt quota (0 = unlimited)")
 	maxRunSec := flag.Int("max-run-sec", 600, "per-job running wall-clock cap, seconds (0 = unlimited)")
@@ -59,7 +58,6 @@ func main() {
 		Limits: service.Limits{
 			MaxNodes:      *maxNodes,
 			MaxBytes:      *maxMB << 20,
-			MaxWorkers:    *maxWorkers,
 			MaxBuffers:    *maxBuffers,
 			MaxAttempts:   *maxAttempts,
 			MaxRunSeconds: *maxRunSec,

@@ -80,7 +80,7 @@ func (pl *Plan) run(n *cluster.Node, program string, temp []string, buffers int,
 			return pl.runTransposePass(n, program+".p2", temp[0], temp[1], buffers, pl.R/pl.S)
 		}},
 	}, closing...)
-	res, err := oocsort.RunPasses(n, &pl.Options, program, passes)
+	res, err := oocsort.RunPasses(n, pl.Options, program, passes)
 	if err != nil {
 		return res, err
 	}
@@ -243,7 +243,6 @@ func (pl Plan) runMergePass(n *cluster.Node, inFile string, buffers int) error {
 		b.Meta = m
 		return nil
 	})
-	mergeWorkers := pl.Workers("merge")
 	p.AddStage("merge", func(ctx *fg.Ctx, b *fg.Buffer) error { // step 7
 		m := b.Meta.(*p3meta)
 		if m.in == nil {
@@ -253,7 +252,7 @@ func (pl Plan) runMergePass(n *cluster.Node, inFile string, buffers int) error {
 			return nil
 		}
 		aux := b.Aux()
-		sortalgo.MergeSortedParallel(f, m.in, b.Data[:halfBytes], aux[:colBytes], mergeWorkers())
+		sortalgo.MergeSorted(f, m.in, b.Data[:halfBytes], aux[:colBytes])
 		cluster.Release(m.in)
 		m.in = nil
 		b.SwapAux()

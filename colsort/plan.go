@@ -18,9 +18,8 @@ type Plan struct {
 	R    int // rows (records per column)
 
 	// Options are the run-time options every sorting program takes:
-	// Parallelism (pass 3's sorted-halves merge; the column sorts are
-	// serial), AutoTune, Observe, and Checkpoint. csort checkpoints each
-	// interior pass's output matrix.
+	// Observe and Checkpoint. csort checkpoints each interior pass's output
+	// matrix.
 	oocsort.Options
 }
 

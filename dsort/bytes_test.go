@@ -98,7 +98,7 @@ func pinnedBytes(t *testing.T, size int, dist workload.Distribution) (permute, d
 			b.N = copy(b.Data, input[b.Round*bufBytes:(b.Round+1)*bufBytes])
 			return nil
 		})
-		pipe.AddStage("permute", permuteStage(f, p, s, cfg.RunRecords, splitters, cfg.Workers("permute")))
+		pipe.AddStage("permute", permuteStage(f, p, s, cfg.RunRecords, splitters))
 		pipe.AddStage("collect", func(ctx *fg.Ctx, b *fg.Buffer) error {
 			off := 0
 			for d, cnt := range b.Meta.([]int) {

@@ -60,8 +60,7 @@ type Config struct {
 	Retry fg.RetryPolicy
 
 	// Options are the run-time options every sorting program takes:
-	// Parallelism (pass 1's permute), AutoTune,
-	// Observe, and Checkpoint. dsort checkpoints pass 1's result — the
+	// Observe and Checkpoint. dsort checkpoints pass 1's result — the
 	// sorted runs file and the run lengths — so a restarted job skips
 	// sampling and pass 1 entirely; the splitters are not needed again,
 	// pass 2 runs entirely off the runs and their lengths.
@@ -119,9 +118,6 @@ func (cfg Config) Validate(p int) error {
 	if cfg.Buffers < 1 {
 		return fmt.Errorf("dsort: need at least one buffer per pipeline, got %d", cfg.Buffers)
 	}
-	if cfg.Parallelism < 0 {
-		return fmt.Errorf("dsort: negative parallelism %d", cfg.Parallelism)
-	}
 	return nil
 }
 
@@ -154,7 +150,7 @@ func run(n *cluster.Node, cfg Config, program string,
 	}
 	var splitters []records.ExtKey
 	var runLens []int
-	res, err := oocsort.RunPasses(n, &cfg.Options, program, []oocsort.Pass{
+	res, err := oocsort.RunPasses(n, cfg.Options, program, []oocsort.Pass{
 		{Name: "sampling", Align: true, Body: func() (err error) {
 			splitters, err = sample(n, cfg)
 			return err

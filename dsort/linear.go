@@ -85,7 +85,7 @@ func pass1Linear(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int
 		b.N = f.Bytes(int(cnt))
 		return n.Disk.ReadAt(cfg.Spec.InputName, b.Data[:b.N], off*int64(f.Size))
 	})
-	pipe.AddStage("permute", permuteStage(f, p, rank, bufRecs, splitters, cfg.Workers("permute")))
+	pipe.AddStage("permute", permuteStage(f, p, rank, bufRecs, splitters))
 	pipe.AddStage("send", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		counts := b.Meta.([]int)
 		off := 0

@@ -72,12 +72,9 @@ func readSamples(d *pdm.Disk, name string, f records.Format, rank int, positions
 // on the partition index, out of place through the auxiliary buffer (the
 // FG feature the paper's permute stage relies on). The extended key —
 // (key, origin node, input position) — decides each record's partition; it
-// never becomes part of the record. The classification and scatter run on
-// the shared worker pool with up to workers() executors
-// (sortalgo.PartitionRecords; workers <= 1 is the serial counting sort);
-// the count is re-read each round so an auto-tuner knob takes effect
-// mid-run. The per-partition counts travel with the buffer as its Meta.
-func permuteStage(f records.Format, p, rank, bufRecs int, splitters []records.ExtKey, workers func() int) fg.RoundFunc {
+// never becomes part of the record. The per-partition counts travel with the
+// buffer as its Meta.
+func permuteStage(f records.Format, p, rank, bufRecs int, splitters []records.ExtKey) fg.RoundFunc {
 	index := splitter.NewIndex(splitters)
 	return func(ctx *fg.Ctx, b *fg.Buffer) error {
 		base := int64(b.Round) * int64(bufRecs)
@@ -85,7 +82,7 @@ func permuteStage(f records.Format, p, rank, bufRecs int, splitters []records.Ex
 		counts := sortalgo.PartitionRecords(f, data, b.Aux()[:b.N], p, func(i int) int {
 			e := records.ExtKey{Key: f.KeyAt(data, i), Node: uint32(rank), Seq: uint64(base) + uint64(i)}
 			return index.Partition(e)
-		}, workers())
+		}, 1)
 		b.SwapAux()
 		b.Meta = counts
 		return nil
@@ -121,7 +118,7 @@ func pass1(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int, erro
 		b.N = f.Bytes(int(cnt))
 		return n.Disk.ReadAt(cfg.Spec.InputName, b.Data[:b.N], off*int64(size))
 	}))
-	send.AddStage("permute", permuteStage(f, p, rank, bufRecs, splitters, cfg.Workers("permute")))
+	send.AddStage("permute", permuteStage(f, p, rank, bufRecs, splitters))
 	send.AddStage("send", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		counts := b.Meta.([]int)
 		off := 0

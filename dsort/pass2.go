@@ -23,11 +23,11 @@ const verticalBuffers = 3
 // read most of their runs (DESIGN.md, "Pass 2: reads before writes").
 //
 // A run read can proceed exactly when the verticals' sources have emitted a
-// buffer the read stage has not finished with — counted at the sources, not
-// from what the merge conveyed, because the auto-tuner may park a recycled
-// buffer. The rule cannot deadlock: a write waits only for reads that hold
-// a buffer, and a read never waits for a write. Once back-pressure stops
-// the reads nothing is pending and reads and writes interleave as they come.
+// buffer the read stage has not finished with, counted at the sources and at
+// the read stage, outside its retries. The rule cannot deadlock: a write
+// waits only for reads that hold a buffer, and a read never waits for a
+// write. Once back-pressure stops the reads nothing is pending and reads and
+// writes interleave as they come.
 type runReads struct {
 	runs      []*fg.Pipeline
 	completed atomic.Int64

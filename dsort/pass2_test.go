@@ -21,12 +21,10 @@ import (
 	"github.com/fg-go/fg/workload"
 )
 
-// TestRunReadsCountsARoundOnce drives the write hold's bookkeeping through
-// the two things that could unbalance it: a read stage that needs two
-// attempts per round under fg.Retry (a round must count once, or writes
-// slip past pending reads), and a member whose pool is mostly parked (a
-// buffer that is never emitted must not be waited for, or the hold never
-// opens). A stage yielding on every round beside them must still finish.
+// TestRunReadsCountsARoundOnce drives the write hold's bookkeeping through a
+// read stage that needs two attempts per round under fg.Retry: a round must
+// count once, or writes slip past pending reads. A stage yielding on every
+// round beside it must still finish.
 func TestRunReadsCountsARoundOnce(t *testing.T) {
 	check.NoLeakedGoroutines(t)
 	const rounds = 6
@@ -51,7 +49,6 @@ func TestRunReadsCountsARoundOnce(t *testing.T) {
 			return nil
 		}, fg.RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Microsecond})))
 	}
-	reads.runs[1].SetEffectiveBuffers(1)
 	drain := fg.NewStage("merge", func(ctx *fg.Ctx) error {
 		for open := len(reads.runs); open > 0; {
 			open = 0
@@ -84,16 +81,13 @@ func TestRunReadsCountsARoundOnce(t *testing.T) {
 	}
 }
 
-// TestDsortAutoTunedWithRetriedRunReads: the hold under the two run-time
-// mechanisms that touch its inputs at once — a tuner ticking fast enough to
-// park and re-inject vertical buffers mid-pass, and every seventh run read
-// failing once — sorts and verifies.
-func TestDsortAutoTunedWithRetriedRunReads(t *testing.T) {
+// TestDsortRetriedRunReads: the hold with every seventh run read failing
+// once, so retried reads keep the writes waiting, sorts and verifies.
+func TestDsortRetriedRunReads(t *testing.T) {
 	check.NoLeakedGoroutines(t)
 	const p = 4
 	cfg := testConfig(1<<13, p, 16, workload.Poisson)
 	cfg.OutRecords = 128
-	cfg.AutoTune = fg.AutoTune{Min: 1, Max: 2, Interval: 500 * time.Microsecond}
 	cfg.Retry = fg.RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Microsecond}
 	c := cluster.New(cluster.Config{Nodes: p, Disk: pdm.DiskModel{SeekLatency: 100 * time.Microsecond, BytesPerSecond: 50e6}})
 	fp, err := oocsort.GenerateInput(c, cfg.Spec)

@@ -7,8 +7,8 @@ import (
 )
 
 // TestUnobservedRoundAllocatesNothing is the pay-nothing-when-off contract
-// of the stage runner: with no tracer, registry, watchdog or tuner
-// attached, a round through a 3-stage pipeline allocates nothing. A network
+// of the stage runner: with no tracer, registry or watchdog attached, a
+// round through a 3-stage pipeline allocates nothing. A network
 // runs once, so the round cannot be measured alone; the same network is
 // built and run at R and at 2R rounds, and what building it costs — the
 // same on both sides — cancels, and one allocation per round would read as
@@ -18,16 +18,12 @@ import (
 // runs can lose.
 func TestUnobservedRoundAllocatesNothing(t *testing.T) {
 	const rounds = 512
-	var k *Knob // nil: the untuned one-branch read every kernel stage makes
 	run := func(n int) func() {
 		return func() {
 			nw := NewNetwork("alloc")
 			p := nw.AddPipeline("main", Buffers(4), BufferBytes(64), Rounds(n))
 			for s := 0; s < 3; s++ {
-				p.AddStage("s", func(ctx *Ctx, b *Buffer) error {
-					_ = k.Workers()
-					return nil
-				})
+				p.AddStage("s", func(ctx *Ctx, b *Buffer) error { return nil })
 			}
 			if err := nw.Run(); err != nil {
 				t.Fatal(err)

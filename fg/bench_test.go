@@ -3,7 +3,6 @@ package fg
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 // BenchmarkObservability prices the observability subsystem on the
@@ -57,43 +56,6 @@ func BenchmarkObservability(b *testing.B) {
 		}
 		b.StopTimer()
 		close(stop)
-	})
-}
-
-// BenchmarkAutotuneOverhead prices the self-tuning scheduler on the same
-// trivial pipeline as BenchmarkObservability: "off" is the plain build (no
-// tuner, a nil knob), "on" runs with an attached AutoTuner sampling at its
-// default interval and a knob read by every round — the configuration
-// -autotune enables.
-func BenchmarkAutotuneOverhead(b *testing.B) {
-	build := func(rounds int, k *Knob) *Network {
-		nw := NewNetwork("bench")
-		p := nw.AddPipeline("main", Buffers(4), BufferBytes(64), Rounds(rounds))
-		for s := 0; s < 3; s++ {
-			p.AddStage("s", func(ctx *Ctx, b *Buffer) error {
-				_ = k.Workers()
-				return nil
-			})
-		}
-		return nw
-	}
-	b.Run("off", func(b *testing.B) {
-		nw := build(b.N, nil) // nil knob: the untuned one-branch read
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := nw.Run(); err != nil {
-			b.Fatal(err)
-		}
-	})
-	b.Run("on", func(b *testing.B) {
-		tn := NewAutoTuner(AutoTune{Min: 1, Max: 4, Interval: 100 * time.Millisecond})
-		nw := build(b.N, tn.Knob("s", 1))
-		defer tn.Tune(nw)()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := nw.Run(); err != nil {
-			b.Fatal(err)
-		}
 	})
 }
 

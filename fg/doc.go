@@ -120,11 +120,11 @@
 //
 // # Multicore parallelism
 //
-// FG puts multiple cores behind a compute stage through intra-buffer
-// parallelism: the multicore sort/merge/partition kernels the sorting
-// programs enable through their Parallelism knobs split the work on each
-// single buffer across a process-wide bounded worker pool
-// (internal/parallel). Buffer order is preserved, no extra buffers are
-// consumed, and concurrent stages divide the machine between them rather
-// than oversubscribing it.
+// Every stage runs on its own goroutine, so a network's stages already
+// spread over the machine's cores: while one stage waits on a disk or a
+// peer, another computes. That is where FG's parallelism comes from. A
+// stage function computes on one buffer at a time, on its own goroutine;
+// the sorting programs' kernels (sort, merge, partition) are serial and
+// take no width. To put more cores behind a pipeline, give it more stages
+// or more buffers in flight, not a wider kernel.
 package fg

@@ -46,7 +46,6 @@ type MetricsRegistry struct {
 	funcs   []*metricSource
 	help    map[string]string // HELP text by name: MetricHelp plus what collectors registered
 	tracers []*Tracer
-	tuners  []*AutoTuner
 	peers   func() []PeerHealth
 }
 
@@ -60,13 +59,13 @@ func NewMetricsRegistry() *MetricsRegistry {
 }
 
 // Close drops everything registered — networks, collectors, tracers,
-// tuners, the peer-health source — so that a finished job's registry pins
+// the peer-health source — so that a finished job's registry pins
 // none of the job's memory (a collector closure typically reaches the whole
 // cluster, disks included). A closed registry reports no samples. Close is
 // idempotent.
 func (r *MetricsRegistry) Close() {
 	r.mu.Lock()
-	r.nets, r.funcs, r.tracers, r.tuners, r.peers = nil, nil, nil, nil, nil
+	r.nets, r.funcs, r.tracers, r.peers = nil, nil, nil, nil
 	r.mu.Unlock()
 }
 
@@ -108,26 +107,6 @@ func (r *MetricsRegistry) Networks() []*Network {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]*Network(nil), r.nets...)
-}
-
-// Tuners returns the currently registered auto-tuners.
-func (r *MetricsRegistry) Tuners() []*AutoTuner {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*AutoTuner(nil), r.tuners...)
-}
-
-// RegisterTuner adds an auto-tuner to the registry: its adjustment count
-// appears as fg_autotune_adjustments_total and every worker knob's current
-// position as an fg_autotune_workers gauge, so a scrape shows where the
-// tuner has moved the knobs without grepping logs. Registering the same
-// tuner again (or nil) is a no-op.
-func (r *MetricsRegistry) RegisterTuner(t *AutoTuner) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t != nil && !slices.Contains(r.tuners, t) {
-		r.tuners = append(r.tuners, t)
-	}
 }
 
 // RegisterPeerHealth installs a source of cluster peer liveness, replacing
@@ -182,7 +161,6 @@ func (r *MetricsRegistry) Samples() []Sample {
 	nets := append([]*Network(nil), r.nets...)
 	funcs := append([]*metricSource(nil), r.funcs...)
 	tracers := append([]*Tracer(nil), r.tracers...)
-	tuners := append([]*AutoTuner(nil), r.tuners...)
 	r.mu.Unlock()
 	var out []Sample
 	emit := func(name string, labels map[string]string, value float64) {
@@ -194,14 +172,6 @@ func (r *MetricsRegistry) Samples() []Sample {
 	for i, tr := range tracers {
 		emit("fg_trace_dropped_total",
 			map[string]string{"tracer": strconv.Itoa(i)}, float64(tr.Dropped()))
-	}
-	for i, t := range tuners {
-		emit("fg_autotune_adjustments_total",
-			map[string]string{"tuner": strconv.Itoa(i)}, float64(t.Adjustments()))
-		for _, k := range t.KnobStates() {
-			emit("fg_autotune_workers",
-				map[string]string{"tuner": strconv.Itoa(i), "stage": k.Stage}, float64(k.Workers))
-		}
 	}
 	for _, c := range funcs {
 		c.emit(emit)
@@ -227,7 +197,6 @@ func (st NetworkStats) EmitMetrics(emit EmitFunc) {
 		emit("fg_pipeline_buffer_bytes", l(), float64(p.BufferBytes))
 		emit("fg_pipeline_pool_idle", l(), float64(p.PoolIdle))
 		emit("fg_pipeline_pool_cap", l(), float64(p.PoolCap))
-		emit("fg_pipeline_buffers_effective", l(), float64(p.EffectiveBuffers))
 	}
 	for _, s := range st.Stages {
 		l := func() map[string]string {
@@ -251,7 +220,6 @@ var MetricHelp = map[string]string{
 	"fg_pipeline_buffer_bytes":       "capacity of each of the pipeline's buffers",
 	"fg_pipeline_pool_idle":          "buffers sitting idle in the pipeline's pool",
 	"fg_pipeline_pool_cap":           "capacity of the pipeline's buffer pool",
-	"fg_pipeline_buffers_effective":  "pool buffers the source currently keeps circulating (auto-tuned)",
 	"fg_stage_rounds_total":          "buffers accepted by the stage",
 	"fg_stage_work_seconds_total":    "time spent inside the stage function",
 	"fg_stage_wait_seconds_total":    "time the stage spent blocked waiting to accept",
@@ -259,8 +227,6 @@ var MetricHelp = map[string]string{
 	"fg_stage_queue_cap":             "capacity of the stage's input queue",
 	"fg_stage_queue_slow_push_total": "pushes into the stage's input queue that missed the non-blocking fast path (invariant violations)",
 	"fg_trace_dropped_total":         "trace events overwritten by newer ones because the tracer was full",
-	"fg_autotune_adjustments_total":  "worker-knob and buffer adjustments the auto-tuner has made",
-	"fg_autotune_workers":            "current worker count of the stage's auto-tuned knob",
 }
 
 // WritePrometheus writes the current samples in Prometheus text exposition

@@ -28,18 +28,6 @@ type Observe struct {
 	OnStats func(NetworkStats)
 }
 
-// AttachTuner registers an auto-tuner with the bundle's metrics registry,
-// surfacing its adjustment counter and knob positions in /metrics and in
-// the cluster telemetry records built from the registry. Programs call it
-// right after NewAutoTuner; nil receivers, tuners, and registries are all
-// safe no-ops (and registering twice is idempotent).
-func (o *Observe) AttachTuner(t *AutoTuner) {
-	if o == nil || t == nil || o.Metrics == nil {
-		return
-	}
-	o.Metrics.RegisterTuner(t)
-}
-
 // Attach wires the bundle into nw: the tracer is attached, the network
 // (and tracer) registered with the metrics registry,
 // and the watchdog started, all before Run. The returned finish function

@@ -25,10 +25,6 @@ type Pipeline struct {
 
 	stop    atomic.Bool
 	emitted atomic.Int64
-
-	// effBuffers is the number of buffers the source keeps circulating,
-	// adjustable mid-run (see SetEffectiveBuffers); <= 0 means all nBuffers.
-	effBuffers atomic.Int32
 }
 
 // An Option configures a pipeline at creation.
@@ -112,43 +108,11 @@ func (p *Pipeline) NumBuffers() int { return p.nBuffers }
 // Rounds returns the configured round count, or -1 if unlimited.
 func (p *Pipeline) Rounds() int { return p.rounds }
 
-// EffectiveBuffers returns how many of the pipeline's buffers the source
-// currently keeps circulating (see SetEffectiveBuffers); NumBuffers unless
-// lowered.
-func (p *Pipeline) EffectiveBuffers() int {
-	n := int(p.effBuffers.Load())
-	if n < 1 || n > p.nBuffers {
-		return p.nBuffers
-	}
-	return n
-}
-
 // Emitted returns how many buffers the source has injected so far (what
 // Stats reports as PipelineStats.Rounds), from any goroutine. The count is
 // published before the buffer reaches the first stage, so a stage counting
 // its own completed rounds never sees more of them than Emitted.
 func (p *Pipeline) Emitted() int64 { return p.emitted.Load() }
-
-// SetEffectiveBuffers asks the source to keep only n of the pipeline's
-// NumBuffers circulating, parking the rest; raising it re-injects parked
-// buffers. n is clamped to [1, NumBuffers]. It is safe to call at any
-// time, including mid-run from another goroutine — the auto-tuner uses it
-// to trim pool slack a pipeline is not using and to give it back the
-// moment the pool runs dry. The pipeline's memory bound stays NumBuffers ×
-// BufferBytes; only the circulating count changes.
-func (p *Pipeline) SetEffectiveBuffers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > p.nBuffers {
-		n = p.nBuffers
-	}
-	p.effBuffers.Store(int32(n))
-	select {
-	case p.group.wake <- struct{}{}:
-	default:
-	}
-}
 
 // AddStage appends a round stage: fn is called once per buffer, and the
 // framework accepts the buffer beforehand and conveys it afterward.
@@ -352,11 +316,6 @@ func (g *group) runSource() {
 	type state struct {
 		emitted int
 		caboose bool
-		// circulating counts this pipeline's buffers currently in flight;
-		// parked holds allocated buffers withheld from circulation because
-		// the pipeline's effective buffer count is below its pool size.
-		circulating int
-		parked      []*Buffer
 	}
 	states := make(map[*Pipeline]*state, len(g.pipes))
 
@@ -397,9 +356,7 @@ func (g *group) runSource() {
 	// round-major — buffer 0 of every member, then buffer 1, ... — so a stage
 	// that needs one buffer from each of k members (a k-way merge) starts
 	// after k rounds of the first stage, not after the earlier members'
-	// whole pools. Buffers beyond a pipeline's effective count are allocated
-	// (the memory bound is the configured pool size) but parked, entering
-	// circulation only if the effective count is raised.
+	// whole pools.
 	maxBuffers := 0
 	for _, p := range g.pipes {
 		states[p] = &state{}
@@ -410,17 +367,11 @@ func (g *group) runSource() {
 			if i >= p.nBuffers || !wantsMore(p) {
 				continue
 			}
-			st := states[p]
 			b := newBuffer(p)
 			g.bufs = append(g.bufs, b)
-			if st.circulating >= p.EffectiveBuffers() {
-				st.parked = append(st.parked, b)
-				continue
-			}
 			if !emit(p, b) {
 				return
 			}
-			st.circulating++
 		}
 	}
 	live := 0
@@ -430,21 +381,6 @@ func (g *group) runSource() {
 			live++
 		}
 	}
-	// topUp re-injects parked buffers while the pipeline is below its
-	// effective count; the wake channel fires after SetEffectiveBuffers.
-	topUp := func(p *Pipeline) bool {
-		st := states[p]
-		for st.circulating < p.EffectiveBuffers() && len(st.parked) > 0 && wantsMore(p) {
-			b := st.parked[len(st.parked)-1]
-			st.parked = st.parked[:len(st.parked)-1]
-			if !emit(p, b) {
-				return false
-			}
-			st.circulating++
-		}
-		return true
-	}
-
 	for live > 0 {
 		select {
 		case b := <-g.pool:
@@ -453,31 +389,21 @@ func (g *group) runSource() {
 			if st.caboose {
 				continue // late recycle after caboose; retire the buffer
 			}
-			if wantsMore(p) {
-				if st.circulating > p.EffectiveBuffers() {
-					// The effective count dropped; park the recycled buffer
-					// instead of re-injecting it.
-					st.circulating--
-					st.parked = append(st.parked, b)
-				} else if !emit(p, b) {
-					return
-				}
+			if wantsMore(p) && !emit(p, b) {
+				return
 			}
 			closeout(p)
 			if st.caboose {
 				live--
 			}
 		case <-g.wake:
+			// Stop was called: close out the members it ended.
 			for _, p := range g.pipes {
-				if states[p].caboose {
-					continue
-				}
-				if !topUp(p) {
-					return
-				}
-				closeout(p)
-				if states[p].caboose {
-					live--
+				if st := states[p]; !st.caboose {
+					closeout(p)
+					if st.caboose {
+						live--
+					}
 				}
 			}
 		case <-g.nw.done:

@@ -193,114 +193,25 @@ func TestSlowPushesSurfaceInStats(t *testing.T) {
 	}
 }
 
-// TestEffectiveBuffersClamp exercises the clamping contract of
-// SetEffectiveBuffers without running the network.
-func TestEffectiveBuffersClamp(t *testing.T) {
-	nw := NewNetwork("clamp")
-	p := nw.AddPipeline("main", Buffers(4), Rounds(1))
-	if got := p.EffectiveBuffers(); got != 4 {
-		t.Errorf("default EffectiveBuffers = %d, want NumBuffers = 4", got)
-	}
-	p.SetEffectiveBuffers(99)
-	if got := p.EffectiveBuffers(); got != 4 {
-		t.Errorf("EffectiveBuffers after Set(99) = %d, want 4", got)
-	}
-	p.SetEffectiveBuffers(0)
-	if got := p.EffectiveBuffers(); got != 1 {
-		t.Errorf("EffectiveBuffers after Set(0) = %d, want 1", got)
-	}
-	p.SetEffectiveBuffers(2)
-	if got := p.EffectiveBuffers(); got != 2 {
-		t.Errorf("EffectiveBuffers after Set(2) = %d, want 2", got)
-	}
-	p.AddStage("s", func(ctx *Ctx, b *Buffer) error { return nil })
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEffectiveBuffersLimitCirculation: with the effective count lowered
-// before the run, the source must circulate only that many distinct buffer
-// objects while still completing every round.
-func TestEffectiveBuffersLimitCirculation(t *testing.T) {
-	const rounds = 60
-	nw := NewNetwork("park")
-	p := nw.AddPipeline("main", Buffers(4), BufferBytes(8), Rounds(rounds))
-	p.SetEffectiveBuffers(1)
-	seen := map[*Buffer]bool{}
-	var count int
-	p.AddStage("observe", func(ctx *Ctx, b *Buffer) error {
-		seen[b] = true // single goroutine: no lock needed
-		count++
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != rounds {
-		t.Fatalf("ran %d rounds, want %d", count, rounds)
-	}
-	if len(seen) != 1 {
-		t.Errorf("%d distinct buffers circulated, want 1 (rest parked)", len(seen))
-	}
-}
-
-// TestEffectiveBuffersRaiseMidRun: raising the effective count mid-run must
-// re-inject parked buffers so more objects enter circulation, and the run
-// must complete all its rounds.
-func TestEffectiveBuffersRaiseMidRun(t *testing.T) {
-	const rounds = 200
-	nw := NewNetwork("reinject")
-	p := nw.AddPipeline("main", Buffers(4), BufferBytes(8), Rounds(rounds))
-	p.SetEffectiveBuffers(1)
-	seen := map[*Buffer]bool{}
-	var count int
-	p.AddStage("observe", func(ctx *Ctx, b *Buffer) error {
-		seen[b] = true
-		count++
-		if count == 10 {
-			p.SetEffectiveBuffers(4)
-		}
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != rounds {
-		t.Fatalf("ran %d rounds, want %d", count, rounds)
-	}
-	if len(seen) != 4 {
-		t.Errorf("%d distinct buffers circulated after the raise, want all 4", len(seen))
-	}
-}
-
 // TestVirtualGroupInjectsRoundMajor: a group's source injects buffer 0 of
 // every member before any member's buffer 1, so the first k buffers a
 // virtual stage sees come from k distinct members — a k-way merge behind it
 // starts after k rounds, not after the earlier members' whole pools. The
-// members differ in every way that shapes the order: pool sizes, a round
-// count below the pool, and an effective count below the pool (whose
-// parked buffers must stay parked).
+// members differ in every way that shapes the order: pool sizes and a
+// round count below the pool.
 func TestVirtualGroupInjectsRoundMajor(t *testing.T) {
 	nw := NewNetwork("inject")
 	vg := nw.AddVirtualGroup("members")
 	members := []struct {
 		name            string
 		buffers, rounds int
-	}{{"a", 3, 2}, {"b", 1, 5}, {"c", 4, 6}, {"d", 3, 4}}
+	}{{"a", 3, 2}, {"b", 1, 5}, {"c", 4, 6}, {"d", 1, 4}}
 	var order []string // the slot's one goroutine appends: no lock needed
-	parked := map[*Buffer]bool{}
 	for _, m := range members {
 		m := m
 		p := vg.AddPipeline(m.name, Buffers(m.buffers), BufferBytes(8), Rounds(m.rounds))
-		if m.name == "d" {
-			p.SetEffectiveBuffers(1)
-		}
 		p.AddStage("see", func(ctx *Ctx, b *Buffer) error {
 			order = append(order, fmt.Sprintf("%s%d", m.name, b.Round))
-			if m.name == "d" {
-				parked[b] = true
-			}
 			return nil
 		})
 	}
@@ -316,8 +227,5 @@ func TestVirtualGroupInjectsRoundMajor(t *testing.T) {
 		if order[i] != w {
 			t.Fatalf("injection order %v, want prefix %v", order[:len(want)], want)
 		}
-	}
-	if len(parked) != 1 {
-		t.Errorf("%d distinct buffers of the member with effective count 1 circulated, want 1", len(parked))
 	}
 }

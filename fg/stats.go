@@ -57,11 +57,6 @@ type PipelineStats struct {
 	// starts.
 	PoolIdle int
 	PoolCap  int
-	// EffectiveBuffers is the number of pool buffers the source currently
-	// keeps circulating — Buffers unless an auto-tuner (or a call to
-	// Pipeline.SetEffectiveBuffers) has parked some of the slack. Equal to
-	// Buffers before the network starts.
-	EffectiveBuffers int
 }
 
 // NetworkStats is a snapshot of a network's activity. It may be taken at
@@ -121,7 +116,6 @@ func (nw *Network) Stats() NetworkStats {
 				BufferBytes: p.bufBytes,
 				Rounds:      p.emitted.Load(),
 			}
-			ps.EffectiveBuffers = p.EffectiveBuffers()
 			if built {
 				ps.PoolIdle = len(g.pool)
 				ps.PoolCap = cap(g.pool)

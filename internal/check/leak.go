@@ -73,14 +73,6 @@ func moduleGoroutines() []string {
 			// leak.
 			continue
 		}
-		if strings.Contains(g, "internal/parallel.poolWorker") {
-			// The shared kernel worker pool is process-lifetime by design:
-			// its workers idle on the wake channel between jobs and retire
-			// only when GOMAXPROCS drops. A run that engaged the multicore
-			// kernels leaves them parked there; that is the pool working,
-			// not a leak. (The pool's own tests police its sizing.)
-			continue
-		}
 		out = append(out, g)
 	}
 	return out

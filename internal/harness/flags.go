@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/fg-go/fg/cluster"
-	"github.com/fg-go/fg/fg"
 )
 
 // Flags are the command-line front end: the flags fgsort and fgexp share,
@@ -19,7 +18,6 @@ type Flags struct {
 	pr  Params // DefaultParams, with the flags that are Params fields bound in place
 
 	logRecords int
-	autotune   bool
 	transport  string
 	observe    ObserveFlags
 
@@ -39,8 +37,6 @@ func BindFlags(fs *flag.FlagSet, logRecords, columnsPerNode int) *Flags {
 	fs.IntVar(&f.job.ColumnsPerNode, "cpn", columnsPerNode, "csort columns per node (S = cpn*P)")
 	fs.BoolVar(&f.pr.Verify, "verify", true, "verify every sort's output")
 	fs.Int64Var(&f.job.Seed, "seed", 1, "workload seed")
-	fs.IntVar(&f.job.Parallelism, "parallelism", 0, "intra-buffer kernel workers (0 = all cores, 1 = serial)")
-	fs.BoolVar(&f.autotune, "autotune", false, "let a run-time tuner adjust kernel workers and circulating buffers, starting from -parallelism")
 	fs.StringVar(&f.observe.TraceOut, "trace-out", "", "write a Chrome trace-event JSON file of every run (chrome://tracing, Perfetto)")
 	fs.StringVar(&f.observe.StatusAddr, "status-addr", "", "serve every observability route on this address (host:port, :0 picks a port) while the run is in flight: /metrics (Prometheus), /status, /status.json, and the fleet view /cluster/status.json, /cluster/metrics (live with -telemetry-interval)")
 	fs.DurationVar(&f.pr.Telemetry.Interval, "telemetry-interval", 0, "publish a telemetry record per rank at this interval toward the aggregator rank 0 (0 = off)")
@@ -68,7 +64,7 @@ func (f *Flags) BindJob(fs *flag.FlagSet) {
 
 // Job validates the parsed flags and returns the job they describe with the
 // Params to run it on: DefaultParams with the job applied, plus the
-// transport, resilience and tuning the flags chose. Observability is wired
+// transport and resilience the flags chose. Observability is wired
 // separately (ObserveCLI), because it starts servers.
 func (f *Flags) Job() (Job, Params, error) {
 	// On the command line a zero is a mistake, not a request for the
@@ -93,9 +89,6 @@ func (f *Flags) Job() (Job, Params, error) {
 	}
 	if f.diskBW > 0 {
 		pr.Disk.BytesPerSecond = f.diskBW
-	}
-	if f.autotune {
-		pr.AutoTune = fg.DefaultAutoTune()
 	}
 
 	rank := pr.Transport.Rank

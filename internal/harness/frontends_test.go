@@ -28,13 +28,13 @@ var frontEnds = []struct {
 			"-records", strconv.Itoa(bits.TrailingZeros64(uint64(j.Records))),
 			"-record-size", strconv.Itoa(j.RecordSize), "-cpn", strconv.Itoa(j.ColumnsPerNode),
 			"-dist", j.Distribution, "-seed", strconv.FormatInt(j.Seed, 10),
-			"-parallelism", strconv.Itoa(j.Parallelism), "-buffers", strconv.Itoa(j.Buffers))
+			"-buffers", strconv.Itoa(j.Buffers))
 	}},
 	{"DecodeJobSpec", func(j harness.Job) error {
 		doc, _ := json.Marshal(service.JobSpec{
 			Program: j.Program, Nodes: j.Nodes, Records: j.Records, RecordSize: j.RecordSize,
 			ColumnsPerNode: j.ColumnsPerNode, Distribution: j.Distribution, Seed: j.Seed,
-			Parallelism: j.Parallelism, Buffers: j.Buffers, Disk: j.Disk,
+			Buffers: j.Buffers, Disk: j.Disk,
 		})
 		_, err := service.DecodeJobSpec(bytes.NewReader(doc))
 		return err
@@ -43,7 +43,7 @@ var frontEnds = []struct {
 		doc, _ := json.Marshal(soak.Scenario{
 			Name: "x", Program: j.Program, Ranks: j.Nodes, Records: j.Records, RecordSize: j.RecordSize,
 			ColumnsPerNode: j.ColumnsPerNode, Distribution: j.Distribution, Seed: j.Seed,
-			Parallelism: j.Parallelism, Buffers: j.Buffers, Disk: j.Disk,
+			Buffers: j.Buffers, Disk: j.Disk,
 		})
 		_, err := soak.DecodeScenario(bytes.NewReader(doc))
 		return err
@@ -93,7 +93,6 @@ func TestMalformedJobsRejectedEverywhere(t *testing.T) {
 		"columns overflow":     mutate(func(j *harness.Job) { j.Nodes, j.ColumnsPerNode = 1<<32, 1<<32 }),
 		"unknown distribution": mutate(func(j *harness.Job) { j.Distribution = "bimodal" }),
 		"negative seed":        mutate(func(j *harness.Job) { j.Seed = -1 }),
-		"negative parallelism": mutate(func(j *harness.Job) { j.Parallelism = -1 }),
 		"negative buffers":     mutate(func(j *harness.Job) { j.Buffers = -1 }),
 	}
 	for name, j := range malformed {

@@ -36,18 +36,19 @@ type Params struct {
 	Network        cluster.NetworkModel
 	Verify         bool
 
-	// Parallelism, AutoTune and Observe are handed to every program as its
-	// oocsort.Options (which documents them): 0 workers uses all cores, 1
-	// pins the compute kernels to their serial paths — the
-	// serial-vs-parallel end-to-end benchmarks flip this and nothing else —
-	// and an enabled AutoTune starts its knobs from Parallelism. When
-	// Observe carries a Tracer, the harness additionally records every
+	// Deprecated: kernels take no width. The field holds nothing and stays
+	// only until the benchmark stops naming it (ROADMAP 1(d)).
+	Parallelism struct{}
+	// Deprecated: there is no run-time tuner. The field holds nothing and
+	// stays only until the benchmark stops naming it (ROADMAP 1(d)).
+	AutoTune struct{}
+
+	// Observe is handed to every program as its oocsort.Options.Observe.
+	// When it carries a Tracer, the harness additionally records every
 	// node's blocking cluster communication as comm events on that timeline,
 	// and when it carries a Metrics registry, the cluster's per-node traffic
 	// counters are registered with it.
-	Parallelism int
-	AutoTune    fg.AutoTune
-	Observe     *fg.Observe
+	Observe *fg.Observe
 
 	// Transport selects the cluster transport. The zero value keeps the
 	// in-process backend; Kind "tcp" moves inter-rank messages over real
@@ -81,7 +82,7 @@ type Params struct {
 	// RankTelemetry record per interval toward the aggregator rank, and
 	// pull requests for black boxes and profiles are served. The harness
 	// fills Collect and Blackbox from Observe — the rank's fg snapshot
-	// (stages, pools, knob positions, an open stall episode) from the
+	// (stages, pools, an open stall episode) from the
 	// metrics registry, the tracer's most recent events as the black box.
 	// The zero value disables the plane.
 	Telemetry cluster.TelemetryConfig
@@ -196,10 +197,7 @@ func (pr Params) startTelemetry(c *cluster.Cluster) {
 		return
 	}
 	cfg, o := pr.Telemetry, pr.Observe // ensureTelemetryObserve saw to o and its registry
-	tunerRank := c.Local()[0].Rank()
-	cfg.Collect = func(rank int) (json.RawMessage, int64) {
-		return collect(o.Metrics, rank, rank == tunerRank)
-	}
+	cfg.Collect = func(rank int) (json.RawMessage, int64) { return collect(o.Metrics, rank) }
 	if o.Tracer != nil {
 		cfg.Blackbox = o.Tracer.WriteBlackBox
 	}
@@ -315,7 +313,7 @@ func (pr Params) runOnce(prog Program, dist workload.Distribution, buffers int, 
 	}
 	pr.ensureTelemetryObserve()
 	l := launch{nodes: pr.Nodes, columnsPerNode: pr.ColumnsPerNode, buffers: buffers, tune: tune}
-	l.opts.Parallelism, l.opts.AutoTune, l.opts.Observe = pr.Parallelism, pr.AutoTune, pr.Observe
+	l.opts.Observe = pr.Observe
 	if l.spec, err = pr.Spec(dist); err != nil {
 		return oocsort.Result{}, err
 	}

@@ -31,8 +31,7 @@ type Job struct {
 	Distribution   string `json:"distribution,omitempty"`     // workload.ParseDistribution spelling; "" means uniform
 	Seed           int64  `json:"seed,omitempty"`             // 0 means 1
 
-	Parallelism int `json:"parallelism,omitempty"` // intra-buffer kernel workers; 0 means all cores
-	Buffers     int `json:"buffers,omitempty"`     // per-pipeline buffer pool; 0 keeps the program's default
+	Buffers int `json:"buffers,omitempty"` // per-pipeline buffer pool; 0 keeps the program's default
 
 	Disk *DiskSpec `json:"disk,omitempty"` // nil keeps the base Params' disk model
 }
@@ -114,7 +113,7 @@ func (j Job) Validate() error {
 	if j.Records <= 0 {
 		return fmt.Errorf("non-positive record count %d", j.Records)
 	}
-	if j.ColumnsPerNode < 0 || j.Seed < 0 || j.Parallelism < 0 || j.Buffers < 0 {
+	if j.ColumnsPerNode < 0 || j.Seed < 0 || j.Buffers < 0 {
 		return errors.New("negative scalar in job description")
 	}
 	if j.RecordSize < records.MinRecordSize {
@@ -137,14 +136,14 @@ func (j Job) Validate() error {
 	return nil
 }
 
-// Apply compiles a valid job onto pr: the cluster and data shape, the seed,
-// the kernel parallelism and, if the job names one, the disk model.
+// Apply compiles a valid job onto pr: the cluster and data shape, the seed
+// and, if the job names one, the disk model.
 // Everything else in pr — transport, resilience, observability — is the
 // front end's business and passes through.
 func (j Job) Apply(pr Params) Params {
 	j = j.WithDefaults()
 	pr.Nodes, pr.TotalRecords, pr.RecordSize, pr.ColumnsPerNode = j.Nodes, j.Records, j.RecordSize, j.ColumnsPerNode
-	pr.Seed, pr.Parallelism = j.Seed, j.Parallelism
+	pr.Seed = j.Seed
 	if j.Disk != nil {
 		pr.Disk = j.Disk.Model()
 	}

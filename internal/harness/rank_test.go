@@ -32,7 +32,7 @@ var testArgs = []string{"-test.run=^$"}
 // tcpJob is the job the ranks agree on: small enough to run in
 // milliseconds, big enough that csort's passes exchange bulk column frames
 // over the wire.
-var tcpJob = Job{Program: "csort", Nodes: 2, Records: 1 << 12, Seed: 7, Parallelism: 1}
+var tcpJob = Job{Program: "csort", Nodes: 2, Records: 1 << 12, Seed: 7}
 
 // launchRanks starts every rank of job as a separate OS process of this
 // test binary, each description adjusted by tweak; the cleanup kills

@@ -42,16 +42,11 @@ func rankOfNetwork(name string) (int, bool) {
 // view without an edit here.
 type rankBody struct {
 	Networks []fg.NetworkStats
-	// Knobs and Adjustments are the process's auto-tuner state. Tuners carry
-	// no rank, so they ride the process's first local rank — exactly right
-	// in the one-rank-per-process deployments the fleet view exists for.
-	Knobs       []fg.KnobState `json:",omitempty"`
-	Adjustments int64          `json:",omitempty"`
 }
 
 // collect is the plane's Collect callback: the registry's "@rank" networks,
 // snapshotted, and the newest stall episode among them.
-func collect(reg *fg.MetricsRegistry, rank int, tuners bool) (json.RawMessage, int64) {
+func collect(reg *fg.MetricsRegistry, rank int) (json.RawMessage, int64) {
 	var body rankBody
 	var stallAt int64
 	for _, nw := range reg.Networks() {
@@ -59,20 +54,6 @@ func collect(reg *fg.MetricsRegistry, rank int, tuners bool) (json.RawMessage, i
 			st := nw.Stats()
 			body.Networks = append(body.Networks, st)
 			stallAt = max(stallAt, st.StalledAt)
-		}
-	}
-	if tuners {
-		at := map[string]int{} // stage -> index in Knobs; the newest pass's tuner wins
-		for _, t := range reg.Tuners() {
-			body.Adjustments += t.Adjustments()
-			for _, k := range t.KnobStates() {
-				if i, seen := at[k.Stage]; seen {
-					body.Knobs[i] = k
-				} else {
-					at[k.Stage] = len(body.Knobs)
-					body.Knobs = append(body.Knobs, k)
-				}
-			}
 		}
 	}
 	data, _ := json.Marshal(body) // plain structs of numbers and strings: cannot fail
@@ -85,9 +66,7 @@ func collect(reg *fg.MetricsRegistry, rank int, tuners bool) (json.RawMessage, i
 type FleetRank struct {
 	cluster.RankStatus
 	// Networks is what the rank's /status.json serves, as of its record.
-	Networks    []fg.NetworkStatus `json:"networks,omitempty"`
-	Knobs       []fg.KnobState     `json:"knobs,omitempty"`
-	Adjustments int64              `json:"adjustments,omitempty"`
+	Networks []fg.NetworkStatus `json:"networks,omitempty"`
 	// Bottleneck is the stage governing the rank's wall clock; Rank is -1
 	// when the rank has reported no stage work.
 	Bottleneck FleetBottleneck `json:"bottleneck"`
@@ -147,7 +126,7 @@ func readRank(rs cluster.RankStatus) FleetRank {
 	// a rank with nothing to say: its entry shows the envelope alone.
 	_ = json.Unmarshal(rs.Record.Body, &body)
 	rs.Record.Body = nil // Status hands out copies
-	fr.stats, fr.Knobs, fr.Adjustments = body.Networks, body.Knobs, body.Adjustments
+	fr.stats = body.Networks
 	// The governing stage of the rank: the busiest among its live networks
 	// (old passes' finished networks stay registered and would otherwise
 	// dominate forever), else among the finished ones, so a completed run
@@ -324,10 +303,6 @@ func emitFleet(st FleetStatus, emit fg.EmitFunc) {
 		}
 		for _, nw := range fr.stats {
 			nw.EmitMetrics(ranked)
-		}
-		emit("fleet_autotune_adjustments_total", rl(), float64(fr.Adjustments))
-		for _, k := range fr.Knobs {
-			emit("fleet_autotune_workers", map[string]string{"rank": rank, "stage": k.Stage}, float64(k.Workers))
 		}
 	}
 	emit("fleet_telemetry_decode_errors_total", map[string]string{}, float64(st.DecodeErrors))

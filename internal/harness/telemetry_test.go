@@ -160,7 +160,7 @@ func TestFleetMetricFamilies(t *testing.T) {
 		Pipelines: []fg.PipelineStats{{Name: "main"}},
 		Stages:    []fg.StageStats{{Stage: "sort", Pipeline: "main", Work: time.Millisecond}},
 	}
-	body, err := json.Marshal(rankBody{Networks: []fg.NetworkStats{stats}, Knobs: []fg.KnobState{{Stage: "sort", Workers: 2}}})
+	body, err := json.Marshal(rankBody{Networks: []fg.NetworkStats{stats}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,6 @@ func TestFleetMetricFamilies(t *testing.T) {
 		"fleet_comm_messages_sent_total": "rank", "fleet_comm_bytes_sent_total": "rank",
 		"fleet_comm_messages_recvd_total": "rank", "fleet_comm_bytes_recvd_total": "rank",
 		"fleet_comm_sends_blocked": "rank", "fleet_comm_recvs_blocked": "rank", "fleet_comm_reconnects_total": "rank",
-		"fleet_autotune_adjustments_total": "rank", "fleet_autotune_workers": "rank,stage",
 		"fleet_stage_work_seconds_total": stage, "fleet_stage_rounds_total": stage, "fleet_stage_queue_len": stage,
 		"fleet_bottleneck_work_seconds": "rank", "fleet_bottleneck_governing": "rank",
 		"fleet_telemetry_decode_errors_total": "",
@@ -299,8 +298,8 @@ func TestFleetEntryIsTheRanksOwnStatus(t *testing.T) {
 		}
 		families[name] = true
 	}
-	if len(families) != 13 {
-		t.Errorf("compared %d fg_stage/pipeline/network families, want all 13: %v", len(families), sortedKeys(families))
+	if len(families) != 12 {
+		t.Errorf("compared %d fg_stage/pipeline/network families, want all 12: %v", len(families), sortedKeys(families))
 	}
 }
 
@@ -370,7 +369,6 @@ func TestClusterTelemetryInproc(t *testing.T) {
 	pr.Nodes = 2
 	pr.TotalRecords = 1 << 12
 	pr.RecordSize = 16
-	pr.Parallelism = 1
 	pr.Verify = false
 	pr.Telemetry = cluster.TelemetryConfig{Interval: 2 * time.Millisecond}
 	if _, err := pr.Run(Dsort, workload.Uniform, 0); err != nil {

@@ -1,9 +1,10 @@
 // Package sortalgo provides the in-memory sorting kernels the pipeline
 // stages use: a stable radix sort on fixed-size records keyed by their
-// 8-byte big-endian prefix that skips the bits all records share, and a
-// two-way merge for columnsort's sorted-halves step. The sort stages of both
-// csort and dsort are pure computation on one buffer at a time; keeping them
-// fast maximizes the latency-hiding the pipelines can achieve.
+// 8-byte big-endian prefix that skips the bits all records share, a
+// two-way merge for columnsort's sorted-halves step, and dsort's stable
+// partition scatter. Each kernel is pure computation on one buffer, run on
+// the goroutine of the stage that calls it; keeping them fast maximizes the
+// latency-hiding the pipelines can achieve.
 package sortalgo
 
 import (
@@ -35,7 +36,7 @@ func SortRecords(f records.Format, data, scratch []byte) {
 // radixSort sorts data, whose keys agree on their top known bits (known <
 // 64): two stable 8-bit scatter passes order the 16 bits after the prefix all
 // records share, aligned to the bit, and the groups still tied on them are
-// finished a level down, at most four deep (DESIGN.md, "Multicore kernels").
+// finished a level down, at most four deep (DESIGN.md, "Kernels").
 func radixSort(size int, data, scratch []byte, known int) {
 	if len(data) <= insertionMax*size {
 		insertionSort(size, data, scratch)
@@ -258,3 +259,67 @@ func KeyUpperBound(f records.Format, data []byte, key uint64) int {
 	}
 	return lo
 }
+
+// PartitionRecords rearranges the records of data into dst so that records
+// of the same partition are contiguous and partitions appear in index
+// order; within a partition records keep their input order (the scatter is
+// stable, which dsort's extended-key semantics rely on). classify returns
+// the partition of record i. The returned slice holds each partition's
+// record count — freshly allocated, because dsort attaches it to the buffer
+// as Meta and it outlives the call. workers is ignored; it stays until the
+// benchmark stops passing it (ROADMAP 1(d)).
+func PartitionRecords(f records.Format, data, dst []byte, parts int, classify func(i int) int, workers int) []int {
+	n := f.Count(len(data))
+	if len(dst) < len(data) {
+		panic("sortalgo: partition destination too small")
+	}
+	counts := make([]int, parts)
+	if n == 0 {
+		return counts
+	}
+	t := partitionPool.Get().(*partitionTable)
+	defer partitionPool.Put(t)
+	if cap(t.partOf) < n {
+		t.partOf = make([]int32, n)
+	}
+	if cap(t.next) < parts {
+		t.next = make([]int, parts)
+	}
+	partOf, next := t.partOf[:n], t.next[:parts]
+	for i := range partOf {
+		d := classify(i)
+		partOf[i] = int32(d)
+		counts[d]++
+	}
+	pos := 0
+	for d, c := range counts {
+		next[d] = pos
+		pos += c
+	}
+	// Record i goes to slot next[partOf[i]], which advances. Like scatter,
+	// the move is picked once per call: 16-byte records move as an array
+	// assignment.
+	size := f.Size
+	if size == 16 {
+		for i, d := range partOf {
+			*(*[16]byte)(dst[next[d]*16:]) = *(*[16]byte)(data[i*16:])
+			next[d]++
+		}
+		return counts
+	}
+	for i, d := range partOf {
+		copy(dst[next[d]*size:], data[i*size:(i+1)*size])
+		next[d]++
+	}
+	return counts
+}
+
+// A partitionTable is PartitionRecords' per-call scratch: each record's
+// partition and each partition's next slot. The kernel runs once per
+// pipeline round for the whole life of a sort, so the table is recycled.
+type partitionTable struct {
+	partOf []int32
+	next   []int
+}
+
+var partitionPool = sync.Pool{New: func() any { return new(partitionTable) }}

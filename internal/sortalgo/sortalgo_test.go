@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -237,8 +238,9 @@ func TestMergeSortedPanicsOnSmallDst(t *testing.T) {
 
 // TestSerialKernelsAllocateNothing: with the caller's scratch and
 // destination, the radix sort and the two-way merge — the kernels every
-// buffer of every pass goes through — allocate nothing. The sort is held to
-// that on every benchmark shape, recursion included, at 16 and 64 bytes.
+// buffer of every pass goes through — allocate nothing, and the partition
+// allocates only the counts it returns. The sort is held to that on every
+// benchmark shape, recursion included, at 16 and 64 bytes.
 func TestSerialKernelsAllocateNothing(t *testing.T) {
 	for _, size := range []int{16, 64} {
 		f := records.NewFormat(size)
@@ -268,6 +270,123 @@ func TestSerialKernelsAllocateNothing(t *testing.T) {
 	mergeOnce()
 	if allocs := testing.AllocsPerRun(20, mergeOnce); allocs != 0 {
 		t.Errorf("MergeSorted into a caller destination allocates %.0f objects, want 0", allocs)
+	}
+	if raceEnabled {
+		return // the partition's pooled table may be dropped and remade
+	}
+	classify := func(i int) int { return int(f.KeyAt(data, i) % 16) }
+	partitionOnce := func() { PartitionRecords(f, data, scratch, 16, classify, 1) }
+	partitionOnce()
+	if allocs := testing.AllocsPerRun(20, partitionOnce); allocs != 1 {
+		t.Errorf("PartitionRecords into a caller destination allocates %.0f objects, want 1 (the counts it returns)", allocs)
+	}
+}
+
+func recordsFromKeys(f records.Format, keys []uint64) []byte {
+	data := make([]byte, f.Bytes(len(keys)))
+	for i, k := range keys {
+		rec := f.At(data, i)
+		f.SetKey(rec, k)
+		if f.HasID() {
+			f.StampID(rec, records.MakeID(0, uint64(i)))
+		}
+	}
+	return data
+}
+
+// TestMergeSortedAllEqual pins the stability corner directly: with every key
+// equal, the merge must emit all of a, then all of b.
+func TestMergeSortedAllEqual(t *testing.T) {
+	f := records.NewFormat(16)
+	const na, nb = 700, 500
+	mk := func(n, node int) []byte {
+		data := make([]byte, f.Bytes(n))
+		for i := 0; i < n; i++ {
+			f.SetKey(f.At(data, i), 77)
+			f.StampID(f.At(data, i), records.MakeID(uint32(node), uint64(i)))
+		}
+		return data
+	}
+	a, b := mk(na, 1), mk(nb, 2)
+	dst := make([]byte, len(a)+len(b))
+	MergeSorted(f, a, b, dst)
+	for i := 0; i < na+nb; i++ {
+		wantNode, wantSeq := uint32(1), uint64(i)
+		if i >= na {
+			wantNode, wantSeq = 2, uint64(i-na)
+		}
+		node, seq := records.SplitID(f.IDAt(dst, i))
+		if node != wantNode || seq != wantSeq {
+			t.Fatalf("position %d holds (n%d,#%d), want (n%d,#%d)", i, node, seq, wantNode, wantSeq)
+		}
+	}
+}
+
+// partitionOracle is the permute written plainly: a counting sort on the
+// partition index.
+func partitionOracle(f records.Format, data []byte, parts int, classify func(i int) int) ([]byte, []int) {
+	n := f.Count(len(data))
+	size := f.Size
+	counts := make([]int, parts)
+	idx := make([]int, n)
+	for i := 0; i < n; i++ {
+		idx[i] = classify(i)
+		counts[idx[i]]++
+	}
+	offsets := make([]int, parts)
+	pos := 0
+	for d := 0; d < parts; d++ {
+		offsets[d] = pos
+		pos += counts[d]
+	}
+	out := make([]byte, len(data))
+	for i := 0; i < n; i++ {
+		d := idx[i]
+		copy(out[offsets[d]*size:], data[i*size:(i+1)*size])
+		offsets[d]++
+	}
+	return out, counts
+}
+
+// TestPartitionRecordsMatchesOracle holds the partition scatter to the
+// oracle on 16-byte records (the array move) and 24- and 64-byte ones (the
+// copy), with one partition, with many, and with every record in the last
+// partition, leaving the others empty.
+func TestPartitionRecordsMatchesOracle(t *testing.T) {
+	for _, size := range []int{16, 24, 64} {
+		f := records.NewFormat(size)
+		fn := func(keys []uint64, parts8 uint8, lastOnly bool) bool {
+			data := recordsFromKeys(f, keys)
+			for _, parts := range []int{1, int(parts8%16) + 1} {
+				classify := func(i int) int { return int(f.KeyAt(data, i) % uint64(parts)) }
+				if lastOnly {
+					classify = func(int) int { return parts - 1 }
+				}
+				want, wantCounts := partitionOracle(f, data, parts, classify)
+				dst := make([]byte, len(data))
+				gotCounts := PartitionRecords(f, data, dst, parts, classify, 1)
+				if !bytes.Equal(dst, want) || !slices.Equal(gotCounts, wantCounts) {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(fn, &quick.Config{MaxCount: 60}); err != nil {
+			t.Errorf("%d-byte records: %v", size, err)
+		}
+	}
+}
+
+func TestPartitionRecordsLarge(t *testing.T) {
+	f := records.NewFormat(16)
+	const n, parts = 40 << 10, 16
+	data := randomRecords(f, n, 0, 99)
+	classify := func(i int) int { return int(f.KeyAt(data, i) % parts) }
+	want, _ := partitionOracle(f, data, parts, classify)
+	dst := make([]byte, len(data))
+	PartitionRecords(f, data, dst, parts, classify, 1)
+	if !bytes.Equal(dst, want) {
+		t.Fatal("partition diverges from oracle")
 	}
 }
 

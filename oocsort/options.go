@@ -4,8 +4,8 @@ package oocsort
 // driver that turns a list of passes into a running, checkpointable job.
 // dsort, dsort-linear, csort and csort4 differ in their pass bodies only;
 // how a pass is timed, aligned, checkpointed and resumed, and how each pass's
-// FG network is named, observed, tuned and tied to the cluster's fate, is
-// decided here.
+// FG network is named, observed and tied to the cluster's fate, is decided
+// here.
 
 import (
 	"encoding/json"
@@ -18,26 +18,16 @@ import (
 
 // Options are the run-time options common to the sorting programs. Each
 // program's configuration (dsort.Config, colsort.Plan) embeds it, so the
-// fields are set as cfg.Parallelism, pl.Observe, and so on.
+// fields are set as pl.Observe, cfg.Checkpoint, and so on.
 type Options struct {
-	// Parallelism bounds the intra-buffer parallelism of the compute stages
-	// (dsort's permute and csort's sorted-halves merge; the sorts and
-	// dsort's k-way merge are serial at every width): they use the multicore kernels in
-	// internal/sortalgo with up to this many workers from the process-wide
-	// shared pool. 0 (the default) means GOMAXPROCS; 1 forces the serial
-	// kernels, which the serial-vs-parallel benchmarks compare against.
-	// Intra-buffer parallelism preserves buffer order and adds no
-	// buffer-pool pressure; see DESIGN.md, "Multicore kernels".
-	Parallelism int
+	// Deprecated: kernels run on their stage's goroutine and take no width.
+	// The field holds nothing and stays only until the benchmark stops
+	// naming it (ROADMAP 1(d)).
+	Parallelism struct{}
 
-	// AutoTune, when enabled, attaches a run-time self-tuner to every
-	// network the program builds: it samples each network's bottleneck and
-	// pool occupancy and adjusts the compute stages' worker counts and each
-	// pipeline's circulating-buffer count within the configured bounds —
-	// recovering from a mis-set Parallelism or buffer count without a
-	// restart. Parallelism becomes the initial worker count rather than a
-	// fixed one. The zero value disables tuning.
-	AutoTune fg.AutoTune
+	// Deprecated: there is no run-time tuner. The field holds nothing and
+	// stays only until the benchmark stops naming it (ROADMAP 1(d)).
+	AutoTune struct{}
 
 	// Observe, if non-nil, is attached to every network the program builds
 	// (one per pass per node), putting all of them on one trace timeline
@@ -51,37 +41,16 @@ type Options struct {
 	// rerunning it from the previous boundary is exactly the recovery a
 	// supervisor wants. Nil disables checkpointing.
 	Checkpoint fg.Checkpoint
-
-	// tuner is created by RunPasses from AutoTune and travels with the
-	// Options' value copies into the passes; nil when tuning is disabled.
-	tuner *fg.AutoTuner
-}
-
-// Workers returns the per-round worker-count source for the named compute
-// stage: the tuner's knob (one atomic load per round) when AutoTune is
-// enabled, else the static Parallelism.
-func (o Options) Workers(stage string) func() int {
-	if k := o.tuner.Knob(stage, o.Parallelism); k != nil {
-		return k.Workers
-	}
-	p := o.Parallelism
-	return func() int { return p }
 }
 
 // Network starts one pass's FG network on node n, named name@rank: a
 // failing stage aborts the whole cluster (a pass is a cluster-wide phase, so
-// the other ranks must not wait for a peer that has given up), Observe is
-// attached, and the run's tuner samples it. Defer the returned function; it
-// stops the tuner's sampling and closes the observation.
+// the other ranks must not wait for a peer that has given up), and Observe
+// is attached. Defer the returned function; it closes the observation.
 func (o Options) Network(n *cluster.Node, name string) (*fg.Network, func()) {
 	nw := fg.NewNetwork(fmt.Sprintf("%s@%d", name, n.Rank()))
 	nw.OnFail(func(error) { n.Cluster().Abort() })
-	finish := o.Observe.Attach(nw)
-	stopTuning := o.tuner.Tune(nw)
-	return nw, func() {
-		stopTuning()
-		finish()
-	}
+	return nw, o.Observe.Attach(nw)
 }
 
 // A Pass is one cluster-wide phase of a sorting program.
@@ -114,12 +83,9 @@ type Pass struct {
 // remainder; each completed pass is checkpointed before its closing barrier,
 // so once any rank has entered pass i+1, every rank's pass-i checkpoint is
 // committed. The barriers align the passes, so every node reports
-// cluster-wide pass times. It creates the run's tuner in *o before any Body
-// runs.
-func RunPasses(n *cluster.Node, o *Options, program string, passes []Pass) (Result, error) {
+// cluster-wide pass times.
+func RunPasses(n *cluster.Node, o Options, program string, passes []Pass) (Result, error) {
 	res := Result{Program: program}
-	o.tuner = fg.NewAutoTuner(o.AutoTune)
-	o.Observe.AttachTuner(o.tuner)
 	barrier := n.Comm(program + ".barrier")
 	failed := func(doing string, p Pass, err error) (Result, error) {
 		return res, fmt.Errorf("%s: %s%s on node %d: %w", program, doing, p.Name, n.Rank(), err)

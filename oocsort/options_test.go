@@ -34,7 +34,7 @@ func toyProgram(t *testing.T, ck fg.Checkpoint, failIn string) (res []Result, ra
 				return f()
 			}
 		}
-		r, err := RunPasses(n, &o, "toy", []Pass{
+		r, err := RunPasses(n, o, "toy", []Pass{
 			{Name: "a", Align: true, Artifacts: []string{"fa"}, State: &state, Body: body("a", func() error {
 				state = []int{n.Rank(), 7}
 				return n.Disk.WriteAt("fa", []byte("aaaa"), 0)
@@ -152,9 +152,6 @@ func TestOptionsNetworkAbortsClusterOnFailure(t *testing.T) {
 			n.Comm("toy").Recv(0, 1) // never sent: only the abort releases it
 			return nil
 		})
-		if got := o.Workers("s")(); got != 0 {
-			t.Errorf("untuned Workers = %d, want Parallelism 0", got)
-		}
 		return nw.Run()
 	})
 	if err == nil || !strings.Contains(err.Error(), "rank 0 gives up") {

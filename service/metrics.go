@@ -23,7 +23,6 @@ var daemonHelp = map[string]string{
 	"fgd_jobs_running_max":     "high-water mark of concurrently running jobs",
 	"fgd_queue_depth":          "jobs waiting in the admission queue",
 	"fgd_queue_cap":            "admission queue capacity",
-	"fgd_pool_workers":         "size of the shared kernel worker pool",
 }
 
 // newMetrics builds the registry behind GET /metrics: the daemon ledger and
@@ -55,7 +54,6 @@ func (s *Server) emitLedger(emit fg.EmitFunc) {
 	emit("fgd_jobs_running_max", nil, float64(st.MaxRunningObserved))
 	emit("fgd_queue_depth", nil, float64(st.QueueDepth))
 	emit("fgd_queue_cap", nil, float64(st.QueueCap))
-	emit("fgd_pool_workers", nil, float64(st.PoolWorkers))
 	emit("fgd_jobs_rejected_total", map[string]string{"reason": "queue_full"}, float64(st.RejectedFull))
 	emit("fgd_jobs_rejected_total", map[string]string{"reason": "quota"}, float64(st.RejectedQuota))
 	emit("fgd_jobs_rejected_total", map[string]string{"reason": "invalid"}, float64(st.RejectedInvalid))

@@ -1,7 +1,7 @@
 // Package service turns the FG reproduction from a one-shot binary into a
 // long-running, multi-tenant dataflow daemon: many FG networks from many
-// submitted jobs run concurrently against shared resources — the
-// internal/parallel kernel pool, simulated pdm disks, per-job temp dirs —
+// submitted jobs run concurrently against shared resources — the process's
+// cores, simulated pdm disks, per-job temp dirs —
 // behind admission control, per-job quotas, a bounded FIFO job queue with
 // backpressure, per-job cancellation via the cluster abort machinery, and
 // graceful drain. One failed (even panicking) job never takes the daemon
@@ -27,7 +27,6 @@ import (
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/harness"
-	"github.com/fg-go/fg/internal/parallel"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/supervise"
 )
@@ -383,14 +382,6 @@ func (s *Server) params(j *Job) (harness.Params, func(), error) {
 	sp := j.Spec
 	pr := sp.job().Apply(harness.DefaultParams())
 	pr.Verify = !sp.SkipVerify
-	pr.Parallelism = s.effectiveWorkers(sp.Parallelism)
-	if sp.AutoTune {
-		at := fg.DefaultAutoTune()
-		if mw := s.cfg.Limits.MaxWorkers; mw > 0 && at.Max > mw {
-			at.Max = mw
-		}
-		pr.AutoTune = at
-	}
 
 	obs := &fg.Observe{
 		Metrics: fg.NewMetricsRegistry(),
@@ -436,20 +427,6 @@ func (s *Server) params(j *Job) (harness.Params, func(), error) {
 		s.cfg.OnJobParams(j.ID, &pr)
 	}
 	return pr, cleanup, nil
-}
-
-// effectiveWorkers applies the worker quota to the spec's parallelism
-// knob: explicit asks were bounded at admission; the "all cores" default
-// is clamped here so one tenant cannot monopolize the kernel pool.
-func (s *Server) effectiveWorkers(asked int) int {
-	mw := s.cfg.Limits.MaxWorkers
-	if mw <= 0 {
-		return asked
-	}
-	if asked == 0 || asked > mw {
-		return mw
-	}
-	return asked
 }
 
 // Draining reports whether a drain or close has begun.
@@ -529,7 +506,6 @@ type ServerStatus struct {
 	QueueDepth         int     `json:"queue_depth"`
 	Running            int     `json:"running"`
 	MaxRunningObserved int     `json:"max_running_observed"`
-	PoolWorkers        int     `json:"pool_workers"`
 
 	Submitted        int64 `json:"submitted"`
 	Accepted         int64 `json:"accepted"`
@@ -555,7 +531,6 @@ func (s *Server) Status(withJobs bool) ServerStatus {
 		QueueDepth:         len(s.queue),
 		Running:            s.running,
 		MaxRunningObserved: s.maxRun,
-		PoolWorkers:        poolWorkers(),
 		Submitted:          s.ctr.submitted,
 		Accepted:           s.ctr.accepted,
 		RejectedFull:       s.ctr.rejectedFull,
@@ -579,8 +554,3 @@ func (s *Server) Status(withJobs bool) ServerStatus {
 	}
 	return st
 }
-
-// poolWorkers reports the shared kernel pool's current size, for status
-// and metrics views: one pool serves every job's kernels, so its size is
-// daemon-level, not per-job.
-func poolWorkers() int { return parallel.Workers() }

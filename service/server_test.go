@@ -163,7 +163,7 @@ func TestAPISubmitPollResult(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
-	for _, want := range []string{"fgd_up 1", "fgd_jobs_done_total 1", "fgd_jobs_submitted_total 1", "fgd_pool_workers"} {
+	for _, want := range []string{"fgd_up 1", "fgd_jobs_done_total 1", "fgd_jobs_submitted_total 1"} {
 		if !bytes.Contains(raw, []byte(want)) {
 			t.Errorf("metrics scrape missing %q:\n%s", want, raw)
 		}
@@ -573,7 +573,7 @@ func TestFinishedJobsDoNotPinTheirHeaps(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return float64(ms.HeapAlloc) / (1 << 20)
 	}
-	run(8) // warm-up: recycled buffers, worker pool, a full retention quota
+	run(8) // warm-up: recycled buffers, a full retention quota
 	before := live()
 	run(50)
 	after := live()

@@ -37,16 +37,10 @@ type JobSpec struct {
 	// Seed makes the workload deterministic. Zero defaults to 1.
 	Seed int64 `json:"seed,omitempty"`
 
-	// Parallelism is the intra-buffer kernel worker knob (0 = all cores,
-	// clamped to the daemon's per-job worker quota).
-	Parallelism int `json:"parallelism,omitempty"`
 	// Buffers overrides each pipeline's circulating buffer pool (0 keeps
 	// the program default; explicit values above the daemon's buffer quota
 	// are rejected at admission).
 	Buffers int `json:"buffers,omitempty"`
-	// AutoTune lets a run-time tuner adjust kernel workers and circulating
-	// buffers, within the daemon's quotas.
-	AutoTune bool `json:"autotune,omitempty"`
 
 	// SkipVerify skips the output verification pass. The default verifies:
 	// a service result that says "done" means "sorted, striped, and a
@@ -125,7 +119,7 @@ func (s JobSpec) job() harness.Job {
 	return harness.Job{
 		Program: s.Program, Nodes: s.Nodes, Records: s.Records, RecordSize: s.RecordSize,
 		ColumnsPerNode: s.ColumnsPerNode, Distribution: s.Distribution, Seed: s.Seed,
-		Parallelism: s.Parallelism, Buffers: s.Buffers, Disk: s.Disk,
+		Buffers: s.Buffers, Disk: s.Disk,
 	}.WithDefaults()
 }
 
@@ -201,10 +195,6 @@ type Limits struct {
 	// per-job disk quota, since every simulated disk lives in the daemon's
 	// memory.
 	MaxBytes int64 `json:"max_bytes,omitempty"`
-	// MaxWorkers bounds a job's intra-buffer kernel parallelism: an
-	// explicit ask above it is rejected, and the "all cores" default (and
-	// the auto-tuner's upper bound) is clamped to it.
-	MaxWorkers int `json:"max_workers,omitempty"`
 	// MaxBuffers bounds a job's explicit per-pipeline buffer pool.
 	MaxBuffers int `json:"max_buffers,omitempty"`
 	// MaxAttempts bounds a job's supervised attempt budget.
@@ -231,9 +221,6 @@ func (l Limits) Admit(s JobSpec) error {
 	}
 	if l.MaxBytes > 0 && s.Bytes() > l.MaxBytes {
 		return quotaErrf("%d bytes of data exceeds the per-job limit of %d", s.Bytes(), l.MaxBytes)
-	}
-	if l.MaxWorkers > 0 && s.Parallelism > l.MaxWorkers {
-		return quotaErrf("parallelism %d exceeds the per-job limit of %d", s.Parallelism, l.MaxWorkers)
 	}
 	if l.MaxBuffers > 0 && s.Buffers > l.MaxBuffers {
 		return quotaErrf("%d buffers exceeds the per-job limit of %d", s.Buffers, l.MaxBuffers)

@@ -14,7 +14,7 @@ import (
 // denial of service for every tenant, which is exactly what the service
 // layer exists to prevent. Seeds are the checked-in examples plus the
 // malformations the strict decoder is documented to reject (mirroring
-// soak's FuzzScenarioPlan).
+// soak's FuzzScenarioPlan), among them fields it no longer knows.
 func FuzzJobSpec(f *testing.F) {
 	dir := filepath.Join("..", "examples", "jobspecs")
 	entries, err := os.ReadDir(dir)
@@ -36,6 +36,8 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add(`{} {}`)
 	f.Add(`[`)
 	f.Add(``)
+	// An old client's spec naming the deleted kernel knobs: refused.
+	f.Add(`{"program": "dsort-linear", "nodes": 16, "records": 1048576, "autotune": true, "parallelism": 2}`)
 	f.Fuzz(func(t *testing.T, doc string) {
 		s, err := DecodeJobSpec(strings.NewReader(doc))
 		if err != nil {

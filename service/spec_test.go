@@ -39,6 +39,8 @@ func TestExampleSpecsDecode(t *testing.T) {
 func TestDecodeJobSpecRejects(t *testing.T) {
 	cases := []struct{ name, doc, wantSub string }{
 		{"unknown field", `{"program":"dsort","nodes":4,"records":4096,"surprise":1}`, "surprise"},
+		{"parallelism is gone", `{"program":"dsort","nodes":4,"records":4096,"parallelism":2}`, `unknown field "parallelism"`},
+		{"autotune is gone", `{"program":"dsort","nodes":4,"records":4096,"autotune":true}`, `unknown field "autotune"`},
 		{"trailing data", `{"program":"dsort","nodes":4,"records":4096} {}`, "trailing"},
 		{"bad program", `{"program":"qsort","nodes":4,"records":4096}`, "unknown program"},
 		{"one node", `{"program":"dsort","nodes":1,"records":4096}`, "at least 2"},
@@ -65,7 +67,7 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 }
 
 func TestLimitsAdmit(t *testing.T) {
-	l := Limits{MaxNodes: 8, MaxBytes: 1 << 20, MaxWorkers: 4, MaxBuffers: 8, MaxAttempts: 3}
+	l := Limits{MaxNodes: 8, MaxBytes: 1 << 20, MaxBuffers: 8, MaxAttempts: 3}
 	ok := JobSpec{Program: "dsort", Nodes: 4, Records: 4096}
 	if err := l.Admit(ok); err != nil {
 		t.Fatalf("in-quota spec rejected: %v", err)
@@ -76,7 +78,6 @@ func TestLimitsAdmit(t *testing.T) {
 	}{
 		{"nodes", JobSpec{Program: "dsort", Nodes: 16, Records: 4096}},
 		{"bytes", JobSpec{Program: "dsort", Nodes: 4, Records: 1 << 20}},
-		{"workers", JobSpec{Program: "dsort", Nodes: 4, Records: 4096, Parallelism: 9}},
 		{"buffers", JobSpec{Program: "dsort", Nodes: 4, Records: 4096, Buffers: 99}},
 		{"attempts", JobSpec{Program: "dsort", Nodes: 4, Records: 4096, MaxAttempts: 4}},
 	}

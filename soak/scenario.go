@@ -58,8 +58,6 @@ type Scenario struct {
 	Distribution string `json:"distribution,omitempty"`
 	// Seed makes the workload deterministic. Zero defaults to 1.
 	Seed int64 `json:"seed,omitempty"`
-	// Parallelism is the intra-buffer kernel worker knob (0 = all cores).
-	Parallelism int `json:"parallelism,omitempty"`
 	// Buffers overrides each pipeline's circulating buffer pool (0 keeps
 	// the program default).
 	Buffers int `json:"buffers,omitempty"`
@@ -131,7 +129,7 @@ func (s Scenario) job() harness.Job {
 	return harness.Job{
 		Program: s.Program, Nodes: s.Ranks, Records: s.Records, RecordSize: s.RecordSize,
 		ColumnsPerNode: s.ColumnsPerNode, Distribution: s.Distribution, Seed: s.Seed,
-		Parallelism: s.Parallelism, Buffers: s.Buffers, Disk: s.Disk,
+		Buffers: s.Buffers, Disk: s.Disk,
 	}.WithDefaults()
 }
 

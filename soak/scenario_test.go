@@ -38,6 +38,7 @@ func TestDecodeScenarioRejects(t *testing.T) {
 		name, json, wantErr string
 	}{
 		{"unknown field", `{"name": "x", ` + base + `, "rnaks": 3}`, "unknown field"},
+		{"parallelism is gone", `{"name": "x", ` + base + `, "parallelism": 1}`, `unknown field "parallelism"`},
 		{"trailing garbage", `{"name": "x", ` + base + `} {"again": true}`, "trailing data"},
 		{"no name", `{` + base + `}`, "needs a name"},
 		{"name with slash", `{"name": "a/b", ` + base + `}`, "slashes"},
