@@ -1,10 +1,6 @@
 package fg
 
-import (
-	"testing"
-
-	"github.com/fg-go/fg/internal/spsc"
-)
+import "testing"
 
 // TestUnobservedRoundAllocatesNothing is the pay-nothing-when-off contract
 // of the stage runner: with no tracer, registry or watchdog attached, a
@@ -41,12 +37,11 @@ func TestUnobservedRoundAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRingHandoffAllocatesNothing: one buffer ping-ponged through a forward
-// and a return ringQueue — two pushes and two pops, the steady state of a
-// straight-line pipeline edge — allocates nothing, including when either
-// side has to park.
-func TestRingHandoffAllocatesNothing(t *testing.T) {
-	fwd, ret := &ringQueue{r: spsc.New[*Buffer](4)}, &ringQueue{r: spsc.New[*Buffer](4)}
+// TestHandoffAllocatesNothing: one buffer ping-ponged through a forward and
+// a return queue — two pushes and two pops, the steady state of a pipeline
+// edge — allocates nothing, including when either side has to park.
+func TestHandoffAllocatesNothing(t *testing.T) {
+	fwd, ret := newQueue(4, nil), newQueue(4, nil)
 	done := make(chan struct{})
 	echoed := make(chan struct{})
 	go func() {
@@ -73,6 +68,6 @@ func TestRingHandoffAllocatesNothing(t *testing.T) {
 	close(done)
 	<-echoed
 	if allocs != 0 {
-		t.Fatalf("a ring hand-off round trip allocates %.0f objects, want 0", allocs)
+		t.Fatalf("a hand-off round trip allocates %.0f objects, want 0", allocs)
 	}
 }

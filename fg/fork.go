@@ -33,7 +33,7 @@ type Fork struct {
 	branches [][]*Stage // per-branch chains
 	joined   bool
 	// branchQ[i][j] feeds branch i's stage j, built with the group's queues.
-	branchQ [][]queue
+	branchQ [][]*queue
 }
 
 // AddFork appends a fork stage that splits the pipeline into the given
@@ -119,7 +119,7 @@ func (b *Branch) AddStage(name string, fn RoundFunc) *Stage {
 // branchIn returns the input queue of branch i's stage j. One past the
 // branch's last stage — which for an empty bypass branch is at once — that
 // is the join's input queue on the spine.
-func (f *Fork) branchIn(i, j int) queue {
+func (f *Fork) branchIn(i, j int) *queue {
 	if j < len(f.branchQ[i]) {
 		return f.branchQ[i][j]
 	}
@@ -132,7 +132,7 @@ func (f *Fork) branchLoop(i, j int) roundLoop {
 	return roundLoop{
 		in:       f.branchIn(i, j),
 		members:  []*Stage{f.branches[i][j]},
-		outs:     []queue{f.branchIn(i, j+1)},
+		outs:     []*queue{f.branchIn(i, j+1)},
 		cabooses: 1,
 	}
 }

@@ -178,7 +178,7 @@ type group struct {
 	pipes   []*Pipeline
 	virtual bool
 
-	queues []queue      // queues[i] feeds stage i; queues[len(stages)] feeds the sink
+	queues []*queue     // queues[i] feeds stage i; queues[len(stages)] feeds the sink
 	pool   chan *Buffer // recycled buffers, all members mixed
 	wake   chan struct{}
 	// bufs lists every data buffer the source created, for the network to
@@ -255,33 +255,15 @@ func (g *group) build() error {
 			maxBranches = max(maxBranches, len(f.branches))
 		}
 	}
-	// Queue selection: a lock-free SPSC ring wherever exactly one goroutine
-	// produces and one consumes, a channel otherwise. The producer of
-	// queues[0] is the single source goroutine, the consumer of the last
-	// queue is the single sink goroutine, and the goroutine serving position
-	// i is single (a roundLoop or runFree) — but a join's input queue is fed
-	// by every branch tail plus the fork's bypass. So queues[i] is SPSC
-	// unless the stage at i is a join.
-	spscAt := func(i int) bool {
-		for _, p := range g.pipes {
-			if i < nStages && p.stages[i].join != nil {
-				return false
-			}
-		}
-		return true
-	}
-	g.queues = make([]queue, nStages+1)
-	for i := range g.queues {
-		g.queues[i] = newQueue(totalBufs+len(g.pipes)+maxBranches, spscAt(i))
-	}
 	// A push that misses the fast path is an invariant violation; surface
 	// it in the trace, tagged with the edge's consumer.
+	g.queues = make([]*queue, nStages+1)
 	for i := range g.queues {
 		consumer := "sink"
 		if i < nStages {
 			consumer = g.pipes[0].stages[i].name
 		}
-		g.queues[i].onSlowPush(func() { g.nw.noteSlowPush(g.name, consumer) })
+		g.queues[i] = newQueue(totalBufs+len(g.pipes)+maxBranches, func() { g.nw.noteSlowPush(g.name, consumer) })
 	}
 	g.pool = make(chan *Buffer, totalBufs)
 	for _, p := range g.pipes {
@@ -289,14 +271,11 @@ func (g *group) build() error {
 			s.restrictCtx(g.nw)
 		}
 		for _, f := range p.forks {
-			f.branchQ = make([][]queue, len(f.branches))
+			f.branchQ = make([][]*queue, len(f.branches))
 			for i, chain := range f.branches {
-				f.branchQ[i] = make([]queue, len(chain))
+				f.branchQ[i] = make([]*queue, len(chain))
 				for j, s := range chain {
-					// One producer (the fork or the previous branch stage) and
-					// one consumer: always ring-eligible.
-					f.branchQ[i][j] = newQueue(p.nBuffers+1, true)
-					f.branchQ[i][j].onSlowPush(func() { g.nw.noteSlowPush(g.name, s.name) })
+					f.branchQ[i][j] = newQueue(p.nBuffers+1, func() { g.nw.noteSlowPush(g.name, s.name) })
 					s.restrictCtx(g.nw)
 				}
 			}

@@ -5,115 +5,156 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/fg-go/fg/internal/spsc"
 )
 
-// TestQueueSelectionStraightLine: every queue of a plain linear pipeline has
-// one producing and one consuming goroutine, so the build must select the
-// lock-free SPSC ring for all of them.
-func TestQueueSelectionStraightLine(t *testing.T) {
-	nw := NewNetwork("sel")
-	p := nw.AddPipeline("main", Buffers(2), BufferBytes(8), Rounds(5))
-	p.AddStage("a", func(ctx *Ctx, b *Buffer) error { return nil })
-	p.AddStage("b", func(ctx *Ctx, b *Buffer) error { return nil })
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range p.group.queues {
-		if _, ok := q.(*ringQueue); !ok {
-			t.Errorf("queue %d is %T, want *ringQueue on a straight-line edge", i, q)
-		}
-	}
-}
-
-// TestQueueSelectionJoin: a join's input queue is fed by every branch tail
-// plus the fork's bypass — multiple producers — so it must be a channel,
-// while the fork's own input edge stays a ring.
-func TestQueueSelectionJoin(t *testing.T) {
-	nw := NewNetwork("sel")
-	p := nw.AddPipeline("main", Buffers(4), BufferBytes(8), Rounds(20))
-	p.AddStage("produce", func(ctx *Ctx, b *Buffer) error { return nil })
-	fork := p.AddFork("route", 2, func(ctx *Ctx, b *Buffer) (int, error) { return b.Round & 1, nil })
-	fork.Branch(0).AddStage("a", func(ctx *Ctx, b *Buffer) error { return nil })
-	fork.Branch(1).AddStage("b", func(ctx *Ctx, b *Buffer) error { return nil })
-	fork.Join()
-	p.AddStage("post", func(ctx *Ctx, b *Buffer) error { return nil })
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	qs := p.group.queues
-	joinPos := -1
-	for i, s := range p.stages {
-		if s.join != nil {
-			joinPos = i
-		}
-	}
-	if joinPos < 0 {
-		t.Fatal("no join stage on the spine")
-	}
-	if _, ok := qs[joinPos].(*chanQueue); !ok {
-		t.Errorf("join input queue is %T, want *chanQueue (many producers)", qs[joinPos])
-	}
-	if _, ok := qs[0].(*ringQueue); !ok {
-		t.Errorf("source edge is %T, want *ringQueue", qs[0])
-	}
-	if _, ok := qs[len(qs)-1].(*ringQueue); !ok {
-		t.Errorf("sink edge is %T, want *ringQueue", qs[len(qs)-1])
-	}
-}
-
-// TestSlowPushCountsAndHook drives both queue implementations through a
-// deliberately undersized queue: the push that misses the fast path must
-// bump slowPushes and fire the build-time hook, and FIFO order must hold
-// across the slow path.
+// TestSlowPushCountsAndHook drives a deliberately undersized queue: the
+// push that misses the fast path must bump slowPushes and fire the
+// build-time hook, and FIFO order must hold across the slow path.
 func TestSlowPushCountsAndHook(t *testing.T) {
-	impls := []struct {
-		name string
-		q    queue
-	}{
-		{"chan", &chanQueue{ch: make(chan *Buffer, 1)}},
-		{"ring", &ringQueue{r: spsc.New[*Buffer](1)}},
+	var fired atomic.Int64
+	q := newQueue(1, func() { fired.Add(1) })
+	done := make(chan struct{})
+	b1, b2 := &Buffer{Round: 1}, &Buffer{Round: 2}
+	if err := q.push(b1, done); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range impls {
+	if n := q.slowPushes(); n != 0 {
+		t.Fatalf("fast push counted as slow (%d)", n)
+	}
+	pushed := make(chan error, 1)
+	go func() { pushed <- q.push(b2, done) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for q.slowPushes() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("blocked push never counted as slow")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, want := range []*Buffer{b1, b2} {
+		got, err := q.pop(done)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("popped round %d, want %d (FIFO across slow path)", got.Round, want.Round)
+		}
+	}
+	if err := <-pushed; err != nil {
+		t.Fatal(err)
+	}
+	if n := q.slowPushes(); n != 1 {
+		t.Errorf("slowPushes = %d, want 1", n)
+	}
+	if n := fired.Load(); n != 1 {
+		t.Errorf("hook fired %d times, want 1", n)
+	}
+}
+
+// TestQueueReleasedByDone: a pop parked on an empty queue and a push parked
+// on a full one both return errShutdown once done closes, so an aborting
+// network never leaves a stage blocked in a hand-off.
+func TestQueueReleasedByDone(t *testing.T) {
+	done := make(chan struct{})
+	empty, full := newQueue(1, nil), newQueue(1, nil)
+	if err := full.push(&Buffer{}, done); err != nil {
+		t.Fatal(err)
+	}
+	popped, pushed := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := empty.pop(done)
+		popped <- err
+	}()
+	go func() { pushed <- full.push(&Buffer{}, done) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for full.slowPushes() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("push into a full queue never left the fast path")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-popped:
+		t.Fatalf("pop on an empty queue returned %v before done closed", err)
+	case err := <-pushed:
+		t.Fatalf("push into a full queue returned %v before done closed", err)
+	default:
+	}
+	close(done)
+	for _, side := range []struct {
+		op string
+		c  chan error
+	}{{"pop", popped}, {"push", pushed}} {
+		select {
+		case err := <-side.c:
+			if err != errShutdown {
+				t.Errorf("parked %s returned %v, want errShutdown", side.op, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("parked %s was not released by done", side.op)
+		}
+	}
+}
+
+// TestQueueHoldsEveryBufferAndCaboose: a queue's capacity is exactly what
+// can be in flight through it — every buffer of every member pipeline plus
+// each member's caboose — with no slack for a sizing formula that forgets
+// one to hide behind. The stage behind the queue is a free stage, shared by
+// every member of a virtual group, that accepts nothing until released, so
+// the source pushes all it has: the queue must then be brim full with no
+// push having missed the fast path, and the run must end cleanly.
+func TestQueueHoldsEveryBufferAndCaboose(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		buffers []int // one member pipeline each; more than one is a virtual group
+	}{
+		{"pipeline", []int{3}},
+		{"virtual", []int{1, 4, 2}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			q := tc.q
-			done := make(chan struct{})
-			var fired atomic.Int64
-			q.onSlowPush(func() { fired.Add(1) })
-			b1, b2 := &Buffer{Round: 1}, &Buffer{Round: 2}
-			if err := q.push(b1, done); err != nil {
-				t.Fatal(err)
+			nw := NewNetwork("sizing")
+			release := make(chan struct{})
+			var pipes []*Pipeline
+			hold := NewStage("hold", func(ctx *Ctx) error {
+				<-release
+				for _, p := range pipes {
+					for b, ok := ctx.AcceptFrom(p); ok; b, ok = ctx.AcceptFrom(p) {
+						ctx.Convey(b)
+					}
+				}
+				return nil
+			})
+			add := nw.AddPipeline
+			if len(tc.buffers) > 1 {
+				add = nw.AddVirtualGroup("members").AddPipeline
 			}
-			if n := q.slowPushes(); n != 0 {
-				t.Fatalf("fast push counted as slow (%d)", n)
+			want := 0
+			for i, n := range tc.buffers {
+				p := add(fmt.Sprintf("m%d", i), Buffers(n), BufferBytes(8), Rounds(n))
+				p.Add(hold)
+				pipes = append(pipes, p)
+				want += n + 1
 			}
-			pushed := make(chan error, 1)
-			go func() { pushed <- q.push(b2, done) }()
+			ran := make(chan error, 1)
+			go func() { ran <- nw.Run() }()
+
+			var st StageStats
 			deadline := time.Now().Add(5 * time.Second)
-			for q.slowPushes() == 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("blocked push never counted as slow")
+			for {
+				if stages := nw.Stats().Stages; len(stages) > 0 {
+					st = stages[0] // "hold", the only stage
+				}
+				if st.QueueLen == want || st.SlowPushes > 0 || time.Now().After(deadline) {
+					break
 				}
 				time.Sleep(time.Millisecond)
 			}
-			for _, want := range []*Buffer{b1, b2} {
-				got, err := q.pop(done)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("popped round %d, want %d (FIFO across slow path)", got.Round, want.Round)
-				}
+			if st.QueueCap != want || st.QueueLen != st.QueueCap || st.SlowPushes != 0 {
+				t.Errorf("held queue: len %d, cap %d, %d slow pushes; want len = cap = %d buffers and cabooses, 0 slow",
+					st.QueueLen, st.QueueCap, st.SlowPushes, want)
 			}
-			if err := <-pushed; err != nil {
+			close(release)
+			if err := <-ran; err != nil {
 				t.Fatal(err)
-			}
-			if n := q.slowPushes(); n != 1 {
-				t.Errorf("slowPushes = %d, want 1", n)
-			}
-			if n := fired.Load(); n != 1 {
-				t.Errorf("hook fired %d times, want 1", n)
 			}
 		})
 	}

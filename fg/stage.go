@@ -321,14 +321,14 @@ func runFree(nw *Network, s *Stage) {
 // every round-driven stage. A group slot, a fork, a branch stage and a join
 // differ only in the four things it is parameterised by.
 type roundLoop struct {
-	in queue
+	in *queue
 	// members holds the stage serving each pipeline the loop accepts from,
 	// indexed by Pipeline.member: one per member of a virtual slot, one
 	// otherwise.
 	members []*Stage
 	// outs holds the queues a buffer may be conveyed to: one for every
 	// stage but a fork, whose route function picks among one per branch.
-	outs []queue
+	outs []*queue
 	// cabooses is how many cabooses arrive on in before the loop ends, and
 	// collapse whether all but the last are swallowed. The three caboose
 	// rules follow: a slot of k members forwards each of its k (collapse
@@ -424,13 +424,13 @@ func (l roundLoop) run(nw *Network) {
 // identical virtual stages; a fork or join stage (never virtual) is the same
 // loop with the fork's outputs or the join's caboose rule.
 func (g *group) slotLoop(pos int) roundLoop {
-	l := roundLoop{in: g.queues[pos], outs: []queue{g.queues[pos+1]}, cabooses: len(g.pipes)}
+	l := roundLoop{in: g.queues[pos], outs: []*queue{g.queues[pos+1]}, cabooses: len(g.pipes)}
 	for _, p := range g.pipes {
 		l.members = append(l.members, p.stages[pos])
 	}
 	switch s := l.members[0]; {
 	case s.fork != nil:
-		l.outs = make([]queue, len(s.fork.branches))
+		l.outs = make([]*queue, len(s.fork.branches))
 		for i := range l.outs {
 			l.outs[i] = s.fork.branchIn(i, 0)
 		}

@@ -129,7 +129,7 @@ func (nw *Network) Stats() NetworkStats {
 					continue
 				}
 				seen[s] = true
-				var in queue
+				var in *queue
 				if built {
 					in = g.queues[pos]
 				}
@@ -153,7 +153,7 @@ func (nw *Network) Stats() NetworkStats {
 
 // snapshot reads one stage's counters and the occupancy of its input queue
 // (nil before the network is built).
-func (s *Stage) snapshot(g *group, in queue) StageStats {
+func (s *Stage) snapshot(g *group, in *queue) StageStats {
 	ss := StageStats{
 		Stage:      s.name,
 		Pipeline:   s.primary().name,

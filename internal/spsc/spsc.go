@@ -1,7 +1,8 @@
 // Package spsc provides a bounded lock-free single-producer
-// single-consumer ring buffer, the raw-speed hand-off primitive the fg
-// queue layer selects for straight-line pipeline segments (one producing
-// stage, one consuming stage).
+// single-consumer ring buffer. fg does not use it (every fg edge is a
+// buffered channel); it is kept for benchmark/probes.go's spsc.handoff_ns.
+//
+// Deprecated: ROADMAP 1(d) deletes it together with that probe.
 //
 // The design is the classic cache-conscious SPSC ring (FastFlow's
 // uSPSC/Lamport lineage): a power-of-two slot array indexed by free-running
@@ -31,8 +32,7 @@
 // and checks the flag after, so at least one of the two observes the other
 // and no wakeup is lost. A stale token left in the channel costs one
 // spurious loop iteration, never correctness. Both blocking operations also
-// select on a caller-supplied done channel, so an aborting fg network
-// releases parked stages exactly as the channel-backed queues do.
+// return ErrDone once a caller-supplied done channel closes.
 package spsc
 
 import (
@@ -146,8 +146,7 @@ func (r *Ring[T]) TryPop() (T, bool) {
 }
 
 // Push enqueues v, blocking while the ring is full. It returns ErrDone if
-// done closes first. A nil done never unblocks a full ring; fg always
-// passes the network's done channel.
+// done closes first. A nil done never unblocks a full ring.
 func (r *Ring[T]) Push(v T, done <-chan struct{}) error {
 	for i := 0; i < spins; i++ {
 		if r.TryPush(v) {
