@@ -35,7 +35,7 @@ func TestChaosCsortCommFaultFailsCleanly(t *testing.T) {
 	if _, err := oocsort.GenerateInput(c, spec); err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.New(faultinject.Config{FailN: 1, Seed: 5})
+	inj := faultinject.New(faultinject.Config{FailN: 1})
 	c.Node(0).SetFault(inj.CommHook("send"))
 
 	start := time.Now()

@@ -14,57 +14,10 @@ import (
 	"github.com/fg-go/fg/workload"
 )
 
-// TestChaosDsortRetriesAbsorbTransientFaults injects a deterministic budget
-// of transient disk faults into the runs file and shows that retryable disk
-// stages sort correctly anyway. The injector is shared across all nodes, so
-// 6 faults are spread cluster-wide; with 8 attempts per round, no stage can
-// exhaust its retries even if every fault lands on one round.
-func TestChaosDsortRetriesAbsorbTransientFaults(t *testing.T) {
-	check.NoLeakedGoroutines(t)
-	p := 2
-	cfg := testConfig(1<<11, p, 16, workload.Uniform)
-	cfg.Retry = fg.RetryPolicy{
-		MaxAttempts: 8,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    20 * time.Millisecond,
-		Jitter:      0.2,
-		Seed:        7,
-	}
-
-	c := cluster.New(cluster.Config{Nodes: p})
-	fp, err := oocsort.GenerateInput(c, cfg.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Install the chaos after input generation, scoped to the runs file so
-	// setup and verification I/O stay clean.
-	inj := faultinject.New(faultinject.Config{FailN: 6, Seed: 11})
-	for _, d := range c.Disks() {
-		d.SetFault(inj.DiskHook(runsFile))
-	}
-
-	err = c.Run(func(node *cluster.Node) error {
-		_, err := Run(node, cfg)
-		return err
-	})
-	if err != nil {
-		t.Fatalf("dsort under chaos failed despite retries: %v", err)
-	}
-	if got := inj.Injected(); got != 6 {
-		t.Errorf("injected %d faults, want the full budget of 6", got)
-	}
-	for _, d := range c.Disks() {
-		d.SetFault(nil)
-	}
-	if err := check.Output(c, cfg.Spec, fp); err != nil {
-		t.Fatalf("output not sorted after chaos run: %v", err)
-	}
-}
-
 // TestChaosDsortNoRetriesFailsCleanly injects an inexhaustible fault stream
-// into node 0's disk with retries disabled: Run must return the injected
-// fault promptly — the cross-node abort releasing every other node's
-// blocked communication — and leak no goroutines.
+// into node 0's disk: Run must return the injected fault promptly — the
+// cross-node abort releasing every other node's blocked communication — and
+// leak no goroutines.
 func TestChaosDsortNoRetriesFailsCleanly(t *testing.T) {
 	check.NoLeakedGoroutines(t)
 	p := 2
@@ -74,7 +27,7 @@ func TestChaosDsortNoRetriesFailsCleanly(t *testing.T) {
 	if _, err := oocsort.GenerateInput(c, cfg.Spec); err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.New(faultinject.Config{FailN: 1 << 30, Seed: 11})
+	inj := faultinject.New(faultinject.Config{FailN: 1 << 30})
 	c.Node(0).Disk.SetFault(inj.DiskHook(runsFile))
 
 	start := time.Now()

@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"github.com/fg-go/fg/cluster"
-	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/records"
 )
@@ -52,28 +51,12 @@ type Config struct {
 	// pipeline has verticalBuffers. The overlap ablation sets it to 1.
 	Buffers int
 
-	// Retry, when MaxAttempts > 1, wraps every disk-touching round stage
-	// (pass 1's read and write, pass 2's run reads and output writes) with
-	// fg.Retry, so transient I/O faults are absorbed by backoff instead of
-	// aborting a long sort. Communication stages are never retried: their
-	// sends are not idempotent. The zero value disables retries.
-	Retry fg.RetryPolicy
-
 	// Options are the run-time options every sorting program takes:
 	// Observe and Checkpoint. dsort checkpoints pass 1's result — the
 	// sorted runs file and the run lengths — so a restarted job skips
 	// sampling and pass 1 entirely; the splitters are not needed again,
 	// pass 2 runs entirely off the runs and their lengths.
 	oocsort.Options
-}
-
-// diskStage wraps a disk-touching round stage with the configured retry
-// policy, or returns it unchanged when retries are disabled.
-func (cfg Config) diskStage(fn fg.RoundFunc) fg.RoundFunc {
-	if cfg.Retry.MaxAttempts > 1 {
-		return fg.Retry(fn, cfg.Retry)
-	}
-	return fn
 }
 
 // DefaultConfig returns buffer sizes tuned the way the paper describes:

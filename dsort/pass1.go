@@ -109,7 +109,7 @@ func pass1(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int, erro
 
 	send := nw.AddPipeline("send",
 		fg.Buffers(cfg.Buffers), fg.BufferBytes(bufBytes), fg.Rounds(sendRounds))
-	send.AddStage("read", cfg.diskStage(func(ctx *fg.Ctx, b *fg.Buffer) error {
+	send.AddStage("read", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		off := int64(b.Round) * int64(bufRecs)
 		cnt := int64(bufRecs)
 		if off+cnt > perNode {
@@ -117,7 +117,7 @@ func pass1(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int, erro
 		}
 		b.N = f.Bytes(int(cnt))
 		return n.Disk.ReadAt(cfg.Spec.InputName, b.Data[:b.N], off*int64(size))
-	}))
+	})
 	send.AddStage("permute", permuteStage(f, p, rank, bufRecs, splitters))
 	send.AddStage("send", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		counts := b.Meta.([]int)
@@ -177,17 +177,12 @@ func pass1(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int, erro
 		sortalgo.SortRecords(f, b.Bytes(), b.Aux())
 		return nil
 	})
-	// Only the disk write is retried; the run-length bookkeeping must
-	// happen exactly once per round.
-	writeRun := cfg.diskStage(func(ctx *fg.Ctx, b *fg.Buffer) error {
-		return n.Disk.WriteAt(runsFile, b.Bytes(), int64(b.Round)*int64(bufBytes))
-	})
 	recv.AddStage("write", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		if b.Round != len(runLens) {
 			return fmt.Errorf("run %d written out of order (have %d runs)", b.Round, len(runLens))
 		}
 		runLens = append(runLens, f.Count(b.N))
-		return writeRun(ctx, b)
+		return n.Disk.WriteAt(runsFile, b.Bytes(), int64(b.Round)*int64(bufBytes))
 	})
 
 	if err := nw.Run(); err != nil {

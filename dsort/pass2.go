@@ -24,18 +24,17 @@ const verticalBuffers = 3
 //
 // A run read can proceed exactly when the verticals' sources have emitted a
 // buffer the read stage has not finished with, counted at the sources and at
-// the read stage, outside its retries. The rule cannot deadlock: a write
-// waits only for reads that hold a buffer, and a read never waits for a
-// write. Once back-pressure stops the reads nothing is pending and reads and
-// writes interleave as they come.
+// the read stage. The rule cannot deadlock: a write waits only for reads that
+// hold a buffer, and a read never waits for a write. Once back-pressure stops
+// the reads nothing is pending and reads and writes interleave as they come.
 type runReads struct {
 	runs      []*fg.Pipeline
 	completed atomic.Int64
 	wake      chan struct{} // holds a token while a completion is unobserved
 }
 
-// counted wraps the read stage's function — outside any retry, so a round
-// counts once however many attempts it took.
+// counted wraps the read stage's function, counting each round once it
+// returns.
 func (r *runReads) counted(read fg.RoundFunc) fg.RoundFunc {
 	return func(ctx *fg.Ctx, b *fg.Buffer) error {
 		err := read(ctx, b)
@@ -255,7 +254,7 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 			rounds := (lenBytes + vBufBytes - 1) / vBufBytes
 			verticals[i] = vg.AddPipeline(fmt.Sprintf("run%d", i),
 				fg.Buffers(verticalBuffers), fg.BufferBytes(vBufBytes), fg.Rounds(rounds))
-			verticals[i].AddStage("read", reads.counted(cfg.diskStage(func(ctx *fg.Ctx, b *fg.Buffer) error {
+			verticals[i].AddStage("read", reads.counted(func(ctx *fg.Ctx, b *fg.Buffer) error {
 				off := b.Round * vBufBytes
 				cnt := vBufBytes
 				if off+cnt > lenBytes {
@@ -263,7 +262,7 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 				}
 				b.N = cnt
 				return n.Disk.ReadAt(runsFile, b.Data[:cnt], int64(i)*int64(runBytes)+int64(off))
-			})))
+			}))
 		}
 	}
 
@@ -361,10 +360,8 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 		}
 		return nil
 	})
-	// Rewriting the same extents at the same offsets is idempotent, so the
-	// whole unpack-and-write round can be retried. Waiting for the run reads
-	// is not part of an attempt.
-	write := cfg.diskStage(func(ctx *fg.Ctx, b *fg.Buffer) error {
+	recv.AddStage("write", func(ctx *fg.Ctx, b *fg.Buffer) error {
+		reads.yield(ctx.Done())
 		for pos := 0; pos < b.N; {
 			mlen := int(binary.BigEndian.Uint32(b.Data[pos:]))
 			off := int64(binary.BigEndian.Uint64(b.Data[pos+4:]))
@@ -375,10 +372,6 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 			pos += 4 + mlen
 		}
 		return nil
-	})
-	recv.AddStage("write", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		reads.yield(ctx.Done())
-		return write(ctx, b)
 	})
 
 	return nw.Run()

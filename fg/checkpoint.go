@@ -75,9 +75,6 @@ func NewDirCheckpoint(dir string) (*DirCheckpoint, error) {
 	return &DirCheckpoint{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (c *DirCheckpoint) Dir() string { return c.dir }
-
 // ckptManifest is the JSON body of the <pass>.json commit record.
 type ckptManifest struct {
 	Pass  string     `json:"pass"`

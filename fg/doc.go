@@ -84,7 +84,7 @@
 // time; the snapshot is the one description of a network — the status view,
 // the metrics, a watchdog's stall report and a remote rank's entry in the
 // fleet view are all derived from it. A Tracer is the one event sink: it
-// keeps the most recent events — work, wait, retry, communication — up to
+// keeps the most recent events — work, wait, communication — up to
 // its limit, writes them as a Chrome trace, and writes its last
 // BlackBoxEvents as the black box a stall or panic handler dumps. An Observe bundles a tracer, a MetricsRegistry, a
 // watchdog and a final-stats callback for code that builds networks on a
@@ -107,10 +107,6 @@
 // network shuts down exactly as if a stage had failed and RunContext
 // returns ctx.Err(). A context that is already expired returns before any
 // goroutine is launched.
-//
-// Retry wraps a round stage with exponential backoff for transient faults;
-// Permanent marks an error as not worth retrying. Only wrap stages whose
-// round is idempotent — rereads and same-offset rewrites, never sends.
 //
 // A failing stage may leave a peer network (on another cluster node)
 // blocked in an operation this network cannot unblock. OnFail registers a

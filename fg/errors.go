@@ -1,7 +1,6 @@
 package fg
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 )
@@ -45,16 +44,15 @@ func (e *PanicError) Unwrap() error {
 // WaitGroup Done, so the failure is recorded before the goroutine is
 // counted out), naming the stage it serves.
 func (nw *Network) recoverPanic(stage string) {
-	if r := recover(); r != nil {
-		buf := make([]byte, 64<<10)
-		buf = buf[:runtime.Stack(buf, false)]
-		nw.fail(&PanicError{Stage: stage, Value: r, Stack: buf})
+	if pe := capturePanic(stage, recover()); pe != nil {
+		nw.fail(pe)
 	}
 }
 
-// capturePanic is recoverPanic's form for goroutines that must hand the
-// failure to another goroutine instead of failing the network directly
-// (retry attempt runners). It returns the PanicError, or nil.
+// capturePanic turns a recovered value into a PanicError carrying the
+// panicking goroutine's stack, or returns nil when nothing panicked. Besides
+// recoverPanic, the round loop calls it directly: it names the stage to
+// blame only when the panic arrives (the member whose buffer was in hand).
 func capturePanic(stage string, r any) *PanicError {
 	if r == nil {
 		return nil
@@ -62,34 +60,4 @@ func capturePanic(stage string, r any) *PanicError {
 	buf := make([]byte, 64<<10)
 	buf = buf[:runtime.Stack(buf, false)]
 	return &PanicError{Stage: stage, Value: r, Stack: buf}
-}
-
-// permanentError marks an error that Retry must not retry.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// Permanent marks err as permanent: a Retry-wrapped stage returning it
-// fails immediately instead of backing off and retrying. Use it for errors
-// that more attempts cannot fix — a malformed record, a missing file — as
-// opposed to transient disk or communication faults. Permanent(nil)
-// returns nil. The marked error still matches the original with errors.Is
-// and errors.As.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err: err}
-}
-
-// IsPermanent reports whether err (or an error it wraps) was marked with
-// Permanent. Panics inside a retried attempt are also permanent.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	if errors.As(err, &pe) {
-		return true
-	}
-	var panicked *PanicError
-	return errors.As(err, &panicked)
 }

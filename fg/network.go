@@ -253,10 +253,10 @@ func (nw *Network) RunContext(ctx context.Context) error {
 // releaseBuffers ends the finished network's hold on its buffers' storage,
 // so that a Network kept for its statistics pins no data. Only a clean
 // finish recycles: every framework goroutine has returned by now, but after
-// an error, panic, cancellation or cluster abort some work a stage started
-// — a kernel worker, an abandoned retry attempt — may not have, and a
-// straggler must find itself writing to garbage, never to the buffer of
-// the next network or the next tenant's job.
+// an error, panic, cancellation or cluster abort a goroutine that a stage
+// function started itself may not have — the framework cannot join it —
+// and such a straggler must find itself writing to garbage, never to the
+// buffer of the next network or the next tenant's job.
 func (nw *Network) releaseBuffers(recycle bool) {
 	for _, g := range nw.groups {
 		for _, b := range g.bufs {

@@ -1,14 +1,12 @@
 package fg_test
 
-// Fault-tolerance tests: panic isolation, context cancellation, retryable
-// stages, safe Stop, error propagation across disjoint groups, and
+// Fault-tolerance tests: panic isolation, context cancellation, safe Stop, error propagation across disjoint groups, and
 // goroutine-leak checks on every shutdown path. These are black-box tests
 // (package fg_test) so they can share the leak checker in internal/check.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -250,251 +248,5 @@ func TestBuildErrorLaunchesNothing(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("failed build launched goroutines: %d before, %d after", before, after)
-	}
-}
-
-func TestRetryAbsorbsTransientErrors(t *testing.T) {
-	check.NoLeakedGoroutines(t)
-	var attempts atomic.Int32
-	nw := fg.NewNetwork("retry-ok")
-	p := nw.AddPipeline("main", fg.Buffers(2), fg.BufferBytes(8), fg.Rounds(1))
-	p.AddStage("flaky", fg.Retry(func(ctx *fg.Ctx, b *fg.Buffer) error {
-		if attempts.Add(1) <= 2 {
-			return errors.New("transient")
-		}
-		b.Data[0] = 42
-		b.N = 1
-		return nil
-	}, fg.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Jitter: 0.5, Seed: 3}))
-	var saw atomic.Int32
-	p.AddStage("check", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		saw.Store(int32(b.Data[0]))
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Errorf("made %d attempts, want 3", got)
-	}
-	if saw.Load() != 42 {
-		t.Error("successful attempt's write did not reach the next stage")
-	}
-}
-
-func TestRetryExhaustedReturnsLastError(t *testing.T) {
-	check.NoLeakedGoroutines(t)
-	sentinel := errors.New("disk on fire")
-	var attempts atomic.Int32
-	nw := fg.NewNetwork("retry-exhausted")
-	p := nw.AddPipeline("main", fg.Buffers(2), fg.BufferBytes(8), fg.Rounds(1))
-	p.AddStage("doomed", fg.Retry(func(ctx *fg.Ctx, b *fg.Buffer) error {
-		attempts.Add(1)
-		return sentinel
-	}, fg.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}))
-	err := nw.Run()
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("Run = %v, want wrapped %v", err, sentinel)
-	}
-	if !strings.Contains(err.Error(), "3 attempts") {
-		t.Errorf("error does not report the attempt count: %v", err)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Errorf("made %d attempts, want 3", got)
-	}
-}
-
-func TestRetryPermanentShortCircuits(t *testing.T) {
-	check.NoLeakedGoroutines(t)
-	sentinel := errors.New("record malformed")
-	var attempts atomic.Int32
-	nw := fg.NewNetwork("retry-permanent")
-	p := nw.AddPipeline("main", fg.Buffers(2), fg.BufferBytes(8), fg.Rounds(1))
-	p.AddStage("fatal", fg.Retry(func(ctx *fg.Ctx, b *fg.Buffer) error {
-		attempts.Add(1)
-		return fg.Permanent(sentinel)
-	}, fg.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond}))
-	err := nw.Run()
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("Run = %v, want %v", err, sentinel)
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Errorf("permanent error was attempted %d times, want 1", got)
-	}
-}
-
-func TestRetryAttemptTimeout(t *testing.T) {
-	check.NoLeakedGoroutines(t)
-	var attempts atomic.Int32
-	nw := fg.NewNetwork("retry-timeout")
-	p := nw.AddPipeline("main", fg.Buffers(2), fg.BufferBytes(8), fg.Rounds(1))
-	p.AddStage("stall", fg.Retry(func(ctx *fg.Ctx, b *fg.Buffer) error {
-		if attempts.Add(1) == 1 {
-			time.Sleep(300 * time.Millisecond) // hangs past the timeout
-			return nil
-		}
-		b.Data[0] = 7
-		return nil
-	}, fg.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, AttemptTimeout: 40 * time.Millisecond}))
-	var saw atomic.Int32
-	p.AddStage("check", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		saw.Store(int32(b.Data[0]))
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := attempts.Load(); got != 2 {
-		t.Errorf("made %d attempts, want 2 (one timed out)", got)
-	}
-	if saw.Load() != 7 {
-		t.Error("retried attempt's result was not adopted")
-	}
-}
-
-func TestRetryPanicIsNotRetried(t *testing.T) {
-	check.NoLeakedGoroutines(t)
-	var attempts atomic.Int32
-	nw := fg.NewNetwork("retry-panic")
-	p := nw.AddPipeline("main", fg.Buffers(2), fg.BufferBytes(8), fg.Rounds(1))
-	p.AddStage("bugged", fg.Retry(func(ctx *fg.Ctx, b *fg.Buffer) error {
-		attempts.Add(1)
-		panic("bug, not a transient fault")
-	}, fg.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, AttemptTimeout: time.Second}))
-	err := nw.Run()
-	var pe *fg.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("Run = %v, want PanicError", err)
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Errorf("panicking stage was attempted %d times, want 1", got)
-	}
-}
-
-func TestPermanentMarker(t *testing.T) {
-	if fg.Permanent(nil) != nil {
-		t.Error("Permanent(nil) != nil")
-	}
-	base := errors.New("x")
-	if !fg.IsPermanent(fg.Permanent(base)) {
-		t.Error("Permanent error not recognized")
-	}
-	if fg.IsPermanent(base) {
-		t.Error("plain error recognized as permanent")
-	}
-	if !errors.Is(fg.Permanent(base), base) {
-		t.Error("Permanent breaks errors.Is")
-	}
-	if !fg.IsPermanent(fmt.Errorf("wrapped: %w", fg.Permanent(base))) {
-		t.Error("wrapped Permanent not recognized")
-	}
-}
-
-// A canceled run context must end a Retry-wrapped stage promptly: the
-// wrapper returns the context error marked permanent instead of burning the
-// remaining attempt budget against a network that can no longer accept a
-// result. This exercises the AttemptTimeout path, where the in-flight
-// attempt is abandoned the moment the network shuts down.
-func TestRetryCanceledContextAbandonsInFlightAttempt(t *testing.T) {
-	check.NoLeakedGoroutines(t)
-	release := make(chan struct{})
-	defer close(release)
-	var attempts atomic.Int32
-	started := make(chan struct{})
-	var once sync.Once
-	var stageErr atomic.Value
-	inner := fg.Retry(func(ctx *fg.Ctx, b *fg.Buffer) error {
-		attempts.Add(1)
-		once.Do(func() { close(started) })
-		<-release // I/O the context cannot interrupt
-		return errors.New("transient")
-	}, fg.RetryPolicy{MaxAttempts: 100, BaseDelay: time.Millisecond, AttemptTimeout: 10 * time.Second})
-	nw := fg.NewNetwork("retry-cancel-inflight")
-	p := nw.AddPipeline("main", fg.Buffers(2), fg.BufferBytes(8), fg.Rounds(1))
-	p.AddStage("hung", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		err := inner(ctx, b)
-		stageErr.Store(err)
-		return err
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errc := make(chan error, 1)
-	go func() { errc <- nw.RunContext(ctx) }()
-	<-started
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunContext = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("RunContext did not return promptly after cancel; the attempt was not abandoned")
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Errorf("canceled run burned %d attempts, want 1", got)
-	}
-	err, _ := stageErr.Load().(error)
-	if err == nil {
-		t.Fatal("wrapped stage never returned")
-	}
-	if !fg.IsPermanent(err) {
-		t.Errorf("abandoned retry returned a non-permanent error: %v", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("abandoned retry lost the context error: %v", err)
-	}
-}
-
-// Same contract on the backoff path: when an attempt fails after the
-// network has already shut down, the wrapper must not classify the failure
-// as transient — it returns the context error, permanent, with no further
-// attempts.
-func TestRetryCanceledContextSkipsBackoffAttempts(t *testing.T) {
-	check.NoLeakedGoroutines(t)
-	var attempts atomic.Int32
-	started := make(chan struct{})
-	var once sync.Once
-	release := make(chan struct{})
-	var stageErr atomic.Value
-	inner := fg.Retry(func(ctx *fg.Ctx, b *fg.Buffer) error {
-		attempts.Add(1)
-		once.Do(func() { close(started) })
-		<-release // held until the test has canceled the context
-		return errors.New("transient")
-	}, fg.RetryPolicy{MaxAttempts: 100, BaseDelay: time.Millisecond})
-	nw := fg.NewNetwork("retry-cancel-backoff")
-	p := nw.AddPipeline("main", fg.Buffers(2), fg.BufferBytes(8), fg.Rounds(1))
-	p.AddStage("flaky", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		err := inner(ctx, b)
-		stageErr.Store(err)
-		return err
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errc := make(chan error, 1)
-	go func() { errc <- nw.RunContext(ctx) }()
-	<-started
-	cancel()
-	// Release the attempt only once the cancellation has reached the
-	// network, so its transient failure lands on a dead network.
-	for nw.Err() == nil {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext = %v, want context.Canceled", err)
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Errorf("canceled run burned %d attempts, want 1", got)
-	}
-	err, _ := stageErr.Load().(error)
-	if err == nil {
-		t.Fatal("wrapped stage never returned")
-	}
-	if !fg.IsPermanent(err) {
-		t.Errorf("abandoned retry returned a non-permanent error: %v", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("abandoned retry lost the context error: %v", err)
 	}
 }

@@ -25,10 +25,9 @@ type Event struct {
 	Stage    string
 	Pipeline string
 	Kind     EventKind
-	// Round is the round of the buffer involved: the buffer worked on, the
-	// buffer whose arrival ended a wait, or the buffer a retried attempt
-	// held. -1 when no buffer is attached (end-of-stream waits, comm events
-	// recorded from outside the network).
+	// Round is the round of the buffer involved: the buffer worked on or
+	// the buffer whose arrival ended a wait. -1 when no buffer is attached
+	// (end-of-stream waits, comm events recorded from outside the network).
 	Round int
 	// Bytes is the payload size for comm events; 0 otherwise.
 	Bytes int64
@@ -49,9 +48,6 @@ const (
 	EventWork EventKind = iota
 	// EventWait covers a blocked accept.
 	EventWait
-	// EventRetry covers one failed attempt of a Retry-wrapped stage,
-	// including the backoff that follows it.
-	EventRetry
 	// EventComm covers one communication operation (a cluster send or
 	// receive), recorded through Record by code outside the network.
 	EventComm
@@ -68,8 +64,6 @@ func (k EventKind) String() string {
 		return "work"
 	case EventWait:
 		return "wait"
-	case EventRetry:
-		return "retry"
 	case EventComm:
 		return "comm"
 	case EventSlowPush:
@@ -114,9 +108,9 @@ func NewTracer(limit int) *Tracer {
 }
 
 // Record adds an event, overwriting the oldest once the tracer is full.
-// The framework calls it for work, wait, and retry intervals; external
-// recorders (the cluster's communication observer, say) call it directly
-// with intervals converted through Span.
+// The framework calls it for work and wait intervals; external recorders
+// (the cluster's communication observer, say) call it directly with
+// intervals converted through Span.
 func (tr *Tracer) Record(e Event) {
 	tr.mu.Lock()
 	if len(tr.events) < tr.limit {
@@ -170,9 +164,9 @@ func (tr *Tracer) recent(n int) (out []Event, omitted int64) {
 }
 
 // SetTracer attaches a tracer to the network; every round-driven stage's
-// work and wait intervals are recorded, as are free stages' accept waits,
-// retried attempts of Retry-wrapped stages, and queue pushes that missed
-// their fast path. Attach before Run. Several networks may share one tracer.
+// work and wait intervals are recorded, as are free stages' accept waits
+// and queue pushes that missed their fast path. Attach before Run. Several
+// networks may share one tracer.
 func (nw *Network) SetTracer(tr *Tracer) {
 	nw.mustNotBeStarted()
 	nw.tracer = tr
@@ -211,14 +205,6 @@ func (nw *Network) traceWait(s *Stage, p *Pipeline, round int, start time.Time) 
 	nw.emitTrace(EventWait, s, p, round, start, now)
 }
 
-// traceRetry records one failed attempt of a Retry-wrapped stage.
-func (nw *Network) traceRetry(s *Stage, p *Pipeline, round int, start time.Time) {
-	if nw.tracer == nil {
-		return
-	}
-	nw.emitTrace(EventRetry, s, p, round, start, time.Now())
-}
-
 // noteSlowPush records a queue invariant violation — a push that missed
 // its non-blocking fast path — as a zero-length event naming the group and
 // the edge's consuming stage. Installed on every queue at build time; the
@@ -235,8 +221,8 @@ func (nw *Network) noteSlowPush(group, consumer string) {
 }
 
 // Gantt renders the trace as an ASCII chart: one row per stage, time
-// flowing right, '#' for work, '.' for waiting, 'r' for retried attempts,
-// and '~' for communication. width is the chart width in characters.
+// flowing right, '#' for work, '.' for waiting and '~' for communication.
+// width is the chart width in characters.
 func (tr *Tracer) Gantt(width int) string {
 	events := tr.Events()
 	if len(events) == 0 {
@@ -266,7 +252,7 @@ func (tr *Tracer) Gantt(width int) string {
 	if d := tr.Dropped(); d > 0 {
 		fmt.Fprintf(&b, " (%d dropped: timeline starts late)", d)
 	}
-	fmt.Fprintf(&b, " ('#'=work, '.'=wait, 'r'=retry, '~'=comm)\n")
+	fmt.Fprintf(&b, " ('#'=work, '.'=wait, '~'=comm)\n")
 	for _, key := range order {
 		line := make([]byte, width)
 		for i := range line {
@@ -287,8 +273,6 @@ func (tr *Tracer) Gantt(width int) string {
 				mark = '#'
 			case EventWait:
 				mark = '.'
-			case EventRetry:
-				mark = 'r'
 			default:
 				mark = '~'
 			}
@@ -336,7 +320,7 @@ const traceMetaName = "fg_trace_meta"
 
 // WriteChromeTrace exports the recorded events as Chrome trace-event JSON,
 // loadable in chrome://tracing or Perfetto. Each pipeline/stage row becomes
-// one named thread; work, wait, retry, and comm intervals become complete
+// one named thread; work, wait and comm intervals become complete
 // ("X") events categorized by kind, carrying the round (and byte count for
 // comm) in their args. A comm event carrying a transfer ID additionally
 // emits a flow event — "s" on a "...send" stage, "f" on a "...recv" stage —

@@ -3,7 +3,6 @@ package fg
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -106,37 +105,6 @@ func TestWaitEventsCarryRound(t *testing.T) {
 	// waits end with a data buffer whose round must be recorded.
 	if withRound == 0 {
 		t.Fatal("no wait event carries the round of the buffer that ended it")
-	}
-}
-
-func TestRetryEventsTraced(t *testing.T) {
-	tr := NewTracer(0)
-	nw := NewNetwork("retries")
-	nw.SetTracer(tr)
-	p := nw.AddPipeline("main", Buffers(1), Rounds(3))
-	fails := map[int]bool{}
-	flaky := func(ctx *Ctx, b *Buffer) error {
-		if !fails[b.Round] {
-			fails[b.Round] = true
-			return errors.New("transient")
-		}
-		return nil
-	}
-	p.AddStage("flaky", Retry(flaky, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond}))
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	retries := 0
-	for _, e := range tr.Events() {
-		if e.Kind == EventRetry {
-			retries++
-			if e.Stage != "flaky" || e.Round < 0 {
-				t.Errorf("retry event misattributed: %+v", e)
-			}
-		}
-	}
-	if retries != 3 { // one failed first attempt per round
-		t.Errorf("recorded %d retry events, want 3", retries)
 	}
 }
 

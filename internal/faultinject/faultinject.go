@@ -1,4 +1,4 @@
-// Package faultinject provides a deterministic, seeded fault injector for
+// Package faultinject provides a deterministic fault injector for
 // chaos-testing FG programs. An Injector decides, per operation, whether to
 // inject an error and how much latency to add; hooks adapt one injector to
 // the substrate's hook points — pdm.Disk.SetFault for disk I/O and
@@ -9,7 +9,6 @@ package faultinject
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"sync"
 	"time"
@@ -19,17 +18,9 @@ import (
 
 // Config parameterizes an Injector. Zero values disable each mechanism.
 type Config struct {
-	// Seed makes probabilistic decisions reproducible. Zero seeds from a
-	// fixed default, so two injectors with identical configs make identical
-	// decisions given identical operation orders.
-	Seed int64
 	// FailN fails the first N candidate operations, then lets every later
-	// one succeed — the deterministic schedule for proving that retries
-	// absorb transient faults.
+	// one succeed.
 	FailN int
-	// ErrProb fails each candidate operation independently with this
-	// probability, after any FailN budget is spent.
-	ErrProb float64
 	// Latency is added to every candidate operation, injected fault or not,
 	// by sleeping in the caller.
 	Latency time.Duration
@@ -70,7 +61,6 @@ type Injector struct {
 	cfg Config
 
 	mu       sync.Mutex
-	rng      *rand.Rand
 	ops      int64
 	injected int64
 	hung     int64
@@ -81,15 +71,7 @@ type Injector struct {
 
 // New builds an injector from cfg.
 func New(cfg Config) *Injector {
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0x600df00d
-	}
-	return &Injector{
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(seed)),
-		hang: make(chan struct{}),
-	}
+	return &Injector{cfg: cfg, hang: make(chan struct{})}
 }
 
 // Op records one candidate operation and decides its fate: it sleeps the
@@ -110,9 +92,6 @@ func (in *Injector) Op(op string) error {
 		in.hung++
 	}
 	fail := in.injected < int64(in.cfg.FailN)
-	if !fail && in.cfg.ErrProb > 0 {
-		fail = in.rng.Float64() < in.cfg.ErrProb
-	}
 	if fail {
 		in.injected++
 	}

@@ -33,43 +33,6 @@ func TestFailNThenSucceed(t *testing.T) {
 	}
 }
 
-func TestErrProbIsSeededAndDeterministic(t *testing.T) {
-	run := func(seed int64) []bool {
-		in := New(Config{Seed: seed, ErrProb: 0.3})
-		out := make([]bool, 200)
-		for i := range out {
-			out[i] = in.Op("write") != nil
-		}
-		return out
-	}
-	a, b := run(17), run(17)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at op %d", i)
-		}
-	}
-	c := run(18)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical decisions")
-	}
-	hits := 0
-	for _, v := range a {
-		if v {
-			hits++
-		}
-	}
-	if hits == 0 || hits == len(a) {
-		t.Errorf("ErrProb 0.3 injected %d/%d faults", hits, len(a))
-	}
-}
-
 func TestZeroConfigNeverInjects(t *testing.T) {
 	in := New(Config{})
 	for i := 0; i < 100; i++ {

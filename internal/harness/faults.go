@@ -169,7 +169,7 @@ type faultSet struct {
 // compileFaults compiles faults for the process hosting rank. killsArmed is
 // false in a replacement process, so a resurrected rank does not die the
 // same death forever.
-func compileFaults(faults []Fault, rank int, killsArmed bool, seed int64) *faultSet {
+func compileFaults(faults []Fault, rank int, killsArmed bool) *faultSet {
 	fs := &faultSet{}
 	var disk []Fault
 	for _, f := range faults {
@@ -180,7 +180,7 @@ func compileFaults(faults []Fault, rank int, killsArmed bool, seed int64) *fault
 			}
 		case NetDrop, NetClose, NetDelay:
 			if f.Rank == rank {
-				inj := faultinject.New(faultinject.Config{FailN: f.DropN, Latency: f.latency(), Seed: seed})
+				inj := faultinject.New(faultinject.Config{FailN: f.DropN, Latency: f.latency()})
 				fs.netHook = inj.NetHook(netActions[f.Kind], f.MinBytes)
 			}
 		case Partition:

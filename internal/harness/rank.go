@@ -189,7 +189,7 @@ func (r Rank) run(job Job, pr Params) (RankResult, int) {
 		res.Error = err.Error()
 		return res, ExitConfigError
 	}
-	faults := compileFaults(r.Faults, r.Rank, r.KillsArmed, job.WithDefaults().Seed)
+	faults := compileFaults(r.Faults, r.Rank, r.KillsArmed)
 
 	var mu sync.Mutex // guards the res fields the death hook touches
 	var current atomic.Pointer[cluster.Cluster]

@@ -5,9 +5,9 @@
 // checkpoints (fg/checkpoint.go) preserve completed work across a restart.
 // The supervisor composes them into the loop ROADMAP item 2 asks for:
 // attempt the job; if it fails retryably, tear everything down, wait out a
-// jittered backoff, rebuild the cluster with surviving plus restarted
-// ranks, and resume from the checkpoints — up to a bounded number of
-// attempts, with a structured per-attempt report at the end.
+// backoff, rebuild the cluster with surviving plus restarted ranks, and
+// resume from the checkpoints — up to a bounded number of attempts, with a
+// structured per-attempt report at the end.
 //
 // The supervisor does not know how to build a cluster; the Job's Run
 // closure does (the harness's is NewCluster + sort + verify + Close; the
@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -48,16 +47,8 @@ type Policy struct {
 	// below 1 default to 3.
 	MaxAttempts int
 	// BaseBackoff is the pause before the second attempt; each further
-	// attempt doubles it. Zero defaults to 250ms.
+	// attempt doubles it, up to maxBackoff. Zero defaults to 250ms.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the doubling. Zero defaults to 10s.
-	MaxBackoff time.Duration
-	// Jitter randomizes each backoff within ±Jitter fraction of its value,
-	// so the processes of one job do not retry in lockstep. Zero means no
-	// jitter.
-	Jitter float64
-	// Seed makes the jitter deterministic for tests; zero seeds a default.
-	Seed int64
 	// Retryable decides whether an attempt's error is worth another
 	// attempt. Nil means DefaultRetryable.
 	Retryable func(error) bool
@@ -69,6 +60,9 @@ type Policy struct {
 	Log io.Writer
 }
 
+// maxBackoff caps the doubling of Policy.BaseBackoff.
+const maxBackoff = 10 * time.Second
+
 func (p Policy) withDefaults() Policy {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 3
@@ -76,17 +70,8 @@ func (p Policy) withDefaults() Policy {
 	if p.BaseBackoff <= 0 {
 		p.BaseBackoff = 250 * time.Millisecond
 	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 10 * time.Second
-	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
-	}
 	if p.Retryable == nil {
 		p.Retryable = DefaultRetryable
-	}
-	if p.Seed == 0 {
-		p.Seed = 0x5afe
 	}
 	return p
 }
@@ -95,10 +80,9 @@ func (p Policy) withDefaults() Policy {
 // failures — a peer declared dead, an abort, any communication error — are
 // retryable, because rebuilding membership and resuming from checkpoints is
 // exactly the cure for them. Everything else (validation errors, logic
-// bugs, errors marked fg.Permanent) fails the job on the spot. The
-// cluster-level checks run first: a peer death often surfaces as a
-// CommError panic, which fg wraps in a PanicError that would otherwise
-// read as permanent.
+// bugs, disk faults) fails the job on the spot with its named error. A peer
+// death that surfaces as a CommError panic still matches: fg's PanicError
+// unwraps to the panic value.
 func DefaultRetryable(err error) bool {
 	if err == nil {
 		return false
@@ -177,7 +161,6 @@ var metricHelp = map[string]string{
 // a complete report; Report.Err is the job's overall outcome.
 func Run(job Job, p Policy) Report {
 	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(p.Seed))
 	rep := Report{Job: job.Name}
 	// Atomics: a scrape reads them from its own goroutine while the attempt
 	// loop below counts.
@@ -216,17 +199,10 @@ func Run(job Job, p Policy) Report {
 			return rep
 		}
 		retries.Add(1)
-		d := backoff
-		if p.Jitter > 0 {
-			d = time.Duration(float64(d) * (1 + p.Jitter*(2*rng.Float64()-1)))
-		}
 		if p.Log != nil {
-			fmt.Fprintf(p.Log, "supervise: job %q retrying in %v\n", job.Name, d.Round(time.Millisecond))
+			fmt.Fprintf(p.Log, "supervise: job %q retrying in %v\n", job.Name, backoff.Round(time.Millisecond))
 		}
-		time.Sleep(d)
-		backoff *= 2
-		if backoff > p.MaxBackoff {
-			backoff = p.MaxBackoff
-		}
+		time.Sleep(backoff)
+		backoff = min(2*backoff, maxBackoff)
 	}
 }

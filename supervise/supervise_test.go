@@ -3,17 +3,19 @@ package supervise_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
+	"github.com/fg-go/fg/internal/faultinject"
 	"github.com/fg-go/fg/supervise"
 )
 
 func fastPolicy() supervise.Policy {
-	return supervise.Policy{MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
+	return supervise.Policy{MaxAttempts: 5, BaseBackoff: time.Millisecond}
 }
 
 func TestRunFirstAttemptSucceeds(t *testing.T) {
@@ -37,7 +39,7 @@ func TestRunRetriesPeerDeathThenSucceeds(t *testing.T) {
 				Err: &cluster.PeerDeathError{Rank: 1, Silence: time.Second}}
 		}
 		return []string{"pass1"}, nil
-	}}, supervise.Policy{MaxAttempts: 5, BaseBackoff: time.Millisecond, Jitter: 0.5, Log: &log})
+	}}, supervise.Policy{MaxAttempts: 5, BaseBackoff: time.Millisecond, Log: &log})
 	if rep.Err != nil {
 		t.Fatalf("supervised job failed: %v", rep.Err)
 	}
@@ -100,7 +102,9 @@ func TestDefaultRetryable(t *testing.T) {
 	}{
 		{"nil", nil, false},
 		{"plain", errors.New("x"), false},
-		{"permanent", fg.Permanent(errors.New("x")), false},
+		// A disk error ends the job with its name: the supervisor does not
+		// retry it. Wrapped as harness.Fault's disk hook wraps it.
+		{"disk-fault", fmt.Errorf("rank %d %s %q op %d: %w", 1, "write", "dsort.runs", 3, &faultinject.Fault{Op: "write", Seq: 1}), false},
 		{"aborted", cluster.ErrAborted, true},
 		{"peer-death", peerDeath, true},
 		{"comm-error", &cluster.CommError{Op: "send", Err: errors.New("broken pipe")}, true},
