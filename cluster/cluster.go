@@ -608,7 +608,7 @@ func (c *Cluster) deliverControl(f Frame) {
 		if c.health != nil {
 			c.health.observe(f.Src)
 		}
-	case telemetryTag, telemetryPullTag, telemetryReplyTag:
+	case telemetryTag:
 		if t := c.telemetry.Load(); t != nil {
 			t.deliver(f)
 		}

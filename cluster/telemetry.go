@@ -17,11 +17,10 @@ package cluster
 // latest record per rank with its arrival time and joins it with its own
 // failure detector's verdicts.
 //
-// The plane also carries an on-demand pull RPC: the aggregator can fetch a
-// remote rank's flight-recorder black box or a pprof CPU/heap profile,
-// and does so automatically (once per stall episode) when a record arrives
-// stamped with a fresh stall — so a hung fleet yields one correlated
-// bundle of evidence instead of N disconnected stderr dumps.
+// The plane only pushes. The first record a rank ships for a stall episode
+// also carries the rank's flight-recorder black box, which the aggregator
+// keeps until a newer episode replaces it — so a hung fleet yields one
+// correlated bundle of evidence instead of N disconnected stderr dumps.
 //
 // Layering: this package cannot import fg, and does not describe what fg
 // observes. A record is an envelope of what the cluster itself knows (comm
@@ -37,25 +36,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Reserved control tags for the telemetry plane, siblings of healthTag in
-// the negative tag space application tags can never reach (comm.go's FNV
-// hash clears the sign bit). All of them are intercepted in
-// Cluster.deliverLocal before the mailbox layer, so the data path pays one
-// sign compare for the whole control plane.
-const (
-	// telemetryTag carries a rank's periodic RankTelemetry record.
-	telemetryTag int64 = healthTag + 1
-	// telemetryPullTag carries a pullRequest from the aggregator.
-	telemetryPullTag int64 = healthTag + 2
-	// telemetryReplyTag carries the PullReply back.
-	telemetryReplyTag int64 = healthTag + 3
-)
+// telemetryTag is the reserved control tag a rank's periodic RankTelemetry
+// record travels on, healthTag's sibling in the negative tag space
+// application tags can never reach (comm.go's FNV hash clears the sign
+// bit). It is intercepted in Cluster.deliverLocal before the mailbox layer,
+// so the data path pays one sign compare for the whole control plane.
+const telemetryTag int64 = healthTag + 1
 
 // TelemetryVersion is the wire-record version stamped into every
 // RankTelemetry. A receiver drops records of any other version (counted,
@@ -77,26 +68,16 @@ type RankTelemetry struct {
 	Comm  CommStats    `json:"comm"`
 	Peers []PeerStatus `json:"peers,omitempty"`
 	// StallAt stamps the stall episode Body reports (0: none) — the one fact
-	// about the body the plane acts on: a stamp newer than the last one it
-	// investigated triggers the automatic black-box pull.
+	// about the body the plane acts on: the first record shipped with a
+	// newer stamp carries the rank's black box.
 	StallAt int64 `json:"stall_at_unix_nano,omitempty"`
 	// Body is whatever TelemetryConfig.Collect returned, carried verbatim.
 	Body json.RawMessage `json:"body,omitempty"`
+	// Blackbox is the TelemetryConfig.Blackbox dump of the episode StallAt
+	// stamps, set only on the first record delivered for it. The aggregator
+	// moves it out of the record it retains.
+	Blackbox []byte `json:"blackbox,omitempty"`
 }
-
-// Pull kinds for Telemetry.Pull: what an aggregator can fetch from a
-// remote rank on demand.
-const (
-	// PullBlackbox fetches the rank's flight-recorder dump (the
-	// TelemetryConfig.Blackbox callback's output — a Chrome trace in the
-	// harness).
-	PullBlackbox = "blackbox"
-	// PullCPUProfile captures and fetches a pprof CPU profile
-	// (cpuProfileDuration long).
-	PullCPUProfile = "cpuprofile"
-	// PullHeapProfile fetches a pprof heap profile.
-	PullHeapProfile = "heapprofile"
-)
 
 // TelemetryConfig parameterizes a cluster's telemetry plane. The zero
 // value disables it entirely: no goroutine, no frames, no hot-path cost
@@ -114,25 +95,21 @@ type TelemetryConfig struct {
 	// must be safe for concurrent use with the run it observes. Nil leaves
 	// the body empty — comm counters and peer health still flow.
 	Collect func(rank int) (body json.RawMessage, stallAt int64)
-	// Blackbox, if set, answers PullBlackbox requests by writing the
-	// rank's flight-recorder dump. Nil makes blackbox pulls error.
+	// Blackbox, if set, writes the process's flight-recorder dump; it runs
+	// on the telemetry goroutine once per stall episode per local rank, and
+	// its output rides that episode's first delivered record. Nil ships
+	// stall records without a box.
 	Blackbox func(w io.Writer) error
 }
 
-// What no caller ever set differently: rank 0 hosts the fleet aggregator
-// (the one rank the soak driver watches and no scenario may kill), a CPU
-// profile pull samples for a second, and a pull round trip — the automatic
-// stall-triggered blackbox pull included — gives up after five.
-const (
-	aggregatorRank     = 0
-	cpuProfileDuration = time.Second
-	pullTimeout        = 5 * time.Second
-)
+// aggregatorRank hosts the fleet aggregator: the one rank the soak driver
+// watches and no scenario may kill.
+const aggregatorRank = 0
 
 // StartTelemetry starts the cluster's telemetry plane: one goroutine that
-// publishes every local rank's record per cfg.Interval and serves pull
-// requests, plus — iff this process hosts rank 0 — the
-// fleet aggregator, reachable via Telemetry.Aggregator. A non-positive
+// publishes every local rank's record per cfg.Interval, plus — iff this
+// process hosts rank 0 — the fleet aggregator, reachable via
+// Telemetry.Aggregator. A non-positive
 // Interval returns (nil, nil): telemetry off, and every method of the nil
 // *Telemetry is a safe no-op. Starting twice is an error. The plane stops
 // with the cluster's Close (or on abort).
@@ -144,11 +121,11 @@ func (c *Cluster) StartTelemetry(cfg TelemetryConfig) (*Telemetry, error) {
 		cfg.StaleAfter = 3 * cfg.Interval
 	}
 	t := &Telemetry{
-		c:     c,
-		cfg:   cfg,
-		pulls: make(chan pullWork, 16),
-		stopc: make(chan struct{}),
-		done:  make(chan struct{}),
+		c:       c,
+		cfg:     cfg,
+		shipped: make([]int64, len(c.local)),
+		stopc:   make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	if c.nodes[aggregatorRank] != nil {
 		t.agg = &TelemetryAggregator{t: t, ranks: map[int]*rankEntry{}}
@@ -164,24 +141,21 @@ func (c *Cluster) StartTelemetry(cfg TelemetryConfig) (*Telemetry, error) {
 func (c *Cluster) Telemetry() *Telemetry { return c.telemetry.Load() }
 
 // A Telemetry is one process's end of the telemetry plane: the publisher
-// for its local ranks, the pull-request server, and (on the process
-// hosting the aggregator rank) the fleet aggregator.
+// for its local ranks and (on the process hosting the aggregator rank) the
+// fleet aggregator.
 type Telemetry struct {
 	c   *Cluster
 	cfg TelemetryConfig
 	agg *TelemetryAggregator // non-nil iff rank 0 is hosted here
 
-	seq     atomic.Int64
-	pullSeq atomic.Int64
-	pending sync.Map // pull id int64 -> chan PullReply
-	pulls   chan pullWork
+	seq atomic.Int64
+	// shipped is, per local rank (c.local's order), the stall episode whose
+	// black box a delivered record has carried; only the publisher touches it.
+	shipped []int64
 
 	published  atomic.Int64 // records shipped (or locally ingested)
 	decodeErrs atomic.Int64 // inbound records dropped as undecodable or of another version
 
-	trackMu  sync.Mutex
-	stopped  bool
-	wg       sync.WaitGroup // pull handlers and auto-pulls
 	stopOnce sync.Once
 	stopc    chan struct{}
 	done     chan struct{}
@@ -205,35 +179,14 @@ func (t *Telemetry) Published() int64 {
 	return t.published.Load()
 }
 
-// stop ends the publisher and waits for it and every in-flight pull
-// handler; idempotent. Called from Cluster.Close.
+// stop ends the publisher and waits for it; idempotent. Called from
+// Cluster.Close.
 func (t *Telemetry) stop() {
 	if t == nil {
 		return
 	}
-	t.trackMu.Lock()
-	t.stopped = true
-	t.trackMu.Unlock()
 	t.stopOnce.Do(func() { close(t.stopc) })
 	<-t.done
-	t.wg.Wait()
-}
-
-// goTracked runs fn on a tracked goroutine unless the plane has stopped,
-// so stop() can wait for every handler without racing new ones.
-func (t *Telemetry) goTracked(fn func()) bool {
-	t.trackMu.Lock()
-	if t.stopped {
-		t.trackMu.Unlock()
-		return false
-	}
-	t.wg.Add(1)
-	t.trackMu.Unlock()
-	go func() {
-		defer t.wg.Done()
-		fn()
-	}()
-	return true
 }
 
 func (t *Telemetry) run() {
@@ -259,8 +212,6 @@ func (t *Telemetry) run() {
 			// The job is dead; the aggregator's last records remain
 			// readable but nothing new flows.
 			return
-		case w := <-t.pulls:
-			t.goTracked(func() { t.servePull(w) })
 		case <-tick.C:
 			t.publish(0)
 		}
@@ -271,31 +222,38 @@ func (t *Telemetry) run() {
 // best-effort by contract: a record that cannot be delivered surfaces at
 // the aggregator as staleness. A remote delivery refused because the
 // control connection is still dialing is retried up to retries times, 2 ms
-// apart, and abandoned outright on abort.
+// apart, and abandoned outright on abort. A stall episode counts as shipped
+// only once a record carrying its black box is delivered, so a refused
+// record leaves the box to the next one.
 func (t *Telemetry) publish(retries int) {
-	for _, n := range t.c.local {
+	for i, n := range t.c.local {
 		rec := t.snapshotRank(n)
-		if t.agg != nil {
-			t.agg.ingestRecord(rec, time.Now())
-			t.published.Add(1)
-			continue
-		}
-		data, err := json.Marshal(&rec)
-		if err != nil {
-			continue
-		}
-		f := Frame{Src: n.rank, Dst: aggregatorRank, Tag: telemetryTag, Data: data}
-		delivered := t.c.transport.DeliverControl(f) == nil
-		for attempt := 0; !delivered && attempt < retries; attempt++ {
-			select {
-			case <-t.c.aborted:
-				return
-			case <-time.After(2 * time.Millisecond):
+		if rec.StallAt > t.shipped[i] && t.cfg.Blackbox != nil {
+			var buf bytes.Buffer
+			if t.cfg.Blackbox(&buf) == nil {
+				rec.Blackbox = buf.Bytes()
 			}
+		}
+		delivered := t.agg != nil
+		if delivered {
+			t.agg.ingestRecord(rec, time.Now())
+		} else if data, err := json.Marshal(&rec); err == nil {
+			f := Frame{Src: n.rank, Dst: aggregatorRank, Tag: telemetryTag, Data: data}
 			delivered = t.c.transport.DeliverControl(f) == nil
+			for attempt := 0; !delivered && attempt < retries; attempt++ {
+				select {
+				case <-t.c.aborted:
+					return
+				case <-time.After(2 * time.Millisecond):
+				}
+				delivered = t.c.transport.DeliverControl(f) == nil
+			}
 		}
 		if delivered {
 			t.published.Add(1)
+			if rec.Blackbox != nil {
+				t.shipped[i] = rec.StallAt
+			}
 		}
 	}
 }
@@ -317,191 +275,19 @@ func (t *Telemetry) snapshotRank(n *Node) RankTelemetry {
 	return rec
 }
 
-// deliver handles an inbound control frame from the telemetry tag space;
-// called from Cluster.deliverLocal on a transport read goroutine, so it
-// must never block.
+// deliver handles an inbound telemetry record; called from
+// Cluster.deliverLocal on a transport read goroutine, so it must never
+// block. Only the aggregator keeps records; a stray one is dropped.
 func (t *Telemetry) deliver(f Frame) {
-	switch f.Tag {
-	case telemetryTag:
-		if t.agg == nil {
-			return // not the aggregator; a stray record is dropped
-		}
-		var rec RankTelemetry
-		if err := json.Unmarshal(f.Data, &rec); err != nil || rec.V != TelemetryVersion {
-			t.decodeErrs.Add(1)
-			return
-		}
-		t.agg.ingestRecord(rec, time.Now())
-	case telemetryPullTag:
-		var req pullRequest
-		if err := json.Unmarshal(f.Data, &req); err != nil {
-			t.decodeErrs.Add(1)
-			return
-		}
-		select {
-		case t.pulls <- pullWork{req: req, from: f.Src}:
-		default:
-			// A full pull queue sheds load; the requester times out.
-		}
-	case telemetryReplyTag:
-		var rep PullReply
-		if err := json.Unmarshal(f.Data, &rep); err != nil {
-			t.decodeErrs.Add(1)
-			return
-		}
-		if ch, ok := t.pending.Load(rep.ID); ok {
-			select {
-			case ch.(chan PullReply) <- rep:
-			default:
-			}
-		}
-	}
-}
-
-// pullRequest is the on-demand fetch request the aggregator sends.
-type pullRequest struct {
-	ID   int64  `json:"id"`
-	Kind string `json:"kind"`
-}
-
-// pullWork is one inbound request queued for the telemetry goroutine.
-type pullWork struct {
-	req  pullRequest
-	from int
-}
-
-// PullReply is the answer to a pull request: the artifact bytes, or the
-// error that prevented capturing them.
-type PullReply struct {
-	ID   int64  `json:"id"`
-	Kind string `json:"kind"`
-	Rank int    `json:"rank"`
-	Data []byte `json:"data,omitempty"`
-	Err  string `json:"err,omitempty"`
-}
-
-// Pull fetches an artifact (PullBlackbox, PullCPUProfile, PullHeapProfile)
-// from the process hosting rank. Local ranks are captured directly; remote
-// ones go over the pull RPC, retrying DeliverControl (which refuses rather
-// than blocks while a control connection dials) until the reply arrives or
-// timeout elapses. A zero timeout uses pullTimeout.
-func (t *Telemetry) Pull(rank int, kind string, timeout time.Duration) ([]byte, error) {
-	if t == nil {
-		return nil, errors.New("cluster: telemetry not running")
-	}
-	if rank < 0 || rank >= t.c.P() {
-		return nil, fmt.Errorf("cluster: pull from invalid rank %d", rank)
-	}
-	if timeout <= 0 {
-		timeout = pullTimeout
-	}
-	if t.c.nodes[rank] != nil {
-		return t.capture(kind)
-	}
-	id := t.pullSeq.Add(1)
-	ch := make(chan PullReply, 1)
-	t.pending.Store(id, ch)
-	defer t.pending.Delete(id)
-
-	data, err := json.Marshal(pullRequest{ID: id, Kind: kind})
-	if err != nil {
-		return nil, err
-	}
-	src := t.c.local[0].rank
-	f := Frame{Src: src, Dst: rank, Tag: telemetryPullTag, Data: data}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	retry := time.NewTicker(50 * time.Millisecond)
-	defer retry.Stop()
-	sent := t.c.transport.DeliverControl(f) == nil
-	for {
-		select {
-		case rep := <-ch:
-			if rep.Err != "" {
-				return nil, fmt.Errorf("cluster: pull %s from rank %d: %s", kind, rank, rep.Err)
-			}
-			return rep.Data, nil
-		case <-deadline.C:
-			return nil, fmt.Errorf("cluster: pull %s from rank %d: timed out after %v", kind, rank, timeout)
-		case <-t.stopc:
-			return nil, errTransportClosed
-		case <-t.c.aborted:
-			return nil, ErrAborted
-		case <-retry.C:
-			// DeliverControl refuses while the control connection dials in
-			// the background; keep knocking until the reply window closes.
-			if !sent {
-				sent = t.c.transport.DeliverControl(f) == nil
-			}
-		}
-	}
-}
-
-// servePull captures the requested artifact and ships the reply back,
-// best-effort, on a tracked goroutine (a CPU profile takes seconds).
-func (t *Telemetry) servePull(w pullWork) {
-	rep := PullReply{ID: w.req.ID, Kind: w.req.Kind, Rank: t.c.local[0].rank}
-	data, err := t.capture(w.req.Kind)
-	if err != nil {
-		rep.Err = err.Error()
-	} else {
-		rep.Data = data
-	}
-	buf, err := json.Marshal(&rep)
-	if err != nil {
+	if t.agg == nil {
 		return
 	}
-	f := Frame{Src: rep.Rank, Dst: w.from, Tag: telemetryReplyTag, Data: buf}
-	deadline := time.After(pullTimeout)
-	for t.c.transport.DeliverControl(f) != nil {
-		select {
-		case <-t.stopc:
-			return
-		case <-t.c.aborted:
-			return
-		case <-deadline:
-			return
-		case <-time.After(50 * time.Millisecond):
-		}
+	var rec RankTelemetry
+	if err := json.Unmarshal(f.Data, &rec); err != nil || rec.V != TelemetryVersion {
+		t.decodeErrs.Add(1)
+		return
 	}
-}
-
-// capture produces one artifact locally.
-func (t *Telemetry) capture(kind string) ([]byte, error) {
-	switch kind {
-	case PullBlackbox:
-		if t.cfg.Blackbox == nil {
-			return nil, errors.New("no blackbox source configured")
-		}
-		var buf bytes.Buffer
-		if err := t.cfg.Blackbox(&buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	case PullCPUProfile:
-		var buf bytes.Buffer
-		if err := pprof.StartCPUProfile(&buf); err != nil {
-			return nil, err
-		}
-		select {
-		case <-time.After(cpuProfileDuration):
-		case <-t.stopc:
-		}
-		pprof.StopCPUProfile()
-		return buf.Bytes(), nil
-	case PullHeapProfile:
-		p := pprof.Lookup("heap")
-		if p == nil {
-			return nil, errors.New("no heap profile available")
-		}
-		var buf bytes.Buffer
-		if err := p.WriteTo(&buf, 0); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	default:
-		return nil, fmt.Errorf("unknown pull kind %q", kind)
-	}
+	t.agg.ingestRecord(rec, time.Now())
 }
 
 // A TelemetryAggregator keeps, on the rank that hosts it, the latest record
@@ -519,20 +305,21 @@ type rankEntry struct {
 	rec     RankTelemetry
 	arrived time.Time
 
-	// Stall-triggered evidence: the blackbox auto-pulled when a record
-	// stamped with a fresh stall arrived, keyed by that stamp so one
-	// episode pulls once.
-	pulledStall int64
-	pulling     bool
-	blackbox    []byte
-	blackboxErr string
+	// The black box of the rank's newest stall episode that shipped one,
+	// keyed by the episode's stamp.
+	blackboxAt int64
+	blackbox   []byte
 }
 
-// ingestRecord stores the freshest record per rank and, when it is stamped
-// with a stall not yet investigated, kicks off the automatic blackbox
-// pull. Called from the local publisher or a transport read goroutine.
+// ingestRecord stores the freshest record per rank and keeps the black box
+// a record carries until a newer episode's replaces it; the retained record
+// never holds the bytes. Called from the local publisher or a transport
+// read goroutine.
 func (a *TelemetryAggregator) ingestRecord(rec RankTelemetry, now time.Time) {
+	box := rec.Blackbox
+	rec.Blackbox = nil
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	e := a.ranks[rec.Rank]
 	if e == nil {
 		e = &rankEntry{}
@@ -542,47 +329,19 @@ func (a *TelemetryAggregator) ingestRecord(rec RankTelemetry, now time.Time) {
 		e.rec = rec
 		e.arrived = now
 	}
-	var pull bool
-	if rec.StallAt > e.pulledStall && !e.pulling {
-		e.pulledStall = rec.StallAt
-		e.pulling = true
-		pull = true
-	}
-	a.mu.Unlock()
-	if pull {
-		rank := rec.Rank
-		started := a.t.goTracked(func() {
-			data, err := a.t.Pull(rank, PullBlackbox, 0)
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			if e := a.ranks[rank]; e != nil {
-				e.pulling = false
-				e.blackbox = data
-				e.blackboxErr = ""
-				if err != nil {
-					e.blackboxErr = err.Error()
-				}
-			}
-		})
-		if !started {
-			a.mu.Lock()
-			e.pulling = false
-			a.mu.Unlock()
-		}
+	if box != nil && rec.StallAt > e.blackboxAt {
+		e.blackboxAt, e.blackbox = rec.StallAt, box
 	}
 }
 
-// StallBlackbox returns the blackbox auto-pulled for rank's most recent
-// stall episode, or the error that prevented fetching it.
+// StallBlackbox returns the black box rank shipped with its most recent
+// stall episode, or an error if it has shipped none.
 func (a *TelemetryAggregator) StallBlackbox(rank int) ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	e := a.ranks[rank]
-	if e == nil || (e.blackbox == nil && e.blackboxErr == "") {
+	if e == nil || e.blackbox == nil {
 		return nil, fmt.Errorf("cluster: no stall blackbox for rank %d", rank)
-	}
-	if e.blackboxErr != "" {
-		return nil, errors.New(e.blackboxErr)
 	}
 	return e.blackbox, nil
 }

@@ -10,6 +10,7 @@ package cluster
 import (
 	"encoding/json"
 	"io"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -123,33 +124,68 @@ func conformTelemetryAbort(t *testing.T, kind string) {
 	}
 }
 
-// conformTelemetryShutdown: Close with an active telemetry plane — records
-// flowing, a pull served — leaves no cluster goroutine running.
+// conformTelemetryShutdown: rank 1's stall black box reaches the aggregator
+// on the record that first gets through, and Close with the plane active
+// leaves no cluster goroutine running. On TCP rank 1 is hosted by a second
+// cluster, so its first record is refused while the control connection
+// dials and a later one must carry the box.
 func conformTelemetryShutdown(t *testing.T, kind string) {
 	before := countClusterGoroutines()
-	c := openConformance(t, kind, 2, 0, 0)
-	tel, err := c.StartTelemetry(TelemetryConfig{
+	var clusters []*Cluster // clusters[0] hosts the aggregator
+	if kind == TransportTCP {
+		c0, c1 := openTCPPair(t)
+		clusters = []*Cluster{c0, c1}
+	} else {
+		clusters = []*Cluster{openConformance(t, kind, 2, 0, 0)}
+	}
+	var boxes atomic.Int64
+	cfg := TelemetryConfig{
 		Interval: 2 * time.Millisecond,
+		Collect: func(rank int) (json.RawMessage, int64) {
+			if rank == 1 {
+				return nil, 42
+			}
+			return nil, 0
+		},
 		Blackbox: func(w io.Writer) error {
+			boxes.Add(1)
 			_, err := io.WriteString(w, "bb")
 			return err
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	var agg *TelemetryAggregator
+	for i, c := range clusters {
+		tel, err := c.StartTelemetry(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			agg = tel.Aggregator()
+		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for tel.Published() == 0 {
+	for {
+		if data, err := agg.StallBlackbox(1); err == nil {
+			if string(data) != "bb" {
+				t.Fatalf("stall blackbox %q, want %q", data, "bb")
+			}
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("publisher never shipped a record")
+			t.Fatal("rank 1's stall blackbox never reached the aggregator")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if _, err := tel.Pull(1, PullBlackbox, time.Second); err != nil {
-		t.Fatalf("local pull: %v", err)
+	// In one process the first record is ingested directly, so the box is
+	// captured once; across two, the first record was refused.
+	oneProcess := len(clusters) == 1
+	if n := boxes.Load(); oneProcess && n != 1 || !oneProcess && n < 2 {
+		t.Fatalf("box captured %d times across %d process(es)", n, len(clusters))
 	}
-	if err := c.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+	for _, c := range clusters {
+		if err := c.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
 	}
 	waitDeadline := time.Now().Add(5 * time.Second)
 	for {

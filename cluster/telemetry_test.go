@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -48,9 +48,6 @@ func TestTelemetryDisabled(t *testing.T) {
 		t.Fatal("nil Telemetry methods are not no-ops")
 	}
 	nilTel.stop()
-	if _, err := nilTel.Pull(0, PullBlackbox, time.Second); err == nil {
-		t.Fatal("Pull on nil Telemetry succeeded")
-	}
 }
 
 // TestTelemetryDoubleStart: a second StartTelemetry is rejected.
@@ -161,76 +158,65 @@ func TestTelemetrySeqRegression(t *testing.T) {
 	}
 }
 
-// TestTelemetryLocalPulls: the pull kinds against local ranks — the
-// blackbox callback round-trips, the heap profile is non-empty, and an
-// unknown kind or out-of-range rank errors cleanly.
-func TestTelemetryLocalPulls(t *testing.T) {
-	const blackbox = `{"trace":"events"}`
+// TestTelemetryStallShipsBlackbox: the first record of a stall episode
+// carries the rank's black box, once per episode however often the episode
+// is re-reported; a newer episode's box replaces it; a rank that never
+// stalled has none; and the retained records never hold the bytes.
+func TestTelemetryStallShipsBlackbox(t *testing.T) {
+	var stallAt, boxes atomic.Int64
 	_, tel := startTestTelemetry(t, 2, TelemetryConfig{
-		Interval: time.Hour,
-		Blackbox: func(w io.Writer) error {
-			_, err := io.WriteString(w, blackbox)
-			return err
+		Interval: time.Millisecond,
+		Collect: func(rank int) (json.RawMessage, int64) {
+			if rank == 0 {
+				return nil, stallAt.Load()
+			}
+			return nil, 0
 		},
-	})
-	data, err := tel.Pull(0, PullBlackbox, time.Second)
-	if err != nil || string(data) != blackbox {
-		t.Fatalf("blackbox pull: %q, %v", data, err)
-	}
-	heap, err := tel.Pull(1, PullHeapProfile, time.Second)
-	if err != nil || len(heap) == 0 {
-		t.Fatalf("heap pull: %d bytes, %v", len(heap), err)
-	}
-	if _, err := tel.Pull(0, "nonsense", time.Second); err == nil {
-		t.Fatal("unknown pull kind succeeded")
-	}
-	if _, err := tel.Pull(99, PullBlackbox, time.Second); err == nil {
-		t.Fatal("pull from out-of-range rank succeeded")
-	}
-}
-
-// TestTelemetryStallAutoPull: a record stamped with a fresh stall episode
-// makes the aggregator pull that rank's blackbox exactly once per episode.
-func TestTelemetryStallAutoPull(t *testing.T) {
-	var mu sync.Mutex
-	pullCount := 0
-	_, tel := startTestTelemetry(t, 2, TelemetryConfig{
-		Interval: time.Hour,
 		Blackbox: func(w io.Writer) error {
-			mu.Lock()
-			pullCount++
-			mu.Unlock()
-			_, err := io.WriteString(w, "blackbox-bytes")
+			_, err := fmt.Fprintf(w, "box-%d", boxes.Add(1))
 			return err
 		},
 	})
 	agg := tel.Aggregator()
-	rec := RankTelemetry{V: TelemetryVersion, Rank: 0, Seq: 1000, StallAt: time.Now().UnixNano()}
-	agg.ingestRecord(rec, time.Now())
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if data, err := agg.StallBlackbox(0); err == nil {
-			if string(data) != "blackbox-bytes" {
-				t.Fatalf("stall blackbox %q", data)
+	// episode stamps a stall on rank 0 and waits until at least ten records
+	// of it have been ingested.
+	episode := func(at int64) {
+		t.Helper()
+		stallAt.Store(at)
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if _, ranks := agg.Status(); ranks[0].Reported && ranks[0].Record.StallAt == at {
+				break
 			}
-			break
+			if time.Now().After(deadline) {
+				t.Fatalf("episode %d never reached the aggregator", at)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("stall never triggered a blackbox pull")
+		for from := tel.Published(); tel.Published() < from+20; {
+			if time.Now().After(deadline) {
+				t.Fatal("the publisher stopped re-reporting the episode")
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	// The same episode re-reported must not pull again.
-	rec.Seq = 1001
-	agg.ingestRecord(rec, time.Now())
-	time.Sleep(20 * time.Millisecond)
-	mu.Lock()
-	got := pullCount
-	mu.Unlock()
-	if got != 1 {
-		t.Fatalf("stall episode pulled %d times, want 1", got)
+	for i, at := range []int64{1000, 2000} {
+		episode(at)
+		want := fmt.Sprintf("box-%d", i+1)
+		if n := boxes.Load(); n != int64(i+1) {
+			t.Fatalf("after episode %d: %d boxes shipped, want %d", i+1, n, i+1)
+		}
+		if data, err := agg.StallBlackbox(0); err != nil || string(data) != want {
+			t.Fatalf("after episode %d: stall blackbox %q, %v; want %q", i+1, data, err, want)
+		}
 	}
 	if _, err := agg.StallBlackbox(1); err == nil {
 		t.Fatal("StallBlackbox for a rank with no stall succeeded")
+	}
+	_, ranks := agg.Status()
+	for _, rs := range ranks {
+		if rs.Record.Blackbox != nil {
+			t.Fatalf("rank %d: the retained record holds %d black-box bytes", rs.Rank, len(rs.Record.Blackbox))
+		}
 	}
 }

@@ -38,7 +38,7 @@ func BindFlags(fs *flag.FlagSet, logRecords, columnsPerNode int) *Flags {
 	fs.BoolVar(&f.pr.Verify, "verify", true, "verify every sort's output")
 	fs.Int64Var(&f.job.Seed, "seed", 1, "workload seed")
 	fs.StringVar(&f.observe.TraceOut, "trace-out", "", "write a Chrome trace-event JSON file of every run (chrome://tracing, Perfetto)")
-	fs.StringVar(&f.observe.StatusAddr, "status-addr", "", "serve every observability route on this address (host:port, :0 picks a port) while the run is in flight: /metrics (Prometheus), /status, /status.json, and the fleet view /cluster/status.json, /cluster/metrics (live with -telemetry-interval)")
+	fs.StringVar(&f.observe.StatusAddr, "status-addr", "", "serve every observability route on this address (host:port, :0 picks a port) while the run is in flight: /metrics (Prometheus), /status, /status.json, /blackbox, /debug/pprof/, and the fleet view /cluster/status.json, /cluster/metrics, /cluster/blackbox (live with -telemetry-interval)")
 	fs.DurationVar(&f.pr.Telemetry.Interval, "telemetry-interval", 0, "publish a telemetry record per rank at this interval toward the aggregator rank 0 (0 = off)")
 	fs.DurationVar(&f.observe.StallAfter, "stall-after", 0, "arm a stall watchdog: report and dump a black-box trace after this long with no progress (0 = off)")
 	fs.StringVar(&f.transport, "transport", "inproc", "cluster transport: inproc (goroutines and channels) or tcp (real sockets)")

@@ -337,6 +337,37 @@ func TestObserveCLITraceAndBlackBoxShareOneSink(t *testing.T) {
 	}
 }
 
+// TestObserveCLIRankBlackBoxName: a process hosting one rank of a
+// multi-process job names its black box after the rank, so ranks started
+// in one directory cannot overwrite each other's evidence.
+func TestObserveCLIRankBlackBoxName(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil { // the box's path is relative
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	pr := tinyParams()
+	pr.Transport = cluster.TransportConfig{Kind: cluster.TransportTCP, Peers: []string{"a", "b"}, Rank: 1}
+	finish, err := ObserveCLI(ObserveFlags{StallAfter: time.Hour}, &pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := finish(&fg.PanicError{Stage: "sort", Value: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile("fg-blackbox.rank1.json")
+	if err != nil {
+		t.Fatalf("rank 1's black box not written: %v", err)
+	}
+	decodeChromeTrace(t, raw)
+	if _, err := os.Stat(BlackBoxPath); !os.IsNotExist(err) {
+		t.Fatalf("a rank of a multi-process job wrote %s (stat: %v)", BlackBoxPath, err)
+	}
+}
+
 // TestObserveCLIAllOff checks the pay-nothing contract: no flags, no bundle.
 func TestObserveCLIAllOff(t *testing.T) {
 	var pr Params

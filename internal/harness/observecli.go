@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,7 +18,9 @@ import (
 
 // BlackBoxPath is where ObserveCLI dumps the tracer's most recent events
 // when a run stalls or panics: a Chrome-trace "black box" of the final
-// moments.
+// moments. A process hosting one rank of a multi-process job writes
+// fg-blackbox.rank<r>.json instead, so ranks sharing a directory keep
+// each other's evidence.
 const BlackBoxPath = "fg-blackbox.json"
 
 // ObserveFlags are the observability settings a command line offers; the
@@ -31,15 +34,16 @@ type ObserveFlags struct {
 	// StatusAddr, when non-empty, is the one address (host:port, ":0" picks
 	// a free port) every observability route is served on for the duration
 	// of the run: /metrics (Prometheus), /status and /status.json (live
-	// pipeline health), and the fleet view — /cluster/status.json,
-	// /cluster/metrics, /cluster/blackbox, /cluster/profile. The fleet
+	// pipeline health), /blackbox (the tracer's black box), the pprof
+	// handlers under /debug/pprof/, and the fleet view —
+	// /cluster/status.json, /cluster/metrics, /cluster/blackbox. The fleet
 	// routes fill in only where the telemetry plane runs and this process
 	// hosts the aggregator rank; elsewhere they answer 503.
 	StatusAddr string `json:"status_addr,omitempty"`
 	// StallAfter, when positive, arms a progress watchdog on every network:
 	// a stretch of StallAfter with no stage completing a round prints a
 	// StallReport naming the suspected culprit and dumps the black box to
-	// BlackBoxPath.
+	// BlackBoxPath (or its per-rank name).
 	StallAfter time.Duration `json:"stall_after_ns,omitempty"`
 }
 
@@ -84,19 +88,29 @@ func ObserveCLI(f ObserveFlags, pr *Params) (finish func(runErr error) error, er
 		}
 		o.Metrics = fg.NewMetricsRegistry()
 		mux := o.Metrics.Handler()
+		mux.HandleFunc("/blackbox", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_ = o.Tracer.WriteBlackBox(w)
+		})
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pr.OnTelemetry = MountClusterTelemetry(mux).SetPlane
 		srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 		go func() { _ = srv.Serve(ln) }()
 		stopServer = srv.Close
-		fmt.Printf("serving on http://%s: /metrics (Prometheus), /status (text), /status.json, and the fleet view under /cluster/\n", ln.Addr())
+		fmt.Printf("serving on http://%s: /metrics (Prometheus), /status (text), /status.json, /blackbox, /debug/pprof/, and the fleet view under /cluster/\n", ln.Addr())
+	}
+	boxPath := BlackBoxPath
+	if pr.Transport.Peers != nil {
+		boxPath = fmt.Sprintf("fg-blackbox.rank%d.json", pr.Transport.Rank)
 	}
 	writeBlackBox := func(why string) {
-		if err := writeFileAtomic(BlackBoxPath, o.Tracer.WriteBlackBox); err != nil {
+		if err := writeFileAtomic(boxPath, o.Tracer.WriteBlackBox); err != nil {
 			fmt.Fprintf(os.Stderr, "black box write failed: %v\n", err)
 			return
 		}
 		fmt.Printf("black box (%s) written to %s: last %d events; load it in chrome://tracing\n",
-			why, BlackBoxPath, min(o.Tracer.Len(), fg.BlackBoxEvents))
+			why, boxPath, min(o.Tracer.Len(), fg.BlackBoxEvents))
 	}
 	if f.StallAfter > 0 {
 		interval := f.StallAfter / 4

@@ -11,7 +11,6 @@ package harness
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -313,11 +312,8 @@ func emitFleet(st FleetStatus, emit fg.EmitFunc) {
 //
 //	/cluster/status.json  the fleet view (FleetStatus)
 //	/cluster/metrics      the same view as rank-labeled Prometheus series
-//	/cluster/blackbox     ?rank=N[&stall=1]: a rank's black box, pulled
-//	                      on demand (stall=1 returns the one auto-pulled at
-//	                      the rank's last stall)
-//	/cluster/profile      ?rank=N&kind=cpu|heap: a pprof profile pulled from
-//	                      the rank's process
+//	/cluster/blackbox     ?rank=N: the black box rank N shipped with its
+//	                      latest stall episode (404 if it has not stalled)
 //
 // The view outlives any one cluster — fgexp builds many — so it holds a
 // swappable pointer to the current telemetry plane; SetPlane (wired through
@@ -331,7 +327,7 @@ type ClusterTelemetry struct {
 	plane *cluster.Telemetry
 }
 
-// MountClusterTelemetry registers the four /cluster/ routes on mux; the
+// MountClusterTelemetry registers the three /cluster/ routes on mux; the
 // view they serve is empty until SetPlane installs a telemetry plane.
 func MountClusterTelemetry(mux *http.ServeMux) *ClusterTelemetry {
 	ct := &ClusterTelemetry{reg: fg.NewMetricsRegistry()}
@@ -347,7 +343,6 @@ func MountClusterTelemetry(mux *http.ServeMux) *ClusterTelemetry {
 		}
 	})
 	mux.HandleFunc("/cluster/blackbox", ct.handleBlackbox)
-	mux.HandleFunc("/cluster/profile", ct.handleProfile)
 	return ct
 }
 
@@ -362,14 +357,10 @@ func (ct *ClusterTelemetry) SetPlane(t *cluster.Telemetry) {
 	ct.mu.Unlock()
 }
 
-func (ct *ClusterTelemetry) telemetry() *cluster.Telemetry {
+func (ct *ClusterTelemetry) aggregator() *cluster.TelemetryAggregator {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	return ct.plane
-}
-
-func (ct *ClusterTelemetry) aggregator() *cluster.TelemetryAggregator {
-	return ct.telemetry().Aggregator()
+	return ct.plane.Aggregator()
 }
 
 // aggregatorOr503 returns the aggregator, having answered 503 when there is
@@ -394,74 +385,21 @@ func (ct *ClusterTelemetry) handleStatus(w http.ResponseWriter, _ *http.Request)
 	_ = enc.Encode(fleetStatus(a))
 }
 
-// pullRank parses the mandatory rank query parameter.
-func pullRank(r *http.Request) (int, error) {
-	v := r.URL.Query().Get("rank")
-	if v == "" {
-		return 0, errors.New("missing rank parameter")
-	}
-	rank, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad rank %q", v)
-	}
-	return rank, nil
-}
-
 func (ct *ClusterTelemetry) handleBlackbox(w http.ResponseWriter, r *http.Request) {
-	t := ct.telemetry()
-	if t == nil {
-		http.Error(w, "telemetry not running", http.StatusServiceUnavailable)
+	a := ct.aggregatorOr503(w)
+	if a == nil {
 		return
 	}
-	rank, err := pullRank(r)
+	rank, err := strconv.Atoi(r.URL.Query().Get("rank"))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, "want ?rank=N", http.StatusBadRequest)
 		return
 	}
-	var data []byte
-	if r.URL.Query().Get("stall") != "" {
-		if a := t.Aggregator(); a != nil {
-			data, err = a.StallBlackbox(rank)
-		} else {
-			err = errors.New("no aggregator in this process")
-		}
-	} else {
-		data, err = t.Pull(rank, cluster.PullBlackbox, 0)
-	}
+	data, err := a.StallBlackbox(rank)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
+		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(data)
-}
-
-func (ct *ClusterTelemetry) handleProfile(w http.ResponseWriter, r *http.Request) {
-	t := ct.telemetry()
-	if t == nil {
-		http.Error(w, "telemetry not running", http.StatusServiceUnavailable)
-		return
-	}
-	rank, err := pullRank(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var kind string
-	switch k := r.URL.Query().Get("kind"); k {
-	case "cpu":
-		kind = cluster.PullCPUProfile
-	case "heap", "":
-		kind = cluster.PullHeapProfile
-	default:
-		http.Error(w, fmt.Sprintf("unknown profile kind %q (want cpu or heap)", k), http.StatusBadRequest)
-		return
-	}
-	data, err := t.Pull(rank, kind, 0)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(data)
 }

@@ -343,8 +343,10 @@ func TestRankRecordStaysUnderEightKB(t *testing.T) {
 
 // TestClusterTelemetryInproc: an in-process dsort with the plane on — the
 // fleet view fills from the real fg registry, every rank reports, the
-// bottleneck names a stage, the metrics endpoint carries fleet_ series, and
-// the blackbox endpoint pulls a black-box dump.
+// bottleneck names a stage, and the metrics endpoint carries fleet_ series.
+// Beside the fleet view the process serves its own black box and pprof
+// profiles, while /cluster/blackbox has nothing for a rank that never
+// stalled.
 func TestClusterTelemetryInproc(t *testing.T) {
 	addr := reserveLoopback(t)
 	pr := DefaultParams()
@@ -354,8 +356,8 @@ func TestClusterTelemetryInproc(t *testing.T) {
 	}
 	defer finish(nil)
 
-	// Before any run the four routes answer 503, not garbage.
-	for _, path := range []string{"/cluster/status.json", "/cluster/metrics", "/cluster/blackbox?rank=0", "/cluster/profile?rank=0"} {
+	// Before any run the three routes answer 503, not garbage.
+	for _, path := range []string{"/cluster/status.json", "/cluster/metrics", "/cluster/blackbox?rank=0"} {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatal(err)
@@ -407,9 +409,17 @@ func TestClusterTelemetryInproc(t *testing.T) {
 		}
 	}
 
-	bb := getBody(t, addr, "/cluster/blackbox?rank=0")
-	if !strings.Contains(bb, "traceEvents") {
-		t.Errorf("blackbox pull is not a Chrome trace: %.80s", bb)
+	decodeChromeTrace(t, []byte(getBody(t, addr, "/blackbox")))
+	if heap := getBody(t, addr, "/debug/pprof/heap"); heap == "" {
+		t.Error("/debug/pprof/heap served an empty profile")
+	}
+	resp, err := http.Get("http://" + addr + "/cluster/blackbox?rank=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/cluster/blackbox for a rank that never stalled answered %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -502,7 +512,8 @@ func TestClusterTelemetryTwoProcessTCP(t *testing.T) {
 // connection killed mid-frame stalls the job in one process, that rank's
 // stall record reaches the aggregator in the other, and the fleet view's
 // diagnosis names the stalled rank and stage — a cross-rank story assembled
-// in one place.
+// in one place — while every rank whose record carries a stall has shipped
+// its black box there too.
 func TestClusterTelemetryRemoteStallDiagnosis(t *testing.T) {
 	addr := reserveLoopback(t)
 	l := launchRanks(t, tcpJob, func(r *Rank) {
@@ -522,6 +533,17 @@ func TestClusterTelemetryRemoteStallDiagnosis(t *testing.T) {
 				if strings.Contains(d, `stage "`) &&
 					(strings.Contains(d, "blocked") || strings.Contains(d, "stalled")) {
 					t.Logf("cross-rank diagnosis: %q", st.Diagnosis)
+					boxes := 0
+					for _, fr := range st.Ranks {
+						if fr.Record != nil && fr.Record.StallAt != 0 {
+							box := getBody(t, addr, fmt.Sprintf("/cluster/blackbox?rank=%d", fr.Rank))
+							decodeChromeTrace(t, []byte(box))
+							boxes++
+						}
+					}
+					if boxes == 0 {
+						t.Error("a stall was diagnosed but no rank's record carries its stamp")
+					}
 					return
 				}
 			}
