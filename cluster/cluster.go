@@ -34,10 +34,11 @@ import (
 var ErrAborted = errors.New("cluster: job aborted")
 
 // A CommError is the error attached to the panic raised when a
-// communication operation is killed — by an injected fault (Node.SetFault)
-// or by a cluster abort. Communication methods have no error returns, as
-// in MPI, so faults surface as panics; inside an FG network the stage's
-// runner recovers the panic and converts it into a clean network error.
+// communication operation is killed — by a transport error, a wire fault
+// injected through Cluster.SetNetFault, or a cluster abort. Communication
+// methods have no error returns, as in MPI, so faults surface as panics;
+// inside an FG network the stage's runner recovers the panic and converts
+// it into a clean network error.
 type CommError struct {
 	// Op is the operation: "send" or "recv".
 	Op string
@@ -46,7 +47,7 @@ type CommError struct {
 	// Peer is the destination (sends) or source (receives); -1 for an
 	// any-source receive.
 	Peer int
-	// Err is the underlying cause: ErrAborted or an injected fault.
+	// Err is the underlying cause: the abort's, or the transport's error.
 	Err error
 }
 
@@ -138,8 +139,10 @@ type Cluster struct {
 	// every frame — data and heartbeats — to or from r, simulating a
 	// network partition at the receiver. See SetPartitioned.
 	parts []atomic.Bool
+	// fault is the wire fault hook both transports consult; see SetNetFault.
+	fault atomic.Pointer[NetFaultHook]
 
-	health      *healthMonitor // nil unless Config.Health enables heartbeats
+	health      *healthMonitor // the control loop; runs only once started
 	onPeerDeath atomic.Pointer[func(rank int, err error)]
 
 	// telemetry is the running telemetry plane, installed by
@@ -183,18 +186,14 @@ func Open(cfg Config) (*Cluster, error) {
 		c.nodes[r] = n
 		c.local = append(c.local, n)
 	}
-	// Install the health monitor before the transport starts: the moment a
-	// listener is up, an inbound heartbeat from an eager peer can reach
-	// deliverLocal, which must see a fully built monitor (or a committed
-	// nil).
-	if cfg.Health.Interval > 0 {
-		c.health = newHealthMonitor(c, cfg.Health.withDefaults())
-	}
+	// Build the control loop before the transport starts: an inbound
+	// heartbeat from an eager peer can reach deliverLocal at once.
+	c.health = newHealthMonitor(c)
 	if err := tr.Start(c); err != nil {
 		return nil, err
 	}
-	if c.health != nil {
-		c.health.start()
+	if cfg.Health.Interval > 0 {
+		c.health.start(cfg.Health)
 	}
 	return c, nil
 }
@@ -243,12 +242,7 @@ func (c *Cluster) Aborted() bool {
 // TCP clusters should always be closed.
 func (c *Cluster) Close() error {
 	c.closeOnce.Do(func() {
-		if t := c.telemetry.Load(); t != nil {
-			t.stop()
-		}
-		if c.health != nil {
-			c.health.stop()
-		}
+		c.health.stop()
 		c.closeErr = c.transport.Close()
 	})
 	return c.closeErr
@@ -308,8 +302,8 @@ func (n *Node) abortPanic(op string, peer int) {
 }
 
 // SetPartitioned isolates (or, with false, heals) rank r at this process's
-// receiver: while set, deliverLocal silently drops every frame to or from r
-// — bulk data and heartbeats alike — which is what a partitioned switch
+// receiver: while set, every frame to or from r is silently dropped — bulk
+// data and control frames alike — which is what a partitioned switch
 // port looks like: sends appear to succeed and nothing arrives. It is a
 // chaos seam for failure-detection tests on any backend; in a multi-process
 // job each process decides its own view, as a real partition would. With
@@ -319,9 +313,8 @@ func (c *Cluster) SetPartitioned(r int, on bool) {
 	c.parts[r].Store(on)
 }
 
-// isPartitioned reports whether rank r is currently isolated at this
-// process.
-func (c *Cluster) isPartitioned(r int) bool { return c.parts[r].Load() }
+// cutOff reports whether a partition swallows frames from src to dst.
+func (c *Cluster) cutOff(src, dst int) bool { return c.parts[src].Load() || c.parts[dst].Load() }
 
 // Run executes fn once per local node, each invocation on its own
 // goroutine, and waits for all of them. A panic on a node goroutine is
@@ -438,7 +431,6 @@ type Node struct {
 
 	mu        sync.Mutex
 	mailboxes map[mailboxKey]*mailbox
-	fault     func(op string, peer int, nbytes int) error
 
 	stats commCounters
 	obs   atomic.Pointer[CommObserver]
@@ -520,34 +512,6 @@ func (n *Node) observe(op string, peer, nbytes int, xfer int64, start time.Time)
 	}
 }
 
-// SetFault installs a fault injector on this node's communication: before
-// every Send, SendAny, Recv, or RecvAny, fn is called with the operation
-// ("send" or "recv"), the peer rank (-1 for any-source receives), and the
-// payload size (0 for receives). A non-nil return kills the operation with
-// a panic carrying a CommError — the MPI-style interface has no error
-// returns — which FG's panic isolation converts into a network error.
-// Passing nil clears the injector. Non-blocking TryRecv variants are not
-// subject to injection.
-func (n *Node) SetFault(fn func(op string, peer int, nbytes int) error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.fault = fn
-}
-
-// checkFault consults the injector; it panics with a CommError if the
-// injector kills the operation.
-func (n *Node) checkFault(op string, peer, nbytes int) {
-	n.mu.Lock()
-	fn := n.fault
-	n.mu.Unlock()
-	if fn == nil {
-		return
-	}
-	if err := fn(op, peer, nbytes); err != nil {
-		panic(&CommError{Op: op, Rank: n.rank, Peer: peer, Err: err})
-	}
-}
-
 // mailbox returns (creating if needed) the queue of messages from src with
 // the given tag.
 func (n *Node) mailbox(src int, tag int64) *mailbox {
@@ -575,7 +539,7 @@ func (c *Cluster) deliverLocal(f Frame, cancel <-chan struct{}) error {
 	// A simulated partition swallows the frame before any observable
 	// effect; the sender cannot tell (its bytes left the NIC), which is the
 	// failure mode heartbeats exist to detect.
-	if c.parts[f.Src].Load() || c.parts[f.Dst].Load() {
+	if c.cutOff(f.Src, f.Dst) {
 		return nil
 	}
 	// Control frames (the reserved negative tag space — heartbeats and the
@@ -599,30 +563,24 @@ func (c *Cluster) deliverLocal(f Frame, cancel <-chan struct{}) error {
 	return mb.put(message{src: f.Src, xfer: f.Xfer, data: f.Data}, c.aborted, cancel)
 }
 
-// deliverControl dispatches one reserved-tag control frame. Unknown
-// control tags are dropped: a newer peer speaking a control protocol this
-// build lacks degrades to silence, never to a mis-routed mailbox write.
+// deliverControl dispatches one reserved-tag control frame. Any control
+// frame proves its sender alive; beyond that, unknown control tags are
+// dropped: a newer peer speaking a control protocol this build lacks
+// degrades to silence, never to a mis-routed mailbox write.
 func (c *Cluster) deliverControl(f Frame) {
-	switch f.Tag {
-	case healthTag:
-		if c.health != nil {
-			c.health.observe(f.Src)
-		}
-	case telemetryTag:
-		if t := c.telemetry.Load(); t != nil {
-			t.deliver(f)
-		}
+	c.health.observe(f.Src)
+	if t := c.telemetry.Load(); t != nil && f.Tag == telemetryTag {
+		t.deliver(f)
 	}
 }
 
-// sendFrame is the shared body of Send and SendAny: fault check, abort
-// preflight, copy into a recycled message buffer, transfer-ID mint,
-// transport delivery, stats, observer.
+// sendFrame is the shared body of Send and SendAny: abort preflight, copy
+// into a recycled message buffer, transfer-ID mint, transport delivery,
+// stats, observer.
 func (n *Node) sendFrame(dst int, tag int64, any bool, data []byte) {
 	if dst < 0 || dst >= n.P() {
 		panic(fmt.Sprintf("cluster: node %d sending to invalid rank %d", n.rank, dst))
 	}
-	n.checkFault("send", dst, len(data))
 	// Abort preflight: a send attempted after the job aborted must fail
 	// deterministically rather than race the abort against a mailbox that
 	// still has room.
@@ -650,7 +608,6 @@ func (n *Node) sendFrame(dst int, tag int64, any bool, data []byte) {
 // recvFrame is the shared body of Recv and RecvAny. peer is the reported
 // peer rank: src for point-to-point, -1 for any-source.
 func (n *Node) recvFrame(mb *mailbox, peer int) message {
-	n.checkFault("recv", peer, 0)
 	if n.cluster.Aborted() {
 		n.abortPanic("recv", peer)
 	}
@@ -710,7 +667,7 @@ func (c *Cluster) EmitMetrics(emit func(name string, labels map[string]string, v
 	for _, n := range c.local {
 		n.Stats().EmitMetrics("cluster_", "node", n.rank, emit)
 	}
-	if c.health != nil {
+	if c.health.armed() {
 		c.health.emitMetrics(emit)
 	}
 }
@@ -747,11 +704,11 @@ var MetricHelp = map[string]string{
 	"cluster_sends_blocked":           "goroutines parked in a Send right now",
 	"cluster_recvs_blocked":           "goroutines parked in a Recv right now",
 	"cluster_reconnects_total":        "TCP connections the node redialed after a failure",
-	"cluster_heartbeats_sent_total":   "heartbeats the failure detector sent",
-	"cluster_heartbeats_recvd_total":  "heartbeats the failure detector received",
+	"cluster_heartbeats_sent_total":   "bare heartbeats the failure detector sent",
+	"cluster_heartbeats_recvd_total":  "control frames (heartbeats and telemetry records) received as proof of life",
 	"cluster_peers_suspect":           "peers currently silent past the suspect threshold",
 	"cluster_peers_dead":              "peers the failure detector has declared dead",
-	"fg_peer_last_seen_seconds":       "seconds since the last heartbeat from the peer",
+	"fg_peer_last_seen_seconds":       "seconds since the last heartbeat or telemetry record from the peer",
 	"fg_peer_suspect":                 "1 while the peer is silent past the suspect threshold",
 	"fg_peer_dead":                    "1 once the peer has been declared dead",
 }

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -90,6 +91,9 @@ func TestTransportConformance(t *testing.T) {
 			t.Run("AbortReleasesBlockedSend", func(t *testing.T) { conformAbortSend(t, kind) })
 			t.Run("AbortReleasesBlockedRecv", func(t *testing.T) { conformAbortRecv(t, kind) })
 			t.Run("SendAfterAbortFailsFast", func(t *testing.T) { conformAbortPreflight(t, kind) })
+			t.Run("InjectedDropIsTransient", func(t *testing.T) { conformInjectedDrop(t, kind) })
+			t.Run("InjectedCloseLosesOneFrame", func(t *testing.T) { conformInjectedClose(t, kind) })
+			t.Run("SelfSendSkipsFaultHook", func(t *testing.T) { conformSelfSendSkipsFault(t, kind) })
 			t.Run("PeerDeathReleasesBlockedOps", func(t *testing.T) { conformPeerDeath(t, kind) })
 			t.Run("HeartbeatSurvivesTransientPartition", func(t *testing.T) { conformTransientPartition(t, kind) })
 			t.Run("TelemetryUnderBackpressure", func(t *testing.T) { conformTelemetryBackpressure(t, kind) })
@@ -439,6 +443,94 @@ func conformAbortPreflight(t *testing.T, kind string) {
 		expectAbortErr(t, "send after abort", func() { c.Node(0).Send(1, 2, []byte("x")) })
 		expectAbortErr(t, "any-send after abort", func() { c.Node(0).SendAny(1, 2, []byte("x")) })
 		expectAbortErr(t, "recv after abort", func() { c.Node(1).Recv(0, 2) })
+	}
+}
+
+// conformInjectedDrop: a frame the wire fault hook drops surfaces as a
+// CommError panic at the sender, and a plain retry of the same Send
+// succeeds.
+func conformInjectedDrop(t *testing.T, kind string) {
+	c := openConformance(t, kind, 2, 0, 0)
+	var failed atomic.Bool
+	c.SetNetFault(func(src, dst, nbytes int) NetFault {
+		if failed.CompareAndSwap(false, true) {
+			return NetFaultDrop
+		}
+		return NetFaultNone
+	})
+	send := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = r.(error)
+			}
+		}()
+		c.Node(0).Send(1, 1, []byte("payload"))
+		return nil
+	}
+	var ce *CommError
+	if err := send(); !errors.As(err, &ce) || errors.Is(err, ErrAborted) {
+		t.Fatalf("first send: %v, want a transient CommError", err)
+	}
+	if err := send(); err != nil {
+		t.Fatalf("retried send: %v", err)
+	}
+	if got := c.Node(1).Recv(0, 1); string(got) != "payload" {
+		t.Fatalf("recv = %q", got)
+	}
+}
+
+// conformInjectedClose: a connection closed mid-frame loses the frame in
+// flight, but the next Deliver goes through (redialing, over TCP) and
+// per-stream order holds — the lost message itself is watchdog territory,
+// not the transport's.
+func conformInjectedClose(t *testing.T, kind string) {
+	c := openConformance(t, kind, 2, 0, 0)
+	var n atomic.Int64
+	c.SetNetFault(func(src, dst, nbytes int) NetFault {
+		if n.Add(1) == 3 {
+			return NetFaultCloseMidFrame
+		}
+		return NetFaultNone
+	})
+	c.Node(0).Send(1, 1, []byte("one"))
+	c.Node(0).Send(1, 1, []byte("two"))
+	c.Node(0).Send(1, 1, []byte("lost")) // accepted, then dies mid-frame
+	if tr, ok := c.transport.(*tcpTransport); ok {
+		// The writer marks the connection failed asynchronously, and counts
+		// the lost frame; wait for it.
+		deadline := time.Now().Add(5 * time.Second)
+		for tr.Dropped() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("injected close never registered")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	c.Node(0).Send(1, 1, []byte("four"))
+	got := []string{
+		string(c.Node(1).Recv(0, 1)),
+		string(c.Node(1).Recv(0, 1)),
+		string(c.Node(1).Recv(0, 1)),
+	}
+	want := []string{"one", "two", "four"}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("received %q, want %q (the mid-frame casualty must vanish, order must hold)", got, want)
+		}
+	}
+}
+
+// conformSelfSendSkipsFaultHook: a rank sending to itself never reaches
+// the wire, so the fault hook never sees it.
+func conformSelfSendSkipsFault(t *testing.T, kind string) {
+	c := openConformance(t, kind, 2, 0, 0)
+	c.SetNetFault(func(src, dst, nbytes int) NetFault {
+		t.Errorf("self-send reached the wire: %d -> %d", src, dst)
+		return NetFaultDrop
+	})
+	c.Node(0).Send(0, 1, []byte("loop"))
+	if got := c.Node(0).Recv(0, 1); string(got) != "loop" {
+		t.Fatalf("recv = %q", got)
 	}
 }
 

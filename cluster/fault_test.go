@@ -65,16 +65,16 @@ func TestAbortReleasesBlockedSend(t *testing.T) {
 	}
 }
 
-// TestSetFaultKillsOperation: an injected fault surfaces as a CommError
-// panic, which Cluster.Run converts into an error preserving the chain.
-func TestSetFaultKillsOperation(t *testing.T) {
-	sentinel := errors.New("injected send fault")
+// TestNetFaultKillsOperation: a frame the wire fault hook drops surfaces as
+// a CommError panic at the sender, which Cluster.Run converts into an error
+// preserving the chain.
+func TestNetFaultKillsOperation(t *testing.T) {
 	c := New(Config{Nodes: 2})
-	c.Node(0).SetFault(func(op string, peer, nbytes int) error {
-		if op == "send" {
-			return sentinel
+	c.SetNetFault(func(src, dst, nbytes int) NetFault {
+		if src == 0 {
+			return NetFaultDrop
 		}
-		return nil
+		return NetFaultNone
 	})
 	err := c.Run(func(n *Node) error {
 		if n.Rank() == 0 {
@@ -91,8 +91,8 @@ func TestSetFaultKillsOperation(t *testing.T) {
 	if ce.Op != "send" || ce.Rank != 0 || ce.Peer != 1 {
 		t.Errorf("CommError = %+v, want op=send rank=0 peer=1", ce)
 	}
-	if !errors.Is(err, sentinel) {
-		t.Errorf("injected error lost from the chain: %v", err)
+	if want := errInjected(Frame{Src: 0, Dst: 1, Data: []byte("x")}); ce.Err.Error() != want.Error() {
+		t.Errorf("CommError carries %v, want the injected drop %v", ce.Err, want)
 	}
 }
 

@@ -1,31 +1,29 @@
 package cluster
 
-// Heartbeat-based failure detection. The fail-fast machinery of the abort
-// path handles the failures the transport can see: a dial that is refused,
-// a write that errors. What it cannot see is a peer that simply stops — a
-// kill -9'd process whose kernel quietly resets nothing, a partitioned
-// switch port that blackholes bytes. Without liveness detection those
-// failures surface as stalls, and a stall report names a symptom ("recv
-// blocked 30s"), not a cause. The health monitor closes that gap: every
-// rank beats every other rank on a reserved control tag at a fixed
-// interval, a per-peer last-seen clock ages the silence, and a peer silent
-// past the dead threshold is declared dead — the cluster aborts with a
-// PeerDeathError, so every blocked Send and Recv returns a prompt
-// CommError wrapping ErrPeerDead instead of waiting for a watchdog to
-// guess.
+// The control plane: heartbeat-based failure detection and the one loop it
+// shares with the telemetry plane. The abort path handles the failures the
+// transport can see (a refused dial, a failed write); a peer that simply
+// stops — a kill -9'd process, a switch port that blackholes bytes — would
+// otherwise surface as a stall naming a symptom, not a cause. So one
+// goroutine per cluster beats on a fixed interval: it ships every local
+// rank's telemetry record toward the aggregator (when the plane is on) and
+// a bare heartbeat to every other peer (when failure detection is armed),
+// the record replacing the heartbeat toward rank 0. Any control frame from
+// rank r proves r alive, and one per-peer clock ages the silence: past
+// SuspectAfter a peer is suspect — the fleet view's "stale" — and, only
+// with Config.Health, past DeadAfter it is declared dead and the cluster
+// aborts with a PeerDeathError, so every blocked Send and Recv returns a
+// prompt CommError wrapping ErrPeerDead.
 //
-// Heartbeats are multiplexed over the Transport seam as ordinary frames
-// with the reserved healthTag, so any conforming backend carries them; they
-// are intercepted in Cluster.deliverLocal before the mailbox layer, so they
-// cost the data path one tag compare and no allocation. Sends go through
-// Transport.DeliverControl, which must not block on data backpressure: a
-// receiver that is merely slow (full mailboxes, saturated byte budget) must
-// keep proving it is alive, or backpressure would read as death.
+// Control frames use the reserved negative tag space and are intercepted in
+// Cluster.deliverLocal before the mailbox layer, costing the data path one
+// sign compare and no allocation. They travel by Transport.DeliverControl,
+// which must not block on data backpressure: a slow receiver must keep
+// proving it is alive, or backpressure would read as death.
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -61,15 +59,16 @@ func (e *PeerDeathError) Unwrap() error { return ErrPeerDead }
 const healthTag int64 = -1 << 62
 
 // HealthConfig parameterizes the failure detector. The zero value disables
-// it entirely: no goroutine, no frames, no hot-path cost beyond a tag
-// compare that never matches.
+// it: no heartbeats and no verdicts (a telemetry plane, if started, runs
+// the control loop at its own interval and still declares no peer dead).
 type HealthConfig struct {
-	// Interval is the heartbeat period; every local rank beats every other
-	// rank once per interval. Zero disables failure detection.
+	// Interval is the heartbeat period — the control loop's beat; every
+	// local rank beats every other rank once per interval. Zero disables
+	// failure detection.
 	Interval time.Duration
 	// SuspectAfter is the silence after which a peer is marked suspect in
-	// PeerHealth and the metrics — observable but with no enforcement.
-	// Zero defaults to 3×Interval.
+	// PeerHealth, the metrics and (as "stale") the fleet view — observable
+	// but with no enforcement. Zero defaults to 3×Interval.
 	SuspectAfter time.Duration
 	// DeadAfter is the silence after which a peer is declared dead and the
 	// job aborted with a PeerDeathError. Zero defaults to 10×Interval.
@@ -113,36 +112,36 @@ type PeerStatus struct {
 // PeerHealth returns every rank's liveness as this process sees it, or nil
 // when failure detection is disabled.
 func (c *Cluster) PeerHealth() []PeerStatus {
-	if c.health == nil {
+	if !c.health.armed() {
 		return nil
 	}
 	return c.health.snapshot()
 }
 
-// healthMonitor is the per-process failure detector: one goroutine that
-// beats on every tick and ages every monitored peer's silence.
+// healthMonitor is the cluster's control loop: one goroutine that, on every
+// tick, ships records and heartbeats and ages every monitored peer's
+// silence, once Open (Config.Health) or StartTelemetry starts it.
 type healthMonitor struct {
 	c   *Cluster
-	cfg HealthConfig
+	cfg HealthConfig // fixed by start
 
-	lastSeen []atomic.Int64 // unix nanos of the last heartbeat from each rank
-	heard    []atomic.Bool  // whether any heartbeat ever arrived from each rank
+	lastSeen []atomic.Int64 // unix nanos of the last control frame from each rank
+	heard    []atomic.Bool  // whether any control frame ever arrived from each rank
 	suspect  []atomic.Bool
 	dead     []atomic.Bool
 
 	sent  atomic.Int64
 	recvd atomic.Int64
 
-	stopOnce sync.Once
-	stopc    chan struct{}
-	done     chan struct{}
+	started atomic.Bool
+	stopc   chan struct{}
+	done    chan struct{}
 }
 
-func newHealthMonitor(c *Cluster, cfg HealthConfig) *healthMonitor {
+func newHealthMonitor(c *Cluster) *healthMonitor {
 	p := c.P()
 	return &healthMonitor{
 		c:        c,
-		cfg:      cfg,
 		lastSeen: make([]atomic.Int64, p),
 		heard:    make([]atomic.Bool, p),
 		suspect:  make([]atomic.Bool, p),
@@ -152,7 +151,16 @@ func newHealthMonitor(c *Cluster, cfg HealthConfig) *healthMonitor {
 	}
 }
 
-func (m *healthMonitor) start() {
+// armed reports whether Config.Health enabled failure detection: bare
+// heartbeats, death verdicts, PeerHealth and the detector's metrics.
+func (m *healthMonitor) armed() bool { return m.c.cfg.Health.Interval > 0 }
+
+// start launches the loop at cfg's beat; only the first call does anything.
+func (m *healthMonitor) start(cfg HealthConfig) {
+	if !m.started.CompareAndSwap(false, true) {
+		return
+	}
+	m.cfg = cfg.withDefaults()
 	now := time.Now().UnixNano()
 	for i := range m.lastSeen {
 		m.lastSeen[i].Store(now)
@@ -160,22 +168,33 @@ func (m *healthMonitor) start() {
 	go m.run()
 }
 
-// stop ends the monitor and waits for its goroutine; idempotent.
+// stop ends the loop and waits for it; Cluster.Close calls it once.
 func (m *healthMonitor) stop() {
-	m.stopOnce.Do(func() { close(m.stopc) })
-	<-m.done
+	close(m.stopc)
+	if m.started.Load() {
+		<-m.done
+	}
 }
 
 func (m *healthMonitor) run() {
 	defer close(m.done)
 	t := time.NewTicker(m.cfg.Interval)
 	defer t.Stop()
+	// Publish at once, so the fleet view warms in one interval, not two.
+	if tel := m.c.telemetry.Load(); tel != nil {
+		tel.publish(0)
+	}
 	for {
 		select {
 		case <-m.stopc:
+			// Graceful stop: ship one last record per local rank so the
+			// retained fleet view reflects the run's end, not its warm-up.
+			if tel := m.c.telemetry.Load(); tel != nil {
+				tel.publish(20)
+			}
 			return
 		case <-m.c.aborted:
-			// The job is dead either way; beating a corpse helps nobody.
+			// Beating a corpse helps nobody; the last records stay readable.
 			return
 		case <-t.C:
 			m.beat()
@@ -184,13 +203,22 @@ func (m *healthMonitor) run() {
 	}
 }
 
-// beat sends one heartbeat from every local rank to every other rank.
-// Errors are ignored: a missed beat is exactly what the receiving end's
-// detector exists to notice.
+// beat ships every local rank's telemetry record, then — when failure
+// detection is armed — one heartbeat from every local rank to every other
+// rank except the aggregator, whom the record already told. Errors are
+// ignored: a missed beat is exactly what the receiving end's detector
+// exists to notice.
 func (m *healthMonitor) beat() {
+	tel := m.c.telemetry.Load()
+	if tel != nil {
+		tel.publish(0)
+	}
+	if !m.armed() {
+		return
+	}
 	for _, src := range m.c.local {
 		for dst := 0; dst < m.c.P(); dst++ {
-			if dst == src.rank {
+			if dst == src.rank || dst == aggregatorRank && tel != nil {
 				continue
 			}
 			f := Frame{Src: src.rank, Dst: dst, Tag: healthTag}
@@ -201,18 +229,19 @@ func (m *healthMonitor) beat() {
 	}
 }
 
-// observe records a heartbeat from rank src; called from deliverLocal on
-// the receiving transport's goroutine. It must stay allocation-free: it is
-// the only heartbeat cost adjacent to the data path.
+// observe records a sign of life from rank src — a heartbeat or a
+// telemetry record; called from deliverLocal on the receiving transport's
+// goroutine. It must stay allocation-free: it is the only control-plane
+// cost adjacent to the data path.
 func (m *healthMonitor) observe(src int) {
 	m.recvd.Add(1)
 	m.heard[src].Store(true)
 	m.lastSeen[src].Store(time.Now().UnixNano())
 }
 
-// check ages every monitored peer's silence, marking suspects and
-// declaring at most one death (the abort it triggers ends the job; naming
-// one culprit beats naming everyone the teardown swept up).
+// check ages every monitored peer's silence, marking suspects and, when
+// armed, declaring at most one death (the abort it triggers ends the job;
+// naming one culprit beats naming everyone the teardown swept up).
 func (m *healthMonitor) check() {
 	now := time.Now()
 	for r := 0; r < m.c.P(); r++ {
@@ -227,7 +256,7 @@ func (m *healthMonitor) check() {
 		if !m.heard[r].Load() && m.cfg.StartupGrace > deadAfter {
 			deadAfter = m.cfg.StartupGrace
 		}
-		if silence >= deadAfter {
+		if m.armed() && silence >= deadAfter {
 			m.declareDead(r, silence)
 			return
 		}
@@ -239,7 +268,7 @@ func (m *healthMonitor) check() {
 // process: hosted elsewhere, or hosted here but partitioned away (the
 // chaos seam that lets single-process tests exercise peer death).
 func (m *healthMonitor) monitored(r int) bool {
-	return m.c.nodes[r] == nil || m.c.isPartitioned(r)
+	return m.c.nodes[r] == nil || m.c.parts[r].Load()
 }
 
 func (m *healthMonitor) declareDead(r int, silence time.Duration) {

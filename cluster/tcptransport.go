@@ -93,7 +93,6 @@ type tcpTransport struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	fault   atomic.Pointer[NetFaultHook]
 	dropped atomic.Int64 // frames lost to failed or closing connections
 }
 
@@ -153,14 +152,6 @@ func (t *tcpTransport) Addrs() []string { return append([]string(nil), t.addrs..
 // the two ends of one transfer to agree and distinct transfers to differ.
 func (t *tcpTransport) NextXfer(src int) int64 {
 	return int64(src+1)<<40 | t.xferSeq[src].Add(1)
-}
-
-func (t *tcpTransport) setFault(h NetFaultHook) {
-	if h == nil {
-		t.fault.Store(nil)
-		return
-	}
-	t.fault.Store(&h)
 }
 
 func (t *tcpTransport) acceptLoop(ln net.Listener) {
@@ -292,12 +283,9 @@ func (t *tcpTransport) Deliver(f Frame) error {
 		defer src.stats.sendsBlocked.Add(-1)
 		return t.c.deliverLocal(f, t.closed)
 	}
-	act := NetFaultNone
-	if h := t.fault.Load(); h != nil {
-		act = (*h)(f.Src, f.Dst, len(f.Data))
-		if act == NetFaultDrop {
-			return fmt.Errorf("tcp: injected drop of %d-byte frame %d->%d", len(f.Data), f.Src, f.Dst)
-		}
+	act := t.c.netFault(f)
+	if act == NetFaultDrop {
+		return errInjected(f)
 	}
 	p := t.peer(f.Src, f.Dst)
 	if err := p.ensureConn(); err != nil {
@@ -322,7 +310,7 @@ func (t *tcpTransport) Deliver(f Frame) error {
 	}
 }
 
-// DeliverControl sends a heartbeat frame on the destination's dedicated
+// DeliverControl sends a control frame on the destination's dedicated
 // control connection — never the data connection, whose socket buffer may
 // legitimately be full of bulk data behind a slow-but-alive receiver. The
 // first call kicks off an asynchronous dial and reports the beat missed;
@@ -334,12 +322,10 @@ func (t *tcpTransport) DeliverControl(f Frame) error {
 	if t.isClosed() {
 		return errTransportClosed
 	}
-	if h := t.fault.Load(); h != nil {
-		// Heartbeats are subject to wire faults like any frame: a simulated
-		// partition that drops data but spares liveness would prove nothing.
-		if act := (*h)(f.Src, f.Dst, len(f.Data)); act != NetFaultNone {
-			return fmt.Errorf("tcp: injected fault on control frame %d->%d", f.Src, f.Dst)
-		}
+	// Control frames are subject to wire faults like any frame: a simulated
+	// partition that drops data but spares liveness would prove nothing.
+	if t.c.netFault(f) != NetFaultNone {
+		return errInjected(f)
 	}
 	t.mu.Lock()
 	ctl := t.ctls[f.Dst]

@@ -7,15 +7,14 @@ package cluster
 // when a stall report fires on rank 2 — whether the cause is rank 2's disk
 // or rank 5's silence.
 //
-// Every rank periodically ships a versioned wire record (RankTelemetry) to
-// one aggregator rank over a reserved control tag. Telemetry frames ride
-// Transport.DeliverControl, the same never-blocks path heartbeats use, so
-// a fleet drowning in data backpressure still reports; a slow or dead peer
-// degrades gracefully — its entry in the fleet view goes stale, stamped
-// with its age, and nothing about the job fails because of it. The
-// aggregator (TelemetryAggregator, on the rank that hosts it) keeps the
-// latest record per rank with its arrival time and joins it with its own
-// failure detector's verdicts.
+// Every rank ships a versioned wire record (RankTelemetry) to aggregator
+// rank 0 on each beat of the cluster's one control loop (health.go), by
+// the never-blocking Transport.DeliverControl, so a fleet drowning in data
+// backpressure still reports. A slow or dead peer degrades the view, never
+// the job: its entry goes stale — the aggregator process's suspect verdict
+// on the one silence clock every record and heartbeat feeds. The
+// aggregator (TelemetryAggregator) keeps each rank's latest record with
+// its arrival time.
 //
 // The plane only pushes. The first record a rank ships for a stall episode
 // also carries the rank's flight-recorder black box, which the aggregator
@@ -84,19 +83,19 @@ type RankTelemetry struct {
 // beyond the sign compare the control plane already pays.
 type TelemetryConfig struct {
 	// Interval is the publish period; every local rank snapshots and ships
-	// one record per interval. Zero disables telemetry.
+	// one record per interval. With Config.Health armed the heartbeat
+	// interval is the period instead: records ride the heartbeat. A rank
+	// reads stale once silent for 3 periods (HealthConfig.SuspectAfter when
+	// armed). Zero disables telemetry.
 	Interval time.Duration
-	// StaleAfter is the record age past which the fleet view marks a rank
-	// stale. Zero defaults to 3×Interval.
-	StaleAfter time.Duration
 	// Collect, if set, supplies rank's record body (JSON, opaque to this
 	// package) and the stamp of the stall episode it reports, 0 for none. It
-	// runs on the telemetry goroutine once per local rank per interval and
+	// runs on the control loop once per local rank per period and
 	// must be safe for concurrent use with the run it observes. Nil leaves
 	// the body empty — comm counters and peer health still flow.
 	Collect func(rank int) (body json.RawMessage, stallAt int64)
 	// Blackbox, if set, writes the process's flight-recorder dump; it runs
-	// on the telemetry goroutine once per stall episode per local rank, and
+	// on the control loop once per stall episode per local rank, and
 	// its output rides that episode's first delivered record. Nil ships
 	// stall records without a box.
 	Blackbox func(w io.Writer) error
@@ -106,34 +105,25 @@ type TelemetryConfig struct {
 // watches and no scenario may kill.
 const aggregatorRank = 0
 
-// StartTelemetry starts the cluster's telemetry plane: one goroutine that
-// publishes every local rank's record per cfg.Interval, plus — iff this
-// process hosts rank 0 — the fleet aggregator, reachable via
-// Telemetry.Aggregator. A non-positive
-// Interval returns (nil, nil): telemetry off, and every method of the nil
-// *Telemetry is a safe no-op. Starting twice is an error. The plane stops
-// with the cluster's Close (or on abort).
+// StartTelemetry starts the cluster's telemetry plane: every local rank's
+// record ships on each beat of the control loop, started here at
+// cfg.Interval unless Config.Health runs it, and iff this process hosts
+// rank 0 the fleet aggregator (Telemetry.Aggregator) keeps them. A
+// non-positive Interval returns (nil, nil): telemetry off, and every method
+// of the nil *Telemetry is a safe no-op. Starting twice is an error. The
+// plane stops with the cluster's Close (or on abort).
 func (c *Cluster) StartTelemetry(cfg TelemetryConfig) (*Telemetry, error) {
 	if cfg.Interval <= 0 {
 		return nil, nil
 	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 3 * cfg.Interval
-	}
-	t := &Telemetry{
-		c:       c,
-		cfg:     cfg,
-		shipped: make([]int64, len(c.local)),
-		stopc:   make(chan struct{}),
-		done:    make(chan struct{}),
-	}
+	t := &Telemetry{c: c, cfg: cfg, shipped: make([]int64, len(c.local))}
 	if c.nodes[aggregatorRank] != nil {
 		t.agg = &TelemetryAggregator{t: t, ranks: map[int]*rankEntry{}}
 	}
 	if !c.telemetry.CompareAndSwap(nil, t) {
 		return nil, errors.New("cluster: telemetry already started")
 	}
-	go t.run()
+	c.health.start(HealthConfig{Interval: cfg.Interval})
 	return t, nil
 }
 
@@ -150,15 +140,12 @@ type Telemetry struct {
 
 	seq atomic.Int64
 	// shipped is, per local rank (c.local's order), the stall episode whose
-	// black box a delivered record has carried; only the publisher touches it.
+	// black box a delivered record has carried; only the control loop
+	// touches it.
 	shipped []int64
 
 	published  atomic.Int64 // records shipped (or locally ingested)
 	decodeErrs atomic.Int64 // inbound records dropped as undecodable or of another version
-
-	stopOnce sync.Once
-	stopc    chan struct{}
-	done     chan struct{}
 }
 
 // Aggregator returns the fleet aggregator, or nil when rank 0 is
@@ -179,52 +166,13 @@ func (t *Telemetry) Published() int64 {
 	return t.published.Load()
 }
 
-// stop ends the publisher and waits for it; idempotent. Called from
-// Cluster.Close.
-func (t *Telemetry) stop() {
-	if t == nil {
-		return
-	}
-	t.stopOnce.Do(func() { close(t.stopc) })
-	<-t.done
-}
-
-func (t *Telemetry) run() {
-	defer close(t.done)
-	tick := time.NewTicker(t.cfg.Interval)
-	defer tick.Stop()
-	// Publish immediately so the fleet view warms in one interval, not
-	// two; a soak driver's first scrape should already see every rank.
-	t.publish(0)
-	for {
-		select {
-		case <-t.stopc:
-			// Graceful stop: ship one last record per local rank so the
-			// retained fleet view reflects the run's end, not its warm-up. A
-			// job shorter than one interval would otherwise strand the
-			// aggregator with first-tick records — or, for a remote rank
-			// whose control connection was still dialing at the first
-			// publish, nothing at all. Bounded at a few tens of milliseconds
-			// so an unreachable aggregator cannot hold up Close.
-			t.publish(20)
-			return
-		case <-t.c.aborted:
-			// The job is dead; the aggregator's last records remain
-			// readable but nothing new flows.
-			return
-		case <-tick.C:
-			t.publish(0)
-		}
-	}
-}
-
-// publish snapshots and ships one record per local rank. Telemetry is
-// best-effort by contract: a record that cannot be delivered surfaces at
-// the aggregator as staleness. A remote delivery refused because the
-// control connection is still dialing is retried up to retries times, 2 ms
-// apart, and abandoned outright on abort. A stall episode counts as shipped
-// only once a record carrying its black box is delivered, so a refused
-// record leaves the box to the next one.
+// publish snapshots and ships one record per local rank, each its rank's
+// proof of life at the aggregator. A record that cannot be delivered is
+// best-effort's loss — the next beat carries a fresh one — except in the
+// final flush on stop, which retries a refused remote delivery (the
+// control connection still dialing) up to retries times, 2 ms apart, until
+// abort. A stall episode counts as shipped only once a record carrying its
+// black box is delivered, so a refused record leaves the box to the next.
 func (t *Telemetry) publish(retries int) {
 	for i, n := range t.c.local {
 		rec := t.snapshotRank(n)
@@ -234,9 +182,14 @@ func (t *Telemetry) publish(retries int) {
 				rec.Blackbox = buf.Bytes()
 			}
 		}
-		delivered := t.agg != nil
-		if delivered {
-			t.agg.ingestRecord(rec, time.Now())
+		delivered := false
+		if t.agg != nil {
+			// Ingested in-process, unless a partition cuts the rank off.
+			delivered = !t.c.cutOff(n.rank, aggregatorRank)
+			if delivered {
+				t.agg.ingestRecord(rec, time.Now())
+				t.c.health.observe(n.rank)
+			}
 		} else if data, err := json.Marshal(&rec); err == nil {
 			f := Frame{Src: n.rank, Dst: aggregatorRank, Tag: telemetryTag, Data: data}
 			delivered = t.c.transport.DeliverControl(f) == nil
@@ -351,13 +304,14 @@ type RankStatus struct {
 	Rank int `json:"rank"`
 	// Reported is false for a rank the aggregator has never heard from.
 	Reported bool `json:"reported"`
-	// AgeNS is how long ago the rank's latest record arrived; Stale marks
-	// it older than StaleAfter. A stale or missing rank degrades the view,
-	// never the job.
+	// AgeNS is how long ago the rank's latest record arrived. Stale marks
+	// the rank silent past the aggregator process's suspect threshold —
+	// no record and no heartbeat. A stale or missing rank degrades the
+	// view, never the job.
 	AgeNS int64 `json:"age_ns"`
 	Stale bool  `json:"stale,omitempty"`
 	// Suspect and Dead are the aggregator process's own failure-detector
-	// view of this rank.
+	// verdicts on this rank, set only with Config.Health.
 	Suspect bool `json:"suspect,omitempty"`
 	Dead    bool `json:"dead,omitempty"`
 	// Record is a copy of the rank's latest wire record, the caller's own.
@@ -365,7 +319,8 @@ type RankStatus struct {
 }
 
 // PlaneStatus is what the plane knows of itself: the head of the fleet
-// view document.
+// view document. IntervalNS is the control loop's period and StaleAfterNS
+// its suspect threshold.
 type PlaneStatus struct {
 	V              int   `json:"v"`
 	P              int   `json:"p"`
@@ -384,32 +339,29 @@ type PlaneStatus struct {
 // any time from any goroutine.
 func (a *TelemetryAggregator) Status() (PlaneStatus, []RankStatus) {
 	now := time.Now()
+	m := a.t.c.health
 	st := PlaneStatus{
 		V:              TelemetryVersion,
 		P:              a.t.c.P(),
 		AggregatorRank: aggregatorRank,
-		IntervalNS:     int64(a.t.cfg.Interval),
-		StaleAfterNS:   int64(a.t.cfg.StaleAfter),
+		IntervalNS:     int64(m.cfg.Interval),
+		StaleAfterNS:   int64(m.cfg.SuspectAfter),
 		AtUnixNano:     now.UnixNano(),
 		Aborted:        a.t.c.Aborted(),
 		DecodeErrors:   a.t.decodeErrs.Load(),
 	}
 	ranks := make([]RankStatus, st.P)
-	for _, h := range a.t.c.PeerHealth() {
-		if h.Monitored {
-			ranks[h.Rank].Suspect, ranks[h.Rank].Dead = h.Suspect, h.Dead
-		}
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for r := range ranks {
 		rs := &ranks[r]
 		rs.Rank = r
+		rs.Stale = m.suspect[r].Load()
+		rs.Suspect, rs.Dead = rs.Stale && m.armed(), m.dead[r].Load()
 		if e, ok := a.ranks[r]; ok {
 			rec := e.rec
 			rs.Reported = true
 			rs.AgeNS = int64(now.Sub(e.arrived))
-			rs.Stale = rs.AgeNS > st.StaleAfterNS
 			rs.Record = &rec
 		}
 	}

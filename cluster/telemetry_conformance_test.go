@@ -93,7 +93,7 @@ func conformTelemetryBackpressure(t *testing.T, kind string) {
 	}
 }
 
-// conformTelemetryAbort: an aborted job stops the publisher promptly, and
+// conformTelemetryAbort: an aborted job stops the control loop promptly, and
 // the aggregator's last fleet view survives, marked aborted — the evidence
 // outlives the job.
 func conformTelemetryAbort(t *testing.T, kind string) {
@@ -111,9 +111,9 @@ func conformTelemetryAbort(t *testing.T, kind string) {
 	}
 	c.Abort()
 	select {
-	case <-tel.done:
+	case <-c.health.done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("abort did not stop the telemetry publisher")
+		t.Fatal("abort did not stop the control loop")
 	}
 	st, ranks := tel.Aggregator().Status()
 	if !st.Aborted {
@@ -133,7 +133,7 @@ func conformTelemetryShutdown(t *testing.T, kind string) {
 	before := countClusterGoroutines()
 	var clusters []*Cluster // clusters[0] hosts the aggregator
 	if kind == TransportTCP {
-		c0, c1 := openTCPPair(t)
+		c0, c1 := openTCPPair(t, HealthConfig{})
 		clusters = []*Cluster{c0, c1}
 	} else {
 		clusters = []*Cluster{openConformance(t, kind, 2, 0, 0)}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,7 +48,6 @@ func TestTelemetryDisabled(t *testing.T) {
 	if nilTel.Aggregator() != nil || nilTel.Published() != 0 {
 		t.Fatal("nil Telemetry methods are not no-ops")
 	}
-	nilTel.stop()
 }
 
 // TestTelemetryDoubleStart: a second StartTelemetry is rejected.
@@ -128,21 +128,163 @@ func TestTelemetryVersionSkew(t *testing.T) {
 	}
 }
 
-// TestTelemetryStaleness: a record's age is measured against the
-// aggregator's own arrival clock, and past StaleAfter the rank reads stale
-// — degradation, not failure.
+// TestTelemetryStaleness: stale is the aggregator process's suspect verdict
+// on one silence clock. A rank partitioned away from a heartbeat-plus-
+// telemetry cluster reads stale once silent for SuspectAfter, and fresh
+// again once healed; the plane reports the loop's beat and threshold.
 func TestTelemetryStaleness(t *testing.T) {
-	_, tel := startTestTelemetry(t, 2, TelemetryConfig{
-		Interval:   time.Hour,
-		StaleAfter: 50 * time.Millisecond,
-	})
-	agg := tel.Aggregator()
-	agg.ingestRecord(RankTelemetry{V: TelemetryVersion, Rank: 1, Seq: 1 << 40}, time.Now().Add(-time.Minute))
-	_, ranks := agg.Status()
-	if rs := ranks[1]; !rs.Reported || !rs.Stale || rs.AgeNS < int64(50*time.Millisecond) {
-		t.Fatalf("rank 1 status {reported:%v stale:%v age:%v}, want reported and stale",
-			rs.Reported, rs.Stale, time.Duration(rs.AgeNS))
+	h := HealthConfig{Interval: 2 * time.Millisecond, SuspectAfter: 40 * time.Millisecond, DeadAfter: time.Minute}
+	c, err := Open(Config{Nodes: 2, Health: h})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = c.Close() })
+	tel, err := c.StartTelemetry(TelemetryConfig{Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := tel.Aggregator()
+	waitRank1 := func(what string, ok func(RankStatus) bool) time.Time {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if _, ranks := agg.Status(); ok(ranks[1]) {
+				return time.Now()
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("rank 1 never read %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitRank1("reported", func(rs RankStatus) bool { return rs.Reported && !rs.Stale })
+	if st, _ := agg.Status(); st.IntervalNS != int64(h.Interval) || st.StaleAfterNS != int64(h.SuspectAfter) {
+		t.Fatalf("plane reports interval %v, stale after %v; want the loop's %v and %v",
+			time.Duration(st.IntervalNS), time.Duration(st.StaleAfterNS), h.Interval, h.SuspectAfter)
+	}
+	cut := time.Now()
+	c.SetPartitioned(1, true)
+	// The last beat heard may predate the cut by up to one interval.
+	if d := waitRank1("stale", func(rs RankStatus) bool { return rs.Stale && rs.Suspect }).Sub(cut); d < h.SuspectAfter-h.Interval {
+		t.Fatalf("rank 1 read stale %v after the cut, before SuspectAfter %v", d, h.SuspectAfter)
+	}
+	c.SetPartitioned(1, false)
+	waitRank1("fresh after healing", func(rs RankStatus) bool { return !rs.Stale && !rs.Suspect && !rs.Dead })
+	if c.Aborted() {
+		t.Fatal("a partition shorter than DeadAfter aborted the cluster")
+	}
+}
+
+// TestTelemetryOnlyDeclaresNoPeerDead: without Config.Health the control
+// loop runs at the plane's interval, sends no bare heartbeat, exposes no
+// peer health, and — with rank 1 silent for far longer than 10 intervals —
+// reads it stale but never declares it dead.
+func TestTelemetryOnlyDeclaresNoPeerDead(t *testing.T) {
+	const interval = 2 * time.Millisecond
+	c, tel := startTestTelemetry(t, 2, TelemetryConfig{Interval: interval})
+	var deaths atomic.Int64
+	c.OnPeerDeath(func(int, error) { deaths.Add(1) })
+	agg := tel.Aggregator()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, ranks := agg.Status(); !ranks[1].Reported; _, ranks = agg.Status() {
+		if time.Now().After(deadline) {
+			t.Fatal("rank 1 never reported")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.SetPartitioned(1, true)
+	time.Sleep(30 * interval)
+	st, ranks := agg.Status()
+	if rs := ranks[1]; !rs.Stale || rs.Suspect || rs.Dead {
+		t.Fatalf("rank 1 {stale:%v suspect:%v dead:%v}, want stale only", rs.Stale, rs.Suspect, rs.Dead)
+	}
+	if st.IntervalNS != int64(interval) || st.StaleAfterNS != int64(3*interval) {
+		t.Fatalf("plane reports interval %v, stale after %v; want %v and %v",
+			time.Duration(st.IntervalNS), time.Duration(st.StaleAfterNS), interval, 3*interval)
+	}
+	if c.Aborted() || deaths.Load() != 0 || c.PeerHealth() != nil {
+		t.Fatalf("aborted %v, %d deaths, peer health %v; want none of them", c.Aborted(), deaths.Load(), c.PeerHealth())
+	}
+	if n := c.health.sent.Load(); n != 0 {
+		t.Fatalf("%d bare heartbeats sent without Config.Health", n)
+	}
+	c.EmitMetrics(func(name string, _ map[string]string, _ float64) {
+		if strings.HasPrefix(name, "cluster_heartbeats_") || strings.HasPrefix(name, "fg_peer_") {
+			t.Errorf("telemetry-only cluster emits %s", name)
+		}
+	})
+}
+
+// TestTelemetryRidesHeartbeat: with both on, across two processes, rank 1's
+// record replaces its heartbeat to rank 0 — no bare heartbeat travels
+// toward the aggregator — and rank 0, hearing records, never suspects it.
+func TestTelemetryRidesHeartbeat(t *testing.T) {
+	h := HealthConfig{Interval: 5 * time.Millisecond, SuspectAfter: 250 * time.Millisecond, DeadAfter: time.Minute}
+	c0, c1 := openTCPPair(t, h)
+	var bare, records atomic.Int64
+	c1.SetNetFault(func(src, dst, nbytes int) NetFault {
+		switch {
+		case dst == aggregatorRank && nbytes == 0:
+			bare.Add(1)
+		case dst == aggregatorRank:
+			records.Add(1)
+		}
+		return NetFaultNone
+	})
+	var agg *TelemetryAggregator
+	for _, c := range []*Cluster{c0, c1} {
+		tel, err := c.StartTelemetry(TelemetryConfig{Interval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == c0 {
+			agg = tel.Aggregator()
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, ranks := agg.Status(); !ranks[1].Reported; _, ranks = agg.Status() {
+		if time.Now().After(deadline) {
+			t.Fatal("rank 1's record never reached rank 0")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for end := time.Now().Add(2 * h.SuspectAfter); time.Now().Before(end); time.Sleep(h.Interval) {
+		if _, ranks := agg.Status(); ranks[1].Stale || ranks[1].Suspect || c0.PeerHealth()[1].Suspect {
+			t.Fatalf("rank 0 suspects rank 1 while its records arrive: %+v", ranks[1])
+		}
+	}
+	if bare.Load() != 0 || c1.health.sent.Load() != 0 {
+		t.Fatalf("rank 1 sent %d bare heartbeats toward rank 0 (counted %d)", bare.Load(), c1.health.sent.Load())
+	}
+	if records.Load() < 10 || c0.health.sent.Load() == 0 {
+		t.Fatalf("%d records to rank 0, %d heartbeats from it; want both flowing", records.Load(), c0.health.sent.Load())
+	}
+}
+
+// TestControlLoopIsOneGoroutine: failure detection and the telemetry plane
+// share one goroutine — a cluster with both on runs exactly one more
+// cluster goroutine than before it was opened (the inproc transport starts
+// none). A goroutine of an earlier test still winding down can skew one
+// reading, so the count gets a few tries.
+func TestControlLoopIsOneGoroutine(t *testing.T) {
+	var before, got int
+	for try := 0; try < 5; try++ {
+		before = countClusterGoroutines()
+		c, err := Open(Config{Nodes: 3, Health: idleHealth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.StartTelemetry(TelemetryConfig{Interval: time.Hour}); err != nil {
+			t.Fatal(err)
+		}
+		got = countClusterGoroutines()
+		c.Close()
+		if got == before+1 {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatalf("%d cluster goroutines with both planes on, want %d", got, before+1)
 }
 
 // TestTelemetrySeqRegression: an out-of-order record (smaller Seq) never

@@ -175,6 +175,13 @@ func (t *inprocTransport) NextXfer(int) int64 { return t.c.transferSeq.Add(1) }
 func (t *inprocTransport) Deliver(f Frame) error {
 	src := t.c.nodes[f.Src]
 	if f.Dst != f.Src {
+		switch t.c.netFault(f) {
+		case NetFaultDrop:
+			return errInjected(f)
+		case NetFaultCloseConn, NetFaultCloseMidFrame:
+			Release(f.Data) // lost in flight; there is no connection to close
+			return nil
+		}
 		// Charge the simulated wire: latency plus size-proportional
 		// transfer, serialized through the sending node's one NIC.
 		cost := t.c.cfg.Network.Cost(len(f.Data))
@@ -190,6 +197,9 @@ func (t *inprocTransport) Deliver(f Frame) error {
 // control frames are intercepted there before any mailbox, so this never
 // blocks and charges no simulated NIC time — heartbeats are not workload.
 func (t *inprocTransport) DeliverControl(f Frame) error {
+	if t.c.netFault(f) != NetFaultNone {
+		return errInjected(f)
+	}
 	return t.c.deliverLocal(f, nil)
 }
 
@@ -197,14 +207,11 @@ func (t *inprocTransport) PropagateAbort() {}
 
 func (t *inprocTransport) Close() error { return nil }
 
-// Network fault injection for the wire-level transports. The hook sees
-// every frame about to leave the process (self-sends never hit the wire and
-// are exempt) and picks a fate for it; internal/faultinject adapts its
-// deterministic injector to this signature, and its Latency config doubles
-// as a slow-network simulator by sleeping inside the hook.
-//
-// The in-process backend has no wire, so these faults do not apply to it;
-// use Node.SetFault there (drop and delay at the operation level).
+// Network fault injection: the one comm fault seam, at Transport.Deliver on
+// both backends. The hook sees every frame about to leave its rank (control
+// frames included, which fail whatever the action; self-sends are exempt)
+// and picks its fate; internal/faultinject adapts its deterministic
+// injector to this signature, its Latency doubling as a slow network.
 type NetFault int
 
 const (
@@ -214,7 +221,8 @@ const (
 	// frame is queued; the sender sees a CommError and may retry.
 	NetFaultDrop
 	// NetFaultCloseConn closes the peer connection instead of writing the
-	// frame. The frame is lost; a later Deliver redials.
+	// frame. The frame is lost; a later Deliver redials. In-process the
+	// frame is just lost.
 	NetFaultCloseConn
 	// NetFaultCloseMidFrame writes part of the frame and then closes the
 	// connection — the reader sees a truncated stream, the message is
@@ -225,10 +233,19 @@ const (
 // A NetFaultHook decides the fate of one outgoing frame.
 type NetFaultHook func(src, dst, nbytes int) NetFault
 
-// SetNetFault installs (or, with nil, removes) a wire fault hook on the
-// cluster's TCP transport. On the in-process transport it is a no-op.
-func (c *Cluster) SetNetFault(h NetFaultHook) {
-	if t, ok := c.transport.(*tcpTransport); ok {
-		t.setFault(h)
+// SetNetFault installs (or, with nil, removes) the cluster's wire fault
+// hook, which both transports consult.
+func (c *Cluster) SetNetFault(h NetFaultHook) { c.fault.Store(&h) }
+
+// netFault is the hook's verdict on f: NetFaultNone when none is set.
+func (c *Cluster) netFault(f Frame) NetFault {
+	if h := c.fault.Load(); h != nil && *h != nil {
+		return (*h)(f.Src, f.Dst, len(f.Data))
 	}
+	return NetFaultNone
+}
+
+// errInjected is the transient error a frame the hook drops fails with.
+func errInjected(f Frame) error {
+	return fmt.Errorf("cluster: injected drop of %d-byte frame %d->%d", len(f.Data), f.Src, f.Dst)
 }

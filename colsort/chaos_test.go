@@ -2,6 +2,7 @@ package colsort
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,11 +14,11 @@ import (
 	"github.com/fg-go/fg/workload"
 )
 
-// TestChaosCsortCommFaultFailsCleanly injects a single communication fault
-// into node 0. Sends are not idempotent, so csort cannot retry them: the
-// run must fail cleanly — the injected fault surfacing through the comm
-// panic, the fg panic guard, and the cluster abort — without hanging the
-// other nodes' blocked receives or leaking goroutines.
+// TestChaosCsortCommFaultFailsCleanly drops node 0's first outgoing frame
+// at the wire fault seam. Sends are not idempotent, so csort cannot retry
+// them: the run must fail cleanly — the injected drop surfacing through the
+// comm panic, the fg panic guard, and the cluster abort — without hanging
+// the other nodes' blocked receives or leaking goroutines.
 func TestChaosCsortCommFaultFailsCleanly(t *testing.T) {
 	check.NoLeakedGoroutines(t)
 	const p, cpn = 4, 2
@@ -35,8 +36,13 @@ func TestChaosCsortCommFaultFailsCleanly(t *testing.T) {
 	if _, err := oocsort.GenerateInput(c, spec); err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.New(faultinject.Config{FailN: 1})
-	c.Node(0).SetFault(inj.CommHook("send"))
+	drop := faultinject.New(faultinject.Config{FailN: 1}).NetHook(cluster.NetFaultDrop, 0)
+	c.SetNetFault(func(src, dst, nbytes int) cluster.NetFault {
+		if src != 0 {
+			return cluster.NetFaultNone
+		}
+		return drop(src, dst, nbytes)
+	})
 
 	start := time.Now()
 	err = c.Run(func(node *cluster.Node) error {
@@ -46,13 +52,11 @@ func TestChaosCsortCommFaultFailsCleanly(t *testing.T) {
 	if err == nil {
 		t.Fatal("csort succeeded despite an injected communication fault")
 	}
-	var f *faultinject.Fault
-	if !errors.As(err, &f) {
-		t.Errorf("error does not carry the injected fault: %v", err)
-	}
 	var ce *cluster.CommError
-	if !errors.As(err, &ce) {
-		t.Errorf("error does not carry the CommError context: %v", err)
+	if !errors.As(err, &ce) || ce.Op != "send" || ce.Rank != 0 {
+		t.Errorf("error does not carry node 0's send CommError: %v", err)
+	} else if !strings.Contains(ce.Err.Error(), "injected drop") {
+		t.Errorf("the CommError does not carry the injected drop: %v", ce.Err)
 	}
 	if d := time.Since(start); d > 10*time.Second {
 		t.Errorf("failure took %v to surface", d)

@@ -2,9 +2,10 @@
 // chaos-testing FG programs. An Injector decides, per operation, whether to
 // inject an error and how much latency to add; hooks adapt one injector to
 // the substrate's hook points — pdm.Disk.SetFault for disk I/O and
-// cluster.Node.SetFault for interprocessor communication. One injector may
-// be shared by many disks and nodes: its counters are global, so a
-// fail-N-then-succeed schedule spans the whole cluster deterministically.
+// cluster.Cluster.SetNetFault for interprocessor communication. One
+// injector may be shared by many disks and nodes: its counters are global,
+// so a fail-N-then-succeed schedule spans the whole cluster
+// deterministically.
 package faultinject
 
 import (
@@ -45,7 +46,7 @@ type Config struct {
 // A Fault is an injected error. It is transient by construction: retrying
 // the operation may succeed.
 type Fault struct {
-	// Op is the operation that was failed ("read", "write", "send", "recv").
+	// Op is the operation that was failed ("read", "write", "net").
 	Op string
 	// Seq is the 1-based index of this fault among all faults injected.
 	Seq int64
@@ -149,19 +150,8 @@ func (in *Injector) DiskHook(names ...string) func(op, name string, off int64) e
 	}
 }
 
-// CommHook adapts the injector to cluster.Node.SetFault. If ops are given
-// ("send", "recv"), only those operations are candidates.
-func (in *Injector) CommHook(ops ...string) func(op string, peer int, nbytes int) error {
-	return func(op string, peer int, nbytes int) error {
-		if len(ops) > 0 && !contains(ops, op) {
-			return nil
-		}
-		return in.Op(op)
-	}
-}
-
 // NetHook adapts the injector to cluster.Cluster.SetNetFault, turning the
-// injector's fail schedule into wire-level faults on the TCP transport:
+// injector's fail schedule into wire-level faults on either transport:
 // each outgoing frame of at least minBytes payload is a candidate, and a
 // candidate the injector fails suffers the given action (drop the frame,
 // close the connection, or close it mid-frame). The minBytes filter scopes

@@ -64,17 +64,6 @@ func TestDiskHookFiltersByName(t *testing.T) {
 	}
 }
 
-func TestCommHookFiltersByOp(t *testing.T) {
-	in := New(Config{FailN: 100})
-	hook := in.CommHook("send")
-	if err := hook("recv", 1, 0); err != nil {
-		t.Errorf("unmatched op injected: %v", err)
-	}
-	if err := hook("send", 1, 64); err == nil {
-		t.Error("matched op not injected")
-	}
-}
-
 func TestLatencyIsAdded(t *testing.T) {
 	in := New(Config{Latency: 20 * time.Millisecond})
 	start := time.Now()

@@ -39,10 +39,10 @@ func BindFlags(fs *flag.FlagSet, logRecords, columnsPerNode int) *Flags {
 	fs.Int64Var(&f.job.Seed, "seed", 1, "workload seed")
 	fs.StringVar(&f.observe.TraceOut, "trace-out", "", "write a Chrome trace-event JSON file of every run (chrome://tracing, Perfetto)")
 	fs.StringVar(&f.observe.StatusAddr, "status-addr", "", "serve every observability route on this address (host:port, :0 picks a port) while the run is in flight: /metrics (Prometheus), /status, /status.json, /blackbox, /debug/pprof/, and the fleet view /cluster/status.json, /cluster/metrics, /cluster/blackbox (live with -telemetry-interval)")
-	fs.DurationVar(&f.pr.Telemetry.Interval, "telemetry-interval", 0, "publish a telemetry record per rank at this interval toward the aggregator rank 0 (0 = off)")
+	fs.DurationVar(&f.pr.Telemetry.Interval, "telemetry-interval", 0, "publish a telemetry record per rank at this interval toward the aggregator rank 0; with -heartbeat the records ride the heartbeat interval instead, and a rank silent for 3 periods reads stale (0 = off)")
 	fs.DurationVar(&f.observe.StallAfter, "stall-after", 0, "arm a stall watchdog: report and dump a black-box trace after this long with no progress (0 = off)")
 	fs.StringVar(&f.transport, "transport", "inproc", "cluster transport: inproc (goroutines and channels) or tcp (real sockets)")
-	fs.DurationVar(&f.pr.Health.Interval, "heartbeat", 0, "heartbeat interval for peer failure detection; a peer silent for 10 intervals is declared dead and the job aborted (0 = off)")
+	fs.DurationVar(&f.pr.Health.Interval, "heartbeat", 0, "heartbeat interval for peer failure detection, also the telemetry period when -telemetry-interval is set; a peer silent for 3 intervals is suspect, for 10 declared dead and the job aborted (0 = off)")
 	fs.StringVar(&f.pr.CheckpointDir, "checkpoint-dir", "", "commit a checkpoint after each pass under this directory and resume from it on restart (the same directory in every process)")
 	fs.IntVar(&f.pr.Supervise, "supervise", 1, "run each sort under a supervisor that retries up to this many attempts on peer death or abort, resuming from checkpoints (1 = no supervisor)")
 	return f

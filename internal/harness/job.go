@@ -61,8 +61,7 @@ type HeartbeatSpec struct {
 }
 
 type TelemetrySpec struct {
-	IntervalMS   int `json:"interval_ms"`
-	StaleAfterMS int `json:"stale_after_ms,omitempty"`
+	IntervalMS int `json:"interval_ms"`
 }
 
 // DecodeStrict reads one JSON document describing a `what` into v: an

@@ -165,7 +165,7 @@ func (r Rank) Params() (Params, error) {
 		}
 	}
 	if t := r.Telemetry; t != nil {
-		pr.Telemetry = cluster.TelemetryConfig{Interval: ms(t.IntervalMS), StaleAfter: ms(t.StaleAfterMS)}
+		pr.Telemetry = cluster.TelemetryConfig{Interval: ms(t.IntervalMS)}
 	}
 	if r.Attempts > 1 {
 		pr.Supervise, pr.SuperviseLog = r.Attempts, os.Stderr

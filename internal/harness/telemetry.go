@@ -252,7 +252,7 @@ func suspectPeers(peers []cluster.PeerStatus) string {
 // — fg_* as fleet_*, cluster_* as fleet_comm_* — and keeps its HELP text.
 func fleetMetricHelp() map[string]string {
 	help := map[string]string{
-		"fleet_rank_fresh":                    "1 while the rank's latest telemetry record is younger than the staleness threshold",
+		"fleet_rank_fresh":                    "1 while the rank has reported and rank 0 has heard from it within the staleness threshold",
 		"fleet_rank_age_seconds":              "age of the rank's latest telemetry record at the aggregator",
 		"fleet_rank_stalled":                  "1 while the rank's latest record carries a watchdog stall episode",
 		"fleet_rank_suspect":                  "1 while the aggregator's failure detector marks the rank suspect",

@@ -192,7 +192,7 @@ func (d *Disk) WriteAt(name string, p []byte, off int64) error {
 	if off < 0 {
 		return fmt.Errorf("pdm: negative offset %d writing %q", off, name)
 	}
-	if err := d.checkFault("write", name, off); err != nil {
+	if err := d.consultFault("write", name, off); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -222,7 +222,7 @@ func (d *Disk) ReadAt(name string, p []byte, off int64) error {
 	if off < 0 {
 		return fmt.Errorf("pdm: negative offset %d reading %q", off, name)
 	}
-	if err := d.checkFault("read", name, off); err != nil {
+	if err := d.consultFault("read", name, off); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -334,10 +334,10 @@ func (d *Disk) SetFault(fn func(op, name string, off int64) error) {
 	d.fault = fn
 }
 
-// checkFault consults the injector. It is called outside d.mu so an
+// consultFault consults the injector. It is called outside d.mu so an
 // injector that adds latency stalls only its own operation, not metadata
 // queries on the same disk.
-func (d *Disk) checkFault(op, name string, off int64) error {
+func (d *Disk) consultFault(op, name string, off int64) error {
 	d.mu.Lock()
 	fn := d.fault
 	d.mu.Unlock()

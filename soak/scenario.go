@@ -165,13 +165,8 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("soak: scenario %s: negative heartbeat threshold", s.Name)
 		}
 	}
-	if tl := s.Telemetry; tl != nil {
-		if tl.IntervalMS <= 0 {
-			return fmt.Errorf("soak: scenario %s: telemetry interval must be positive", s.Name)
-		}
-		if tl.StaleAfterMS < 0 {
-			return fmt.Errorf("soak: scenario %s: negative telemetry stale_after_ms", s.Name)
-		}
+	if tl := s.Telemetry; tl != nil && tl.IntervalMS <= 0 {
+		return fmt.Errorf("soak: scenario %s: telemetry interval must be positive", s.Name)
 	}
 	for i, f := range s.Faults {
 		if err := s.validateFault(i, f); err != nil {

@@ -3,8 +3,7 @@
 // peer into a prompt PeerDeathError (cluster/health.go), the abort
 // machinery spreads that error to every blocked operation, and pass-level
 // checkpoints (fg/checkpoint.go) preserve completed work across a restart.
-// The supervisor composes them into the loop ROADMAP item 2 asks for:
-// attempt the job; if it fails retryably, tear everything down, wait out a
+// The supervisor composes them into one loop: attempt the job; if it fails retryably, tear everything down, wait out a
 // backoff, rebuild the cluster with surviving plus restarted ranks, and
 // resume from the checkpoints — up to a bounded number of attempts, with a
 // structured per-attempt report at the end.
