@@ -440,26 +440,6 @@ func TestAlltoallRepeatedRounds(t *testing.T) {
 	}
 }
 
-func TestSendrecvReplace(t *testing.T) {
-	const P = 4
-	c := testCluster(P)
-	err := c.Run(func(n *Node) error {
-		comm := n.Comm("srr")
-		// Rotate a value around the ring.
-		buf := []byte{byte(n.Rank())}
-		dst := (n.Rank() + 1) % P
-		src := (n.Rank() + P - 1) % P
-		comm.SendrecvReplace(buf, dst, src, 0)
-		if buf[0] != byte(src) {
-			return fmt.Errorf("node %d: buffer holds %d, want %d", n.Rank(), buf[0], src)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConcurrentP2PWithinNode(t *testing.T) {
 	// Two goroutines per node exchange on distinct tags simultaneously —
 	// the thread-safety requirement from Section II of the paper.

@@ -71,19 +71,6 @@ func (c *Comm) TryRecv(src int, tag int64) ([]byte, bool) {
 	return c.n.TryRecv(src, c.p2pBase+tag)
 }
 
-// SendrecvReplace sends buf to dst and receives a message of the same size
-// from src into buf, the analogue of MPI_Sendrecv_replace (used by csort's
-// balanced communication steps).
-func (c *Comm) SendrecvReplace(buf []byte, dst, src int, tag int64) {
-	c.Send(dst, tag, buf)
-	in := c.Recv(src, tag)
-	if len(in) != len(buf) {
-		panic("cluster: SendrecvReplace received a message of different size")
-	}
-	copy(buf, in)
-	Release(in)
-}
-
 // nextSeq reserves the next collective sequence number.
 func (c *Comm) nextSeq() int64 {
 	c.mu.Lock()

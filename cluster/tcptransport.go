@@ -142,11 +142,6 @@ func (t *tcpTransport) Start(c *Cluster) error {
 	return nil
 }
 
-// Addrs returns the resolved listen address of every rank this process
-// hosts (indexed by rank; remote ranks keep their configured address).
-// All-local clusters use it to discover the ephemeral ports.
-func (t *tcpTransport) Addrs() []string { return append([]string(nil), t.addrs...) }
-
 // NextXfer salts the per-source sequence with the rank so that IDs minted
 // by separate processes stay unique cluster-wide: trace merging only needs
 // the two ends of one transfer to agree and distinct transfers to differ.

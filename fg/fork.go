@@ -69,9 +69,6 @@ func (p *Pipeline) AddFork(name string, branches int, route RouteFunc) *Fork {
 	return f
 }
 
-// Branches returns the number of branches.
-func (f *Fork) Branches() int { return len(f.branches) }
-
 // Branch returns a builder for branch i.
 func (f *Fork) Branch(i int) *Branch {
 	if i < 0 || i >= len(f.branches) {

@@ -2,8 +2,6 @@ package fg
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -238,41 +236,4 @@ func (r BottleneckReport) String() string {
 		"bottleneck: stage %q on %q work=%v util=%.0f%% overlap=%.2f (wall %v vs %v summed)",
 		r.Stage, r.Pipeline, r.Work.Round(time.Millisecond), 100*r.Utilization,
 		r.Overlap, r.Wall.Round(time.Millisecond), r.SumWork.Round(time.Millisecond))
-}
-
-// String renders the statistics as an aligned table for logs and demos.
-func (s NetworkStats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "network %q", s.Name)
-	if s.Wall > 0 {
-		state := "finished in"
-		if s.Running {
-			state = "running for"
-		}
-		fmt.Fprintf(&b, " (%s %v)", state, s.Wall.Round(time.Millisecond))
-	}
-	b.WriteString("\n")
-	for _, p := range s.Pipelines {
-		kind := "pipeline"
-		if p.Virtual {
-			kind = "virtual pipeline"
-		}
-		fmt.Fprintf(&b, "  %-16s %-24s %3d buffers x %8d B, %6d rounds, pool %d/%d idle\n",
-			kind, p.Name, p.Buffers, p.BufferBytes, p.Rounds, p.PoolIdle, p.PoolCap)
-	}
-	stages := append([]StageStats(nil), s.Stages...)
-	sort.SliceStable(stages, func(i, j int) bool { return stages[i].Pipeline < stages[j].Pipeline })
-	for _, st := range stages {
-		flags := ""
-		if st.Shared {
-			flags += " [shared]"
-		}
-		if st.Virtual {
-			flags += " [virtual]"
-		}
-		fmt.Fprintf(&b, "  stage %-20s on %-20s rounds=%6d wait=%-12v work=%-12v queue=%d/%d%s\n",
-			st.Stage, st.Pipeline, st.Rounds, st.AcceptWait.Round(time.Microsecond),
-			st.Work.Round(time.Microsecond), st.QueueLen, st.QueueCap, flags)
-	}
-	return b.String()
 }

@@ -16,9 +16,8 @@ import (
 // when it was working on a buffer and when it was waiting for one. The
 // resulting timeline makes FG's latency hiding visible: a well-overlapped
 // network shows the stages' work intervals interleaved in time rather than
-// stacked end to end. cmd/fgdemo renders traces as an ASCII Gantt chart;
-// WriteChromeTrace exports the same timeline as Chrome trace-event JSON for
-// chrome://tracing and Perfetto.
+// stacked end to end. WriteChromeTrace exports the timeline as Chrome
+// trace-event JSON for chrome://tracing and Perfetto.
 
 // An Event records one stage activity interval.
 type Event struct {
@@ -220,73 +219,6 @@ func (nw *Network) noteSlowPush(group, consumer string) {
 	tr.Record(Event{Stage: consumer, Pipeline: group, Kind: EventSlowPush, Round: -1, Start: s, End: e})
 }
 
-// Gantt renders the trace as an ASCII chart: one row per stage, time
-// flowing right, '#' for work, '.' for waiting and '~' for communication.
-// width is the chart width in characters.
-func (tr *Tracer) Gantt(width int) string {
-	events := tr.Events()
-	if len(events) == 0 {
-		return "(no events)\n"
-	}
-	if width <= 0 {
-		width = 80
-	}
-	var maxEnd time.Duration
-	rows := map[string][]Event{}
-	var order []string
-	for _, e := range events {
-		key := e.Pipeline + "/" + e.Stage
-		if _, seen := rows[key]; !seen {
-			order = append(order, key)
-		}
-		rows[key] = append(rows[key], e)
-		if e.End > maxEnd {
-			maxEnd = e.End
-		}
-	}
-	if maxEnd == 0 {
-		maxEnd = 1
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace: %v total, %d events", maxEnd.Round(time.Millisecond), len(events))
-	if d := tr.Dropped(); d > 0 {
-		fmt.Fprintf(&b, " (%d dropped: timeline starts late)", d)
-	}
-	fmt.Fprintf(&b, " ('#'=work, '.'=wait, '~'=comm)\n")
-	for _, key := range order {
-		line := make([]byte, width)
-		for i := range line {
-			line[i] = ' '
-		}
-		for _, e := range rows[key] {
-			from := int(int64(e.Start) * int64(width) / int64(maxEnd))
-			to := int(int64(e.End) * int64(width) / int64(maxEnd))
-			if from < 0 {
-				from = 0
-			}
-			if to >= width {
-				to = width - 1
-			}
-			var mark byte
-			switch e.Kind {
-			case EventWork:
-				mark = '#'
-			case EventWait:
-				mark = '.'
-			default:
-				mark = '~'
-			}
-			for i := from; i <= to; i++ {
-				if mark == '#' || line[i] == ' ' {
-					line[i] = mark
-				}
-			}
-		}
-		fmt.Fprintf(&b, "%-28s |%s|\n", key, line)
-	}
-	return b.String()
-}
-
 // chromeEvent is one entry of the Chrome trace-event format. The fields and
 // their one-letter names are fixed by the format: ph "X" is a complete
 // event with a ts/dur pair in microseconds, ph "M" is metadata (used to
@@ -315,7 +247,7 @@ type chromeTrace struct {
 // trace: its args carry the recording epoch (Unix nanoseconds) so
 // MergeChromeTraces can align timelines recorded against different epochs,
 // and the dropped/overwritten count so consumers learn the timeline is
-// incomplete without parsing a Gantt header.
+// incomplete.
 const traceMetaName = "fg_trace_meta"
 
 // WriteChromeTrace exports the recorded events as Chrome trace-event JSON,
@@ -428,7 +360,7 @@ func writeChromeJSON(w io.Writer, events []Event, epoch time.Time, dropped int64
 // recording epoch (read from its fg_trace_meta event) and the earliest
 // epoch among the inputs. Transfer-ID flow events recorded on different
 // nodes keep their IDs, so a send on one node links to its receive on
-// another — a dsort run reads as one cluster-wide Gantt.
+// another — a dsort run reads as one cluster-wide timeline.
 func MergeChromeTraces(w io.Writer, inputs ...io.Reader) error {
 	var out chromeTrace
 	out.DisplayTimeUnit = "ms"

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -77,9 +76,25 @@ func TestTracerDroppedCount(t *testing.T) {
 	if tr.Dropped() == 0 {
 		t.Fatal("50 rounds against a 5-event limit dropped nothing")
 	}
-	if chart := tr.Gantt(40); !strings.Contains(chart, "dropped") {
-		t.Errorf("Gantt header does not surface the dropped count:\n%s", chart)
+	// A consumer of the exported timeline learns it is incomplete from its
+	// fg_trace_meta event.
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
 	}
+	var doc chromeTrace
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == traceMetaName {
+			if d, _ := ev.Args["dropped"].(float64); int64(d) != tr.Dropped() {
+				t.Errorf("meta dropped = %v, want tr.Dropped() = %d", ev.Args["dropped"], tr.Dropped())
+			}
+			return
+		}
+	}
+	t.Error("trace has no fg_trace_meta event")
 }
 
 func TestWaitEventsCarryRound(t *testing.T) {
@@ -105,34 +120,6 @@ func TestWaitEventsCarryRound(t *testing.T) {
 	// waits end with a data buffer whose round must be recorded.
 	if withRound == 0 {
 		t.Fatal("no wait event carries the round of the buffer that ended it")
-	}
-}
-
-func TestGanttRendering(t *testing.T) {
-	tr := NewTracer(0)
-	nw := NewNetwork("gantt")
-	nw.SetTracer(tr)
-	p := nw.AddPipeline("main", Buffers(2), Rounds(4))
-	p.AddStage("work", func(ctx *Ctx, b *Buffer) error {
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	chart := tr.Gantt(60)
-	if !strings.Contains(chart, "main/work") {
-		t.Errorf("chart missing stage row:\n%s", chart)
-	}
-	if !strings.Contains(chart, "#") {
-		t.Errorf("chart shows no work:\n%s", chart)
-	}
-}
-
-func TestGanttEmpty(t *testing.T) {
-	tr := NewTracer(0)
-	if got := tr.Gantt(40); !strings.Contains(got, "no events") {
-		t.Errorf("empty trace rendered %q", got)
 	}
 }
 
