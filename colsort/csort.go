@@ -175,10 +175,18 @@ func (pl Plan) runTransposePass(n *cluster.Node, commName, inFile, outFile strin
 
 // deal copies the runs of src, runBytes each, round-robin onto ways piles:
 // run t lands on pile t mod ways, in order. Pile w starts at dst[w*stride].
+// A 16-byte run — pass 1 deals one-record runs — moves as an array
+// assignment, as sortalgo's kernels move a record, where copy is a call.
 func deal(dst, src []byte, runBytes, ways, stride int) {
 	pileBytes := len(src) / ways
 	for w := 0; w < ways; w++ {
 		pile := dst[w*stride : w*stride+pileBytes]
+		if runBytes == 16 {
+			for from, to := w*16, 0; to < pileBytes; from, to = from+ways*16, to+16 {
+				*(*[16]byte)(pile[to:]) = *(*[16]byte)(src[from:])
+			}
+			continue
+		}
 		for from, to := w*runBytes, 0; to < pileBytes; from, to = from+ways*runBytes, to+runBytes {
 			copy(pile[to:to+runBytes], src[from:from+runBytes])
 		}

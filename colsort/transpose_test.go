@@ -2,11 +2,12 @@ package colsort
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/fg-go/fg/cluster"
-	"github.com/fg-go/fg/internal/sortalgo"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/records"
 	"github.com/fg-go/fg/workload"
@@ -33,13 +34,19 @@ func geometryGrid(t *testing.T, extra func() int, fn func(t *testing.T, p, cpn, 
 }
 
 // sortedColumns returns a copy of the column-major r x s matrix with every
-// column sorted, by the comparison sort so the check does not lean on the
-// kernel the passes use.
+// column sorted, by the standard library's stable sort of record indices so
+// the check does not lean on the kernel the passes use.
 func sortedColumns(f records.Format, matrix []byte, r int) []byte {
-	out := bytes.Clone(matrix)
-	colBytes := f.Bytes(r)
-	for off := 0; off < len(out); off += colBytes {
-		sortalgo.SortRecordsComparison(f, out[off:off+colBytes])
+	out := make([]byte, 0, len(matrix))
+	idx := make([]int, r)
+	for col := range len(matrix) / f.Bytes(r) {
+		for i := range idx {
+			idx[i] = col*r + i
+		}
+		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(f.KeyAt(matrix, a), f.KeyAt(matrix, b)) })
+		for _, i := range idx {
+			out = append(out, f.At(matrix, i)...)
+		}
 	}
 	return out
 }

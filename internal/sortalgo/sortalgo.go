@@ -1,16 +1,17 @@
 // Package sortalgo provides the in-memory sorting kernels the pipeline
 // stages use: a stable radix sort on fixed-size records keyed by their
-// 8-byte big-endian prefix that skips the bits all records share, a
-// two-way merge for columnsort's sorted-halves step, and dsort's stable
-// partition scatter. Each kernel is pure computation on one buffer, run on
-// the goroutine of the stage that calls it; keeping them fast maximizes the
-// latency-hiding the pipelines can achieve.
+// 8-byte big-endian prefix that skips the bits all records share and
+// finishes sparse ties in one insertion sweep, a two-way merge for
+// columnsort's sorted-halves step, and dsort's stable partition scatter.
+// Each kernel is pure computation on one buffer, run on the goroutine of the
+// stage that calls it; keeping them fast maximizes the latency-hiding the
+// pipelines can achieve.
 package sortalgo
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
-	"sort"
 	"sync"
 
 	"github.com/fg-go/fg/records"
@@ -36,10 +37,12 @@ func SortRecords(f records.Format, data, scratch []byte) {
 // radixSort sorts data, whose keys agree on their top known bits (known <
 // 64): two stable 8-bit scatter passes order the 16 bits after the prefix all
 // records share, aligned to the bit, and the groups still tied on them are
-// finished a level down, at most four deep (DESIGN.md, "Kernels").
+// finished — at the top level by one insertion sweep when the digit
+// histograms promise small groups, otherwise a group at a time a level down,
+// at most four deep (DESIGN.md, "Kernels").
 func radixSort(size int, data, scratch []byte, known int) {
 	if len(data) <= insertionMax*size {
-		insertionSort(size, data, scratch)
+		insertionSort(size, data, scratch, math.MaxInt, 0)
 		return
 	}
 	shift, ok := window(size, data, known)
@@ -55,6 +58,9 @@ func radixSort(size int, data, scratch []byte, known int) {
 		count[1][uint8(d>>8)]++
 	}
 	n := len(data) / size
+	// Only the top level sweeps: a group recursed into is long because its
+	// window values are few, and its ties are then dense.
+	sweep := known == 0 && shift > 0 && fewTies(&count, n)
 	src, dst := data, scratch
 	for p := range count {
 		bit := shift + 8*uint(p)
@@ -73,7 +79,52 @@ func radixSort(size int, data, scratch []byte, known int) {
 	if &src[0] != &data[0] {
 		copy(data, src)
 	}
-	finishTies(size, data, scratch, shift)
+	lo := 0
+	if sweep {
+		lo = sweepTies(size, data, scratch, shift)
+	}
+	finishTies(size, data[lo:], scratch[lo:], shift)
+}
+
+// The top-level sort sweeps its ties when the digit histograms promise at
+// most sweepMaxTies records per window value, and the sweep may move
+// sweepBudget records per record it has passed, plus a credit of
+// insertionMax, before it falls back to the group path (DESIGN.md,
+// "Kernels").
+const (
+	sweepMaxTies = 4
+	sweepBudget  = 2
+)
+
+// fewTies reports whether, by the two digit histograms count of n records, a
+// record expects at most sweepMaxTies records on its window value. With
+// independent digits that expectation is Σc₀²·Σc₁²/n³; correlated digits can
+// fool it, which the sweep's budget bounds.
+func fewTies(count *[2][256]int, n int) bool {
+	var sq [2]int
+	for p := range count {
+		for _, c := range count[p] {
+			sq[p] += c * c
+		}
+	}
+	nf := float64(n)
+	return float64(sq[0])*float64(sq[1]) <= sweepMaxTies*nf*nf*nf
+}
+
+// sweepTies finishes the ties of data, sorted on the key bits above shift,
+// in one stable insertion sweep over the whole buffer: a record only moves
+// past records of its own group, so the sweep needs no group boundaries and
+// makes no calls. It returns len(data) or, if it ran out of moves, the offset
+// of the first record of the group it stopped in: what precedes that is
+// finished, and finishTies takes the rest. The budget is earned as the sweep
+// goes, so a long group, whose moves grow with the square of its length,
+// overdraws it within its first few dozen records.
+func sweepTies(size int, data, scratch []byte, shift uint) int {
+	lo := insertionSort(size, data, scratch, insertionMax*size, sweepBudget*size)
+	for lo < len(data) && lo > 0 && key(data, lo-size)>>shift == key(data, lo)>>shift {
+		lo -= size
+	}
+	return lo
 }
 
 // window returns the shift that brings the 16 key bits after the prefix
@@ -114,17 +165,27 @@ func key(data []byte, off int) uint64 {
 	return binary.BigEndian.Uint64(data[off:])
 }
 
-// insertionSort sorts the few records of data stably; a 16-byte record
-// moves by array assignments, others by copy through one record of scratch.
-func insertionSort(size int, data, scratch []byte) {
+// insertionSort sorts data stably; a 16-byte record moves by array
+// assignments, others by copy through one record of scratch. Its budget of
+// bytes to move starts at budget and earns earn per record passed; before a
+// move that would overdraw it, it stops and returns the offset of the record
+// it did not insert, the records before it being sorted — len(data) once
+// done.
+func insertionSort(size int, data, scratch []byte, budget, earn int) int {
+	last := key(data, 0) // the largest key before record i
 	for i := size; i < len(data); i += size {
+		budget += earn
 		k := key(data, i)
-		j := i
+		if k >= last {
+			last = k
+			continue
+		}
+		j := i - size
 		for j > 0 && key(data, j-size) > k {
 			j -= size
 		}
-		if j == i {
-			continue
+		if budget -= i - j; budget < 0 {
+			return i
 		}
 		if size == 16 {
 			rec := *(*[16]byte)(data[i:])
@@ -139,6 +200,7 @@ func insertionSort(size int, data, scratch []byte) {
 		copy(data[j+size:i+size], data[j:i])
 		copy(data[j:], tmp)
 	}
+	return len(data)
 }
 
 // scatter is one radix pass's move: record i of src, for i in [lo, hi), goes
@@ -162,46 +224,6 @@ func scatter(dst, src []byte, size int, shift uint, lo, hi int, off *[256]int) {
 		copy(dst[off[v]*size:], src[i*size:(i+1)*size])
 		off[v]++
 	}
-}
-
-// recordSlicePool recycles the sorter header and its one-record swap
-// temporary across calls: comparison sorts run once per pipeline round for
-// the life of a sort, and the pool keeps them allocation-free at steady
-// state.
-var recordSlicePool = sync.Pool{New: func() any { return new(recordSlice) }}
-
-// SortRecordsComparison sorts data with the standard library's comparison
-// sort; the tests use it as an independent oracle, and callers can prefer
-// it for very large records where moving whole records per radix pass is
-// costly.
-func SortRecordsComparison(f records.Format, data []byte) {
-	n := f.Count(len(data))
-	size := f.Size
-	r := recordSlicePool.Get().(*recordSlice)
-	if cap(r.tmp) < size {
-		r.tmp = make([]byte, size)
-	}
-	r.f, r.data, r.tmp, r.n, r.size = f, data, r.tmp[:size], n, size
-	sort.Stable(r)
-	r.data = nil // do not retain the caller's buffer
-	recordSlicePool.Put(r)
-}
-
-type recordSlice struct {
-	f    records.Format
-	data []byte
-	tmp  []byte
-	n    int
-	size int
-}
-
-func (r *recordSlice) Len() int           { return r.n }
-func (r *recordSlice) Less(i, j int) bool { return r.f.Less(r.data, i, j) }
-func (r *recordSlice) Swap(i, j int) {
-	a, b := r.f.At(r.data, i), r.f.At(r.data, j)
-	copy(r.tmp, a)
-	copy(a, b)
-	copy(b, r.tmp)
 }
 
 // MergeSorted merges the two sorted record sequences a and b into dst,

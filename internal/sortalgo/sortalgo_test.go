@@ -2,6 +2,7 @@ package sortalgo
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -37,6 +38,44 @@ func shapedRecords(f records.Format, n int, key func(rng *rand.Rand, i int) uint
 		}
 	}
 	return data
+}
+
+// stableSort is the tests' oracle: the standard library's stable sort of the
+// record indices by key >> shift (shift 0: the whole key), the records then
+// gathered in that order.
+func stableSort(f records.Format, data []byte, shift uint) {
+	idx := make([]int, f.Count(len(data)))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int {
+		return cmp.Compare(f.KeyAt(data, a)>>shift, f.KeyAt(data, b)>>shift)
+	})
+	sorted := make([]byte, 0, len(data))
+	for _, i := range idx {
+		sorted = append(sorted, f.At(data, i)...)
+	}
+	copy(data, sorted)
+}
+
+// pass3Key draws a column of csort's pass 3: keys in the 1/64 of the key
+// range centred on 6·2^58, in sorted runs of run records. The range crosses a
+// 2^58 boundary at which two key bits flip, so the sort's 16-bit window
+// starts at bit 59 and is four times wider than the range: at 32 Ki records
+// about two records share a window value, tied on it in arrival order.
+func pass3Key(run int) func(rng *rand.Rand, i int) uint64 {
+	step := uint64(1<<58) / uint64(run)
+	return func(rng *rand.Rand, i int) uint64 {
+		return 6<<58 - 1<<57 + uint64(i%run)*step + rng.Uint64()%step
+	}
+}
+
+// correlatedKey makes the window's high digit equal to its low digit. Both
+// digit histograms are uniform, so the tie estimate expects half a record
+// per window value at 32 Ki records, yet each used value holds n/256.
+func correlatedKey(rng *rand.Rand, _ int) uint64 {
+	k := rng.Uint64()
+	return k&^(0xff<<48) | k>>56<<48
 }
 
 func checkSortedPermutation(t *testing.T, f records.Format, before, after []byte) {
@@ -84,7 +123,16 @@ var keyShapes = []struct {
 		}
 		return k
 	}},
+	// The ties the top-level sweep finishes: sparse on the window, and
+	// denser than the digit histograms suggest, which runs the sweep into its
+	// budget.
+	{"pass-3 column", pass3Key(512)},
+	{"correlated digits", correlatedKey},
 }
+
+// columnShapes are the key shapes TestSortRecordsMatchesOracle also sorts on
+// csort's 32 Ki-record column.
+var columnShapes = []string{"64 bits", "low 43 bits", "pass-3 column", "correlated digits"}
 
 // TestSortRecordsMatchesOracle holds the sort to the stable comparison sort,
 // byte for byte, on every key shape: around the insertion-sort cutoff and on
@@ -93,17 +141,17 @@ func TestSortRecordsMatchesOracle(t *testing.T) {
 	for _, size := range sortSizes {
 		for _, n := range []int{0, 1, 2, insertionMax - 1, insertionMax, insertionMax + 1, 1000, 32 << 10} {
 			for s, shape := range keyShapes {
-				if n > 1000 && (size != 16 && size != 100 || shape.name != "64 bits" && shape.name != "low 43 bits") {
+				if n > 1000 && (size != 16 && size != 100 || !slices.Contains(columnShapes, shape.name)) {
 					// The comparison sort is slow at this size: one record
 					// size per move (the array assignment and the copy) and
-					// the spread shapes only. TestSortRecordsStable takes few
+					// the column shapes only. TestSortRecordsStable takes few
 					// keys.
 					continue
 				}
 				f := records.NewFormat(size)
 				before := shapedRecords(f, n, shape.key, int64(n)*7+int64(s)+int64(size))
 				oracle := bytes.Clone(before)
-				SortRecordsComparison(f, oracle)
+				stableSort(f, oracle, 0)
 
 				got := bytes.Clone(before)
 				SortRecords(f, got, make([]byte, len(got)))
@@ -139,6 +187,51 @@ func TestSortRecordsStable(t *testing.T) {
 					t.Fatalf("size=%d keys=%d: stability broken at %d: id %d after id %d",
 						size, distinct, i, f.IDAt(data, i), f.IDAt(data, i-1))
 				}
+			}
+		}
+	}
+}
+
+// TestSweepHoldsItsBudget runs the top-level tie sweep on a window-sorted
+// 32 Ki-record column. On csort's pass-3 column, the shape it is built for,
+// it finishes. On correlated digits the estimate reads few ties as well, yet
+// each of the 256 window values in use holds 128 records: the sweep must stop
+// at its budget, at the first record of a group, with every record before it
+// sorted.
+func TestSweepHoldsItsBudget(t *testing.T) {
+	const n = 32 << 10
+	for _, size := range []int{16, 64} {
+		f := records.NewFormat(size)
+		for _, tc := range []struct {
+			name     string
+			key      func(*rand.Rand, int) uint64
+			finishes bool
+		}{
+			{"pass-3 column", pass3Key(n / 64), true},
+			{"correlated digits", correlatedKey, false},
+		} {
+			data := shapedRecords(f, n, tc.key, 1)
+			shift, _ := window(size, data, 0)
+			var count [2][256]int
+			for i := 0; i < len(data); i += size {
+				d := key(data, i) >> shift
+				count[0][uint8(d)]++
+				count[1][uint8(d>>8)]++
+			}
+			if shift == 0 || !fewTies(&count, n) {
+				t.Fatalf("size=%d %s: the sort would not sweep (shift %d)", size, tc.name, shift)
+			}
+			stableSort(f, data, shift)
+			lo := sweepTies(size, data, make([]byte, len(data)), shift)
+			switch {
+			case tc.finishes && lo != len(data):
+				t.Errorf("size=%d %s: the sweep stopped at record %d of %d", size, tc.name, lo/size, n)
+			case !tc.finishes && lo == len(data):
+				t.Errorf("size=%d %s: the sweep ran past its budget to the end", size, tc.name)
+			case lo > 0 && lo < len(data) && key(data, lo-size)>>shift == key(data, lo)>>shift:
+				t.Errorf("size=%d %s: the sweep stopped inside a group, at record %d", size, tc.name, lo/size)
+			case !f.IsSorted(data[:lo]):
+				t.Errorf("size=%d %s: the records before the sweep's stop are not sorted", size, tc.name)
 			}
 		}
 	}
@@ -387,18 +480,6 @@ func TestPartitionRecordsLarge(t *testing.T) {
 	PartitionRecords(f, data, dst, parts, classify, 1)
 	if !bytes.Equal(dst, want) {
 		t.Fatal("partition diverges from oracle")
-	}
-}
-
-func BenchmarkComparisonSort16B(b *testing.B) {
-	f := records.NewFormat(16)
-	orig := randomRecords(f, 1<<14, 0, 1)
-	data := make([]byte, len(orig))
-	b.SetBytes(int64(len(orig)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(data, orig)
-		SortRecordsComparison(f, data)
 	}
 }
 
