@@ -11,7 +11,8 @@ import (
 // msgBufs: a Send copies its payload into one, and the TCP read loop reads
 // the payload off the wire into one. The receiver owns the buffer from the
 // moment Recv returns it; a receiver that has copied the bytes out hands it
-// back with Release, and the next message of a similar size reuses it. A
+// back with Release, and the next message of a similar size, in this job or
+// the next, reuses it (a class nobody asks for in a minute is freed). A
 // receiver that never releases is still correct — its buffers are garbage
 // like any other slice.
 //

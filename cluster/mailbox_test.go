@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -33,7 +34,8 @@ func TestReleaseIgnoresForeignSlices(t *testing.T) {
 
 // TestSendRecvReleaseSteadyStateAllocs: once warm, a send/receive/release
 // round trip allocates nothing — the payload buffer is recycled and the
-// mailbox exists.
+// mailbox exists — and a garbage collection between round trips does not
+// cost the buffer either.
 func TestSendRecvReleaseSteadyStateAllocs(t *testing.T) {
 	c := New(Config{Nodes: 1})
 	defer c.Close()
@@ -46,6 +48,19 @@ func TestSendRecvReleaseSteadyStateAllocs(t *testing.T) {
 	roundTrip()
 	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > 0 {
 		t.Fatalf("steady-state send/recv/release allocates %.1f objects per message, want 0", allocs)
+	}
+	// Counted in bytes, not objects: each collection runs the runtime's own
+	// cleanups (package unique's, for one), which allocate a few small
+	// objects.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		roundTrip()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(len(payload)) {
+		t.Fatalf("100 round trips with a collection before each allocated %d bytes: a collection cost the %d-byte payload buffer", got, len(payload))
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 
 // storage is the free list every pipeline buffer's Data and Aux storage
 // comes from and, after a clean Network.Run, returns to — so the next
-// network of a given shape, in this pass or the next, starts with the
-// buffers this one finished with instead of allocating and zeroing its own.
-// A buffer of a network that failed, was cancelled or was aborted never
-// comes back: see Network.releaseBuffers. The garbage collector bounds the
-// list (what nobody takes during two collections is freed), so it costs an
-// idle process nothing.
+// network of a given shape, in this pass, the next pass or the next job,
+// starts with the buffers this one finished with instead of allocating and
+// zeroing its own. A buffer of a network that failed, was cancelled or was
+// aborted never comes back: see Network.releaseBuffers. The list holds at
+// most the buffers that were out at once, and frees a buffer size nobody
+// has asked for in a minute, so it costs an idle process nothing.
 var storage bufpool.Pool
 
 // A Buffer is the unit of data that flows through a pipeline. Its capacity

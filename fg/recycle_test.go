@@ -50,10 +50,7 @@ func TestCleanRunRecyclesItsBuffers(t *testing.T) {
 		}
 	}
 
-	// The next network of the same shape runs on those slices. The list is
-	// a sync.Pool, which may drop any one of them (under the race detector
-	// it drops a quarter on purpose), so the test asks for one reuse, not
-	// for six.
+	// The next network of the same shape runs on exactly those slices.
 	second := map[*byte]bool{}
 	if err := recycleNet(size, nbuf, 20, second, nil).Run(); err != nil {
 		t.Fatal(err)
@@ -64,8 +61,8 @@ func TestCleanRunRecyclesItsBuffers(t *testing.T) {
 			reused++
 		}
 	}
-	if reused == 0 {
-		t.Fatal("the second network reused none of the storage the first left behind")
+	if len(second) != 2*nbuf || reused != 2*nbuf {
+		t.Fatalf("the second network ran on %d slices, %d of them the first's; want all %d reused", len(second), reused, 2*nbuf)
 	}
 }
 

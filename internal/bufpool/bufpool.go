@@ -1,35 +1,44 @@
 // Package bufpool is the free list behind FG's recycled byte slices: the
 // pipeline buffers of package fg and the message buffers of package
-// cluster. FG's promise is that a small fixed pool of buffers services an
-// unbounded number of rounds; this list extends the promise across
-// networks and passes — a buffer given back by one network is the buffer
-// the next network of the same shape starts with, so a steady stream of
-// work allocates (and zeroes, and collects) far less.
+// cluster. It extends FG's fixed pool of buffers across networks, passes
+// and jobs, however many garbage collections lie between them.
 //
-// It is one sync.Pool per capacity, so the garbage collector bounds it: a
-// slice nobody took during two collections is freed, and an idle process
-// holds nothing.
+// It is one LIFO stack per exact capacity, bounded by two rules. It holds
+// only what was given back: if callers Put only what Get returned, a
+// capacity never holds more slices than were out at once, one job shape's
+// buffer set. And a capacity no Get has asked for in the last minute is
+// emptied at the next collection, which the runtime runs at least every two
+// minutes, so an idle process ends up holding nothing. A finalizer that
+// re-arms itself notices the collections; the list runs no timer.
 package bufpool
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
 )
+
+// idle is how long a capacity may go unasked before a collection empties it.
+const idle = time.Minute
+
+// now is the list's clock; the package's tests install their own.
+var now = time.Now
 
 // A Pool is a free list of byte slices keyed by exact capacity. The zero
 // value is ready to use. All methods are safe for concurrent use.
 type Pool struct {
-	classes sync.Map // capacity (int) -> *sync.Pool of *byte
+	mu      sync.Mutex
+	classes map[int]*class // while not empty, a sentinel sweeps it
 	put     atomic.Int64
 }
 
-func (p *Pool) class(n int) *sync.Pool {
-	if c, ok := p.classes.Load(n); ok {
-		return c.(*sync.Pool)
-	}
-	c, _ := p.classes.LoadOrStore(n, new(sync.Pool))
-	return c.(*sync.Pool)
+// A class holds the base pointers of one capacity's slices and the time a
+// Get last asked for that capacity.
+type class struct {
+	free  []*byte
+	asked time.Time
 }
 
 // Get returns a slice of length and capacity n. Its contents are arbitrary:
@@ -38,10 +47,17 @@ func (p *Pool) Get(n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	// The pools hold the slices' base pointers — a pointer fits an
-	// interface without allocating, a slice header does not — and the key
-	// is the capacity that goes with them.
-	if base, ok := p.class(n).Get().(*byte); ok {
+	var base *byte
+	p.mu.Lock()
+	if c := p.classes[n]; c != nil {
+		c.asked = now()
+		if k := len(c.free) - 1; k >= 0 {
+			base, c.free[k] = c.free[k], nil
+			c.free = c.free[:k]
+		}
+	}
+	p.mu.Unlock()
+	if base != nil {
 		return unsafe.Slice(base, n)
 	}
 	return make([]byte, n)
@@ -55,9 +71,40 @@ func (p *Pool) Put(b []byte) {
 		return
 	}
 	p.put.Add(int64(n))
-	p.class(n).Put(unsafe.SliceData(b))
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	c := p.classes[n]
+	if c == nil {
+		if len(p.classes) == 0 {
+			p.classes = map[int]*class{}
+			runtime.SetFinalizer(&sentinel{p}, (*sentinel).sweep)
+		}
+		// A capacity first given back was asked for when it was taken.
+		c = &class{asked: now()}
+		p.classes[n] = c
+	}
+	c.free = append(c.free, unsafe.SliceData(b))
 }
 
 // BytesPut returns the total capacity ever given to Put. Tests read it to
 // tell whether a code path gave its slices back.
 func (p *Pool) BytesPut() int64 { return p.put.Load() }
+
+// A sentinel is garbage from birth, so its finalizer runs after each
+// collection, sweeping idle capacities and re-arming while any are left.
+type sentinel struct{ p *Pool }
+
+func (s *sentinel) sweep() {
+	p := s.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t := now()
+	for n, c := range p.classes {
+		if t.Sub(c.asked) >= idle {
+			delete(p.classes, n)
+		}
+	}
+	if len(p.classes) > 0 {
+		runtime.SetFinalizer(s, (*sentinel).sweep)
+	}
+}
