@@ -223,7 +223,7 @@ func (c *Cluster) Local() []*Node { return c.local }
 // AllLocal reports whether this process hosts every rank of the job —
 // true for the in-process transport and for all-local TCP clusters, false
 // in multi-process form. Tools that inspect the whole machine from outside
-// (whole-output verification, cross-node stat aggregation) require it.
+// (reassembling the whole output, cross-node stat aggregation) require it.
 func (c *Cluster) AllLocal() bool { return len(c.local) == len(c.nodes) }
 
 // Aborted reports whether the job has been aborted.

@@ -38,7 +38,7 @@ func main() {
 	scenario := flag.String("scenario", "", "run one scenario: a file path or a builtin name")
 	list := flag.Bool("list", false, "list builtin scenarios and exit")
 	trials := flag.Int("trials", 0, "override each scenario's trial count")
-	ranks := flag.Int("ranks", 0, "override each scenario's rank count (faults must still fit)")
+	nodes := flag.Int("nodes", 0, "override each scenario's node count, one process each (faults must still fit)")
 	out := flag.String("out", "", "write the JSON run report(s) here (\"-\" = stdout)")
 	runDir := flag.String("run-dir", "", "root run artifacts here instead of a temp dir (kept for post-mortems)")
 	quiet := flag.Bool("q", false, "suppress progress lines; print only verdicts")
@@ -52,7 +52,7 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Printf("%-20s %d ranks, %s, %d records; %s\n",
-				s.Name, s.Ranks, s.Program, s.Records, firstSentence(s.Description))
+				s.Name, s.Nodes, s.Program, s.Records, firstSentence(s.Description))
 		}
 		return
 	}
@@ -100,10 +100,10 @@ func main() {
 
 	allOK := true
 	for _, s := range scenarios {
-		if *ranks > 0 {
-			s.Ranks = *ranks
+		if *nodes > 0 {
+			s.Nodes = *nodes
 			if err := s.Validate(); err != nil {
-				fmt.Fprintf(os.Stderr, "fgsoak: -ranks %d: %v\n", *ranks, err)
+				fmt.Fprintf(os.Stderr, "fgsoak: -nodes %d: %v\n", *nodes, err)
 				os.Exit(2)
 			}
 		}

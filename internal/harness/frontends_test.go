@@ -40,11 +40,7 @@ var frontEnds = []struct {
 		return err
 	}},
 	{"DecodeScenario", func(j harness.Job) error {
-		doc, _ := json.Marshal(soak.Scenario{
-			Name: "x", Program: j.Program, Ranks: j.Nodes, Records: j.Records, RecordSize: j.RecordSize,
-			ColumnsPerNode: j.ColumnsPerNode, Distribution: j.Distribution, Seed: j.Seed,
-			Buffers: j.Buffers, Disk: j.Disk,
-		})
+		doc, _ := json.Marshal(soak.Scenario{Name: "x", Job: j})
 		_, err := soak.DecodeScenario(bytes.NewReader(doc))
 		return err
 	}},

@@ -79,11 +79,11 @@ type Params struct {
 
 	// Telemetry, when Interval > 0, starts the cluster telemetry plane on
 	// every cluster the harness builds: each local rank publishes a
-	// RankTelemetry record per interval toward the aggregator rank, and
-	// pull requests for black boxes and profiles are served. The harness
-	// fills Collect and Blackbox from Observe — the rank's fg snapshot
-	// (stages, pools, an open stall episode) from the
-	// metrics registry, the tracer's most recent events as the black box.
+	// RankTelemetry record per interval toward the aggregator rank, and the
+	// first record of a stall episode carries the rank's black box. The
+	// harness fills Collect and Blackbox from Observe — the rank's fg
+	// snapshot (stages, pools, an open stall episode) from the metrics
+	// registry, the tracer's most recent events as the black box.
 	// The zero value disables the plane.
 	Telemetry cluster.TelemetryConfig
 
@@ -350,28 +350,18 @@ func (pr Params) runOnce(prog Program, dist workload.Distribution, buffers int, 
 	if err != nil {
 		return oocsort.Result{}, err
 	}
+	res := results[c.Local()[0].Rank()]
+	res.Attempts = 1
+	// The traffic totals are the program's: taken before verification
+	// sends its summaries.
+	res.Disk = oocsort.CollectDiskStats(c)
+	res.Comm = oocsort.CollectCommStats(c)
 	if pr.Verify {
-		if err := pr.verify(c, l.spec, fp); err != nil {
+		if err := check.Output(c, l.spec, fp); err != nil {
 			return oocsort.Result{}, fmt.Errorf("harness: %s on %v: %w", prog, dist, err)
 		}
 	}
-	res := results[c.Local()[0].Rank()]
-	res.Attempts = 1
-	res.Disk = oocsort.CollectDiskStats(c)
-	res.Comm = oocsort.CollectCommStats(c)
 	return res, nil
-}
-
-// verify checks the sorted output: directly when every rank's disk is in
-// this process, collectively (check.DistributedOutput) when the job spans
-// processes.
-func (pr Params) verify(c *cluster.Cluster, spec oocsort.Spec, fp records.Fingerprint) error {
-	if c.AllLocal() {
-		return check.Output(c, spec, fp)
-	}
-	return c.Run(func(n *cluster.Node) error {
-		return check.DistributedOutput(n, spec, fp)
-	})
 }
 
 // Cell is one column pair of Figure 8: dsort and csort on one distribution.

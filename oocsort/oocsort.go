@@ -91,8 +91,9 @@ func (s Spec) Output(p int) pdm.StripedFile {
 // records drawn from the spec's distribution, and returns the fingerprint
 // of the generated records (for formats that carry identifiers; otherwise a
 // zero fingerprint). With every rank local that is the whole input's
-// fingerprint; in a multi-process job it is this process's share, which
-// check.DistributedOutput combines across processes. Generation bypasses
+// fingerprint; in a multi-process job it is this process's share. Either
+// way check.Output takes it once per process, at its first local rank, and
+// combines the shares across processes. Generation bypasses
 // the simulated disk cost: it is setup, not part of any measured pass. Each
 // node's share is generated straight into the slice that becomes its input
 // file (Disk.Import takes ownership), so the input exists once.

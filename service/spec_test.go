@@ -3,9 +3,12 @@ package service
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/fg-go/fg/internal/harness"
 )
 
 // TestExampleSpecsDecode holds the checked-in examples to the strict
@@ -108,4 +111,52 @@ func TestTimeoutClamp(t *testing.T) {
 	if got := (JobSpec{TimeoutSec: 30}).timeout(Limits{MaxRunSeconds: 300}); got != 30*time.Second {
 		t.Fatalf("explicit timeout = %v, want 30s", got)
 	}
+}
+
+// TestJobSpecCarriesEveryJobField guards the one field-by-field copy of a
+// job's shape left in the tree: JobSpec spells harness.Job's fields itself
+// (fgbench builds it with keyed literals, which cannot name promoted
+// fields), so a field added to Job must be added here too. Every JSON field
+// of Job gets a non-zero value in a JobSpec, and job() must carry each one
+// across.
+func TestJobSpecCarriesEveryJobField(t *testing.T) {
+	specFields := map[string]int{} // JSON name -> JobSpec field index
+	st := reflect.TypeOf(JobSpec{})
+	for i := range st.NumField() {
+		specFields[jsonName(st.Field(i))] = i
+	}
+	var spec JobSpec
+	sv := reflect.ValueOf(&spec).Elem()
+	jt := reflect.TypeOf(harness.Job{})
+	for i := range jt.NumField() {
+		f := jt.Field(i)
+		j, ok := specFields[jsonName(f)]
+		if !ok {
+			t.Errorf("harness.Job.%s (json %q) has no JobSpec field", f.Name, jsonName(f))
+			continue
+		}
+		v := sv.Field(j)
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString("x")
+		case reflect.Int, reflect.Int64:
+			v.SetInt(7)
+		case reflect.Pointer:
+			v.Set(reflect.New(v.Type().Elem()))
+		default:
+			t.Fatalf("JobSpec.%s: no non-zero value for kind %v", st.Field(j).Name, v.Kind())
+		}
+	}
+	got := reflect.ValueOf(spec.job())
+	for i := range jt.NumField() {
+		f := jt.Field(i)
+		if j, ok := specFields[jsonName(f)]; ok && !reflect.DeepEqual(got.Field(i).Interface(), sv.Field(j).Interface()) {
+			t.Errorf("JobSpec.job() drops harness.Job.%s: got %v, want %v", f.Name, got.Field(i), sv.Field(j))
+		}
+	}
+}
+
+func jsonName(f reflect.StructField) string {
+	name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+	return name
 }

@@ -72,14 +72,14 @@ func Run(s Scenario, opt Options) (RunReport, error) {
 		Scenario:    s.Name,
 		Description: s.Description,
 		Program:     s.Program,
-		Ranks:       s.Ranks,
+		Ranks:       s.Nodes,
 		Records:     s.Records,
-		RecordSize:  s.job().RecordSize,
+		RecordSize:  s.Job.WithDefaults().RecordSize,
 		OK:          true,
 	}
 	for t := 1; t <= trials; t++ {
 		fmt.Fprintf(opt.Log, "soak: %s trial %d/%d starting (%d ranks, %s, %d records)\n",
-			s.Name, t, trials, s.Ranks, s.Program, s.Records)
+			s.Name, t, trials, s.Nodes, s.Program, s.Records)
 		tr, err := runTrial(s, opt, runDir, t)
 		if err != nil {
 			return rep, err
@@ -108,7 +108,7 @@ func runTrial(s Scenario, opt Options, runDir string, trial int) (TrialReport, e
 		}
 	}
 	// One address per rank, and one for rank 0's fleet view.
-	addrs, err := harness.ReserveLoopback(s.Ranks + 1)
+	addrs, err := harness.ReserveLoopback(s.Nodes + 1)
 	if err != nil {
 		return tr, err
 	}
@@ -116,11 +116,11 @@ func runTrial(s Scenario, opt Options, runDir string, trial int) (TrialReport, e
 	// telemetry-armed plan also serves the fleet view the driver scrapes.
 	describe := func(rank int, killsArmed bool) harness.Rank {
 		r := harness.Rank{
-			Job: s.job(), Rank: rank, Peers: addrs[:s.Ranks], CheckpointDir: ckptDir, Attempts: s.MaxAttempts,
+			Job: s.Job.WithDefaults(), Rank: rank, Peers: addrs[:s.Nodes], CheckpointDir: ckptDir, Attempts: s.MaxAttempts,
 			Heartbeat: s.Heartbeat, Telemetry: s.Telemetry, Faults: s.Faults, KillsArmed: killsArmed,
 		}
 		if rank == 0 && s.Telemetry != nil {
-			r.Observe.StatusAddr = addrs[s.Ranks]
+			r.Observe.StatusAddr = addrs[s.Nodes]
 		}
 		return r
 	}
@@ -128,7 +128,7 @@ func runTrial(s Scenario, opt Options, runDir string, trial int) (TrialReport, e
 	l := harness.NewLauncher(trialDir, opt.WorkerArgs, opt.Log)
 	defer l.Close()
 	start := time.Now()
-	for r := 0; r < s.Ranks; r++ {
+	for r := 0; r < s.Nodes; r++ {
 		if err := l.Spawn(r, describe(r, true)); err != nil {
 			return tr, err
 		}
@@ -140,7 +140,7 @@ func runTrial(s Scenario, opt Options, runDir string, trial int) (TrialReport, e
 	// telemetry-enabled scenario proves.
 	var stopProbe func() FleetReport
 	if s.Telemetry != nil {
-		stopProbe = probeFleet(s.Ranks, addrs[s.Ranks])
+		stopProbe = probeFleet(s.Nodes, addrs[s.Nodes])
 		defer stopProbe()
 	}
 
@@ -250,7 +250,7 @@ func scrapeFleet(client *http.Client, addr string) (harness.FleetStatus, error) 
 // was admitted).
 func (tr *TrialReport) finish(s Scenario, log io.Writer, exits []harness.Exit) {
 	tr.OK = true
-	final := make(map[int]int, s.Ranks)
+	final := make(map[int]int, s.Nodes)
 	for i, e := range exits {
 		final[e.Rank] = i
 	}
@@ -285,6 +285,6 @@ func (tr *TrialReport) finish(s Scenario, log io.Writer, exits []harness.Exit) {
 		}
 	}
 	if unfinished > 0 {
-		tr.Error = fmt.Sprintf("trial timed out after %v with %d/%d ranks unfinished", s.Timeout(), unfinished, s.Ranks)
+		tr.Error = fmt.Sprintf("trial timed out after %v with %d/%d ranks unfinished", s.Timeout(), unfinished, s.Nodes)
 	}
 }

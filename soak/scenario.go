@@ -2,8 +2,8 @@
 // sort processes over the TCP transport, drives them with concurrent
 // workloads from package workload, applies declarative fault and churn
 // plans compiled onto internal/faultinject hooks (plus real SIGKILL and
-// process restart at the driver), verifies every run collectively with
-// check.DistributedOutput, and emits a structured per-run report. The
+// process restart at the driver), verifies every run with check.Output —
+// each rank its own stripe — and emits a structured per-run report. The
 // paper's claim — that pipeline-visible structure lets FG overlap I/O,
 // communication, and computation under real cluster conditions — is only
 // testable under real cluster conditions: many processes, real sockets,
@@ -40,27 +40,9 @@ type Scenario struct {
 	// Description says what the scenario proves.
 	Description string `json:"description,omitempty"`
 
-	// Ranks is the cluster size; each rank runs as its own OS process.
-	Ranks int `json:"ranks"`
-	// Program is the sorting program every rank runs, one of
-	// harness.Programs().
-	Program string `json:"program"`
-	// Records is the cluster-wide record count N.
-	Records int64 `json:"records"`
-	// RecordSize is bytes per record (>= 16). Zero defaults to 16.
-	RecordSize int `json:"record_size,omitempty"`
-	// ColumnsPerNode fixes the csort geometry and the PDM block. Zero
-	// defaults to 1.
-	ColumnsPerNode int `json:"columns_per_node,omitempty"`
-	// Distribution names the key distribution (workload.ParseDistribution
-	// spelling: "uniform", "poisson", "skew-zipf", ...). Empty defaults to
-	// "uniform".
-	Distribution string `json:"distribution,omitempty"`
-	// Seed makes the workload deterministic. Zero defaults to 1.
-	Seed int64 `json:"seed,omitempty"`
-	// Buffers overrides each pipeline's circulating buffer pool (0 keeps
-	// the program default).
-	Buffers int `json:"buffers,omitempty"`
+	// Job is the sort every rank runs; its nodes are the cluster size, each
+	// rank its own OS process.
+	harness.Job
 
 	// Trials repeats the whole run (fresh processes each time) and reports
 	// every trial; zero means one.
@@ -78,8 +60,6 @@ type Scenario struct {
 	// Heartbeat configures the failure detector; required by scenarios
 	// that kill ranks, optional otherwise.
 	Heartbeat *HeartbeatSpec `json:"heartbeat,omitempty"`
-	// Disk overrides the simulated per-node disk model.
-	Disk *DiskSpec `json:"disk,omitempty"`
 	// Telemetry arms the cluster telemetry plane: every rank publishes its
 	// record each interval toward rank 0, whose process serves the fleet
 	// view the driver scrapes and asserts on (every live rank must show up
@@ -91,14 +71,13 @@ type Scenario struct {
 	Faults []Fault `json:"faults,omitempty"`
 }
 
-// HeartbeatSpec, TelemetrySpec and DiskSpec are the failure detector, the
+// HeartbeatSpec and TelemetrySpec are the failure detector and the
 // telemetry plane (rank 0 is always the aggregator: the rank the driver
-// watches and the one rank a scenario may not kill) and the disk model as
-// every JSON front end spells them.
+// watches and the one rank a scenario may not kill) as every JSON front end
+// spells them.
 type (
 	HeartbeatSpec = harness.HeartbeatSpec
 	TelemetrySpec = harness.TelemetrySpec
-	DiskSpec      = harness.DiskSpec
 )
 
 // A Fault is one scheduled misfortune in a scenario plan. Of the kinds
@@ -122,17 +101,6 @@ func DecodeScenario(r io.Reader) (Scenario, error) {
 	return s, nil
 }
 
-// job maps the plan's fields onto the front-end-neutral job description,
-// which owns the defaults, the shape validation and the compile onto
-// harness.Params.
-func (s Scenario) job() harness.Job {
-	return harness.Job{
-		Program: s.Program, Nodes: s.Ranks, Records: s.Records, RecordSize: s.RecordSize,
-		ColumnsPerNode: s.ColumnsPerNode, Distribution: s.Distribution, Seed: s.Seed,
-		Buffers: s.Buffers, Disk: s.Disk,
-	}.WithDefaults()
-}
-
 // Validate checks the plan's internal consistency: the job's shape
 // (harness.Job.Validate) and the soak harness's own rules on top of it.
 func (s Scenario) Validate() error {
@@ -142,13 +110,13 @@ func (s Scenario) Validate() error {
 	if strings.ContainsAny(s.Name, "/ \t\n") {
 		return fmt.Errorf("soak: scenario name %q may not contain slashes or spaces", s.Name)
 	}
-	if s.Ranks < 2 {
-		return fmt.Errorf("soak: scenario %s: need at least 2 ranks, got %d", s.Name, s.Ranks)
+	if s.Nodes < 2 {
+		return fmt.Errorf("soak: scenario %s: need at least 2 ranks, got %d", s.Name, s.Nodes)
 	}
-	if s.Ranks > 64 {
-		return fmt.Errorf("soak: scenario %s: %d ranks is past the loopback port budget", s.Name, s.Ranks)
+	if s.Nodes > 64 {
+		return fmt.Errorf("soak: scenario %s: %d ranks is past the loopback port budget", s.Name, s.Nodes)
 	}
-	if err := s.job().Validate(); err != nil {
+	if err := s.Job.Validate(); err != nil {
 		return fmt.Errorf("soak: scenario %s: %w", s.Name, err)
 	}
 	if s.RecordSize != 0 && s.RecordSize < 16 {
@@ -185,8 +153,8 @@ func (s Scenario) validateFault(i int, f Fault) error {
 	default:
 		return bad("unknown fault kind")
 	}
-	if inRange := f.Rank >= 0 && f.Rank < s.Ranks; !inRange && !(f.Kind == harness.DiskSlow && f.Rank == -1) {
-		return bad("rank %d outside [0, %d) (only disk-slow takes -1 for all)", f.Rank, s.Ranks)
+	if inRange := f.Rank >= 0 && f.Rank < s.Nodes; !inRange && !(f.Kind == harness.DiskSlow && f.Rank == -1) {
+		return bad("rank %d outside [0, %d) (only disk-slow takes -1 for all)", f.Rank, s.Nodes)
 	}
 	switch {
 	case f.Kind == harness.DiskKillOp && f.OpCount <= 0:

@@ -25,8 +25,8 @@ func FuzzScenarioPlan(f *testing.F) {
 		}
 		f.Add(string(raw))
 	}
-	f.Add(`{"name": "x", "ranks": 2, "program": "dsort", "records": 4096}`)
-	f.Add(`{"name": "x", "ranks": 1e9, "program": "dsort", "records": -1}`)
+	f.Add(`{"name": "x", "nodes": 2, "program": "dsort", "records": 4096}`)
+	f.Add(`{"name": "x", "nodes": 1e9, "program": "dsort", "records": -1}`)
 	f.Add(`{"name": "x", "unknown": {"deeply": ["nested"]}}`)
 	f.Add(`{"faults": [{"kind": "kill-op", "rank": 99999999999999999999}]}`)
 	f.Add(`{} {}`)
@@ -40,15 +40,15 @@ func FuzzScenarioPlan(f *testing.F) {
 		// A decoded plan must be internally consistent: Validate already ran
 		// inside DecodeScenario, so spot-check the invariants the driver
 		// leans on hardest.
-		if s.Ranks < 2 || s.Ranks > 64 {
-			t.Fatalf("decoded scenario with %d ranks", s.Ranks)
+		if s.Nodes < 2 || s.Nodes > 64 {
+			t.Fatalf("decoded scenario with %d ranks", s.Nodes)
 		}
 		if s.Records <= 0 {
 			t.Fatalf("decoded scenario with %d records", s.Records)
 		}
 		for _, fl := range s.Faults {
-			if fl.Rank >= s.Ranks {
-				t.Fatalf("fault rank %d outside %d-rank cluster", fl.Rank, s.Ranks)
+			if fl.Rank >= s.Nodes {
+				t.Fatalf("fault rank %d outside %d-rank cluster", fl.Rank, s.Nodes)
 			}
 		}
 	})

@@ -32,19 +32,20 @@ func TestBuiltinScenariosDecodeAndValidate(t *testing.T) {
 // TestDecodeScenarioRejects: the strict decoder must reject the plans that
 // would otherwise be discovered mid-soak.
 func TestDecodeScenarioRejects(t *testing.T) {
-	base := `"ranks": 2, "program": "dsort", "records": 4096`
+	base := `"nodes": 2, "program": "dsort", "records": 4096`
 	hb := `"heartbeat": {"interval_ms": 25}`
 	cases := []struct {
 		name, json, wantErr string
 	}{
 		{"unknown field", `{"name": "x", ` + base + `, "rnaks": 3}`, "unknown field"},
+		{"ranks is nodes now", `{"name": "x", "ranks": 2, "program": "dsort", "records": 4096}`, `unknown field "ranks"`},
 		{"parallelism is gone", `{"name": "x", ` + base + `, "parallelism": 1}`, `unknown field "parallelism"`},
 		{"trailing garbage", `{"name": "x", ` + base + `} {"again": true}`, "trailing data"},
 		{"no name", `{` + base + `}`, "needs a name"},
 		{"name with slash", `{"name": "a/b", ` + base + `}`, "slashes"},
-		{"one rank", `{"name": "x", "ranks": 1, "program": "dsort", "records": 4096}`, "at least 2 ranks"},
-		{"bad program", `{"name": "x", "ranks": 2, "program": "qsort", "records": 4096}`, "unknown program"},
-		{"indivisible records", `{"name": "x", "ranks": 2, "program": "dsort", "records": 4097}`, "divide"},
+		{"one rank", `{"name": "x", "nodes": 1, "program": "dsort", "records": 4096}`, "at least 2 ranks"},
+		{"bad program", `{"name": "x", "nodes": 2, "program": "qsort", "records": 4096}`, "unknown program"},
+		{"indivisible records", `{"name": "x", "nodes": 2, "program": "dsort", "records": 4097}`, "divide"},
 		{"bad distribution", `{"name": "x", ` + base + `, "distribution": "bimodal"}`, "unknown distribution"},
 		{"tiny records", `{"name": "x", ` + base + `, "record_size": 8}`, "below minimum"},
 		{"negative seed", `{"name": "x", ` + base + `, "seed": -1}`, "negative scalar"},
@@ -74,11 +75,11 @@ func TestDecodeScenarioRejects(t *testing.T) {
 // TestScenarioDefaults: zero-valued knobs mean "the usual".
 func TestScenarioDefaults(t *testing.T) {
 	s, err := DecodeScenario(strings.NewReader(
-		`{"name": "d", "ranks": 2, "program": "dsort", "records": 4096}`))
+		`{"name": "d", "nodes": 2, "program": "dsort", "records": 4096}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.job().RecordSize; got != 16 {
+	if got := s.Job.WithDefaults().RecordSize; got != 16 {
 		t.Errorf("record size default %d", got)
 	}
 	if got := s.trials(); got != 1 {
@@ -87,7 +88,7 @@ func TestScenarioDefaults(t *testing.T) {
 	if got := s.Timeout().Seconds(); got != 120 {
 		t.Errorf("timeout default %vs", got)
 	}
-	if got := s.job().Seed; got != 1 {
+	if got := s.Job.WithDefaults().Seed; got != 1 {
 		t.Errorf("seed default %d", got)
 	}
 }
