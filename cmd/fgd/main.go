@@ -39,11 +39,9 @@ func main() {
 	dataDir := flag.String("data-dir", "", "root for per-job temp dirs (default: OS temp dir)")
 	retain := flag.Int("retain", 1024, "settled jobs kept queryable before pruning")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long a drain waits for running jobs")
-	enableFaults := flag.Bool("enable-faults", false, "accept specs with fault blocks (testing only)")
 
 	maxNodes := flag.Int("max-nodes", 64, "per-job simulated cluster size quota (0 = unlimited)")
 	maxMB := flag.Int64("max-mb", 1024, "per-job data volume quota, MiB (0 = unlimited)")
-	maxBuffers := flag.Int("max-buffers", 64, "per-job circulating buffer quota (0 = unlimited)")
 	maxAttempts := flag.Int("max-attempts", 5, "per-job supervised attempt quota (0 = unlimited)")
 	maxRunSec := flag.Int("max-run-sec", 600, "per-job running wall-clock cap, seconds (0 = unlimited)")
 	flag.Parse()
@@ -53,12 +51,10 @@ func main() {
 		QueueDepth:    *queue,
 		DataDir:       *dataDir,
 		RetainJobs:    *retain,
-		EnableFaults:  *enableFaults,
 		Log:           os.Stderr,
 		Limits: service.Limits{
 			MaxNodes:      *maxNodes,
 			MaxBytes:      *maxMB << 20,
-			MaxBuffers:    *maxBuffers,
 			MaxAttempts:   *maxAttempts,
 			MaxRunSeconds: *maxRunSec,
 		},

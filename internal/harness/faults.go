@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/fg-go/fg/cluster"
@@ -11,20 +9,17 @@ import (
 	"github.com/fg-go/fg/oocsort"
 )
 
-// Fault kinds, in the spelling the JSON front ends put on the wire. A job
-// spec may schedule DiskPanicOp and DiskErr; a soak scenario DiskKillOp,
-// DiskSlow, KillAfter, Partition and NetDrop; a rank description those five
-// and NetClose and NetDelay.
+// Fault kinds, in the spelling the JSON front ends put on the wire. A soak
+// scenario may schedule DiskKillOp, DiskSlow, KillAfter, Partition and
+// NetDrop; a rank description those five and NetClose and NetDelay. A job
+// spec schedules none: the daemon's tests inject faults through its
+// OnJobParams seam.
 const (
 	// The OpCount-th disk operation on rank Rank touching File SIGKILLs the
-	// process (DiskKillOp — deterministic mid-pass death), panics on the
-	// stage goroutine that issued it (DiskPanicOp) or fails with an injected
-	// error (DiskErr); DiskSlow adds LatencyUS to every one (Rank -1: on
-	// every rank).
-	DiskKillOp  = "kill-op"
-	DiskPanicOp = "panic-op"
-	DiskErr     = "disk-err"
-	DiskSlow    = "disk-slow"
+	// process (DiskKillOp — deterministic mid-pass death); DiskSlow adds
+	// LatencyUS to every one (Rank -1: on every rank).
+	DiskKillOp = "kill-op"
+	DiskSlow   = "disk-slow"
 	// KillAfter SIGKILLs rank Rank from outside after AfterMS of wall clock:
 	// asynchronous death, delivered by whoever launched the rank.
 	KillAfter = "kill-after"
@@ -81,15 +76,14 @@ func (f Fault) latency() time.Duration { return time.Duration(f.LatencyUS) * tim
 
 type diskHook = func(op, name string, off int64) error
 
-// CompileDiskFaults compiles the disk faults among faults onto
+// compileDiskFaults compiles the disk faults among faults onto
 // internal/faultinject hooks and returns the function that installs them on
 // a freshly built cluster's local disks. The hooks' operation counts live as
-// long as the returned function: compile once per process to make a fault
-// fire once across a supervisor's attempts, once per cluster to make it fire
-// in every attempt. An unscoped fault's count starts at cluster creation, so
-// it can fire during input generation; scope it with File to hit a specific
-// pass.
-func CompileDiskFaults(faults []Fault) func(*cluster.Cluster) {
+// long as the returned function, so a fault fires once across a
+// supervisor's attempts. An unscoped fault's count starts at cluster
+// creation, so it can fire during input generation; scope it with File to
+// hit a specific pass.
+func compileDiskFaults(faults []Fault) func(*cluster.Cluster) {
 	hooks := make([]diskHook, len(faults))
 	for i, f := range faults {
 		hooks[i] = f.diskHook()
@@ -134,18 +128,6 @@ func (f Fault) diskHook() diskHook {
 		return faultinject.New(faultinject.Config{KillOn: f.OpCount}).DiskHook(names...)
 	case DiskSlow:
 		return faultinject.New(faultinject.Config{Latency: f.latency()}).DiskHook(names...)
-	case DiskPanicOp, DiskErr:
-		var seen atomic.Int64
-		return func(op, name string, off int64) error {
-			if (names != nil && name != names[0]) || seen.Add(1) != f.OpCount {
-				return nil
-			}
-			err := fmt.Errorf("rank %d %s %q op %d: %w", f.Rank, op, name, f.OpCount, &faultinject.Fault{Op: op, Seq: 1})
-			if f.Kind == DiskPanicOp {
-				panic(err)
-			}
-			return err
-		}
 	}
 	return nil
 }
@@ -187,7 +169,7 @@ func compileFaults(faults []Fault, rank int, killsArmed bool) *faultSet {
 			fs.partitions = append(fs.partitions, f)
 		}
 	}
-	fs.disk = CompileDiskFaults(disk)
+	fs.disk = compileDiskFaults(disk)
 	return fs
 }
 

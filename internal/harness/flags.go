@@ -55,7 +55,6 @@ func (f *Flags) BindJob(fs *flag.FlagSet) {
 	fs.StringVar(&f.job.Program, "program", f.job.Program, "sorting program: "+programList())
 	fs.IntVar(&f.job.RecordSize, "record-size", f.job.RecordSize, "record size in bytes (>= 8)")
 	fs.StringVar(&f.job.Distribution, "dist", f.job.Distribution, "key distribution: uniform, all-equal, normal, poisson, skew-one-node, skew-zipf")
-	fs.IntVar(&f.job.Buffers, "buffers", 0, "per-pipeline buffer pool (0 = program default)")
 	fs.DurationVar(&f.diskSeek, "disk-seek", 0, "override the simulated disk's per-op seek latency; in a multi-process run this is per-rank, so a slow rank 1 is just rank 1's process run with a bigger value (0 = model default)")
 	fs.Float64Var(&f.diskBW, "disk-bw", 0, "override the simulated disk's sequential transfer rate in bytes/second, per-rank like -disk-seek (0 = model default)")
 	fs.IntVar(&f.pr.Transport.Rank, "rank", -1, "with -transport tcp and -peers: this process's rank; each rank runs its own process")

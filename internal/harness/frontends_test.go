@@ -27,14 +27,12 @@ var frontEnds = []struct {
 			"-program", j.Program, "-nodes", strconv.Itoa(j.Nodes),
 			"-records", strconv.Itoa(bits.TrailingZeros64(uint64(j.Records))),
 			"-record-size", strconv.Itoa(j.RecordSize), "-cpn", strconv.Itoa(j.ColumnsPerNode),
-			"-dist", j.Distribution, "-seed", strconv.FormatInt(j.Seed, 10),
-			"-buffers", strconv.Itoa(j.Buffers))
+			"-dist", j.Distribution, "-seed", strconv.FormatInt(j.Seed, 10))
 	}},
 	{"DecodeJobSpec", func(j harness.Job) error {
 		doc, _ := json.Marshal(service.JobSpec{
 			Program: j.Program, Nodes: j.Nodes, Records: j.Records, RecordSize: j.RecordSize,
-			ColumnsPerNode: j.ColumnsPerNode, Distribution: j.Distribution, Seed: j.Seed,
-			Buffers: j.Buffers, Disk: j.Disk,
+			ColumnsPerNode: j.ColumnsPerNode, Distribution: j.Distribution, Seed: j.Seed, Disk: j.Disk,
 		})
 		_, err := service.DecodeJobSpec(bytes.NewReader(doc))
 		return err
@@ -89,7 +87,6 @@ func TestMalformedJobsRejectedEverywhere(t *testing.T) {
 		"columns overflow":     mutate(func(j *harness.Job) { j.Nodes, j.ColumnsPerNode = 1<<32, 1<<32 }),
 		"unknown distribution": mutate(func(j *harness.Job) { j.Distribution = "bimodal" }),
 		"negative seed":        mutate(func(j *harness.Job) { j.Seed = -1 }),
-		"negative buffers":     mutate(func(j *harness.Job) { j.Buffers = -1 }),
 	}
 	for name, j := range malformed {
 		for _, fe := range frontEnds {

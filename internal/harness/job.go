@@ -16,7 +16,8 @@ import (
 
 // A Job is one sort as any front end describes it — a service.JobSpec, a
 // soak.Scenario, fgsort's or fgexp's flags — reduced to what they have in
-// common: which program, on what shape of cluster and data. It owns the
+// common: which program, on what shape of cluster and data. The program
+// picks its own buffer pools, as the paper's does. A Job owns the
 // defaults, the shape validation, and the compile onto Params, so a job
 // that one front end refuses, no front end runs. Each front end keeps its
 // own wire format and its own policy (node bounds, quotas, fault rules) and
@@ -30,8 +31,6 @@ type Job struct {
 	ColumnsPerNode int    `json:"columns_per_node,omitempty"` // csort geometry and the PDM block; 0 means 1
 	Distribution   string `json:"distribution,omitempty"`     // workload.ParseDistribution spelling; "" means uniform
 	Seed           int64  `json:"seed,omitempty"`             // 0 means 1
-
-	Buffers int `json:"buffers,omitempty"` // per-pipeline buffer pool; 0 keeps the program's default
 
 	Disk *DiskSpec `json:"disk,omitempty"` // nil keeps the base Params' disk model
 }
@@ -112,7 +111,7 @@ func (j Job) Validate() error {
 	if j.Records <= 0 {
 		return fmt.Errorf("non-positive record count %d", j.Records)
 	}
-	if j.ColumnsPerNode < 0 || j.Seed < 0 || j.Buffers < 0 {
+	if j.ColumnsPerNode < 0 || j.Seed < 0 {
 		return errors.New("negative scalar in job description")
 	}
 	if j.RecordSize < records.MinRecordSize {
@@ -156,5 +155,5 @@ func (j Job) Run(pr Params) (oocsort.Result, error) {
 	if err != nil {
 		return oocsort.Result{}, err
 	}
-	return pr.Run(Program(j.Program), dist, j.Buffers)
+	return pr.Run(Program(j.Program), dist, 0)
 }

@@ -183,12 +183,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, ErrDraining):
 		writeErr(w, http.StatusServiceUnavailable, err)
+	case errors.As(err, new(*QuotaError)):
+		writeErr(w, http.StatusForbidden, err)
 	default:
-		var qe *QuotaError
-		if errors.As(err, &qe) || errors.Is(err, ErrFaultsDisabled) {
-			writeErr(w, http.StatusForbidden, err)
-			return
-		}
 		writeErr(w, http.StatusBadRequest, err)
 	}
 }

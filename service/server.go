@@ -39,10 +39,6 @@ var ErrQueueFull = errors.New("service: job queue full")
 // HTTP layer maps it to 503.
 var ErrDraining = errors.New("service: daemon draining, not accepting jobs")
 
-// ErrFaultsDisabled rejects a spec carrying a fault block on a daemon that
-// does not run with fault injection enabled.
-var ErrFaultsDisabled = errors.New("service: spec carries a fault block but fault injection is disabled")
-
 // Config parameterizes a daemon.
 type Config struct {
 	// MaxConcurrent is the admission quota: at most this many jobs run
@@ -60,14 +56,11 @@ type Config struct {
 	// RetainJobs bounds how many settled jobs stay queryable; the oldest
 	// are pruned past it. Values below 1 default to 1024.
 	RetainJobs int
-	// EnableFaults allows specs carrying a fault block — the seam the
-	// isolation tests drive. Off, such specs are rejected at admission.
-	EnableFaults bool
 	// Log, if non-nil, receives one line per job state transition.
 	Log io.Writer
 	// OnJobParams, if non-nil, is called with each job's compiled
-	// harness.Params just before the run — a test/chaos seam for
-	// installing extra hooks (fault injectors, cluster observers).
+	// harness.Params just before the run: the daemon's one seam for tests,
+	// which install fault injectors and cluster observers through it.
 	OnJobParams func(jobID string, pr *harness.Params)
 }
 
@@ -159,7 +152,7 @@ func (s *Server) logf(format string, args ...any) {
 
 // Submit validates and admits a spec, assigns an ID, and enqueues the job.
 // The error is nil (job accepted), a validation error, a *QuotaError,
-// ErrFaultsDisabled, ErrQueueFull, or ErrDraining.
+// ErrQueueFull, or ErrDraining.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	s.mu.Lock()
 	s.ctr.submitted++
@@ -172,11 +165,6 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.ctr.rejectedInvalid++
 		s.mu.Unlock()
 		return nil, err
-	}
-	if spec.Fault != nil && !s.cfg.EnableFaults {
-		s.ctr.rejectedQuota++
-		s.mu.Unlock()
-		return nil, ErrFaultsDisabled
 	}
 	if err := s.cfg.Limits.Admit(spec); err != nil {
 		s.ctr.rejectedQuota++
@@ -376,7 +364,7 @@ func (s *Server) runJob(j *Job) {
 
 // params compiles a job's spec onto the experiment harness: the job
 // description every front end shares, plus the service's observability
-// bundle, cancellation hook, fault hook, and per-job temp dir. The returned
+// bundle, cancellation hook, and per-job temp dir. The returned
 // cleanup removes the temp dir.
 func (s *Server) params(j *Job) (harness.Params, func(), error) {
 	sp := j.Spec
@@ -398,14 +386,6 @@ func (s *Server) params(j *Job) (harness.Params, func(), error) {
 	j.setObserve(obs)
 
 	pr.OnCluster = func(c *cluster.Cluster) {
-		if f := sp.Fault; f != nil {
-			// Compiled per cluster, so the fault fires in every attempt of a
-			// supervised job. It runs on the stage goroutine that issued the
-			// operation.
-			harness.CompileDiskFaults([]harness.Fault{
-				{Kind: f.Kind, Rank: f.Rank, OpCount: f.OpCount, File: f.File},
-			})(c)
-		}
 		if cause := j.attachCluster(c); cause != nil {
 			// Cancellation or the timeout arrived between attempts (or
 			// before the first cluster existed); kill this attempt before

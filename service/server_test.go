@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,11 +11,13 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/internal/check"
+	"github.com/fg-go/fg/internal/faultinject"
 	"github.com/fg-go/fg/internal/harness"
 	"github.com/fg-go/fg/oocsort"
 )
@@ -191,7 +192,9 @@ func TestAPISubmitPollResult(t *testing.T) {
 // one test: the daemon sustains 8 provably-concurrent mixed jobs under the
 // race detector, with a ninth job carrying an injected mid-sort panic that
 // fails alone — every other job still finishes byte-correct (Verify is on),
-// and the daemon keeps serving afterwards.
+// and the daemon keeps serving afterwards. The fault goes in through
+// OnJobParams, the daemon's one seam for tests: a job spec describes a sort
+// and carries no fault.
 func TestConcurrentMixedJobsWithFaultIsolation(t *testing.T) {
 	check.NoLeakedGoroutines(t)
 	const lanes = 8
@@ -201,18 +204,31 @@ func TestConcurrentMixedJobsWithFaultIsolation(t *testing.T) {
 		mu      sync.Mutex
 		arrived int
 		release = make(chan struct{})
+		d       *testDaemon
 	)
-	d := startDaemon(t, Config{
+	d = startDaemon(t, Config{
 		MaxConcurrent: lanes,
 		QueueDepth:    lanes * 2,
-		EnableFaults:  true,
 		Log:           io.Discard,
 		OnJobParams: func(id string, pr *harness.Params) {
 			orig := pr.OnCluster
-			pr.OnCluster = func(c *cluster.Cluster) {
-				if orig != nil {
+			if j, _ := d.srv.Get(id); j.Spec.Name == "saboteur" {
+				// Rank 1 panics on its first operation on dsort's runs file:
+				// on a stage goroutine, mid-pass.
+				pr.OnCluster = func(c *cluster.Cluster) {
 					orig(c)
+					var seen atomic.Int64
+					c.Node(1).Disk.SetFault(func(op, name string, off int64) error {
+						if name == "dsort.runs" && seen.Add(1) == 1 {
+							panic(fmt.Errorf("rank 1 %s %q: %w", op, name, &faultinject.Fault{Op: op, Seq: 1}))
+						}
+						return nil
+					})
 				}
+				return
+			}
+			pr.OnCluster = func(c *cluster.Cluster) {
+				orig(c)
 				mu.Lock()
 				arrived++
 				if arrived == lanes {
@@ -232,11 +248,7 @@ func TestConcurrentMixedJobsWithFaultIsolation(t *testing.T) {
 	for i := range ids {
 		ids[i] = d.submit(t, fastSpec(fmt.Sprintf("lane-%d", i), programs[i%len(programs)]))
 	}
-	// The saboteur: panics on its own rank-1 disk during the sort phase
-	// (scoped to the runs file so it fires on a stage goroutine mid-pass).
-	faultID := d.submit(t, `{"name":"saboteur","program":"dsort","nodes":2,"records":4096,
-		"disk":{"seek_latency_us":1,"bytes_per_second":1e9},
-		"fault":{"kind":"panic-op","rank":1,"op_count":1,"file":"dsort.runs"}}`)
+	faultID := d.submit(t, fastSpec("saboteur", "dsort"))
 
 	for _, id := range ids {
 		st := d.waitTerminal(t, id, 60*time.Second)
@@ -511,20 +523,8 @@ func TestTimeoutNotRetried(t *testing.T) {
 	}
 }
 
-// TestFaultsRejectedWhenDisabled: a production daemon refuses fault blocks
-// outright.
-func TestFaultsRejectedWhenDisabled(t *testing.T) {
-	d := startDaemon(t, Config{MaxConcurrent: 1, Log: io.Discard})
-	_, err := d.srv.Submit(JobSpec{
-		Program: "dsort", Nodes: 2, Records: 4096,
-		Fault: &FaultSpec{Kind: FaultPanicOp, Rank: 0, OpCount: 1},
-	})
-	if !errors.Is(err, ErrFaultsDisabled) {
-		t.Fatalf("got %v, want ErrFaultsDisabled", err)
-	}
-}
-
-// TestQuotaRejectionOverHTTP maps quota errors to 403.
+// TestQuotaRejectionOverHTTP maps quota errors to 403 and malformed specs to
+// 400.
 func TestQuotaRejectionOverHTTP(t *testing.T) {
 	d := startDaemon(t, Config{
 		MaxConcurrent: 1,
@@ -538,6 +538,13 @@ func TestQuotaRejectionOverHTTP(t *testing.T) {
 	code, _ = d.post(t, "/jobs", `{"program":"dsort","nodes":2,"records":4096,"wat":1}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("invalid submit: status %d, want 400", code)
+	}
+	// A job spec carries no fault block: it is an unknown field, not a
+	// request a daemon may refuse.
+	code, doc = d.post(t, "/jobs", `{"program":"dsort","nodes":2,"records":4096,
+		"fault":{"kind":"panic-op","rank":1,"op_count":1,"file":"dsort.runs"}}`)
+	if msg, _ := doc["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, `unknown field "fault"`) {
+		t.Fatalf("faulted submit: status %d (%v), want 400 naming the unknown field", code, doc)
 	}
 }
 

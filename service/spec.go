@@ -10,12 +10,13 @@ import (
 )
 
 // A JobSpec is one dataflow job as submitted over the daemon's API: the
-// program, the workload shape, and the per-job resilience and tuning
-// options. Specs are decoded strictly — an unknown field or an
-// inconsistent spec is a 400 at submit time, never a silent
-// misconfiguration discovered mid-sort — exactly the discipline the soak
-// harness applies to its scenario plans, because job specs cross the trust
-// boundary between a client and the daemon.
+// program, the workload shape, and the per-job resilience options. It
+// describes a sort, nothing else: the program picks its own buffer pools.
+// Specs are decoded strictly — an unknown field or an inconsistent spec is
+// a 400 at submit time, never a silent misconfiguration discovered
+// mid-sort — exactly the discipline the soak harness applies to its
+// scenario plans, because job specs cross the trust boundary between a
+// client and the daemon.
 type JobSpec struct {
 	// Name is an optional client label, echoed in status and list views.
 	Name string `json:"name,omitempty"`
@@ -37,11 +38,6 @@ type JobSpec struct {
 	// Seed makes the workload deterministic. Zero defaults to 1.
 	Seed int64 `json:"seed,omitempty"`
 
-	// Buffers overrides each pipeline's circulating buffer pool (0 keeps
-	// the program default; explicit values above the daemon's buffer quota
-	// are rejected at admission).
-	Buffers int `json:"buffers,omitempty"`
-
 	// SkipVerify skips the output verification pass. The default verifies:
 	// a service result that says "done" means "sorted, striped, and a
 	// permutation of the input", not just "the passes ran".
@@ -62,41 +58,10 @@ type JobSpec struct {
 
 	// Disk overrides the simulated per-node disk model.
 	Disk *DiskSpec `json:"disk,omitempty"`
-
-	// Fault schedules one deliberate misfortune inside the job — the seam
-	// the isolation tests drive. Submitting a faulted spec requires the
-	// daemon to run with fault injection enabled; production daemons
-	// reject it at admission.
-	Fault *FaultSpec `json:"fault,omitempty"`
 }
 
 // DiskSpec is the disk model as every JSON front end spells it.
 type DiskSpec = harness.DiskSpec
-
-// Fault kinds a job spec may schedule.
-const (
-	// FaultPanicOp panics on rank Rank's OpCount-th disk operation
-	// (optionally scoped to File: "input", "output", ...). The panic is
-	// raised on a stage goroutine, so it must surface as a *fg.PanicError
-	// naming the stage and fail only that job — the isolation property the
-	// integration suite asserts.
-	FaultPanicOp = harness.DiskPanicOp
-	// FaultDiskErr fails rank Rank's OpCount-th disk operation with an
-	// injected error instead of panicking.
-	FaultDiskErr = harness.DiskErr
-)
-
-// A FaultSpec is one scheduled in-job misfortune.
-type FaultSpec struct {
-	// Kind selects the fault (the Fault* constants).
-	Kind string `json:"kind"`
-	// Rank is the afflicted simulated node.
-	Rank int `json:"rank"`
-	// OpCount is the 1-based disk-operation index the fault fires on.
-	OpCount int64 `json:"op_count"`
-	// File scopes the fault to one job file name; empty means any file.
-	File string `json:"file,omitempty"`
-}
 
 // DecodeJobSpec reads one job spec from JSON, strictly: unknown fields,
 // trailing garbage, and semantically inconsistent specs are all errors. It
@@ -118,8 +83,7 @@ func DecodeJobSpec(r io.Reader) (JobSpec, error) {
 func (s JobSpec) job() harness.Job {
 	return harness.Job{
 		Program: s.Program, Nodes: s.Nodes, Records: s.Records, RecordSize: s.RecordSize,
-		ColumnsPerNode: s.ColumnsPerNode, Distribution: s.Distribution, Seed: s.Seed,
-		Buffers: s.Buffers, Disk: s.Disk,
+		ColumnsPerNode: s.ColumnsPerNode, Distribution: s.Distribution, Seed: s.Seed, Disk: s.Disk,
 	}.WithDefaults()
 }
 
@@ -148,19 +112,6 @@ func (s JobSpec) Validate() error {
 	}
 	if s.TimeoutSec < 0 || s.MaxAttempts < 0 {
 		return errors.New("service: negative scalar in job spec")
-	}
-	if f := s.Fault; f != nil {
-		switch f.Kind {
-		case FaultPanicOp, FaultDiskErr:
-		default:
-			return fmt.Errorf("service: unknown fault kind %q", f.Kind)
-		}
-		if f.Rank < 0 || f.Rank >= s.Nodes {
-			return fmt.Errorf("service: fault rank %d outside [0, %d)", f.Rank, s.Nodes)
-		}
-		if f.OpCount <= 0 {
-			return errors.New("service: fault op_count must be >= 1")
-		}
 	}
 	return nil
 }
@@ -195,8 +146,6 @@ type Limits struct {
 	// per-job disk quota, since every simulated disk lives in the daemon's
 	// memory.
 	MaxBytes int64 `json:"max_bytes,omitempty"`
-	// MaxBuffers bounds a job's explicit per-pipeline buffer pool.
-	MaxBuffers int `json:"max_buffers,omitempty"`
 	// MaxAttempts bounds a job's supervised attempt budget.
 	MaxAttempts int `json:"max_attempts,omitempty"`
 	// MaxRunSeconds caps every job's running wall clock, whatever its spec
@@ -221,9 +170,6 @@ func (l Limits) Admit(s JobSpec) error {
 	}
 	if l.MaxBytes > 0 && s.Bytes() > l.MaxBytes {
 		return quotaErrf("%d bytes of data exceeds the per-job limit of %d", s.Bytes(), l.MaxBytes)
-	}
-	if l.MaxBuffers > 0 && s.Buffers > l.MaxBuffers {
-		return quotaErrf("%d buffers exceeds the per-job limit of %d", s.Buffers, l.MaxBuffers)
 	}
 	if l.MaxAttempts > 0 && s.maxAttempts() > l.MaxAttempts {
 		return quotaErrf("%d attempts exceeds the per-job limit of %d", s.maxAttempts(), l.MaxAttempts)

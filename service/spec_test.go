@@ -54,9 +54,8 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 		{"bad distribution", `{"program":"dsort","nodes":4,"records":4096,"distribution":"bogus"}`, "distribution"},
 		{"negative seed", `{"program":"dsort","nodes":4,"records":4096,"seed":-1}`, "negative"},
 		{"negative disk", `{"program":"dsort","nodes":4,"records":4096,"disk":{"seek_latency_us":-1,"bytes_per_second":1}}`, "disk"},
-		{"bad fault kind", `{"program":"dsort","nodes":4,"records":4096,"fault":{"kind":"meteor","rank":0,"op_count":1}}`, "fault kind"},
-		{"fault rank out of range", `{"program":"dsort","nodes":4,"records":4096,"fault":{"kind":"panic-op","rank":4,"op_count":1}}`, "rank"},
-		{"fault op zero", `{"program":"dsort","nodes":4,"records":4096,"fault":{"kind":"panic-op","rank":0,"op_count":0}}`, "op_count"},
+		{"buffers is gone", `{"program":"dsort","nodes":4,"records":4096,"buffers":4}`, `unknown field "buffers"`},
+		{"fault is gone", `{"program":"dsort","nodes":4,"records":4096,"fault":{"kind":"panic-op","rank":1,"op_count":1,"file":"dsort.runs"}}`, `unknown field "fault"`},
 		{"not json", `[`, "decode"},
 		{"empty", ``, "decode"},
 	}
@@ -70,7 +69,7 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 }
 
 func TestLimitsAdmit(t *testing.T) {
-	l := Limits{MaxNodes: 8, MaxBytes: 1 << 20, MaxBuffers: 8, MaxAttempts: 3}
+	l := Limits{MaxNodes: 8, MaxBytes: 1 << 20, MaxAttempts: 3}
 	ok := JobSpec{Program: "dsort", Nodes: 4, Records: 4096}
 	if err := l.Admit(ok); err != nil {
 		t.Fatalf("in-quota spec rejected: %v", err)
@@ -81,7 +80,6 @@ func TestLimitsAdmit(t *testing.T) {
 	}{
 		{"nodes", JobSpec{Program: "dsort", Nodes: 16, Records: 4096}},
 		{"bytes", JobSpec{Program: "dsort", Nodes: 4, Records: 1 << 20}},
-		{"buffers", JobSpec{Program: "dsort", Nodes: 4, Records: 4096, Buffers: 99}},
 		{"attempts", JobSpec{Program: "dsort", Nodes: 4, Records: 4096, MaxAttempts: 4}},
 	}
 	for _, c := range cases {

@@ -136,6 +136,11 @@ func (s Scenario) Validate() error {
 	if tl := s.Telemetry; tl != nil && tl.IntervalMS <= 0 {
 		return fmt.Errorf("soak: scenario %s: telemetry interval must be positive", s.Name)
 	}
+	// With a heartbeat armed, records ride its beat (cluster.StartTelemetry):
+	// a different telemetry interval would silently mean the heartbeat's.
+	if tl, h := s.Telemetry, s.Heartbeat; tl != nil && h != nil && tl.IntervalMS != h.IntervalMS {
+		return fmt.Errorf("soak: scenario %s: telemetry interval %d ms differs from the heartbeat's %d ms it rides on", s.Name, tl.IntervalMS, h.IntervalMS)
+	}
 	for i, f := range s.Faults {
 		if err := s.validateFault(i, f); err != nil {
 			return err

@@ -40,6 +40,7 @@ func TestDecodeScenarioRejects(t *testing.T) {
 		{"unknown field", `{"name": "x", ` + base + `, "rnaks": 3}`, "unknown field"},
 		{"ranks is nodes now", `{"name": "x", "ranks": 2, "program": "dsort", "records": 4096}`, `unknown field "ranks"`},
 		{"parallelism is gone", `{"name": "x", ` + base + `, "parallelism": 1}`, `unknown field "parallelism"`},
+		{"buffers is gone", `{"name": "x", ` + base + `, "buffers": 4}`, `unknown field "buffers"`},
 		{"trailing garbage", `{"name": "x", ` + base + `} {"again": true}`, "trailing data"},
 		{"no name", `{` + base + `}`, "needs a name"},
 		{"name with slash", `{"name": "a/b", ` + base + `}`, "slashes"},
@@ -57,6 +58,7 @@ func TestDecodeScenarioRejects(t *testing.T) {
 		{"restart without checkpoint", `{"name": "x", ` + base + `, "max_attempts": 2, ` + hb + `, "faults": [{"kind": "kill-op", "rank": 1, "op_count": 1, "restart": true}]}`, "checkpoint"},
 		{"partition shape", `{"name": "x", ` + base + `, "faults": [{"kind": "partition", "rank": 1, "down_ms": 100}]}`, "cycles"},
 		{"restart delay", `{"name": "x", ` + base + `, "checkpoint": true, "max_attempts": 2, ` + hb + `, "faults": [{"kind": "kill-op", "rank": 1, "op_count": 1, "restart": true, "restart_delay_ms": 500}]}`, "unknown field"},
+		{"telemetry off the heartbeat", `{"name": "x", ` + base + `, ` + hb + `, "telemetry": {"interval_ms": 20}}`, "differs from the heartbeat"},
 		{"net-drop unabsorbed", `{"name": "x", ` + base + `, "faults": [{"kind": "net-drop", "rank": 1, "drop_n": 1}]}`, "max_attempts"},
 	}
 	for _, tc := range cases {

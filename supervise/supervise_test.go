@@ -103,7 +103,7 @@ func TestDefaultRetryable(t *testing.T) {
 		{"nil", nil, false},
 		{"plain", errors.New("x"), false},
 		// A disk error ends the job with its name: the supervisor does not
-		// retry it. Wrapped as harness.Fault's disk hook wraps it.
+		// retry it, however deep the injected fault is wrapped.
 		{"disk-fault", fmt.Errorf("rank %d %s %q op %d: %w", 1, "write", "dsort.runs", 3, &faultinject.Fault{Op: "write", Seq: 1}), false},
 		{"aborted", cluster.ErrAborted, true},
 		{"peer-death", peerDeath, true},
