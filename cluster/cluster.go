@@ -236,14 +236,17 @@ func (c *Cluster) Aborted() bool {
 	}
 }
 
-// Close shuts the cluster's transport down: listeners, connections, and
-// every transport goroutine. It is idempotent. In-process clusters have
-// nothing to release, so existing callers that never Close stay correct;
-// TCP clusters should always be closed.
+// Close shuts the cluster's transport down (listeners, connections, every
+// transport goroutine) and closes each local disk, giving its files'
+// storage back for the next job. It is idempotent. Unclosed, an in-process
+// cluster leaves that storage to the collector; always close TCP clusters.
 func (c *Cluster) Close() error {
 	c.closeOnce.Do(func() {
 		c.health.stop()
 		c.closeErr = c.transport.Close()
+		for _, n := range c.local {
+			n.Disk.Close()
+		}
 	})
 	return c.closeErr
 }

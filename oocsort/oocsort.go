@@ -95,8 +95,8 @@ func (s Spec) Output(p int) pdm.StripedFile {
 // way check.Output takes it once per process, at its first local rank, and
 // combines the shares across processes. Generation bypasses
 // the simulated disk cost: it is setup, not part of any measured pass. Each
-// node's share is generated straight into the slice that becomes its input
-// file (Disk.Import takes ownership), so the input exists once.
+// node's share is generated straight into its disk's recycled storage
+// (Disk.Fill), so the input exists once and is not allocated afresh.
 func GenerateInput(c *cluster.Cluster, s Spec) (records.Fingerprint, error) {
 	if err := s.Validate(c.P()); err != nil {
 		return records.Fingerprint{}, err
@@ -105,12 +105,23 @@ func GenerateInput(c *cluster.Cluster, s Spec) (records.Fingerprint, error) {
 	fps := make([]records.Fingerprint, c.P())
 	err := c.Run(func(n *cluster.Node) error {
 		g := workload.NewGenerator(s.Format, s.Distribution, s.Seed, uint32(n.Rank()))
-		data := make([]byte, s.Format.Bytes(int(perNode)))
-		g.Fill(data)
-		n.Disk.Import(s.InputName, data)
-		if s.Format.HasID() {
-			fps[n.Rank()] = s.Format.Fingerprint(data)
+		gen := func(p []byte) {
+			g.Fill(p)
+			if s.Format.HasID() {
+				fps[n.Rank()].Merge(s.Format.Fingerprint(p))
+			}
 		}
+		// rec is a record straddling two extents; carry, its bytes left over.
+		rec, carry := make([]byte, s.Format.Size), 0
+		n.Disk.Fill(s.InputName, int64(s.Format.Bytes(int(perNode))), func(p []byte) {
+			k := copy(p, rec[len(rec)-carry:])
+			carry, p = carry-k, p[k:]
+			whole := len(p) - len(p)%len(rec)
+			if gen(p[:whole]); whole < len(p) {
+				gen(rec)
+				carry = len(rec) - copy(p[whole:], rec)
+			}
+		})
 		return nil
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package oocsort
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -80,6 +81,46 @@ func TestGenerateInputWritesEveryNode(t *testing.T) {
 	}
 	if !merged.Equal(fp) {
 		t.Error("returned fingerprint does not match the data on disk")
+	}
+}
+
+// TestGenerateInputMatchesOneSlab: generating into the disk's recycled
+// extents writes the bytes, and returns the fingerprint, that one Fill of a
+// whole slab would — for records that divide an extent, records that
+// straddle two (100 B, as the check tests use) and records longer than one.
+// The extents come back from an earlier job's files, so a byte the
+// generator skipped would show that job's data.
+func TestGenerateInputMatchesOneSlab(t *testing.T) {
+	for _, size := range []int{16, 100, 70000} {
+		s := validSpec()
+		s.Format = records.NewFormat(size)
+		s.TotalRecords = int64(2 * (200_000/size + 1)) // a few extents a node, the last one partial
+		prior := cluster.New(cluster.Config{Nodes: 2})
+		s.Seed = 99
+		if _, err := GenerateInput(prior, s); err != nil {
+			t.Fatal(err)
+		}
+		prior.Close()
+
+		s.Seed = 1
+		c := cluster.New(cluster.Config{Nodes: 2})
+		fp, err := GenerateInput(c, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want records.Fingerprint
+		for rank, d := range c.Disks() {
+			slab := make([]byte, s.Format.Bytes(int(s.PerNode(2))))
+			workload.NewGenerator(s.Format, s.Distribution, s.Seed, uint32(rank)).Fill(slab)
+			if !bytes.Equal(d.Export(s.InputName), slab) {
+				t.Errorf("%d-byte records: node %d's input differs from one generated slab", size, rank)
+			}
+			want.Merge(s.Format.Fingerprint(slab))
+		}
+		if !fp.Equal(want) {
+			t.Errorf("%d-byte records: fingerprint %v, want %v", size, fp, want)
+		}
+		c.Close()
 	}
 }
 

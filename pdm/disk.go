@@ -14,13 +14,17 @@
 // pthread blocked in read(2), it yields the processor to other pipeline
 // stages. Byte counters record the I/O volume per disk, which the
 // experiment harness uses to reproduce the paper's claim that csort performs
-// roughly 50% more I/O than dsort.
+// roughly 50% more I/O than dsort. Files live in storage recycled across
+// disks and jobs: it returns to one free list when a file is removed or
+// replaced or its disk closed.
 package pdm
 
 import (
 	"fmt"
 	"sync"
 	"time"
+
+	"github.com/fg-go/fg/internal/bufpool"
 )
 
 // DiskModel gives the simulated cost of disk operations.
@@ -95,14 +99,17 @@ const extentBytes = 64 << 10
 // zeroExtent backs the holes of sparse files for readers.
 var zeroExtent [extentBytes]byte
 
+// extentPool holds at most the extents out at once (one job's files).
+var extentPool bufpool.Pool
+
 // fileData is one file: size bytes held in extents of extentBytes each. A
-// nil extent is a hole that reads as zeros. Only an imported file's last
-// extent may be shorter than extentBytes — Import slices the caller's data
-// into extents without copying it — and it is widened on the first write
-// that reaches past it.
+// nil extent is a hole that reads as zeros. The first borrowed extents are
+// an Import's slices of the caller's data, never recycled; only the last may
+// be short, and a write that reaches past it replaces it with the disk's own.
 type fileData struct {
-	extents [][]byte
-	size    int64
+	extents  [][]byte
+	borrowed int
+	size     int64
 }
 
 // write stores p at offset off, growing the file as needed.
@@ -116,10 +123,13 @@ func (f *fileData) write(p []byte, off int64) {
 	for len(p) > 0 {
 		i, within := int(off/extentBytes), int(off%extentBytes)
 		e := f.extents[i]
-		if len(e) < extentBytes && within+len(p) > len(e) {
-			wide := make([]byte, extentBytes)
+		if end := min(within+len(p), extentBytes); end > len(e) {
+			// Recycled: zero what neither e nor p covers, as make did.
+			wide := extentPool.Get(extentBytes)
 			copy(wide, e)
-			e, f.extents[i] = wide, wide
+			clear(wide[len(e):max(len(e), within)])
+			clear(wide[end:])
+			e, f.extents[i], f.borrowed = wide, wide, min(f.borrowed, i)
 		}
 		n := copy(e[within:], p)
 		p, off = p[n:], off+int64(n)
@@ -173,7 +183,26 @@ func (d *Disk) ResetStats() {
 func (d *Disk) Remove(name string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.files, name)
+	d.drop(name)
+}
+
+// drop deletes the named file and gives its own extents back; d.mu is held.
+func (d *Disk) drop(name string) {
+	if f := d.files[name]; f != nil {
+		for _, e := range f.extents[f.borrowed:] {
+			extentPool.Put(e)
+		}
+		delete(d.files, name)
+	}
+}
+
+// Close removes every file, giving the disk's own storage back for reuse.
+func (d *Disk) Close() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for name := range d.files {
+		d.drop(name)
+	}
 }
 
 // Size returns the current size of a file, or 0 if it does not exist.
@@ -265,15 +294,13 @@ func (d *Disk) occupyHead(cost time.Duration) {
 }
 
 // Import makes data the named file's full contents without charging any
-// simulated cost. It exists for experiment setup — generating a sort's
-// input is not part of the measured computation. The disk takes ownership
-// of data rather than copying it: the caller must not modify it afterwards,
-// and later writes to the file land in it.
+// simulated cost, for checkpoint restores and tests. The disk uses data in
+// place rather than copying it: the caller must not modify it afterwards,
+// and later writes to the file land in it. data is never recycled, so the
+// caller may still read it after the file is removed or the disk closed.
 func (d *Disk) Import(name string, data []byte) {
-	f := &fileData{
-		extents: make([][]byte, 0, (len(data)+extentBytes-1)/extentBytes),
-		size:    int64(len(data)),
-	}
+	k := (len(data) + extentBytes - 1) / extentBytes
+	f := &fileData{extents: make([][]byte, 0, k), borrowed: k, size: int64(len(data))}
 	for len(data) > 0 {
 		n := min(len(data), extentBytes)
 		f.extents = append(f.extents, data[:n:n])
@@ -281,6 +308,24 @@ func (d *Disk) Import(name string, data []byte) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.drop(name)
+	d.files[name] = f
+}
+
+// Fill makes the named file size bytes of recycled storage, replacing any
+// file so named, and hands fill its extents in order, the last cut to size;
+// fill must write every byte. Like Import it charges no cost (setup only).
+func (d *Disk) Fill(name string, size int64, fill func(extent []byte)) {
+	f := &fileData{extents: make([][]byte, (size+extentBytes-1)/extentBytes), size: size}
+	for i := range f.extents {
+		e := extentPool.Get(extentBytes)
+		f.extents[i], e = e, e[:min(extentBytes, size-int64(i)*extentBytes)]
+		fill(e)
+		clear(e[len(e):cap(e)]) // the file may grow into the tail
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.drop(name)
 	d.files[name] = f
 }
 
@@ -305,9 +350,10 @@ func (d *Disk) Export(name string) []byte {
 // read-only slices of the disk's own storage, in file order, without
 // copying them and without charging any simulated cost. It exists for
 // verification: a checker walks a sort's output where it lies. The caller
-// must not write through the slices, and they are only meaningful while
-// nothing writes the range. A range that is not wholly inside the file
-// fails like the corresponding ReadAt.
+// must not write through the slices, which are valid while nothing writes
+// the range and until the file is removed or the disk closed (check.Output
+// finishes before Close). A range not wholly inside the file fails like
+// the corresponding ReadAt.
 func (d *Disk) View(name string, off int64, n int) ([][]byte, error) {
 	if off < 0 || n < 0 {
 		return nil, fmt.Errorf("pdm: invalid range off=%d n=%d viewing %q", off, n, name)
