@@ -29,7 +29,12 @@ func (n *Node) anyMailbox(tag int64) *mailbox {
 // Messages sent with SendAny are received only by RecvAny; they do not mix
 // with Send/Recv traffic.
 func (n *Node) SendAny(dst int, tag int64, data []byte) {
-	n.sendFrame(dst, tag, true, data)
+	n.SendAnyOwned(dst, tag, newMsg(data))
+}
+
+// SendAnyOwned is SendAny handing msg over, as SendOwned does.
+func (n *Node) SendAnyOwned(dst int, tag int64, msg []byte) {
+	n.sendFrame(dst, tag, true, msg)
 }
 
 // RecvAny blocks until any node's SendAny for this tag arrives, returning
@@ -43,6 +48,11 @@ func (n *Node) RecvAny(tag int64) (src int, data []byte) {
 // space.
 func (c *Comm) SendAny(dst int, tag int64, data []byte) {
 	c.n.SendAny(dst, c.p2pBase+tag, data)
+}
+
+// SendAnyOwned is the Comm-scoped form of Node.SendAnyOwned.
+func (c *Comm) SendAnyOwned(dst int, tag int64, msg []byte) {
+	c.n.SendAnyOwned(dst, c.p2pBase+tag, msg)
 }
 
 // RecvAny receives the next any-source message for tag in this Comm's tag

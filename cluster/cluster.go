@@ -577,10 +577,10 @@ func (c *Cluster) deliverControl(f Frame) {
 	}
 }
 
-// sendFrame is the shared body of Send and SendAny: abort preflight, copy
-// into a recycled message buffer, transfer-ID mint, transport delivery,
-// stats, observer.
-func (n *Node) sendFrame(dst int, tag int64, any bool, data []byte) {
+// sendFrame is the shared body of every send: abort preflight, transfer-ID
+// mint, delivery of msg itself (which the transport now owns), stats,
+// observer.
+func (n *Node) sendFrame(dst int, tag int64, any bool, msg []byte) {
 	if dst < 0 || dst >= n.P() {
 		panic(fmt.Sprintf("cluster: node %d sending to invalid rank %d", n.rank, dst))
 	}
@@ -590,7 +590,6 @@ func (n *Node) sendFrame(dst int, tag int64, any bool, data []byte) {
 	if n.cluster.Aborted() {
 		n.abortPanic("send", dst)
 	}
-	msg := newMsg(data)
 	tr := n.cluster.transport
 	xfer := tr.NextXfer(n.rank)
 
@@ -603,9 +602,9 @@ func (n *Node) sendFrame(dst int, tag int64, any bool, data []byte) {
 		panic(&CommError{Op: "send", Rank: n.rank, Peer: dst, Err: err})
 	}
 	n.stats.msgsSent.Add(1)
-	n.stats.bytesSent.Add(int64(len(data)))
+	n.stats.bytesSent.Add(int64(len(msg)))
 	n.stats.sendWait.Add(int64(time.Since(start)))
-	n.observe("send", dst, len(data), xfer, start)
+	n.observe("send", dst, len(msg), xfer, start)
 }
 
 // recvFrame is the shared body of Recv and RecvAny. peer is the reported
@@ -632,11 +631,20 @@ func (n *Node) recvFrame(mb *mailbox, peer int) message {
 // message is accepted for delivery: on the in-process transport that
 // includes the simulated transfer duration (self-sends are free, as through
 // shared memory); over TCP it includes any wait for the in-flight byte
-// budget. The payload is copied before Send returns — into a recycled
-// message buffer, so a stream of sends whose receivers Release allocates
-// nothing — and the caller may reuse data at once.
+// budget. Send is MsgBuf, copy and SendOwned: the payload is copied into a
+// recycled message buffer, so a stream of sends whose receivers Release
+// allocates nothing, and the caller may reuse data at once.
 func (n *Node) Send(dst int, tag int64, data []byte) {
-	n.sendFrame(dst, tag, false, data)
+	n.SendOwned(dst, tag, newMsg(data))
+}
+
+// SendOwned is Send without the copy: msg itself is handed over, and the
+// caller must not touch it again. msg comes from MsgBuf (a shorter reslice
+// of one is fine), so that whoever ends up owning it can Release it: the
+// receiver in-process, the transport once the bytes are on the wire over
+// TCP. Until then no MsgBuf returns it.
+func (n *Node) SendOwned(dst int, tag int64, msg []byte) {
+	n.sendFrame(dst, tag, false, msg)
 }
 
 // Recv blocks until a message from src with the given tag arrives and

@@ -61,6 +61,11 @@ func (c *Comm) Send(dst int, tag int64, data []byte) {
 	c.n.Send(dst, c.p2pBase+tag, data)
 }
 
+// SendOwned is the Comm-scoped form of Node.SendOwned.
+func (c *Comm) SendOwned(dst int, tag int64, msg []byte) {
+	c.n.SendOwned(dst, c.p2pBase+tag, msg)
+}
+
 // Recv blocks for a message from src with the given tag.
 func (c *Comm) Recv(src int, tag int64) []byte {
 	return c.n.Recv(src, c.p2pBase+tag)
@@ -156,6 +161,19 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 // this node received, indexed by source rank. Piece sizes may differ (the
 // MPI_Alltoallv generalization). parts must have length P.
 func (c *Comm) Alltoall(parts [][]byte) [][]byte {
+	return c.alltoall(parts, newMsg)
+}
+
+// AlltoallOwned is Alltoall handing every part over, as SendOwned does:
+// each parts[d] comes from MsgBuf, and this node's own piece is parts[rank]
+// itself.
+func (c *Comm) AlltoallOwned(parts [][]byte) [][]byte {
+	return c.alltoall(parts, func(msg []byte) []byte { return msg })
+}
+
+// alltoall is the body of both forms; own turns a part into the message
+// that carries it.
+func (c *Comm) alltoall(parts [][]byte, own func([]byte) []byte) [][]byte {
 	n := c.n
 	if len(parts) != n.P() {
 		panic("cluster: Alltoall requires exactly one part per node")
@@ -163,10 +181,10 @@ func (c *Comm) Alltoall(parts [][]byte) [][]byte {
 	tag := c.collBase + c.nextSeq()
 	for i := 1; i < n.P(); i++ {
 		dst := (n.rank + i) % n.P()
-		n.Send(dst, tag, parts[dst])
+		n.SendOwned(dst, tag, own(parts[dst]))
 	}
 	out := make([][]byte, n.P())
-	out[n.rank] = newMsg(parts[n.rank])
+	out[n.rank] = own(parts[n.rank])
 	for src := 0; src < n.P(); src++ {
 		if src != n.rank {
 			out[src] = n.Recv(src, tag)

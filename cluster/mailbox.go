@@ -8,13 +8,17 @@ import (
 )
 
 // Message buffers. Every payload a receiver is handed sits in a buffer from
-// msgBufs: a Send copies its payload into one, and the TCP read loop reads
-// the payload off the wire into one. The receiver owns the buffer from the
-// moment Recv returns it; a receiver that has copied the bytes out hands it
-// back with Release, and the next message of a similar size, in this job or
-// the next, reuses it (a class nobody asks for in a minute is freed). A
-// receiver that never releases is still correct — its buffers are garbage
-// like any other slice.
+// msgBufs, and each buffer has one owner at a time. A sender that fills a
+// MsgBuf owns it until it hands it over with an owned send (SendOwned,
+// SendAnyOwned, AlltoallOwned); Send is MsgBuf, copy and SendOwned. The
+// in-process transport passes the buffer itself to the receiver's mailbox;
+// the TCP transport releases it once it is on the wire, and the receiving
+// read loop reads the payload off the wire into one of its own. The
+// receiver owns the buffer from the moment Recv returns it; once done with
+// the bytes it hands it back with Release, and the next MsgBuf of a similar
+// size, in this job or the next, reuses it (a class nobody asks for in a
+// minute is freed). A receiver that never releases is still correct — its
+// buffers are garbage like any other slice.
 //
 // Buffers come in size classes (four per power of two, so at most a quarter
 // of a buffer is slack); msgBufs is keyed by capacity, so a message's class
@@ -33,9 +37,10 @@ func msgClass(n int) int {
 	return ((n-1)>>shift + 1) << shift
 }
 
-// msgBuf returns a recycled buffer for a payload of n bytes; empty payloads
+// MsgBuf returns a recycled message buffer of n bytes, stale bytes and all,
+// for a sender to fill and hand over with an owned send; empty payloads
 // need none.
-func msgBuf(n int) []byte {
+func MsgBuf(n int) []byte {
 	if n == 0 {
 		return nil
 	}
@@ -44,7 +49,7 @@ func msgBuf(n int) []byte {
 
 // newMsg returns a copy of data in a recycled buffer.
 func newMsg(data []byte) []byte {
-	msg := msgBuf(len(data))
+	msg := MsgBuf(len(data))
 	copy(msg, data)
 	return msg
 }

@@ -34,8 +34,9 @@ func TestReleaseIgnoresForeignSlices(t *testing.T) {
 
 // TestSendRecvReleaseSteadyStateAllocs: once warm, a send/receive/release
 // round trip allocates nothing — the payload buffer is recycled and the
-// mailbox exists — and a garbage collection between round trips does not
-// cost the buffer either.
+// mailbox exists — and neither does an owned one (MsgBuf, SendOwned, Recv,
+// Release); a garbage collection between round trips does not cost the
+// buffer either.
 func TestSendRecvReleaseSteadyStateAllocs(t *testing.T) {
 	c := New(Config{Nodes: 1})
 	defer c.Close()
@@ -45,9 +46,15 @@ func TestSendRecvReleaseSteadyStateAllocs(t *testing.T) {
 		n.Send(0, 1, payload)
 		Release(n.Recv(0, 1))
 	}
-	roundTrip()
-	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > 0 {
-		t.Fatalf("steady-state send/recv/release allocates %.1f objects per message, want 0", allocs)
+	owned := func() {
+		n.SendOwned(0, 2, MsgBuf(len(payload)))
+		Release(n.Recv(0, 2))
+	}
+	for name, trip := range map[string]func(){"send/recv/release": roundTrip, "MsgBuf/SendOwned/recv/release": owned} {
+		trip()
+		if allocs := testing.AllocsPerRun(100, trip); allocs > 0 {
+			t.Fatalf("steady-state %s allocates %.1f objects per message, want 0", name, allocs)
+		}
 	}
 	// Counted in bytes, not objects: each collection runs the runtime's own
 	// cleanups (package unique's, for one), which allocate a few small

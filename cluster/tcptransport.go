@@ -221,7 +221,7 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 		// The payload is read straight into a message buffer: the receiver
 		// owns it once it leaves the mailbox, and gives it back with Release
 		// like any other message.
-		payload := msgBuf(int(bodyLen) - frameBodyLen)
+		payload := MsgBuf(int(bodyLen) - frameBodyLen)
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return
 		}

@@ -125,39 +125,40 @@ func (pl Plan) runTransposePass(n *cluster.Node, commName, inFile, outFile strin
 		sortalgo.SortRecords(f, b.Bytes(), b.Aux())
 		return nil
 	})
-	// The outgoing segments are gathered in the buffer's auxiliary storage,
-	// one segBytes slot per destination, and the incoming ones are copied
-	// over the column and released: a round allocates nothing. (A stage runs
-	// on one goroutine, so parts is safely reused across rounds.)
+	// The outgoing segments are dealt straight into message buffers, one
+	// per destination, which the all-to-all hands over; the incoming ones
+	// travel on the buffer's Meta to the permute stage, which deals them
+	// straight into the column and releases them. (A stage runs on one
+	// goroutine, so parts and piles are safely reused across rounds.)
 	parts := make([][]byte, P)
 	p.AddStage("communicate", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		aux := b.Aux()
-		deal(aux, b.Data[:colBytes], runBytes, P, segBytes)
 		for d := range parts {
-			parts[d] = aux[d*segBytes : (d+1)*segBytes]
+			parts[d] = cluster.MsgBuf(segBytes)
 		}
-		recv := comm.Alltoall(parts)
-		off := 0
-		for src := 0; src < P; src++ {
-			if len(recv[src]) != segBytes {
+		deal(parts, b.Data[:colBytes], runBytes)
+		recv := comm.AlltoallOwned(parts)
+		for src, seg := range recv {
+			if len(seg) != segBytes {
 				return fmt.Errorf("unbalanced transpose: %d bytes from node %d, want %d",
-					len(recv[src]), src, segBytes)
+					len(seg), src, segBytes)
 			}
-			off += copy(b.Data[off:], recv[src])
 		}
-		cluster.Release(recv...)
-		b.N = off
+		b.Meta = recv
 		return nil
 	})
+	piles := make([][]byte, S/P)
 	p.AddStage("permute", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		// Group the received runs by destination column, source by source.
 		// Within a column, arrival order suffices — the next pass sorts
 		// every column first thing.
-		aux := b.Aux()
-		for src := 0; src < P; src++ {
-			deal(aux[src*srcBytes:], b.Data[src*segBytes:(src+1)*segBytes], runBytes, S/P, chunkBytes)
+		recv := b.Meta.([][]byte)
+		for src, seg := range recv {
+			for l := range piles {
+				piles[l] = b.Data[l*chunkBytes+src*srcBytes:]
+			}
+			deal(piles, seg, runBytes)
 		}
-		b.SwapAux()
+		cluster.Release(recv...)
 		b.N = colBytes
 		return nil
 	})
@@ -173,14 +174,16 @@ func (pl Plan) runTransposePass(n *cluster.Node, commName, inFile, outFile strin
 	return nw.Run()
 }
 
-// deal copies the runs of src, runBytes each, round-robin onto ways piles:
-// run t lands on pile t mod ways, in order. Pile w starts at dst[w*stride].
-// A 16-byte run — pass 1 deals one-record runs — moves as an array
-// assignment, as sortalgo's kernels move a record, where copy is a call.
-func deal(dst, src []byte, runBytes, ways, stride int) {
+// deal copies the runs of src, runBytes each, round-robin onto the piles:
+// run t lands on piles[t mod len(piles)], in order, filling its first
+// len(src)/len(piles) bytes. A 16-byte run — pass 1 deals one-record runs —
+// moves as an array assignment, as sortalgo's kernels move a record, where
+// copy is a call.
+func deal(piles [][]byte, src []byte, runBytes int) {
+	ways := len(piles)
 	pileBytes := len(src) / ways
-	for w := 0; w < ways; w++ {
-		pile := dst[w*stride : w*stride+pileBytes]
+	for w, pile := range piles {
+		pile = pile[:pileBytes]
 		if runBytes == 16 {
 			for from, to := w*16, 0; to < pileBytes; from, to = from+ways*16, to+16 {
 				*(*[16]byte)(pile[to:]) = *(*[16]byte)(src[from:])

@@ -100,13 +100,19 @@ func pinnedBytes(t *testing.T, size int, dist workload.Distribution) (permute, d
 		})
 		pipe.AddStage("permute", permuteStage(f, p, s, cfg.RunRecords, splitters))
 		pipe.AddStage("collect", func(ctx *fg.Ctx, b *fg.Buffer) error {
-			off := 0
-			for d, cnt := range b.Meta.([]int) {
-				sent[b.Round][s][d] = append([]byte(nil), b.Data[off:off+f.Bytes(cnt)]...)
-				off += f.Bytes(cnt)
+			// The hash covers what it did when permuteStage left the
+			// partitions back to back in the buffer: the counts, then the
+			// partitions in destination order.
+			msgs := b.Meta.([][]byte)
+			counts := make([]int, len(msgs))
+			for d, msg := range msgs {
+				sent[b.Round][s][d] = msg
+				counts[d] = f.Count(len(msg))
 			}
-			fmt.Fprint(hp, b.Meta)
-			hp.Write(b.Bytes())
+			fmt.Fprint(hp, counts)
+			for _, msg := range msgs {
+				hp.Write(msg)
+			}
 			return nil
 		})
 		if err := nw.Run(); err != nil {

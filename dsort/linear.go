@@ -40,7 +40,6 @@ func pass1Linear(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int
 	bufBytes := f.Bytes(bufRecs)
 	sendRounds := int((perNode + int64(bufRecs) - 1) / int64(bufRecs))
 	comm := n.Comm("dsortlin.p1")
-	const tagData = 1
 
 	// Run accumulation state, owned by the commio stage.
 	runBuf := make([]byte, bufBytes)
@@ -86,22 +85,7 @@ func pass1Linear(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int
 		return n.Disk.ReadAt(cfg.Spec.InputName, b.Data[:b.N], off*int64(f.Size))
 	})
 	pipe.AddStage("permute", permuteStage(f, p, rank, bufRecs, splitters))
-	pipe.AddStage("send", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		counts := b.Meta.([]int)
-		off := 0
-		for d := 0; d < p; d++ {
-			if counts[d] > 0 {
-				comm.SendAny(d, tagData, b.Data[off:off+f.Bytes(counts[d])])
-				off += f.Bytes(counts[d])
-			}
-		}
-		if b.Round == sendRounds-1 {
-			for d := 0; d < p; d++ {
-				comm.SendAny(d, tagData, nil)
-			}
-		}
-		return nil
-	})
+	pipe.AddStage("send", sendStage(comm, sendRounds))
 	// All receiving, run sorting, and run writing happen inline in this one
 	// stage — the serialization a single linear pipeline forces.
 	doneMarkers := 0
@@ -156,7 +140,6 @@ func pass2Linear(n *cluster.Node, cfg Config, runLens []int) error {
 	p, rank := n.P(), n.Rank()
 	comm := n.Comm("dsortlin.p2")
 	coll := n.Comm("dsortlin.p2coll")
-	const tagOut = 1
 
 	var partRecs int64
 	for _, l := range runLens {
@@ -213,28 +196,16 @@ func pass2Linear(n *cluster.Node, cfg Config, runLens []int) error {
 		return newMerger(f, k, load).run(ctx, pipe, hBufBytes)
 	})
 
-	writeExtents := func(msg []byte) error {
-		defer cluster.Release(msg)
-		off := int64(binary.BigEndian.Uint64(msg))
-		return n.Disk.WriteAt(cfg.Spec.OutputName, msg[8:], off)
-	}
 	var received int64
 	doneMarkers := 0
 	pipe.AddFreeStage("commio", func(ctx *fg.Ctx) error {
 		gOff := start * int64(size)
-		scratch := make([]byte, 8+min(out.BlockBytes, hBufBytes)) // every extent's message, as in pass2
 		for {
 			b, ok := ctx.Accept()
 			if !ok {
 				break
 			}
-			for _, e := range out.Extents(gOff, b.N) {
-				msg := scratch[:8+e.Length]
-				binary.BigEndian.PutUint64(msg, uint64(e.LocalOff))
-				rel := e.GlobalOff - gOff
-				copy(msg[8:], b.Data[rel:rel+int64(e.Length)])
-				comm.SendAny(e.Disk, tagOut, msg)
-			}
+			sendExtents(comm, out, gOff, b.Bytes())
 			gOff += int64(b.N)
 			ctx.Convey(b)
 			for { // opportunistic drain
@@ -247,7 +218,7 @@ func pass2Linear(n *cluster.Node, cfg Config, runLens []int) error {
 					continue
 				}
 				received += int64(len(msg) - 8)
-				if err := writeExtents(msg); err != nil {
+				if err := writeExtent(n.Disk, cfg.Spec.OutputName, msg); err != nil {
 					return err
 				}
 			}
@@ -262,7 +233,7 @@ func pass2Linear(n *cluster.Node, cfg Config, runLens []int) error {
 				continue
 			}
 			received += int64(len(msg) - 8)
-			if err := writeExtents(msg); err != nil {
+			if err := writeExtent(n.Disk, cfg.Spec.OutputName, msg); err != nil {
 				return err
 			}
 		}

@@ -67,24 +67,49 @@ func readSamples(d *pdm.Disk, name string, f records.Format, rank int, positions
 	return keys, nil
 }
 
-// permuteStage returns the round function that rearranges a buffer so that
-// records of the same partition are contiguous: a stable partition scatter
-// on the partition index, out of place through the auxiliary buffer (the
-// FG feature the paper's permute stage relies on). The extended key —
-// (key, origin node, input position) — decides each record's partition; it
-// never becomes part of the record. The per-partition counts travel with the
-// buffer as its Meta.
+// tagData is the tag of pass 1's record messages, in the pass's Comm.
+const tagData = 1
+
+// permuteStage returns the round function that deals a buffer's records
+// into one message per destination: a stable partition scatter on the
+// partition index, straight into message buffers sized by the partition
+// counts. The extended key — (key, origin node, input position) — decides
+// each record's partition; it never becomes part of the record. The
+// messages travel with the buffer as its Meta, to sendStage.
 func permuteStage(f records.Format, p, rank, bufRecs int, splitters []records.ExtKey) fg.RoundFunc {
 	index := splitter.NewIndex(splitters)
 	return func(ctx *fg.Ctx, b *fg.Buffer) error {
 		base := int64(b.Round) * int64(bufRecs)
 		data := b.Bytes()
-		counts := sortalgo.PartitionRecords(f, data, b.Aux()[:b.N], p, func(i int) int {
+		msgs := make([][]byte, p)
+		sortalgo.PartitionInto(f, data, p, func(i int) int {
 			e := records.ExtKey{Key: f.KeyAt(data, i), Node: uint32(rank), Seq: uint64(base) + uint64(i)}
 			return index.Partition(e)
-		}, 1)
-		b.SwapAux()
-		b.Meta = counts
+		}, func(d, n int) []byte {
+			msgs[d] = cluster.MsgBuf(f.Bytes(n))
+			return msgs[d]
+		})
+		b.Meta = msgs
+		return nil
+	}
+}
+
+// sendStage returns the round function that hands each of a buffer's
+// messages over to its destination, sending none for an empty partition,
+// and after the last of rounds tells every node this sender is done (a
+// zero-length marker).
+func sendStage(comm *cluster.Comm, rounds int) fg.RoundFunc {
+	return func(ctx *fg.Ctx, b *fg.Buffer) error {
+		for d, msg := range b.Meta.([][]byte) {
+			if len(msg) > 0 {
+				comm.SendAnyOwned(d, tagData, msg)
+			}
+		}
+		if b.Round == rounds-1 {
+			for d := 0; d < comm.P(); d++ {
+				comm.SendAny(d, tagData, nil)
+			}
+		}
 		return nil
 	}
 }
@@ -102,7 +127,6 @@ func pass1(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int, erro
 	bufBytes := f.Bytes(bufRecs)
 	sendRounds := int((perNode + int64(bufRecs) - 1) / int64(bufRecs))
 	comm := n.Comm("dsort.p1")
-	const tagData = 1
 
 	nw, done := cfg.Network(n, "dsort.p1")
 	defer done()
@@ -119,23 +143,7 @@ func pass1(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int, erro
 		return n.Disk.ReadAt(cfg.Spec.InputName, b.Data[:b.N], off*int64(size))
 	})
 	send.AddStage("permute", permuteStage(f, p, rank, bufRecs, splitters))
-	send.AddStage("send", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		counts := b.Meta.([]int)
-		off := 0
-		for d := 0; d < p; d++ {
-			if counts[d] > 0 {
-				comm.SendAny(d, tagData, b.Data[off:off+f.Bytes(counts[d])])
-				off += f.Bytes(counts[d])
-			}
-		}
-		if b.Round == sendRounds-1 {
-			// Tell every node this sender is done (zero-length marker).
-			for d := 0; d < p; d++ {
-				comm.SendAny(d, tagData, nil)
-			}
-		}
-		return nil
-	})
+	send.AddStage("send", sendStage(comm, sendRounds))
 
 	recv := nw.AddPipeline("receive",
 		fg.Buffers(cfg.Buffers), fg.BufferBytes(bufBytes), fg.Unlimited())

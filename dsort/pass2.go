@@ -9,6 +9,7 @@ import (
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/sortalgo"
 	"github.com/fg-go/fg/mergetree"
+	"github.com/fg-go/fg/pdm"
 	"github.com/fg-go/fg/records"
 )
 
@@ -204,7 +205,6 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 	p, rank := n.P(), n.Rank()
 	comm := n.Comm("dsort.p2")
 	coll := n.Comm("dsort.p2coll")
-	const tagOut = 1
 
 	// Exchange partition sizes so every node knows where its merged stream
 	// begins in the global sorted order — the basis of the load-balancing.
@@ -293,24 +293,14 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 
 	horiz.AddFreeStage("send", func(ctx *fg.Ctx) error {
 		// The merged stream's global byte offset starts at this node's
-		// partition start; each extent goes to the disk owning its striped
-		// block, framed as [8-byte local offset | payload] in one scratch
-		// message that every extent reuses (SendAny copies it out). An
-		// extent is at most a block and at most a buffer.
+		// partition start.
 		gOff := start * int64(size)
-		scratch := make([]byte, 8+min(out.BlockBytes, hBufBytes))
 		for {
 			b, ok := ctx.Accept()
 			if !ok {
 				break
 			}
-			for _, e := range out.Extents(gOff, b.N) {
-				msg := scratch[:8+e.Length]
-				binary.BigEndian.PutUint64(msg, uint64(e.LocalOff))
-				rel := e.GlobalOff - gOff
-				copy(msg[8:], b.Data[rel:rel+int64(e.Length)])
-				comm.SendAny(e.Disk, tagOut, msg)
-			}
+			sendExtents(comm, out, gOff, b.Bytes())
 			gOff += int64(b.N)
 			ctx.Convey(b)
 		}
@@ -320,16 +310,19 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 		return nil
 	})
 
-	// Disjoint receive pipeline: buffers sized to hold whole incoming
-	// extents plus their framing.
+	// Disjoint receive pipeline: each buffer carries, as its Meta, a batch
+	// of received messages of about a horizontal buffer's worth, which the
+	// write stage writes where they lie. The buffers' own bytes go unused.
 	recv := nw.AddPipeline("receive",
-		fg.Buffers(cfg.Buffers), fg.BufferBytes(hBufBytes+4096), fg.Unlimited())
+		fg.Buffers(cfg.Buffers), fg.BufferBytes(1), fg.Unlimited())
 	recv.AddFreeStage("receive", func(ctx *fg.Ctx) error {
 		b, ok := ctx.Accept()
 		if !ok {
 			return fmt.Errorf("receive pipeline has no buffers")
 		}
 		var got int64
+		var batch [][]byte
+		batched := 0
 		for done := 0; done < p; {
 			_, msg := comm.RecvAny(tagOut)
 			if len(msg) == 0 {
@@ -337,22 +330,18 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 				continue
 			}
 			got += int64(len(msg) - 8)
-			framed := 4 + len(msg)
-			if b.N+framed > b.Cap() {
+			if batched += len(msg); batched > hBufBytes+4096 {
+				b.Meta = batch
 				ctx.Convey(b)
 				if b, ok = ctx.Accept(); !ok {
 					return fmt.Errorf("receive pipeline dried up")
 				}
+				batch, batched = nil, len(msg)
 			}
-			if framed > b.Cap() {
-				return fmt.Errorf("extent of %d bytes exceeds receive buffer", len(msg))
-			}
-			binary.BigEndian.PutUint32(b.Data[b.N:], uint32(len(msg)))
-			copy(b.Data[b.N+4:], msg)
-			b.N += framed
-			cluster.Release(msg)
+			batch = append(batch, msg)
 		}
-		if b.N > 0 {
+		if len(batch) > 0 {
+			b.Meta = batch
 			ctx.Convey(b)
 		}
 		if got != expectedLocal {
@@ -362,17 +351,37 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 	})
 	recv.AddStage("write", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		reads.yield(ctx.Done())
-		for pos := 0; pos < b.N; {
-			mlen := int(binary.BigEndian.Uint32(b.Data[pos:]))
-			off := int64(binary.BigEndian.Uint64(b.Data[pos+4:]))
-			payload := b.Data[pos+12 : pos+4+mlen]
-			if err := n.Disk.WriteAt(cfg.Spec.OutputName, payload, off); err != nil {
+		for _, msg := range b.Meta.([][]byte) {
+			if err := writeExtent(n.Disk, cfg.Spec.OutputName, msg); err != nil {
 				return err
 			}
-			pos += 4 + mlen
 		}
 		return nil
 	})
 
 	return nw.Run()
+}
+
+// tagOut is the tag of pass 2's output messages, in the pass's Comm.
+const tagOut = 1
+
+// sendExtents hands data, the merged stream from global byte gOff on, to
+// the disks owning its striped blocks: each extent goes out in a message
+// buffer of its own, framed as [8-byte local offset | payload]. An extent
+// is at most a block and at most a buffer.
+func sendExtents(comm *cluster.Comm, out pdm.StripedFile, gOff int64, data []byte) {
+	for _, e := range out.Extents(gOff, len(data)) {
+		msg := cluster.MsgBuf(8 + e.Length)
+		binary.BigEndian.PutUint64(msg, uint64(e.LocalOff))
+		rel := e.GlobalOff - gOff
+		copy(msg[8:], data[rel:rel+int64(e.Length)])
+		comm.SendAnyOwned(e.Disk, tagOut, msg)
+	}
+}
+
+// writeExtent writes a message sendExtents framed at its offset of the
+// node's output file, then releases it.
+func writeExtent(d *pdm.Disk, name string, msg []byte) error {
+	defer cluster.Release(msg)
+	return d.WriteAt(name, msg[8:], int64(binary.BigEndian.Uint64(msg)))
 }

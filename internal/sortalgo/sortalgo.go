@@ -287,61 +287,71 @@ func KeyUpperBound(f records.Format, data []byte, key uint64) int {
 // order; within a partition records keep their input order (the scatter is
 // stable, which dsort's extended-key semantics rely on). classify returns
 // the partition of record i. The returned slice holds each partition's
-// record count — freshly allocated, because dsort attaches it to the buffer
-// as Meta and it outlives the call. workers is ignored; it stays until the
-// benchmark stops passing it (ROADMAP 1(d)).
+// record count — freshly allocated, because it outlives the call. workers
+// is ignored; it stays until the benchmark stops passing it (ROADMAP 1(d)).
 func PartitionRecords(f records.Format, data, dst []byte, parts int, classify func(i int) int, workers int) []int {
-	n := f.Count(len(data))
 	if len(dst) < len(data) {
 		panic("sortalgo: partition destination too small")
 	}
-	counts := make([]int, parts)
-	if n == 0 {
-		return counts
-	}
+	counts, pos := make([]int, parts), 0
+	PartitionInto(f, data, parts, classify, func(d, n int) []byte {
+		pile := dst[pos : pos+f.Bytes(n)]
+		counts[d], pos = n, pos+len(pile)
+		return pile
+	})
+	return counts
+}
+
+// PartitionInto is PartitionRecords scattering each partition into a pile
+// of its own: once every record is classified, take(d, n) is called for each
+// partition d in order with its record count n, and returns a pile at least
+// n records long, which PartitionInto fills.
+func PartitionInto(f records.Format, data []byte, parts int, classify func(i int) int, take func(d, n int) []byte) {
+	n := f.Count(len(data))
 	t := partitionPool.Get().(*partitionTable)
 	defer partitionPool.Put(t)
 	if cap(t.partOf) < n {
 		t.partOf = make([]int32, n)
 	}
 	if cap(t.next) < parts {
-		t.next = make([]int, parts)
+		t.next, t.piles = make([]int, parts), make([][]byte, parts)
 	}
-	partOf, next := t.partOf[:n], t.next[:parts]
+	partOf, next, piles := t.partOf[:n], t.next[:parts], t.piles[:parts]
+	defer clear(piles) // the pool must not keep the piles alive
+	clear(next)
 	for i := range partOf {
 		d := classify(i)
 		partOf[i] = int32(d)
-		counts[d]++
+		next[d]++
 	}
-	pos := 0
-	for d, c := range counts {
-		next[d] = pos
-		pos += c
+	for d, c := range next {
+		piles[d], next[d] = take(d, c), 0
 	}
-	// Record i goes to slot next[partOf[i]], which advances. Like scatter,
-	// the move is picked once per call: 16-byte records move as an array
-	// assignment.
+	// Record i goes to slot next[partOf[i]] of its pile, which advances.
+	// Like scatter, the move is picked once per call: 16-byte records move
+	// as an array assignment.
 	size := f.Size
 	if size == 16 {
 		for i, d := range partOf {
-			*(*[16]byte)(dst[next[d]*16:]) = *(*[16]byte)(data[i*16:])
+			*(*[16]byte)(piles[d][next[d]*16:]) = *(*[16]byte)(data[i*16:])
 			next[d]++
 		}
-		return counts
+		return
 	}
 	for i, d := range partOf {
-		copy(dst[next[d]*size:], data[i*size:(i+1)*size])
+		copy(piles[d][next[d]*size:], data[i*size:(i+1)*size])
 		next[d]++
 	}
-	return counts
 }
 
-// A partitionTable is PartitionRecords' per-call scratch: each record's
-// partition and each partition's next slot. The kernel runs once per
-// pipeline round for the whole life of a sort, so the table is recycled.
+// A partitionTable is PartitionInto's per-call scratch: each record's
+// partition, each partition's count and then next slot, and the piles. The
+// kernel runs once per pipeline round for the whole life of a sort, so the
+// table is recycled.
 type partitionTable struct {
 	partOf []int32
 	next   []int
+	piles  [][]byte
 }
 
 var partitionPool = sync.Pool{New: func() any { return new(partitionTable) }}
