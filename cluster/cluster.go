@@ -669,11 +669,11 @@ func (n *Node) TryRecv(src int, tag int64) ([]byte, bool) {
 }
 
 // EmitMetrics feeds every node's communication counters to emit, one
-// sample per counter labeled by node rank. The signature matches what
-// fg.MetricsRegistry.RegisterFunc accepts, without this package importing
-// fg; MetricHelp is the HELP table to register beside it:
+// sample per counter labeled by node rank. It is a collector as it stands
+// for a metrics registry, and MetricHelp is the HELP table to register
+// beside it:
 //
-//	remove := registry.RegisterFunc(func(emit fg.EmitFunc) { c.EmitMetrics(emit) }, cluster.MetricHelp)
+//	remove := registry.RegisterFunc(c.EmitMetrics, cluster.MetricHelp)
 func (c *Cluster) EmitMetrics(emit func(name string, labels map[string]string, value float64)) {
 	for _, n := range c.local {
 		n.Stats().EmitMetrics("cluster_", "node", n.rank, emit)

@@ -250,7 +250,7 @@ func iovolume(pr harness.Params) error {
 
 func linear(base harness.Params) error {
 	pr := harness.AblationParams()
-	pr.Observe = base.Observe
+	pr.Observe, pr.Metrics = base.Observe, base.Metrics
 	fmt.Printf("Multiple pipelines vs single linear pipelines (Section VIII), N=%d, P=%d, I/O-bound calibration\n",
 		pr.TotalRecords, pr.Nodes)
 	for _, dist := range []workload.Distribution{workload.Uniform, workload.Poisson, workload.SkewOneNode} {
@@ -271,7 +271,7 @@ func linear(base harness.Params) error {
 
 func overlap(base harness.Params) error {
 	pr := harness.AblationParams()
-	pr.Observe = base.Observe
+	pr.Observe, pr.Metrics = base.Observe, base.Metrics
 	fmt.Printf("Overlap ablation (buffer pool 1 serializes each pipeline's stages), N=%d, P=%d, I/O-bound calibration\n",
 		pr.TotalRecords, pr.Nodes)
 	for _, prog := range []harness.Program{harness.Dsort, harness.Csort} {

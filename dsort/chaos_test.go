@@ -10,6 +10,7 @@ import (
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/check"
 	"github.com/fg-go/fg/internal/faultinject"
+	"github.com/fg-go/fg/internal/metrics"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/workload"
 )
@@ -61,8 +62,8 @@ func holdWriteBehindHungRead(t *testing.T) (c *cluster.Cluster, release chan<- e
 	const p = 2
 	cfg := testConfig(1<<11, p, 16, workload.Uniform)
 	cfg.OutRecords = 64 // 1 KiB extents: receive buffers fill while runs are still being read
-	reg := fg.NewMetricsRegistry()
-	cfg.Observe = &fg.Observe{Metrics: reg}
+	reg := metrics.NewRegistry()
+	cfg.Observe = &fg.Observe{Metrics: reg.RegisterNetwork}
 	c = cluster.New(cluster.Config{Nodes: p})
 	if _, err := oocsort.GenerateInput(c, cfg.Spec); err != nil {
 		t.Fatal(err)

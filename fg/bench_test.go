@@ -9,8 +9,8 @@ import (
 // stage-runner hot path against "off", the default configuration — no
 // tracer, no registry — whose per-round allocation count
 // TestUnobservedRoundAllocatesNothing holds at zero: "traced" attaches a
-// Tracer and "metered" registers the network with a scraping registry
-// mid-run.
+// Tracer and "metered" snapshots the network's stats throughout the run, as
+// a scraping metrics registry does.
 func BenchmarkObservability(b *testing.B) {
 	build := func(rounds int) *Network {
 		nw := NewNetwork("bench")
@@ -37,8 +37,6 @@ func BenchmarkObservability(b *testing.B) {
 	})
 	b.Run("metered", func(b *testing.B) {
 		nw := build(b.N)
-		r := NewMetricsRegistry()
-		r.RegisterNetwork(nw)
 		stop := make(chan struct{})
 		go func() {
 			for {
@@ -46,7 +44,7 @@ func BenchmarkObservability(b *testing.B) {
 				case <-stop:
 					return
 				default:
-					_ = r.Samples()
+					_ = nw.Stats()
 				}
 			}
 		}()

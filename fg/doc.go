@@ -84,11 +84,13 @@
 // time; the snapshot is the one description of a network — the status view,
 // the metrics, a watchdog's stall report and a remote rank's entry in the
 // fleet view are all derived from it. A Tracer is the one event sink: it
-// keeps the most recent events — work, wait, communication — up to
-// its limit, writes them as a Chrome trace, and writes its last
-// BlackBoxEvents as the black box a stall or panic handler dumps. An Observe bundles a tracer, a MetricsRegistry, a
-// watchdog and a final-stats callback for code that builds networks on a
-// program's behalf. A network with nothing attached pays nothing.
+// keeps the most recent events — work, wait, communication — up to its
+// limit, writes them as a Chrome trace, and writes its last BlackBoxEvents
+// as the black box a stall or panic handler dumps. An Observe bundles a
+// tracer, a watchdog, a hook called with each network before Run (where a
+// metrics registry registers it) and a final-stats callback for code that
+// builds networks on a program's behalf. A network with nothing attached
+// pays nothing, and the package itself persists and serves nothing.
 //
 // # Error semantics and fault tolerance
 //

@@ -7,16 +7,17 @@ import "sync"
 // experiment harness each carry one. The zero value (and a nil pointer)
 // observes nothing and costs nothing; set only the pieces wanted. One
 // Observe is typically shared by every network of a run, so the passes
-// land on one trace timeline and one metrics registry.
+// land on one trace timeline. Serving what it observes is the caller's
+// business: this package neither persists nor serves anything.
 type Observe struct {
 	// Tracer, if set, is attached to each network before Run — the bundle's
 	// one event sink, whether sized for a whole run's timeline or to
 	// BlackBoxEvents as a black box.
 	Tracer *Tracer
-	// Metrics, if set, has each network registered before Run, so a scrape
-	// of the registry mid-run sees the network's live counters. A Tracer in
-	// the same bundle is registered too, surfacing fg_trace_dropped_total.
-	Metrics *MetricsRegistry
+	// Metrics, if set, is called with each network before Run — a metrics
+	// registry's RegisterNetwork, so a scrape mid-run sees the network's
+	// live counters.
+	Metrics func(*Network)
 	// Watchdog, if set, starts a progress watchdog on each network for the
 	// duration of its Run (see Network.Watch). The config is shared;
 	// OnStall may be called by several networks' watchdogs concurrently.
@@ -28,15 +29,14 @@ type Observe struct {
 	OnStats func(NetworkStats)
 }
 
-// Attach wires the bundle into nw: the tracer is attached, the network
-// (and tracer) registered with the metrics registry,
-// and the watchdog started, all before Run. The returned finish function
-// is to be called (typically deferred) once Run has returned; it stops the
-// watchdog and delivers the final snapshot to OnStats — exactly once, even
-// if called again (a runner that both defers it and calls it on an error
-// path, or a Run that returns a *PanicError, must not double-report).
-// Attach on a nil Observe is a no-op, and the finish function is never
-// nil:
+// Attach wires the bundle into nw: the tracer is attached, the Metrics hook
+// called and the watchdog started, all before Run. The returned finish
+// function is to be called (typically deferred) once Run has returned; it
+// stops the watchdog and delivers the final snapshot to OnStats — exactly
+// once, even if called again (a runner that both defers it and calls it on
+// an error path, or a Run that returns a *PanicError, must not
+// double-report). Attach on a nil Observe is a no-op, and the finish
+// function is never nil:
 //
 //	finish := cfg.Observe.Attach(nw)
 //	defer finish()
@@ -49,8 +49,7 @@ func (o *Observe) Attach(nw *Network) func() {
 		nw.SetTracer(o.Tracer)
 	}
 	if o.Metrics != nil {
-		o.Metrics.RegisterNetwork(nw)
-		o.Metrics.RegisterTracer(o.Tracer)
+		o.Metrics(nw)
 	}
 	var dog *Watchdog
 	if o.Watchdog != nil {

@@ -1,26 +1,24 @@
 package fg
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"strings"
 	"time"
 )
 
-// Live status endpoint. Where /metrics serves flat samples for a scraper,
-// /status answers the operator's question directly: which stages are
-// running, which are blocked, and what governs the wall clock right now.
-// Both views read the same lock-free counters Stats reads, so hitting the
-// endpoint mid-run costs the run nothing.
+// Live status. Where the metrics are flat samples for a scraper, a
+// NetworkStatus answers the operator's question directly: which stages are
+// running, which are blocked, and what governs the wall clock right now. It
+// is derived from a Stats snapshot, so taking one mid-run costs the run
+// nothing.
 
 // statusStuckFor is the park duration past which the status view labels a
 // stage blocked rather than running. It is a display threshold, not a stall
 // alarm — the watchdog applies its own, derived from StallAfter.
 const statusStuckFor = time.Second
 
-// NetworkStatus is one network's live health document, served as JSON at
-// /status.json and rendered as text at /status.
+// NetworkStatus is one network's live health document — what a process's
+// /status.json serves and its /status renders as text.
 type NetworkStatus struct {
 	Network string        `json:"network"`
 	Running bool          `json:"running"`
@@ -82,74 +80,4 @@ func (s NetworkStatus) String() string {
 		fmt.Fprintf(&b, "  STALLED for %v: %s\n", s.Stall.Stalled.Round(time.Millisecond), s.Stall.verdict())
 	}
 	return b.String()
-}
-
-// PeerHealth is one cluster peer's liveness in the node-local status
-// document — the fg-typed mirror of cluster.PeerStatus, registered via
-// MetricsRegistry.RegisterPeerHealth so /status answers "who went quiet"
-// without this package importing the cluster.
-type PeerHealth struct {
-	Rank int `json:"rank"`
-	// LastSeenAge is how long ago the peer's last heartbeat arrived.
-	LastSeenAge time.Duration `json:"last_seen_age_ns"`
-	// Monitored reports whether the peer is a death-detection candidate on
-	// this process; unmonitored peers are this process's own ranks.
-	Monitored bool `json:"monitored"`
-	Suspect   bool `json:"suspect,omitempty"`
-	Dead      bool `json:"dead,omitempty"`
-}
-
-// statusDoc is the /status.json document; Peers is empty until a
-// peer-health source is registered.
-type statusDoc struct {
-	Networks []NetworkStatus `json:"networks"`
-	Peers    []PeerHealth    `json:"peers"`
-}
-
-// statusSnapshots builds one status document per registered network.
-func (r *MetricsRegistry) statusSnapshots() []NetworkStatus {
-	nets := r.Networks()
-	out := make([]NetworkStatus, len(nets))
-	for i, nw := range nets {
-		out[i] = nw.Status()
-	}
-	return out
-}
-
-// serveStatusJSON serves every registered network's status as JSON, for
-// dashboards and scripts: an object with "networks" and "peers" sections.
-func (r *MetricsRegistry) serveStatusJSON(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	peers := r.peerHealth()
-	if peers == nil {
-		peers = []PeerHealth{}
-	}
-	_ = json.NewEncoder(w).Encode(statusDoc{Networks: r.statusSnapshots(), Peers: peers})
-}
-
-// serveStatusText serves every registered network's status as plain text,
-// for curl and humans.
-func (r *MetricsRegistry) serveStatusText(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	snaps := r.statusSnapshots()
-	if len(snaps) == 0 {
-		fmt.Fprintln(w, "(no networks registered)")
-		return
-	}
-	for _, s := range snaps {
-		fmt.Fprint(w, s.String())
-	}
-	for _, p := range r.peerHealth() {
-		state := "ok"
-		switch {
-		case p.Dead:
-			state = "dead"
-		case p.Suspect:
-			state = "suspect"
-		case !p.Monitored:
-			state = "local"
-		}
-		fmt.Fprintf(w, "peer %d: %-7s last heartbeat %v ago\n",
-			p.Rank, state, p.LastSeenAge.Round(time.Millisecond))
-	}
 }

@@ -10,7 +10,7 @@ import (
 // family's samples preceded by exactly one # HELP and one # TYPE line, and
 // names ending in _total typed counter. Applied to each of the repository's
 // scrapes — node-local /metrics, the fleet view's /cluster/metrics, fgd's
-// /metrics — which all come from fg.MetricsRegistry.WritePrometheus.
+// /metrics — which all come from metrics.Registry.WritePrometheus.
 func ExpositionLint(t testing.TB, body string) {
 	t.Helper()
 	help, typ, series := map[string]int{}, map[string]int{}, map[string]bool{}

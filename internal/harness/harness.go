@@ -16,6 +16,7 @@ import (
 	"github.com/fg-go/fg/dsort"
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/check"
+	"github.com/fg-go/fg/internal/metrics"
 	"github.com/fg-go/fg/internal/splitter"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/pdm"
@@ -45,10 +46,15 @@ type Params struct {
 
 	// Observe is handed to every program as its oocsort.Options.Observe.
 	// When it carries a Tracer, the harness additionally records every
-	// node's blocking cluster communication as comm events on that timeline,
-	// and when it carries a Metrics registry, the cluster's per-node traffic
-	// counters are registered with it.
+	// node's blocking cluster communication as comm events on that timeline.
 	Observe *fg.Observe
+
+	// Metrics, if non-nil, is the registry the run is served from: every
+	// program network is registered with it (as Observe's Metrics hook), and
+	// so are Observe's tracer, the cluster's per-node traffic counters and
+	// its peer health, the supervisor's attempt counters and — the
+	// telemetry plane's record body — the rank's network snapshots.
+	Metrics *metrics.Registry
 
 	// Transport selects the cluster transport. The zero value keeps the
 	// in-process backend; Kind "tcp" moves inter-rank messages over real
@@ -69,7 +75,7 @@ type Params struct {
 	// disables detection.
 	Health cluster.HealthConfig
 
-	// CheckpointDir, if non-empty, roots a fg.DirCheckpoint there and
+	// CheckpointDir, if non-empty, roots an oocsort.DirCheckpoint there and
 	// hands it to every program run, so completed passes are saved and a
 	// restarted run resumes at the last pass boundary every rank
 	// checkpointed. The directory must be shared by all processes of a
@@ -81,9 +87,9 @@ type Params struct {
 	// every cluster the harness builds: each local rank publishes a
 	// RankTelemetry record per interval toward the aggregator rank, and the
 	// first record of a stall episode carries the rank's black box. The
-	// harness fills Collect and Blackbox from Observe — the rank's fg
-	// snapshot (stages, pools, an open stall episode) from the metrics
-	// registry, the tracer's most recent events as the black box.
+	// harness fills Collect and Blackbox — the rank's fg snapshot (stages,
+	// pools, an open stall episode) from the Metrics registry, Observe's
+	// tracer's most recent events as the black box.
 	// The zero value disables the plane.
 	Telemetry cluster.TelemetryConfig
 
@@ -103,67 +109,56 @@ type Params struct {
 	SuperviseLog io.Writer
 }
 
-// ensureTelemetryObserve gives a telemetry-armed run a metrics registry
+// ensureTelemetryMetrics gives a telemetry-armed run a metrics registry
 // when it has none: a rank's record body is its registered networks'
 // snapshots, so without one the records would carry comm counters but no
 // stages and the fleet view could never name its bottleneck. The receiver
-// is a value, so the patched bundle is local to this run; a
-// caller-supplied bundle is shallow-copied, never mutated.
-func (pr *Params) ensureTelemetryObserve() {
-	if pr.Telemetry.Interval <= 0 || (pr.Observe != nil && pr.Observe.Metrics != nil) {
-		return
+// is a copy of the caller's Params, so the registry is local to this run.
+func (pr *Params) ensureTelemetryMetrics() {
+	if pr.Telemetry.Interval > 0 && pr.Metrics == nil {
+		pr.Metrics = metrics.NewRegistry()
+	}
+}
+
+// observe is the bundle every program of the run attaches: Observe, with
+// each network registered in Metrics when there is a registry (Observe's
+// tracer too, surfacing fg_trace_dropped_total). A caller-supplied bundle
+// is shallow-copied, never mutated.
+func (pr Params) observe() *fg.Observe {
+	if pr.Metrics == nil {
+		return pr.Observe
 	}
 	o := fg.Observe{}
 	if pr.Observe != nil {
 		o = *pr.Observe
 	}
-	o.Metrics = fg.NewMetricsRegistry()
-	pr.Observe = &o
+	o.Metrics = pr.Metrics.RegisterNetwork
+	pr.Metrics.RegisterTracer(o.Tracer)
+	return &o
 }
 
-// instrument wires the Observe bundle into a freshly built cluster. The
-// returned detach function removes the cluster's metrics collector and the
-// per-node communication observers; call it when the run is over so a
-// long-lived registry or tracer is not fed by a dead cluster.
+// instrument wires Metrics and Observe's tracer into a freshly built
+// cluster. The returned detach function removes the cluster's metrics
+// collector and the per-node communication observers; call it when the run
+// is over so a long-lived registry or tracer is not fed by a dead cluster.
 func (pr Params) instrument(c *cluster.Cluster) func() {
-	o := pr.Observe
 	pr.startTelemetry(c)
 	detach := func() {}
-	if o == nil {
-		return detach
-	}
-	if o.Metrics != nil {
-		removeComm := o.Metrics.RegisterFunc(func(emit fg.EmitFunc) { c.EmitMetrics(emit) }, cluster.MetricHelp)
-		o.Metrics.RegisterPeerHealth(func() []fg.PeerHealth {
-			ps := c.PeerHealth()
-			if len(ps) == 0 {
-				return nil
-			}
-			now := time.Now()
-			out := make([]fg.PeerHealth, len(ps))
-			for i, p := range ps {
-				out[i] = fg.PeerHealth{
-					Rank:        p.Rank,
-					LastSeenAge: now.Sub(p.LastSeen),
-					Monitored:   p.Monitored,
-					Suspect:     p.Suspect,
-					Dead:        p.Dead,
-				}
-			}
-			return out
-		})
+	if reg := pr.Metrics; reg != nil {
+		removeComm := reg.RegisterFunc(c.EmitMetrics, cluster.MetricHelp)
+		reg.RegisterPeerHealth(c.PeerHealth)
 		detach = func() {
 			// The registry may outlive this cluster (fgexp runs many, an
 			// fgd job one per attempt): leave it no cluster_* series to
 			// repeat and no closure keeping the closed cluster reachable.
 			removeComm()
-			o.Metrics.RegisterPeerHealth(nil)
+			reg.RegisterPeerHealth(nil)
 		}
 	}
-	tr := o.Tracer
-	if tr == nil {
+	if pr.Observe == nil || pr.Observe.Tracer == nil {
 		return detach
 	}
+	tr := pr.Observe.Tracer
 	for _, n := range c.Local() {
 		pipe := fmt.Sprintf("node%d", n.Rank())
 		n.SetCommObserver(func(op string, peer, nbytes int, xfer int64, start, end time.Time) {
@@ -188,18 +183,18 @@ func (pr Params) instrument(c *cluster.Cluster) func() {
 }
 
 // startTelemetry starts the cluster's telemetry plane when Params asks for
-// one, filling its callbacks from Observe (the plane itself stops with the
-// cluster's Close). Telemetry is best-effort by contract, so a plane that
-// fails to start degrades to staleness at the aggregator rather than
-// failing the run.
+// one, filling its callbacks from Metrics and Observe (the plane itself
+// stops with the cluster's Close). Telemetry is best-effort by contract, so
+// a plane that fails to start degrades to staleness at the aggregator
+// rather than failing the run.
 func (pr Params) startTelemetry(c *cluster.Cluster) {
 	if pr.Telemetry.Interval <= 0 {
 		return
 	}
-	cfg, o := pr.Telemetry, pr.Observe // ensureTelemetryObserve saw to o and its registry
-	cfg.Collect = func(rank int) (json.RawMessage, int64) { return collect(o.Metrics, rank) }
-	if o.Tracer != nil {
-		cfg.Blackbox = o.Tracer.WriteBlackBox
+	cfg, reg := pr.Telemetry, pr.Metrics // ensureTelemetryMetrics saw to the registry
+	cfg.Collect = func(rank int) (json.RawMessage, int64) { return collect(reg, rank) }
+	if pr.Observe != nil && pr.Observe.Tracer != nil {
+		cfg.Blackbox = pr.Observe.Tracer.WriteBlackBox
 	}
 	if t, err := c.StartTelemetry(cfg); err == nil && t != nil && pr.OnTelemetry != nil {
 		pr.OnTelemetry(t)
@@ -297,7 +292,7 @@ func (pr Params) RunTuned(prog Program, dist workload.Distribution, buffers int,
 		},
 	}, supervise.Policy{
 		MaxAttempts: pr.Supervise,
-		Observe:     pr.Observe,
+		Metrics:     pr.Metrics,
 		Log:         pr.SuperviseLog,
 	})
 	res.Attempts = len(rep.Attempts)
@@ -311,14 +306,14 @@ func (pr Params) runOnce(prog Program, dist workload.Distribution, buffers int, 
 	if err != nil {
 		return oocsort.Result{}, fmt.Errorf("harness: %w", err)
 	}
-	pr.ensureTelemetryObserve()
+	pr.ensureTelemetryMetrics()
 	l := launch{nodes: pr.Nodes, columnsPerNode: pr.ColumnsPerNode, buffers: buffers, tune: tune}
-	l.opts.Observe = pr.Observe
+	l.opts.Observe = pr.observe()
 	if l.spec, err = pr.Spec(dist); err != nil {
 		return oocsort.Result{}, err
 	}
 	if pr.CheckpointDir != "" {
-		if l.opts.Checkpoint, err = fg.NewDirCheckpoint(pr.CheckpointDir); err != nil {
+		if l.opts.Checkpoint, err = oocsort.NewDirCheckpoint(pr.CheckpointDir); err != nil {
 			return oocsort.Result{}, err
 		}
 	}

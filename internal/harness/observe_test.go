@@ -15,6 +15,7 @@ import (
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/check"
+	"github.com/fg-go/fg/internal/metrics"
 	"github.com/fg-go/fg/workload"
 )
 
@@ -137,12 +138,12 @@ func TestObserveMetricsAndStats(t *testing.T) {
 	pr := tinyParams()
 	pr.Nodes = 2
 	pr.ColumnsPerNode = 1
-	reg := fg.NewMetricsRegistry()
+	reg := metrics.NewRegistry()
 	var mu sync.Mutex
 	var finished []string
 	var out string
+	pr.Metrics = reg
 	pr.Observe = &fg.Observe{
-		Metrics: reg,
 		OnStats: func(st fg.NetworkStats) {
 			var b strings.Builder
 			if err := reg.WritePrometheus(&b); err != nil {
@@ -187,8 +188,8 @@ func TestLongLivedRegistryRepeatsNothing(t *testing.T) {
 	pr := tinyParams()
 	pr.Nodes = 4
 	pr.TotalRecords = 1 << 14
-	reg := fg.NewMetricsRegistry()
-	pr.Observe = &fg.Observe{Metrics: reg}
+	reg := metrics.NewRegistry()
+	pr.Metrics = reg
 	var after []int
 	for run := 0; run < 3; run++ {
 		if _, err := pr.Run(Dsort, workload.Uniform, 0); err != nil {

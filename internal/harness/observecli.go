@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/fg-go/fg/fg"
+	"github.com/fg-go/fg/internal/metrics"
 )
 
 // BlackBoxPath is where ObserveCLI dumps the tracer's most recent events
@@ -50,10 +51,11 @@ type ObserveFlags struct {
 // ObserveCLI builds the fg.Observe bundle behind the commands' -trace-out,
 // -status-addr and -stall-after flags and wires it into pr: the bundle as
 // pr.Observe (left nil when f is zero, so an unobserved run costs nothing)
-// and, with StatusAddr, the fleet routes following each cluster's telemetry
-// plane. It returns a finish function taking the run's error; finish prints
-// node 0's bottleneck reports, writes the Chrome trace file, dumps the black
-// box if the run died on a panic, and stops the HTTP server.
+// and, with StatusAddr, the served registry as pr.Metrics and the fleet
+// routes following each cluster's telemetry plane. It returns a finish
+// function taking the run's error; finish prints node 0's bottleneck
+// reports, writes the Chrome trace file, dumps the black box if the run
+// died on a panic, and stops the HTTP server.
 //
 // Whenever any field is set, a tracer rides along — the one sink behind both
 // files, sized for the whole run with TraceOut and to the black box
@@ -86,8 +88,8 @@ func ObserveCLI(f ObserveFlags, pr *Params) (finish func(runErr error) error, er
 		if err != nil {
 			return nil, fmt.Errorf("harness: observability listener: %w", err)
 		}
-		o.Metrics = fg.NewMetricsRegistry()
-		mux := o.Metrics.Handler()
+		pr.Metrics = metrics.NewRegistry()
+		mux := pr.Metrics.Handler()
 		mux.HandleFunc("/blackbox", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			_ = o.Tracer.WriteBlackBox(w)

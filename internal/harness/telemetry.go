@@ -5,9 +5,9 @@ package harness
 // carries an opaque body per rank; here it is filled with the rank's own fg
 // snapshot — the NetworkStats its /status.json and /metrics are rendered
 // from — and, where the records land, read back with the same functions
-// those node-local views use: NetworkStats.Status, Bottleneck, EmitMetrics.
-// The fleet bottleneck, the cross-rank diagnosis and the /cluster/ routes
-// are all derived here from what arrived.
+// those node-local views use: NetworkStats.Status, Bottleneck,
+// metrics.EmitNetwork. The fleet bottleneck, the cross-rank diagnosis and
+// the /cluster/ routes are all derived here from what arrived.
 
 import (
 	"encoding/json"
@@ -20,6 +20,7 @@ import (
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
+	"github.com/fg-go/fg/internal/metrics"
 )
 
 // rankOfNetwork parses the "@<rank>" suffix the programs append to every
@@ -45,7 +46,7 @@ type rankBody struct {
 
 // collect is the plane's Collect callback: the registry's "@rank" networks,
 // snapshotted, and the newest stall episode among them.
-func collect(reg *fg.MetricsRegistry, rank int) (json.RawMessage, int64) {
+func collect(reg *metrics.Registry, rank int) (json.RawMessage, int64) {
 	var body rankBody
 	var stallAt int64
 	for _, nw := range reg.Networks() {
@@ -262,7 +263,7 @@ func fleetMetricHelp() map[string]string {
 		"fleet_bottleneck_governing":          "1 for the rank whose governing stage governs the whole job",
 		"fleet_telemetry_decode_errors_total": "inbound telemetry records dropped as undecodable or of another version",
 	}
-	for name, text := range fg.MetricHelp {
+	for name, text := range metrics.Help {
 		help["fleet_"+strings.TrimPrefix(name, "fg_")] = text + " (the rank's latest record)"
 	}
 	for name, text := range cluster.MetricHelp {
@@ -274,7 +275,7 @@ func fleetMetricHelp() map[string]string {
 // emitFleet feeds the fleet view to emit as rank-labeled samples — the
 // /cluster/metrics collector. The fleet_ prefix distinguishes the
 // aggregated view from each process's node-local fg_/cluster_ series.
-func emitFleet(st FleetStatus, emit fg.EmitFunc) {
+func emitFleet(st FleetStatus, emit metrics.EmitFunc) {
 	b2f := func(b bool) float64 {
 		if b {
 			return 1
@@ -301,7 +302,7 @@ func emitFleet(st FleetStatus, emit fg.EmitFunc) {
 			emit("fleet_"+strings.TrimPrefix(name, "fg_"), labels, v)
 		}
 		for _, nw := range fr.stats {
-			nw.EmitMetrics(ranked)
+			metrics.EmitNetwork(nw, ranked)
 		}
 	}
 	emit("fleet_telemetry_decode_errors_total", map[string]string{}, float64(st.DecodeErrors))
@@ -321,7 +322,7 @@ func emitFleet(st FleetStatus, emit fg.EmitFunc) {
 // a process that does not host the aggregator rank, the endpoints answer
 // 503: the fleet view lives where the records flow.
 type ClusterTelemetry struct {
-	reg *fg.MetricsRegistry
+	reg *metrics.Registry
 
 	mu    sync.Mutex
 	plane *cluster.Telemetry
@@ -330,8 +331,8 @@ type ClusterTelemetry struct {
 // MountClusterTelemetry registers the three /cluster/ routes on mux; the
 // view they serve is empty until SetPlane installs a telemetry plane.
 func MountClusterTelemetry(mux *http.ServeMux) *ClusterTelemetry {
-	ct := &ClusterTelemetry{reg: fg.NewMetricsRegistry()}
-	ct.reg.RegisterFunc(func(emit fg.EmitFunc) {
+	ct := &ClusterTelemetry{reg: metrics.NewRegistry()}
+	ct.reg.RegisterFunc(func(emit metrics.EmitFunc) {
 		if a := ct.aggregator(); a != nil {
 			emitFleet(fleetStatus(a), emit)
 		}

@@ -1,4 +1,15 @@
-package fg
+// Package metrics is the process's one serving surface for what fg and
+// the cluster observe: a Registry turns Network.Stats snapshots, a tracer's
+// dropped-event count and any extra collectors (the cluster's communication
+// counters, the supervisor's attempts, fgd's ledger) into metric samples on
+// demand, renders them in Prometheus text format — the one exposition writer
+// in the repository — and serves them beside the /status and /status.json
+// views of the same snapshots. The underlying counters are the lock-free
+// atomics Stats reads, so scraping a registry mid-run is cheap and safe and
+// a network that never registers pays nothing. A registry owns no listener:
+// Handler returns its routes and the program serves them,
+// http.ListenAndServe(addr, reg.Handler()) at its simplest.
+package metrics
 
 import (
 	"fmt"
@@ -10,23 +21,17 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-)
 
-// Live metrics. A MetricsRegistry turns Network.Stats snapshots (and any
-// extra collectors, such as the cluster's communication counters) into
-// metric samples on demand, and renders them in Prometheus text format — the
-// one exposition writer in the repository. The underlying counters are the
-// same lock-free atomics Stats reads, so scraping a registry mid-run is
-// cheap and safe and a network that never registers pays nothing. A
-// registry owns no listener: Handler returns its routes and the program
-// serves them, http.ListenAndServe(addr, reg.Handler()) at its simplest.
+	"github.com/fg-go/fg/cluster"
+	"github.com/fg-go/fg/fg"
+)
 
 // An EmitFunc receives one metric sample. Collectors registered with
 // RegisterFunc call it once per sample; the labels map must not be retained
-// or mutated after the call. The signature is plain (no fg types) so
-// packages that must not import fg — the cluster, say — can still feed a
-// registry.
-type EmitFunc func(name string, labels map[string]string, value float64)
+// or mutated after the call. It is an alias of a plain func type, so
+// emitters that name no metrics type — Cluster.EmitMetrics, say — are
+// collectors as they stand.
+type EmitFunc = func(name string, labels map[string]string, value float64)
 
 // A Sample is one metric observation in a registry snapshot.
 type Sample struct {
@@ -35,27 +40,27 @@ type Sample struct {
 	Value  float64           `json:"value"`
 }
 
-// A MetricsRegistry collects samples from registered networks and
-// collector functions. The zero value is unusable; create with
-// NewMetricsRegistry. Registries are meant to be few and long-lived (one
-// per program, typically), not one per pass; an owner that does create them
-// per job, as the fgd service does, calls Close when the job is over.
-type MetricsRegistry struct {
+// A Registry collects samples from registered networks and collector
+// functions. The zero value is unusable; create with NewRegistry.
+// Registries are meant to be few and long-lived (one per program,
+// typically), not one per pass; an owner that does create them per job, as
+// the fgd service does, calls Close when the job is over.
+type Registry struct {
 	mu      sync.Mutex
-	nets    []*Network
-	funcs   []*metricSource
-	help    map[string]string // HELP text by name: MetricHelp plus what collectors registered
-	tracers []*Tracer
-	peers   func() []PeerHealth
+	nets    []*fg.Network
+	funcs   []*source
+	help    map[string]string // HELP text by name: Help plus what collectors registered
+	tracers []*fg.Tracer
+	peers   func() []cluster.PeerStatus
 }
 
-// A metricSource is one RegisterFunc registration; the pointer is its identity
+// A source is one RegisterFunc registration; the pointer is its identity
 // for removal.
-type metricSource struct{ emit func(EmitFunc) }
+type source struct{ emit func(EmitFunc) }
 
-// NewMetricsRegistry creates an empty registry.
-func NewMetricsRegistry() *MetricsRegistry {
-	return &MetricsRegistry{help: maps.Clone(MetricHelp)}
+// NewRegistry creates an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{help: maps.Clone(Help)}
 }
 
 // Close drops everything registered — networks, collectors, tracers,
@@ -63,23 +68,24 @@ func NewMetricsRegistry() *MetricsRegistry {
 // none of the job's memory (a collector closure typically reaches the whole
 // cluster, disks included). A closed registry reports no samples. Close is
 // idempotent.
-func (r *MetricsRegistry) Close() {
+func (r *Registry) Close() {
 	r.mu.Lock()
 	r.nets, r.funcs, r.tracers, r.peers = nil, nil, nil, nil
 	r.mu.Unlock()
 }
 
-// RegisterNetwork adds a network to the registry. Its per-stage and
+// RegisterNetwork adds a network to the registry; it is the hook an
+// fg.Observe's Metrics field takes. The network's per-stage and
 // per-pipeline statistics appear in every subsequent snapshot, live during
 // Run and frozen at their totals after. A network's name is its label set,
 // so registering one whose name is already registered replaces the older
 // network: a long-lived registry shows the latest pass per name, emits each
 // series once, and does not pin the passes before it.
-func (r *MetricsRegistry) RegisterNetwork(nw *Network) {
+func (r *Registry) RegisterNetwork(nw *fg.Network) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, have := range r.nets {
-		if have.name == nw.name {
+		if have.Name() == nw.Name() {
 			r.nets[i] = nw
 			return
 		}
@@ -90,9 +96,8 @@ func (r *MetricsRegistry) RegisterNetwork(nw *Network) {
 // RegisterTracer adds a tracer to the registry: its overwritten-event count
 // appears as fg_trace_dropped_total, so a scraper learns the trace timeline
 // has lost its beginning without parsing the trace. Registering the same
-// tracer again (Observe.Attach registers its tracer once per network) or nil
-// is a no-op.
-func (r *MetricsRegistry) RegisterTracer(tr *Tracer) {
+// tracer again or nil is a no-op.
+func (r *Registry) RegisterTracer(tr *fg.Tracer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if tr != nil && !slices.Contains(r.tracers, tr) {
@@ -103,45 +108,32 @@ func (r *MetricsRegistry) RegisterTracer(tr *Tracer) {
 // Networks returns the currently registered networks, in registration
 // order — the seam the cluster-telemetry collector reads live stats
 // through without the registry knowing about ranks.
-func (r *MetricsRegistry) Networks() []*Network {
+func (r *Registry) Networks() []*fg.Network {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]*Network(nil), r.nets...)
+	return append([]*fg.Network(nil), r.nets...)
 }
 
-// RegisterPeerHealth installs a source of cluster peer liveness, replacing
-// any previous one: the snapshot appears in /status (text), /status.json
-// (a "peers" section), and nowhere in /metrics — the cluster's own
-// collector emits the fg_peer_* series. The function must be safe to call
-// from any goroutine; nil removes the source. The signature is fg-typed so
-// the harness adapts cluster.PeerHealth without this package importing the
-// cluster.
-func (r *MetricsRegistry) RegisterPeerHealth(f func() []PeerHealth) {
+// RegisterPeerHealth installs a source of cluster peer liveness
+// (Cluster.PeerHealth, typically), replacing any previous one: the snapshot
+// appears in /status (text), /status.json (a "peers" section), and nowhere
+// in /metrics — the cluster's own collector emits the fg_peer_* series. The
+// function must be safe to call from any goroutine; nil removes the source.
+func (r *Registry) RegisterPeerHealth(f func() []cluster.PeerStatus) {
 	r.mu.Lock()
 	r.peers = f
 	r.mu.Unlock()
 }
 
-// peerHealth snapshots the registered peer source, nil when absent.
-func (r *MetricsRegistry) peerHealth() []PeerHealth {
-	r.mu.Lock()
-	f := r.peers
-	r.mu.Unlock()
-	if f == nil {
-		return nil
-	}
-	return f()
-}
-
 // RegisterFunc adds a collector called on every snapshot, with the HELP
 // text of the names it emits (nil leaves them on a generic line; the fg_*
-// families this package emits are documented here already). Collectors must
-// be safe to call from any goroutine. The returned function removes the
-// collector: whoever registers one for a run calls it when the run ends, so
-// a long-lived registry neither repeats a series per past run nor keeps
-// what the closure reaches alive.
-func (r *MetricsRegistry) RegisterFunc(f func(EmitFunc), help map[string]string) (remove func()) {
-	c := &metricSource{emit: f}
+// families are documented in Help already). Collectors must be safe to call
+// from any goroutine. The returned function removes the collector: whoever
+// registers one for a run calls it when the run ends, so a long-lived
+// registry neither repeats a series per past run nor keeps what the closure
+// reaches alive.
+func (r *Registry) RegisterFunc(f func(EmitFunc), help map[string]string) (remove func()) {
+	c := &source{emit: f}
 	r.mu.Lock()
 	r.funcs = append(r.funcs, c)
 	maps.Copy(r.help, help)
@@ -156,18 +148,18 @@ func (r *MetricsRegistry) RegisterFunc(f func(EmitFunc), help map[string]string)
 }
 
 // Samples takes a snapshot of every registered source.
-func (r *MetricsRegistry) Samples() []Sample {
+func (r *Registry) Samples() []Sample {
 	r.mu.Lock()
-	nets := append([]*Network(nil), r.nets...)
-	funcs := append([]*metricSource(nil), r.funcs...)
-	tracers := append([]*Tracer(nil), r.tracers...)
+	nets := append([]*fg.Network(nil), r.nets...)
+	funcs := append([]*source(nil), r.funcs...)
+	tracers := append([]*fg.Tracer(nil), r.tracers...)
 	r.mu.Unlock()
 	var out []Sample
 	emit := func(name string, labels map[string]string, value float64) {
 		out = append(out, Sample{Name: name, Labels: labels, Value: value})
 	}
 	for _, nw := range nets {
-		nw.Stats().EmitMetrics(emit)
+		EmitNetwork(nw.Stats(), emit)
 	}
 	for i, tr := range tracers {
 		emit("fg_trace_dropped_total",
@@ -179,10 +171,10 @@ func (r *MetricsRegistry) Samples() []Sample {
 	return out
 }
 
-// EmitMetrics flattens the snapshot into samples: the fg_network_*,
+// EmitNetwork flattens a network snapshot into samples: the fg_network_*,
 // fg_pipeline_* and fg_stage_* series of /metrics, and — from a snapshot a
 // remote rank shipped, re-labelled with its rank — of the fleet view.
-func (st NetworkStats) EmitMetrics(emit EmitFunc) {
+func EmitNetwork(st fg.NetworkStats, emit EmitFunc) {
 	running := 0.0
 	if st.Running {
 		running = 1
@@ -211,9 +203,10 @@ func (st NetworkStats) EmitMetrics(emit EmitFunc) {
 	}
 }
 
-// MetricHelp documents the metrics this package emits; every other name's
-// HELP text arrives with the collector that emits it (RegisterFunc).
-var MetricHelp = map[string]string{
+// Help documents the fg_* series a registry emits from networks and
+// tracers; every other name's HELP text arrives with the collector that
+// emits it (RegisterFunc).
+var Help = map[string]string{
 	"fg_network_running":             "1 while the network's Run is in flight",
 	"fg_network_wall_seconds":        "elapsed run time (live) or final run duration",
 	"fg_pipeline_rounds_total":       "buffers emitted by the pipeline's source",
@@ -232,7 +225,7 @@ var MetricHelp = map[string]string{
 // WritePrometheus writes the current samples in Prometheus text exposition
 // format (version 0.0.4), grouped by metric with HELP and TYPE headers.
 // Names ending in _total are typed counter, everything else gauge.
-func (r *MetricsRegistry) WritePrometheus(w io.Writer) error {
+func (r *Registry) WritePrometheus(w io.Writer) error {
 	type row struct {
 		name, labels string
 		value        float64
@@ -264,9 +257,9 @@ func (r *MetricsRegistry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// helpFor returns a metric's HELP text: this package's own table or what a
-// collector registered, else a generic line.
-func (r *MetricsRegistry) helpFor(name string) string {
+// helpFor returns a metric's HELP text: Help's or what a collector
+// registered, else a generic line.
+func (r *Registry) helpFor(name string) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok := r.help[name]; ok {
@@ -301,7 +294,7 @@ func labelString(labels map[string]string) string {
 
 // ServeHTTP serves the Prometheus text format, making the registry a
 // drop-in http.Handler for a /metrics route.
-func (r *MetricsRegistry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = r.WritePrometheus(w)
 }
@@ -311,7 +304,7 @@ func (r *MetricsRegistry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 // (live network health). It is a fresh mux each call, so a front end may
 // mount further routes beside them — the fleet view does — before serving
 // it on the process's one listener.
-func (r *MetricsRegistry) Handler() *http.ServeMux {
+func (r *Registry) Handler() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r)
 	mux.HandleFunc("/status", r.serveStatusText)

@@ -1,4 +1,4 @@
-package fg
+package metrics
 
 import (
 	"io"
@@ -6,7 +6,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
+
+	"github.com/fg-go/fg/cluster"
+	"github.com/fg-go/fg/fg"
 )
 
 func scrape(t *testing.T, url string) string {
@@ -27,16 +29,16 @@ func scrape(t *testing.T, url string) string {
 // endpoint while Run is in flight: the acceptance criterion that per-stage
 // rounds/work/wait/occupancy are served live, not post-mortem.
 func TestServeMetricsMidRun(t *testing.T) {
-	nw := NewNetwork("live")
-	p := nw.AddPipeline("main", Buffers(2), Rounds(4))
+	nw := fg.NewNetwork("live")
+	p := nw.AddPipeline("main", fg.Buffers(2), fg.Rounds(4))
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 4)
-	p.AddStage("gated", func(ctx *Ctx, b *Buffer) error {
+	p.AddStage("gated", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		entered <- struct{}{}
 		<-gate
 		return nil
 	})
-	reg := NewMetricsRegistry()
+	reg := NewRegistry()
 	reg.RegisterNetwork(nw)
 	ms := httptest.NewServer(reg.Handler())
 	defer ms.Close()
@@ -77,7 +79,7 @@ func TestServeMetricsMidRun(t *testing.T) {
 }
 
 func TestRegistryCollectorFunc(t *testing.T) {
-	r := NewMetricsRegistry()
+	r := NewRegistry()
 	r.RegisterFunc(func(emit EmitFunc) {
 		emit("cluster_bytes_sent_total", map[string]string{"node": "0"}, 123)
 		emit("undocumented", nil, 1)
@@ -101,10 +103,10 @@ func TestRegistryCollectorFunc(t *testing.T) {
 // a long-lived registry fed one network per pass keeps the latest per name —
 // every series once, the older pass no longer reachable from the registry.
 func TestRegisterNetworkReplacesSameName(t *testing.T) {
-	r := NewMetricsRegistry()
-	build := func(name string, rounds int) *Network {
-		nw := NewNetwork(name)
-		nw.AddPipeline("main", Rounds(rounds)).AddStage("s", func(*Ctx, *Buffer) error { return nil })
+	r := NewRegistry()
+	build := func(name string, rounds int) *fg.Network {
+		nw := fg.NewNetwork(name)
+		nw.AddPipeline("main", fg.Rounds(rounds)).AddStage("s", func(*fg.Ctx, *fg.Buffer) error { return nil })
 		r.RegisterNetwork(nw)
 		if err := nw.Run(); err != nil {
 			t.Fatal(err)
@@ -127,49 +129,17 @@ func TestRegisterNetworkReplacesSameName(t *testing.T) {
 	}
 }
 
-func TestBottleneckReport(t *testing.T) {
-	nw := NewNetwork("bn")
-	p := nw.AddPipeline("main", Buffers(3), Rounds(8))
-	p.AddStage("fast", func(ctx *Ctx, b *Buffer) error { return nil })
-	p.AddStage("slow", func(ctx *Ctx, b *Buffer) error {
-		time.Sleep(2 * time.Millisecond)
-		return nil
-	})
-	p.AddStage("mid", func(ctx *Ctx, b *Buffer) error {
-		time.Sleep(500 * time.Microsecond)
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	r := nw.Stats().Bottleneck()
-	if r.Stage != "slow" {
-		t.Fatalf("bottleneck = %q, want slow (%+v)", r.Stage, r)
-	}
-	if r.Wall == 0 || r.Utilization <= 0 {
-		t.Errorf("report missing wall/utilization: %+v", r)
-	}
-	// slow (16ms) overlaps mid (4ms): wall must sit well below the 20ms sum,
-	// so the overlap fraction is decisively positive.
-	if r.Overlap <= 0.3 {
-		t.Errorf("overlap = %.2f for a pipelined run, want > 0.3 (%+v)", r.Overlap, r)
-	}
-	if !strings.Contains(r.String(), "slow") {
-		t.Errorf("String() does not name the stage: %s", r)
-	}
-}
-
 // TestRegistryCloseUnlinksAndDrops: a collector's remove function unlinks
 // exactly that collector, and a closed registry holds nothing that was
 // registered with it.
 func TestRegistryCloseUnlinksAndDrops(t *testing.T) {
-	r := NewMetricsRegistry()
-	nw := NewNetwork("closed")
-	nw.AddPipeline("main", Rounds(1)).AddStage("s", func(*Ctx, *Buffer) error { return nil })
+	r := NewRegistry()
+	nw := fg.NewNetwork("closed")
+	nw.AddPipeline("main", fg.Rounds(1)).AddStage("s", func(*fg.Ctx, *fg.Buffer) error { return nil })
 	r.RegisterNetwork(nw)
 	r.RegisterFunc(func(emit EmitFunc) { emit("keep", nil, 1) }, nil)
 	remove := r.RegisterFunc(func(emit EmitFunc) { emit("gone", nil, 1) }, nil)
-	r.RegisterPeerHealth(func() []PeerHealth { return nil })
+	r.RegisterPeerHealth(func() []cluster.PeerStatus { return nil })
 	names := func() string {
 		var b strings.Builder
 		for _, s := range r.Samples() {

@@ -1,21 +1,19 @@
-package fg_test
+package oocsort
 
 import (
 	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"github.com/fg-go/fg/fg"
 )
 
 func TestDirCheckpointRoundTrip(t *testing.T) {
-	ck, err := fg.NewDirCheckpoint(t.TempDir())
+	ck, err := NewDirCheckpoint(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Completed(0, "pass1") {
-		t.Fatal("empty store reports pass1 complete")
+	if _, _, err := ck.Restore(0, "pass1"); err == nil {
+		t.Fatal("empty store restores pass1")
 	}
 	state := []byte(`{"runLens":[3,2]}`)
 	files := map[string][]byte{
@@ -25,11 +23,11 @@ func TestDirCheckpointRoundTrip(t *testing.T) {
 	if err := ck.Save(0, "pass1", state, files); err != nil {
 		t.Fatal(err)
 	}
-	if !ck.Completed(0, "pass1") {
-		t.Fatal("saved pass1 not reported complete")
+	if _, _, err := ck.Restore(1, "pass1"); err == nil {
+		t.Fatal("a checkpoint leaked across ranks")
 	}
-	if ck.Completed(1, "pass1") || ck.Completed(0, "pass2") {
-		t.Fatal("completion leaked across rank or pass")
+	if _, _, err := ck.Restore(0, "pass2"); err == nil {
+		t.Fatal("a checkpoint leaked across passes")
 	}
 	gotState, gotFiles, err := ck.Restore(0, "pass1")
 	if err != nil {
@@ -48,8 +46,8 @@ func TestDirCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDirCheckpointSaveReplacesAndClearRemoves(t *testing.T) {
-	ck, err := fg.NewDirCheckpoint(t.TempDir())
+func TestDirCheckpointSaveReplaces(t *testing.T) {
+	ck, err := NewDirCheckpoint(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,16 +67,10 @@ func TestDirCheckpointSaveReplacesAndClearRemoves(t *testing.T) {
 	if _, ok := files["gone"]; ok {
 		t.Error("stale file from the replaced checkpoint survived")
 	}
-	if err := ck.Clear(2); err != nil {
-		t.Fatal(err)
-	}
-	if ck.Completed(2, "pass1") {
-		t.Error("cleared rank still reports a complete pass")
-	}
 }
 
 func TestDirCheckpointRejectsPathEscapes(t *testing.T) {
-	ck, err := fg.NewDirCheckpoint(t.TempDir())
+	ck, err := NewDirCheckpoint(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +90,9 @@ func TestDirCheckpointRejectsPathEscapes(t *testing.T) {
 // torn states are: tmp manifest only, manifest with a missing file, a file
 // with the wrong bytes, or a truncated/garbled manifest.
 func TestDirCheckpointTornSavesNeverValidate(t *testing.T) {
-	newSaved := func(t *testing.T) (*fg.DirCheckpoint, string) {
+	newSaved := func(t *testing.T) (*DirCheckpoint, string) {
 		dir := t.TempDir()
-		ck, err := fg.NewDirCheckpoint(dir)
+		ck, err := NewDirCheckpoint(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +102,8 @@ func TestDirCheckpointTornSavesNeverValidate(t *testing.T) {
 		}
 		return ck, filepath.Join(dir, "rank1")
 	}
-	mustInvalid := func(t *testing.T, ck *fg.DirCheckpoint, why string) {
+	mustInvalid := func(t *testing.T, ck *DirCheckpoint, why string) {
 		t.Helper()
-		if ck.Completed(1, "pass1") {
-			t.Errorf("%s: Completed = true", why)
-		}
 		if _, _, err := ck.Restore(1, "pass1"); err == nil {
 			t.Errorf("%s: Restore validated", why)
 		}
@@ -174,7 +163,7 @@ func TestDirCheckpointTornSavesNeverValidate(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(rd, "pass2.json"), body, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if ck.Completed(1, "pass2") {
+		if _, _, err := ck.Restore(1, "pass2"); err == nil {
 			t.Error("manifest renamed across passes validated")
 		}
 	})

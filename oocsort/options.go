@@ -31,7 +31,7 @@ type Options struct {
 
 	// Observe, if non-nil, is attached to every network the program builds
 	// (one per pass per node), putting all of them on one trace timeline
-	// and metrics registry. Nil observes nothing and costs nothing.
+	// and through one Metrics hook. Nil observes nothing and costs nothing.
 	Observe *fg.Observe
 
 	// Checkpoint, if non-nil, records each interior pass's artifacts after
@@ -40,7 +40,7 @@ type Options struct {
 	// final pass, which writes the striped output, is never checkpointed —
 	// rerunning it from the previous boundary is exactly the recovery a
 	// supervisor wants. Nil disables checkpointing.
-	Checkpoint fg.Checkpoint
+	Checkpoint *DirCheckpoint
 }
 
 // Network starts one pass's FG network on node n, named name@rank: a
@@ -93,17 +93,19 @@ func RunPasses(n *cluster.Node, o Options, program string, passes []Pass) (Resul
 
 	first := 0
 	for i := len(passes) - 1; o.Checkpoint != nil && i >= 0 && first == 0; i-- {
-		p, key := passes[i], program+"."+passes[i].Name
-		if p.Artifacts == nil || !AgreeResume(barrier, o.Checkpoint.Completed(n.Rank(), key)) {
+		p := passes[i]
+		if p.Artifacts == nil {
 			continue
 		}
 		start := time.Now()
-		state, err := RestorePass(o.Checkpoint, n, key)
-		if err == nil && p.State != nil {
-			err = json.Unmarshal(state, p.State)
+		state, ok := o.Checkpoint.RestorePass(n, barrier, program+"."+p.Name)
+		if !ok {
+			continue
 		}
-		if err != nil {
-			return failed("restoring ", p, err)
+		if p.State != nil {
+			if err := json.Unmarshal(state, p.State); err != nil {
+				return failed("restoring ", p, err)
+			}
 		}
 		barrier.Barrier()
 		// Everything up to the boundary is accounted for: earlier passes at
@@ -137,7 +139,7 @@ func RunPasses(n *cluster.Node, o Options, program string, passes []Pass) (Resul
 				state, err = json.Marshal(p.State)
 			}
 			if err == nil {
-				err = SavePass(o.Checkpoint, n, program+"."+p.Name, state, p.Artifacts...)
+				err = o.Checkpoint.SavePass(n, program+"."+p.Name, state, p.Artifacts...)
 			}
 			if err != nil {
 				return failed("checkpointing ", p, err)

@@ -2,6 +2,8 @@ package oocsort
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,7 +15,7 @@ import (
 // toyProgram is a three-pass program over a 2-node cluster: pass "a" writes
 // file fa and sets state, "b" (not checkpointed) only counts, "c" writes fc
 // from state, "d" is the final pass. ran records which bodies executed.
-func toyProgram(t *testing.T, ck fg.Checkpoint, failIn string) (res []Result, ran []string, err error) {
+func toyProgram(t *testing.T, ck *DirCheckpoint, failIn string) (res []Result, ran []string, err error) {
 	t.Helper()
 	c := cluster.New(cluster.Config{Nodes: 2})
 	res = make([]Result, 2)
@@ -87,7 +89,8 @@ func TestRunPassesResumesAtHighestCommonBoundary(t *testing.T) {
 		t.Errorf("result %q passes %s", res[1].Program, passNames(res[1]))
 	}
 
-	ck, err := fg.NewDirCheckpoint(t.TempDir())
+	dir := t.TempDir()
+	ck, err := NewDirCheckpoint(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +123,22 @@ func TestRunPassesResumesAtHighestCommonBoundary(t *testing.T) {
 	if res[1].Pass("b") != 0 {
 		t.Errorf("skipped pass b timed at %v", res[1].Pass("b"))
 	}
-	// One rank losing its checkpoint forces the whole cluster back: the
-	// resume vote is unanimous or it is no.
-	if err := ck.Clear(1); err != nil {
+	// One flipped byte in one of rank 1's committed files fails that
+	// checkpoint's digest and forces the whole cluster back past it: the
+	// resume vote is unanimous or it is no, and the next boundary down, a,
+	// still holds on every rank.
+	fc := filepath.Join(dir, "rank1", "toy.c.d", "fc")
+	data, err := os.ReadFile(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] ^= 0xff
+	if err := os.WriteFile(fc, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	res, ran, err = toyProgram(t, ck, "")
-	if err != nil || strings.Join(ran, ",") != "a,b,c,d" || len(res[0].Resumed) != 0 {
-		t.Errorf("after rank 1 lost its checkpoint: ran %v resumed %v err %v", ran, res[0].Resumed, err)
+	if err != nil || strings.Join(ran, ",") != "b,c,d" || strings.Join(res[0].Resumed, ",") != "a" {
+		t.Errorf("after rank 1's boundary c failed its digest: ran %v resumed %v err %v", ran, res[0].Resumed, err)
 	}
 }
 

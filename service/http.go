@@ -250,7 +250,7 @@ func (s *Server) handleBlackbox(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	obs := j.observeBundle()
+	obs, _ := j.observeBundle()
 	if obs == nil || obs.Tracer == nil {
 		writeErr(w, http.StatusConflict,
 			fmt.Errorf("service: job %s has not started, no black box", j.ID))

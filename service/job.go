@@ -7,6 +7,7 @@ import (
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
+	"github.com/fg-go/fg/internal/metrics"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/supervise"
 )
@@ -62,9 +63,10 @@ type Job struct {
 	finished    time.Time
 	cancelAsked bool
 	cancelWhy   string
-	timedOut    bool             // the wall-clock timer fired; never retried past it
-	cluster     *cluster.Cluster // current attempt's cluster, while running
-	observe     *fg.Observe      // per-job metrics registry + black-box tracer
+	timedOut    bool              // the wall-clock timer fired; never retried past it
+	cluster     *cluster.Cluster  // current attempt's cluster, while running
+	observe     *fg.Observe       // per-job black-box tracer
+	metrics     *metrics.Registry // per-job metrics registry
 	result      oocsort.Result
 	err         error
 	attempts    []supervise.Attempt
@@ -244,19 +246,20 @@ func (j *Job) settleCancelled(why string, now time.Time) bool {
 	return true
 }
 
-// setObserve publishes the job's observability bundle (metrics registry +
-// black-box tracer) for the status and blackbox endpoints.
-func (j *Job) setObserve(o *fg.Observe) {
+// setObserve publishes the job's observability bundle (its black-box
+// tracer) and metrics registry for the metrics and blackbox endpoints.
+func (j *Job) setObserve(o *fg.Observe, reg *metrics.Registry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.observe = o
+	j.observe, j.metrics = o, reg
 }
 
-// observeBundle returns the job's bundle, nil before the run starts.
-func (j *Job) observeBundle() *fg.Observe {
+// observeBundle returns the job's bundle and registry, nil before the run
+// starts.
+func (j *Job) observeBundle() (*fg.Observe, *metrics.Registry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.observe
+	return j.observe, j.metrics
 }
 
 // addBottleneck records one finished network's bottleneck line (node 0

@@ -4,11 +4,11 @@ import (
 	"maps"
 
 	"github.com/fg-go/fg/cluster"
-	"github.com/fg-go/fg/fg"
+	"github.com/fg-go/fg/internal/metrics"
 )
 
 // daemonHelp documents the daemon's own metric families. Everything
-// per-network beside them comes from each running job's fg.MetricsRegistry,
+// per-network beside them comes from each running job's metrics.Registry,
 // re-labeled with the job ID so one scrape distinguishes tenants.
 var daemonHelp = map[string]string{
 	"fgd_up":                   "1 while the daemon serves, 0 once draining",
@@ -27,17 +27,17 @@ var daemonHelp = map[string]string{
 
 // newMetrics builds the registry behind GET /metrics: the daemon ledger and
 // every running job's series, both rendered by the repository's one
-// exposition writer (fg.MetricsRegistry.WritePrometheus). The per-job names
+// exposition writer (metrics.Registry.WritePrometheus). The per-job names
 // are fg's own and the cluster's, so the cluster's HELP table rides along.
-func (s *Server) newMetrics() *fg.MetricsRegistry {
-	r := fg.NewMetricsRegistry()
+func (s *Server) newMetrics() *metrics.Registry {
+	r := metrics.NewRegistry()
 	r.RegisterFunc(s.emitLedger, daemonHelp)
 	r.RegisterFunc(s.emitJobs, cluster.MetricHelp)
 	return r
 }
 
 // emitLedger emits the daemon's admission/outcome ledger.
-func (s *Server) emitLedger(emit fg.EmitFunc) {
+func (s *Server) emitLedger(emit metrics.EmitFunc) {
 	st := s.Status(false)
 	up := 1.0
 	if st.State != "serving" {
@@ -64,16 +64,16 @@ func (s *Server) emitLedger(emit fg.EmitFunc) {
 // added. Settled jobs drop out of the scrape — their registries belong to
 // finished clusters — which keeps the exposition bounded however many jobs
 // the daemon has retired.
-func (s *Server) emitJobs(emit fg.EmitFunc) {
+func (s *Server) emitJobs(emit metrics.EmitFunc) {
 	for _, j := range s.Jobs() {
 		if j.State() != StateRunning {
 			continue
 		}
-		obs := j.observeBundle()
-		if obs == nil || obs.Metrics == nil {
+		_, reg := j.observeBundle()
+		if reg == nil {
 			continue
 		}
-		for _, sm := range obs.Metrics.Samples() {
+		for _, sm := range reg.Samples() {
 			// A fresh map: emitters may share one label map between samples.
 			labels := map[string]string{}
 			maps.Copy(labels, sm.Labels)

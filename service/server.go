@@ -27,6 +27,7 @@ import (
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/harness"
+	"github.com/fg-go/fg/internal/metrics"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/supervise"
 )
@@ -115,7 +116,7 @@ type Server struct {
 	running  int // jobs currently inside runJob's admitted section
 	maxRun   int // high-water mark of running
 
-	metrics *fg.MetricsRegistry // GET /metrics: the ledger + running jobs' series
+	metrics *metrics.Registry // GET /metrics: the ledger + running jobs' series
 
 	queue   chan *Job
 	workers sync.WaitGroup // runner goroutines
@@ -247,8 +248,8 @@ func (s *Server) settle(j *Job, doSettle func() bool) {
 	// queryable) but not its metrics registry: /metrics only reports running
 	// jobs, and an open registry would pin the job's networks, cluster and
 	// disks for the life of the daemon.
-	if obs := j.observeBundle(); obs != nil && obs.Metrics != nil {
-		obs.Metrics.Close()
+	if _, reg := j.observeBundle(); reg != nil {
+		reg.Close()
 	}
 	now := j.State() // terminal states are immutable; safe to read after
 	s.mu.Lock()
@@ -372,8 +373,7 @@ func (s *Server) params(j *Job) (harness.Params, func(), error) {
 	pr.Verify = !sp.SkipVerify
 
 	obs := &fg.Observe{
-		Metrics: fg.NewMetricsRegistry(),
-		Tracer:  fg.NewTracer(fg.BlackBoxEvents),
+		Tracer: fg.NewTracer(fg.BlackBoxEvents),
 		OnStats: func(st fg.NetworkStats) {
 			// One line per network of node 0; barriers make it
 			// cluster-representative (the ObserveCLI convention).
@@ -382,8 +382,8 @@ func (s *Server) params(j *Job) (harness.Params, func(), error) {
 			}
 		},
 	}
-	pr.Observe = obs
-	j.setObserve(obs)
+	pr.Observe, pr.Metrics = obs, metrics.NewRegistry()
+	j.setObserve(obs, pr.Metrics)
 
 	pr.OnCluster = func(c *cluster.Cluster) {
 		if cause := j.attachCluster(c); cause != nil {

@@ -588,9 +588,9 @@ func TestFinishedJobsDoNotPinTheirHeaps(t *testing.T) {
 	if grown := after - before; grown > 4 {
 		t.Fatalf("live heap grew by %.1f MiB over 50 jobs (%.1f → %.1f MiB): finished jobs are pinned", grown, before, after)
 	}
-	if obs := srv.Jobs()[0].observeBundle(); obs == nil || obs.Tracer == nil {
+	if obs, reg := srv.Jobs()[0].observeBundle(); obs == nil || obs.Tracer == nil {
 		t.Fatal("a settled job lost its black box")
-	} else if n := len(obs.Metrics.Samples()); n != 0 {
+	} else if n := len(reg.Samples()); n != 0 {
 		t.Fatalf("a settled job's metrics registry still reports %d samples", n)
 	}
 }

@@ -2,9 +2,9 @@
 // layers below it each solve one piece: heartbeats turn a silently-dead
 // peer into a prompt PeerDeathError (cluster/health.go), the abort
 // machinery spreads that error to every blocked operation, and pass-level
-// checkpoints (fg/checkpoint.go) preserve completed work across a restart.
-// The supervisor composes them into one loop: attempt the job; if it fails retryably, tear everything down, wait out a
-// backoff, rebuild the cluster with surviving plus restarted ranks, and
+// checkpoints (oocsort/checkpoint.go) preserve completed work across a
+// restart. The supervisor composes them into one loop: attempt the job; if
+// it fails retryably, tear everything down, wait out a backoff, rebuild the cluster with surviving plus restarted ranks, and
 // resume from the checkpoints — up to a bounded number of attempts, with a
 // structured per-attempt report at the end.
 //
@@ -24,7 +24,7 @@ import (
 	"time"
 
 	"github.com/fg-go/fg/cluster"
-	"github.com/fg-go/fg/fg"
+	"github.com/fg-go/fg/internal/metrics"
 )
 
 // A Job is one supervised workload.
@@ -51,9 +51,9 @@ type Policy struct {
 	// Retryable decides whether an attempt's error is worth another
 	// attempt. Nil means DefaultRetryable.
 	Retryable func(error) bool
-	// Observe, if non-nil, gets the supervisor's attempt counters
-	// registered on its metrics registry, next to the job's own metrics.
-	Observe *fg.Observe
+	// Metrics, if non-nil, gets the supervisor's attempt counters
+	// registered, next to the job's own metrics.
+	Metrics *metrics.Registry
 	// Log, if non-nil, receives one human-readable line per attempt as it
 	// concludes — the live view of the Report.
 	Log io.Writer
@@ -164,11 +164,11 @@ func Run(job Job, p Policy) Report {
 	// Atomics: a scrape reads them from its own goroutine while the attempt
 	// loop below counts.
 	var attempts, retries, failures atomic.Int64
-	if p.Observe != nil && p.Observe.Metrics != nil {
+	if p.Metrics != nil {
 		name := job.Name
 		// Removed when Run returns: the series describe the job in flight,
 		// and a registry that outlives it must not repeat them per job.
-		defer p.Observe.Metrics.RegisterFunc(func(emit fg.EmitFunc) {
+		defer p.Metrics.RegisterFunc(func(emit metrics.EmitFunc) {
 			labels := map[string]string{"job": name}
 			emit("supervise_attempts_total", labels, float64(attempts.Load()))
 			emit("supervise_retries_total", labels, float64(retries.Load()))

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"github.com/fg-go/fg/cluster"
-	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/faultinject"
+	"github.com/fg-go/fg/internal/metrics"
 	"github.com/fg-go/fg/supervise"
 )
 
@@ -123,8 +123,7 @@ func TestDefaultRetryable(t *testing.T) {
 // second goroutine scrapes for the whole run, as a Prometheus would: under
 // -race that is the proof the collector is ordered against the attempt loop.
 func TestRunRegistersAttemptMetrics(t *testing.T) {
-	reg := fg.NewMetricsRegistry()
-	obs := &fg.Observe{Metrics: reg}
+	reg := metrics.NewRegistry()
 	scrape := func() map[string]float64 {
 		got := map[string]float64{}
 		for _, s := range reg.Samples() {
@@ -156,7 +155,7 @@ func TestRunRegistersAttemptMetrics(t *testing.T) {
 		}
 		got = scrape()
 		return nil, nil
-	}}, supervise.Policy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Observe: obs})
+	}}, supervise.Policy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Metrics: reg})
 	close(stop)
 	<-scraped
 	if rep.Err != nil {
