@@ -24,10 +24,10 @@ package cluster
 // Layering: this package cannot import fg, and does not describe what fg
 // observes. A record is an envelope of what the cluster itself knows (comm
 // counters, peer health, stamps) around a body the Collect callback
-// supplies and nothing here reads: internal/harness fills it with the
-// rank's own fg snapshot and, on the aggregator, derives the fleet
-// bottleneck, the cross-rank diagnosis and /cluster/metrics from it with
-// the functions the node-local views use.
+// supplies and nothing here reads: internal/metrics fills it with the
+// rank's own fg snapshot (Registry.RankRecord) and, on the aggregator,
+// derives the fleet bottleneck, the cross-rank diagnosis and
+// /cluster/metrics from it with the functions the node-local views use.
 
 import (
 	"bytes"

@@ -1,13 +1,3 @@
-// Package colsort implements Leighton's columnsort and the three-pass
-// out-of-core columnsort program ("csort") of Chaudhry and Cormen, built on
-// single linear FG pipelines — the baseline the paper compares dsort
-// against (Section III).
-//
-// Columnsort arranges N records as an r x s matrix ("tall and thin":
-// r >= 2(s-1)^2) stored in column-major order and sorts them into
-// column-major order in eight steps. Odd steps sort every column; even
-// steps apply fixed permutations: step 2 transposes and reshapes, step 4
-// inverts it, steps 6 and 8 shift the matrix down and up by half a column.
 package colsort
 
 import (
@@ -16,24 +6,6 @@ import (
 	"github.com/fg-go/fg/internal/sortalgo"
 	"github.com/fg-go/fg/records"
 )
-
-// CheckGeometry verifies Leighton's requirements for an r x s columnsort:
-// r divisible by s, r even, and r >= 2(s-1)^2.
-func CheckGeometry(r, s int) error {
-	if r <= 0 || s <= 0 {
-		return fmt.Errorf("colsort: non-positive geometry %dx%d", r, s)
-	}
-	if r%2 != 0 {
-		return fmt.Errorf("colsort: r=%d must be even for the half-column shift", r)
-	}
-	if r%s != 0 {
-		return fmt.Errorf("colsort: r=%d must be divisible by s=%d", r, s)
-	}
-	if r < 2*(s-1)*(s-1) {
-		return fmt.Errorf("colsort: r=%d < 2(s-1)^2=%d; the matrix is not tall enough", r, 2*(s-1)*(s-1))
-	}
-	return nil
-}
 
 // SortInMemory sorts data — interpreted as an r x s matrix of records in
 // column-major order — using the eight steps of columnsort executed in

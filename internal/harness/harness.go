@@ -5,7 +5,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -52,8 +51,9 @@ type Params struct {
 	// Metrics, if non-nil, is the registry the run is served from: every
 	// program network is registered with it (as Observe's Metrics hook), and
 	// so are Observe's tracer, the cluster's per-node traffic counters and
-	// its peer health, the supervisor's attempt counters and — the
-	// telemetry plane's record body — the rank's network snapshots.
+	// its peer health, the supervisor's attempt counters and the telemetry
+	// plane, whose records carry the rank's network snapshots
+	// (Registry.RankRecord) and whose fleet view the registry serves.
 	Metrics *metrics.Registry
 
 	// Transport selects the cluster transport. The zero value keeps the
@@ -87,16 +87,12 @@ type Params struct {
 	// every cluster the harness builds: each local rank publishes a
 	// RankTelemetry record per interval toward the aggregator rank, and the
 	// first record of a stall episode carries the rank's black box. The
-	// harness fills Collect and Blackbox — the rank's fg snapshot (stages,
-	// pools, an open stall episode) from the Metrics registry, Observe's
-	// tracer's most recent events as the black box.
+	// harness fills Collect with the Metrics registry's RankRecord (the
+	// rank's fg snapshot: stages, pools, an open stall episode) and
+	// Blackbox with Observe's tracer's most recent events, and registers
+	// the plane with Metrics, which serves the fleet view under /cluster/.
 	// The zero value disables the plane.
 	Telemetry cluster.TelemetryConfig
-
-	// OnTelemetry, if non-nil, receives each freshly started telemetry
-	// plane — the hook the fleet-view HTTP routes use to follow the current
-	// cluster (ObserveCLI sets it).
-	OnTelemetry func(*cluster.Telemetry)
 
 	// Supervise, if greater than 1, wraps each Run in supervise.Run with
 	// that many total attempts: a run that dies retryably (peer death,
@@ -107,17 +103,6 @@ type Params struct {
 	// SuperviseLog, if non-nil, receives the supervisor's per-attempt
 	// progress lines.
 	SuperviseLog io.Writer
-}
-
-// ensureTelemetryMetrics gives a telemetry-armed run a metrics registry
-// when it has none: a rank's record body is its registered networks'
-// snapshots, so without one the records would carry comm counters but no
-// stages and the fleet view could never name its bottleneck. The receiver
-// is a copy of the caller's Params, so the registry is local to this run.
-func (pr *Params) ensureTelemetryMetrics() {
-	if pr.Telemetry.Interval > 0 && pr.Metrics == nil {
-		pr.Metrics = metrics.NewRegistry()
-	}
 }
 
 // observe is the bundle every program of the run attaches: Observe, with
@@ -138,11 +123,25 @@ func (pr Params) observe() *fg.Observe {
 }
 
 // instrument wires Metrics and Observe's tracer into a freshly built
-// cluster. The returned detach function removes the cluster's metrics
-// collector and the per-node communication observers; call it when the run
-// is over so a long-lived registry or tracer is not fed by a dead cluster.
+// cluster, and starts its telemetry plane when Params asks for one, with
+// callbacks from Metrics and Observe. The plane stops with the cluster's
+// Close but stays registered with Metrics: the fleet view outlives the run.
+// Telemetry is best-effort by contract, so a plane that fails to start
+// degrades to staleness at the aggregator rather than failing the run. The
+// returned detach function removes the cluster's metrics collector and the
+// per-node communication observers; call it when the run is over so a
+// long-lived registry or tracer is not fed by a dead cluster.
 func (pr Params) instrument(c *cluster.Cluster) func() {
-	pr.startTelemetry(c)
+	if pr.Telemetry.Interval > 0 {
+		cfg := pr.Telemetry
+		cfg.Collect = pr.Metrics.RankRecord // runOnce saw to the registry
+		if pr.Observe != nil && pr.Observe.Tracer != nil {
+			cfg.Blackbox = pr.Observe.Tracer.WriteBlackBox
+		}
+		if t, err := c.StartTelemetry(cfg); err == nil {
+			pr.Metrics.RegisterPlane(t)
+		}
+	}
 	detach := func() {}
 	if reg := pr.Metrics; reg != nil {
 		removeComm := reg.RegisterFunc(c.EmitMetrics, cluster.MetricHelp)
@@ -179,25 +178,6 @@ func (pr Params) instrument(c *cluster.Cluster) func() {
 			n.SetCommObserver(nil)
 		}
 		detach()
-	}
-}
-
-// startTelemetry starts the cluster's telemetry plane when Params asks for
-// one, filling its callbacks from Metrics and Observe (the plane itself
-// stops with the cluster's Close). Telemetry is best-effort by contract, so
-// a plane that fails to start degrades to staleness at the aggregator
-// rather than failing the run.
-func (pr Params) startTelemetry(c *cluster.Cluster) {
-	if pr.Telemetry.Interval <= 0 {
-		return
-	}
-	cfg, reg := pr.Telemetry, pr.Metrics // ensureTelemetryMetrics saw to the registry
-	cfg.Collect = func(rank int) (json.RawMessage, int64) { return collect(reg, rank) }
-	if pr.Observe != nil && pr.Observe.Tracer != nil {
-		cfg.Blackbox = pr.Observe.Tracer.WriteBlackBox
-	}
-	if t, err := c.StartTelemetry(cfg); err == nil && t != nil && pr.OnTelemetry != nil {
-		pr.OnTelemetry(t)
 	}
 }
 
@@ -306,7 +286,13 @@ func (pr Params) runOnce(prog Program, dist workload.Distribution, buffers int, 
 	if err != nil {
 		return oocsort.Result{}, fmt.Errorf("harness: %w", err)
 	}
-	pr.ensureTelemetryMetrics()
+	if pr.Telemetry.Interval > 0 && pr.Metrics == nil {
+		// A rank's record body is its registered networks' snapshots: without
+		// a registry the records would carry comm counters but no stages, and
+		// the fleet view could never name its bottleneck. pr is this run's
+		// copy, so the registry is local to the run.
+		pr.Metrics = metrics.NewRegistry()
+	}
 	l := launch{nodes: pr.Nodes, columnsPerNode: pr.ColumnsPerNode, buffers: buffers, tune: tune}
 	l.opts.Observe = pr.observe()
 	if l.spec, err = pr.Spec(dist); err != nil {

@@ -217,7 +217,8 @@ func TestLongLivedRegistryRepeatsNothing(t *testing.T) {
 // TestObserveCLIOneSurface starts the command-line bundle with the one
 // address flag and a telemetry interval, runs a small sort, and reads every
 // route — node-local and fleet — from that one address; the /debug/vars mirror
-// is gone.
+// is gone. The two scrapes do not mix: /metrics is the process's own series
+// and /cluster/metrics the fleet's.
 func TestObserveCLIOneSurface(t *testing.T) {
 	addr := reserveLoopback(t)
 	pr := tinyParams()
@@ -235,8 +236,20 @@ func TestObserveCLIOneSurface(t *testing.T) {
 	for _, path := range []string{"/status", "/status.json", "/cluster/status.json"} {
 		getBody(t, addr, path) // fails the test unless 200
 	}
-	check.ExpositionLint(t, getBody(t, addr, "/metrics"))
-	check.ExpositionLint(t, getBody(t, addr, "/cluster/metrics"))
+	for path, foreign := range map[string][]string{
+		"/metrics":         {"fleet_"},
+		"/cluster/metrics": {"fg_", "cluster_"},
+	} {
+		body := getBody(t, addr, path)
+		check.ExpositionLint(t, body)
+		for _, line := range strings.Split(body, "\n") {
+			for _, prefix := range foreign {
+				if strings.HasPrefix(line, prefix) {
+					t.Errorf("%s serves %q", path, line)
+				}
+			}
+		}
+	}
 	resp, err := http.Get("http://" + addr + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +389,7 @@ func TestObserveCLIAllOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.Observe != nil || pr.OnTelemetry != nil {
+	if pr.Observe != nil || pr.Metrics != nil {
 		t.Errorf("zero flags built a bundle: %+v", pr.Observe)
 	}
 	if finish == nil {

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,10 +30,10 @@ type ObserveFlags struct {
 	// or https://ui.perfetto.dev.
 	TraceOut string `json:"trace_out,omitempty"`
 	// StatusAddr, when non-empty, is the one address (host:port, ":0" picks
-	// a free port) every observability route is served on for the duration
-	// of the run: /metrics (Prometheus), /status and /status.json (live
-	// pipeline health), /blackbox (the tracer's black box), the pprof
-	// handlers under /debug/pprof/, and the fleet view —
+	// a free port) metrics.Registry.Serve serves every observability route
+	// on for the duration of the run: /metrics (Prometheus), /status and
+	// /status.json (live pipeline health), /blackbox (the tracer's black
+	// box), the pprof handlers under /debug/pprof/, and the fleet view —
 	// /cluster/status.json, /cluster/metrics, /cluster/blackbox. The fleet
 	// routes fill in only where the telemetry plane runs and this process
 	// hosts the aggregator rank; elsewhere they answer 503.
@@ -51,8 +48,8 @@ type ObserveFlags struct {
 // ObserveCLI builds the fg.Observe bundle behind the commands' -trace-out,
 // -status-addr and -stall-after flags and wires it into pr: the bundle as
 // pr.Observe (left nil when f is zero, so an unobserved run costs nothing)
-// and, with StatusAddr, the served registry as pr.Metrics and the fleet
-// routes following each cluster's telemetry plane. It returns a finish
+// and, with StatusAddr, pr.Metrics: a fresh registry served there, with the
+// tracer's black box, by metrics.Registry.Serve. It returns a finish
 // function taking the run's error; finish prints node 0's bottleneck
 // reports, writes the Chrome trace file, dumps the black box if the run
 // died on a panic, and stops the HTTP server.
@@ -83,24 +80,13 @@ func ObserveCLI(f ObserveFlags, pr *Params) (finish func(runErr error) error, er
 	o.Tracer = fg.NewTracer(limit)
 	stopServer := func() error { return nil }
 	if f.StatusAddr != "" {
-		// The process's one observability listener.
-		ln, err := net.Listen("tcp", f.StatusAddr)
+		pr.Metrics = metrics.NewRegistry()
+		addr, stop, err := pr.Metrics.Serve(f.StatusAddr, o.Tracer.WriteBlackBox)
 		if err != nil {
 			return nil, fmt.Errorf("harness: observability listener: %w", err)
 		}
-		pr.Metrics = metrics.NewRegistry()
-		mux := pr.Metrics.Handler()
-		mux.HandleFunc("/blackbox", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = o.Tracer.WriteBlackBox(w)
-		})
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pr.OnTelemetry = MountClusterTelemetry(mux).SetPlane
-		srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-		go func() { _ = srv.Serve(ln) }()
-		stopServer = srv.Close
-		fmt.Printf("serving on http://%s: /metrics (Prometheus), /status (text), /status.json, /blackbox, /debug/pprof/, and the fleet view under /cluster/\n", ln.Addr())
+		stopServer = stop
+		fmt.Printf("serving on http://%s: /metrics (Prometheus), /status (text), /status.json, /blackbox, /debug/pprof/, and the fleet view under /cluster/\n", addr)
 	}
 	boxPath := BlackBoxPath
 	if pr.Transport.Peers != nil {

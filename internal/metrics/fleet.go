@@ -1,13 +1,13 @@
-package harness
+package metrics
 
-// Fleet telemetry wiring: the one place that knows both what a cluster
-// ships and what fg observes. The telemetry plane (cluster.Telemetry)
-// carries an opaque body per rank; here it is filled with the rank's own fg
-// snapshot — the NetworkStats its /status.json and /metrics are rendered
-// from — and, where the records land, read back with the same functions
-// those node-local views use: NetworkStats.Status, Bottleneck,
-// metrics.EmitNetwork. The fleet bottleneck, the cross-rank diagnosis and
-// the /cluster/ routes are all derived here from what arrived.
+// The fleet view: the telemetry plane's records, served beside the
+// node-local routes. The plane (cluster.Telemetry) carries an opaque body
+// per rank; RankRecord fills it with the rank's own fg snapshot — the
+// NetworkStats its /status.json and /metrics are rendered from — and, where
+// the records land, readRank reads it back with the same functions those
+// node-local views use: NetworkStats.Status, Bottleneck, EmitNetwork. The
+// fleet bottleneck, the cross-rank diagnosis and the /cluster/ routes are
+// all derived here from what arrived.
 
 import (
 	"encoding/json"
@@ -15,12 +15,10 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
-	"github.com/fg-go/fg/internal/metrics"
 )
 
 // rankOfNetwork parses the "@<rank>" suffix the programs append to every
@@ -44,13 +42,14 @@ type rankBody struct {
 	Networks []fg.NetworkStats
 }
 
-// collect is the plane's Collect callback: the registry's "@rank" networks,
+// RankRecord is the telemetry plane's Collect callback
+// (cluster.TelemetryConfig.Collect): the registry's "@rank" networks,
 // snapshotted, and the newest stall episode among them.
-func collect(reg *metrics.Registry, rank int) (json.RawMessage, int64) {
+func (r *Registry) RankRecord(rank int) (json.RawMessage, int64) {
 	var body rankBody
 	var stallAt int64
-	for _, nw := range reg.Networks() {
-		if r, ok := rankOfNetwork(nw.Name()); ok && r == rank {
+	for _, nw := range r.Networks() {
+		if nr, ok := rankOfNetwork(nw.Name()); ok && nr == rank {
 			st := nw.Stats()
 			body.Networks = append(body.Networks, st)
 			stallAt = max(stallAt, st.StalledAt)
@@ -263,7 +262,7 @@ func fleetMetricHelp() map[string]string {
 		"fleet_bottleneck_governing":          "1 for the rank whose governing stage governs the whole job",
 		"fleet_telemetry_decode_errors_total": "inbound telemetry records dropped as undecodable or of another version",
 	}
-	for name, text := range metrics.Help {
+	for name, text := range Help {
 		help["fleet_"+strings.TrimPrefix(name, "fg_")] = text + " (the rank's latest record)"
 	}
 	for name, text := range cluster.MetricHelp {
@@ -275,7 +274,7 @@ func fleetMetricHelp() map[string]string {
 // emitFleet feeds the fleet view to emit as rank-labeled samples — the
 // /cluster/metrics collector. The fleet_ prefix distinguishes the
 // aggregated view from each process's node-local fg_/cluster_ series.
-func emitFleet(st FleetStatus, emit metrics.EmitFunc) {
+func emitFleet(st FleetStatus, emit EmitFunc) {
 	b2f := func(b bool) float64 {
 		if b {
 			return 1
@@ -302,95 +301,62 @@ func emitFleet(st FleetStatus, emit metrics.EmitFunc) {
 			emit("fleet_"+strings.TrimPrefix(name, "fg_"), labels, v)
 		}
 		for _, nw := range fr.stats {
-			metrics.EmitNetwork(nw, ranked)
+			EmitNetwork(nw, ranked)
 		}
 	}
 	emit("fleet_telemetry_decode_errors_total", map[string]string{}, float64(st.DecodeErrors))
 }
 
-// A ClusterTelemetry is the fleet view's handler set, mounted beside the
-// node-local routes on the process's one observability mux:
-//
-//	/cluster/status.json  the fleet view (FleetStatus)
-//	/cluster/metrics      the same view as rank-labeled Prometheus series
-//	/cluster/blackbox     ?rank=N: the black box rank N shipped with its
-//	                      latest stall episode (404 if it has not stalled)
-//
-// The view outlives any one cluster — fgexp builds many — so it holds a
-// swappable pointer to the current telemetry plane; SetPlane (wired through
-// Params.OnTelemetry) installs each fresh cluster's. Without a plane, and on
-// a process that does not host the aggregator rank, the endpoints answer
-// 503: the fleet view lives where the records flow.
-type ClusterTelemetry struct {
-	reg *metrics.Registry
-
-	mu    sync.Mutex
-	plane *cluster.Telemetry
+// RegisterPlane installs the current cluster's telemetry plane, replacing
+// any previous one, as the source of the fleet view Handler serves under
+// /cluster/. The view outlives the run — the aggregator keeps each rank's
+// last record after the plane stops with its cluster — so the plane stays
+// registered until the next replaces it or Close drops it; nil removes it.
+func (r *Registry) RegisterPlane(t *cluster.Telemetry) {
+	r.mu.Lock()
+	r.plane = t
+	r.mu.Unlock()
 }
 
-// MountClusterTelemetry registers the three /cluster/ routes on mux; the
-// view they serve is empty until SetPlane installs a telemetry plane.
-func MountClusterTelemetry(mux *http.ServeMux) *ClusterTelemetry {
-	ct := &ClusterTelemetry{reg: metrics.NewRegistry()}
-	ct.reg.RegisterFunc(func(emit metrics.EmitFunc) {
-		if a := ct.aggregator(); a != nil {
-			emitFleet(fleetStatus(a), emit)
+// fleetRoute serves one /cluster/ route from the registered plane's
+// aggregator. Without a plane, and on a process that does not host the
+// aggregator rank, it answers 503: the fleet view lives where the records
+// flow.
+func (r *Registry) fleetRoute(serve func(http.ResponseWriter, *http.Request, *cluster.TelemetryAggregator)) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		r.mu.Lock()
+		a := r.plane.Aggregator()
+		r.mu.Unlock()
+		if a == nil {
+			http.Error(w, "no telemetry aggregator in this process (is this the aggregator rank, and has a run started?)",
+				http.StatusServiceUnavailable)
+			return
 		}
-	}, fleetMetricHelp())
-	mux.HandleFunc("/cluster/status.json", ct.handleStatus)
-	mux.HandleFunc("/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if ct.aggregatorOr503(w) != nil {
-			ct.reg.ServeHTTP(w, r)
-		}
-	})
-	mux.HandleFunc("/cluster/blackbox", ct.handleBlackbox)
-	return ct
-}
-
-// SetPlane installs the current cluster's telemetry plane; nil-safe so the
-// harness can hand it whatever StartTelemetry returned.
-func (ct *ClusterTelemetry) SetPlane(t *cluster.Telemetry) {
-	if ct == nil || t == nil {
-		return
+		serve(w, req, a)
 	}
-	ct.mu.Lock()
-	ct.plane = t
-	ct.mu.Unlock()
 }
 
-func (ct *ClusterTelemetry) aggregator() *cluster.TelemetryAggregator {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	return ct.plane.Aggregator()
-}
-
-// aggregatorOr503 returns the aggregator, having answered 503 when there is
-// none: the fleet view lives where the records flow.
-func (ct *ClusterTelemetry) aggregatorOr503(w http.ResponseWriter) *cluster.TelemetryAggregator {
-	a := ct.aggregator()
-	if a == nil {
-		http.Error(w, "no telemetry aggregator in this process (is this the aggregator rank, and has a run started?)",
-			http.StatusServiceUnavailable)
-	}
-	return a
-}
-
-func (ct *ClusterTelemetry) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	a := ct.aggregatorOr503(w)
-	if a == nil {
-		return
-	}
+// serveFleetStatus serves the fleet view document at /cluster/status.json.
+func serveFleetStatus(w http.ResponseWriter, _ *http.Request, a *cluster.TelemetryAggregator) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(fleetStatus(a))
 }
 
-func (ct *ClusterTelemetry) handleBlackbox(w http.ResponseWriter, r *http.Request) {
-	a := ct.aggregatorOr503(w)
-	if a == nil {
-		return
-	}
+// serveFleetMetrics serves the fleet view as rank-labeled Prometheus series
+// at /cluster/metrics, through a registry of their own: they never enter the
+// served registry's Samples, which are the process's own /metrics and which
+// fgd re-emits as its own.
+func serveFleetMetrics(w http.ResponseWriter, r *http.Request, a *cluster.TelemetryAggregator) {
+	fleet := NewRegistry()
+	fleet.RegisterFunc(func(emit EmitFunc) { emitFleet(fleetStatus(a), emit) }, fleetMetricHelp())
+	fleet.ServeHTTP(w, r)
+}
+
+// serveFleetBlackbox serves, at /cluster/blackbox?rank=N, the black box rank
+// N shipped with its latest stall episode (404 if it has not stalled).
+func serveFleetBlackbox(w http.ResponseWriter, r *http.Request, a *cluster.TelemetryAggregator) {
 	rank, err := strconv.Atoi(r.URL.Query().Get("rank"))
 	if err != nil {
 		http.Error(w, "want ?rank=N", http.StatusBadRequest)

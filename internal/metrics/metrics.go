@@ -4,23 +4,27 @@
 // counters, the supervisor's attempts, fgd's ledger) into metric samples on
 // demand, renders them in Prometheus text format — the one exposition writer
 // in the repository — and serves them beside the /status and /status.json
-// views of the same snapshots. The underlying counters are the lock-free
+// views of the same snapshots and, from a registered telemetry plane, the
+// fleet view under /cluster/. The underlying counters are the lock-free
 // atomics Stats reads, so scraping a registry mid-run is cheap and safe and
-// a network that never registers pays nothing. A registry owns no listener:
-// Handler returns its routes and the program serves them,
-// http.ListenAndServe(addr, reg.Handler()) at its simplest.
+// a network that never registers pays nothing. Handler returns the routes;
+// Serve starts the process's one observability listener with them, the
+// tracer's black box and the pprof profiles beside.
 package metrics
 
 import (
 	"fmt"
 	"io"
 	"maps"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
@@ -52,6 +56,7 @@ type Registry struct {
 	help    map[string]string // HELP text by name: Help plus what collectors registered
 	tracers []*fg.Tracer
 	peers   func() []cluster.PeerStatus
+	plane   *cluster.Telemetry // the fleet view's source (RegisterPlane)
 }
 
 // A source is one RegisterFunc registration; the pointer is its identity
@@ -64,13 +69,13 @@ func NewRegistry() *Registry {
 }
 
 // Close drops everything registered — networks, collectors, tracers,
-// the peer-health source — so that a finished job's registry pins
-// none of the job's memory (a collector closure typically reaches the whole
-// cluster, disks included). A closed registry reports no samples. Close is
-// idempotent.
+// the peer-health source, the telemetry plane — so that a finished job's
+// registry pins none of the job's memory (a collector closure typically
+// reaches the whole cluster, disks included). A closed registry reports no
+// samples, and its fleet view answers 503. Close is idempotent.
 func (r *Registry) Close() {
 	r.mu.Lock()
-	r.nets, r.funcs, r.tracers, r.peers = nil, nil, nil, nil
+	r.nets, r.funcs, r.tracers, r.peers, r.plane = nil, nil, nil, nil, nil
 	r.mu.Unlock()
 }
 
@@ -106,8 +111,7 @@ func (r *Registry) RegisterTracer(tr *fg.Tracer) {
 }
 
 // Networks returns the currently registered networks, in registration
-// order — the seam the cluster-telemetry collector reads live stats
-// through without the registry knowing about ranks.
+// order.
 func (r *Registry) Networks() []*fg.Network {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -299,15 +303,41 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	_ = r.WritePrometheus(w)
 }
 
-// Handler returns the node-local observability routes: /metrics (this
-// registry in Prometheus text format), /status (text) and /status.json
-// (live network health). It is a fresh mux each call, so a front end may
-// mount further routes beside them — the fleet view does — before serving
-// it on the process's one listener.
+// Handler returns the registry's routes: /metrics (this registry in
+// Prometheus text format), /status (text) and /status.json (live network
+// health), and the fleet view of the registered telemetry plane —
+// /cluster/status.json (FleetStatus), /cluster/metrics (the same view as
+// rank-labeled series) and /cluster/blackbox?rank=N (the black box rank N
+// shipped with its latest stall episode). It is a fresh mux each call.
 func (r *Registry) Handler() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r)
 	mux.HandleFunc("/status", r.serveStatusText)
 	mux.HandleFunc("/status.json", r.serveStatusJSON)
+	mux.HandleFunc("/cluster/status.json", r.fleetRoute(serveFleetStatus))
+	mux.HandleFunc("/cluster/metrics", r.fleetRoute(serveFleetMetrics))
+	mux.HandleFunc("/cluster/blackbox", r.fleetRoute(serveFleetBlackbox))
 	return mux
+}
+
+// Serve starts the process's one observability listener on addr
+// (host:port; ":0" picks a free port) and serves Handler's routes there,
+// with /blackbox (what blackbox writes: the process's tracer black box) and
+// net/http/pprof's Index and Profile under /debug/pprof/. It returns the
+// address bound and the function that stops the server.
+func (r *Registry) Serve(addr string, blackbox func(io.Writer) error) (net.Addr, func() error, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	mux := r.Handler()
+	mux.HandleFunc("/blackbox", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = blackbox(w)
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	go func() { _ = srv.Serve(ln) }()
+	return ln.Addr(), srv.Close, nil
 }

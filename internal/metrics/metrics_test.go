@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
@@ -131,9 +132,33 @@ func TestRegisterNetworkReplacesSameName(t *testing.T) {
 
 // TestRegistryCloseUnlinksAndDrops: a collector's remove function unlinks
 // exactly that collector, and a closed registry holds nothing that was
-// registered with it.
+// registered with it — its telemetry plane included, so the fleet view
+// answers 503 again.
 func TestRegistryCloseUnlinksAndDrops(t *testing.T) {
 	r := NewRegistry()
+	c, err := cluster.Open(cluster.Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	plane, err := c.StartTelemetry(cluster.TelemetryConfig{Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RegisterPlane(plane)
+	srv := httptest.NewServer(r.Handler())
+	defer srv.Close()
+	fleetStatus := func() int {
+		resp, err := http.Get(srv.URL + "/cluster/status.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := fleetStatus(); code != http.StatusOK {
+		t.Fatalf("/cluster/status.json answered %d with a plane registered, want 200", code)
+	}
 	nw := fg.NewNetwork("closed")
 	nw.AddPipeline("main", fg.Rounds(1)).AddStage("s", func(*fg.Ctx, *fg.Buffer) error { return nil })
 	r.RegisterNetwork(nw)
@@ -157,7 +182,10 @@ func TestRegistryCloseUnlinksAndDrops(t *testing.T) {
 	}
 	r.Close()
 	r.Close() // idempotent
-	if n := len(r.Samples()); n != 0 || len(r.Networks()) != 0 || r.peers != nil {
+	if n := len(r.Samples()); n != 0 || len(r.Networks()) != 0 || r.peers != nil || r.plane != nil {
 		t.Fatalf("a closed registry still holds its sources (%d samples)", n)
+	}
+	if code := fleetStatus(); code != http.StatusServiceUnavailable {
+		t.Errorf("a closed registry's /cluster/status.json answered %d, want 503", code)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/fg-go/fg/internal/harness"
+	"github.com/fg-go/fg/internal/metrics"
 )
 
 // Options parameterize a driver run.
@@ -232,8 +233,8 @@ func probeFleet(ranks int, addr string) (stop func() FleetReport) {
 	})
 }
 
-func scrapeFleet(client *http.Client, addr string) (harness.FleetStatus, error) {
-	var st harness.FleetStatus
+func scrapeFleet(client *http.Client, addr string) (metrics.FleetStatus, error) {
+	var st metrics.FleetStatus
 	resp, err := client.Get("http://" + addr + "/cluster/status.json")
 	if err != nil {
 		return st, err
