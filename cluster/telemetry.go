@@ -21,13 +21,13 @@ package cluster
 // keeps until a newer episode replaces it — so a hung fleet yields one
 // correlated bundle of evidence instead of N disconnected stderr dumps.
 //
-// Layering: this package cannot import fg, and does not describe what fg
-// observes. A record is an envelope of what the cluster itself knows (comm
-// counters, peer health, stamps) around a body the Collect callback
-// supplies and nothing here reads: internal/metrics fills it with the
-// rank's own fg snapshot (Registry.RankRecord) and, on the aggregator,
-// derives the fleet bottleneck, the cross-rank diagnosis and
-// /cluster/metrics from it with the functions the node-local views use.
+// Layering: this package imports neither fg nor internal/metrics, and does not
+// describe what fg observes. A record is an envelope of what the cluster
+// itself knows (comm counters, peer health, stamps) around a body the Collect
+// callback supplies and nothing here reads: internal/metrics fills it with the
+// rank's own fg snapshot (Registry.RankRecord) and, on the aggregator, derives
+// the fleet bottleneck, the cross-rank diagnosis and /cluster/metrics from it
+// with the functions the node-local views use.
 
 import (
 	"bytes"

@@ -382,7 +382,7 @@ func (pr Params) Figure8(dists []workload.Distribution, trials int) ([]Cell, err
 	return cells, nil
 }
 
-// average runs a program several times and averages its pass durations.
+// average runs a program several times and averages its pass durations; traffic is one trial's.
 func (pr Params) average(prog Program, dist workload.Distribution, trials int) (oocsort.Result, error) {
 	var acc oocsort.Result
 	for t := 0; t < trials; t++ {
@@ -397,7 +397,6 @@ func (pr Params) average(prog Program, dist workload.Distribution, trials int) (
 		for i := range acc.Passes {
 			acc.Passes[i].Duration += res.Passes[i].Duration
 		}
-		acc.Disk.Add(res.Disk)
 	}
 	for i := range acc.Passes {
 		acc.Passes[i].Duration /= time.Duration(trials)

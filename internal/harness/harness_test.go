@@ -67,7 +67,7 @@ func TestRunUnknownProgram(t *testing.T) {
 
 func TestFigure8CellsAndFormat(t *testing.T) {
 	pr := tinyParams()
-	cells, err := pr.Figure8([]workload.Distribution{workload.Uniform}, 1)
+	cells, err := pr.Figure8([]workload.Distribution{workload.Uniform}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +75,15 @@ func TestFigure8CellsAndFormat(t *testing.T) {
 		t.Fatalf("%d cells", len(cells))
 	}
 	c := cells[0]
+	// A cell averages its trials' times beside one trial's traffic: disk
+	// bytes are the same every trial for a given seed, so never a sum.
+	one, err := pr.Run(Dsort, workload.Uniform, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Dsort.Disk.TotalBytes(), one.Disk.TotalBytes(); got != want {
+		t.Errorf("a 2-trial cell reports %d disk bytes, one run moves %d", got, want)
+	}
 	if c.Ratio() <= 0 {
 		t.Error("ratio not positive")
 	}
