@@ -422,7 +422,7 @@ type commCounters struct {
 // operation's wall-clock interval, blocking included. Observers run on
 // the communicating goroutine and must be fast and safe for concurrent
 // calls; the experiment harness uses one to put comm intervals on an
-// fg.Tracer timeline. Non-blocking TryRecv variants are not observed.
+// fg.Tracer timeline. The non-blocking TryRecvAny is not observed.
 type CommObserver func(op string, peer, nbytes int, xfer int64, start, end time.Time)
 
 // A Node is one simulated cluster node. Its methods are safe for use from
@@ -654,18 +654,6 @@ func (n *Node) Recv(src int, tag int64) []byte {
 		panic(fmt.Sprintf("cluster: node %d receiving from invalid rank %d", n.rank, src))
 	}
 	return n.recvFrame(n.mailbox(src, tag), src).data
-}
-
-// TryRecv returns a pending message from src with the given tag, or
-// (nil, false) if none is waiting.
-func (n *Node) TryRecv(src int, tag int64) ([]byte, bool) {
-	msg, ok := n.mailbox(src, tag).tryGet()
-	if !ok {
-		return nil, false
-	}
-	n.stats.msgsRecvd.Add(1)
-	n.stats.bytesRecvd.Add(int64(len(msg.data)))
-	return msg.data, true
 }
 
 // EmitMetrics feeds every node's communication counters to emit, one

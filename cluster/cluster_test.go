@@ -172,24 +172,6 @@ func TestFIFOPerSourceAndTag(t *testing.T) {
 	}
 }
 
-func TestTryRecv(t *testing.T) {
-	c := testCluster(1)
-	err := c.Run(func(n *Node) error {
-		if _, ok := n.TryRecv(0, 9); ok {
-			return fmt.Errorf("TryRecv returned a phantom message")
-		}
-		n.Send(0, 9, []byte("x"))
-		got, ok := n.TryRecv(0, 9)
-		if !ok || string(got) != "x" {
-			return fmt.Errorf("TryRecv = %q, %v", got, ok)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSendToInvalidRankPanics(t *testing.T) {
 	c := testCluster(2)
 	err := c.Run(func(n *Node) error {

@@ -71,11 +71,6 @@ func (c *Comm) Recv(src int, tag int64) []byte {
 	return c.n.Recv(src, c.p2pBase+tag)
 }
 
-// TryRecv returns a pending message from src with the given tag, if any.
-func (c *Comm) TryRecv(src int, tag int64) ([]byte, bool) {
-	return c.n.TryRecv(src, c.p2pBase+tag)
-}
-
 // nextSeq reserves the next collective sequence number.
 func (c *Comm) nextSeq() int64 {
 	c.mu.Lock()

@@ -178,24 +178,6 @@ func (t *tcpTransport) isClosed() bool {
 	}
 }
 
-// frameObserver, when set, sees the raw wire bytes (length prefix included)
-// of every frame a readLoop decodes, before decoding. It is a seam for
-// corpus-capture tests — the fuzz corpus for the frame codec is harvested
-// from live soak runs through it — and must stay nil in production runs;
-// the atomic load it costs the read path is a pointer compare per frame.
-var frameObserver atomic.Pointer[func(frame []byte)]
-
-// SetFrameObserver installs fn as the process-wide inbound-frame observer
-// (nil removes it). The observer runs on read-loop goroutines and must not
-// retain the slice past the call; copy if needed.
-func SetFrameObserver(fn func(frame []byte)) {
-	if fn == nil {
-		frameObserver.Store(nil)
-		return
-	}
-	frameObserver.Store(&fn)
-}
-
 // readLoop decodes frames off one inbound connection and delivers them to
 // the local mailboxes. A decode error or EOF ends the connection quietly:
 // an unexpected drop is not an abort (the peer may be retrying), it is a
@@ -224,10 +206,6 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 		payload := MsgBuf(int(bodyLen) - frameBodyLen)
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return
-		}
-		if obs := frameObserver.Load(); obs != nil {
-			raw := append(append(make([]byte, 0, len(hdr)+len(payload)), hdr[:]...), payload...)
-			(*obs)(raw)
 		}
 		kind, f, err := decodeFrameBody((*[frameBodyLen]byte)(hdr[4:]), payload)
 		if err != nil {
@@ -642,10 +620,6 @@ func (p *tcpPeer) writeOne(qf queuedFrame) {
 		return
 	}
 	switch qf.act {
-	case NetFaultCloseConn:
-		p.fail(gen, fmt.Errorf("tcp: injected close of connection to rank %d", p.dst))
-		p.t.dropped.Add(1)
-		return
 	case NetFaultCloseMidFrame:
 		var hdr [frameHeaderLen]byte
 		encodeFrameHeader(&hdr, frameKindData, qf.f)

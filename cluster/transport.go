@@ -178,7 +178,7 @@ func (t *inprocTransport) Deliver(f Frame) error {
 		switch t.c.netFault(f) {
 		case NetFaultDrop:
 			return errInjected(f)
-		case NetFaultCloseConn, NetFaultCloseMidFrame:
+		case NetFaultCloseMidFrame:
 			Release(f.Data) // lost in flight; there is no connection to close
 			return nil
 		}
@@ -220,13 +220,11 @@ const (
 	// NetFaultDrop fails the Deliver with a transient error before the
 	// frame is queued; the sender sees a CommError and may retry.
 	NetFaultDrop
-	// NetFaultCloseConn closes the peer connection instead of writing the
-	// frame. The frame is lost; a later Deliver redials. In-process the
-	// frame is just lost.
-	NetFaultCloseConn
 	// NetFaultCloseMidFrame writes part of the frame and then closes the
 	// connection — the reader sees a truncated stream, the message is
-	// silently lost, and the resulting stall is the watchdog's to catch.
+	// silently lost, and the resulting stall is the watchdog's to catch; a
+	// later Deliver redials. In-process the frame is just lost. It is what
+	// a fault plan's "net-close" compiles to.
 	NetFaultCloseMidFrame
 )
 

@@ -13,10 +13,10 @@
 // restarts, reconnects and death-detect latency per trial). Exit status is
 // the verdict: 0 only if every trial of every scenario passed.
 //
-// The spawned workers are this same binary, re-entered through
-// soak.WorkerMain via the FGSOAK_WORKER_CONFIG environment variable: the
-// path of a rank description (harness.Rank) the run directory keeps, so the
-// same variable re-runs one rank by hand.
+// The spawned workers are this same binary, re-entered through the
+// harness's rank body (harness.RankMain) via the FGSOAK_WORKER_CONFIG
+// environment variable: the path of a rank description (harness.Rank) the
+// run directory keeps, so the same variable re-runs one rank by hand.
 package main
 
 import (
@@ -25,12 +25,13 @@ import (
 	"os"
 	"strings"
 
+	"github.com/fg-go/fg/internal/harness"
 	"github.com/fg-go/fg/soak"
 )
 
 func main() {
-	if soak.IsWorker() {
-		os.Exit(soak.WorkerMain())
+	if harness.IsRank() {
+		os.Exit(harness.RankMain())
 	}
 
 	smoke := flag.Bool("smoke", false, "run the builtin smoke scenario (seconds; every CI run)")

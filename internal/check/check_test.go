@@ -56,8 +56,11 @@ func makeSortedOutput(t *testing.T, s oocsort.Spec, p int, tc cluster.TransportC
 	for out, in := range idx {
 		copy(f.At(sorted, out), f.At(all, in))
 	}
-	if err := s.Output(p).WriteAt(c.Disks(), sorted, 0); err != nil {
-		t.Fatal(err)
+	out, disks := s.Output(p), c.Disks()
+	for _, e := range out.Extents(0, len(sorted)) {
+		if err := disks[e.Disk].WriteAt(out.Name, sorted[e.GlobalOff:e.GlobalOff+int64(e.Length)], e.LocalOff); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return c, fp
 }

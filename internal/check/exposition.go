@@ -1,9 +1,6 @@
 package check
 
-import (
-	"strings"
-	"testing"
-)
+import "strings"
 
 // ExpositionLint fails the test unless body is a Prometheus text exposition
 // a real scraper accepts: every name{labels} series at most once, every
@@ -11,7 +8,7 @@ import (
 // names ending in _total typed counter. Applied to each of the repository's
 // scrapes — node-local /metrics, the fleet view's /cluster/metrics, fgd's
 // /metrics — which all come from metrics.Registry.WritePrometheus.
-func ExpositionLint(t testing.TB, body string) {
+func ExpositionLint(t TB, body string) {
 	t.Helper()
 	help, typ, series := map[string]int{}, map[string]int{}, map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
@@ -39,6 +36,6 @@ func ExpositionLint(t testing.TB, body string) {
 		}
 	}
 	if len(series) == 0 {
-		t.Error("exposition: no samples")
+		t.Errorf("exposition: no samples")
 	}
 }

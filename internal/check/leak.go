@@ -3,12 +3,20 @@ package check
 import (
 	"runtime"
 	"strings"
-	"testing"
 	"time"
 )
 
 // modulePath identifies this repository's frames in goroutine stacks.
 const modulePath = "github.com/fg-go/fg"
+
+// A TB is the part of *testing.T the test assertions here use. Taking it
+// instead of *testing.T keeps package testing out of every binary that
+// links check.
+type TB interface {
+	Helper()
+	Cleanup(func())
+	Errorf(format string, args ...any)
+}
 
 // NoLeakedGoroutines registers a cleanup that fails the test if any
 // goroutine running this module's code is still alive when the test ends.
@@ -17,7 +25,7 @@ const modulePath = "github.com/fg-go/fg"
 // of tests that exercise error shutdown, cancellation, or failed builds —
 // the paths where a stranded stage or source goroutine would otherwise go
 // unnoticed. Not safe for tests running in parallel with other FG tests.
-func NoLeakedGoroutines(t *testing.T) {
+func NoLeakedGoroutines(t TB) {
 	t.Helper()
 	t.Cleanup(func() {
 		if leaked := LeakedGoroutines(5 * time.Second); len(leaked) > 0 {

@@ -154,8 +154,8 @@ func (in *Injector) DiskHook(names ...string) func(op, name string, off int64) e
 // injector's fail schedule into wire-level faults on either transport:
 // each outgoing frame of at least minBytes payload is a candidate, and a
 // candidate the injector fails suffers the given action (drop the frame,
-// close the connection, or close it mid-frame). The minBytes filter scopes
-// chaos to bulk data traffic, leaving small control messages (barriers,
+// or close the connection mid-frame). The minBytes filter scopes chaos to
+// bulk data traffic, leaving small control messages (barriers,
 // verification gathers) alone. Config.Latency applies to every candidate
 // frame, failed or not, which makes NetHook with action
 // cluster.NetFaultNone a slow-network simulator.

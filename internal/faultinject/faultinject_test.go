@@ -126,7 +126,7 @@ func TestReleaseWithoutHangIsSafe(t *testing.T) {
 
 func TestNetHookFiltersAndFires(t *testing.T) {
 	in := New(Config{FailN: 1})
-	hook := in.NetHook(cluster.NetFaultCloseConn, 100)
+	hook := in.NetHook(cluster.NetFaultCloseMidFrame, 100)
 	// Frames below the size floor are never candidates.
 	for i := 0; i < 3; i++ {
 		if got := hook(0, 1, 50); got != cluster.NetFaultNone {
@@ -137,8 +137,8 @@ func TestNetHookFiltersAndFires(t *testing.T) {
 		t.Fatalf("small frames consumed %d candidate ops", in.Ops())
 	}
 	// The first big-enough frame eats the FailN budget and gets the action.
-	if got := hook(0, 1, 100); got != cluster.NetFaultCloseConn {
-		t.Fatalf("first bulk frame got %v, want CloseConn", got)
+	if got := hook(0, 1, 100); got != cluster.NetFaultCloseMidFrame {
+		t.Fatalf("first bulk frame got %v, want CloseMidFrame", got)
 	}
 	// Later frames pass.
 	if got := hook(1, 0, 4096); got != cluster.NetFaultNone {

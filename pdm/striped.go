@@ -84,38 +84,6 @@ func (s StripedFile) Extents(off int64, length int) []Extent {
 	return out
 }
 
-// WriteAt writes p at global offset off, routing each piece to the owning
-// disk. disks[i] must be disk i of the cluster. It is intended for
-// single-process tests and tools; the distributed sorts route remote pieces
-// over the interconnect instead.
-func (s StripedFile) WriteAt(disks []*Disk, p []byte, off int64) error {
-	if len(disks) != s.Disks {
-		return fmt.Errorf("pdm: striped file spans %d disks, got %d", s.Disks, len(disks))
-	}
-	for _, e := range s.Extents(off, len(p)) {
-		rel := e.GlobalOff - off
-		if err := disks[e.Disk].WriteAt(s.Name, p[rel:rel+int64(e.Length)], e.LocalOff); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadAt fills p from global offset off, gathering each piece from the
-// owning disk.
-func (s StripedFile) ReadAt(disks []*Disk, p []byte, off int64) error {
-	if len(disks) != s.Disks {
-		return fmt.Errorf("pdm: striped file spans %d disks, got %d", s.Disks, len(disks))
-	}
-	for _, e := range s.Extents(off, len(p)) {
-		rel := e.GlobalOff - off
-		if err := disks[e.Disk].ReadAt(s.Name, p[rel:rel+int64(e.Length)], e.LocalOff); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // LocalBytes returns how many bytes of a striped file of the given total
 // size reside on the given disk.
 func (s StripedFile) LocalBytes(totalBytes int64, disk int) int64 {

@@ -110,6 +110,16 @@ func (s JobSpec) Validate() error {
 	if s.RecordSize > 1<<20 {
 		return fmt.Errorf("service: record size %d is past the sanity bound of 1 MiB", s.RecordSize)
 	}
+	// A disk charge sleeps its whole cost without watching the job's abort,
+	// so a slower disk than this holds a runner long past a cancel or a
+	// timeout.
+	const maxSeekUS, minBytesPerSecond = 100_000, 1e6
+	if d := s.Disk; d != nil && d.SeekLatencyUS > maxSeekUS {
+		return fmt.Errorf("service: disk seek of %d us is past the sanity bound of 100 ms", d.SeekLatencyUS)
+	}
+	if d := s.Disk; d != nil && d.BytesPerSecond != 0 && d.BytesPerSecond < minBytesPerSecond {
+		return fmt.Errorf("service: disk rate of %g B/s is below the sanity bound of 1 MB/s", d.BytesPerSecond)
+	}
 	if s.TimeoutSec < 0 || s.MaxAttempts < 0 {
 		return errors.New("service: negative scalar in job spec")
 	}

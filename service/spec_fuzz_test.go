@@ -59,5 +59,8 @@ func FuzzJobSpec(f *testing.F) {
 		if s.Bytes() <= 0 {
 			t.Fatalf("decoded spec with non-positive byte volume %d", s.Bytes())
 		}
+		if d := s.Disk; d != nil && (d.SeekLatencyUS > 100_000 || d.BytesPerSecond != 0 && d.BytesPerSecond < 1e6) {
+			t.Fatalf("decoded spec with a disk past the sanity bounds: %+v", *d)
+		}
 	})
 }

@@ -54,6 +54,8 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 		{"bad distribution", `{"program":"dsort","nodes":4,"records":4096,"distribution":"bogus"}`, "distribution"},
 		{"negative seed", `{"program":"dsort","nodes":4,"records":4096,"seed":-1}`, "negative"},
 		{"negative disk", `{"program":"dsort","nodes":4,"records":4096,"disk":{"seek_latency_us":-1,"bytes_per_second":1}}`, "disk"},
+		{"disk seek past 100 ms", `{"program":"dsort","nodes":2,"records":4096,"disk":{"seek_latency_us":100001,"bytes_per_second":1e9}}`, "bound of 100 ms"},
+		{"disk rate below 1 MB/s", `{"program":"dsort","nodes":2,"records":4096,"disk":{"seek_latency_us":1,"bytes_per_second":999999}}`, "bound of 1 MB/s"},
 		{"buffers is gone", `{"program":"dsort","nodes":4,"records":4096,"buffers":4}`, `unknown field "buffers"`},
 		{"fault is gone", `{"program":"dsort","nodes":4,"records":4096,"fault":{"kind":"panic-op","rank":1,"op_count":1,"file":"dsort.runs"}}`, `unknown field "fault"`},
 		{"not json", `[`, "decode"},
@@ -64,6 +66,21 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 			t.Errorf("%s: decoded without error", c.name)
 		} else if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.wantSub)
+		}
+	}
+}
+
+// TestDiskBoundsAdmitTheirEdges: a disk exactly at the bounds, and the zero
+// disk (instant seeks, infinite rate), still decode.
+func TestDiskBoundsAdmitTheirEdges(t *testing.T) {
+	for _, disk := range []string{
+		`{"seek_latency_us":100000,"bytes_per_second":1e6}`,
+		`{"seek_latency_us":0,"bytes_per_second":0}`,
+		`{}`,
+	} {
+		doc := `{"program":"dsort","nodes":2,"records":4096,"disk":` + disk + `}`
+		if _, err := DecodeJobSpec(strings.NewReader(doc)); err != nil {
+			t.Errorf("disk %s: %v", disk, err)
 		}
 	}
 }

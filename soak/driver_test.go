@@ -4,14 +4,16 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"github.com/fg-go/fg/internal/harness"
 )
 
-// TestMain routes re-exec'd worker processes into WorkerMain before any
-// test runs — the same trick the harness's chaos tests play, so `go test
-// ./soak` alone exercises a real multi-process soak.
+// TestMain routes re-exec'd worker processes into the harness's rank body
+// before any test runs — the same trick the harness's chaos tests play, so
+// `go test ./soak` alone exercises a real multi-process soak.
 func TestMain(m *testing.M) {
-	if IsWorker() {
-		os.Exit(WorkerMain())
+	if harness.IsRank() {
+		os.Exit(harness.RankMain())
 	}
 	os.Exit(m.Run())
 }

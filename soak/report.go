@@ -9,6 +9,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"github.com/fg-go/fg/internal/harness"
 )
 
 // A TrialReport is one fleet's outcome.
@@ -40,7 +42,7 @@ type TrialReport struct {
 	// when the scenario arms telemetry.
 	Fleet *FleetReport `json:"fleet,omitempty"`
 
-	Workers []WorkerResult `json:"workers"`
+	Workers []harness.RankResult `json:"workers"`
 }
 
 // A FleetReport is the driver-side summary of one trial's fleet-view
