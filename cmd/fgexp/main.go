@@ -239,7 +239,7 @@ func iovolume(pr harness.Params) error {
 	}
 	data := pr.TotalRecords * int64(pr.RecordSize)
 	fmt.Printf("I/O volume (uniform, N=%d, P=%d; data volume %d bytes)\n", pr.TotalRecords, pr.Nodes, data)
-	fmt.Printf("  dsort: %12d disk bytes (%.2fx data; 2 passes + sampling)\n",
+	fmt.Printf("  dsort: %12d disk bytes (%.2fx data; 2 passes, sampling inside pass 1)\n",
 		d.Disk.TotalBytes(), float64(d.Disk.TotalBytes())/float64(data))
 	fmt.Printf("  csort: %12d disk bytes (%.2fx data; 3 passes)\n",
 		c.Disk.TotalBytes(), float64(c.Disk.TotalBytes())/float64(data))

@@ -24,8 +24,8 @@ import (
 // A whole run's payload order under ties is not a function of the input:
 // pass 1's receive stage fills runs in the order the network delivers the
 // pieces. So the test fixes that one thing — node d ingests the pieces in
-// (round, sender) order — and runs everything else for real: the sampling
-// phase, permuteStage on every send buffer, the run sort, and pass2 and
+// (round, sender) order — and runs everything else for real: pass 1's send
+// side through its sample and permute stages, the run sort, and pass2 and
 // pass2Linear on the same runs. Each output verifies like any sort's.
 //
 // pass2 and pass2Linear share one merge step and must write the same bytes.
@@ -71,52 +71,34 @@ func pinnedBytes(t *testing.T, size int, dist workload.Distribution) (permute, d
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var splitters []records.ExtKey
-	err = c.Run(func(n *cluster.Node) error {
-		sp, err := selectSplitters(n, cfg)
-		mu.Lock()
-		splitters = sp
-		mu.Unlock()
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Pass 1's send side, one node at a time; sent[r][s][d] is the piece node
-	// s sends node d in round r.
+	// Pass 1's send side on every node; sent[r][s][d] is the piece node s
+	// sends node d in round r, and counts[s][r] its partition counts.
 	bufBytes := f.Bytes(cfg.RunRecords)
 	rounds := int(cfg.Spec.PerNode(p)) / cfg.RunRecords
 	sent := make([][p][p][]byte, rounds)
-	hp := fnv.New64a()
-	for s := 0; s < p; s++ {
-		input := c.Disks()[s].Export(cfg.Spec.InputName)
-		nw := fg.NewNetwork("pin")
-		pipe := nw.AddPipeline("send", fg.Buffers(2), fg.BufferBytes(bufBytes), fg.Rounds(rounds))
-		pipe.AddStage("read", func(ctx *fg.Ctx, b *fg.Buffer) error {
-			b.N = copy(b.Data, input[b.Round*bufBytes:(b.Round+1)*bufBytes])
-			return nil
-		})
-		pipe.AddStage("permute", permuteStage(f, p, s, cfg.RunRecords, splitters))
-		pipe.AddStage("collect", func(ctx *fg.Ctx, b *fg.Buffer) error {
-			// The hash covers what it did when permuteStage left the
-			// partitions back to back in the buffer: the counts, then the
-			// partitions in destination order.
+	counts := make([][][]int, p)
+	sendSide(t, c, cfg, func(s int) fg.RoundFunc {
+		counts[s] = make([][]int, rounds)
+		return func(ctx *fg.Ctx, b *fg.Buffer) error {
 			msgs := b.Meta.([][]byte)
-			counts := make([]int, len(msgs))
+			counts[s][b.Round] = make([]int, len(msgs))
 			for d, msg := range msgs {
 				sent[b.Round][s][d] = msg
-				counts[d] = f.Count(len(msg))
-			}
-			fmt.Fprint(hp, counts)
-			for _, msg := range msgs {
-				hp.Write(msg)
+				counts[s][b.Round][d] = f.Count(len(msg))
 			}
 			return nil
-		})
-		if err := nw.Run(); err != nil {
-			t.Fatal(err)
+		}
+	})
+	// The hash covers what it did when permuteStage left the partitions back
+	// to back in the buffer: the counts, then the partitions in destination
+	// order, node by node and round by round.
+	hp := fnv.New64a()
+	for s := 0; s < p; s++ {
+		for r := range sent {
+			fmt.Fprint(hp, counts[s][r])
+			for _, msg := range sent[r][s] {
+				hp.Write(msg)
+			}
 		}
 	}
 
@@ -159,4 +141,29 @@ func pinnedBytes(t *testing.T, size int, dist workload.Distribution) (permute, d
 		return h.Sum64()
 	}
 	return hp.Sum64(), merged(pass2), merged(pass2Linear)
+}
+
+// sendSide runs pass 1's send side (addSend) on every node of c, with the
+// stage collect(rank) makes in place of the send stage, and returns the
+// splitters the sample stage chose.
+func sendSide(t *testing.T, c *cluster.Cluster, cfg Config, collect func(rank int) fg.RoundFunc) []records.ExtKey {
+	t.Helper()
+	var mu sync.Mutex
+	var splitters []records.ExtKey
+	err := c.Run(func(n *cluster.Node) error {
+		nw := fg.NewNetwork(fmt.Sprintf("send@%d", n.Rank()))
+		pipe, _, sp := addSend(nw, "send", n, cfg)
+		pipe.AddStage("collect", collect(n.Rank()))
+		if err := nw.Run(); err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		splitters = *sp
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return splitters
 }

@@ -1,8 +1,8 @@
-// Package dsort implements the paper's out-of-core distribution sort. A
-// preprocessing phase selects splitters by oversampling; pass 1 partitions
-// and distributes the records among the nodes, leaving sorted runs on each
-// node's disk; pass 2 merges each node's runs and load-balances and stripes
-// the output across the cluster.
+// Package dsort implements the paper's out-of-core distribution sort. Pass
+// 1 selects splitters by oversampling, then partitions and distributes the
+// records among the nodes, leaving sorted runs on each node's disk; pass 2
+// merges each node's runs and load-balances and stripes the output across
+// the cluster.
 //
 // dsort is the program the paper built FG's multiple-pipeline extensions
 // for. Pass 1 runs disjoint send and receive pipelines on each node,
@@ -17,9 +17,10 @@
 // "dsort on one disk head"). In pass 2 output writes stand aside while a
 // run read can proceed — a node's reads feed, through its merge, every
 // other node's writes; its writes feed nobody (runReads, pass2.go). And
-// sampling reads its positions in one offset-ordered sweep, nearby samples
-// sharing a read when the gap is cheaper than a second positioning
-// (readSamples, pass1.go).
+// pass 1's sample stage takes the samples that fall in its first pool-ful
+// of input from the buffers pass 1 has just read, and reads the rest in one
+// offset-ordered sweep, nearby samples sharing a read when the gap is
+// cheaper than a second positioning (sampleStage and readSamples, pass1.go).
 package dsort
 
 import (
@@ -27,7 +28,6 @@ import (
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/oocsort"
-	"github.com/fg-go/fg/records"
 )
 
 // Config parameterizes a dsort run. All sizes are in records.
@@ -45,7 +45,8 @@ type Config struct {
 	// OutRecords is the buffer size of pass 2's horizontal and receive
 	// pipelines, typically much larger than MergeRecords (Section IV).
 	OutRecords int
-	// Oversample is the per-boundary sampling factor of the splitter phase.
+	// Oversample is the per-boundary sampling factor of pass 1's sample
+	// stage.
 	Oversample int
 	// Buffers is the pool size of every non-vertical pipeline; each vertical
 	// pipeline has verticalBuffers. The overlap ablation sets it to 1.
@@ -53,9 +54,9 @@ type Config struct {
 
 	// Options are the run-time options every sorting program takes:
 	// Observe and Checkpoint. dsort checkpoints pass 1's result — the
-	// sorted runs file and the run lengths — so a restarted job skips
-	// sampling and pass 1 entirely; the splitters are not needed again,
-	// pass 2 runs entirely off the runs and their lengths.
+	// sorted runs file and the run lengths — so a restarted job skips pass
+	// 1, its sampling included; the splitters are not needed again, pass 2
+	// runs entirely off the runs and their lengths.
 	oocsort.Options
 }
 
@@ -114,32 +115,26 @@ const runsFile = "dsort.runs"
 const Name = "dsort"
 
 // Run executes dsort on one node; call it from every node of the cluster
-// inside cluster.Run. It returns the node's per-phase timings (barriers
-// align the phases, so every node reports cluster-wide times).
+// inside cluster.Run. It returns the node's per-pass timings (barriers
+// align the passes, so every node reports cluster-wide times).
 func Run(n *cluster.Node, cfg Config) (oocsort.Result, error) {
-	return run(n, cfg, Name, selectSplitters, pass1, pass2)
+	return run(n, cfg, Name, pass1, pass2)
 }
 
-// run drives the three phases of a dsort variant: sampling computes the
-// splitters, pass 1 turns them into sorted runs on disk plus their lengths
-// (the one checkpointed boundary), pass 2 merges the runs into the output.
+// run drives the two passes of a dsort variant: pass 1 chooses the
+// splitters and turns them into sorted runs on disk plus their lengths (the
+// one checkpointed boundary), pass 2 merges the runs into the output.
 func run(n *cluster.Node, cfg Config, program string,
-	sample func(*cluster.Node, Config) ([]records.ExtKey, error),
-	pass1 func(*cluster.Node, Config, []records.ExtKey) ([]int, error),
+	pass1 func(*cluster.Node, Config) ([]int, error),
 	pass2 func(*cluster.Node, Config, []int) error,
 ) (oocsort.Result, error) {
 	if err := cfg.Validate(n.P()); err != nil {
 		return oocsort.Result{Program: program}, err
 	}
-	var splitters []records.ExtKey
 	var runLens []int
 	res, err := oocsort.RunPasses(n, cfg.Options, program, []oocsort.Pass{
-		{Name: "sampling", Align: true, Body: func() (err error) {
-			splitters, err = sample(n, cfg)
-			return err
-		}},
-		{Name: "pass1", Artifacts: []string{runsFile}, State: &runLens, Body: func() (err error) {
-			runLens, err = pass1(n, cfg, splitters)
+		{Name: "pass1", Align: true, Artifacts: []string{runsFile}, State: &runLens, Body: func() (err error) {
+			runLens, err = pass1(n, cfg)
 			return err
 		}},
 		{Name: "pass2", Body: func() error { return pass2(n, cfg, runLens) }},

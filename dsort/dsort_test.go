@@ -116,15 +116,17 @@ func TestDsortUnalignedSizes(t *testing.T) {
 	runDsort(t, cfg, 4)
 }
 
-func TestDsortReportsThreePhases(t *testing.T) {
+// TestDsortReportsTwoPasses: sampling is a stage of pass 1, not a phase of
+// its own.
+func TestDsortReportsTwoPasses(t *testing.T) {
 	res := runDsort(t, testConfig(1<<12, 4, 16, workload.Uniform), 4)
-	want := []string{"sampling", "pass1", "pass2"}
+	want := []string{"pass1", "pass2"}
 	if len(res.Passes) != len(want) {
-		t.Fatalf("dsort reports %d phases, want %d", len(res.Passes), len(want))
+		t.Fatalf("dsort reports %d passes, want %d", len(res.Passes), len(want))
 	}
 	for i, p := range res.Passes {
 		if p.Name != want[i] {
-			t.Errorf("phase %d named %q, want %q", i, p.Name, want[i])
+			t.Errorf("pass %d named %q, want %q", i, p.Name, want[i])
 		}
 	}
 }
@@ -163,11 +165,7 @@ func TestDsortPartitionBalance(t *testing.T) {
 	}
 	partRecs := make([]int64, 8)
 	err := c.Run(func(node *cluster.Node) error {
-		splitters, err := selectSplitters(node, cfg)
-		if err != nil {
-			return err
-		}
-		runLens, err := pass1(node, cfg, splitters)
+		runLens, err := pass1(node, cfg)
 		if err != nil {
 			return err
 		}
@@ -337,7 +335,7 @@ func TestDsortLinearLargeRecords(t *testing.T) {
 
 func TestDsortLinearReportsPhases(t *testing.T) {
 	res := runDsortLinear(t, testConfig(1<<12, 4, 16, workload.Uniform), 4)
-	if res.Program != "dsort-linear" || len(res.Passes) != 3 {
+	if res.Program != "dsort-linear" || len(res.Passes) != 2 || res.Passes[0].Name != "pass1" {
 		t.Fatalf("linear result: %+v", res)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/sortalgo"
 	"github.com/fg-go/fg/oocsort"
-	"github.com/fg-go/fg/records"
 )
 
 // LinearName is the program name of the single-linear-pipeline variant.
@@ -26,22 +25,19 @@ const LinearName = "dsort-linear"
 // this file is itself part of the reproduction: it is the programming
 // burden the paper says the extensions remove.
 func RunLinear(n *cluster.Node, cfg Config) (oocsort.Result, error) {
-	return run(n, cfg, LinearName, selectSplitters, pass1Linear, pass2Linear)
+	return run(n, cfg, LinearName, pass1Linear, pass2Linear)
 }
 
-// pass1Linear is pass 1 on one pipeline: read -> permute -> commio, where
-// commio sends this buffer's partitions, opportunistically drains whatever
-// has arrived, and sorts and writes each run inline as it fills.
-func pass1Linear(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int, error) {
+// pass1Linear is pass 1 on one pipeline: read -> sample -> permute -> send
+// -> recvio, where recvio opportunistically drains whatever has arrived, and
+// sorts and writes each run inline as it fills.
+func pass1Linear(n *cluster.Node, cfg Config) ([]int, error) {
 	f := cfg.Spec.Format
-	p, rank := n.P(), n.Rank()
-	perNode := cfg.Spec.PerNode(p)
-	bufRecs := cfg.RunRecords
-	bufBytes := f.Bytes(bufRecs)
-	sendRounds := int((perNode + int64(bufRecs) - 1) / int64(bufRecs))
+	p := n.P()
+	bufBytes := f.Bytes(cfg.RunRecords)
 	comm := n.Comm("dsortlin.p1")
 
-	// Run accumulation state, owned by the commio stage.
+	// Run accumulation state, owned by the recvio stage.
 	runBuf := make([]byte, bufBytes)
 	scratch := make([]byte, bufBytes)
 	fill := 0
@@ -73,18 +69,7 @@ func pass1Linear(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int
 
 	nw, done := cfg.Network(n, "dsortlin.p1")
 	defer done()
-	pipe := nw.AddPipeline("main",
-		fg.Buffers(cfg.Buffers), fg.BufferBytes(bufBytes), fg.Rounds(sendRounds))
-	pipe.AddStage("read", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		off := int64(b.Round) * int64(bufRecs)
-		cnt := int64(bufRecs)
-		if off+cnt > perNode {
-			cnt = perNode - off
-		}
-		b.N = f.Bytes(int(cnt))
-		return n.Disk.ReadAt(cfg.Spec.InputName, b.Data[:b.N], off*int64(f.Size))
-	})
-	pipe.AddStage("permute", permuteStage(f, p, rank, bufRecs, splitters))
+	pipe, sendRounds, _ := addSend(nw, "main", n, cfg)
 	pipe.AddStage("send", sendStage(comm, sendRounds))
 	// All receiving, run sorting, and run writing happen inline in this one
 	// stage — the serialization a single linear pipeline forces.

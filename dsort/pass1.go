@@ -6,28 +6,85 @@ import (
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
+	"github.com/fg-go/fg/internal/bufpool"
 	"github.com/fg-go/fg/internal/sortalgo"
 	"github.com/fg-go/fg/internal/splitter"
 	"github.com/fg-go/fg/pdm"
 	"github.com/fg-go/fg/records"
 )
 
-// selectSplitters runs the preprocessing phase: every node reads the keys
-// at its sample positions off the local input, in offset order with nearby
-// samples sharing a read, and the cluster agrees on P-1 extended-key
-// splitters.
-func selectSplitters(n *cluster.Node, cfg Config) ([]records.ExtKey, error) {
-	p := n.P()
-	positions := splitter.Positions(n.Rank(), p, cfg.Spec.PerNode(p), cfg.Oversample, cfg.Spec.Seed)
-	// No sampling read is larger than a pass-1 buffer: the phase stays
-	// within the memory the sort is about to use anyway.
-	local, err := readSamples(n.Disk, cfg.Spec.InputName, cfg.Spec.Format, n.Rank(), positions,
-		cfg.Spec.Format.Bytes(cfg.RunRecords))
-	if err != nil {
-		return nil, err
-	}
-	return splitter.Choose(n.Comm("dsort.sample"), local)
+// addSend adds pass 1's send side to nw as the pipeline name: read ->
+// sample -> permute over the node's input, one round per run-sized buffer.
+// The caller appends the stage that ships each buffer's messages. The
+// sample stage leaves the splitters it chose in *splitters before the first
+// round leaves it.
+func addSend(nw *fg.Network, name string, n *cluster.Node, cfg Config) (pipe *fg.Pipeline, rounds int, splitters *[]records.ExtKey) {
+	f := cfg.Spec.Format
+	perNode := cfg.Spec.PerNode(n.P())
+	bufRecs := int64(cfg.RunRecords)
+	rounds = int((perNode + bufRecs - 1) / bufRecs)
+	splitters = new([]records.ExtKey)
+	pipe = nw.AddPipeline(name,
+		fg.Buffers(cfg.Buffers), fg.BufferBytes(f.Bytes(cfg.RunRecords)), fg.Rounds(rounds))
+	pipe.AddStage("read", func(ctx *fg.Ctx, b *fg.Buffer) error {
+		off := int64(b.Round) * bufRecs
+		b.N = f.Bytes(int(min(bufRecs, perNode-off)))
+		return n.Disk.ReadAt(cfg.Spec.InputName, b.Data[:b.N], off*int64(f.Size))
+	})
+	pipe.AddFreeStage("sample", sampleStage(n, cfg, min(cfg.Buffers, rounds), splitters))
+	pipe.AddStage("permute", permuteStage(f, n.P(), n.Rank(), cfg.RunRecords, splitters))
+	return pipe, rounds, splitters
 }
+
+// sampleStage returns the free stage that chooses the splitters in pass 1
+// (DESIGN.md, "Sampling: one sweep, seeks bought with bytes"): it holds the
+// first kept rounds and reads the samples in them in place, sweeps the rest
+// off the disk, and agrees on the splitters with the cluster. Only then does
+// it convey the held rounds and pass the later ones through.
+func sampleStage(n *cluster.Node, cfg Config, kept int, splitters *[]records.ExtKey) fg.StageFunc {
+	f, p, rank := cfg.Spec.Format, n.P(), n.Rank()
+	return func(ctx *fg.Ctx) error {
+		held := make([]*fg.Buffer, kept)
+		for i := range held {
+			b, ok := ctx.Accept()
+			if !ok {
+				return nil // the network is shutting down
+			}
+			held[i] = b
+		}
+		bufRecs := int64(cfg.RunRecords)
+		positions := splitter.Positions(rank, p, cfg.Spec.PerNode(p), cfg.Oversample, cfg.Spec.Seed)
+		slices.Sort(positions)
+		inPool, _ := slices.BinarySearch(positions, int64(kept)*bufRecs)
+		local := make([]records.ExtKey, 0, len(positions))
+		for _, idx := range positions[:inPool] {
+			key := f.KeyAt(held[idx/bufRecs].Data, int(idx%bufRecs))
+			local = append(local, records.ExtKey{Key: key, Node: uint32(rank), Seq: uint64(idx)})
+		}
+		// No sweep read is larger than a pass-1 buffer, the one buffer
+		// sampling adds to pass 1's pools.
+		swept, err := readSamples(n.Disk, cfg.Spec.InputName, f, rank, positions[inPool:], f.Bytes(cfg.RunRecords))
+		if err != nil {
+			return err
+		}
+		if *splitters, err = splitter.Choose(n.Comm("dsort.sample"), append(local, swept...)); err != nil {
+			return err
+		}
+		for _, b := range held {
+			ctx.Convey(b)
+		}
+		for {
+			b, ok := ctx.Accept()
+			if !ok {
+				return nil
+			}
+			ctx.Convey(b)
+		}
+	}
+}
+
+// sweeps holds readSamples' read buffers across jobs.
+var sweeps bufpool.Pool
 
 // readSamples returns the extended keys of the records at the given
 // positions of the named file, sorting positions in place and reading them
@@ -42,7 +99,8 @@ func readSamples(d *pdm.Disk, name string, f records.Format, rank int, positions
 	m := d.Model()
 	size := int64(f.Size)
 	keys := make([]records.ExtKey, 0, len(positions))
-	var buf []byte
+	buf := sweeps.Get(max(maxBytes, f.Size))
+	defer sweeps.Put(buf)
 	for i := 0; i < len(positions); {
 		first := positions[i]
 		j := i + 1
@@ -53,9 +111,6 @@ func readSamples(d *pdm.Disk, name string, f records.Format, rank int, positions
 			}
 		}
 		length := int((positions[j-1] + 1 - first) * size)
-		if cap(buf) < length {
-			buf = make([]byte, length)
-		}
 		if err := d.ReadAt(name, buf[:length], first*size); err != nil {
 			return nil, fmt.Errorf("dsort: sampling records %d..%d on node %d: %w", first, positions[j-1], rank, err)
 		}
@@ -75,10 +130,14 @@ const tagData = 1
 // partition index, straight into message buffers sized by the partition
 // counts. The extended key — (key, origin node, input position) — decides
 // each record's partition; it never becomes part of the record. The
-// messages travel with the buffer as its Meta, to sendStage.
-func permuteStage(f records.Format, p, rank, bufRecs int, splitters []records.ExtKey) fg.RoundFunc {
-	index := splitter.NewIndex(splitters)
+// messages travel with the buffer as its Meta, to sendStage. The splitters
+// are indexed at the first round, which the sample stage lets by only then.
+func permuteStage(f records.Format, p, rank, bufRecs int, splitters *[]records.ExtKey) fg.RoundFunc {
+	var index *splitter.Index
 	return func(ctx *fg.Ctx, b *fg.Buffer) error {
+		if index == nil {
+			index = splitter.NewIndex(*splitters)
+		}
 		base := int64(b.Round) * int64(bufRecs)
 		data := b.Bytes()
 		msgs := make([][]byte, p)
@@ -115,34 +174,19 @@ func sendStage(comm *cluster.Comm, rounds int) fg.RoundFunc {
 }
 
 // pass1 partitions and distributes the records (Figure 6): a send pipeline
-// (read -> permute -> send) and a disjoint receive pipeline (receive ->
-// sort -> write) run concurrently on each node. It returns the lengths of
-// the sorted runs this node's receive pipeline wrote.
-func pass1(n *cluster.Node, cfg Config, splitters []records.ExtKey) ([]int, error) {
+// (read -> sample -> permute -> send) and a disjoint receive pipeline
+// (receive -> sort -> write) run concurrently on each node. It returns the
+// lengths of the sorted runs this node's receive pipeline wrote.
+func pass1(n *cluster.Node, cfg Config) ([]int, error) {
 	f := cfg.Spec.Format
-	size := f.Size
-	p, rank := n.P(), n.Rank()
-	perNode := cfg.Spec.PerNode(p)
-	bufRecs := cfg.RunRecords
-	bufBytes := f.Bytes(bufRecs)
-	sendRounds := int((perNode + int64(bufRecs) - 1) / int64(bufRecs))
+	p := n.P()
+	bufBytes := f.Bytes(cfg.RunRecords)
 	comm := n.Comm("dsort.p1")
 
 	nw, done := cfg.Network(n, "dsort.p1")
 	defer done()
 
-	send := nw.AddPipeline("send",
-		fg.Buffers(cfg.Buffers), fg.BufferBytes(bufBytes), fg.Rounds(sendRounds))
-	send.AddStage("read", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		off := int64(b.Round) * int64(bufRecs)
-		cnt := int64(bufRecs)
-		if off+cnt > perNode {
-			cnt = perNode - off
-		}
-		b.N = f.Bytes(int(cnt))
-		return n.Disk.ReadAt(cfg.Spec.InputName, b.Data[:b.N], off*int64(size))
-	})
-	send.AddStage("permute", permuteStage(f, p, rank, bufRecs, splitters))
+	send, sendRounds, _ := addSend(nw, "send", n, cfg)
 	send.AddStage("send", sendStage(comm, sendRounds))
 
 	recv := nw.AddPipeline("receive",

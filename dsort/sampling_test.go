@@ -1,15 +1,18 @@
 package dsort
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/fg-go/fg/cluster"
+	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/check"
 	"github.com/fg-go/fg/internal/splitter"
 	"github.com/fg-go/fg/oocsort"
@@ -106,21 +109,16 @@ func TestSamplingAndRunsAreTheParents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mu sync.Mutex
+		splitters := sendSide(t, c, cfg, func(int) fg.RoundFunc {
+			return func(*fg.Ctx, *fg.Buffer) error { return nil }
+		})
 		runs := make([][]int, p)
-		var splitters []records.ExtKey
 		err = c.Run(func(n *cluster.Node) error {
-			sp, err := selectSplitters(n, cfg)
+			lens, err := pass1(n, cfg)
 			if err != nil {
 				return err
 			}
-			lens, err := pass1(n, cfg, sp)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			runs[n.Rank()], splitters = lens, sp
-			mu.Unlock()
+			runs[n.Rank()] = lens
 			return pass2(n, cfg, lens)
 		})
 		if err != nil {
@@ -142,5 +140,108 @@ func TestSamplingAndRunsAreTheParents(t *testing.T) {
 		if got != golden[dist] {
 			t.Errorf("%v:\n got %s\nwant %s", dist, got, golden[dist])
 		}
+	}
+}
+
+// TestSamplingReadsThePoolOnce: the sample stage takes the sample keys that
+// fall in pass 1's first kept rounds (kept = min(Buffers, rounds)) from the
+// pool's buffers, so on a seeking disk, where nearby samples would share
+// reads, every input read starting inside those rounds is pass 1's read of
+// one round, at its offset r×bufBytes, exactly once. With the pool at least
+// as large as the input, sampling reads nothing of its own.
+func TestSamplingReadsThePoolOnce(t *testing.T) {
+	const p = 4
+	for _, tc := range []struct {
+		name    string
+		buffers int
+		run     func(*cluster.Node, Config) (oocsort.Result, error)
+	}{
+		{"pool holds every round", 8, Run},
+		{"one buffer", 1, Run},
+		{"dsort-linear", 4, RunLinear},
+	} {
+		cfg := testConfig(1<<12, p, 16, workload.Uniform)
+		cfg.Buffers = tc.buffers
+		bufBytes := int64(cfg.Spec.Format.Bytes(cfg.RunRecords))
+		rounds := int(cfg.Spec.PerNode(p)) / cfg.RunRecords
+		kept := min(cfg.Buffers, rounds)
+		c := cluster.New(cluster.Config{Nodes: p, Disk: pdm.DiskModel{SeekLatency: time.Microsecond, BytesPerSecond: 100e6}})
+		fp, err := oocsort.GenerateInput(c, cfg.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		reads := make([][]int64, p) // the offsets of each node's input reads
+		for r, d := range c.Disks() {
+			d.SetFault(func(op, name string, off int64) error {
+				if op == "read" && name == cfg.Spec.InputName {
+					mu.Lock()
+					reads[r] = append(reads[r], off)
+					mu.Unlock()
+				}
+				return nil
+			})
+		}
+		if err := c.Run(func(n *cluster.Node) error { _, err := tc.run(n, cfg); return err }); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, d := range c.Disks() {
+			d.SetFault(nil)
+		}
+		if err := check.Output(c, cfg.Spec, fp); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for r, offs := range reads {
+			once := make([]int, kept)
+			for _, off := range offs {
+				switch {
+				case off >= int64(kept)*bufBytes:
+				case off%bufBytes != 0:
+					t.Errorf("%s: node %d read the input at %d, inside round %d: sampling read the pool's rounds again", tc.name, r, off, off/bufBytes)
+				default:
+					once[off/bufBytes]++
+				}
+			}
+			for round, k := range once {
+				if k != 1 {
+					t.Errorf("%s: node %d read round %d %d times, want once", tc.name, r, round, k)
+				}
+			}
+			if kept == rounds && len(offs) != rounds {
+				t.Errorf("%s: node %d made %d input reads for %d rounds, all of them in the pool", tc.name, r, len(offs), rounds)
+			}
+		}
+	}
+}
+
+// TestSamplingSweepFailureFailsPromptly: a sweep read that fails on one
+// node, while the others already wait in the splitter collective inside
+// their pass-1 networks, fails the job with the sampling error instead of
+// hanging the cluster.
+func TestSamplingSweepFailureFailsPromptly(t *testing.T) {
+	const p = 4
+	cfg := testConfig(1<<12, p, 16, workload.Uniform)
+	bufBytes := int64(cfg.Spec.Format.Bytes(cfg.RunRecords))
+	c := cluster.New(cluster.Config{Nodes: p})
+	if _, err := oocsort.GenerateInput(c, cfg.Spec); err != nil {
+		t.Fatal(err)
+	}
+	c.Disks()[1].SetFault(func(op, name string, off int64) error {
+		if op == "read" && name == cfg.Spec.InputName && off%bufBytes != 0 {
+			return errors.New("injected sweep failure")
+		}
+		return nil
+	})
+	done := make(chan error, 1)
+	go func() {
+		done <- c.Run(func(n *cluster.Node) error { _, err := Run(n, cfg); return err })
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "sampling") {
+			t.Fatalf("a failed sweep read ended the job with %v, want the sampling error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("dsort hung on a failed sweep read")
 	}
 }

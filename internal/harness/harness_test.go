@@ -87,7 +87,7 @@ func TestFigure8CellsAndFormat(t *testing.T) {
 	if c.Ratio() <= 0 {
 		t.Error("ratio not positive")
 	}
-	if len(c.Dsort.Passes) != 3 || len(c.Csort.Passes) != 3 {
+	if len(c.Dsort.Passes) != 2 || len(c.Csort.Passes) != 3 {
 		t.Errorf("pass counts: dsort %d, csort %d", len(c.Dsort.Passes), len(c.Csort.Passes))
 	}
 	table := FormatFigure8("test", cells)
@@ -141,7 +141,7 @@ func TestAverageSmoothsTrials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Passes) != 3 {
+	if len(res.Passes) != 2 {
 		t.Fatalf("averaged result has %d passes", len(res.Passes))
 	}
 }
@@ -195,7 +195,7 @@ func TestRunTuned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Passes) != 3 {
-		t.Errorf("custom dsort reports %d phases", len(res.Passes))
+	if len(res.Passes) != 2 {
+		t.Errorf("custom dsort reports %d passes", len(res.Passes))
 	}
 }

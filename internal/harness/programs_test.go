@@ -17,10 +17,10 @@ import (
 // without a runner, with a duplicate name, or unknown to this test fails.
 func TestProgramTable(t *testing.T) {
 	want := map[Program]struct{ passes, resumed string }{
-		// dsort's sampling computes only the splitters, which pass 2 does
-		// not need: it is never checkpointed, so never listed as resumed.
-		Dsort:       {"sampling,pass1,pass2", "pass1"},
-		DsortLinear: {"sampling,pass1,pass2", "pass1"},
+		// dsort samples inside pass 1, whose runs and run lengths are all
+		// pass 2 needs: a resumed job skips sampling with pass 1.
+		Dsort:       {"pass1,pass2", "pass1"},
+		DsortLinear: {"pass1,pass2", "pass1"},
 		Csort:       {"pass1,pass2,pass3", "pass1,pass2"},
 		Csort4:      {"pass1,pass2,pass3,pass4", "pass1,pass2,pass3"},
 	}

@@ -13,7 +13,7 @@ package splitter
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/records"
@@ -75,24 +75,32 @@ func Select(comm *cluster.Comm, localCount int64, sample Sampler, oversample int
 func Choose(comm *cluster.Comm, local []records.ExtKey) ([]records.ExtKey, error) {
 	p := comm.P()
 	rank := comm.Rank()
-	gathered := comm.Gather(0, EncodeExtKeys(nil, local...))
+	gathered := comm.Gather(0, EncodeExtKeys(make([]byte, 0, len(local)*records.ExtKeySize), local...))
 
 	var chosen []byte
 	if rank == 0 {
-		var all []records.ExtKey
+		total := 0
 		for _, w := range gathered {
-			all = append(all, DecodeExtKeys(w)...)
+			total += len(w) / records.ExtKeySize
 		}
+		all := make([]records.ExtKey, 0, total)
+		for _, w := range gathered {
+			all = DecodeExtKeys(all, w)
+		}
+		cluster.Release(gathered...)
 		if len(all) < p-1 {
 			return nil, fmt.Errorf("splitter: only %d samples for %d partitions", len(all), p)
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i].Less(all[j]) })
+		slices.SortFunc(all, records.ExtKey.Compare)
+		chosen = make([]byte, 0, (p-1)*records.ExtKeySize)
 		for i := 1; i < p; i++ {
 			// The i-th splitter sits at the i/P quantile of the sample.
 			chosen = EncodeExtKeys(chosen, all[i*len(all)/p])
 		}
 	}
-	out := DecodeExtKeys(comm.Bcast(0, chosen))
+	msg := comm.Bcast(0, chosen)
+	out := DecodeExtKeys(make([]records.ExtKey, 0, p-1), msg)
+	cluster.Release(msg)
 	if len(out) != p-1 {
 		return nil, fmt.Errorf("splitter: broadcast delivered %d splitters, want %d", len(out), p-1)
 	}
@@ -150,14 +158,13 @@ func EncodeExtKeys(dst []byte, keys ...records.ExtKey) []byte {
 	return dst
 }
 
-// DecodeExtKeys parses a concatenation of encoded extended keys.
-func DecodeExtKeys(src []byte) []records.ExtKey {
+// DecodeExtKeys appends the extended keys encoded in src to dst.
+func DecodeExtKeys(dst []records.ExtKey, src []byte) []records.ExtKey {
 	if len(src)%records.ExtKeySize != 0 {
 		panic("splitter: truncated extended-key encoding")
 	}
-	out := make([]records.ExtKey, 0, len(src)/records.ExtKeySize)
 	for off := 0; off < len(src); off += records.ExtKeySize {
-		out = append(out, records.DecodeExtKey(src[off:]))
+		dst = append(dst, records.DecodeExtKey(src[off:]))
 	}
-	return out
+	return dst
 }

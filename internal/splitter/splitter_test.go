@@ -123,7 +123,7 @@ func TestPartitionAllocatesNothing(t *testing.T) {
 func TestEncodeDecodeExtKeys(t *testing.T) {
 	keys := []records.ExtKey{{Key: 1, Node: 2, Seq: 3}, {Key: 4, Node: 5, Seq: 6}}
 	wire := EncodeExtKeys(nil, keys...)
-	got := DecodeExtKeys(wire)
+	got := DecodeExtKeys(nil, wire)
 	if len(got) != 2 || got[0] != keys[0] || got[1] != keys[1] {
 		t.Fatalf("round trip: %v", got)
 	}
@@ -132,7 +132,7 @@ func TestEncodeDecodeExtKeys(t *testing.T) {
 			t.Fatal("truncated decode did not panic")
 		}
 	}()
-	DecodeExtKeys(wire[:5])
+	DecodeExtKeys(nil, wire[:5])
 }
 
 // runSelect generates per-node key sets from dist and runs Select on a

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/fg-go/fg/internal/harness"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/supervise"
 )
@@ -164,9 +165,10 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := DecodeJobSpec(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	// Submit validates the spec, so that a refused one is counted.
+	var spec JobSpec
+	if err := harness.DecodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), "job spec", &spec); err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: %w", err))
 		return
 	}
 	j, err := s.Submit(spec)

@@ -548,6 +548,29 @@ func TestQuotaRejectionOverHTTP(t *testing.T) {
 	}
 }
 
+// TestInvalidSpecIsCounted: a well-formed spec the daemon refuses as
+// invalid (HTTP 400) is submitted and rejected in the ledger, in
+// /status.json and in /metrics, like a refusal for quota or a full queue.
+func TestInvalidSpecIsCounted(t *testing.T) {
+	d := startDaemon(t, Config{MaxConcurrent: 1, Log: io.Discard})
+	if code, doc := d.post(t, "/jobs", `{"program":"dsort","nodes":1,"records":4096}`); code != http.StatusBadRequest {
+		t.Fatalf("one-node submit: status %d (%v), want 400", code, doc)
+	}
+	d.waitTerminal(t, d.submit(t, fastSpec("ok", "dsort")), 30*time.Second)
+	code, raw := d.get(t, "/status.json")
+	var st ServerStatus
+	if err := json.Unmarshal(raw, &st); code != http.StatusOK || err != nil {
+		t.Fatalf("status.json: status %d, %v in %s", code, err, raw)
+	}
+	if st.Submitted != 2 || st.Accepted != 1 || st.RejectedInvalid != 1 {
+		t.Fatalf("status.json reads submitted %d, accepted %d, rejected_invalid %d; want 2, 1, 1",
+			st.Submitted, st.Accepted, st.RejectedInvalid)
+	}
+	if _, metrics := d.get(t, "/metrics"); !strings.Contains(string(metrics), `fgd_jobs_rejected_total{reason="invalid"} 1`) {
+		t.Fatalf("/metrics does not count the invalid spec:\n%s", metrics)
+	}
+}
+
 // TestFinishedJobsDoNotPinTheirHeaps: the daemon retains settled jobs (they
 // stay queryable), and used to retain with each one its metrics registry —
 // linked into a process-wide list, holding every network of the job and,
