@@ -1,6 +1,7 @@
 package colsort
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -427,5 +428,52 @@ func TestCsort4IOVolumeExceedsThreePass(t *testing.T) {
 	ratio := float64(four) / float64(three)
 	if ratio < 1.30 || ratio > 1.40 {
 		t.Errorf("four-pass/three-pass I/O = %.3f, want ~4/3", ratio)
+	}
+}
+
+// TestOnePoolBufferOnOneNodeIsRefused: on one node with two columns, a pool
+// of one buffer deadlocks the closing pass of csort and csort4 — a column's
+// assemble holds the only buffer while waiting for the top half the node's
+// own next round sends — so both refuse it by name before any network
+// starts, and run with two. Without the refusal this fails at its deadline
+// instead of hanging the suite.
+func TestOnePoolBufferOnOneNodeIsRefused(t *testing.T) {
+	spec := oocsort.DefaultSpec()
+	spec.TotalRecords = 4096
+	spec.RecordsPerBlock = 2048
+	pl, err := NewPlan(spec, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prog := range []struct {
+		name string
+		run  func(*cluster.Node, Plan, int) (oocsort.Result, error)
+	}{{Name, RunBuffers}, {FourPassName, RunFourPassBuffers}} {
+		for _, buffers := range []int{1, 2} {
+			c := cluster.New(cluster.Config{Nodes: 1})
+			fp, err := oocsort.GenerateInput(c, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				done <- c.Run(func(n *cluster.Node) error { _, err := prog.run(n, pl, buffers); return err })
+			}()
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s with %d buffers on one node still running after 10 s", prog.name, buffers)
+			}
+			switch {
+			case buffers == 1 && !errors.Is(err, ErrPoolTooSmall):
+				t.Errorf("%s with one buffer on one node: %v, want ErrPoolTooSmall", prog.name, err)
+			case buffers == 2 && err != nil:
+				t.Errorf("%s with two buffers on one node: %v", prog.name, err)
+			case buffers == 2:
+				if err := check.Output(c, spec, fp); err != nil {
+					t.Errorf("%s with two buffers on one node: %v", prog.name, err)
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package colsort
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/fg-go/fg/cluster"
@@ -34,9 +35,13 @@ const (
 )
 
 // DefaultPipelineBuffers is the per-pipeline buffer pool used by csort's
-// passes. Three buffers is the minimum that keeps pass 3's cross-node
-// shift ripple flowing; one more gives the read stage headroom.
+// passes. The minimum is one buffer, or two on one node with two or more
+// columns: there the closing pass's assemble holds column j's buffer until
+// the node's own next round sends top(j+1). The rest let the read run ahead.
 const DefaultPipelineBuffers = 4
+
+// ErrPoolTooSmall refuses a pool below that minimum before any pass starts.
+var ErrPoolTooSmall = errors.New("colsort: the buffer pool is below the plan's minimum")
 
 // Name is the program name results, checkpoints and the harness's program
 // table know the three-pass csort by.
@@ -69,6 +74,9 @@ func (pl *Plan) run(n *cluster.Node, program string, temp []string, buffers int,
 	if pl.P < 1 || pl.S < pl.P || pl.S%pl.P != 0 || pl.R%pl.S != 0 {
 		return oocsort.Result{}, fmt.Errorf("colsort: a %dx%d matrix on %d nodes cannot be transposed: need P | S and S | R (use NewPlan)",
 			pl.R, pl.S, pl.P)
+	}
+	if buffers < 1 || (pl.P == 1 && pl.S > 1 && buffers < 2) {
+		return oocsort.Result{}, fmt.Errorf("%w: %d buffers for %d columns on %d nodes", ErrPoolTooSmall, buffers, pl.S, pl.P)
 	}
 	passes := append([]oocsort.Pass{
 		{Name: "pass1", Align: true, Artifacts: temp[:1], Body: func() error {

@@ -144,16 +144,15 @@ func pinnedBytes(t *testing.T, size int, dist workload.Distribution) (permute, d
 }
 
 // sendSide runs pass 1's send side (addSend) on every node of c, with the
-// stage collect(rank) makes in place of the send stage, and returns the
-// splitters the sample stage chose.
+// function collect(rank) makes in place of the send stage's, and returns
+// the splitters the sample stage chose.
 func sendSide(t *testing.T, c *cluster.Cluster, cfg Config, collect func(rank int) fg.RoundFunc) []records.ExtKey {
 	t.Helper()
 	var mu sync.Mutex
 	var splitters []records.ExtKey
 	err := c.Run(func(n *cluster.Node) error {
 		nw := fg.NewNetwork(fmt.Sprintf("send@%d", n.Rank()))
-		pipe, _, sp := addSend(nw, "send", n, cfg)
-		pipe.AddStage("collect", collect(n.Rank()))
+		_, _, sp := addSend(nw, "send", n, cfg, 0, collect(n.Rank()))
 		if err := nw.Run(); err != nil {
 			return err
 		}

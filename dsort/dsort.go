@@ -17,10 +17,11 @@
 // "dsort on one disk head"). In pass 2 output writes stand aside while a
 // run read can proceed — a node's reads feed, through its merge, every
 // other node's writes; its writes feed nobody (runReads, pass2.go). And
-// pass 1's sample stage takes the samples that fall in its first pool-ful
-// of input from the buffers pass 1 has just read, and reads the rest in one
-// offset-ordered sweep, nearby samples sharing a read when the gap is
-// cheaper than a second positioning (sampleStage and readSamples, pass1.go).
+// pass 1's sample stage reads its samples in place in the send pool's
+// rounds and in the next ones, read into the receive pool's idle buffers,
+// sweeps the rest in offset order (nearby samples share a read when the gap
+// is cheaper than a second positioning), and lets the rounds go one at a
+// time (addSend and readSamples, pass1.go).
 package dsort
 
 import (
@@ -67,24 +68,13 @@ func DefaultConfig(spec oocsort.Spec, p int) Config {
 	perNode := int(spec.PerNode(p))
 	run := perNode / 8
 	if run < 1 {
-		run = perNode
-	}
-	if run < 1 {
-		run = 1
-	}
-	merge := run / 4
-	if merge < 1 {
-		merge = 1
-	}
-	out := spec.RecordsPerBlock
-	if out < 1024 {
-		out = 1024
+		run = max(perNode, 1)
 	}
 	return Config{
 		Spec:         spec,
 		RunRecords:   run,
-		MergeRecords: merge,
-		OutRecords:   out,
+		MergeRecords: max(run/4, 1),
+		OutRecords:   max(spec.RecordsPerBlock, 1024),
 		Oversample:   0, // splitter.DefaultOversample
 		Buffers:      4,
 	}

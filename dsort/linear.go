@@ -1,7 +1,6 @@
 package dsort
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/fg-go/fg/cluster"
@@ -69,8 +68,7 @@ func pass1Linear(n *cluster.Node, cfg Config) ([]int, error) {
 
 	nw, done := cfg.Network(n, "dsortlin.p1")
 	defer done()
-	pipe, sendRounds, _ := addSend(nw, "main", n, cfg)
-	pipe.AddStage("send", sendStage(comm, sendRounds))
+	pipe, _, _ := addSend(nw, "main", n, cfg, 0, sendStage(comm))
 	// All receiving, run sorting, and run writing happen inline in this one
 	// stage — the serialization a single linear pipeline forces.
 	doneMarkers := 0
@@ -124,25 +122,9 @@ func pass2Linear(n *cluster.Node, cfg Config, runLens []int) error {
 	size := f.Size
 	p, rank := n.P(), n.Rank()
 	comm := n.Comm("dsortlin.p2")
-	coll := n.Comm("dsortlin.p2coll")
-
-	var partRecs int64
-	for _, l := range runLens {
-		partRecs += int64(l)
-	}
-	var wire [8]byte
-	binary.BigEndian.PutUint64(wire[:], uint64(partRecs))
-	sizes := coll.Allgather(wire[:])
-	var start, total int64
-	for r, w := range sizes {
-		v := int64(binary.BigEndian.Uint64(w))
-		if r < rank {
-			start += v
-		}
-		total += v
-	}
-	if total != cfg.Spec.TotalRecords {
-		return fmt.Errorf("partitions hold %d records, want %d", total, cfg.Spec.TotalRecords)
+	partRecs, start, err := partition(n.Comm("dsortlin.p2coll"), cfg, runLens)
+	if err != nil {
+		return err
 	}
 
 	out := cfg.Spec.Output(p)

@@ -14,51 +14,61 @@ import (
 )
 
 // addSend adds pass 1's send side to nw as the pipeline name: read ->
-// sample -> permute over the node's input, one round per run-sized buffer.
-// The caller appends the stage that ships each buffer's messages. The
-// sample stage leaves the splitters it chose in *splitters before the first
-// round leaves it.
-func addSend(nw *fg.Network, name string, n *cluster.Node, cfg Config) (pipe *fg.Pipeline, rounds int, splitters *[]records.ExtKey) {
-	f := cfg.Spec.Format
-	perNode := cfg.Spec.PerNode(n.P())
+// sample -> permute -> send (ship), one round per run-sized buffer. The
+// sample stage (DESIGN.md, "Sampling: one sweep, seeks bought with bytes")
+// holds the first kept rounds, reads the next up to lend whole into bytes
+// lent through l, takes their samples in place, sweeps the rest and agrees
+// on the *splitters. Then it lets the rounds go, copying lent ones into
+// their buffers, round r once send has finished round r-1.
+func addSend(nw *fg.Network, name string, n *cluster.Node, cfg Config, lend int, ship fg.RoundFunc) (pipe *fg.Pipeline, l loan, splitters *[]records.ExtKey) {
+	f, p, rank := cfg.Spec.Format, n.P(), n.Rank()
+	perNode := cfg.Spec.PerNode(p)
 	bufRecs := int64(cfg.RunRecords)
-	rounds = int((perNode + bufRecs - 1) / bufRecs)
+	rounds := int((perNode + bufRecs - 1) / bufRecs)
+	kept := min(cfg.Buffers, rounds)
+	lend = min(lend, rounds-kept)
+	l = loan{make(chan []byte, lend), make(chan struct{}, lend)}
+	shipped := make(chan struct{}, 1) // a token per round send has finished and sample not yet waited for
 	splitters = new([]records.ExtKey)
 	pipe = nw.AddPipeline(name,
 		fg.Buffers(cfg.Buffers), fg.BufferBytes(f.Bytes(cfg.RunRecords)), fg.Rounds(rounds))
 	pipe.AddStage("read", func(ctx *fg.Ctx, b *fg.Buffer) error {
 		off := int64(b.Round) * bufRecs
 		b.N = f.Bytes(int(min(bufRecs, perNode-off)))
+		if b.Round >= kept && b.Round < kept+lend {
+			return nil // the sample stage has read it into a loan
+		}
 		return n.Disk.ReadAt(cfg.Spec.InputName, b.Data[:b.N], off*int64(f.Size))
 	})
-	pipe.AddFreeStage("sample", sampleStage(n, cfg, min(cfg.Buffers, rounds), splitters))
-	pipe.AddStage("permute", permuteStage(f, n.P(), n.Rank(), cfg.RunRecords, splitters))
-	return pipe, rounds, splitters
-}
-
-// sampleStage returns the free stage that chooses the splitters in pass 1
-// (DESIGN.md, "Sampling: one sweep, seeks bought with bytes"): it holds the
-// first kept rounds and reads the samples in them in place, sweeps the rest
-// off the disk, and agrees on the splitters with the cluster. Only then does
-// it convey the held rounds and pass the later ones through.
-func sampleStage(n *cluster.Node, cfg Config, kept int, splitters *[]records.ExtKey) fg.StageFunc {
-	f, p, rank := cfg.Spec.Format, n.P(), n.Rank()
-	return func(ctx *fg.Ctx) error {
+	pipe.AddFreeStage("sample", func(ctx *fg.Ctx) error {
 		held := make([]*fg.Buffer, kept)
+		pool := make([][]byte, 0, kept+lend) // each round's bytes, held or lent
 		for i := range held {
 			b, ok := ctx.Accept()
 			if !ok {
 				return nil // the network is shutting down
 			}
-			held[i] = b
+			held[i], pool = b, append(pool, b.Data)
 		}
-		bufRecs := int64(cfg.RunRecords)
-		positions := splitter.Positions(rank, p, cfg.Spec.PerNode(p), cfg.Oversample, cfg.Spec.Seed)
+		for r := int64(kept); len(pool) < cap(pool); r++ {
+			var buf []byte
+			select {
+			case buf = <-l.out:
+			case <-ctx.Done():
+				return nil
+			}
+			buf = buf[:f.Bytes(int(min(bufRecs, perNode-r*bufRecs)))]
+			if err := n.Disk.ReadAt(cfg.Spec.InputName, buf, r*bufRecs*int64(f.Size)); err != nil {
+				return fmt.Errorf("dsort: sampling round %d on node %d: %w", r, rank, err)
+			}
+			pool = append(pool, buf)
+		}
+		positions := splitter.Positions(rank, p, perNode, cfg.Oversample, cfg.Spec.Seed)
 		slices.Sort(positions)
-		inPool, _ := slices.BinarySearch(positions, int64(kept)*bufRecs)
+		inPool, _ := slices.BinarySearch(positions, int64(len(pool))*bufRecs)
 		local := make([]records.ExtKey, 0, len(positions))
 		for _, idx := range positions[:inPool] {
-			key := f.KeyAt(held[idx/bufRecs].Data, int(idx%bufRecs))
+			key := f.KeyAt(pool[idx/bufRecs], int(idx%bufRecs))
 			local = append(local, records.ExtKey{Key: key, Node: uint32(rank), Seq: uint64(idx)})
 		}
 		// No sweep read is larger than a pass-1 buffer, the one buffer
@@ -70,17 +80,43 @@ func sampleStage(n *cluster.Node, cfg Config, kept int, splitters *[]records.Ext
 		if *splitters, err = splitter.Choose(n.Comm("dsort.sample"), append(local, swept...)); err != nil {
 			return err
 		}
-		for _, b := range held {
-			ctx.Convey(b)
-		}
-		for {
-			b, ok := ctx.Accept()
-			if !ok {
+		for r := 0; ; r++ {
+			var b *fg.Buffer
+			if r < kept {
+				b = held[r]
+			} else if b, _ = ctx.Accept(); b == nil {
 				return nil
+			}
+			if r >= kept && r < len(pool) {
+				copy(b.Data[:b.N], pool[r])
+				l.back <- struct{}{}
+			}
+			if r > 0 {
+				select {
+				case <-shipped:
+				case <-ctx.Done():
+					return nil
+				}
 			}
 			ctx.Convey(b)
 		}
-	}
+	})
+	pipe.AddStage("permute", permuteStage(f, p, rank, cfg.RunRecords, splitters))
+	pipe.AddStage("send", func(ctx *fg.Ctx, b *fg.Buffer) error {
+		err := ship(ctx, b)
+		shipped <- struct{}{}
+		return err
+	})
+	return pipe, l, splitters
+}
+
+// A loan lends the sample stage the bytes of buffers another pipeline has no
+// use for until the splitters exist, one per round just past the send pool:
+// out carries them there, and back returns each, in order, as its round
+// leaves the sample stage. The buffers stay with their pipeline.
+type loan struct {
+	out  chan []byte
+	back chan struct{}
 }
 
 // sweeps holds readSamples' read buffers across jobs.
@@ -93,8 +129,12 @@ var sweeps bufpool.Pool
 // costs less than positioning the head a second time (SeekLatency x
 // BytesPerSecond bytes under the disk's model; never on a disk that charges
 // nothing) — as long as the shared read stays within maxBytes. The price is
-// I/O volume: the gaps are read and discarded.
+// I/O volume: the gaps are read and discarded. With no positions it reads
+// nothing and takes no buffer.
 func readSamples(d *pdm.Disk, name string, f records.Format, rank int, positions []int64, maxBytes int) ([]records.ExtKey, error) {
+	if len(positions) == 0 {
+		return nil, nil
+	}
 	slices.Sort(positions)
 	m := d.Model()
 	size := int64(f.Size)
@@ -155,16 +195,16 @@ func permuteStage(f records.Format, p, rank, bufRecs int, splitters *[]records.E
 
 // sendStage returns the round function that hands each of a buffer's
 // messages over to its destination, sending none for an empty partition,
-// and after the last of rounds tells every node this sender is done (a
-// zero-length marker).
-func sendStage(comm *cluster.Comm, rounds int) fg.RoundFunc {
+// and after the pipeline's last round tells every node this sender is done
+// (a zero-length marker).
+func sendStage(comm *cluster.Comm) fg.RoundFunc {
 	return func(ctx *fg.Ctx, b *fg.Buffer) error {
 		for d, msg := range b.Meta.([][]byte) {
 			if len(msg) > 0 {
 				comm.SendAnyOwned(d, tagData, msg)
 			}
 		}
-		if b.Round == rounds-1 {
+		if b.Round == b.Pipeline().Rounds()-1 {
 			for d := 0; d < comm.P(); d++ {
 				comm.SendAny(d, tagData, nil)
 			}
@@ -186,16 +226,44 @@ func pass1(n *cluster.Node, cfg Config) ([]int, error) {
 	nw, done := cfg.Network(n, "dsort.p1")
 	defer done()
 
-	send, sendRounds, _ := addSend(nw, "send", n, cfg)
-	send.AddStage("send", sendStage(comm, sendRounds))
+	// No message arrives before the splitters exist, so the receive stage
+	// lends the sample stage all but one of its buffers, the one that lets
+	// it drain its mailboxes under any back-pressure. While loans are out it
+	// takes a loan back or, on a token (a buffer neither kept nor lent, or a
+	// run written), accepts: whichever comes first.
+	_, loans, _ := addSend(nw, "send", n, cfg, cfg.Buffers-1, sendStage(comm))
+	written := make(chan struct{}, cfg.Buffers) // a token per buffer at most
+	for range cfg.Buffers - 1 - cap(loans.out) {
+		written <- struct{}{}
+	}
 
 	recv := nw.AddPipeline("receive",
 		fg.Buffers(cfg.Buffers), fg.BufferBytes(bufBytes), fg.Unlimited())
 	var runLens []int
 	recv.AddFreeStage("receive", func(ctx *fg.Ctx) error {
 		b, ok := ctx.Accept()
+		lent := make([]*fg.Buffer, cap(loans.out))
+		for i := range lent {
+			if lent[i], ok = ctx.Accept(); ok {
+				loans.out <- lent[i].Data
+			}
+		}
 		if !ok {
 			return fmt.Errorf("receive pipeline has no buffers")
+		}
+		next := func() (b *fg.Buffer, ok bool) {
+			if len(lent) == 0 {
+				return ctx.Accept()
+			}
+			select {
+			case <-loans.back:
+				b, lent = lent[0], lent[1:]
+				return b, true
+			case <-written:
+				return ctx.Accept()
+			case <-ctx.Done():
+				return nil, false
+			}
 		}
 		for done := 0; done < p; {
 			_, msg := comm.RecvAny(tagData)
@@ -209,7 +277,7 @@ func pass1(n *cluster.Node, cfg Config) ([]int, error) {
 				rest = rest[c:]
 				if b.N == b.Cap() {
 					ctx.Convey(b)
-					if b, ok = ctx.Accept(); !ok {
+					if b, ok = next(); !ok {
 						return fmt.Errorf("receive pipeline dried up")
 					}
 				}
@@ -230,11 +298,15 @@ func pass1(n *cluster.Node, cfg Config) ([]int, error) {
 		return nil
 	})
 	recv.AddStage("write", func(ctx *fg.Ctx, b *fg.Buffer) error {
-		if b.Round != len(runLens) {
-			return fmt.Errorf("run %d written out of order (have %d runs)", b.Round, len(runLens))
-		}
+		// A run's slot is its place in fill order, not its buffer's round.
+		off := int64(len(runLens)) * int64(bufBytes)
 		runLens = append(runLens, f.Count(b.N))
-		return n.Disk.WriteAt(runsFile, b.Bytes(), int64(b.Round)*int64(bufBytes))
+		err := n.Disk.WriteAt(runsFile, b.Bytes(), off)
+		select {
+		case written <- struct{}{}:
+		default: // every loan is back, and tokens no longer count
+		}
+		return err
 	})
 
 	if err := nw.Run(); err != nil {

@@ -204,28 +204,9 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 	size := f.Size
 	p, rank := n.P(), n.Rank()
 	comm := n.Comm("dsort.p2")
-	coll := n.Comm("dsort.p2coll")
-
-	// Exchange partition sizes so every node knows where its merged stream
-	// begins in the global sorted order — the basis of the load-balancing.
-	var partRecs int64
-	for _, l := range runLens {
-		partRecs += int64(l)
-	}
-	var wire [8]byte
-	binary.BigEndian.PutUint64(wire[:], uint64(partRecs))
-	sizes := coll.Allgather(wire[:])
-	var start, total int64
-	for r, w := range sizes {
-		v := int64(binary.BigEndian.Uint64(w))
-		if r < rank {
-			start += v
-		}
-		total += v
-	}
-	cluster.Release(sizes...)
-	if total != cfg.Spec.TotalRecords {
-		return fmt.Errorf("partitions hold %d records, want %d", total, cfg.Spec.TotalRecords)
+	partRecs, start, err := partition(n.Comm("dsort.p2coll"), cfg, runLens)
+	if err != nil {
+		return err
 	}
 
 	out := cfg.Spec.Output(p)
@@ -360,6 +341,31 @@ func pass2(n *cluster.Node, cfg Config, runLens []int) error {
 	})
 
 	return nw.Run()
+}
+
+// partition exchanges partition sizes over coll, so that every node knows
+// where its merged stream begins in the global sorted order — the basis of
+// the load-balancing. It returns the node's partition length and start.
+func partition(coll *cluster.Comm, cfg Config, runLens []int) (partRecs, start int64, err error) {
+	for _, l := range runLens {
+		partRecs += int64(l)
+	}
+	var wire [8]byte
+	binary.BigEndian.PutUint64(wire[:], uint64(partRecs))
+	sizes := coll.Allgather(wire[:])
+	defer cluster.Release(sizes...)
+	var total int64
+	for r, w := range sizes {
+		v := int64(binary.BigEndian.Uint64(w))
+		if r < coll.Rank() {
+			start += v
+		}
+		total += v
+	}
+	if total != cfg.Spec.TotalRecords {
+		return 0, 0, fmt.Errorf("partitions hold %d records, want %d", total, cfg.Spec.TotalRecords)
+	}
+	return partRecs, start, nil
 }
 
 // tagOut is the tag of pass 2's output messages, in the pass's Comm.

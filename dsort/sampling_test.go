@@ -145,26 +145,34 @@ func TestSamplingAndRunsAreTheParents(t *testing.T) {
 
 // TestSamplingReadsThePoolOnce: the sample stage takes the sample keys that
 // fall in pass 1's first kept rounds (kept = min(Buffers, rounds)) from the
-// pool's buffers, so on a seeking disk, where nearby samples would share
-// reads, every input read starting inside those rounds is pass 1's read of
-// one round, at its offset r×bufBytes, exactly once. With the pool at least
+// pool's buffers, and dsort's in the next L = min(Buffers-1, rounds-kept)
+// too, which it reads whole into the receive pool's idle buffers (dsort-linear
+// has no receive pool, and lends nothing). So on a seeking disk, where nearby
+// samples would share reads, every input read starting inside those rounds
+// is one round's read, at its offset r×bufBytes, exactly once, by pass 1's
+// read stage or by the sample stage, and nothing else. With the pool at least
 // as large as the input, sampling reads nothing of its own.
 func TestSamplingReadsThePoolOnce(t *testing.T) {
 	const p = 4
 	for _, tc := range []struct {
 		name    string
 		buffers int
+		lent    bool
 		run     func(*cluster.Node, Config) (oocsort.Result, error)
 	}{
-		{"pool holds every round", 8, Run},
-		{"one buffer", 1, Run},
-		{"dsort-linear", 4, RunLinear},
+		{"default pool", 4, true, Run},
+		{"pool holds every round", 8, true, Run},
+		{"one buffer", 1, true, Run},
+		{"dsort-linear", 4, false, RunLinear},
 	} {
 		cfg := testConfig(1<<12, p, 16, workload.Uniform)
 		cfg.Buffers = tc.buffers
 		bufBytes := int64(cfg.Spec.Format.Bytes(cfg.RunRecords))
 		rounds := int(cfg.Spec.PerNode(p)) / cfg.RunRecords
-		kept := min(cfg.Buffers, rounds)
+		covered := min(cfg.Buffers, rounds) // the rounds sampled in place: kept, then lent
+		if tc.lent {
+			covered += min(cfg.Buffers-1, rounds-covered)
+		}
 		c := cluster.New(cluster.Config{Nodes: p, Disk: pdm.DiskModel{SeekLatency: time.Microsecond, BytesPerSecond: 100e6}})
 		fp, err := oocsort.GenerateInput(c, cfg.Spec)
 		if err != nil {
@@ -192,10 +200,10 @@ func TestSamplingReadsThePoolOnce(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for r, offs := range reads {
-			once := make([]int, kept)
+			once := make([]int, covered)
 			for _, off := range offs {
 				switch {
-				case off >= int64(kept)*bufBytes:
+				case off >= int64(covered)*bufBytes:
 				case off%bufBytes != 0:
 					t.Errorf("%s: node %d read the input at %d, inside round %d: sampling read the pool's rounds again", tc.name, r, off, off/bufBytes)
 				default:
@@ -207,7 +215,7 @@ func TestSamplingReadsThePoolOnce(t *testing.T) {
 					t.Errorf("%s: node %d read round %d %d times, want once", tc.name, r, round, k)
 				}
 			}
-			if kept == rounds && len(offs) != rounds {
+			if covered == rounds && len(offs) != rounds {
 				t.Errorf("%s: node %d made %d input reads for %d rounds, all of them in the pool", tc.name, r, len(offs), rounds)
 			}
 		}
@@ -243,5 +251,68 @@ func TestSamplingSweepFailureFailsPromptly(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("dsort hung on a failed sweep read")
+	}
+}
+
+// TestLentRoundReadFailureFailsPromptly: the sample stage's read of a round
+// into the receive pool's lent bytes failing on one node, while the others
+// wait in the splitter collective, fails the job with the sampling error;
+// nothing hangs on the loans still out.
+func TestLentRoundReadFailureFailsPromptly(t *testing.T) {
+	const p = 4
+	cfg := testConfig(1<<12, p, 16, workload.Uniform)
+	lentRound := int64(cfg.Spec.Format.Bytes(cfg.RunRecords)) * int64(cfg.Buffers) // the first round past the pool
+	c := cluster.New(cluster.Config{Nodes: p})
+	if _, err := oocsort.GenerateInput(c, cfg.Spec); err != nil {
+		t.Fatal(err)
+	}
+	c.Disks()[1].SetFault(func(op, name string, off int64) error {
+		if op == "read" && name == cfg.Spec.InputName && off == lentRound {
+			return errors.New("injected read failure")
+		}
+		return nil
+	})
+	done := make(chan error, 1)
+	go func() {
+		done <- c.Run(func(n *cluster.Node) error { _, err := Run(n, cfg); return err })
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "sampling round") {
+			t.Fatalf("a failed read of a lent round ended the job with %v, want the sampling error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("dsort hung on a failed read of a lent round")
+	}
+}
+
+// TestHeldRoundsLeaveOneAtATime: at most one round per node has been
+// permuted and not yet sent. While send is busy with round r, permute has
+// accepted no round past r+1 — not even the held rounds, which are all
+// ready the moment the splitters are.
+func TestHeldRoundsLeaveOneAtATime(t *testing.T) {
+	const p = 4
+	cfg := testConfig(1<<12, p, 16, workload.Uniform)
+	c := cluster.New(cluster.Config{Nodes: p})
+	if _, err := oocsort.GenerateInput(c, cfg.Spec); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var errs []string
+	sendSide(t, c, cfg, func(rank int) fg.RoundFunc {
+		return func(ctx *fg.Ctx, b *fg.Buffer) error {
+			time.Sleep(2 * time.Millisecond) // a slow network: permute could run ahead
+			for _, s := range ctx.Network().Stats().Stages {
+				if s.Stage == "permute" && s.Rounds > int64(b.Round)+1 {
+					mu.Lock()
+					errs = append(errs, fmt.Sprintf("node %d: permute had accepted %d rounds while round %d was being sent", rank, s.Rounds, b.Round))
+					mu.Unlock()
+				}
+			}
+			return nil
+		}
+	})
+	for _, e := range errs {
+		t.Error(e)
 	}
 }

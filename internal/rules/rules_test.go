@@ -22,8 +22,8 @@ var table = []struct {
 }{
 	// The ratchet: a change that shrinks the tree lowers the ceiling to the
 	// count it lands; one that raises it says in CHANGES.md what the lines buy.
-	{[]string{"..."}, lines(16213),
-		"16,180 → 16,213: dsort samples inside pass 1's send pipeline and reads the first pool-ful once: fig8-disk's dsort_sort_s 521.5 → 493.5 ms (medians of 10 fgbench pairs)"},
+	{[]string{"..."}, lines(16271),
+		"16,213 → 16,271: dsort's sample stage reads three more rounds into the idle receive pool's bytes and lets rounds go one at a time, and csort refuses a pool that deadlocks it: fig8-disk's dsort_sort_s 496.0 → 468.5 ms (medians of 10 fgbench pairs)"},
 
 	// Nothing in the binaries exists only for tests.
 	{[]string{"..."}, noImport("testing"),
@@ -84,12 +84,13 @@ var table = []struct {
 	{[]string{"cluster"}, tests("TestOwnedSendsArriveIntact", "TestOwnedSendNeverRecycledInFlight",
 		"TestSendRecvReleaseSteadyStateAllocs", "TestTransportConformance", "FuzzFrameCodec"),
 		"an owned send arrives byte-identical on both transports, is never recycled in flight and allocates nothing; both transports pass one conformance suite"},
-	{[]string{"colsort"}, tests("TestTransposesMatchInMemorySpec", "TestOutputBytesAreTheParents"),
-		"csort's transposes follow the in-memory specification, and its bytes are pinned across edits to the radix sort"},
+	{[]string{"colsort"}, tests("TestTransposesMatchInMemorySpec", "TestOutputBytesAreTheParents", "TestOnePoolBufferOnOneNodeIsRefused"),
+		"csort's transposes follow the in-memory specification, its bytes are pinned across edits to the radix sort, and a pool that would deadlock it is refused, not hung"},
 	{[]string{"dsort"}, tests("TestChaosDsortHangTriggersWatchdog", "TestChaosDsortSlowDiskNoFalseStall",
 		"TestOutputBytesAreTheParents", "TestSamplingAndRunsAreTheParents", "TestMergerMatchesExtentRuleByScan",
-		"TestSamplingReadsThePoolOnce", "BenchmarkMergerFill"),
-		"a hang names its stage and slow disks raise no false stall; dsort's partition and merge order are pinned by hash and by the scan rule; sampling reads no held round again"},
+		"TestSamplingReadsThePoolOnce", "TestLentRoundReadFailureFailsPromptly", "TestHeldRoundsLeaveOneAtATime",
+		"TestDsortAgainstCsortOutput", "BenchmarkMergerFill"),
+		"a hang names its stage and slow disks raise no false stall; dsort's partition and merge order are pinned by hash and by the scan rule; sampling reads no held or lent round again, a failed lent read hangs nothing, rounds leave one at a time; dsort's keys are csort's"},
 	{[]string{"fg"}, tests("TestForkBranchHangNamesCulprit"),
 		"the watchdog names a stage parked inside a fork branch, the hang the sorts' shapes never produce"},
 	{[]string{"internal/bufpool"}, tests("TestPutSurvivesCollections", "TestIdleClassIsFreed"),
